@@ -12,8 +12,8 @@ Library layout:
 - :mod:`athermal_markov.cli` -- command-line front end
 """
 
-from .linalg import DensityMatrix, eigh, kron, partial_trace, partial_transpose, \
-    trace_norm, von_neumann_entropy
+from .linalg import DensityMatrix, eigh, partial_trace, partial_transpose, trace_norm, \
+    von_neumann_entropy
 from .measures import DeltaReport, MarkovianFamily, MeasureValue, choi_state, \
     chi_lambda_bound, delta, discord, distance_measure, log_negativity, \
     mutual_information, theta_lambda, x_lambda
@@ -26,7 +26,7 @@ from .thermal import EnergyBlockUnitary, GibbsState, Hamiltonian, MtoConstraintR
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix", "eigh", "kron", "partial_trace", "partial_transpose",
+    "DensityMatrix", "eigh", "partial_trace", "partial_transpose",
     "trace_norm", "von_neumann_entropy",
     "DeltaReport", "MarkovianFamily", "MeasureValue", "choi_state",
     "chi_lambda_bound", "delta", "discord", "distance_measure",

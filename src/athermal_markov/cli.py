@@ -184,10 +184,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def parse_and_dispatch(argv) -> int:
-    """Name-stable alias for embedding the CLI."""
-    return main(argv)
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -13,21 +13,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import measures, thermal
-from .linalg import DensityMatrix, dagger, kron, partial_transpose, trace_norm
+from .linalg import DensityMatrix, dagger, partial_transpose, trace_norm
 from .optimize import OptimizerConfig, constrained_phase_manifold
 from .thermal import Hamiltonian, PerturbationSpec
 
 MAX_TOTAL_DIMENSION = 36
-
-THREADS_ENV_VAR = "ATHERMAL_MARKOV_THREADS"
 
 
 def _named_operators() -> dict[str, np.ndarray]:
@@ -165,10 +163,10 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.sweep_variable not in ("temperature", "inverse_temperature"):
             raise ValueError("sweep_variable must be 'temperature' or 'inverse_temperature'")
-        if not self.sweep_values or any(v <= 0 for v in self.sweep_values):
-            raise ValueError("sweep_values must be positive")
-        if any(e < 0 for e in self.epsilons):
-            raise ValueError("epsilons must be nonnegative")
+        if not self.sweep_values or not all(math.isfinite(v) and v > 0 for v in self.sweep_values):
+            raise ValueError("sweep_values must be finite and positive")
+        if not all(math.isfinite(e) and e >= 0 for e in self.epsilons):
+            raise ValueError("epsilons must be finite and nonnegative")
         for m in self.measures:
             if m not in self.KNOWN_MEASURES:
                 raise ValueError(f"unknown measure '{m}'")
@@ -193,8 +191,17 @@ class ExperimentConfig:
         for spec, (_, idx) in zip(self.unitary_blocks, blocks):
             if len(spec.phases) != len(idx):
                 raise ValueError(f"block with {len(idx)} levels got {len(spec.phases)} phases")
-        if "choi_distance" in self.measures and self.mto_relation is None:
-            raise ValueError("choi_distance requires mto_relation")
+        if "choi_distance" in self.measures:
+            if self.mto_relation is None:
+                raise ValueError("choi_distance requires mto_relation")
+            if any(len(idx) > 1 for _, idx in blocks):
+                raise ValueError("choi_distance requires a non-degenerate total spectrum")
+        if self.mto_relation is not None:
+            coeffs, offset = self.mto_relation
+            try:
+                constrained_phase_manifold(len(blocks), coeffs, offset)
+            except ValueError as exc:
+                raise ValueError(f"mto_relation: {exc}") from None
         return self
 
     # -- construction helpers -------------------------------------------------
@@ -359,28 +366,11 @@ def _sort_rows(rows) -> tuple[SweepRow, ...]:
     return tuple(sorted(rows, key=lambda r: (r.measure, r.epsilon, r.control)))
 
 
-def worker_count() -> int:
-    env = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items):
-    workers = worker_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _base_metadata(cfg: ExperimentConfig) -> dict:
     return {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "workers": worker_count(),
     }
 
 
@@ -413,7 +403,7 @@ def run_config(cfg: ExperimentConfig) -> SweepResult:
                 diags[tag] = mv.diagnostics
         return row, diags
 
-    evaluated = _parallel_map(evaluate, points)
+    evaluated = [evaluate(point) for point in points]
     rows = [row for row, _ in evaluated]
     metadata["optimizer_diagnostics"] = {
         f"{p[0]}/eps={p[1]}/x={p[2]}": d for p, (_, d) in zip(points, evaluated) if d
@@ -696,8 +686,9 @@ def _ppt_spectra_sweep(rng: np.random.Generator, d2: int, cases: int) -> tuple[f
     for _ in range(cases):
         rho = _random_density(rng, 2)
         tau = np.diag(rng.dirichlet(np.ones(d2))).astype(complex)
-        u = np.diag(np.exp(-1j * rng.uniform(0, 2 * np.pi, size=2 * d2)))
-        joint = u @ kron(rho.matrix, tau) @ dagger(u)
+        # a diagonal unitary acts on rho (x) tau as an entrywise phase multiplier
+        phases = np.exp(-1j * rng.uniform(0, 2 * np.pi, size=2 * d2))
+        joint = np.kron(rho.matrix, tau) * np.outer(phases, phases.conj())
         joint_dm = DensityMatrix(0.5 * (joint + dagger(joint)), (2, d2))
         sp = np.sort(np.linalg.eigvalsh(joint_dm.matrix))
         pt = partial_transpose(joint_dm, 0)
@@ -858,7 +849,6 @@ def run_property_suite() -> SweepResult:
         "config": {"name": "properties", "seed": 20260809},
         "config_hash": "properties-20260809",
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "workers": 1,
     }
     return SweepResult(_sort_rows(rows), metadata, tuple(deviations))
 

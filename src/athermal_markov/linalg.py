@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
+import math
+
 import numpy as np
 
 # Default absolute tolerance for state validity (hermiticity, trace, positivity).
@@ -45,11 +47,15 @@ def reduce_mod_2pi(angle: float) -> float:
 
     Double-precision ``angle % (2*pi)`` loses ~1e-7 rad for angles of order
     1e9; phases that large appear in the block-unitary configurations, and
-    only the reduced value matters to ``exp(-1j*angle)``.
+    only the reduced value matters to ``exp(-1j*angle)``.  An angle already
+    in range is returned unchanged.
     """
+    angle = float(angle)
+    if 0.0 <= angle < math.tau:
+        return angle
     with localcontext() as ctx:
         ctx.prec = 50
-        r = Decimal(float(angle)) % _TWO_PI
+        r = Decimal(angle) % _TWO_PI
         if r < 0:
             r += _TWO_PI
         return float(r)
@@ -61,12 +67,6 @@ def ket(amplitudes, tol: float = STATE_TOL) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > tol:
         raise ValueError(f"ket is not normalised: |v| = {norm}")
-    return v
-
-
-def basis_ket(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
     return v
 
 
@@ -108,11 +108,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (i*rows_b + k, j*cols_b + l) -> a[i,j]*b[k,l]."""
-    return np.kron(a, b)
-
-
 def _two_factor_dims(rho: DensityMatrix) -> tuple[int, int]:
     if len(rho.dims) != 2:
         raise ValueError(f"bad factorization: need exactly two factors, got {rho.dims}")
@@ -127,24 +122,22 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     d1, d2 = _two_factor_dims(rho)
     if keep not in (0, 1):
         raise ValueError("keep must be 0 or 1")
-    r = rho.matrix.reshape(d1, d2, d1, d2)
+    tol = max(rho.tol, STATE_TOL)
     if keep == 0:
-        out = np.einsum("abcb->ac", r)
-        dims = (d1,)
-    else:
-        out = np.einsum("abad->bd", r)
-        dims = (d2,)
-    return DensityMatrix(out, dims, tol=max(rho.tol, STATE_TOL))
+        return DensityMatrix(trace_out_second(rho.matrix, d1, d2), (d1,), tol=tol)
+    return DensityMatrix(trace_out_first(rho.matrix, d1, d2), (d2,), tol=tol)
 
 
 def trace_out_second(matrix: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Partial trace over the second factor of a raw (d1*d2) square matrix."""
-    return np.einsum("abcb->ac", matrix.reshape(d1, d2, d1, d2))
+    """Partial trace over the second factor of a raw (d1*d2) square matrix or
+    a stack (..., d1*d2, d1*d2) of them."""
+    return np.einsum("...abcb->...ac", matrix.reshape(*matrix.shape[:-2], d1, d2, d1, d2))
 
 
 def trace_out_first(matrix: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Partial trace over the first factor of a raw (d1*d2) square matrix."""
-    return np.einsum("abad->bd", matrix.reshape(d1, d2, d1, d2))
+    """Partial trace over the first factor of a raw (d1*d2) square matrix or
+    a stack (..., d1*d2, d1*d2) of them."""
+    return np.einsum("...abad->...bd", matrix.reshape(*matrix.shape[:-2], d1, d2, d1, d2))
 
 
 def partial_transpose(rho: DensityMatrix, on: int) -> np.ndarray:

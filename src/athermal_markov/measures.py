@@ -12,7 +12,6 @@ expansion check, and the distance-response upper bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,13 +22,13 @@ from .linalg import (
     DensityMatrix,
     dagger,
     entropy_of_spectrum,
-    kron,
     matrix_log2_on_support,
     partial_trace,
     partial_transpose,
     support_projectors,
     trace_norm,
     trace_out_first,
+    trace_out_second,
     von_neumann_entropy,
 )
 from .optimize import OptimizerConfig, PhaseManifold, minimize
@@ -95,7 +94,7 @@ def _measured_conditional_entropy(rho_joint: DensityMatrix, meas: ProjectiveMeas
     d2 = rho_joint.dims[1]
     total = 0.0
     for p in meas.projectors():
-        m = kron(p, np.eye(d2))
+        m = np.kron(p, np.eye(d2))
         sub = m @ rho_joint.matrix @ m
         prob = float(np.trace(sub).real)
         if prob > 1e-14:
@@ -152,44 +151,32 @@ def _system_kets(h_sys: thermal.Hamiltonian, pert: PerturbationSpec | None,
 def maximally_entangled_input(h_sys: thermal.Hamiltonian, pert: PerturbationSpec | None = None,
                               first_order: bool = False) -> np.ndarray:
     """Projector onto (1/sqrt(d)) sum_i |i'> (x) |i> as a raw matrix."""
-    d = h_sys.dim
-    kets = _system_kets(h_sys, pert, first_order)
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi += kron(kets[:, i].reshape(-1, 1), np.eye(d)[:, i].reshape(-1, 1)).reshape(-1)
-    phi /= np.linalg.norm(phi)
+    phi = _system_kets(h_sys, pert, first_order).reshape(-1)
+    phi = phi / np.linalg.norm(phi)
     return np.outer(phi, phi.conj())
 
 
-def _apply_channel_to_bipartite(channel: Callable[[np.ndarray], np.ndarray],
-                                x: np.ndarray, d: int) -> np.ndarray:
-    """(channel (x) identity) acting on an operator of the system+ancilla pair."""
-    r = x.reshape(d, d, d, d)
-    out = np.zeros_like(r)
-    for a in range(d):
-        for b in range(d):
-            out[:, a, :, b] = channel(np.ascontiguousarray(r[:, a, :, b]))
-    return out.reshape(d * d, d * d)
+def _apply_on_system_factor(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
+    """(channel (x) identity) on an operator of the system+ancilla pair.
+
+    The (system, ancilla, system, ancilla) tensor is viewed as a stack of
+    system operators indexed by the ancilla pair, mapped in one call.
+    """
+    d = op.d_sys
+    blocks = x.reshape(d, d, d, d).transpose(1, 3, 0, 2)
+    return thermal.apply_to_operator(op, blocks).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
-def _as_channel(op) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(op, ThermalOperation):
-        return lambda x: thermal.apply_to_operator(op, x)
-    return op
+def choi_state(op: ThermalOperation, h_sys: thermal.Hamiltonian,
+               pert: PerturbationSpec | None = None, first_order: bool = False,
+               tol: float = STATE_TOL) -> DensityMatrix:
+    """Choi state (channel (x) identity) |Phi><Phi| of a thermal operation.
 
-
-def choi_state(op, h_sys: thermal.Hamiltonian, pert: PerturbationSpec | None = None,
-               first_order: bool = False, tol: float = STATE_TOL) -> DensityMatrix:
-    """Choi state (channel (x) identity) |Phi><Phi| of a system channel.
-
-    ``op`` is a ThermalOperation or any callable taking and returning a
-    system operator.  The entangled input pairs system eigenvectors (exact or
-    first-order perturbed ones when ``pert`` is given) with a fixed ancilla
-    basis.
+    The entangled input pairs system eigenvectors (exact or first-order
+    perturbed ones when ``pert`` is given) with a fixed ancilla basis.
     """
     d = h_sys.dim
-    chi_in = maximally_entangled_input(h_sys, pert, first_order)
-    out = _apply_channel_to_bipartite(_as_channel(op), chi_in, d)
+    out = _apply_on_system_factor(op, maximally_entangled_input(h_sys, pert, first_order))
     out = 0.5 * (out + dagger(out))
     return DensityMatrix(out, (d, d), tol=tol)
 
@@ -255,14 +242,11 @@ def distance_measure(op: ThermalOperation, family: MarkovianFamily,
     sanity check that no random input state exceeds the Choi-state value.
     """
     cfg = cfg or OptimizerConfig(grid_resolution=8)
-    h_sys = op.system_hamiltonian
-    d = h_sys.dim
-    chi_in = maximally_entangled_input(h_sys, pert, first_order)
-    target = _apply_channel_to_bipartite(_as_channel(op), chi_in, d)
+    chi_in = maximally_entangled_input(op.system_hamiltonian, pert, first_order)
+    target = _apply_on_system_factor(op, chi_in)
 
     def objective(free):
-        candidate = _apply_channel_to_bipartite(_as_channel(family.operation(free)), chi_in, d)
-        return trace_norm(target - candidate)
+        return trace_norm(target - _apply_on_system_factor(family.operation(free), chi_in))
 
     result = minimize(objective, family.bounds(), cfg, periodic=[True] * family.manifold.free_dim)
     best_full = family.manifold.embed(result.best_point)
@@ -304,10 +288,9 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
 
     out = thermal.apply(op, rho)
-    u = op.unitary.matrix
-    joint_dir = u @ kron(rho_tilde, op.bath.state.matrix) @ dagger(u)
-    beta_1 = np.einsum("abcb->ac", joint_dir.reshape(op.d_sys, op.d_bath, op.d_sys, op.d_bath))
-    beta_2 = np.einsum("abad->bd", joint_dir.reshape(op.d_sys, op.d_bath, op.d_sys, op.d_bath))
+    joint_dir = thermal.evolve(op, rho_tilde)
+    beta_1 = trace_out_second(joint_dir, op.d_sys, op.d_bath)
+    beta_2 = trace_out_first(joint_dir, op.d_sys, op.d_bath)
 
     flags: dict = {}
     _check_support("system_support_deficient", beta_1, out.system.matrix, flags)
@@ -341,9 +324,8 @@ def x_lambda(op: ThermalOperation, rho_coeffs, sigma: DensityMatrix,
         raise ValueError("sigma must be full rank")
     rho = thermal.state_from_level_coeffs(h_sys, rho_coeffs)
     rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
-    u = op.unitary.matrix
-    a = u @ kron(rho.matrix, op.bath.state.matrix) @ dagger(u)
-    b = u @ kron(rho_tilde, op.bath.state.matrix) @ dagger(u)
+    a = thermal.evolve(op, rho.matrix)
+    b = thermal.evolve(op, rho_tilde)
     d = a.shape[0]
     log_ratio = matrix_log2_on_support(a) - matrix_log2_on_support(sigma.matrix)
     return float(np.trace(b @ (np.eye(d) + log_ratio)).real)
@@ -374,7 +356,7 @@ def response_direction(h_sys: thermal.Hamiltonian, h_prime: thermal.Hamiltonian)
     d = h_sys.dim
     g = thermal.first_order_generator(h_sys, h_prime)
     k = d * maximally_entangled_input(h_sys)
-    gk = kron(g, np.eye(d)) @ k
+    gk = np.kron(g, np.eye(d)) @ k
     return gk + dagger(gk)
 
 
@@ -388,16 +370,14 @@ def chi_lambda_bound(op: ThermalOperation, family: MarkovianFamily, pert: Pertur
     """
     cfg = cfg or OptimizerConfig(grid_resolution=8)
     h_sys = op.system_hamiltonian
-    d = h_sys.dim
     theta_dir = response_direction(h_sys, pert.h_prime)
-    target = _apply_channel_to_bipartite(_as_channel(op), theta_dir, d)
+    target = _apply_on_system_factor(op, theta_dir)
 
     def objective(free):
-        candidate = _apply_channel_to_bipartite(_as_channel(family.operation(free)), theta_dir, d)
-        return -trace_norm(target - candidate)
+        return -trace_norm(target - _apply_on_system_factor(family.operation(free), theta_dir))
 
     result = minimize(objective, family.bounds(), cfg, periodic=[True] * family.manifold.free_dim)
-    bound = pert.epsilon / d * (-result.best_value)
+    bound = pert.epsilon / h_sys.dim * (-result.best_value)
     if with_diagnostics:
         return bound, {"converged": result.converged, "evaluations": result.evaluations,
                        "phases": [float(p) for p in family.manifold.embed(result.best_point)]}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class OptimizerConfig:
             raise ValueError("f_tol must be positive")
         if self.grid_resolution < 1:
             raise ValueError("grid_resolution must be >= 1")
-
-    def with_overrides(self, **kwargs) -> "OptimizerConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .linalg import (
     dagger,
     eigh,
     is_hermitian,
-    kron,
     reduce_mod_2pi,
     trace_norm,
     trace_out_first,
@@ -145,13 +144,12 @@ def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
     eigenspaces stay expressed in product kets.
     """
     d1, d2 = h_sys.dim, h_bath.dim
-    m = kron(h_sys.matrix, np.eye(d2)) + kron(np.eye(d1), h_bath.matrix)
+    m = np.kron(h_sys.matrix, np.eye(d2)) + np.kron(np.eye(d1), h_bath.matrix)
     labels = [(i, r) for i in range(d1) for r in range(d2)]
     energies = np.array([h_sys.energies[i] + h_bath.energies[r] for i, r in labels])
     order = sorted(range(len(labels)), key=lambda k: (energies[k], labels[k]))
     vecs = np.column_stack(
-        [kron(h_sys.eigvecs[:, labels[k][0]].reshape(-1, 1),
-              h_bath.eigvecs[:, labels[k][1]].reshape(-1, 1)).reshape(-1)
+        [np.kron(h_sys.eigvecs[:, labels[k][0]], h_bath.eigvecs[:, labels[k][1]])
          for k in order]
     )
     return Hamiltonian(
@@ -272,12 +270,25 @@ class ChannelOutput:
     joint: DensityMatrix
 
 
+def evolve(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
+    """Joint operator U (x (x) tau) U^dag for a system operator ``x`` or a
+    stack (..., d_sys, d_sys) of them."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape[-2:] != (op.d_sys, op.d_sys):
+        raise ValueError(f"operator dimension mismatch: {x.shape} vs system dimension {op.d_sys}")
+    d = op.d_sys * op.d_bath
+    tau = op.bath.state.matrix
+    # x (x) tau by broadcasting: axes (..., sys, bath, sys, bath)
+    joint = (x[..., :, None, :, None] * tau[:, None, :]).reshape(*x.shape[:-2], d, d)
+    u = op.unitary.matrix
+    return u @ joint @ dagger(u)
+
+
 def apply(op: ThermalOperation, rho_sys: DensityMatrix, tol: float = STATE_TOL) -> ChannelOutput:
     """Evolve rho (x) tau by the global unitary and return joint plus marginals."""
     if rho_sys.dim != op.d_sys:
         raise ValueError(f"system state dimension {rho_sys.dim} != {op.d_sys}")
-    u = op.unitary.matrix
-    joint = u @ kron(rho_sys.matrix, op.bath.state.matrix) @ dagger(u)
+    joint = evolve(op, rho_sys.matrix)
     joint = 0.5 * (joint + dagger(joint))
     joint_dm = DensityMatrix(joint, (op.d_sys, op.d_bath), tol=tol)
     sys_out = DensityMatrix(trace_out_second(joint, op.d_sys, op.d_bath), (op.d_sys,), tol=tol)
@@ -286,13 +297,8 @@ def apply(op: ThermalOperation, rho_sys: DensityMatrix, tol: float = STATE_TOL) 
 
 
 def apply_to_operator(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
-    """Linear extension of the channel to arbitrary system operators."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (op.d_sys, op.d_sys):
-        raise ValueError("operator dimension mismatch")
-    u = op.unitary.matrix
-    joint = u @ kron(x, op.bath.state.matrix) @ dagger(u)
-    return trace_out_second(joint, op.d_sys, op.d_bath)
+    """Linear extension of the channel to system operators, or stacks of them."""
+    return trace_out_second(evolve(op, x), op.d_sys, op.d_bath)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +364,8 @@ def transition_amplitudes(op: ThermalOperation) -> dict[tuple[int, int, int], co
                 if rp is None:
                     out[(i, j, r)] = None
                     continue
-                bra = kron(vs[:, j].reshape(-1, 1), vb[:, rp].reshape(-1, 1)).reshape(-1)
-                kt = kron(vs[:, i].reshape(-1, 1), vb[:, r].reshape(-1, 1)).reshape(-1)
+                bra = np.kron(vs[:, j], vb[:, rp])
+                kt = np.kron(vs[:, i], vb[:, r])
                 out[(i, j, r)] = complex(bra.conj() @ u @ kt)
     return out
 
@@ -376,7 +382,7 @@ def mto_check(op: ThermalOperation, rho_sys: DensityMatrix, tol: float = STATE_T
     level.
     """
     out = apply(op, rho_sys)
-    product = kron(out.system.matrix, op.bath.state.matrix)
+    product = np.kron(out.system.matrix, op.bath.state.matrix)
     deviation = 0.5 * trace_norm(out.joint.matrix - product)
 
     h_sys = op.system_hamiltonian

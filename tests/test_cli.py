@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,5 +153,20 @@ def test_properties_subcommand(tmp_path, capsys):
     assert any(name.startswith("properties-") and name.endswith(".csv") for name in written)
 
 
-def test_parse_and_dispatch_alias(tmp_path):
-    assert cli.parse_and_dispatch(small_fig2_args(str(tmp_path / "o"))) == 0
+@pytest.mark.parametrize("override", [
+    "epsilons=[NaN]",
+    "sweep.values=[NaN]",
+    'mto_relation={"coefficients":[2,2,2,2]}',
+    'mto_relation={"coefficients":[1,1]}',
+])
+def test_bad_numbers_exit_2_without_traceback(tmp_path, override):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "athermal_markov.cli", "distance", "--out", str(tmp_path),
+         "--set", override],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

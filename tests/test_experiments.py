@@ -140,24 +140,6 @@ def test_run_config_reproducible():
     assert a.rows == b.rows
 
 
-def test_worker_env_cap(monkeypatch):
-    monkeypatch.setenv(ex.THREADS_ENV_VAR, "1")
-    assert ex.worker_count() == 1
-    monkeypatch.setenv(ex.THREADS_ENV_VAR, "3")
-    assert ex.worker_count() == 3
-    monkeypatch.delenv(ex.THREADS_ENV_VAR)
-    assert ex.worker_count() >= 1
-
-
-def test_parallel_map_matches_serial(monkeypatch):
-    items = list(range(7))
-    monkeypatch.setenv(ex.THREADS_ENV_VAR, "4")
-    parallel = ex._parallel_map(lambda x: x * x, items)
-    monkeypatch.setenv(ex.THREADS_ENV_VAR, "1")
-    serial = ex._parallel_map(lambda x: x * x, items)
-    assert parallel == serial == [x * x for x in items]
-
-
 # -- named experiments ----------------------------------------------------------------
 
 def test_fig2_claims_hold(fig2_result):

@@ -6,7 +6,6 @@ from athermal_markov.linalg import (
     dagger,
     eigh,
     ket,
-    kron,
     mat_equal,
     matrix_log2_on_support,
     partial_trace,
@@ -55,35 +54,13 @@ def test_ket_norm():
         ket([1, 1])
 
 
-# -- kron --------------------------------------------------------------------
-
-def test_kron_identity():
-    assert mat_equal(kron(np.eye(2), np.eye(2)), np.eye(4), 0)
-
-
-def test_kron_diagonal():
-    out = kron(np.diag([2.0, 3.0]), np.diag([5.0, 7.0]))
-    assert mat_equal(out, np.diag([10.0, 14.0, 15.0, 21.0]), 1e-15)
-
-
-def test_kron_against_quadruple_loop():
-    a, b = SIGMA_X, SIGMA_Z
-    expected = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    expected[i * 2 + k, j * 2 + l] = a[i, j] * b[k, l]
-    assert mat_equal(kron(a, b), expected, 0)
-
-
 # -- partial trace / transpose -------------------------------------------------
 
 def test_partial_trace_product_state():
     rng = np.random.default_rng(1)
     rho = random_density(rng, 2)
     tau = random_density(rng, 3)
-    joint = DensityMatrix(kron(rho.matrix, tau.matrix), (2, 3))
+    joint = DensityMatrix(np.kron(rho.matrix, tau.matrix), (2, 3))
     assert mat_equal(partial_trace(joint, 0).matrix, rho.matrix, 1e-12)
     assert mat_equal(partial_trace(joint, 1).matrix, tau.matrix, 1e-12)
 
@@ -118,8 +95,8 @@ def test_partial_transpose_product_and_involution():
     rng = np.random.default_rng(4)
     rho = random_density(rng, 2)
     tau = random_density(rng, 3)
-    joint = DensityMatrix(kron(rho.matrix, tau.matrix), (2, 3))
-    assert mat_equal(partial_transpose(joint, 0), kron(rho.matrix.T, tau.matrix), 1e-12)
+    joint = DensityMatrix(np.kron(rho.matrix, tau.matrix), (2, 3))
+    assert mat_equal(partial_transpose(joint, 0), np.kron(rho.matrix.T, tau.matrix), 1e-12)
     twice = partial_transpose(DensityMatrix(partial_transpose(joint, 0), (2, 3)), 0)
     assert mat_equal(twice, joint.matrix, 1e-12)
 
@@ -274,6 +251,9 @@ def test_matrix_log2_rejects_negative():
 def test_reduce_mod_2pi_small_angles():
     assert abs(reduce_mod_2pi(1.25) - 1.25) < 1e-15
     assert abs(reduce_mod_2pi(-0.5) - (2 * np.pi - 0.5)) < 1e-15
+    # angles already in [0, 2*pi) come back unchanged
+    for angle in (0.0, 5e-324, 1e-300, 1.25, np.pi, np.nextafter(2 * np.pi, 0.0)):
+        assert reduce_mod_2pi(angle) == angle
 
 
 def test_reduce_mod_2pi_huge_angles():

@@ -5,7 +5,6 @@ from athermal_markov import measures, thermal
 from athermal_markov.linalg import (
     DensityMatrix,
     dagger,
-    kron,
     mat_equal,
     trace_norm,
 )
@@ -46,7 +45,7 @@ def bell_state():
 
 def product_state(rng, d1, d2):
     a, b = random_density(rng, d1), random_density(rng, d2)
-    return DensityMatrix(kron(a.matrix, b.matrix), (d1, d2))
+    return DensityMatrix(np.kron(a.matrix, b.matrix), (d1, d2))
 
 
 def fig2_op(temperature=4.0):
@@ -102,7 +101,7 @@ def test_log_negativity_zero_for_diagonal_unitary_evolution():
         rho = random_density(rng, 2)
         tau = np.diag(rng.dirichlet(np.ones(d2))).astype(complex)
         u = np.diag(np.exp(-1j * rng.uniform(0, 2 * np.pi, size=2 * d2)))
-        joint = u @ kron(rho.matrix, tau) @ dagger(u)
+        joint = u @ np.kron(rho.matrix, tau) @ dagger(u)
         joint = DensityMatrix(0.5 * (joint + dagger(joint)), (2, d2))
         assert log_negativity(joint).value <= 1e-9
 
@@ -121,7 +120,7 @@ def test_mutual_information_bell_two_bits():
 def test_mutual_information_local_unitary_invariance():
     rng = np.random.default_rng(43)
     rho = random_density(rng, 6, dims=(2, 3))
-    u = kron(random_unitary(rng, 2), random_unitary(rng, 3))
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 3))
     rotated = DensityMatrix(u @ rho.matrix @ dagger(u), (2, 3))
     assert abs(mutual_information(rotated).value - mutual_information(rho).value) < 1e-10
 
@@ -133,7 +132,7 @@ def test_mutual_information_nonnegative_and_zero_iff_product():
         mi = mutual_information(rho).value
         assert mi >= -1e-12
         assert mi <= 2 * min(np.log2(2), np.log2(3)) + 1e-12
-        marg = kron(
+        marg = np.kron(
             np.asarray(thermal.trace_out_second(rho.matrix, 2, 3)),
             np.asarray(thermal.trace_out_first(rho.matrix, 2, 3)))
         product_gap = 0.5 * trace_norm(rho.matrix - marg)
@@ -156,7 +155,7 @@ def brute_force_conditional_entropy(rho: DensityMatrix, steps=60) -> float:
             p1 = np.outer(psi, psi.conj())
             total = 0.0
             for p in (p1, np.eye(2) - p1):
-                m = kron(p, np.eye(d2))
+                m = np.kron(p, np.eye(d2))
                 sub = m @ rho.matrix @ m
                 prob = float(np.trace(sub).real)
                 if prob > 1e-12:
@@ -233,13 +232,75 @@ def test_projective_measurement_invariants():
 # -- Choi states -------------------------------------------------------------------
 
 def test_choi_identity_map():
-    chi = choi_state(lambda x: x, H_QUBIT)
+    # all-zero block phases make U the identity, so the channel is X -> X
+    h_tot = total_hamiltonian(H_QUBIT, H_BATH_STIFF)
+    u = build_block_unitary(h_tot, [0.0] * len(h_tot.energy_blocks()))
+    op = thermal_operation(u, gibbs_state(H_BATH_STIFF, 0.3))
+    chi = choi_state(op, H_QUBIT)
     assert mat_equal(chi.matrix, maximally_entangled_input(H_QUBIT), 1e-12)
 
 
 def test_choi_depolarizing_map():
-    chi = choi_state(lambda x: np.trace(x) * np.eye(2) / 2, H_QUBIT)
+    # SWAP is block diagonal for matched qubits (it only exchanges the
+    # degenerate |01>, |10> pair); against a beta = 0 bath it replaces every
+    # input by I/2
+    h_tot = total_hamiltonian(H_QUBIT, H_QUBIT)
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    params = []
+    for _, idx in h_tot.energy_blocks():
+        basis = h_tot.eigvecs[:, list(idx)]
+        params.append(0.0 if len(idx) == 1 else dagger(basis) @ swap @ basis)
+    op = thermal_operation(build_block_unitary(h_tot, params), gibbs_state(H_QUBIT, 0.0))
+    chi = choi_state(op, H_QUBIT)
     assert mat_equal(chi.matrix, np.eye(4) / 4, 1e-12)
+
+
+def _random_block_op(rng, d_sys, d_bath):
+    """Thermal operation on rotated equally spaced spectra, so the total
+    Hamiltonian has degenerate blocks that get random intra-block unitaries."""
+    def rotated_ladder(d):
+        v = random_unitary(rng, d)
+        return Hamiltonian.from_matrix(v @ np.diag(np.arange(d, dtype=float)) @ dagger(v))
+
+    h_sys, h_bath = rotated_ladder(d_sys), rotated_ladder(d_bath)
+    h_tot = total_hamiltonian(h_sys, h_bath)
+    params = [float(rng.uniform(0, 2 * np.pi)) if len(idx) == 1 else random_unitary(rng, len(idx))
+              for _, idx in h_tot.energy_blocks()]
+    return h_sys, thermal_operation(build_block_unitary(h_tot, params), gibbs_state(h_bath, 0.7))
+
+
+def _choi_by_blocks(op, h_sys):
+    """Reference Choi state: the channel, written out with kron, applied to
+    each (ancilla a, ancilla b) block of the entangled input in turn."""
+    u, tau = op.unitary.matrix, op.bath.state.matrix
+
+    def channel(x):
+        joint = u @ np.kron(x, tau) @ dagger(u)
+        return np.einsum("abcb->ac", joint.reshape(op.d_sys, op.d_bath, op.d_sys, op.d_bath))
+
+    d = h_sys.dim
+    r = maximally_entangled_input(h_sys).reshape(d, d, d, d)
+    out = np.zeros_like(r)
+    for a in range(d):
+        for b in range(d):
+            out[:, a, :, b] = channel(np.ascontiguousarray(r[:, a, :, b]))
+    out = out.reshape(d * d, d * d)
+    return 0.5 * (out + dagger(out))
+
+
+@pytest.mark.parametrize("d_sys, d_bath", [(2, 3), (3, 2)])
+def test_choi_matches_block_by_block_reference(d_sys, d_bath):
+    rng = np.random.default_rng(4100 + d_sys)
+    h_sys, op = _random_block_op(rng, d_sys, d_bath)
+    assert any(len(idx) > 1 for _, idx in op.unitary.hamiltonian.energy_blocks())
+    chi = choi_state(op, h_sys)
+    assert mat_equal(chi.matrix, _choi_by_blocks(op, h_sys), 1e-12)
+
+    stack = rng.normal(size=(4, 5, d_sys, d_sys)) + 1j * rng.normal(size=(4, 5, d_sys, d_sys))
+    mapped = thermal.apply_to_operator(op, stack)
+    assert mapped.shape == stack.shape
+    for idx in np.ndindex(4, 5):
+        assert mat_equal(mapped[idx], thermal.apply_to_operator(op, stack[idx]), 1e-12)
 
 
 def test_choi_zero_strength_matches_unperturbed():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from athermal_markov import thermal
-from athermal_markov.linalg import DensityMatrix, dagger, kron, mat_equal, trace_norm
+from athermal_markov.linalg import DensityMatrix, dagger, mat_equal, trace_norm
 from athermal_markov.thermal import (
     Hamiltonian,
     PerturbationSpec,
@@ -114,7 +114,7 @@ def test_total_hamiltonian_qutrit_bath_nondegenerate():
 def test_total_hamiltonian_zero_bath():
     h_bath = Hamiltonian.from_matrix(np.zeros((3, 3), dtype=complex))
     h_tot = total_hamiltonian(H_QUBIT, h_bath)
-    assert mat_equal(h_tot.matrix, kron(SIGMA_Z, np.eye(3)), 1e-12)
+    assert mat_equal(h_tot.matrix, np.kron(SIGMA_Z, np.eye(3)), 1e-12)
 
 
 def test_total_hamiltonian_product_eigvecs():
@@ -187,7 +187,7 @@ def test_apply_identity_unitary():
     out = apply(op, rho)
     assert mat_equal(out.system.matrix, rho.matrix, 1e-12)
     assert mat_equal(out.bath.matrix, op.bath.state.matrix, 1e-12)
-    assert mat_equal(out.joint.matrix, kron(rho.matrix, op.bath.state.matrix), 1e-12)
+    assert mat_equal(out.joint.matrix, np.kron(rho.matrix, op.bath.state.matrix), 1e-12)
 
 
 def test_apply_fixed_point():
@@ -244,7 +244,7 @@ def test_commutator_norm_random_block_unitaries():
 def test_commutator_norm_fig2_perturbed_positive():
     h_tot, u = fig2_unitary()
     assert commutator_norm(u, h_tot) <= 1e-9
-    h_pert = Hamiltonian.from_matrix(h_tot.matrix + 0.2 * kron(SIGMA_X, np.eye(2)))
+    h_pert = Hamiltonian.from_matrix(h_tot.matrix + 0.2 * np.kron(SIGMA_X, np.eye(2)))
     assert commutator_norm(u, h_pert) > 1e-3
 
 
