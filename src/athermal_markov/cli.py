@@ -40,7 +40,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config file."""
+    """Parse a JSON experiment config file and check that it builds."""
     return config_from_dict(_read_config_file(path))
 
 
@@ -67,6 +67,8 @@ def _parse_set(entry: str) -> tuple[str, object]:
 
 def apply_overrides(data: dict, sets: list[str]) -> dict:
     """Apply ``--set key=value`` pairs (dotted keys reach nested objects)."""
+    if not isinstance(data, dict):
+        raise ConfigError("config: expected a JSON object")
     out = json.loads(json.dumps(data))
     for entry in sets:
         key, value = _parse_set(entry)
@@ -100,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("distance", "Markovian-family distance counter-example"),
         ("properties", "randomized property suite"),
         ("run", "run a user-supplied config"),
-        ("validate", "parse and validate a config without running"),
+        ("validate", "parse a config and build everything a run builds, without running"),
     ):
         p = sub.add_parser(name, help=text)
         if name in ("run", "validate"):
@@ -122,12 +124,11 @@ def _resolved_config(args) -> ExperimentConfig:
     else:
         data = _read_config_file(args.config)
     data = apply_overrides(data, args.set)
-    if args.grid is not None:
-        data.setdefault("optimizer", {})["grid_resolution"] = args.grid
-    if args.tol is not None:
-        data.setdefault("optimizer", {})["f_tol"] = args.tol
-    if args.seed_list is not None:
-        data.setdefault("optimizer", {})["seed_sequence"] = args.seed_list
+    flags = {"grid_resolution": args.grid, "f_tol": args.tol, "seed_sequence": args.seed_list}
+    optimizer = data.setdefault("optimizer", {})
+    if not isinstance(optimizer, dict):
+        raise ConfigError("config.optimizer: expected an object")
+    optimizer.update({key: value for key, value in flags.items() if value is not None})
     return config_from_dict(data)
 
 
@@ -152,9 +153,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             cfg = _resolved_config(args)
-            h_sys, h_bath = cfg.build_system(), cfg.build_bath()
+            setup = cfg.build()
             print(f"config '{cfg.name}' valid")
-            print(f"dims: system {h_sys.dim}, bath {h_bath.dim}")
+            print(f"dims: system {setup.h_sys.dim}, bath {setup.h_bath.dim}")
             print(f"sweep: {len(cfg.sweep_values)} x {cfg.sweep_variable} in "
                   f"[{min(cfg.sweep_values):g}, {max(cfg.sweep_values):g}]")
             print(f"epsilons: {list(cfg.epsilons)}")

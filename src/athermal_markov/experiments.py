@@ -16,55 +16,72 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import measures, thermal
 from .linalg import DensityMatrix, dagger, partial_transpose, trace_norm
-from .optimize import OptimizerConfig, constrained_phase_manifold
+from .optimize import OptimizerConfig, PhaseManifold, constrained_phase_manifold
 from .thermal import Hamiltonian, PerturbationSpec
 
 MAX_TOTAL_DIMENSION = 36
 
 
-def _named_operators() -> dict[str, np.ndarray]:
-    s3 = np.sqrt(3.0)
-    ops = {
-        "pauli_x": np.array([[0, 1], [1, 0]], dtype=complex),
-        "pauli_y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "pauli_z": np.array([[1, 0], [0, -1]], dtype=complex),
-        "identity_2": np.eye(2, dtype=complex),
-        "identity_3": np.eye(3, dtype=complex),
-        "gell_mann_1": np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
-        "gell_mann_2": np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex),
-        "gell_mann_3": np.diag([1.0, -1.0, 0.0]).astype(complex),
-        "gell_mann_4": np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
-        "gell_mann_5": np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex),
-        "gell_mann_6": np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
-        "gell_mann_7": np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex),
-        "gell_mann_8": (np.diag([1.0, 1.0, -2.0]) / s3).astype(complex),
-    }
-    return ops
-
-
-NAMED_OPERATORS = _named_operators()
+NAMED_OPERATORS = {
+    "pauli_x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "pauli_y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "pauli_z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "identity_2": np.eye(2, dtype=complex),
+    "identity_3": np.eye(3, dtype=complex),
+    "gell_mann_1": np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
+    "gell_mann_2": np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex),
+    "gell_mann_3": np.diag([1.0, -1.0, 0.0]).astype(complex),
+    "gell_mann_4": np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
+    "gell_mann_5": np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex),
+    "gell_mann_6": np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
+    "gell_mann_7": np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex),
+    "gell_mann_8": (np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)).astype(complex),
+}
 
 
 def _matrix_to_json(m: np.ndarray) -> dict:
     return {"real": np.real(m).tolist(), "imag": np.imag(m).tolist()}
 
 
-def _matrix_from_json(data: dict, where: str) -> np.ndarray:
+def _field(where: str, build, *args):
+    """``build(*args)``, with a conversion or construction error, or a
+    non-finite float, re-raised as a ValueError that names the field ``where``."""
     try:
-        real = np.array(data["real"], dtype=float)
-    except Exception as exc:
-        raise ValueError(f"{where}: bad 'real' entries ({exc})") from exc
+        value = build(*args)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where}: {value} is not finite")
+    return value
+
+
+def _as_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list")
+    return value
+
+
+def _floats(value, where: str) -> tuple[float, ...]:
+    return tuple(_field(where, float, v) for v in _as_list(value, where))
+
+
+def _matrix_from_json(data, where: str) -> np.ndarray:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object with 'real' entries")
+    real = _field(f"{where}.real", np.array, data.get("real"), float)
     imag = np.zeros_like(real)
     if data.get("imag") is not None:
-        imag = np.array(data["imag"], dtype=float)
+        imag = _field(f"{where}.imag", np.array, data["imag"], float)
         if imag.shape != real.shape:
             raise ValueError(f"{where}: 'imag' shape {imag.shape} != 'real' shape {real.shape}")
+    if not (np.isfinite(real).all() and np.isfinite(imag).all()):
+        raise ValueError(f"{where}: entries must be finite")
     return real + 1j * imag
 
 
@@ -99,7 +116,8 @@ class HamiltonianSpec:
         matrix = None
         if data.get("matrix") is not None:
             matrix = _matrix_from_json(data["matrix"], f"{where}.matrix")
-        return cls(name=data.get("name"), scale=float(data.get("scale", 1.0)), matrix=matrix)
+        return cls(name=data.get("name"), scale=_field(f"{where}.scale", float, data.get("scale", 1.0)),
+                   matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -126,11 +144,32 @@ class BlockSpec:
     def from_dict(cls, data: dict, where: str) -> "BlockSpec":
         if not isinstance(data, dict) or "phases" not in data:
             raise ValueError(f"{where}: expected an object with a 'phases' list")
-        phases = tuple(float(p) for p in data["phases"])
+        phases = _floats(data["phases"], f"{where}.phases")
         basis = None
         if data.get("basis") is not None:
             basis = _matrix_from_json(data["basis"], f"{where}.basis")
         return cls(phases, basis)
+
+
+@dataclass(frozen=True, eq=False)
+class StudySetup:
+    """Everything a run builds from an :class:`ExperimentConfig`."""
+
+    h_sys: Hamiltonian
+    h_bath: Hamiltonian
+    h_tot: Hamiltonian
+    unitary: thermal.EnergyBlockUnitary
+    h_prime: Hamiltonian
+    coeffs: np.ndarray
+    manifold: PhaseManifold | None
+
+    def operation(self, beta: float) -> thermal.ThermalOperation:
+        """The thermal operation against the bath's Gibbs state at ``beta``."""
+        return thermal.thermal_operation(self.unitary, thermal.gibbs_state(self.h_bath, beta))
+
+    def family(self, op: thermal.ThermalOperation) -> measures.MarkovianFamily:
+        """The Markovian phase family on the bath of ``op``."""
+        return measures.MarkovianFamily(self.h_tot, op.bath, self.manifold)
 
 
 @dataclass(frozen=True)
@@ -141,7 +180,8 @@ class ExperimentConfig:
     value is a temperature (beta = 1/value) or directly an inverse
     temperature.  The initial system state is diagonal in the energy
     eigenbasis with weight ``initial_population_a`` on the top level, unless
-    explicit level-basis coefficients are given.
+    explicit level-basis coefficients are given.  A config is valid exactly
+    when :meth:`build` succeeds.
     """
 
     name: str
@@ -160,49 +200,51 @@ class ExperimentConfig:
 
     KNOWN_MEASURES = ("log_negativity", "mutual_information", "discord", "choi_distance")
 
-    def validate(self) -> "ExperimentConfig":
+    def build(self) -> StudySetup:
+        """Everything a run builds; errors are ValueErrors that name the field."""
         if self.sweep_variable not in ("temperature", "inverse_temperature"):
             raise ValueError("sweep_variable must be 'temperature' or 'inverse_temperature'")
-        if not self.sweep_values or not all(math.isfinite(v) and v > 0 for v in self.sweep_values):
-            raise ValueError("sweep_values must be finite and positive")
+        if not self.sweep_values or not all(math.isfinite(v) and v > 0 and math.isfinite(
+                self.beta_for(v)) for v in self.sweep_values):
+            raise ValueError("sweep_values must be finite and positive, with a finite inverse")
         if not all(math.isfinite(e) and e >= 0 for e in self.epsilons):
             raise ValueError("epsilons must be finite and nonnegative")
         for m in self.measures:
             if m not in self.KNOWN_MEASURES:
                 raise ValueError(f"unknown measure '{m}'")
-        h_sys = self.system.build()
-        h_bath = self.bath.build()
-        if h_sys.dim * h_bath.dim > MAX_TOTAL_DIMENSION:
-            raise ValueError(f"total dimension {h_sys.dim * h_bath.dim} exceeds {MAX_TOTAL_DIMENSION}")
-        if self.perturbation.build().dim != h_sys.dim:
-            raise ValueError("perturbation dimension must match the system")
         if (self.initial_population_a is None) == (self.initial_coeffs is None):
             raise ValueError("need exactly one of initial_population_a or initial_coeffs")
         if self.initial_population_a is not None and not 0.0 <= self.initial_population_a <= 1.0:
             raise ValueError("initial_population_a must lie in [0, 1]")
-        if self.initial_coeffs is not None:
-            DensityMatrix(self.initial_coeffs, (h_sys.dim,))
+        if "choi_distance" in self.measures and self.mto_relation is None:
+            raise ValueError("choi_distance requires mto_relation")
+
+        h_sys = _field("system", self.build_system)
+        h_bath = _field("bath", self.build_bath)
+        if h_sys.dim * h_bath.dim > MAX_TOTAL_DIMENSION:
+            raise ValueError(f"total dimension {h_sys.dim * h_bath.dim} exceeds {MAX_TOTAL_DIMENSION}")
+        if "discord" in self.measures and h_sys.dim != 2:
+            raise ValueError("discord requires a qubit system")
+        h_prime = _field("perturbation", self.perturbation.build)
+        if h_prime.dim != h_sys.dim:
+            raise ValueError("perturbation dimension must match the system")
+        # every measure's perturbed input needs non-degenerate perturbation theory
+        _field("system", thermal.first_order_generator, h_sys, h_prime)
+        coeffs = self.level_coeffs()
+        _field("initial_coeffs", thermal.state_from_level_coeffs, h_sys, coeffs)
+        for eps in self.epsilons:
+            _field("epsilons", thermal.perturbed_state_exact, coeffs, h_sys,
+                   PerturbationSpec(h_prime, eps))
         h_tot = thermal.total_hamiltonian(h_sys, h_bath)
-        blocks = h_tot.energy_blocks()
-        if len(self.unitary_blocks) != len(blocks):
-            raise ValueError(
-                f"unitary_blocks has {len(self.unitary_blocks)} entries, "
-                f"total Hamiltonian has {len(blocks)} energy blocks")
-        for spec, (_, idx) in zip(self.unitary_blocks, blocks):
-            if len(spec.phases) != len(idx):
-                raise ValueError(f"block with {len(idx)} levels got {len(spec.phases)} phases")
-        if "choi_distance" in self.measures:
-            if self.mto_relation is None:
-                raise ValueError("choi_distance requires mto_relation")
-            if any(len(idx) > 1 for _, idx in blocks):
-                raise ValueError("choi_distance requires a non-degenerate total spectrum")
+        unitary = _field("unitary_blocks", self.build_unitary, h_tot)
+        if "choi_distance" in self.measures and any(len(idx) > 1 for _, idx in h_tot.energy_blocks()):
+            raise ValueError("choi_distance requires a non-degenerate total spectrum")
+        manifold = None
         if self.mto_relation is not None:
-            coeffs, offset = self.mto_relation
-            try:
-                constrained_phase_manifold(len(blocks), coeffs, offset)
-            except ValueError as exc:
-                raise ValueError(f"mto_relation: {exc}") from None
-        return self
+            coefficients, offset = self.mto_relation
+            manifold = _field("mto_relation", constrained_phase_manifold,
+                              len(h_tot.energy_blocks()), coefficients, offset)
+        return StudySetup(h_sys, h_bath, h_tot, unitary, h_prime, coeffs, manifold)
 
     # -- construction helpers -------------------------------------------------
 
@@ -211,9 +253,6 @@ class ExperimentConfig:
 
     def build_bath(self) -> Hamiltonian:
         return self.bath.build()
-
-    def build_total(self) -> Hamiltonian:
-        return thermal.total_hamiltonian(self.build_system(), self.build_bath())
 
     def level_coeffs(self) -> np.ndarray:
         if self.initial_coeffs is not None:
@@ -227,18 +266,8 @@ class ExperimentConfig:
     def beta_for(self, value: float) -> float:
         return float(value) if self.sweep_variable == "inverse_temperature" else 1.0 / float(value)
 
-    def build_unitary(self, h_tot: Hamiltonian | None = None) -> thermal.EnergyBlockUnitary:
-        h_tot = h_tot or self.build_total()
+    def build_unitary(self, h_tot: Hamiltonian) -> thermal.EnergyBlockUnitary:
         return thermal.build_block_unitary(h_tot, [b.build() for b in self.unitary_blocks])
-
-    def markovian_family(self, bath_state: thermal.GibbsState,
-                         h_tot: Hamiltonian | None = None) -> measures.MarkovianFamily:
-        if self.mto_relation is None:
-            raise ValueError("config has no mto_relation")
-        coeffs, offset = self.mto_relation
-        h_tot = h_tot or self.build_total()
-        manifold = constrained_phase_manifold(len(coeffs), coeffs, offset)
-        return measures.MarkovianFamily(h_tot, bath_state, manifold)
 
     # -- serialisation ---------------------------------------------------------
 
@@ -252,13 +281,7 @@ class ExperimentConfig:
             "sweep": {"values": list(self.sweep_values), "variable": self.sweep_variable},
             "unitary_blocks": [b.to_dict() for b in self.unitary_blocks],
             "measures": list(self.measures),
-            "optimizer": {
-                "seeds": self.optimizer.seeds,
-                "grid_resolution": self.optimizer.grid_resolution,
-                "max_iterations": self.optimizer.max_iterations,
-                "f_tol": self.optimizer.f_tol,
-                "seed_sequence": self.optimizer.seed_sequence,
-            },
+            "optimizer": asdict(self.optimizer),
         }
         if self.initial_population_a is not None:
             out["initial_population_a"] = self.initial_population_a
@@ -283,46 +306,48 @@ class ExperimentConfig:
         opt = data.get("optimizer", {})
         if not isinstance(opt, dict):
             raise ValueError("config.optimizer: expected an object")
-        allowed_opt = {"seeds", "grid_resolution", "max_iterations", "f_tol", "seed_sequence"}
-        bad = set(opt) - allowed_opt
+        defaults = asdict(OptimizerConfig())
+        bad = set(opt) - set(defaults)
         if bad:
             raise ValueError(f"config.optimizer.{sorted(bad)[0]}: unknown field")
-        optimizer = OptimizerConfig(
-            seeds=int(opt.get("seeds", 40)),
-            grid_resolution=int(opt.get("grid_resolution", 12)),
-            max_iterations=int(opt.get("max_iterations", 400)),
-            f_tol=float(opt.get("f_tol", 1e-8)),
-            seed_sequence=str(opt.get("seed_sequence", "default")),
-        )
+        settings = {key: _field(f"config.optimizer.{key}", type(defaults[key]), value)
+                    for key, value in opt.items()}
+        optimizer = _field("config.optimizer", lambda: OptimizerConfig(**settings))
         relation = None
         if data.get("mto_relation") is not None:
             rel = data["mto_relation"]
             if not isinstance(rel, dict) or "coefficients" not in rel:
                 raise ValueError("config.mto_relation: expected an object with 'coefficients'")
-            relation = (tuple(float(c) for c in rel["coefficients"]),
-                        float(rel.get("offset", 0.0)))
+            relation = (_floats(rel["coefficients"], "config.mto_relation.coefficients"),
+                        _field("config.mto_relation.offset", float, rel.get("offset", 0.0)))
         coeffs = None
         if data.get("initial_coeffs") is not None:
             coeffs = _matrix_from_json(data["initial_coeffs"], "config.initial_coeffs")
         pop = data.get("initial_population_a")
+        name = data["name"]
+        # the name becomes the prefix of the output file names
+        if not isinstance(name, str) or any(c in name for c in "/\\\0"):
+            raise ValueError("config.name: expected a string without path separators")
+        blocks = _as_list(data["unitary_blocks"], "config.unitary_blocks")
         cfg = cls(
-            name=str(data["name"]),
+            name=name,
             system=HamiltonianSpec.from_dict(data["system"], "config.system"),
             bath=HamiltonianSpec.from_dict(data["bath"], "config.bath"),
             perturbation=HamiltonianSpec.from_dict(data["perturbation"], "config.perturbation"),
-            epsilons=tuple(float(e) for e in data["epsilons"]),
-            sweep_values=tuple(float(v) for v in sweep["values"]),
+            epsilons=_floats(data["epsilons"], "config.epsilons"),
+            sweep_values=_floats(sweep["values"], "config.sweep.values"),
             sweep_variable=str(sweep.get("variable", "temperature")),
-            unitary_blocks=tuple(
-                BlockSpec.from_dict(b, f"config.unitary_blocks[{k}]")
-                for k, b in enumerate(data["unitary_blocks"])),
-            measures=tuple(str(m) for m in data["measures"]),
-            initial_population_a=None if pop is None else float(pop),
+            unitary_blocks=tuple(BlockSpec.from_dict(b, f"config.unitary_blocks[{k}]")
+                                 for k, b in enumerate(blocks)),
+            measures=tuple(str(m) for m in _as_list(data["measures"], "config.measures")),
+            initial_population_a=(None if pop is None
+                                  else _field("config.initial_population_a", float, pop)),
             initial_coeffs=coeffs,
             optimizer=optimizer,
             mto_relation=relation,
         )
-        return cfg.validate()
+        cfg.build()
+        return cfg
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)
@@ -376,25 +401,17 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
 
 def run_config(cfg: ExperimentConfig) -> SweepResult:
     """Evaluate every configured measure on the (epsilon, control) grid."""
-    cfg.validate()
-    h_sys = cfg.build_system()
-    h_bath = cfg.build_bath()
-    h_tot = thermal.total_hamiltonian(h_sys, h_bath)
-    unitary = cfg.build_unitary(h_tot)
-    coeffs = cfg.level_coeffs()
+    setup = cfg.build()
     metadata = _base_metadata(cfg)
 
     points = [(m, e, v) for m in cfg.measures for e in cfg.epsilons for v in cfg.sweep_values]
 
     def evaluate(point) -> tuple[SweepRow, dict]:
         measure, eps, value = point
-        bath = thermal.gibbs_state(h_bath, cfg.beta_for(value))
-        op = thermal.thermal_operation(unitary, bath)
-        pert = PerturbationSpec(cfg.perturbation.build(), eps)
-        family = None
-        if measure == "choi_distance":
-            family = cfg.markovian_family(bath, h_tot)
-        report = measures.delta(measure, op, coeffs, pert, cfg.optimizer, family)
+        op = setup.operation(cfg.beta_for(value))
+        family = setup.family(op) if measure == "choi_distance" else None
+        report = measures.delta(measure, op, setup.coeffs, PerturbationSpec(setup.h_prime, eps),
+                                cfg.optimizer, family)
         row = SweepRow(value, eps, measure, report.unperturbed.value,
                        report.perturbed.value, report.delta)
         diags = {}
@@ -497,7 +514,7 @@ def builtin_fig2() -> ExperimentConfig:
         unitary_blocks=tuple(specs),
         measures=("log_negativity",),
         initial_population_a=0.9,
-    ).validate()
+    )
 
 
 def builtin_fig3() -> ExperimentConfig:
@@ -526,7 +543,7 @@ def builtin_fig3() -> ExperimentConfig:
         measures=("mutual_information", "discord"),
         initial_population_a=0.9,
         optimizer=OptimizerConfig(grid_resolution=24),
-    ).validate()
+    )
 
 
 def builtin_distance() -> ExperimentConfig:
@@ -538,8 +555,6 @@ def builtin_distance() -> ExperimentConfig:
     h_tot = thermal.total_hamiltonian(h_sys.build(), h_bath.build())
     # Phases 1e4..4e4 on |00>, |11>, |01>, |10> in the computational basis.
     grid = np.empty((2, 2))
-    labels = {(i, r): None for i in range(2) for r in range(2)}
-    assert set(h_tot.product_labels) == set(labels)
     # system level 1 = |0>, bath level 1 = |0> (positive-energy eigenvectors).
     grid[1][1] = 1e4   # |00>
     grid[0][0] = 2e4   # |11>
@@ -558,7 +573,7 @@ def builtin_distance() -> ExperimentConfig:
         initial_population_a=0.9,
         optimizer=OptimizerConfig(grid_resolution=8),
         mto_relation=_product_phase_relation(h_tot),
-    ).validate()
+    )
 
 
 BUILTIN_CONFIGS = {
@@ -626,30 +641,28 @@ def run_fig3(cfg: ExperimentConfig | None = None) -> SweepResult:
     return _with_deviations(_flag_rows(result, offenders), deviations)
 
 
-def run_distance_example(cfg: ExperimentConfig | None = None,
-                         delta_tolerance: float = 5e-4) -> SweepResult:
+DISTANCE_DELTA_TOLERANCE = 5e-4
+
+
+def run_distance_example(cfg: ExperimentConfig | None = None) -> SweepResult:
     """Distance-measure counter-example: the response stays within
-    ``delta_tolerance`` and below the first-order bound at every strength."""
+    ``DISTANCE_DELTA_TOLERANCE`` and below the first-order bound at every strength."""
     cfg = cfg or builtin_distance()
     result = run_config(cfg)
     deviations: list[str] = []
     offenders: set[tuple[str, float, float]] = set()
 
-    h_sys = cfg.build_system()
-    h_bath = cfg.build_bath()
-    h_tot = thermal.total_hamiltonian(h_sys, h_bath)
-    unitary = cfg.build_unitary(h_tot)
+    setup = cfg.build()
     bound_rows = []
     converged_all = True
     for r in result.rows_for("choi_distance"):
-        if abs(r.delta) > delta_tolerance:
+        if abs(r.delta) > DISTANCE_DELTA_TOLERANCE:
             offenders.add((r.measure, r.epsilon, r.control))
-            deviations.append(f"|delta D| above {delta_tolerance} at eps={r.epsilon}: {r.delta}")
-        bath = thermal.gibbs_state(h_bath, cfg.beta_for(r.control))
-        op = thermal.thermal_operation(unitary, bath)
-        family = cfg.markovian_family(bath, h_tot)
-        pert = PerturbationSpec(cfg.perturbation.build(), r.epsilon)
-        bound, diags = measures.chi_lambda_bound(op, family, pert, cfg.optimizer,
+            deviations.append(
+                f"|delta D| above {DISTANCE_DELTA_TOLERANCE} at eps={r.epsilon}: {r.delta}")
+        op = setup.operation(cfg.beta_for(r.control))
+        pert = PerturbationSpec(setup.h_prime, r.epsilon)
+        bound, diags = measures.chi_lambda_bound(op, setup.family(op), pert, cfg.optimizer,
                                                  with_diagnostics=True)
         converged_all = converged_all and diags["converged"]
         status = "ok" if r.delta <= bound + 1e-6 else "deviation"
@@ -783,13 +796,9 @@ def _fixed_point_sweep(rng: np.random.Generator, cases: int) -> float:
 def _slope_ratio(cfg: ExperimentConfig, control: float) -> float:
     """Residual shrink factor of the first-order correlation-response law
     when epsilon halves, using first-order perturbed inputs."""
-    h_sys = cfg.build_system()
-    h_bath = cfg.build_bath()
-    h_tot = thermal.total_hamiltonian(h_sys, h_bath)
-    bath = thermal.gibbs_state(h_bath, cfg.beta_for(control))
-    op = thermal.thermal_operation(cfg.build_unitary(h_tot), bath)
-    coeffs = cfg.level_coeffs()
-    h_prime = cfg.perturbation.build()
+    setup = cfg.build()
+    op = setup.operation(cfg.beta_for(control))
+    h_sys, h_prime, coeffs = setup.h_sys, setup.h_prime, setup.coeffs
 
     base = measures.mutual_information(thermal.apply(
         op, thermal.state_from_level_coeffs(h_sys, coeffs)).joint).value

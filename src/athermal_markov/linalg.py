@@ -43,31 +43,26 @@ def is_hermitian(m: np.ndarray, tol: float = STATE_TOL) -> bool:
 
 
 def reduce_mod_2pi(angle: float) -> float:
-    """Reduce an angle to [0, 2*pi) using extended-precision arithmetic.
+    """Reduce a finite angle to [0, 2*pi) using extended-precision arithmetic.
 
     Double-precision ``angle % (2*pi)`` loses ~1e-7 rad for angles of order
     1e9; phases that large appear in the block-unitary configurations, and
     only the reduced value matters to ``exp(-1j*angle)``.  An angle already
-    in range is returned unchanged.
+    in range is returned unchanged.  A remainder that rounds up to 2*pi
+    wraps to 0.
     """
     angle = float(angle)
     if 0.0 <= angle < math.tau:
         return angle
+    if not math.isfinite(angle):
+        raise ValueError("angle must be finite")
     with localcontext() as ctx:
         ctx.prec = 50
         r = Decimal(angle) % _TWO_PI
         if r < 0:
             r += _TWO_PI
-        return float(r)
-
-
-def ket(amplitudes, tol: float = STATE_TOL) -> np.ndarray:
-    """Validate and return a unit-norm complex vector."""
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"ket is not normalised: |v| = {norm}")
-    return v
+        r = float(r)
+    return 0.0 if r == math.tau else r
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +181,7 @@ def trace_norm(m: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> float:
     """Entropy -sum(p log2 p) in bits, with the 0 log 0 = 0 convention."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    w = w[w > cutoff]
-    return float(-np.sum(w * np.log2(w)))
+    return entropy_of_spectrum(rho.matrix, cutoff)
 
 
 def entropy_of_spectrum(matrix: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> float:

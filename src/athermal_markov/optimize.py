@@ -23,16 +23,12 @@ class OptimizerConfig:
     grid_resolution: int = 12
     max_iterations: int = 400
     f_tol: float = 1e-8
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     seed_sequence: str = "default"
 
     def __post_init__(self):
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
-        if self.f_tol <= 0:
+        if not self.f_tol > 0:
             raise ValueError("f_tol must be positive")
         if self.grid_resolution < 1:
             raise ValueError("grid_resolution must be >= 1")
@@ -63,7 +59,10 @@ def _canonicalize(x: np.ndarray, bounds, periodic) -> np.ndarray:
 
 
 def _nelder_mead(f, x0, bounds, periodic, cfg: OptimizerConfig):
-    """One bounded Nelder-Mead run; returns (best_x, best_f, converged, evals)."""
+    """One bounded Nelder-Mead run; returns (best_x, best_f, converged, evals).
+
+    Standard coefficients: reflection 1, expansion 2, contraction and shrink 1/2.
+    """
     dim = len(x0)
     evals = 0
 
@@ -92,26 +91,26 @@ def _nelder_mead(f, x0, bounds, periodic, cfg: OptimizerConfig):
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
 
-        reflected = centroid + cfg.reflection * (centroid - worst)
+        reflected = centroid + (centroid - worst)
         fr = call(reflected)
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
             continue
         if fr < values[0]:
-            expanded = centroid + cfg.expansion * (reflected - centroid)
+            expanded = centroid + 2.0 * (reflected - centroid)
             fe = call(expanded)
             if fe < fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
                 simplex[-1], values[-1] = reflected, fr
             continue
-        contracted = centroid + cfg.contraction * (worst - centroid)
+        contracted = centroid + 0.5 * (worst - centroid)
         fc = call(contracted)
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
         best = simplex[0]
-        simplex = [best] + [best + cfg.shrink * (x - best) for x in simplex[1:]]
+        simplex = [best] + [best + 0.5 * (x - best) for x in simplex[1:]]
         values = [values[0]] + [call(x) for x in simplex[1:]]
 
     k = int(np.argmin(values))

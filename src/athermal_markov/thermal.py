@@ -148,10 +148,8 @@ def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
     labels = [(i, r) for i in range(d1) for r in range(d2)]
     energies = np.array([h_sys.energies[i] + h_bath.energies[r] for i, r in labels])
     order = sorted(range(len(labels)), key=lambda k: (energies[k], labels[k]))
-    vecs = np.column_stack(
-        [np.kron(h_sys.eigvecs[:, labels[k][0]], h_bath.eigvecs[:, labels[k][1]])
-         for k in order]
-    )
+    # column i*d2 + r of the Kronecker product is the product ket |i>|r>
+    vecs = np.kron(h_sys.eigvecs, h_bath.eigvecs)[:, order]
     return Hamiltonian(
         m,
         energies[order],
@@ -163,15 +161,10 @@ def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class EnergyBlockUnitary:
-    """Unitary block diagonal over the total-energy eigenspaces of a Hamiltonian.
-
-    ``blocks`` records, per eigenspace, the energy, the cached level indices
-    spanning it, and the intra-block unitary in that basis.
-    """
+    """Unitary block diagonal over the total-energy eigenspaces of a Hamiltonian."""
 
     matrix: np.ndarray
     hamiltonian: Hamiltonian
-    blocks: tuple[tuple[float, tuple[int, ...], np.ndarray], ...]
 
     @property
     def dim(self) -> int:
@@ -212,18 +205,16 @@ def build_block_unitary(h_total: Hamiltonian, block_params, tol: float = 1e-10) 
     """
     blocks = h_total.energy_blocks()
     if len(block_params) != len(blocks):
-        raise ValueError(f"expected {len(blocks)} block parameters, got {len(block_params)}")
+        raise ValueError(f"got {len(block_params)} block parameters for {len(blocks)} energy blocks")
     d = h_total.dim
     u = np.zeros((d, d), dtype=complex)
-    recorded = []
-    for (energy, idx), param in zip(blocks, block_params):
+    for (_, idx), param in zip(blocks, block_params):
         sub = _coerce_block_unitary(param, len(idx), tol)
         basis = h_total.eigvecs[:, list(idx)]
         u += basis @ sub @ dagger(basis)
-        recorded.append((energy, idx, sub))
     if not np.allclose(u @ dagger(u), np.eye(d), atol=tol):
         raise ValueError("assembled operator is not unitary")
-    return EnergyBlockUnitary(u, h_total, tuple(recorded))
+    return EnergyBlockUnitary(u, h_total)
 
 
 def commutator_norm(u, h) -> float:

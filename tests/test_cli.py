@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 
 from athermal_markov import cli
 from athermal_markov.cli import ConfigError, apply_overrides, load_config, main
-from athermal_markov.experiments import builtin_fig2
+from athermal_markov.experiments import builtin_distance, builtin_fig2, builtin_fig3
 
 
 @pytest.fixture()
@@ -158,6 +160,17 @@ def test_properties_subcommand(tmp_path, capsys):
     "sweep.values=[NaN]",
     'mto_relation={"coefficients":[2,2,2,2]}',
     'mto_relation={"coefficients":[1,1]}',
+    "epsilons=0.1",
+    "sweep.values=3",
+    "system.scale=[1]",
+    "optimizer.seeds=Infinity",
+    "system.name={}",
+    'measures="log_negativity"',
+    'unitary_blocks=[{"phases":[1.0],"basis":{"real":[[2.0]]}},{"phases":[2.0]},'
+    '{"phases":[3.0]},{"phases":[4.0]}]',
+    'unitary_blocks=[{"phases":[NaN]},{"phases":[2.0]},{"phases":[3.0]},{"phases":[4.0]}]',
+    "epsilons=[1e20]",
+    "perturbation.scale=Infinity",
 ])
 def test_bad_numbers_exit_2_without_traceback(tmp_path, override):
     src = Path(cli.__file__).resolve().parents[1]
@@ -170,3 +183,57 @@ def test_bad_numbers_exit_2_without_traceback(tmp_path, override):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_optimizer_flags_need_config_objects(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**builtin_fig2().to_dict(), "optimizer": 3}))
+    assert main(["validate", "--config", str(path), "--grid", "5"]) == 2
+    path.write_text(json.dumps([builtin_fig2().to_dict()]))
+    assert main(["validate", "--config", str(path), "--set", "epsilons=[0.1]"]) == 2
+    err = capsys.readouterr().err
+    assert "config.optimizer: expected an object" in err
+    assert "config: expected a JSON object" in err
+
+
+# Replacement values for the config fuzz: wrong types, non-finite numbers and
+# malformed matrices (non-square, ragged, non-numeric, mismatched imag part).
+FUZZ_VALUES = (
+    None, "x", 3, float("nan"), float("inf"), [], {}, True,
+    {"real": [[1.0, 2.0]]}, {"real": [[0.0, 1.0], [0.0, 0.0]]}, {"real": [[1.0], [0.0, 1.0]]},
+    {"real": [["a"]]}, {"real": [[1.0]], "imag": [[1.0, 2.0]]}, {"real": 3},
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path below ``node``, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def test_config_fuzz_exits_0_or_2_without_raising(tmp_path, capsys):
+    rng = random.Random(20261018)
+    bases = [make().to_dict() for make in (builtin_fig2, builtin_fig3, builtin_distance)]
+    path = tmp_path / "fuzz.json"
+    for _ in range(300):
+        data = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 2)):
+            target = rng.choice(list(_paths(data)))
+            parent = data
+            for key in target[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and rng.random() < 0.15:
+                del parent[target[-1]]
+            else:
+                parent[target[-1]] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+        case = json.dumps(data)
+        path.write_text(case)
+        try:
+            code = main(["validate", "--config", str(path)])
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc} for config {case}")
+        err = capsys.readouterr().err
+        assert code in (0, 2), case
+        assert code == 0 or err.startswith("error: "), case

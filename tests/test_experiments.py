@@ -45,7 +45,7 @@ def test_spec_requires_exactly_one_source():
 def test_builtin_configs_validate():
     for make in (builtin_fig2, builtin_fig3, builtin_distance):
         cfg = make()
-        cfg.validate()
+        cfg.build()
         assert len(cfg.config_hash()) == 16
 
 
@@ -93,6 +93,32 @@ def test_config_rejects_oversized_system():
     cfg["bath"] = big
     with pytest.raises(ValueError, match="exceeds"):
         ExperimentConfig.from_dict(cfg)
+
+
+def test_config_rejects_what_a_run_cannot_build():
+    # a degenerate system spectrum defeats the perturbed input of every measure
+    data = builtin_fig2().to_dict()
+    data["system"] = {"name": "identity_2"}
+    data["unitary_blocks"] = [{"phases": [1.0, 2.0], "basis": {"real": [[1, 0], [0, 1]]}},
+                              {"phases": [3.0, 4.0], "basis": {"real": [[1, 0], [0, 1]]}}]
+    with pytest.raises(ValueError, match="system: degenerate spectrum"):
+        ExperimentConfig.from_dict(data)
+
+    # discord measures the system, which must be a qubit
+    data = builtin_fig3().to_dict()
+    data["system"] = {"name": "gell_mann_3", "scale": 3.0}  # levels -3, 0, 3
+    data["perturbation"] = {"name": "gell_mann_1"}
+    data["unitary_blocks"] = [{"phases": [float(k)]} for k in range(9)]
+    with pytest.raises(ValueError, match="discord requires a qubit system"):
+        ExperimentConfig.from_dict(data)
+
+    # a temperature whose inverse overflows has no Gibbs state on a degenerate ground space
+    data = builtin_fig2().to_dict()
+    data["bath"] = {"name": "identity_2"}
+    data["unitary_blocks"] = [{"phases": [1.0, 2.0], "basis": {"real": [[1, 0], [0, 1]]}}] * 2
+    data["sweep"] = {"values": [5e-324], "variable": "temperature"}
+    with pytest.raises(ValueError, match="finite inverse"):
+        ExperimentConfig.from_dict(data)
 
 
 def test_level_coeffs_from_population():

@@ -5,7 +5,6 @@ from athermal_markov.linalg import (
     DensityMatrix,
     dagger,
     eigh,
-    ket,
     mat_equal,
     matrix_log2_on_support,
     partial_trace,
@@ -46,12 +45,6 @@ def test_mat_equal_uses_absolute_tolerance():
     b = np.full((2, 2), 1e-10)
     assert mat_equal(a, b, 1e-9)
     assert not mat_equal(a, b, 1e-11)
-
-
-def test_ket_norm():
-    ket([1, 0, 0])
-    with pytest.raises(ValueError, match="normalised"):
-        ket([1, 1])
 
 
 # -- partial trace / transpose -------------------------------------------------
@@ -254,6 +247,12 @@ def test_reduce_mod_2pi_small_angles():
     # angles already in [0, 2*pi) come back unchanged
     for angle in (0.0, 5e-324, 1e-300, 1.25, np.pi, np.nextafter(2 * np.pi, 0.0)):
         assert reduce_mod_2pi(angle) == angle
+    # remainders that round up to 2*pi wrap to 0
+    for angle in (2 * np.pi, -1e-300, -5e-324):
+        assert reduce_mod_2pi(angle) == 0.0
+    for angle in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            reduce_mod_2pi(angle)
 
 
 def test_reduce_mod_2pi_huge_angles():
