@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import experiments
@@ -20,6 +21,7 @@ _RUNNERS = {
     "fig2": experiments.run_fig2,
     "fig3": experiments.run_fig3,
     "distance": experiments.run_distance_example,
+    "run": experiments.run_config,
 }
 
 
@@ -164,15 +166,16 @@ def main(argv=None) -> int:
             print(f"measures: {list(cfg.measures)}")
             return 0
 
-        if args.command == "properties":
+        cfg = None if args.command == "properties" else _resolved_config(args)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: {exc.strerror}") from None
+        if cfg is None:
             result = experiments.run_property_suite()
             name = "properties"
         else:
-            cfg = _resolved_config(args)
-            if args.command == "run":
-                result = experiments.run_config(cfg)
-            else:
-                result = _RUNNERS[args.command](cfg)
+            result = _RUNNERS[args.command](cfg)
             name = cfg.name
 
         written = experiments.write_outputs(result, args.out, name, svg=not args.no_svg)

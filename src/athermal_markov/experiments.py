@@ -200,6 +200,8 @@ class ExperimentConfig:
 
     KNOWN_MEASURES = ("log_negativity", "mutual_information", "discord", "choi_distance")
 
+    # overflow leaves inf/NaN, which the unitarity and Hermiticity checks reject
+    @np.errstate(over="ignore", invalid="ignore")
     def build(self) -> StudySetup:
         """Everything a run builds; errors are ValueErrors that name the field."""
         if self.sweep_variable not in ("temperature", "inverse_temperature"):

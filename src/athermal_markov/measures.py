@@ -54,20 +54,6 @@ class DeltaReport:
     epsilon: float
 
 
-@dataclass(frozen=True)
-class ProjectiveMeasurementQubit:
-    """Rank-one projective measurement of a qubit parametrised on the sphere."""
-
-    theta: float
-    phi: float
-
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        c, s = np.cos(self.theta / 2), np.sin(self.theta / 2)
-        psi = np.array([c, np.exp(1j * self.phi) * s])
-        p1 = np.outer(psi, psi.conj())
-        return p1, np.eye(2) - p1
-
-
 # ---------------------------------------------------------------------------
 # State-based measures
 # ---------------------------------------------------------------------------
@@ -90,16 +76,17 @@ def mutual_information(rho_joint: DensityMatrix) -> MeasureValue:
     return MeasureValue("mutual_information", float(s1 + s2 - s12))
 
 
-def _measured_conditional_entropy(rho_joint: DensityMatrix, meas: ProjectiveMeasurementQubit) -> float:
-    d2 = rho_joint.dims[1]
+def _measured_conditional_entropy(rho4: np.ndarray, rho_b: np.ndarray, theta: float,
+                                  phi: float) -> float:
+    """sum_i p_i S(rho_B^i) for measuring {|psi><psi|, I - |psi><psi|} on the qubit of
+    ``rho4`` (the joint state as (2, d2, 2, d2)); outcome 2 leaves rho_B minus outcome 1."""
+    psi = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    first = np.einsum("a,abcd,c->bd", psi.conj(), rho4, psi)
     total = 0.0
-    for p in meas.projectors():
-        m = np.kron(p, np.eye(d2))
-        sub = m @ rho_joint.matrix @ m
+    for sub in (first, rho_b - first):
         prob = float(np.trace(sub).real)
         if prob > 1e-14:
-            cond = trace_out_first(sub, 2, d2) / prob
-            total += prob * entropy_of_spectrum(cond)
+            total += prob * entropy_of_spectrum(sub / prob)
     return total
 
 
@@ -108,14 +95,17 @@ def discord(rho_joint: DensityMatrix, cfg: OptimizerConfig | None = None) -> Mea
 
     Minimises the measured conditional entropy over rank-one projective
     measurements of the measured qubit via grid-seeded multi-start search,
-    then returns S(A) - S(AB) + min_meas sum_i p_i S(rho_B^i).
+    then returns S(A) - S(AB) + min_meas sum_i p_i S(rho_B^i), not clamped at zero.
     """
     if rho_joint.dims[0] != 2:
         raise ValueError("unsupported measured dimension: first factor must be a qubit")
     cfg = cfg or OptimizerConfig(grid_resolution=24)
+    d2 = rho_joint.dims[1]
+    rho4 = rho_joint.matrix.reshape(2, d2, 2, d2)
+    rho_b = trace_out_first(rho_joint.matrix, 2, d2)
 
     def objective(x):
-        return _measured_conditional_entropy(rho_joint, ProjectiveMeasurementQubit(x[0], x[1]))
+        return _measured_conditional_entropy(rho4, rho_b, x[0], x[1])
 
     result = minimize(objective, [(0.0, np.pi), (0.0, 2 * np.pi)], cfg, periodic=[False, True])
     s_a = von_neumann_entropy(partial_trace(rho_joint, 0))
@@ -185,9 +175,10 @@ def choi_state(op: ThermalOperation, h_sys: thermal.Hamiltonian,
 class MarkovianFamily:
     """Phase-parametrised Markovian channels sharing the target's bath.
 
-    Members are generated by unitaries diagonal over the (non-degenerate)
-    total-energy levels, with phases confined to the constraint manifold that
-    keeps the evolved joint state in product form.
+    Members are the unitaries V diag(e^{-i alpha}) V^dag on the cached
+    eigenvectors V of the (non-degenerate) total-energy levels, checked unitary
+    once, with phases confined to the constraint manifold that keeps the
+    evolved joint state in product form.
     """
 
     h_total: thermal.Hamiltonian
@@ -200,14 +191,14 @@ class MarkovianFamily:
             raise ValueError("Markovian phase family requires a non-degenerate total spectrum")
         if self.manifold.dim != len(blocks):
             raise ValueError("manifold dimension must match the number of energy levels")
+        v = self.h_total.eigvecs
+        if not np.allclose(dagger(v) @ v, np.eye(self.h_total.dim), atol=1e-10):
+            raise ValueError("total Hamiltonian eigenvectors are not unitary")
 
     def operation(self, free_phases) -> ThermalOperation:
-        phases = self.manifold.embed(free_phases)
-        u = thermal.build_block_unitary(self.h_total, [float(p) for p in phases])
-        return thermal.thermal_operation(u, self.bath)
-
-    def bounds(self):
-        return [(0.0, 2 * np.pi)] * self.manifold.free_dim
+        v = self.h_total.eigvecs
+        u = (v * np.exp(-1j * self.manifold.embed(free_phases))) @ dagger(v)
+        return thermal.thermal_operation(thermal.EnergyBlockUnitary(u, self.h_total), self.bath)
 
 
 def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_value: float,
@@ -230,6 +221,19 @@ def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_valu
     return {"sampled_max": worst, "sampled_exceeds_choi": bool(worst > choi_value + 1e-6)}
 
 
+def _family_search(op: ThermalOperation, family: MarkovianFamily, x: np.ndarray,
+                   cfg: OptimizerConfig | None, sign: float):
+    """Minimise sign * ||(channel - member) (x) id applied to x||_1 over the family."""
+    cfg = cfg or OptimizerConfig(grid_resolution=8)
+    target = _apply_on_system_factor(op, x)
+
+    def objective(free):
+        return sign * trace_norm(target - _apply_on_system_factor(family.operation(free), x))
+
+    n = family.manifold.free_dim
+    return minimize(objective, [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n)
+
+
 def distance_measure(op: ThermalOperation, family: MarkovianFamily,
                      cfg: OptimizerConfig | None = None, pert: PerturbationSpec | None = None,
                      first_order: bool = False) -> MeasureValue:
@@ -241,14 +245,8 @@ def distance_measure(op: ThermalOperation, family: MarkovianFamily,
     parameters and convergence go into diagnostics, along with a sampled
     sanity check that no random input state exceeds the Choi-state value.
     """
-    cfg = cfg or OptimizerConfig(grid_resolution=8)
     chi_in = maximally_entangled_input(op.system_hamiltonian, pert, first_order)
-    target = _apply_on_system_factor(op, chi_in)
-
-    def objective(free):
-        return trace_norm(target - _apply_on_system_factor(family.operation(free), chi_in))
-
-    result = minimize(objective, family.bounds(), cfg, periodic=[True] * family.manifold.free_dim)
+    result = _family_search(op, family, chi_in, cfg, 1.0)
     best_full = family.manifold.embed(result.best_point)
     diags = {
         "phases": [float(p) for p in best_full],
@@ -368,15 +366,8 @@ def chi_lambda_bound(op: ThermalOperation, family: MarkovianFamily, pert: Pertur
     entangled input; the maximum over the family is taken by multi-start
     search on the constraint manifold.
     """
-    cfg = cfg or OptimizerConfig(grid_resolution=8)
     h_sys = op.system_hamiltonian
-    theta_dir = response_direction(h_sys, pert.h_prime)
-    target = _apply_on_system_factor(op, theta_dir)
-
-    def objective(free):
-        return -trace_norm(target - _apply_on_system_factor(family.operation(free), theta_dir))
-
-    result = minimize(objective, family.bounds(), cfg, periodic=[True] * family.manifold.free_dim)
+    result = _family_search(op, family, response_direction(h_sys, pert.h_prime), cfg, -1.0)
     bound = pert.epsilon / h_sys.dim * (-result.best_value)
     if with_diagnostics:
         return bound, {"converged": result.converged, "evaluations": result.evaluations,

@@ -343,8 +343,9 @@ def transition_amplitudes(op: ThermalOperation) -> dict[tuple[int, int, int], co
     """
     h_sys = op.system_hamiltonian
     h_bath = op.bath.hamiltonian
-    u = op.unitary.matrix
-    vs, vb = h_sys.eigvecs, h_bath.eigvecs
+    # U in the product eigenbasis: column i*d_bath + r is the ket |i, r>
+    v = np.kron(h_sys.eigvecs, h_bath.eigvecs)
+    u = dagger(v) @ op.unitary.matrix @ v
     out: dict[tuple[int, int, int], complex | None] = {}
     for i in range(h_sys.dim):
         for j in range(h_sys.dim):
@@ -355,9 +356,7 @@ def transition_amplitudes(op: ThermalOperation) -> dict[tuple[int, int, int], co
                 if rp is None:
                     out[(i, j, r)] = None
                     continue
-                bra = np.kron(vs[:, j], vb[:, rp])
-                kt = np.kron(vs[:, i], vb[:, r])
-                out[(i, j, r)] = complex(bra.conj() @ u @ kt)
+                out[(i, j, r)] = complex(u[j * h_bath.dim + rp, i * h_bath.dim + r])
     return out
 
 

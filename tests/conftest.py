@@ -36,3 +36,10 @@ def distance_result():
 @pytest.fixture(scope="session")
 def property_result():
     return _timed("properties", experiments.run_property_suite)
+
+
+def pytest_terminal_summary(terminalreporter):
+    if RUNTIMES:
+        terminalreporter.write_sep("-", "study runtimes")
+        for name, seconds in RUNTIMES.items():
+            terminalreporter.write_line(f"{name}: {seconds:.2f} s")

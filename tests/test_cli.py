@@ -148,6 +148,14 @@ def test_failed_run_leaves_no_partial_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["fig2", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {taken}: ")
+    assert taken.read_text() == "not a directory"
+
+
 def test_properties_subcommand(tmp_path, capsys):
     code = main(["properties", "--out", str(tmp_path / "props")])
     assert code == 0
@@ -169,6 +177,8 @@ def test_properties_subcommand(tmp_path, capsys):
     'unitary_blocks=[{"phases":[1.0],"basis":{"real":[[2.0]]}},{"phases":[2.0]},'
     '{"phases":[3.0]},{"phases":[4.0]}]',
     'unitary_blocks=[{"phases":[NaN]},{"phases":[2.0]},{"phases":[3.0]},{"phases":[4.0]}]',
+    'unitary_blocks=[{"phases":[1.0],"basis":{"real":[[1e300]]}},{"phases":[2.0]},'
+    '{"phases":[3.0]},{"phases":[4.0]}]',
     "epsilons=[1e20]",
     "perturbation.scale=Infinity",
 ])

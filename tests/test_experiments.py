@@ -191,6 +191,13 @@ def test_fig3_claims_hold(fig3_result):
     assert all(a > b - 1e-12 for a, b in zip(mi_deltas, mi_deltas[1:]))
 
 
+def test_fig3_unperturbed_discord_reported_unclamped_at_rounding_level(fig3_result):
+    # the unperturbed 2x3 state has zero discord; the reported value is the
+    # rounding floor that each delta is measured from, not clamped to 0
+    values = [r.unperturbed for r in fig3_result.rows_for("discord")]
+    assert len(values) == 20 and all(abs(v) <= 1e-12 for v in values)
+
+
 def test_distance_claims_hold(distance_result):
     assert distance_result.deviations == ()
     rows = distance_result.rows_for("choi_distance")

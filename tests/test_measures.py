@@ -10,7 +10,6 @@ from athermal_markov.linalg import (
 )
 from athermal_markov.measures import (
     MarkovianFamily,
-    ProjectiveMeasurementQubit,
     chi_lambda_bound,
     choi_state,
     delta,
@@ -145,26 +144,29 @@ def test_mutual_information_nonnegative_and_zero_iff_product():
 
 # -- discord -----------------------------------------------------------------------
 
+def kron_conditional_entropy(rho: DensityMatrix, theta: float, phi: float) -> float:
+    """Reference sum_i p_i S(rho_B^i), sandwiching rho between kron(P_i, I)."""
+    d2 = rho.dims[1]
+    psi = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    p1 = np.outer(psi, psi.conj())
+    total = 0.0
+    for p in (p1, np.eye(2) - p1):
+        m = np.kron(p, np.eye(d2))
+        sub = m @ rho.matrix @ m
+        prob = float(np.trace(sub).real)
+        if prob > 1e-12:
+            cond = np.einsum("abad->bd", sub.reshape(2, d2, 2, d2)) / prob
+            w = np.linalg.eigvalsh(cond)
+            w = w[w > 1e-12]
+            total += prob * float(-(w * np.log2(w)).sum())
+    return total
+
+
 def brute_force_conditional_entropy(rho: DensityMatrix, steps=60) -> float:
     """Independent dense-grid minimisation of sum_i p_i S(rho_B^i)."""
-    d2 = rho.dims[1]
-    best = np.inf
-    for theta in np.linspace(0, np.pi, steps):
-        for phi in np.linspace(0, 2 * np.pi, steps, endpoint=False):
-            psi = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-            p1 = np.outer(psi, psi.conj())
-            total = 0.0
-            for p in (p1, np.eye(2) - p1):
-                m = np.kron(p, np.eye(d2))
-                sub = m @ rho.matrix @ m
-                prob = float(np.trace(sub).real)
-                if prob > 1e-12:
-                    cond = np.einsum("abad->bd", sub.reshape(2, d2, 2, d2)) / prob
-                    w = np.linalg.eigvalsh(cond)
-                    w = w[w > 1e-12]
-                    total += prob * float(-(w * np.log2(w)).sum())
-            best = min(best, total)
-    return best
+    return min(kron_conditional_entropy(rho, theta, phi)
+               for theta in np.linspace(0, np.pi, steps)
+               for phi in np.linspace(0, 2 * np.pi, steps, endpoint=False))
 
 
 def test_discord_product_state_zero():
@@ -219,14 +221,16 @@ def test_discord_requires_qubit_measured_side():
         discord(random_density(rng, 6, dims=(3, 2)))
 
 
-def test_projective_measurement_invariants():
-    rng = np.random.default_rng(50)
+@pytest.mark.parametrize("d2", [2, 3, 6])
+def test_measured_conditional_entropy_matches_kron_reference(d2):
+    rng = np.random.default_rng(50 + d2)
     for _ in range(10):
-        meas = ProjectiveMeasurementQubit(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-        p1, p2 = meas.projectors()
-        assert mat_equal(p1 + p2, np.eye(2), 1e-12)
-        assert np.max(np.abs(p1 @ p2)) < 1e-12
-        assert mat_equal(p1 @ p1, p1, 1e-12)
+        rho = random_density(rng, 2 * d2, dims=(2, d2))
+        theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+        rho4 = rho.matrix.reshape(2, d2, 2, d2)
+        rho_b = measures.partial_trace(rho, 1).matrix
+        got = measures._measured_conditional_entropy(rho4, rho_b, theta, phi)
+        assert abs(got - kron_conditional_entropy(rho, theta, phi)) < 1e-12
 
 
 # -- Choi states -------------------------------------------------------------------
@@ -325,6 +329,32 @@ def test_choi_of_thermal_operation_is_valid():
 
 
 # -- distance measure ---------------------------------------------------------------
+
+@pytest.mark.parametrize("d_sys, d_bath", [(2, 2), (2, 3), (3, 3), (4, 9)])
+def test_family_member_matches_block_unitary_reference(d_sys, d_bath):
+    rng = np.random.default_rng(5100 + 10 * d_sys + d_bath)
+    h_sys = Hamiltonian.from_matrix(random_hermitian(rng, d_sys))
+    h_bath = Hamiltonian.from_matrix(random_hermitian(rng, d_bath))
+    h_tot = total_hamiltonian(h_sys, h_bath)
+    bath = gibbs_state(h_bath, 0.8)
+    n = h_tot.dim
+    family = MarkovianFamily(h_tot, bath, constrained_phase_manifold(n, rng.choice([-1.0, 1.0], n), 0.4))
+    x = rng.normal(size=(3, d_sys, d_sys)) + 1j * rng.normal(size=(3, d_sys, d_sys))
+    for _ in range(3):
+        free = rng.uniform(0, 2 * np.pi, family.manifold.free_dim)
+        phases = [float(p) for p in family.manifold.embed(free)]
+        reference = thermal_operation(build_block_unitary(h_tot, phases), bath)
+        got = thermal.apply_to_operator(family.operation(free), x)
+        assert mat_equal(got, thermal.apply_to_operator(reference, x), 1e-12)
+
+
+def test_family_rejects_non_unitary_eigenvectors():
+    _, family = distance_example_op()
+    h = family.h_total
+    skewed = Hamiltonian(h.matrix, h.energies, 1.01 * h.eigvecs, h.parts, h.product_labels)
+    with pytest.raises(ValueError, match="not unitary"):
+        MarkovianFamily(skewed, family.bath, family.manifold)
+
 
 def test_distance_zero_for_markovian_member():
     op, family = distance_example_op()

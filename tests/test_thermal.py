@@ -20,7 +20,7 @@ from athermal_markov.thermal import (
     thermal_operation,
     total_hamiltonian,
 )
-from util import SIGMA_X, SIGMA_Z, random_density
+from util import SIGMA_X, SIGMA_Z, random_density, random_unitary
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
 GELL_MANN_1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
@@ -352,6 +352,36 @@ def test_mto_check_perturbed_input_same_verdict():
         assert rep.residuals_markovian() == rep_fo.residuals_markovian()
         # the residual systems are state-independent and agree numerically
         assert abs(rep.max_phase_residual() - rep_fo.max_phase_residual()) < 1e-12
+
+
+@pytest.mark.parametrize("d_sys, d_bath", [(2, 3), (3, 2), (3, 4)])
+def test_transition_amplitudes_match_kron_reference(d_sys, d_bath):
+    # rotated ladder spectra: degenerate blocks, and E_r + omega_ij hits a level
+    rng = np.random.default_rng(3300 + 10 * d_sys + d_bath)
+
+    def rotated_ladder(d):
+        v = random_unitary(rng, d)
+        return Hamiltonian.from_matrix(v @ np.diag(np.arange(d, dtype=float)) @ dagger(v))
+
+    h_sys, h_bath = rotated_ladder(d_sys), rotated_ladder(d_bath)
+    h_tot = total_hamiltonian(h_sys, h_bath)
+    params = [float(rng.uniform(0, 2 * np.pi)) if len(idx) == 1 else random_unitary(rng, len(idx))
+              for _, idx in h_tot.energy_blocks()]
+    op = thermal_operation(build_block_unitary(h_tot, params), gibbs_state(h_bath, 0.7))
+    amps = thermal.transition_amplitudes(op)
+    vs, vb, u = h_sys.eigvecs, h_bath.eigvecs, op.unitary.matrix
+    found = 0
+    for (i, j, r), amp in amps.items():
+        rp = thermal._find_level(h_bath.energies, h_bath.energies[r] + h_sys.energies[i]
+                                 - h_sys.energies[j], thermal.DEGENERACY_TOL)
+        if rp is None:
+            assert amp is None
+            continue
+        bra = np.kron(vs[:, j], vb[:, rp])
+        ket = np.kron(vs[:, i], vb[:, r])
+        assert abs(amp - bra.conj() @ u @ ket) < 1e-12
+        found += 1
+    assert len(amps) == d_sys * d_sys * d_bath and found > d_sys * d_bath
 
 
 def test_mto_check_degenerate_bohr_marks_phase_residuals_na():
