@@ -26,7 +26,8 @@ _RUNNERS = {
 
 
 class ConfigError(Exception):
-    """A user-facing configuration problem; the message names the field."""
+    """A user-facing usage or configuration problem; the message names the
+    field or path."""
 
 
 def _read_config_file(path: str) -> dict:
@@ -178,7 +179,10 @@ def main(argv=None) -> int:
             result = _RUNNERS[args.command](cfg)
             name = cfg.name
 
-        written = experiments.write_outputs(result, args.out, name, svg=not args.no_svg)
+        try:
+            written = experiments.write_outputs(result, args.out, name, svg=not args.no_svg)
+        except OSError as exc:
+            raise ConfigError(f"{exc.filename}: {exc.strerror}") from None
         _print_result(result, args.verbose)
         for path in written:
             print(f"wrote {path}")

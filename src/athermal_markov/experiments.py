@@ -11,6 +11,7 @@ recorded as deviations instead of raised, so a full table always comes back.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import measures, thermal
-from .linalg import DensityMatrix, dagger, partial_transpose, trace_norm
+from .linalg import DensityMatrix, dagger, partial_trace, partial_transpose, trace_norm
 from .optimize import OptimizerConfig, PhaseManifold, constrained_phase_manifold
 from .thermal import Hamiltonian, PerturbationSpec
 
@@ -790,8 +791,8 @@ def _fixed_point_sweep(rng: np.random.Generator, cases: int) -> float:
         bath = thermal.gibbs_state(h_bath, beta)
         op = thermal.thermal_operation(u, bath)
         tau_sys = thermal.gibbs_state(h_sys, beta).state
-        out = thermal.apply(op, tau_sys)
-        worst = max(worst, 0.5 * trace_norm(out.system.matrix - tau_sys.matrix))
+        out = partial_trace(thermal.apply(op, tau_sys), 0)
+        worst = max(worst, 0.5 * trace_norm(out.matrix - tau_sys.matrix))
     return worst
 
 
@@ -803,14 +804,14 @@ def _slope_ratio(cfg: ExperimentConfig, control: float) -> float:
     h_sys, h_prime, coeffs = setup.h_sys, setup.h_prime, setup.coeffs
 
     base = measures.mutual_information(thermal.apply(
-        op, thermal.state_from_level_coeffs(h_sys, coeffs)).joint).value
+        op, thermal.state_from_level_coeffs(h_sys, coeffs))).value
     theta = measures.theta_lambda(op, coeffs, PerturbationSpec(h_prime, 1.0))
 
     def residual(eps: float) -> float:
         state = DensityMatrix(
             thermal.perturbed_state_first_order(coeffs, h_sys, PerturbationSpec(h_prime, eps)),
             (h_sys.dim,))
-        val = measures.mutual_information(thermal.apply(op, state).joint).value
+        val = measures.mutual_information(thermal.apply(op, state)).value
         return abs(val - base - eps * theta)
 
     return residual(1e-2) / residual(5e-3)
@@ -869,10 +870,17 @@ def run_property_suite() -> SweepResult:
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, payload: str):
+    """Write through a temporary file and a rename.  A failure removes the
+    temporary file and raises an OSError that names ``path``."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def rows_to_csv(rows) -> str:

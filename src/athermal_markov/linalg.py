@@ -1,22 +1,21 @@
 """Dense complex linear algebra and entropy primitives for small quantum systems.
 
 Operators are plain numpy arrays (row-major, complex128).  States carry an
-explicit subsystem factorisation through :class:`DensityMatrix`.  Every
-validity check takes an explicit absolute tolerance; defaults live in
-``STATE_TOL`` and ``SUPPORT_CUTOFF`` instead of being buried in call sites.
-All entropies and matrix logarithms are base 2.
+explicit subsystem factorisation through :class:`DensityMatrix`.  Validity
+checks use the fixed absolute tolerance ``STATE_TOL``; spectral supports
+end at ``SUPPORT_CUTOFF``.  All entropies and matrix logarithms are base 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import math
 
 import numpy as np
 
-# Default absolute tolerance for state validity (hermiticity, trace, positivity).
+# Absolute tolerance for state validity (hermiticity, trace, positivity).
 STATE_TOL = 1e-9
 
 # Eigenvalues at or below this cutoff count as zero support.
@@ -38,8 +37,8 @@ def mat_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return a.shape == b.shape and bool(np.max(np.abs(a - b), initial=0.0) <= tol)
 
 
-def is_hermitian(m: np.ndarray, tol: float = STATE_TOL) -> bool:
-    return mat_equal(m, dagger(m), tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return mat_equal(m, dagger(m), STATE_TOL)
 
 
 def reduce_mod_2pi(angle: float) -> float:
@@ -71,12 +70,11 @@ class DensityMatrix:
 
     ``dims`` lists subsystem dimensions whose product equals the matrix
     dimension; single-factor states use a one-element tuple.  Validation
-    happens on construction at the stored tolerance.
+    happens on construction, to ``STATE_TOL``.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    tol: float = field(default=STATE_TOL, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -89,13 +87,13 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if int(np.prod(dims)) != n:
             raise ValueError(f"bad factorization: prod{dims} != {n}")
-        if not is_hermitian(m, self.tol):
+        if not is_hermitian(m):
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > self.tol:
+        if abs(tr - 1.0) > STATE_TOL:
             raise ValueError(f"density matrix trace {tr} != 1 within tolerance")
         lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -self.tol:
+        if lo < -STATE_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo}")
 
     @property
@@ -117,10 +115,9 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     d1, d2 = _two_factor_dims(rho)
     if keep not in (0, 1):
         raise ValueError("keep must be 0 or 1")
-    tol = max(rho.tol, STATE_TOL)
     if keep == 0:
-        return DensityMatrix(trace_out_second(rho.matrix, d1, d2), (d1,), tol=tol)
-    return DensityMatrix(trace_out_first(rho.matrix, d1, d2), (d2,), tol=tol)
+        return DensityMatrix(trace_out_second(rho.matrix, d1, d2), (d1,))
+    return DensityMatrix(trace_out_first(rho.matrix, d1, d2), (d2,))
 
 
 def trace_out_second(matrix: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -149,17 +146,17 @@ def partial_transpose(rho: DensityMatrix, on: int) -> np.ndarray:
     return r.transpose(axes).reshape(d1 * d2, d1 * d2)
 
 
-def eigh(m: np.ndarray, tol: float = STATE_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with a fixed phase convention.
 
     Returns (eigenvalues ascending, eigenvectors as columns).  Each column is
     rescaled so its largest-magnitude component is real positive, which makes
     repeated calls bit-identical and keeps downstream optimisation starts
-    reproducible.
+    reproducible.  Rejects a matrix that is not Hermitian within ``STATE_TOL``.
     """
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
-        raise ValueError("eigh requires a Hermitian matrix")
+    if not is_hermitian(m):
+        raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
     v = v.copy()
     for k in range(v.shape[1]):
@@ -179,36 +176,36 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def von_neumann_entropy(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(p log2 p) in bits, with the 0 log 0 = 0 convention."""
-    return entropy_of_spectrum(rho.matrix, cutoff)
+    return entropy_of_spectrum(rho.matrix)
 
 
-def entropy_of_spectrum(matrix: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> float:
+def entropy_of_spectrum(matrix: np.ndarray) -> float:
     """Entropy in bits of a raw Hermitian matrix's spectrum (no validation)."""
     w = np.linalg.eigvalsh(matrix)
-    w = w[w > cutoff]
+    w = w[w > SUPPORT_CUTOFF]
     return float(-np.sum(w * np.log2(w)))
 
 
-def matrix_log2_on_support(m: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def matrix_log2_on_support(m: np.ndarray) -> np.ndarray:
     """Spectral log2 of a PSD matrix, restricted to its support.
 
-    Eigenvalues at or below ``cutoff`` map to zero (projector-onto-support
-    convention); an eigenvalue below ``-cutoff`` is an error.
+    Eigenvalues at or below ``SUPPORT_CUTOFF`` map to zero (projector-onto-
+    support convention); an eigenvalue below ``-SUPPORT_CUTOFF`` is an error.
     """
     w, v = eigh(m)
-    if w[0] < -cutoff:
+    if w[0] < -SUPPORT_CUTOFF:
         raise ValueError(f"matrix_log2_on_support: negative eigenvalue {w[0]}")
-    on = w > cutoff
+    on = w > SUPPORT_CUTOFF
     vs = v[:, on]
     return (vs * np.log2(w[on])) @ dagger(vs)
 
 
-def support_projectors(m: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> tuple[np.ndarray, np.ndarray]:
+def support_projectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(support, kernel) orthogonal projectors of a Hermitian matrix."""
     w, v = eigh(m)
-    on = w > cutoff
+    on = w > SUPPORT_CUTOFF
     vs = v[:, on]
     p = vs @ dagger(vs)
     return p, np.eye(m.shape[0], dtype=complex) - p

@@ -158,8 +158,7 @@ def _apply_on_system_factor(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
 
 
 def choi_state(op: ThermalOperation, h_sys: thermal.Hamiltonian,
-               pert: PerturbationSpec | None = None, first_order: bool = False,
-               tol: float = STATE_TOL) -> DensityMatrix:
+               pert: PerturbationSpec | None = None, first_order: bool = False) -> DensityMatrix:
     """Choi state (channel (x) identity) |Phi><Phi| of a thermal operation.
 
     The entangled input pairs system eigenvectors (exact or first-order
@@ -168,7 +167,7 @@ def choi_state(op: ThermalOperation, h_sys: thermal.Hamiltonian,
     d = h_sys.dim
     out = _apply_on_system_factor(op, maximally_entangled_input(h_sys, pert, first_order))
     out = 0.5 * (out + dagger(out))
-    return DensityMatrix(out, (d, d), tol=tol)
+    return DensityMatrix(out, (d, d))
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ class MarkovianFamily:
         if self.manifold.dim != len(blocks):
             raise ValueError("manifold dimension must match the number of energy levels")
         v = self.h_total.eigvecs
-        if not np.allclose(dagger(v) @ v, np.eye(self.h_total.dim), atol=1e-10):
+        if not np.allclose(dagger(v) @ v, np.eye(self.h_total.dim), atol=thermal.UNITARY_TOL):
             raise ValueError("total Hamiltonian eigenvectors are not unitary")
 
     def operation(self, free_phases) -> ThermalOperation:
@@ -262,13 +261,12 @@ def distance_measure(op: ThermalOperation, family: MarkovianFamily,
 # First-order response quantities
 # ---------------------------------------------------------------------------
 
-def _check_support(label: str, direction: np.ndarray, state: np.ndarray, flags: dict,
-                   cutoff: float = SUPPORT_CUTOFF, tol: float = 1e-9):
-    _, kernel = support_projectors(state, cutoff)
-    if np.max(np.abs(kernel)) < tol:
+def _check_support(label: str, direction: np.ndarray, state: np.ndarray, flags: dict):
+    _, kernel = support_projectors(state)
+    if np.max(np.abs(kernel)) < STATE_TOL:
         return
     flags[label] = True
-    if trace_norm(kernel @ direction @ kernel) > tol:
+    if trace_norm(kernel @ direction @ kernel) > STATE_TOL:
         raise ValueError("theta undefined at this point: response leaves the state's support")
 
 
@@ -285,23 +283,25 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     rho = thermal.state_from_level_coeffs(h_sys, rho_coeffs)
     rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
 
-    out = thermal.apply(op, rho)
+    joint = thermal.apply(op, rho)
+    system = partial_trace(joint, 0).matrix
+    bath = partial_trace(joint, 1).matrix
     joint_dir = thermal.evolve(op, rho_tilde)
     beta_1 = trace_out_second(joint_dir, op.d_sys, op.d_bath)
     beta_2 = trace_out_first(joint_dir, op.d_sys, op.d_bath)
 
     flags: dict = {}
-    _check_support("system_support_deficient", beta_1, out.system.matrix, flags)
-    _check_support("bath_support_deficient", beta_2, out.bath.matrix, flags)
-    _check_support("joint_support_deficient", joint_dir, out.joint.matrix, flags)
+    _check_support("system_support_deficient", beta_1, system, flags)
+    _check_support("bath_support_deficient", beta_2, bath, flags)
+    _check_support("joint_support_deficient", joint_dir, joint.matrix, flags)
 
     def overlap(direction, state, dim):
         log_term = np.eye(dim) + matrix_log2_on_support(state)
         return float(np.trace(direction @ log_term).real)
 
-    a_bar = overlap(beta_1, out.system.matrix, op.d_sys)
-    b_bar = overlap(beta_2, out.bath.matrix, op.d_bath)
-    c_bar = overlap(joint_dir, out.joint.matrix, op.d_sys * op.d_bath)
+    a_bar = overlap(beta_1, system, op.d_sys)
+    b_bar = overlap(beta_2, bath, op.d_bath)
+    c_bar = overlap(joint_dir, joint.matrix, op.d_sys * op.d_bath)
     theta = c_bar - a_bar - b_bar
     if with_diagnostics:
         return theta, {"a_bar": a_bar, "b_bar": b_bar, "c_bar": c_bar, **flags}
@@ -397,8 +397,8 @@ def delta(kind: str, op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     if kind in _STATE_MEASURES or kind == "discord":
         rho = thermal.state_from_level_coeffs(h_sys, rho_coeffs)
         rho_eps = thermal.perturbed_state_exact(rho_coeffs, h_sys, pert)
-        joint = thermal.apply(op, rho).joint
-        joint_eps = thermal.apply(op, rho_eps).joint
+        joint = thermal.apply(op, rho)
+        joint_eps = thermal.apply(op, rho_eps)
         if kind == "discord":
             before = discord(joint, cfg)
             after = discord(joint_eps, cfg)

@@ -20,19 +20,20 @@ import numpy as np
 
 from .linalg import (
     STATE_TOL,
-    SUPPORT_CUTOFF,
     DensityMatrix,
     dagger,
     eigh,
-    is_hermitian,
+    partial_trace,
     reduce_mod_2pi,
     trace_norm,
-    trace_out_first,
     trace_out_second,
 )
 
 # Total-energy values closer than this are grouped into one degenerate block.
 DEGENERACY_TOL = 1e-8
+
+# Absolute tolerance of U U^dag = I for block and family unitaries.
+UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,18 +61,16 @@ class Hamiltonian:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_matrix(cls, matrix, tol: float = STATE_TOL) -> "Hamiltonian":
+    def from_matrix(cls, matrix) -> "Hamiltonian":
         m = np.asarray(matrix, dtype=complex)
-        if not is_hermitian(m, tol):
-            raise ValueError("Hamiltonian must be Hermitian within tolerance")
-        w, v = eigh(m, tol)
+        w, v = eigh(m)
         return cls(m, w, v)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def bohr_nondegenerate(self, tol: float = DEGENERACY_TOL) -> bool:
+    def bohr_nondegenerate(self) -> bool:
         """True iff all pairwise level differences E_i - E_j (i != j) are distinct."""
         n = self.dim
         diffs = []
@@ -81,15 +80,15 @@ class Hamiltonian:
                     diffs.append((self.energies[i] - self.energies[j], (i, j)))
         diffs.sort(key=lambda t: t[0])
         for (a, pa), (b, pb) in zip(diffs, diffs[1:]):
-            if abs(a - b) <= tol and pa != pb:
+            if abs(a - b) <= DEGENERACY_TOL and pa != pb:
                 return False
         return True
 
-    def energy_blocks(self, tol: float = DEGENERACY_TOL) -> list[tuple[float, tuple[int, ...]]]:
+    def energy_blocks(self) -> list[tuple[float, tuple[int, ...]]]:
         """Group cached levels into (energy, level indices) eigenspace blocks."""
         blocks: list[tuple[float, list[int]]] = []
         for k, e in enumerate(self.energies):
-            if blocks and abs(e - blocks[-1][0]) <= tol:
+            if blocks and abs(e - blocks[-1][0]) <= DEGENERACY_TOL:
                 blocks[-1][1].append(k)
             else:
                 blocks.append((float(e), [k]))
@@ -120,7 +119,7 @@ def _boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def gibbs_state(h: Hamiltonian, beta: float, tol: float = STATE_TOL) -> GibbsState:
+def gibbs_state(h: Hamiltonian, beta: float) -> GibbsState:
     """Gibbs state of ``h`` at inverse temperature ``beta``.
 
     ``beta = math.inf`` returns the ground projector and requires a unique
@@ -133,7 +132,7 @@ def gibbs_state(h: Hamiltonian, beta: float, tol: float = STATE_TOL) -> GibbsSta
     w = _boltzmann_weights(h.energies, beta)
     v = h.eigvecs
     state = (v * w) @ dagger(v)
-    return GibbsState(DensityMatrix(state, (h.dim,), tol=tol), float(beta), h)
+    return GibbsState(DensityMatrix(state, (h.dim,)), float(beta), h)
 
 
 def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
@@ -171,7 +170,7 @@ class EnergyBlockUnitary:
         return self.matrix.shape[0]
 
 
-def _coerce_block_unitary(param, size: int, tol: float) -> np.ndarray:
+def _coerce_block_unitary(param, size: int) -> np.ndarray:
     """Accept a phase (1-D block), a (phases, basis) pair, or an explicit matrix."""
     if np.isscalar(param):
         if size != 1:
@@ -189,12 +188,12 @@ def _coerce_block_unitary(param, size: int, tol: float) -> np.ndarray:
         u = np.asarray(param, dtype=complex)
         if u.shape != (size, size):
             raise ValueError(f"block unitary has shape {u.shape}, expected {(size, size)}")
-    if not np.allclose(u @ dagger(u), np.eye(size), atol=tol):
+    if not np.allclose(u @ dagger(u), np.eye(size), atol=UNITARY_TOL):
         raise ValueError("block parameter is not unitary within tolerance")
     return u
 
 
-def build_block_unitary(h_total: Hamiltonian, block_params, tol: float = 1e-10) -> EnergyBlockUnitary:
+def build_block_unitary(h_total: Hamiltonian, block_params) -> EnergyBlockUnitary:
     """Assemble a global unitary from one unitary per total-energy eigenspace.
 
     ``block_params`` is a sequence aligned with ``h_total.energy_blocks()``:
@@ -209,10 +208,10 @@ def build_block_unitary(h_total: Hamiltonian, block_params, tol: float = 1e-10) 
     d = h_total.dim
     u = np.zeros((d, d), dtype=complex)
     for (_, idx), param in zip(blocks, block_params):
-        sub = _coerce_block_unitary(param, len(idx), tol)
+        sub = _coerce_block_unitary(param, len(idx))
         basis = h_total.eigvecs[:, list(idx)]
         u += basis @ sub @ dagger(basis)
-    if not np.allclose(u @ dagger(u), np.eye(d), atol=tol):
+    if not np.allclose(u @ dagger(u), np.eye(d), atol=UNITARY_TOL):
         raise ValueError("assembled operator is not unitary")
     return EnergyBlockUnitary(u, h_total)
 
@@ -254,13 +253,6 @@ def thermal_operation(unitary: EnergyBlockUnitary, bath: GibbsState) -> ThermalO
     return ThermalOperation(unitary, bath, unitary.dim // d_bath, d_bath)
 
 
-@dataclass(frozen=True)
-class ChannelOutput:
-    system: DensityMatrix
-    bath: DensityMatrix
-    joint: DensityMatrix
-
-
 def evolve(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
     """Joint operator U (x (x) tau) U^dag for a system operator ``x`` or a
     stack (..., d_sys, d_sys) of them."""
@@ -275,16 +267,12 @@ def evolve(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
     return u @ joint @ dagger(u)
 
 
-def apply(op: ThermalOperation, rho_sys: DensityMatrix, tol: float = STATE_TOL) -> ChannelOutput:
-    """Evolve rho (x) tau by the global unitary and return joint plus marginals."""
+def apply(op: ThermalOperation, rho_sys: DensityMatrix) -> DensityMatrix:
+    """Joint state U (rho (x) tau) U^dag; its marginals come from partial_trace."""
     if rho_sys.dim != op.d_sys:
         raise ValueError(f"system state dimension {rho_sys.dim} != {op.d_sys}")
     joint = evolve(op, rho_sys.matrix)
-    joint = 0.5 * (joint + dagger(joint))
-    joint_dm = DensityMatrix(joint, (op.d_sys, op.d_bath), tol=tol)
-    sys_out = DensityMatrix(trace_out_second(joint, op.d_sys, op.d_bath), (op.d_sys,), tol=tol)
-    bath_out = DensityMatrix(trace_out_first(joint, op.d_sys, op.d_bath), (op.d_bath,), tol=tol)
-    return ChannelOutput(sys_out, bath_out, joint_dm)
+    return DensityMatrix(0.5 * (joint + dagger(joint)), (op.d_sys, op.d_bath))
 
 
 def apply_to_operator(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
@@ -313,7 +301,6 @@ class MtoConstraintReport:
     joint_product_deviation: float
     amplitude_residuals: dict[tuple[int, int, int], float | None]
     phase_residuals: dict[tuple[int, int], float | None]
-    tol: float
 
     def max_amplitude_residual(self) -> float:
         vals = [v for v in self.amplitude_residuals.values() if v is not None]
@@ -323,16 +310,18 @@ class MtoConstraintReport:
         vals = [v for v in self.phase_residuals.values() if v is not None]
         return max(vals, default=0.0)
 
-    def residuals_markovian(self, tol: float | None = None) -> bool:
-        t = self.tol if tol is None else tol
-        return self.max_amplitude_residual() <= t and self.max_phase_residual() <= t
+    def residuals_markovian(self) -> bool:
+        return (self.max_amplitude_residual() <= STATE_TOL
+                and self.max_phase_residual() <= STATE_TOL)
 
 
-def _find_level(energies: np.ndarray, value: float, tol: float) -> int | None:
-    hits = np.nonzero(np.abs(energies - value) <= tol)[0]
-    if len(hits) != 1:
-        return None
-    return int(hits[0])
+def _bath_levels(h_sys: Hamiltonian, h_bath: Hamiltonian) -> np.ndarray:
+    """r'[i, j, r]: the unique bath level at E_r + E_i - E_j, or -1 if there
+    is none or more than one within ``DEGENERACY_TOL``."""
+    omega = h_sys.energies[:, None] - h_sys.energies[None, :]
+    target = h_bath.energies[None, None, :] + omega[:, :, None]
+    hits = np.abs(h_bath.energies - target[..., None]) <= DEGENERACY_TOL
+    return np.where(hits.sum(axis=-1) == 1, hits.argmax(axis=-1), -1)
 
 
 def transition_amplitudes(op: ThermalOperation) -> dict[tuple[int, int, int], complex | None]:
@@ -346,21 +335,12 @@ def transition_amplitudes(op: ThermalOperation) -> dict[tuple[int, int, int], co
     # U in the product eigenbasis: column i*d_bath + r is the ket |i, r>
     v = np.kron(h_sys.eigvecs, h_bath.eigvecs)
     u = dagger(v) @ op.unitary.matrix @ v
-    out: dict[tuple[int, int, int], complex | None] = {}
-    for i in range(h_sys.dim):
-        for j in range(h_sys.dim):
-            omega = float(h_sys.energies[i] - h_sys.energies[j])
-            for r in range(h_bath.dim):
-                target = float(h_bath.energies[r]) + omega
-                rp = _find_level(h_bath.energies, target, DEGENERACY_TOL)
-                if rp is None:
-                    out[(i, j, r)] = None
-                    continue
-                out[(i, j, r)] = complex(u[j * h_bath.dim + rp, i * h_bath.dim + r])
-    return out
+    d_bath = h_bath.dim
+    return {(i, j, r): None if rp < 0 else complex(u[j * d_bath + rp, i * d_bath + r])
+            for (i, j, r), rp in np.ndenumerate(_bath_levels(h_sys, h_bath))}
 
 
-def mto_check(op: ThermalOperation, rho_sys: DensityMatrix, tol: float = STATE_TOL) -> MtoConstraintReport:
+def mto_check(op: ThermalOperation, rho_sys: DensityMatrix) -> MtoConstraintReport:
     """Check Markovianity of one application of the channel.
 
     The direct verdict compares the evolved joint state against the tensor
@@ -371,33 +351,25 @@ def mto_check(op: ThermalOperation, rho_sys: DensityMatrix, tol: float = STATE_T
     spectrum the diagonal phase products must be independent of the bath
     level.
     """
-    out = apply(op, rho_sys)
-    product = np.kron(out.system.matrix, op.bath.state.matrix)
-    deviation = 0.5 * trace_norm(out.joint.matrix - product)
+    joint = apply(op, rho_sys)
+    product = np.kron(partial_trace(joint, 0).matrix, op.bath.state.matrix)
+    deviation = 0.5 * trace_norm(joint.matrix - product)
 
     h_sys = op.system_hamiltonian
     h_bath = op.bath.hamiltonian
     p_bath = op.bath.level_probabilities
     amps = transition_amplitudes(op)
+    levels = _bath_levels(h_sys, h_bath)
 
-    amplitude_residuals: dict[tuple[int, int, int], float | None] = {}
-    for i in range(h_sys.dim):
-        for j in range(h_sys.dim):
-            omega = float(h_sys.energies[i] - h_sys.energies[j])
-            # P(i -> j) from the available amplitudes.
-            pij = 0.0
-            for r in range(h_bath.dim):
-                a = amps[(i, j, r)]
-                if a is not None:
-                    pij += p_bath[r] * abs(a) ** 2
-            for r in range(h_bath.dim):
-                a = amps[(i, j, r)]
-                rp = _find_level(h_bath.energies, float(h_bath.energies[r]) + omega, DEGENERACY_TOL)
-                if a is None or rp is None or p_bath[r] <= 0:
-                    amplitude_residuals[(i, j, r)] = None
-                    continue
-                expected = p_bath[rp] * pij / p_bath[r]
-                amplitude_residuals[(i, j, r)] = abs(abs(a) ** 2 - expected)
+    # P(i -> j) from the available amplitudes.
+    pij = np.zeros((h_sys.dim, h_sys.dim))
+    for (i, j, r), a in amps.items():
+        if a is not None:
+            pij[i, j] += p_bath[r] * abs(a) ** 2
+    amplitude_residuals = {
+        (i, j, r): None if a is None or p_bath[r] <= 0
+        else abs(abs(a) ** 2 - p_bath[levels[i, j, r]] * pij[i, j] / p_bath[r])
+        for (i, j, r), a in amps.items()}
 
     phase_residuals: dict[tuple[int, int], float | None] = {}
     bohr_ok = h_sys.bohr_nondegenerate()
@@ -420,11 +392,10 @@ def mto_check(op: ThermalOperation, rho_sys: DensityMatrix, tol: float = STATE_T
             phase_residuals[(i, j)] = max(abs(z - lam) for _, z in products)
 
     return MtoConstraintReport(
-        is_markovian=bool(deviation <= tol),
+        is_markovian=bool(deviation <= STATE_TOL),
         joint_product_deviation=float(deviation),
         amplitude_residuals=amplitude_residuals,
         phase_residuals=phase_residuals,
-        tol=tol,
     )
 
 
@@ -498,20 +469,20 @@ def perturbed_eigvectors(h_sys: Hamiltonian, pert: PerturbationSpec) -> np.ndarr
     return cols
 
 
-def state_from_level_coeffs(h_sys: Hamiltonian, coeffs: np.ndarray, tol: float = STATE_TOL) -> DensityMatrix:
+def state_from_level_coeffs(h_sys: Hamiltonian, coeffs: np.ndarray) -> DensityMatrix:
     """Density matrix sum_ij P_ij |i><j| over the eigenlevels of ``h_sys``."""
     p = np.asarray(coeffs, dtype=complex)
     v = h_sys.eigvecs
-    return DensityMatrix(v @ p @ dagger(v), (h_sys.dim,), tol=tol)
+    return DensityMatrix(v @ p @ dagger(v), (h_sys.dim,))
 
 
-def perturbed_state_exact(coeffs: np.ndarray, h_sys: Hamiltonian, pert: PerturbationSpec,
-                          tol: float = STATE_TOL) -> DensityMatrix:
+def perturbed_state_exact(coeffs: np.ndarray, h_sys: Hamiltonian,
+                          pert: PerturbationSpec) -> DensityMatrix:
     """sum_ij P_ij |i'><j'| using exact matched eigenvectors of H + eps H'."""
     _require_nondegenerate(h_sys)
     p = np.asarray(coeffs, dtype=complex)
     v = perturbed_eigvectors(h_sys, pert)
-    return DensityMatrix(v @ p @ dagger(v), (h_sys.dim,), tol=tol)
+    return DensityMatrix(v @ p @ dagger(v), (h_sys.dim,))
 
 
 def first_order_correction(coeffs: np.ndarray, h_sys: Hamiltonian, h_prime: Hamiltonian) -> np.ndarray:

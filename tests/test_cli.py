@@ -156,6 +156,15 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "not a directory"
 
 
+def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "fig2-log_negativity.csv").mkdir(parents=True)
+    assert main(["fig2", "--out", str(out), "--no-svg"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'fig2-log_negativity.csv'}: ")
+    assert not [name for name in os.listdir(out) if ".tmp-" in name]
+
+
 def test_properties_subcommand(tmp_path, capsys):
     code = main(["properties", "--out", str(tmp_path / "props")])
     assert code == 0

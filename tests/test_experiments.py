@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +209,29 @@ def test_distance_claims_hold(distance_result):
     for r in bounds:
         assert r.unperturbed <= r.perturbed + 1e-6  # delta <= bound
     assert distance_result.metadata["optimizer_converged"]
+
+
+# The bench's tolerances: closed-form columns to 1e-12, optimizer-backed ones
+# to 2 * f_tol, since each column is at most a difference of two minima.
+GOLDEN_TOL = {"log_negativity": 1e-12, "mutual_information": 1e-12, "discord": 2e-8,
+              "choi_distance": 2e-8, "choi_distance_bound": 2e-8}
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
+
+
+@pytest.mark.parametrize("study, measure", [
+    ("fig2", "log_negativity"), ("fig3", "mutual_information"), ("fig3", "discord"),
+    ("distance", "choi_distance"), ("distance", "choi_distance_bound"),
+])
+def test_studies_match_bench_reference(request, study, measure):
+    result = request.getfixturevalue(f"{study}_result")
+    with open(REFERENCE / f"{study}-{measure}.csv", newline="", encoding="utf-8") as fh:
+        want = list(csv.reader(fh))[1:]  # header row not compared
+    have = list(csv.reader(io.StringIO(rows_to_csv(result.rows_for(measure)))))[1:]
+    assert len(have) == len(want)
+    for h, w in zip(have, want):
+        assert h[:3] == w[:3] and h[6] == w[6], (h, w)
+        assert all(abs(float(x) - float(y)) <= GOLDEN_TOL[measure]
+                   for x, y in zip(h[3:6], w[3:6])), (h, w)
 
 
 def test_property_suite_all_ok(property_result):

@@ -34,10 +34,12 @@ def test_density_matrix_validation():
 
 
 def test_density_matrix_tolerance_is_explicit():
+    # the fixed tolerance is STATE_TOL = 1e-9: a trace off by 1e-8 is
+    # rejected, one off by 1e-10 is accepted
     slightly_off = np.diag([0.5 + 2e-8, 0.5 - 2e-8 + 1e-8])
-    with pytest.raises(ValueError):
-        DensityMatrix(slightly_off, (2,), tol=1e-12)
-    DensityMatrix(slightly_off, (2,), tol=1e-6)
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(slightly_off, (2,))
+    DensityMatrix(np.diag([0.5 + 2e-8, 0.5 - 2e-8 + 1e-10]), (2,))
 
 
 def test_mat_equal_uses_absolute_tolerance():

@@ -7,6 +7,8 @@ from athermal_markov.linalg import (
     dagger,
     mat_equal,
     trace_norm,
+    trace_out_first,
+    trace_out_second,
 )
 from athermal_markov.measures import (
     MarkovianFamily,
@@ -132,8 +134,8 @@ def test_mutual_information_nonnegative_and_zero_iff_product():
         assert mi >= -1e-12
         assert mi <= 2 * min(np.log2(2), np.log2(3)) + 1e-12
         marg = np.kron(
-            np.asarray(thermal.trace_out_second(rho.matrix, 2, 3)),
-            np.asarray(thermal.trace_out_first(rho.matrix, 2, 3)))
+            np.asarray(trace_out_second(rho.matrix, 2, 3)),
+            np.asarray(trace_out_first(rho.matrix, 2, 3)))
         product_gap = 0.5 * trace_norm(rho.matrix - marg)
         # Pinsker-type consistency: vanishing correlation forces product form
         if mi <= 1e-12:
@@ -411,13 +413,13 @@ def test_theta_lambda_first_order_law():
     coeffs = np.diag([0.1, 0.9]).astype(complex)
     h_prime = Hamiltonian.from_matrix(SIGMA_X)
     theta = theta_lambda(op, coeffs, PerturbationSpec(h_prime, 1.0))
-    base = mutual_information(apply(op, thermal.state_from_level_coeffs(H_QUBIT, coeffs)).joint).value
+    base = mutual_information(apply(op, thermal.state_from_level_coeffs(H_QUBIT, coeffs))).value
 
     def residual(eps):
         state = DensityMatrix(
             thermal.perturbed_state_first_order(coeffs, H_QUBIT, PerturbationSpec(h_prime, eps)),
             (2,))
-        val = mutual_information(apply(op, state).joint).value
+        val = mutual_information(apply(op, state)).value
         return abs(val - base - eps * theta)
 
     r1, r2, r3 = residual(1e-2), residual(5e-3), residual(2.5e-3)
@@ -464,7 +466,7 @@ def test_x_lambda_sigma_equal_to_evolved_state():
     op = fig2_op()
     coeffs = np.diag([0.1, 0.9]).astype(complex)
     rho = thermal.state_from_level_coeffs(H_QUBIT, coeffs)
-    joint = apply(op, rho).joint
+    joint = apply(op, rho)
     sigma = DensityMatrix(joint.matrix, (4,))
     x = x_lambda(op, coeffs, sigma, PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.1))
     assert abs(x) < 1e-10

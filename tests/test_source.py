@@ -1,0 +1,54 @@
+"""Rules on the package source, checked on its syntax trees."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "athermal_markov"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _declared_names(node) -> list[str]:
+    """Parameter names of a function, or annotated field names of a class."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = node.args
+        return [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+    if isinstance(node, ast.ClassDef):
+        return [s.target.id for s in node.body
+                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return []
+
+
+def test_tolerances_are_not_parameters_or_fields():
+    # tolerances are module constants; only mat_equal takes one, as a required argument
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path in MODULES for node in ast.walk(_tree(path))
+             if not (path.name == "linalg.py" and getattr(node, "name", None) == "mat_equal")
+             for name in _declared_names(node) if name in ("tol", "cutoff")]
+    assert found == []
+
+
+def _imports(tree: ast.Module):
+    """(bound name, line) for every import in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__.py is exempt: its imports are the package's re-exports
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line} {name}" for name, line in _imports(tree) if name not in used]
+    assert unused == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from athermal_markov import thermal
-from athermal_markov.linalg import DensityMatrix, dagger, mat_equal, trace_norm
+from athermal_markov.linalg import DensityMatrix, dagger, mat_equal, partial_trace, trace_norm
 from athermal_markov.thermal import (
     Hamiltonian,
     PerturbationSpec,
@@ -184,10 +184,10 @@ def test_apply_identity_unitary():
     params = [0.0 if len(idx) == 1 else np.eye(2) for _, idx in h_tot.energy_blocks()]
     op = thermal_operation(build_block_unitary(h_tot, params), gibbs_state(H_QUBIT, 0.5))
     rho = random_density(rng, 2)
-    out = apply(op, rho)
-    assert mat_equal(out.system.matrix, rho.matrix, 1e-12)
-    assert mat_equal(out.bath.matrix, op.bath.state.matrix, 1e-12)
-    assert mat_equal(out.joint.matrix, np.kron(rho.matrix, op.bath.state.matrix), 1e-12)
+    joint = apply(op, rho)
+    assert mat_equal(partial_trace(joint, 0).matrix, rho.matrix, 1e-12)
+    assert mat_equal(partial_trace(joint, 1).matrix, op.bath.state.matrix, 1e-12)
+    assert mat_equal(joint.matrix, np.kron(rho.matrix, op.bath.state.matrix), 1e-12)
 
 
 def test_apply_fixed_point():
@@ -195,17 +195,17 @@ def test_apply_fixed_point():
     h_tot, u = fig2_unitary()
     op = thermal_operation(u, gibbs_state(H_QUBIT, beta))
     tau_sys = gibbs_state(H_QUBIT, beta).state
-    out = apply(op, tau_sys)
-    assert 0.5 * trace_norm(out.system.matrix - tau_sys.matrix) <= 1e-9
+    out = partial_trace(apply(op, tau_sys), 0)
+    assert 0.5 * trace_norm(out.matrix - tau_sys.matrix) <= 1e-9
 
 
 def test_apply_joint_is_valid_density_matrix():
     h_tot, u = fig2_unitary()
     op = thermal_operation(u, gibbs_state(H_QUBIT, 0.25))
     rho = DensityMatrix(np.diag([0.9, 0.1]), (2,))
-    out = apply(op, rho)  # construction validates trace, hermiticity, positivity
-    assert out.joint.dims == (2, 2)
-    assert abs(np.trace(out.joint.matrix) - 1) < 1e-12
+    joint = apply(op, rho)  # construction validates trace, hermiticity, positivity
+    assert joint.dims == (2, 2)
+    assert abs(np.trace(joint.matrix) - 1) < 1e-12
 
 
 def test_apply_dimension_mismatch():
@@ -273,6 +273,23 @@ def test_mto_check_constraint_satisfying_phases():
     report = mto_check(op, random_density(rng, 2))
     assert report.is_markovian
     assert report.residuals_markovian()
+
+
+def test_mto_check_swap_amplitude_residuals_use_the_matched_bath_level():
+    # |01> <-> |10> swap on the matched qubit pair: each transition i -> j
+    # moves the bath from r to r', and the residual weighs by p[r'] / p[r]
+    h_tot = total_hamiltonian(H_QUBIT, H_QUBIT)
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    params = [0.0 if len(idx) == 1 else swap for _, idx in h_tot.energy_blocks()]
+    op = thermal_operation(build_block_unitary(h_tot, params), gibbs_state(H_QUBIT, 0.7))
+    p0, p1 = op.bath.level_probabilities
+    report = mto_check(op, DensityMatrix(np.eye(2) / 2, (2,)))
+    expected = {(0, 0, 0): p1, (0, 0, 1): p0, (0, 1, 0): None, (0, 1, 1): p1,
+                (1, 0, 0): p0, (1, 0, 1): None, (1, 1, 0): p1, (1, 1, 1): p0}
+    assert report.amplitude_residuals.keys() == expected.keys()
+    for key, want in expected.items():
+        have = report.amplitude_residuals[key]
+        assert (have is None) if want is None else abs(have - want) < 1e-12, key
 
 
 def test_mto_check_distance_example_phases_residual_value():
@@ -372,8 +389,9 @@ def test_transition_amplitudes_match_kron_reference(d_sys, d_bath):
     vs, vb, u = h_sys.eigvecs, h_bath.eigvecs, op.unitary.matrix
     found = 0
     for (i, j, r), amp in amps.items():
-        rp = thermal._find_level(h_bath.energies, h_bath.energies[r] + h_sys.energies[i]
-                                 - h_sys.energies[j], thermal.DEGENERACY_TOL)
+        target = h_bath.energies[r] + h_sys.energies[i] - h_sys.energies[j]
+        hits = [k for k, e in enumerate(h_bath.energies) if abs(e - target) <= thermal.DEGENERACY_TOL]
+        rp = hits[0] if len(hits) == 1 else None
         if rp is None:
             assert amp is None
             continue
