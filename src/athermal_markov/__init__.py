@@ -14,9 +14,8 @@ Library layout:
 
 from .linalg import DensityMatrix, eigh, partial_trace, partial_transpose, trace_norm, \
     von_neumann_entropy
-from .measures import DeltaReport, MarkovianFamily, MeasureValue, choi_state, \
-    chi_lambda_bound, delta, discord, distance_measure, log_negativity, \
-    mutual_information, theta_lambda, x_lambda
+from .measures import MarkovianFamily, MeasureValue, choi_state, chi_lambda_bound, discord, \
+    distance_measure, log_negativity, mutual_information, theta_lambda, x_lambda
 from .optimize import OptimizationResult, OptimizerConfig, constrained_phase_manifold, minimize
 from .thermal import EnergyBlockUnitary, GibbsState, Hamiltonian, MtoConstraintReport, \
     PerturbationSpec, ThermalOperation, apply, build_block_unitary, commutator_norm, \
@@ -28,8 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityMatrix", "eigh", "partial_trace", "partial_transpose",
     "trace_norm", "von_neumann_entropy",
-    "DeltaReport", "MarkovianFamily", "MeasureValue", "choi_state",
-    "chi_lambda_bound", "delta", "discord", "distance_measure",
+    "MarkovianFamily", "MeasureValue", "choi_state",
+    "chi_lambda_bound", "discord", "distance_measure",
     "log_negativity", "mutual_information", "theta_lambda", "x_lambda",
     "OptimizationResult", "OptimizerConfig", "constrained_phase_manifold", "minimize",
     "EnergyBlockUnitary", "GibbsState", "Hamiltonian", "MtoConstraintReport",

@@ -12,6 +12,7 @@ recorded as deviations instead of raised, so a full table always comes back.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -162,6 +163,8 @@ class StudySetup:
     unitary: thermal.EnergyBlockUnitary
     h_prime: Hamiltonian
     coeffs: np.ndarray
+    rho: DensityMatrix
+    rho_eps: tuple[DensityMatrix, ...]  # one exact perturbed input per config epsilon
     manifold: PhaseManifold | None
 
     def operation(self, beta: float) -> thermal.ThermalOperation:
@@ -234,10 +237,9 @@ class ExperimentConfig:
         # every measure's perturbed input needs non-degenerate perturbation theory
         _field("system", thermal.first_order_generator, h_sys, h_prime)
         coeffs = self.level_coeffs()
-        _field("initial_coeffs", thermal.state_from_level_coeffs, h_sys, coeffs)
-        for eps in self.epsilons:
-            _field("epsilons", thermal.perturbed_state_exact, coeffs, h_sys,
-                   PerturbationSpec(h_prime, eps))
+        rho = _field("initial_coeffs", thermal.state_from_level_coeffs, h_sys, coeffs)
+        rho_eps = tuple(_field("epsilons", thermal.perturbed_state_exact, coeffs, h_sys,
+                               PerturbationSpec(h_prime, eps)) for eps in self.epsilons)
         h_tot = thermal.total_hamiltonian(h_sys, h_bath)
         unitary = _field("unitary_blocks", self.build_unitary, h_tot)
         if "choi_distance" in self.measures and any(len(idx) > 1 for _, idx in h_tot.energy_blocks()):
@@ -247,7 +249,7 @@ class ExperimentConfig:
             coefficients, offset = self.mto_relation
             manifold = _field("mto_relation", constrained_phase_manifold,
                               len(h_tot.energy_blocks()), coefficients, offset)
-        return StudySetup(h_sys, h_bath, h_tot, unitary, h_prime, coeffs, manifold)
+        return StudySetup(h_sys, h_bath, h_tot, unitary, h_prime, coeffs, rho, rho_eps, manifold)
 
     # -- construction helpers -------------------------------------------------
 
@@ -402,34 +404,56 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
-def run_config(cfg: ExperimentConfig) -> SweepResult:
-    """Evaluate every configured measure on the (epsilon, control) grid."""
-    setup = cfg.build()
+def _measure_values(measure: str, cfg: ExperimentConfig, setup: StudySetup,
+                    op: thermal.ThermalOperation, joints) -> list[measures.MeasureValue]:
+    """The unperturbed value of ``measure`` at ``op``, then one value per config
+    epsilon; ``joints`` are the evolved input states in that order."""
+    if measure == "choi_distance":
+        family = setup.family(op)
+        return [measures.distance_measure(op, family, cfg.optimizer)] + [
+            measures.distance_measure(op, family, cfg.optimizer, pert=PerturbationSpec(
+                setup.h_prime, eps)) for eps in cfg.epsilons]
+    if measure == "discord":
+        return [measures.discord(joint, cfg.optimizer) for joint in joints]
+    if measure == "log_negativity":
+        return [measures.log_negativity(joint) for joint in joints]
+    return [measures.mutual_information(joint) for joint in joints]
+
+
+def _sweep(cfg: ExperimentConfig, setup: StudySetup) -> SweepResult:
+    """Evaluate every configured measure on the (epsilon, control) grid.
+
+    Per control value the operation is built once and applied once per input
+    state; each measure's unperturbed value serves every epsilon row.
+    """
     metadata = _base_metadata(cfg)
-
-    points = [(m, e, v) for m in cfg.measures for e in cfg.epsilons for v in cfg.sweep_values]
-
-    def evaluate(point) -> tuple[SweepRow, dict]:
-        measure, eps, value = point
+    rows, diags = [], {}
+    for value in cfg.sweep_values:
         op = setup.operation(cfg.beta_for(value))
-        family = setup.family(op) if measure == "choi_distance" else None
-        report = measures.delta(measure, op, setup.coeffs, PerturbationSpec(setup.h_prime, eps),
-                                cfg.optimizer, family)
-        row = SweepRow(value, eps, measure, report.unperturbed.value,
-                       report.perturbed.value, report.delta)
-        diags = {}
-        for tag, mv in (("unperturbed", report.unperturbed), ("perturbed", report.perturbed)):
-            if mv.diagnostics:
-                diags[tag] = mv.diagnostics
-        return row, diags
-
-    evaluated = [evaluate(point) for point in points]
-    rows = [row for row, _ in evaluated]
+        joints = []
+        if set(cfg.measures) - {"choi_distance"}:
+            joints = [thermal.apply(op, rho) for rho in (setup.rho, *setup.rho_eps)]
+        for measure in cfg.measures:
+            before, *after = _measure_values(measure, cfg, setup, op, joints)
+            for eps, mv in zip(cfg.epsilons, after):
+                rows.append(SweepRow(value, eps, measure, before.value, mv.value,
+                                     float(mv.value - before.value)))
+                tagged = {tag: v.diagnostics for tag, v in (("unperturbed", before),
+                                                            ("perturbed", mv)) if v.diagnostics}
+                if tagged:
+                    diags[f"{measure}/eps={eps}/x={value}"] = tagged
+    # keyed in (measure, epsilon, control) order
     metadata["optimizer_diagnostics"] = {
-        f"{p[0]}/eps={p[1]}/x={p[2]}": d for p, (_, d) in zip(points, evaluated) if d
+        key: diags[key] for key in (f"{m}/eps={e}/x={v}" for m in cfg.measures
+                                    for e in cfg.epsilons for v in cfg.sweep_values) if key in diags
     }
     metadata["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     return SweepResult(_sort_rows(rows), metadata)
+
+
+def run_config(cfg: ExperimentConfig) -> SweepResult:
+    """Evaluate every configured measure on the (epsilon, control) grid."""
+    return _sweep(cfg, cfg.build())
 
 
 def _flag_rows(result: SweepResult, offenders: set[tuple[str, float, float]]) -> SweepResult:
@@ -651,23 +675,27 @@ def run_distance_example(cfg: ExperimentConfig | None = None) -> SweepResult:
     """Distance-measure counter-example: the response stays within
     ``DISTANCE_DELTA_TOLERANCE`` and below the first-order bound at every strength."""
     cfg = cfg or builtin_distance()
-    result = run_config(cfg)
+    setup = cfg.build()
+    result = _sweep(cfg, setup)
     deviations: list[str] = []
     offenders: set[tuple[str, float, float]] = set()
 
-    setup = cfg.build()
-    bound_rows = []
+    bounds = {}  # (control, epsilon) -> bound, from one search per control value
     converged_all = True
+    controls = cfg.sweep_values if "choi_distance" in cfg.measures else ()
+    for value in controls:
+        op = setup.operation(cfg.beta_for(value))
+        values, diags = measures.chi_lambda_bound(op, setup.family(op), setup.h_prime,
+                                                  cfg.epsilons, cfg.optimizer)
+        bounds.update(((value, eps), bound) for eps, bound in zip(cfg.epsilons, values))
+        converged_all = converged_all and diags["converged"]
+    bound_rows = []
     for r in result.rows_for("choi_distance"):
         if abs(r.delta) > DISTANCE_DELTA_TOLERANCE:
             offenders.add((r.measure, r.epsilon, r.control))
             deviations.append(
                 f"|delta D| above {DISTANCE_DELTA_TOLERANCE} at eps={r.epsilon}: {r.delta}")
-        op = setup.operation(cfg.beta_for(r.control))
-        pert = PerturbationSpec(setup.h_prime, r.epsilon)
-        bound, diags = measures.chi_lambda_bound(op, setup.family(op), pert, cfg.optimizer,
-                                                 with_diagnostics=True)
-        converged_all = converged_all and diags["converged"]
+        bound = bounds[r.control, r.epsilon]
         status = "ok" if r.delta <= bound + 1e-6 else "deviation"
         if status == "deviation":
             deviations.append(f"response bound violated at eps={r.epsilon}: "
@@ -803,8 +831,7 @@ def _slope_ratio(cfg: ExperimentConfig, control: float) -> float:
     op = setup.operation(cfg.beta_for(control))
     h_sys, h_prime, coeffs = setup.h_sys, setup.h_prime, setup.coeffs
 
-    base = measures.mutual_information(thermal.apply(
-        op, thermal.state_from_level_coeffs(h_sys, coeffs))).value
+    base = measures.mutual_information(thermal.apply(op, setup.rho)).value
     theta = measures.theta_lambda(op, coeffs, PerturbationSpec(h_prime, 1.0))
 
     def residual(eps: float) -> float:
@@ -869,20 +896,6 @@ def run_property_suite() -> SweepResult:
 # Output files
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, payload: str):
-    """Write through a temporary file and a rename.  A failure removes the
-    temporary file and raises an OSError that names ``path``."""
-    tmp = f"{path}.tmp-{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise OSError(exc.errno, exc.strerror, path) from exc
-
-
 def rows_to_csv(rows) -> str:
     import csv
     import io
@@ -917,6 +930,8 @@ def rows_to_svg(rows, title: str) -> str | None:
     if y1 == y0:
         y1 = y0 + 1.0
     width, height, margin = 640, 400, 60
+    # what xml.sax.saxutils.escape does, without the urllib/ssl imports it pulls in
+    text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
     def sx(x):
         return margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
@@ -929,7 +944,7 @@ def rows_to_svg(rows, title: str) -> str | None:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{title}</text>',
+        f'font-family="sans-serif">{text}</text>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
@@ -954,18 +969,31 @@ def rows_to_svg(rows, title: str) -> str | None:
 
 
 def write_outputs(result: SweepResult, out_dir: str, name: str, svg: bool = True) -> list[str]:
-    """One CSV (and optionally SVG) per measure, written atomically."""
+    """One CSV (and optionally SVG) per measure, each through a temporary file
+    and a rename.  Every temporary file is written, and no target may be a
+    directory, before the first rename; a failure removes every temporary file
+    and raises an OSError that names the output path."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    payloads = {}
     for measure in result.measure_names:
         rows = result.rows_for(measure)
-        csv_path = os.path.join(out_dir, f"{name}-{measure}.csv")
-        _atomic_write(csv_path, rows_to_csv(rows))
-        written.append(csv_path)
-        if svg:
-            chart = rows_to_svg(rows, f"{name}: {measure} response")
-            if chart is not None:
-                svg_path = os.path.join(out_dir, f"{name}-{measure}.svg")
-                _atomic_write(svg_path, chart)
-                written.append(svg_path)
-    return written
+        payloads[os.path.join(out_dir, f"{name}-{measure}.csv")] = rows_to_csv(rows)
+        chart = rows_to_svg(rows, f"{name}: {measure} response") if svg else None
+        if chart is not None:
+            payloads[os.path.join(out_dir, f"{name}-{measure}.svg")] = chart
+    tmps = {path: f"{path}.tmp-{os.getpid()}" for path in payloads}
+    try:
+        for path, payload in payloads.items():
+            with open(tmps[path], "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        for path in payloads:
+            if os.path.isdir(path):
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp in tmps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    return list(payloads)

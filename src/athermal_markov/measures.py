@@ -44,16 +44,6 @@ class MeasureValue:
     diagnostics: dict | None = None
 
 
-@dataclass(frozen=True)
-class DeltaReport:
-    """Perturbed-minus-unperturbed response of one measure at one epsilon."""
-
-    unperturbed: MeasureValue
-    perturbed: MeasureValue
-    delta: float
-    epsilon: float
-
-
 # ---------------------------------------------------------------------------
 # State-based measures
 # ---------------------------------------------------------------------------
@@ -358,58 +348,16 @@ def response_direction(h_sys: thermal.Hamiltonian, h_prime: thermal.Hamiltonian)
     return gk + dagger(gk)
 
 
-def chi_lambda_bound(op: ThermalOperation, family: MarkovianFamily, pert: PerturbationSpec,
-                     cfg: OptimizerConfig | None = None, with_diagnostics: bool = False):
-    """Upper bound on the distance-measure response: (eps/d) max ||chi||_1.
+def chi_lambda_bound(op: ThermalOperation, family: MarkovianFamily, h_prime: thermal.Hamiltonian,
+                     epsilons, cfg: OptimizerConfig | None = None) -> tuple[list[float], dict]:
+    """Upper bounds on the distance-measure response: (eps/d) max ||chi||_1 per eps.
 
     ``chi`` is the family-relative image of the perturbation direction of the
-    entangled input; the maximum over the family is taken by multi-start
-    search on the constraint manifold.
+    entangled input; it does not depend on eps, so one multi-start search on
+    the constraint manifold gives the maximum for every bound.
     """
     h_sys = op.system_hamiltonian
-    result = _family_search(op, family, response_direction(h_sys, pert.h_prime), cfg, -1.0)
-    bound = pert.epsilon / h_sys.dim * (-result.best_value)
-    if with_diagnostics:
-        return bound, {"converged": result.converged, "evaluations": result.evaluations,
-                       "phases": [float(p) for p in family.manifold.embed(result.best_point)]}
-    return bound
-
-
-# ---------------------------------------------------------------------------
-# Perturbation-response deltas
-# ---------------------------------------------------------------------------
-
-_STATE_MEASURES = {
-    "log_negativity": log_negativity,
-    "mutual_information": mutual_information,
-}
-
-
-def delta(kind: str, op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
-          cfg: OptimizerConfig | None = None, family: MarkovianFamily | None = None) -> DeltaReport:
-    """Evaluate one measure with and without the perturbation and difference it.
-
-    Perturbed inputs use exact eigenvectors of the perturbed Hamiltonian;
-    the first-order machinery only enters the response quantities, not the
-    deltas.
-    """
-    h_sys = op.system_hamiltonian
-    if kind in _STATE_MEASURES or kind == "discord":
-        rho = thermal.state_from_level_coeffs(h_sys, rho_coeffs)
-        rho_eps = thermal.perturbed_state_exact(rho_coeffs, h_sys, pert)
-        joint = thermal.apply(op, rho)
-        joint_eps = thermal.apply(op, rho_eps)
-        if kind == "discord":
-            before = discord(joint, cfg)
-            after = discord(joint_eps, cfg)
-        else:
-            before = _STATE_MEASURES[kind](joint)
-            after = _STATE_MEASURES[kind](joint_eps)
-    elif kind == "choi_distance":
-        if family is None:
-            raise ValueError("choi_distance needs a Markovian family")
-        before = distance_measure(op, family, cfg)
-        after = distance_measure(op, family, cfg, pert=pert)
-    else:
-        raise ValueError(f"unknown measure kind: {kind}")
-    return DeltaReport(before, after, float(after.value - before.value), pert.epsilon)
+    result = _family_search(op, family, response_direction(h_sys, h_prime), cfg, -1.0)
+    bounds = [eps / h_sys.dim * (-result.best_value) for eps in epsilons]
+    return bounds, {"converged": result.converged, "evaluations": result.evaluations,
+                    "phases": [float(p) for p in family.manifold.embed(result.best_point)]}

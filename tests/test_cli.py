@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,36 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / 'fig2-log_negativity.csv'}: ")
     assert not [name for name in os.listdir(out) if ".tmp-" in name]
+
+
+def _two_temperature_config(tmp_path, name, measures) -> str:
+    data = builtin_fig2().to_dict()
+    data.update(name=name, measures=measures, epsilons=[0.2],
+                sweep={"values": [3.0, 4.0], "variable": "temperature"})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_failed_output_write_replaces_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "tiny-mutual_information.csv").mkdir(parents=True)
+    config = _two_temperature_config(tmp_path, "tiny", ["mutual_information", "log_negativity"])
+    assert main(["run", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out / 'tiny-mutual_information.csv'}: ")
+    # log_negativity sorts first, yet none of its files and no temporary file is left
+    assert os.listdir(out) == ["tiny-mutual_information.csv"]
+
+
+def test_svg_title_is_escaped(tmp_path):
+    out = tmp_path / "out"
+    config = _two_temperature_config(tmp_path, "T<4 & eps", ["log_negativity", "mutual_information"])
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    charts = sorted(out.glob("*.svg"))
+    assert len(charts) == 2
+    for chart in charts:
+        root = ET.fromstring(chart.read_text(encoding="utf-8"))
+        assert any(el.text and el.text.startswith("T<4 & eps: ") for el in root.iter())
 
 
 def test_properties_subcommand(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import csv
 import io
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from athermal_markov import experiments as ex
+from athermal_markov import measures, thermal
 from athermal_markov.experiments import (
     BlockSpec,
     ExperimentConfig,
@@ -145,6 +147,14 @@ def _tiny_fig2(n_temps=3, epsilons=(0.0, 0.2)):
     })
 
 
+def _tiny_distance(epsilons=(0.0, 0.01)):
+    return ExperimentConfig.from_dict({
+        **builtin_distance().to_dict(),
+        "epsilons": list(epsilons),
+        "optimizer": {"seeds": 2, "grid_resolution": 2},
+    })
+
+
 def test_run_config_rows_sorted_and_complete():
     cfg = _tiny_fig2()
     result = run_config(cfg)
@@ -152,13 +162,43 @@ def test_run_config_rows_sorted_and_complete():
     keys = [(r.measure, r.epsilon, r.control) for r in result.rows]
     assert keys == sorted(keys)
     assert result.metadata["config_hash"] == cfg.config_hash()
+    unperturbed = {}
+    for r in result.rows:
+        assert r.delta == r.perturbed - r.unperturbed
+        # one unperturbed value per (measure, control), shared by every epsilon row
+        assert unperturbed.setdefault((r.measure, r.control), r.unperturbed) == r.unperturbed
+    assert len(unperturbed) == 3
 
 
 def test_run_config_zero_strength_rows_are_zero():
-    result = run_config(_tiny_fig2())
-    for r in result.rows:
-        if r.epsilon == 0.0:
-            assert r.delta == 0.0
+    for cfg in (_tiny_fig2(), _tiny_distance()):
+        zero = [r for r in run_config(cfg).rows if r.epsilon == 0.0]
+        assert zero and all(r.delta == 0.0 for r in zero)
+
+
+def _counting(monkeypatch, module, *names) -> Counter:
+    counts: Counter = Counter()
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_sweep_computes_each_quantity_once_per_control_value(monkeypatch):
+    searches = _counting(monkeypatch, measures, "minimize")
+    calls = _counting(monkeypatch, thermal, "apply", "state_from_level_coeffs",
+                      "perturbed_state_exact")
+    ex.run_distance_example(_tiny_distance(epsilons=builtin_distance().epsilons))
+    # one unperturbed distance, one per epsilon (3) and one bound search
+    assert searches["minimize"] == 5
+    assert calls["apply"] == 0
+    cfg = _tiny_fig2(n_temps=3, epsilons=(0.0, 0.2))
+    calls.clear()
+    run_config(cfg)
+    # the input states come from build() alone; each is applied once per temperature
+    assert calls == {"apply": 3 * 3, "state_from_level_coeffs": 1, "perturbed_state_exact": 2}
 
 
 def test_run_config_reproducible():

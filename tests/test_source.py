@@ -52,3 +52,12 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{path.name}:{line} {name}" for name, line in _imports(tree) if name not in used]
     assert unused == []
+
+
+def test_package_exports_resolve():
+    import athermal_markov
+
+    imported = [alias.asname or alias.name for node in _tree(PACKAGE / "__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [name for name in athermal_markov.__all__ if not hasattr(athermal_markov, name)] == []
+    assert sorted(athermal_markov.__all__) == sorted(imported + ["__version__"])
