@@ -681,6 +681,7 @@ def run_distance_example(cfg: ExperimentConfig | None = None) -> SweepResult:
     offenders: set[tuple[str, float, float]] = set()
 
     bounds = {}  # (control, epsilon) -> bound, from one search per control value
+    diag_map = dict(result.metadata["optimizer_diagnostics"])
     converged_all = True
     controls = cfg.sweep_values if "choi_distance" in cfg.measures else ()
     for value in controls:
@@ -688,6 +689,7 @@ def run_distance_example(cfg: ExperimentConfig | None = None) -> SweepResult:
         values, diags = measures.chi_lambda_bound(op, setup.family(op), setup.h_prime,
                                                   cfg.epsilons, cfg.optimizer)
         bounds.update(((value, eps), bound) for eps, bound in zip(cfg.epsilons, values))
+        diag_map[f"choi_distance_bound/x={value}"] = diags
         converged_all = converged_all and diags["converged"]
     bound_rows = []
     for r in result.rows_for("choi_distance"):
@@ -702,14 +704,12 @@ def run_distance_example(cfg: ExperimentConfig | None = None) -> SweepResult:
                               f"delta={r.delta}, bound={bound}")
         bound_rows.append(SweepRow(r.control, r.epsilon, "choi_distance_bound",
                                    r.delta, bound, bound - r.delta, status))
-    diag_map = result.metadata.get("optimizer_diagnostics", {})
     for key, diags in diag_map.items():
         for tag in ("unperturbed", "perturbed"):
             if tag in diags and not diags[tag].get("converged", True):
                 converged_all = False
                 deviations.append(f"optimizer did not converge for {key}/{tag}")
-    metadata = dict(result.metadata)
-    metadata["optimizer_converged"] = converged_all
+    metadata = dict(result.metadata, optimizer_converged=converged_all, optimizer_diagnostics=diag_map)
     flagged = _flag_rows(result, offenders)
     return SweepResult(_sort_rows(flagged.rows + tuple(bound_rows)), metadata, tuple(deviations))
 

@@ -2,8 +2,9 @@
 
 Operators are plain numpy arrays (row-major, complex128).  States carry an
 explicit subsystem factorisation through :class:`DensityMatrix`.  Validity
-checks use the fixed absolute tolerance ``STATE_TOL``; spectral supports
-end at ``SUPPORT_CUTOFF``.  All entropies and matrix logarithms are base 2.
+checks happen on public construction, to the fixed absolute tolerance
+``STATE_TOL``; spectral supports end at ``SUPPORT_CUTOFF``.  All entropies
+and matrix logarithms are base 2.
 """
 
 from __future__ import annotations
@@ -70,23 +71,32 @@ class DensityMatrix:
 
     ``dims`` lists subsystem dimensions whose product equals the matrix
     dimension; single-factor states use a one-element tuple.  Validation
-    happens on construction, to ``STATE_TOL``.
+    happens on public construction, to ``STATE_TOL``; states the library
+    derives by CPTP maps are stored through :meth:`_derived`, unchecked.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+    def _store(self, matrix, dims) -> "DensityMatrix":
+        m = np.array(matrix, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+        return self
+
+    @classmethod
+    def _derived(cls, matrix, dims) -> "DensityMatrix":
+        """A state computed from valid states by a CPTP map, stored unchecked."""
+        return object.__new__(cls)._store(matrix, dims)
+
+    def __post_init__(self):
+        m = self._store(self.matrix, self.dims).matrix
         n = m.shape[0]
         if m.ndim != 2 or m.shape[1] != n:
             raise ValueError("density matrix must be square")
-        if int(np.prod(dims)) != n:
-            raise ValueError(f"bad factorization: prod{dims} != {n}")
+        if int(np.prod(self.dims)) != n:
+            raise ValueError(f"bad factorization: prod{self.dims} != {n}")
         if not is_hermitian(m):
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
@@ -116,8 +126,8 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     if keep not in (0, 1):
         raise ValueError("keep must be 0 or 1")
     if keep == 0:
-        return DensityMatrix(trace_out_second(rho.matrix, d1, d2), (d1,))
-    return DensityMatrix(trace_out_first(rho.matrix, d1, d2), (d2,))
+        return DensityMatrix._derived(trace_out_second(rho.matrix, d1, d2), (d1,))
+    return DensityMatrix._derived(trace_out_first(rho.matrix, d1, d2), (d2,))
 
 
 def trace_out_second(matrix: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -194,18 +204,13 @@ def matrix_log2_on_support(m: np.ndarray) -> np.ndarray:
     Eigenvalues at or below ``SUPPORT_CUTOFF`` map to zero (projector-onto-
     support convention); an eigenvalue below ``-SUPPORT_CUTOFF`` is an error.
     """
-    w, v = eigh(m)
+    return log2_on_support(*eigh(m))
+
+
+def log2_on_support(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`matrix_log2_on_support` from a decomposition ``eigh`` returned."""
     if w[0] < -SUPPORT_CUTOFF:
         raise ValueError(f"matrix_log2_on_support: negative eigenvalue {w[0]}")
     on = w > SUPPORT_CUTOFF
     vs = v[:, on]
     return (vs * np.log2(w[on])) @ dagger(vs)
-
-
-def support_projectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(support, kernel) orthogonal projectors of a Hermitian matrix."""
-    w, v = eigh(m)
-    on = w > SUPPORT_CUTOFF
-    vs = v[:, on]
-    p = vs @ dagger(vs)
-    return p, np.eye(m.shape[0], dtype=complex) - p

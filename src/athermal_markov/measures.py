@@ -21,18 +21,19 @@ from .linalg import (
     SUPPORT_CUTOFF,
     DensityMatrix,
     dagger,
+    eigh,
     entropy_of_spectrum,
+    log2_on_support,
     matrix_log2_on_support,
     partial_trace,
     partial_transpose,
-    support_projectors,
     trace_norm,
     trace_out_first,
     trace_out_second,
     von_neumann_entropy,
 )
 from .optimize import OptimizerConfig, PhaseManifold, minimize
-from .thermal import PerturbationSpec, ThermalOperation
+from .thermal import EnergyBlockUnitary, PerturbationSpec, ThermalOperation
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def choi_state(op: ThermalOperation, h_sys: thermal.Hamiltonian,
     d = h_sys.dim
     out = _apply_on_system_factor(op, maximally_entangled_input(h_sys, pert, first_order))
     out = 0.5 * (out + dagger(out))
-    return DensityMatrix(out, (d, d))
+    return DensityMatrix._derived(out, (d, d))
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ class MarkovianFamily:
     def operation(self, free_phases) -> ThermalOperation:
         v = self.h_total.eigvecs
         u = (v * np.exp(-1j * self.manifold.embed(free_phases))) @ dagger(v)
-        return thermal.thermal_operation(thermal.EnergyBlockUnitary(u, self.h_total), self.bath)
+        return thermal.thermal_operation(EnergyBlockUnitary._derived(u, self.h_total), self.bath)
 
 
 def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_value: float,
@@ -252,12 +253,15 @@ def distance_measure(op: ThermalOperation, family: MarkovianFamily,
 # ---------------------------------------------------------------------------
 
 def _check_support(label: str, direction: np.ndarray, state: np.ndarray, flags: dict):
-    _, kernel = support_projectors(state)
-    if np.max(np.abs(kernel)) < STATE_TOL:
-        return
-    flags[label] = True
-    if trace_norm(kernel @ direction @ kernel) > STATE_TOL:
-        raise ValueError("theta undefined at this point: response leaves the state's support")
+    """Support check of ``direction`` against ``state``; returns ``eigh(state)``."""
+    w, v = eigh(state)
+    vs = v[:, w > SUPPORT_CUTOFF]
+    kernel = np.eye(len(w), dtype=complex) - vs @ dagger(vs)
+    if np.max(np.abs(kernel)) >= STATE_TOL:
+        flags[label] = True
+        if trace_norm(kernel @ direction @ kernel) > STATE_TOL:
+            raise ValueError("theta undefined at this point: response leaves the state's support")
+    return w, v
 
 
 def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
@@ -274,24 +278,18 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
 
     joint = thermal.apply(op, rho)
-    system = partial_trace(joint, 0).matrix
-    bath = partial_trace(joint, 1).matrix
     joint_dir = thermal.evolve(op, rho_tilde)
     beta_1 = trace_out_second(joint_dir, op.d_sys, op.d_bath)
     beta_2 = trace_out_first(joint_dir, op.d_sys, op.d_bath)
 
-    flags: dict = {}
-    _check_support("system_support_deficient", beta_1, system, flags)
-    _check_support("bath_support_deficient", beta_2, bath, flags)
-    _check_support("joint_support_deficient", joint_dir, joint.matrix, flags)
-
-    def overlap(direction, state, dim):
-        log_term = np.eye(dim) + matrix_log2_on_support(state)
-        return float(np.trace(direction @ log_term).real)
-
-    a_bar = overlap(beta_1, system, op.d_sys)
-    b_bar = overlap(beta_2, bath, op.d_bath)
-    c_bar = overlap(joint_dir, joint.matrix, op.d_sys * op.d_bath)
+    flags, decomposed = {}, []  # every support is checked before any logarithm
+    for name, direction, state in (("system", beta_1, partial_trace(joint, 0).matrix),
+                                   ("bath", beta_2, partial_trace(joint, 1).matrix),
+                                   ("joint", joint_dir, joint.matrix)):
+        w, v = _check_support(f"{name}_support_deficient", direction, state, flags)
+        decomposed.append((direction, w, v))
+    a_bar, b_bar, c_bar = [float(np.trace(x @ (np.eye(len(w)) + log2_on_support(w, v))).real)
+                           for x, w, v in decomposed]
     theta = c_bar - a_bar - b_bar
     if with_diagnostics:
         return theta, {"a_bar": a_bar, "b_bar": b_bar, "c_bar": c_bar, **flags}

@@ -72,17 +72,9 @@ class Hamiltonian:
 
     def bohr_nondegenerate(self) -> bool:
         """True iff all pairwise level differences E_i - E_j (i != j) are distinct."""
-        n = self.dim
-        diffs = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    diffs.append((self.energies[i] - self.energies[j], (i, j)))
-        diffs.sort(key=lambda t: t[0])
-        for (a, pa), (b, pb) in zip(diffs, diffs[1:]):
-            if abs(a - b) <= DEGENERACY_TOL and pa != pb:
-                return False
-        return True
+        e = self.energies
+        diffs = np.sort((e[:, None] - e[None, :])[~np.eye(self.dim, dtype=bool)])
+        return bool(np.all(np.diff(diffs) > DEGENERACY_TOL))
 
     def energy_blocks(self) -> list[tuple[float, tuple[int, ...]]]:
         """Group cached levels into (energy, level indices) eigenspace blocks."""
@@ -129,10 +121,11 @@ def gibbs_state(h: Hamiltonian, beta: float) -> GibbsState:
         raise ValueError("beta must be nonnegative (math.inf allowed)")
     if math.isinf(beta) and len(h.energies) > 1 and h.energies[1] - h.energies[0] <= DEGENERACY_TOL:
         raise ValueError("ambiguous zero-temperature limit: degenerate ground space")
-    w = _boltzmann_weights(h.energies, beta)
     v = h.eigvecs
-    state = (v * w) @ dagger(v)
-    return GibbsState(DensityMatrix(state, (h.dim,)), float(beta), h)
+    if not np.allclose(dagger(v) @ v, np.eye(h.dim), atol=UNITARY_TOL):
+        raise ValueError("Hamiltonian eigenvectors are not unitary")
+    w = _boltzmann_weights(h.energies, beta)
+    return GibbsState(DensityMatrix._derived((v * w) @ dagger(v), (h.dim,)), float(beta), h)
 
 
 def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
@@ -160,10 +153,27 @@ def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class EnergyBlockUnitary:
-    """Unitary block diagonal over the total-energy eigenspaces of a Hamiltonian."""
+    """Unitary block diagonal over the total-energy eigenspaces of a Hamiltonian.
+
+    ``matrix`` must be unitary, so every thermal operation on it is CPTP.  Public
+    construction checks this to ``UNITARY_TOL``; ``MarkovianFamily.operation``
+    stores members of a family whose V it checked once through :meth:`_derived`.
+    """
 
     matrix: np.ndarray
     hamiltonian: Hamiltonian
+
+    def __post_init__(self):
+        if not np.allclose(self.matrix @ dagger(self.matrix), np.eye(self.dim), atol=UNITARY_TOL):
+            raise ValueError("energy-block operator is not unitary")
+
+    @classmethod
+    def _derived(cls, matrix, hamiltonian) -> "EnergyBlockUnitary":
+        """A unitary built from a checked unitary and unit phases, stored unchecked."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "matrix", matrix)
+        object.__setattr__(u, "hamiltonian", hamiltonian)
+        return u
 
     @property
     def dim(self) -> int:
@@ -211,8 +221,6 @@ def build_block_unitary(h_total: Hamiltonian, block_params) -> EnergyBlockUnitar
         sub = _coerce_block_unitary(param, len(idx))
         basis = h_total.eigvecs[:, list(idx)]
         u += basis @ sub @ dagger(basis)
-    if not np.allclose(u @ dagger(u), np.eye(d), atol=UNITARY_TOL):
-        raise ValueError("assembled operator is not unitary")
     return EnergyBlockUnitary(u, h_total)
 
 
@@ -272,7 +280,7 @@ def apply(op: ThermalOperation, rho_sys: DensityMatrix) -> DensityMatrix:
     if rho_sys.dim != op.d_sys:
         raise ValueError(f"system state dimension {rho_sys.dim} != {op.d_sys}")
     joint = evolve(op, rho_sys.matrix)
-    return DensityMatrix(0.5 * (joint + dagger(joint)), (op.d_sys, op.d_bath))
+    return DensityMatrix._derived(0.5 * (joint + dagger(joint)), (op.d_sys, op.d_bath))
 
 
 def apply_to_operator(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
@@ -438,11 +446,8 @@ def first_order_generator(h_sys: Hamiltonian, h_prime: Hamiltonian) -> np.ndarra
     v = h_sys.eigvecs
     hp = dagger(v) @ h_prime.matrix @ v
     e = h_sys.energies
-    g = np.zeros_like(hp)
-    for k in range(h_sys.dim):
-        for i in range(h_sys.dim):
-            if k != i:
-                g[k, i] = hp[k, i] / (e[i] - e[k])
+    g = np.divide(hp, e[None, :] - e[:, None], out=np.zeros_like(hp),
+                  where=~np.eye(h_sys.dim, dtype=bool))
     return v @ g @ dagger(v)
 
 

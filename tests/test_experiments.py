@@ -22,6 +22,7 @@ from athermal_markov.experiments import (
     run_config,
     write_outputs,
 )
+from athermal_markov.linalg import DensityMatrix
 
 
 # -- config plumbing ----------------------------------------------------------------
@@ -196,9 +197,33 @@ def test_sweep_computes_each_quantity_once_per_control_value(monkeypatch):
     assert calls["apply"] == 0
     cfg = _tiny_fig2(n_temps=3, epsilons=(0.0, 0.2))
     calls.clear()
+    checked = _counting(monkeypatch, DensityMatrix, "__init__")
     run_config(cfg)
     # the input states come from build() alone; each is applied once per temperature
     assert calls == {"apply": 3 * 3, "state_from_level_coeffs": 1, "perturbed_state_exact": 2}
+    # only those three states are checked: every state the sweep derives is trusted
+    assert checked == {"__init__": 3}
+    setup = cfg.build()
+    checked.clear()
+    ex._sweep(cfg, setup)
+    assert checked == {}
+
+
+def test_distance_metadata_records_the_bound_search():
+    cfg = _tiny_distance()
+    metadata = ex.run_distance_example(cfg).metadata
+    recorded = {key: diags for key, diags in metadata["optimizer_diagnostics"].items()
+                if key.startswith("choi_distance_bound/")}
+    assert list(recorded) == [f"choi_distance_bound/x={v}" for v in cfg.sweep_values]
+    setup = cfg.build()
+    for value in cfg.sweep_values:
+        op = setup.operation(cfg.beta_for(value))
+        _, diags = measures.chi_lambda_bound(op, setup.family(op), setup.h_prime,
+                                             cfg.epsilons, cfg.optimizer)
+        assert recorded[f"choi_distance_bound/x={value}"] == diags
+        assert diags["evaluations"] > 0 and len(diags["phases"]) == setup.h_tot.dim
+    if not all(d["converged"] for d in recorded.values()):
+        assert metadata["optimizer_converged"] is False
 
 
 def test_run_config_reproducible():

@@ -61,3 +61,45 @@ def test_package_exports_resolve():
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert [name for name in athermal_markov.__all__ if not hasattr(athermal_markov, name)] == []
     assert sorted(athermal_markov.__all__) == sorted(imported + ["__version__"])
+
+
+# Where the unchecked ``_derived`` constructors may be called: the CPTP maps that
+# derive a DensityMatrix from checked states, and the Markovian family, whose
+# EnergyBlockUnitary members V e^{-i alpha} V^dag rest on a V it checks once.
+DERIVING = {("thermal.py", "apply"), ("linalg.py", "partial_trace"),
+            ("thermal.py", "gibbs_state"), ("measures.py", "choi_state"),
+            ("measures.py", "MarkovianFamily.operation")}
+
+
+def _unchecked_uses(tree: ast.Module) -> set[str | None]:
+    """Qualified names of the scopes that reference ``._derived`` (None: module level)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_derived":
+                found.add(scope)
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_unchecked_values_come_only_from_derivations():
+    # every state or unitary entering from outside goes through its checking public constructor
+    uses = {(path.name, scope) for path in MODULES for scope in _unchecked_uses(_tree(path))}
+    assert uses == DERIVING
+
+
+def test_unchecked_state_rule_catches_a_boundary():
+    source = (PACKAGE / "thermal.py").read_text(encoding="utf-8")
+    boundary = "return DensityMatrix(v @ p @ dagger(v), (h_sys.dim,))"
+    start = source.index("def state_from_level_coeffs")
+    routed = source[:start] + source[start:].replace(
+        boundary, boundary.replace("DensityMatrix(", "DensityMatrix._derived("), 1)
+    assert routed != source
+    uses = {("thermal.py", func) for func in _unchecked_uses(ast.parse(routed))}
+    assert uses - DERIVING == {("thermal.py", "state_from_level_coeffs")}

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from athermal_markov import thermal
+from athermal_markov import measures, thermal
 from athermal_markov.linalg import DensityMatrix, dagger, mat_equal, partial_trace, trace_norm
 from athermal_markov.thermal import (
+    DEGENERACY_TOL,
     Hamiltonian,
     PerturbationSpec,
     apply,
@@ -20,7 +21,7 @@ from athermal_markov.thermal import (
     thermal_operation,
     total_hamiltonian,
 )
-from util import SIGMA_X, SIGMA_Z, random_density, random_unitary
+from util import SIGMA_X, SIGMA_Z, random_density, random_hermitian, random_unitary
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
 GELL_MANN_1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
@@ -88,6 +89,13 @@ def test_gibbs_rejects_negative_beta():
         gibbs_state(H_QUBIT, -0.5)
 
 
+def test_gibbs_rejects_non_unitary_eigenvectors():
+    # the Gibbs state is stored unchecked, so its eigenbasis must be checked
+    skewed = Hamiltonian(H_QUBIT.matrix, H_QUBIT.energies, 1.01 * H_QUBIT.eigvecs)
+    with pytest.raises(ValueError, match="not unitary"):
+        gibbs_state(skewed, 0.7)
+
+
 def test_gibbs_commutes_with_source():
     g = gibbs_state(Hamiltonian.from_matrix(SIGMA_X), 0.7)
     comm = g.state.matrix @ SIGMA_X - SIGMA_X @ g.state.matrix
@@ -136,6 +144,54 @@ def test_bohr_nondegenerate_flag():
     assert h.bohr_nondegenerate()
 
 
+def _element_loops(h_sys: Hamiltonian, h_prime: Hamiltonian):
+    """Reference: the Bohr flag and the first-order generator as element loops."""
+    e, n = h_sys.energies, h_sys.dim
+    diffs = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                diffs.append((e[i] - e[j], (i, j)))
+    diffs.sort(key=lambda t: t[0])
+    bohr = True
+    for (a, pa), (b, pb) in zip(diffs, diffs[1:]):
+        if abs(a - b) <= DEGENERACY_TOL and pa != pb:
+            bohr = False
+    v = h_sys.eigvecs
+    hp = dagger(v) @ h_prime.matrix @ v
+    g = np.zeros_like(hp)
+    for k in range(n):
+        for i in range(n):
+            if k != i:
+                g[k, i] = hp[k, i] / (e[i] - e[k])
+    return bohr, v @ g @ dagger(v)
+
+
+def test_bohr_flag_and_generator_match_element_loops():
+    rng = np.random.default_rng(8)
+    flags = []
+    for trial in range(90):
+        d = int(rng.integers(2, 7))
+        if trial % 3 == 0:
+            e = rng.uniform(-3, 3, size=d)
+        elif trial % 3 == 1:  # level gaps around 1e-8, on both sides of DEGENERACY_TOL
+            e = np.cumsum(rng.uniform(0.5e-8, 3e-8, size=d))
+        else:  # near-equal spacings: Bohr differences around 1e-8 apart
+            e = np.arange(d) + rng.uniform(-1e-8, 1e-8, size=d)
+        u = random_unitary(rng, d)
+        h_sys = Hamiltonian.from_matrix((u * e) @ dagger(u))
+        h_prime = Hamiltonian.from_matrix(random_hermitian(rng, d))
+        bohr, g = _element_loops(h_sys, h_prime)
+        assert h_sys.bohr_nondegenerate() is bohr
+        flags.append(bohr)
+        if np.diff(h_sys.energies).min() > DEGENERACY_TOL:
+            assert thermal.first_order_generator(h_sys, h_prime).tobytes() == g.tobytes()
+        else:
+            with pytest.raises(ValueError, match="degenerate spectrum"):
+                thermal.first_order_generator(h_sys, h_prime)
+    assert True in flags and False in flags
+
+
 # -- block unitaries ------------------------------------------------------------------
 
 def test_block_unitary_zero_phases_is_identity():
@@ -168,6 +224,14 @@ def test_block_unitary_rejects_non_unitary_block():
     params = [0.0, np.array([[1.0, 0.0], [0.0, 2.0]]), 0.0]
     with pytest.raises(ValueError, match="not unitary"):
         build_block_unitary(h_tot, params)
+
+
+def test_energy_block_unitary_rejects_non_unitary_matrix():
+    # apply and choi_state trust their unitary, so a direct construction is checked too
+    h_tot = total_hamiltonian(H_QUBIT, H_QUBIT)
+    for m in (2 * np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])):
+        with pytest.raises(ValueError, match="not unitary"):
+            thermal.EnergyBlockUnitary(m.astype(complex), h_tot)
 
 
 def test_block_unitary_wrong_count():
@@ -203,9 +267,37 @@ def test_apply_joint_is_valid_density_matrix():
     h_tot, u = fig2_unitary()
     op = thermal_operation(u, gibbs_state(H_QUBIT, 0.25))
     rho = DensityMatrix(np.diag([0.9, 0.1]), (2,))
-    joint = apply(op, rho)  # construction validates trace, hermiticity, positivity
-    assert joint.dims == (2, 2)
-    assert abs(np.trace(joint.matrix) - 1) < 1e-12
+    joint = apply(op, rho)
+    # the public constructor re-checks trace, hermiticity and positivity
+    checked = DensityMatrix(joint.matrix, joint.dims)
+    assert checked.dims == (2, 2)
+    assert abs(np.trace(checked.matrix) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 5.0])
+@pytest.mark.parametrize("d_sys, d_bath", [(2, 2), (2, 3), (3, 3), (6, 6), (4, 9)])
+def test_derived_states_pass_public_validation(d_sys, d_bath, beta):
+    # apply, partial_trace, gibbs_state and choi_state store their outputs unchecked
+    rng = np.random.default_rng(10 * d_sys + d_bath)
+    for trial in range(4):
+        h_sys = Hamiltonian.from_matrix(random_hermitian(rng, d_sys))
+        # integer bath levels give degenerate total-energy blocks
+        h_bath = Hamiltonian.from_matrix(np.diag(rng.integers(0, 3, size=d_bath)).astype(complex))
+        h_tot = total_hamiltonian(h_sys, h_bath)
+        u = build_block_unitary(h_tot, [random_unitary(rng, len(idx))
+                                        for _, idx in h_tot.energy_blocks()])
+        bath = gibbs_state(h_bath, beta)
+        op = thermal_operation(u, bath)
+        if trial % 2:
+            psi = random_unitary(rng, d_sys)[:, 0]
+            rho = DensityMatrix(np.outer(psi, psi.conj()), (d_sys,))  # rank one
+        else:
+            rho = random_density(rng, d_sys)
+        joint = apply(op, rho)
+        derived = (joint, partial_trace(joint, 0), partial_trace(joint, 1), bath.state,
+                   gibbs_state(h_sys, beta).state, measures.choi_state(op, h_sys))
+        for state in derived:
+            DensityMatrix(state.matrix, state.dims)
 
 
 def test_apply_dimension_mismatch():
