@@ -420,16 +420,19 @@ def _measure_values(measure: str, cfg: ExperimentConfig, setup: StudySetup,
     return [measures.mutual_information(joint) for joint in joints]
 
 
-def _sweep(cfg: ExperimentConfig, setup: StudySetup) -> SweepResult:
+def _sweep(cfg: ExperimentConfig, setup: StudySetup
+           ) -> tuple[SweepResult, list[thermal.ThermalOperation]]:
     """Evaluate every configured measure on the (epsilon, control) grid.
 
     Per control value the operation is built once and applied once per input
-    state; each measure's unperturbed value serves every epsilon row.
+    state; each measure's unperturbed value serves every epsilon row.  The
+    operations are returned too, one per control value.
     """
     metadata = _base_metadata(cfg)
-    rows, diags = [], {}
+    rows, diags, ops = [], {}, []
     for value in cfg.sweep_values:
         op = setup.operation(cfg.beta_for(value))
+        ops.append(op)
         joints = []
         if set(cfg.measures) - {"choi_distance"}:
             joints = [thermal.apply(op, rho) for rho in (setup.rho, *setup.rho_eps)]
@@ -448,12 +451,12 @@ def _sweep(cfg: ExperimentConfig, setup: StudySetup) -> SweepResult:
                                     for e in cfg.epsilons for v in cfg.sweep_values) if key in diags
     }
     metadata["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    return SweepResult(_sort_rows(rows), metadata)
+    return SweepResult(_sort_rows(rows), metadata), ops
 
 
 def run_config(cfg: ExperimentConfig) -> SweepResult:
     """Evaluate every configured measure on the (epsilon, control) grid."""
-    return _sweep(cfg, cfg.build())
+    return _sweep(cfg, cfg.build())[0]
 
 
 def _flag_rows(result: SweepResult, offenders: set[tuple[str, float, float]]) -> SweepResult:
@@ -676,16 +679,15 @@ def run_distance_example(cfg: ExperimentConfig | None = None) -> SweepResult:
     ``DISTANCE_DELTA_TOLERANCE`` and below the first-order bound at every strength."""
     cfg = cfg or builtin_distance()
     setup = cfg.build()
-    result = _sweep(cfg, setup)
+    result, ops = _sweep(cfg, setup)
     deviations: list[str] = []
     offenders: set[tuple[str, float, float]] = set()
 
     bounds = {}  # (control, epsilon) -> bound, from one search per control value
     diag_map = dict(result.metadata["optimizer_diagnostics"])
     converged_all = True
-    controls = cfg.sweep_values if "choi_distance" in cfg.measures else ()
-    for value in controls:
-        op = setup.operation(cfg.beta_for(value))
+    controls = zip(cfg.sweep_values, ops) if "choi_distance" in cfg.measures else ()
+    for value, op in controls:
         values, diags = measures.chi_lambda_bound(op, setup.family(op), setup.h_prime,
                                                   cfg.epsilons, cfg.optimizer)
         bounds.update(((value, eps), bound) for eps, bound in zip(cfg.epsilons, values))

@@ -27,8 +27,8 @@ _TWO_PI = Decimal("6.28318530717958647692528676655900576839433879875021164194988
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., d, d)."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def mat_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
@@ -178,12 +178,14 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values of a square matrix."""
+def trace_norm(m: np.ndarray):
+    """Sum of singular values of a square matrix, as a float, or of each matrix
+    in a stack (..., d, d), as an array of the stack's shape."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("trace_norm expects a square matrix")
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("trace_norm expects a square matrix or a stack of them")
+    norms = np.linalg.svd(m, compute_uv=False).sum(-1)
+    return float(norms) if m.ndim == 2 else norms
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

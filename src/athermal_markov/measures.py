@@ -22,7 +22,6 @@ from .linalg import (
     DensityMatrix,
     dagger,
     eigh,
-    entropy_of_spectrum,
     log2_on_support,
     matrix_log2_on_support,
     partial_trace,
@@ -67,17 +66,24 @@ def mutual_information(rho_joint: DensityMatrix) -> MeasureValue:
     return MeasureValue("mutual_information", float(s1 + s2 - s12))
 
 
-def _measured_conditional_entropy(rho4: np.ndarray, rho_b: np.ndarray, theta: float,
-                                  phi: float) -> float:
+def _measured_conditional_entropy(rho4: np.ndarray, rho_b: np.ndarray,
+                                  angles: np.ndarray) -> np.ndarray:
     """sum_i p_i S(rho_B^i) for measuring {|psi><psi|, I - |psi><psi|} on the qubit of
-    ``rho4`` (the joint state as (2, d2, 2, d2)); outcome 2 leaves rho_B minus outcome 1."""
-    psi = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-    first = np.einsum("a,abcd,c->bd", psi.conj(), rho4, psi)
-    total = 0.0
-    for sub in (first, rho_b - first):
-        prob = float(np.trace(sub).real)
-        if prob > 1e-14:
-            total += prob * entropy_of_spectrum(sub / prob)
+    ``rho4`` (the joint state as (2, d2, 2, d2)), one value per (theta, phi) row of
+    ``angles``; outcome 2 leaves rho_B minus outcome 1.  An outcome of probability
+    at most 1e-14 contributes nothing."""
+    theta, phi = angles[:, 0], angles[:, 1]
+    psi = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
+    first = np.einsum("na,abcd,nc->nbd", psi.conj(), rho4, psi)
+    subs = np.stack([first, rho_b - first], axis=1)
+    prob = np.trace(subs, axis1=-2, axis2=-1).real
+    kept = prob > 1e-14
+    w = np.linalg.eigvalsh(subs / np.where(kept, prob, 1.0)[..., None, None])
+    support = w > SUPPORT_CUTOFF
+    entropy = -np.sum(np.where(support, w * np.log2(np.where(support, w, 1.0)), 0.0), axis=-1)
+    total = np.zeros(len(angles))
+    for k in range(2):
+        total += np.where(kept[:, k], prob[:, k] * entropy[:, k], 0.0)
     return total
 
 
@@ -95,8 +101,8 @@ def discord(rho_joint: DensityMatrix, cfg: OptimizerConfig | None = None) -> Mea
     rho4 = rho_joint.matrix.reshape(2, d2, 2, d2)
     rho_b = trace_out_first(rho_joint.matrix, 2, d2)
 
-    def objective(x):
-        return _measured_conditional_entropy(rho4, rho_b, x[0], x[1])
+    def objective(angles):
+        return _measured_conditional_entropy(rho4, rho_b, angles)
 
     result = minimize(objective, [(0.0, np.pi), (0.0, 2 * np.pi)], cfg, periodic=[False, True])
     s_a = von_neumann_entropy(partial_trace(rho_joint, 0))
@@ -137,15 +143,21 @@ def maximally_entangled_input(h_sys: thermal.Hamiltonian, pert: PerturbationSpec
     return np.outer(phi, phi.conj())
 
 
-def _apply_on_system_factor(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
-    """(channel (x) identity) on an operator of the system+ancilla pair.
+def _apply_on_system_factor(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(channel (x) identity) on an operator ``x`` of the system+ancilla pair,
+    for the thermal operation with global unitary ``u`` on bath state ``tau``,
+    or for each unitary of a stack (n, d, d) at once, giving (n, ...).
 
     The (system, ancilla, system, ancilla) tensor is viewed as a stack of
     system operators indexed by the ancilla pair, mapped in one call.
     """
-    d = op.d_sys
+    d_bath = tau.shape[0]
+    d = u.shape[-1] // d_bath
     blocks = x.reshape(d, d, d, d).transpose(1, 3, 0, 2)
-    return thermal.apply_to_operator(op, blocks).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    out = trace_out_second(thermal.evolve(u[..., None, None, :, :], tau, blocks), d, d_bath)
+    # axes (..., ancilla, ancilla, system, system) back to (..., system, ancilla, system, ancilla)
+    out = np.moveaxis(out, (-2, -4, -1, -3), (-4, -3, -2, -1))
+    return out.reshape(*u.shape[:-2], d * d, d * d)
 
 
 def choi_state(op: ThermalOperation, h_sys: thermal.Hamiltonian,
@@ -156,7 +168,8 @@ def choi_state(op: ThermalOperation, h_sys: thermal.Hamiltonian,
     perturbed ones when ``pert`` is given) with a fixed ancilla basis.
     """
     d = h_sys.dim
-    out = _apply_on_system_factor(op, maximally_entangled_input(h_sys, pert, first_order))
+    out = _apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix,
+                                  maximally_entangled_input(h_sys, pert, first_order))
     out = 0.5 * (out + dagger(out))
     return DensityMatrix._derived(out, (d, d))
 
@@ -185,10 +198,15 @@ class MarkovianFamily:
         if not np.allclose(dagger(v) @ v, np.eye(self.h_total.dim), atol=thermal.UNITARY_TOL):
             raise ValueError("total Hamiltonian eigenvectors are not unitary")
 
-    def operation(self, free_phases) -> ThermalOperation:
+    def unitaries(self, free_phases) -> np.ndarray:
+        """The member unitary for free phases (free_dim,), or the stack of
+        member unitaries for the rows of (n, free_dim)."""
         v = self.h_total.eigvecs
-        u = (v * np.exp(-1j * self.manifold.embed(free_phases))) @ dagger(v)
-        return thermal.thermal_operation(EnergyBlockUnitary._derived(u, self.h_total), self.bath)
+        return (v * np.exp(-1j * self.manifold.embed(free_phases))[..., None, :]) @ dagger(v)
+
+    def operation(self, free_phases) -> ThermalOperation:
+        u = EnergyBlockUnitary._derived(self.unitaries(free_phases), self.h_total)
+        return thermal.thermal_operation(u, self.bath)
 
 
 def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_value: float,
@@ -213,12 +231,16 @@ def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_valu
 
 def _family_search(op: ThermalOperation, family: MarkovianFamily, x: np.ndarray,
                    cfg: OptimizerConfig | None, sign: float):
-    """Minimise sign * ||(channel - member) (x) id applied to x||_1 over the family."""
+    """Minimise sign * ||(channel - member) (x) id applied to x||_1 over the family.
+
+    The objective maps rows of free phases to the member images of ``x`` in
+    one stacked evaluation."""
     cfg = cfg or OptimizerConfig(grid_resolution=8)
-    target = _apply_on_system_factor(op, x)
+    target = _apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix, x)
+    tau = family.bath.state.matrix
 
     def objective(free):
-        return sign * trace_norm(target - _apply_on_system_factor(family.operation(free), x))
+        return sign * trace_norm(target - _apply_on_system_factor(family.unitaries(free), tau, x))
 
     n = family.manifold.free_dim
     return minimize(objective, [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n)
@@ -278,7 +300,7 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
 
     joint = thermal.apply(op, rho)
-    joint_dir = thermal.evolve(op, rho_tilde)
+    joint_dir = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, rho_tilde)
     beta_1 = trace_out_second(joint_dir, op.d_sys, op.d_bath)
     beta_2 = trace_out_first(joint_dir, op.d_sys, op.d_bath)
 
@@ -310,8 +332,9 @@ def x_lambda(op: ThermalOperation, rho_coeffs, sigma: DensityMatrix,
         raise ValueError("sigma must be full rank")
     rho = thermal.state_from_level_coeffs(h_sys, rho_coeffs)
     rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
-    a = thermal.evolve(op, rho.matrix)
-    b = thermal.evolve(op, rho_tilde)
+    u, tau = op.unitary.matrix, op.bath.state.matrix
+    a = thermal.evolve(u, tau, rho.matrix)
+    b = thermal.evolve(u, tau, rho_tilde)
     d = a.shape[0]
     log_ratio = matrix_log2_on_support(a) - matrix_log2_on_support(sigma.matrix)
     return float(np.trace(b @ (np.eye(d) + log_ratio)).real)

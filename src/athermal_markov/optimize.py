@@ -6,6 +6,12 @@ minimum.  Everything is driven by :class:`OptimizerConfig`, so two runs with
 the same config and objective are bit-identical.  Angular coordinates can be
 declared periodic; they are wrapped into their interval before each
 evaluation, so simplex moves never fall off the torus.
+
+Objectives are batched: ``f(X)`` takes points as the rows of an ``(n, dim)``
+array and returns their ``(n,)`` values.  The grid is one call, and the
+simplices of all starts advance in lockstep, one call per move kind and
+round.  Each start still follows its own sequential Nelder-Mead trajectory:
+the rows of a batch never interact.
 """
 
 from __future__ import annotations
@@ -48,92 +54,119 @@ def _rng_seed(sequence_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _canonicalize(x: np.ndarray, bounds, periodic) -> np.ndarray:
-    y = np.array(x, dtype=float)
-    for k, (lo, hi) in enumerate(bounds):
-        if periodic[k]:
-            y[k] = lo + (y[k] - lo) % (hi - lo)
-        else:
-            y[k] = min(max(y[k], lo), hi)
-    return y
+def _evaluate(f, x: np.ndarray) -> np.ndarray:
+    """One batched objective call on the rows of ``x``."""
+    values = np.asarray(f(x), dtype=float)
+    if values.shape != x.shape[:1]:
+        raise ValueError(f"objective returned shape {values.shape} for {len(x)} points")
+    return values
 
 
-def _nelder_mead(f, x0, bounds, periodic, cfg: OptimizerConfig):
-    """One bounded Nelder-Mead run; returns (best_x, best_f, converged, evals).
+@dataclass(frozen=True)
+class _Box:
+    """Bounds and periodic flags, as arrays over the coordinates."""
 
-    Standard coefficients: reflection 1, expansion 2, contraction and shrink 1/2.
+    lo: np.ndarray
+    hi: np.ndarray
+    periodic: np.ndarray
+
+    def canonicalize(self, x: np.ndarray) -> np.ndarray:
+        """Wrap periodic coordinates into [lo, hi), clip the others to [lo, hi]."""
+        y = np.array(x, dtype=float)
+        p, c = self.periodic, ~self.periodic
+        y[..., p] = self.lo[p] + (y[..., p] - self.lo[p]) % (self.hi[p] - self.lo[p])
+        y[..., c] = np.minimum(np.maximum(y[..., c], self.lo[c]), self.hi[c])
+        return y
+
+    def evaluate(self, f, x: np.ndarray) -> np.ndarray:
+        """The objective at the canonical form of each row of ``x``."""
+        return _evaluate(f, self.canonicalize(x))
+
+
+def _nelder_mead(f, x0: np.ndarray, box: _Box, cfg: OptimizerConfig):
+    """Bounded Nelder-Mead from every row of ``x0``, all starts in lockstep.
+
+    Returns per-start arrays (best_x, best_f, converged, evals).  Standard
+    coefficients: reflection 1, expansion 2, contraction and shrink 1/2.
+    Each round gathers the reflect points of the active starts into one
+    objective call, then their expand and contract points, then their shrink
+    points; a start leaves the batch when its simplex values span at most
+    ``f_tol``.
     """
-    dim = len(x0)
-    evals = 0
-
-    def call(x):
-        nonlocal evals
-        evals += 1
-        return f(_canonicalize(x, bounds, periodic))
-
-    simplex = [np.array(x0, dtype=float)]
+    m, dim = x0.shape
+    simplex = np.repeat(x0[:, None, :], dim + 1, axis=1)
     for k in range(dim):
-        step = 0.1 * (bounds[k][1] - bounds[k][0])
-        x = np.array(x0, dtype=float)
-        x[k] += step
-        simplex.append(x)
-    values = [call(x) for x in simplex]
+        simplex[:, k + 1, k] += 0.1 * (box.hi[k] - box.lo[k])
+    values = box.evaluate(f, simplex.reshape(-1, dim)).reshape(m, dim + 1)
+    evals = np.full(m, dim + 1)
+    converged = np.zeros(m, dtype=bool)
 
-    converged = False
+    active = np.arange(m)
     for _ in range(cfg.max_iterations):
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if values[-1] - values[0] <= cfg.f_tol:
-            converged = True
+        order = np.argsort(values[active], axis=1, kind="stable")
+        simplex[active] = np.take_along_axis(simplex[active], order[..., None], axis=1)
+        values[active] = np.take_along_axis(values[active], order, axis=1)
+        done = values[active, -1] - values[active, 0] <= cfg.f_tol
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
             break
+        s, v = simplex[active], values[active]
 
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-
+        centroid = np.mean(s[:, :-1], axis=1)
+        worst = s[:, -1]
         reflected = centroid + (centroid - worst)
-        fr = call(reflected)
-        if values[0] <= fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-            continue
-        if fr < values[0]:
-            expanded = centroid + 2.0 * (reflected - centroid)
-            fe = call(expanded)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-            continue
-        contracted = centroid + 0.5 * (worst - centroid)
-        fc = call(contracted)
-        if fc < values[-1]:
-            simplex[-1], values[-1] = contracted, fc
-            continue
-        best = simplex[0]
-        simplex = [best] + [best + 0.5 * (x - best) for x in simplex[1:]]
-        values = [values[0]] + [call(x) for x in simplex[1:]]
+        fr = box.evaluate(f, reflected)
+        evals[active] += 1
+        take = (v[:, 0] <= fr) & (fr < v[:, -2])
+        expand = fr < v[:, 0]
+        contract = ~take & ~expand
 
-    k = int(np.argmin(values))
-    return _canonicalize(simplex[k], bounds, periodic), values[k], converged, evals
+        moved = expand | contract
+        trial = np.where(expand[:, None], centroid + 2.0 * (reflected - centroid),
+                         centroid + 0.5 * (worst - centroid))
+        f_trial = fr.copy()
+        if moved.any():
+            f_trial[moved] = box.evaluate(f, trial[moved])
+            evals[active[moved]] += 1
+        use_trial = (expand & (f_trial < fr)) | (contract & (f_trial < v[:, -1]))
+        shrink = contract & ~use_trial
+        replace = active[~shrink]
+        simplex[replace, -1] = np.where(use_trial[:, None], trial, reflected)[~shrink]
+        values[replace, -1] = np.where(use_trial, f_trial, fr)[~shrink]
+
+        if shrink.any():
+            rows = active[shrink]
+            best = simplex[rows, :1]
+            points = best + 0.5 * (simplex[rows, 1:] - best)
+            simplex[rows, 1:] = points
+            values[rows, 1:] = box.evaluate(f, points.reshape(-1, dim)).reshape(-1, dim)
+            evals[rows] += dim
+
+    k = np.argmin(values, axis=1)
+    rows = np.arange(m)
+    return box.canonicalize(simplex[rows, k]), values[rows, k], converged, evals
 
 
-def _grid_points(bounds, periodic, resolution):
+def _grid_points(bounds, periodic, resolution) -> np.ndarray:
     axes = []
     for (lo, hi), per in zip(bounds, periodic):
         if per:
             axes.append(np.linspace(lo, hi, resolution, endpoint=False))
         else:
             axes.append(np.linspace(lo, hi, resolution))
-    return [np.array(p) for p in itertools.product(*axes)]
+    return np.array(list(itertools.product(*axes)))
 
 
 def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None) -> OptimizationResult:
     """Grid-seeded multi-start Nelder-Mead minimisation of ``f`` over a box.
 
-    ``bounds`` is a sequence of (lo, hi) pairs; ``periodic`` flags the
-    coordinates to treat as angles on [lo, hi).  The best grid value is a
-    floor for the result, so the returned value never exceeds any grid
-    sample.  Non-convergence of the winning start is reported, not raised.
+    ``f`` is batched: it maps an ``(n, dim)`` array of points to their
+    ``(n,)`` values.  ``bounds`` is a sequence of (lo, hi) pairs;
+    ``periodic`` flags the coordinates to treat as angles on [lo, hi).  The
+    best grid value is a floor for the result, so the returned value never
+    exceeds any grid sample.  Non-convergence of the winning start is
+    reported, not raised.
     """
     cfg = cfg or OptimizerConfig()
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
@@ -141,26 +174,28 @@ def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None) -> Op
         raise ValueError("bounds must have hi > lo")
     dim = len(bounds)
     periodic = [False] * dim if periodic is None else list(periodic)
+    box = _Box(np.array([lo for lo, _ in bounds]), np.array([hi for _, hi in bounds]),
+               np.array(periodic, dtype=bool))
 
     grid = _grid_points(bounds, periodic, cfg.grid_resolution)
-    grid_values = [f(p) for p in grid]
+    grid_values = _evaluate(f, grid)
     evaluations = len(grid)
     order = np.argsort(grid_values, kind="stable")
 
     n_grid_starts = min(len(grid), cfg.seeds - cfg.seeds // 2)
-    starts = [grid[i] for i in order[:n_grid_starts]]
     rng = np.random.default_rng(_rng_seed(cfg.seed_sequence))
-    for _ in range(cfg.seeds - n_grid_starts):
-        starts.append(np.array([rng.uniform(lo, hi) for lo, hi in bounds]))
+    random_starts = [[rng.uniform(lo, hi) for lo, hi in bounds]
+                     for _ in range(cfg.seeds - n_grid_starts)]
+    starts = np.concatenate([grid[order[:n_grid_starts]],
+                             np.array(random_starts, dtype=float).reshape(-1, dim)])
 
     best_x = grid[order[0]]
     best_f = grid_values[order[0]]
     best_converged = False
-    per_start = []
-    for x0 in starts:
-        x, fx, conv, used = _nelder_mead(f, x0, bounds, periodic, cfg)
-        evaluations += used
-        per_start.append((float(fx), conv))
+    xs, fxs, convs, used = _nelder_mead(f, starts, box, cfg)
+    evaluations += int(used.sum())
+    per_start = [(float(fx), bool(conv)) for fx, conv in zip(fxs, convs)]
+    for x, (fx, conv) in zip(xs, per_start):
         if fx < best_f:
             best_x, best_f, best_converged = x, fx, conv
     if not best_converged:
@@ -196,17 +231,18 @@ class PhaseManifold:
         return self.dim if self.eliminated is None else self.dim - 1
 
     def embed(self, free) -> np.ndarray:
+        """Full phases for free phases (free_dim,), or row-wise for (n, free_dim)."""
         free = np.asarray(free, dtype=float)
-        if len(free) != self.free_dim:
-            raise ValueError(f"expected {self.free_dim} free phases, got {len(free)}")
+        if free.shape[-1:] != (self.free_dim,):
+            raise ValueError(f"expected {self.free_dim} free phases per row, got shape {free.shape}")
         if self.eliminated is None:
             return free % (2 * np.pi)
-        full = np.zeros(self.dim)
+        full = np.zeros(free.shape[:-1] + (self.dim,))
         slots = [k for k in range(self.dim) if k != self.eliminated]
-        full[slots] = free
+        full[..., slots] = free
         c = np.asarray(self.coefficients)
-        acc = self.offset - float(c[slots] @ full[slots])
-        full[self.eliminated] = (acc / c[self.eliminated]) % (2 * np.pi)
+        acc = self.offset - free @ c[slots]
+        full[..., self.eliminated] = (acc / c[self.eliminated]) % (2 * np.pi)
         return full % (2 * np.pi)
 
     def residual(self, phases) -> float:

@@ -261,17 +261,21 @@ def thermal_operation(unitary: EnergyBlockUnitary, bath: GibbsState) -> ThermalO
     return ThermalOperation(unitary, bath, unitary.dim // d_bath, d_bath)
 
 
-def evolve(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
-    """Joint operator U (x (x) tau) U^dag for a system operator ``x`` or a
-    stack (..., d_sys, d_sys) of them."""
+def evolve(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Joint operator U (x (x) tau) U^dag for the global unitary ``u`` and the
+    bath state ``tau``.
+
+    ``x`` is a system operator or a stack (..., d_sys, d_sys) of them; ``u``
+    is one unitary or a stack (..., d, d) whose leading axes broadcast
+    against the stack of ``x``.
+    """
     x = np.asarray(x, dtype=complex)
-    if x.shape[-2:] != (op.d_sys, op.d_sys):
-        raise ValueError(f"operator dimension mismatch: {x.shape} vs system dimension {op.d_sys}")
-    d = op.d_sys * op.d_bath
-    tau = op.bath.state.matrix
+    d = u.shape[-1]
+    d_sys = d // tau.shape[0]
+    if x.shape[-2:] != (d_sys, d_sys):
+        raise ValueError(f"operator dimension mismatch: {x.shape} vs system dimension {d_sys}")
     # x (x) tau by broadcasting: axes (..., sys, bath, sys, bath)
     joint = (x[..., :, None, :, None] * tau[:, None, :]).reshape(*x.shape[:-2], d, d)
-    u = op.unitary.matrix
     return u @ joint @ dagger(u)
 
 
@@ -279,13 +283,13 @@ def apply(op: ThermalOperation, rho_sys: DensityMatrix) -> DensityMatrix:
     """Joint state U (rho (x) tau) U^dag; its marginals come from partial_trace."""
     if rho_sys.dim != op.d_sys:
         raise ValueError(f"system state dimension {rho_sys.dim} != {op.d_sys}")
-    joint = evolve(op, rho_sys.matrix)
+    joint = evolve(op.unitary.matrix, op.bath.state.matrix, rho_sys.matrix)
     return DensityMatrix._derived(0.5 * (joint + dagger(joint)), (op.d_sys, op.d_bath))
 
 
 def apply_to_operator(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
     """Linear extension of the channel to system operators, or stacks of them."""
-    return trace_out_second(evolve(op, x), op.d_sys, op.d_bath)
+    return trace_out_second(evolve(op.unitary.matrix, op.bath.state.matrix, x), op.d_sys, op.d_bath)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +342,11 @@ def transition_amplitudes(op: ThermalOperation) -> dict[tuple[int, int, int], co
     Keys are (i, j, r) over system levels i, j and bath levels r; the value is
     ``None`` when no unique bath level sits at the required energy.
     """
+    return _transition_amplitudes(op, _bath_levels(op.system_hamiltonian, op.bath.hamiltonian))
+
+
+def _transition_amplitudes(op: ThermalOperation, levels: np.ndarray) -> dict:
+    """:func:`transition_amplitudes` on a level table ``_bath_levels`` returned."""
     h_sys = op.system_hamiltonian
     h_bath = op.bath.hamiltonian
     # U in the product eigenbasis: column i*d_bath + r is the ket |i, r>
@@ -345,7 +354,7 @@ def transition_amplitudes(op: ThermalOperation) -> dict[tuple[int, int, int], co
     u = dagger(v) @ op.unitary.matrix @ v
     d_bath = h_bath.dim
     return {(i, j, r): None if rp < 0 else complex(u[j * d_bath + rp, i * d_bath + r])
-            for (i, j, r), rp in np.ndenumerate(_bath_levels(h_sys, h_bath))}
+            for (i, j, r), rp in np.ndenumerate(levels)}
 
 
 def mto_check(op: ThermalOperation, rho_sys: DensityMatrix) -> MtoConstraintReport:
@@ -366,8 +375,8 @@ def mto_check(op: ThermalOperation, rho_sys: DensityMatrix) -> MtoConstraintRepo
     h_sys = op.system_hamiltonian
     h_bath = op.bath.hamiltonian
     p_bath = op.bath.level_probabilities
-    amps = transition_amplitudes(op)
     levels = _bath_levels(h_sys, h_bath)
+    amps = _transition_amplitudes(op, levels)
 
     # P(i -> j) from the available amplitudes.
     pij = np.zeros((h_sys.dim, h_sys.dim))

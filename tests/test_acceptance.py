@@ -51,10 +51,10 @@ def test_criterion_2_correlation_response_sweep(fig3_result):
     growing = all(a.delta > b.delta - 1e-12 for a, b in zip(mi, mi[1:]))
     runtime = conftest.RUNTIMES["fig3"]
     ok = (fig3_result.deviations == () and len(mi) == 20 and len(dd) == 20
-          and positives and growing and runtime < 30.0)
+          and positives and growing and runtime < 10.0)
     _report("2", ok,
             f"positive={positives}, growing-toward-low-control={growing}, "
-            f"runtime={runtime:.1f}s (<30s)")
+            f"runtime={runtime:.1f}s (<10s)")
 
 
 def test_criterion_3_distance_counter_example(distance_result):
@@ -66,10 +66,10 @@ def test_criterion_3_distance_counter_example(distance_result):
     runtime = conftest.RUNTIMES["distance"]
     ok = (distance_result.deviations == ()
           and {r.epsilon for r in rows} == {0.01, 0.05, 0.1}
-          and small and converged and bounded and runtime < 30.0)
+          and small and converged and bounded and runtime < 10.0)
     _report("3", ok,
             f"|dD|<=5e-4={small}, converged={converged}, dD<=bound+1e-6={bounded}, "
-            f"runtime={runtime:.1f}s (<30s)")
+            f"runtime={runtime:.1f}s (<10s)")
 
 
 def test_criterion_4_ppt_under_diagonal_unitaries(property_result):

@@ -209,6 +209,15 @@ def test_sweep_computes_each_quantity_once_per_control_value(monkeypatch):
     assert checked == {}
 
 
+def test_distance_study_builds_one_operation_per_control_value(monkeypatch):
+    cfg = builtin_distance()
+    assert len(cfg.sweep_values) == 1
+    calls = _counting(monkeypatch, thermal, "gibbs_state")
+    ex.run_distance_example(cfg)
+    # the bound search reuses the operation the sweep built
+    assert calls["gibbs_state"] == 1
+
+
 def test_distance_metadata_records_the_bound_search():
     cfg = _tiny_distance()
     metadata = ex.run_distance_example(cfg).metadata

@@ -5,6 +5,7 @@ from athermal_markov import measures, thermal
 from athermal_markov.linalg import (
     DensityMatrix,
     dagger,
+    entropy_of_spectrum,
     mat_equal,
     trace_norm,
     trace_out_first,
@@ -227,11 +228,38 @@ def test_measured_conditional_entropy_matches_kron_reference(d2):
     rng = np.random.default_rng(50 + d2)
     for _ in range(10):
         rho = random_density(rng, 2 * d2, dims=(2, d2))
-        theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+        angles = np.array([[rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)]])
         rho4 = rho.matrix.reshape(2, d2, 2, d2)
         rho_b = measures.partial_trace(rho, 1).matrix
-        got = measures._measured_conditional_entropy(rho4, rho_b, theta, phi)
-        assert abs(got - kron_conditional_entropy(rho, theta, phi)) < 1e-12
+        got = measures._measured_conditional_entropy(rho4, rho_b, angles)
+        assert abs(got[0] - kron_conditional_entropy(rho, *angles[0])) < 1e-12
+
+
+def pointwise_conditional_entropy(rho4, rho_b, theta, phi) -> float:
+    """The discord kernel one measurement at a time: the reference for the stacked one."""
+    psi = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    first = np.einsum("a,abcd,c->bd", psi.conj(), rho4, psi)
+    total = 0.0
+    for sub in (first, rho_b - first):
+        prob = float(np.trace(sub).real)
+        if prob > 1e-14:
+            total += prob * entropy_of_spectrum(sub / prob)
+    return total
+
+
+@pytest.mark.parametrize("d2", [2, 3, 6])
+def test_measured_conditional_entropy_stack_matches_pointwise_bitwise(d2):
+    rng = np.random.default_rng(60 + d2)
+    # a qubit in |0>: at theta = 0 and pi one outcome has probability <= 1e-14
+    pure = np.kron(np.diag([1.0, 0.0]), random_density(rng, d2).matrix)
+    for rho in (random_density(rng, 2 * d2).matrix, pure):
+        rho4 = rho.reshape(2, d2, 2, d2)
+        rho_b = trace_out_first(rho, 2, d2)
+        angles = np.column_stack([rng.uniform(0, np.pi, 40), rng.uniform(0, 2 * np.pi, 40)])
+        angles[:10, 0], angles[10:20, 0] = 0.0, np.pi
+        got = measures._measured_conditional_entropy(rho4, rho_b, angles)
+        want = np.array([pointwise_conditional_entropy(rho4, rho_b, *row) for row in angles])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # -- Choi states -------------------------------------------------------------------
@@ -362,6 +390,25 @@ def test_distance_zero_for_markovian_member():
     member = family.operation(np.array([0.3, 1.2, 2.6]))
     mv = distance_measure(member, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.value <= 1e-6
+
+
+@pytest.mark.parametrize("d_sys, d_bath", [(2, 2), (2, 3), (3, 3)])
+def test_stacked_family_images_match_member_operations(d_sys, d_bath):
+    rng = np.random.default_rng(5300 + 10 * d_sys + d_bath)
+    h_sys = Hamiltonian.from_matrix(random_hermitian(rng, d_sys))
+    h_bath = Hamiltonian.from_matrix(random_hermitian(rng, d_bath))
+    h_tot = total_hamiltonian(h_sys, h_bath)
+    bath = gibbs_state(h_bath, 0.6)
+    n = h_tot.dim
+    family = MarkovianFamily(h_tot, bath, constrained_phase_manifold(n, rng.choice([-1.0, 1.0], n), 0.9))
+    x = random_density(rng, d_sys * d_sys).matrix
+    free = rng.uniform(0, 2 * np.pi, (5, family.manifold.free_dim))
+    images = measures._apply_on_system_factor(family.unitaries(free), bath.state.matrix, x)
+    assert images.shape == (5, d_sys * d_sys, d_sys * d_sys)
+    blocks = x.reshape(d_sys, d_sys, d_sys, d_sys).transpose(1, 3, 0, 2)
+    for row, image in zip(free, images):
+        member = thermal.apply_to_operator(family.operation(row), blocks)
+        assert mat_equal(image, member.transpose(2, 0, 3, 1).reshape(image.shape), 1e-12)
 
 
 def test_distance_zero_for_identity_channel():

@@ -1,22 +1,199 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from athermal_markov.optimize import (
     OptimizerConfig,
+    _rng_seed,
     constrained_phase_manifold,
     minimize,
 )
 
 
+def batched(f):
+    """A batched objective from a pointwise one, evaluated row by row."""
+    return lambda points: np.array([f(x) for x in points])
+
+
+# -- sequential reference -----------------------------------------------------
+# One start at a time, one point per objective call: the schedule the
+# lockstep optimizer must reproduce bit for bit.
+
+def _reference_canonicalize(x, bounds, periodic):
+    y = np.array(x, dtype=float)
+    for k, (lo, hi) in enumerate(bounds):
+        if periodic[k]:
+            y[k] = lo + (y[k] - lo) % (hi - lo)
+        else:
+            y[k] = min(max(y[k], lo), hi)
+    return y
+
+
+def _reference_nelder_mead(f, x0, bounds, periodic, cfg, moves):
+    dim = len(x0)
+    evals = 0
+
+    def call(x):
+        nonlocal evals
+        evals += 1
+        return f(_reference_canonicalize(x, bounds, periodic))
+
+    simplex = [np.array(x0, dtype=float)]
+    for k in range(dim):
+        step = 0.1 * (bounds[k][1] - bounds[k][0])
+        x = np.array(x0, dtype=float)
+        x[k] += step
+        simplex.append(x)
+    values = [call(x) for x in simplex]
+
+    converged = False
+    for _ in range(cfg.max_iterations):
+        order = np.argsort(values, kind="stable")
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        if values[-1] - values[0] <= cfg.f_tol:
+            converged = True
+            break
+
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
+
+        reflected = centroid + (centroid - worst)
+        fr = call(reflected)
+        if values[0] <= fr < values[-2]:
+            moves.append("reflect")
+            simplex[-1], values[-1] = reflected, fr
+            continue
+        if fr < values[0]:
+            moves.append("expand")
+            expanded = centroid + 2.0 * (reflected - centroid)
+            fe = call(expanded)
+            if fe < fr:
+                simplex[-1], values[-1] = expanded, fe
+            else:
+                simplex[-1], values[-1] = reflected, fr
+            continue
+        contracted = centroid + 0.5 * (worst - centroid)
+        fc = call(contracted)
+        if fc < values[-1]:
+            moves.append("contract")
+            simplex[-1], values[-1] = contracted, fc
+            continue
+        moves.append("shrink")
+        best = simplex[0]
+        simplex = [best] + [best + 0.5 * (x - best) for x in simplex[1:]]
+        values = [values[0]] + [call(x) for x in simplex[1:]]
+
+    k = int(np.argmin(values))
+    return _reference_canonicalize(simplex[k], bounds, periodic), values[k], converged, evals
+
+
+def reference_minimize(f, bounds, cfg, periodic=None, moves=None):
+    """Sequential grid-seeded multi-start search over a pointwise ``f``;
+    ``moves`` collects the name of every simplex move taken."""
+    moves = [] if moves is None else moves
+    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
+    dim = len(bounds)
+    periodic = [False] * dim if periodic is None else list(periodic)
+    axes = [np.linspace(lo, hi, cfg.grid_resolution, endpoint=not per)
+            for (lo, hi), per in zip(bounds, periodic)]
+    grid = [np.array(p) for p in itertools.product(*axes)]
+    grid_values = [f(p) for p in grid]
+    evaluations = len(grid)
+    order = np.argsort(grid_values, kind="stable")
+
+    n_grid_starts = min(len(grid), cfg.seeds - cfg.seeds // 2)
+    starts = [grid[i] for i in order[:n_grid_starts]]
+    rng = np.random.default_rng(_rng_seed(cfg.seed_sequence))
+    for _ in range(cfg.seeds - n_grid_starts):
+        starts.append(np.array([rng.uniform(lo, hi) for lo, hi in bounds]))
+
+    best_x, best_f, best_converged = grid[order[0]], grid_values[order[0]], False
+    per_start = []
+    for x0 in starts:
+        x, fx, conv, used = _reference_nelder_mead(f, x0, bounds, periodic, cfg, moves)
+        evaluations += used
+        per_start.append((float(fx), conv))
+        if fx < best_f:
+            best_x, best_f, best_converged = x, fx, conv
+    if not best_converged:
+        best_converged = any(conv and fx <= best_f + cfg.f_tol for fx, conv in per_start)
+    return float(best_f), np.array(best_x), bool(best_converged), evaluations, tuple(per_start)
+
+
+def _rastrigin(x):
+    return 20 + x[0] ** 2 + x[1] ** 2 - 10 * (np.cos(2 * np.pi * x[0]) + np.cos(2 * np.pi * x[1]))
+
+
+REFERENCE_CASES = {
+    "periodic_1d": (lambda x: np.cos(3 * x[0]) + 0.3 * np.sin(x[0]), [(1.0, 1.0 + 2 * np.pi)], [True],
+                    OptimizerConfig(seeds=7, grid_resolution=5)),
+    "clipped_box_2d": (lambda x: (x[0] - 1.3) ** 2 + np.abs(x[1] + 2.2) + 0.1 * x[0] * x[1],
+                       [(-1.0, 1.0), (-2.0, 2.0)], None, OptimizerConfig(seeds=9, grid_resolution=4)),
+    "rastrigin_shrinks": (_rastrigin, [(-5.12, 5.12)] * 2, None,
+                          OptimizerConfig(seeds=40, grid_resolution=16)),
+    "capped_iterations": (lambda x: np.sin(17 * x[0]) + np.cos(5 * x[1]) + 0.01 * x[0],
+                          [(0.0, 10.0), (0.0, 3.0)], [False, True],
+                          OptimizerConfig(seeds=6, grid_resolution=3, max_iterations=7, f_tol=1e-15)),
+    "periodic_3d": (lambda x: np.cos(x[0] - x[1]) * np.sin(x[2]) + 0.2 * np.cos(x[0] + 2 * x[2]),
+                    [(0.0, 2 * np.pi)] * 3, [True] * 3,
+                    OptimizerConfig(seeds=12, grid_resolution=5, seed_sequence="ref-3d")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_lockstep_matches_sequential_reference(case):
+    f, bounds, periodic, cfg = REFERENCE_CASES[case]
+    best_f, best_x, converged, evaluations, starts = reference_minimize(f, bounds, cfg, periodic)
+    got = minimize(batched(f), bounds, cfg, periodic=periodic)
+    assert got.best_value == best_f
+    assert np.array_equal(got.best_point, best_x)
+    assert got.converged == converged
+    assert got.evaluations == evaluations
+    assert got.starts == starts
+    if case == "capped_iterations":
+        assert not all(conv for _, conv in starts)
+
+
+def test_reference_cases_cover_every_move():
+    moves = {}
+    for case, (f, bounds, periodic, cfg) in REFERENCE_CASES.items():
+        moves[case] = []
+        reference_minimize(f, bounds, cfg, periodic, moves[case])
+    assert "shrink" in moves["rastrigin_shrinks"]
+    assert set().union(*moves.values()) == {"reflect", "expand", "contract", "shrink"}
+
+
+def test_lockstep_batches_every_start():
+    f, bounds, periodic, cfg = REFERENCE_CASES["rastrigin_shrinks"]
+    batch_sizes = []
+
+    def counting(points):
+        batch_sizes.append(len(points))
+        return batched(f)(points)
+
+    result = minimize(counting, bounds, cfg, periodic=periodic)
+    # the grid, then every start's initial simplex, then one reflect point per start
+    assert batch_sizes[:3] == [cfg.grid_resolution ** 2, cfg.seeds * 3, cfg.seeds]
+    assert sum(batch_sizes) == result.evaluations
+    assert len(batch_sizes) < result.evaluations / 10
+
+
+def test_objective_must_return_one_value_per_point():
+    with pytest.raises(ValueError, match="objective returned shape"):
+        minimize(lambda points: np.zeros(1), [(0.0, 1.0)], OptimizerConfig(seeds=2, grid_resolution=3))
+
+
 def test_quadratic_1d():
-    result = minimize(lambda x: (x[0] - 0.3) ** 2, [(0.0, 1.0)])
+    result = minimize(lambda x: (x[:, 0] - 0.3) ** 2, [(0.0, 1.0)])
     assert abs(result.best_point[0] - 0.3) < 1e-6
     assert result.best_value < 1e-10
     assert result.converged
 
 
 def test_sin_squared_theta():
-    result = minimize(lambda x: np.sin(x[0]) ** 2, [(0.0, np.pi)],
+    result = minimize(lambda x: np.sin(x[:, 0]) ** 2, [(0.0, np.pi)],
                       OptimizerConfig(seeds=8, grid_resolution=9))
     assert result.best_value < 1e-10
     assert min(result.best_point[0], np.pi - result.best_point[0]) < 1e-4
@@ -24,21 +201,21 @@ def test_sin_squared_theta():
 
 def test_rastrigin_2d_vs_dense_grid():
     def rastrigin(x):
-        return 20 + x[0] ** 2 + x[1] ** 2 \
-            - 10 * (np.cos(2 * np.pi * x[0]) + np.cos(2 * np.pi * x[1]))
+        return 20 + x[:, 0] ** 2 + x[:, 1] ** 2 \
+            - 10 * (np.cos(2 * np.pi * x[:, 0]) + np.cos(2 * np.pi * x[:, 1]))
 
     bounds = [(-5.12, 5.12)] * 2
     result = minimize(rastrigin, bounds, OptimizerConfig(seeds=40, grid_resolution=16))
     # dense-grid oracle for the global minimum
     axis = np.linspace(-5.12, 5.12, 201)
-    dense = min(rastrigin((x, y)) for x in axis for y in axis)
+    dense = rastrigin(np.array([(x, y) for x in axis for y in axis])).min()
     assert result.best_value <= dense + 1e-12
     assert result.best_value < 1e-4
 
 
 def test_determinism_bit_identical():
     def f(x):
-        return np.sin(3 * x[0]) * np.cos(2 * x[1]) + 0.1 * x[0] ** 2
+        return np.sin(3 * x[:, 0]) * np.cos(2 * x[:, 1]) + 0.1 * x[:, 0] ** 2
 
     cfg = OptimizerConfig(seeds=10, grid_resolution=6, seed_sequence="abc")
     r1 = minimize(f, [(-2.0, 2.0), (-2.0, 2.0)], cfg)
@@ -54,8 +231,8 @@ def test_seed_sequence_changes_random_starts():
 
     def make(f_log):
         def f(x):
-            f_log.append(tuple(x))
-            return (x[0] - 0.4) ** 2
+            f_log.extend(map(tuple, x))
+            return (x[:, 0] - 0.4) ** 2
         return f
 
     minimize(make(calls_a), [(0.0, 1.0)], OptimizerConfig(seeds=6, grid_resolution=3,
@@ -70,20 +247,20 @@ def test_best_value_not_above_any_grid_sample():
     table = {}
 
     def f(x):
-        key = round(float(x[0]), 9)
-        if key not in table:
-            table[key] = float(rng.normal())
-        return table[key]
+        for key in np.round(x[:, 0], 9):
+            if key not in table:
+                table[key] = float(rng.normal())
+        return np.array([table[key] for key in np.round(x[:, 0], 9)])
 
     cfg = OptimizerConfig(seeds=4, grid_resolution=11, max_iterations=20)
-    grid_values = [f(np.array([v])) for v in np.linspace(0, 1, 11)]
+    grid_values = f(np.linspace(0, 1, 11)[:, None])
     result = minimize(f, [(0.0, 1.0)], cfg)
     assert result.best_value <= min(grid_values)
 
 
 def test_periodic_cosine_finds_pi():
     for lo in (0.0, 10 * np.pi):
-        result = minimize(lambda x: np.cos(x[0]), [(lo, lo + 2 * np.pi)],
+        result = minimize(lambda x: np.cos(x[:, 0]), [(lo, lo + 2 * np.pi)],
                           OptimizerConfig(seeds=6, grid_resolution=8), periodic=[True])
         folded = result.best_point[0] % (2 * np.pi)
         assert abs(folded - np.pi) < 1e-5
@@ -92,7 +269,7 @@ def test_periodic_cosine_finds_pi():
 
 def test_nonconvergence_flagged():
     def f(x):
-        return np.sin(17 * x[0]) + x[0]
+        return np.sin(17 * x[:, 0]) + x[:, 0]
 
     result = minimize(f, [(0.0, 10.0)],
                       OptimizerConfig(seeds=2, grid_resolution=3, max_iterations=1, f_tol=1e-15))

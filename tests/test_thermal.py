@@ -412,6 +412,20 @@ def test_mto_check_distance_example_phases_residual_value():
     assert abs(abs(z0 - z1) - abs(np.exp(1j * (a4 - a1)) - np.exp(1j * (a2 - a3)))) < 1e-9
 
 
+def test_mto_check_resolves_bath_levels_once(monkeypatch):
+    calls = []
+
+    def counted(*args, _original=thermal._bath_levels):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(thermal, "_bath_levels", counted)
+    h_bath = Hamiltonian.from_matrix(10 * SIGMA_Z)
+    op = phase_diag_op([[1.0, 2.0], [3.0, 4.0]], h_bath=h_bath, beta=0.3)
+    mto_check(op, random_density(np.random.default_rng(26), 2))
+    assert len(calls) == 1
+
+
 def test_mto_check_equivalence_random_sweep():
     rng = np.random.default_rng(26)
     h_bath = Hamiltonian.from_matrix(np.diag([-1.3, 0.4, 2.1]).astype(complex))
