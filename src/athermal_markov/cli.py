@@ -69,26 +69,19 @@ def _parse_set(entry: str) -> tuple[str, object]:
 
 
 def apply_overrides(data: dict, sets: list[str]) -> dict:
-    """Apply ``--set key=value`` pairs (dotted keys reach nested objects)."""
+    """Apply ``--set key=value`` pairs; a dotted key reaches a nested object
+    and creates the objects missing on its path."""
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object")
     out = json.loads(json.dumps(data))
     for entry in sets:
         key, value = _parse_set(entry)
-        parts = key.split(".")
-        node = out
-        for p in parts[:-1]:
-            if not isinstance(node.get(p), dict):
-                raise ConfigError(f"--set: unknown config section '{p}' in '{key}'")
-            node = node[p]
-        leaf = parts[-1]
-        known_top = {
-            "name", "system", "bath", "perturbation", "epsilons", "sweep",
-            "unitary_blocks", "measures", "initial_population_a", "initial_coeffs",
-            "optimizer", "mto_relation",
-        }
-        if node is out and leaf not in known_top:
-            raise ConfigError(f"--set: unknown config field '{leaf}'")
+        *parents, leaf = key.split(".")
+        node, where = out, "config"
+        for p in parents:
+            node, where = node.setdefault(p, {}), f"{where}.{p}"
+            if not isinstance(node, dict):
+                raise ConfigError(f"{where}: expected an object to set '{key}'")
         node[leaf] = value
     return out
 
@@ -126,13 +119,10 @@ def _resolved_config(args) -> ExperimentConfig:
         data = BUILTIN_CONFIGS[args.command]().to_dict()
     else:
         data = _read_config_file(args.config)
-    data = apply_overrides(data, args.set)
     flags = {"grid_resolution": args.grid, "f_tol": args.tol, "seed_sequence": args.seed_list}
-    optimizer = data.setdefault("optimizer", {})
-    if not isinstance(optimizer, dict):
-        raise ConfigError("config.optimizer: expected an object")
-    optimizer.update({key: value for key, value in flags.items() if value is not None})
-    return config_from_dict(data)
+    sets = args.set + [f"optimizer.{key}={json.dumps(value)}"
+                       for key, value in flags.items() if value is not None]
+    return config_from_dict(apply_overrides(data, sets))
 
 
 def _print_result(result, verbose: bool):
@@ -156,7 +146,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             cfg = _resolved_config(args)
-            setup = cfg.build()
+            setup = cfg.setup
             print(f"config '{cfg.name}' valid")
             print(f"dims: system {setup.h_sys.dim}, bath {setup.h_bath.dim}")
             print(f"sweep: {len(cfg.sweep_values)} x {cfg.sweep_variable} in "

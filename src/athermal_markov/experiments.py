@@ -63,6 +63,21 @@ def _field(where: str, build, *args):
     return value
 
 
+def _object(data, where: str, required: tuple[str, ...] = (),
+            optional: tuple[str, ...] = ()) -> dict:
+    """``data`` as a JSON object holding every ``required`` key and no key
+    outside ``required`` and ``optional``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{where}.{key}: missing required field")
+    for key in data:
+        if key not in required and key not in optional:
+            raise ValueError(f"{where}.{key}: unknown field")
+    return data
+
+
 def _as_list(value, where: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected a list")
@@ -74,9 +89,8 @@ def _floats(value, where: str) -> tuple[float, ...]:
 
 
 def _matrix_from_json(data, where: str) -> np.ndarray:
-    if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object with 'real' entries")
-    real = _field(f"{where}.real", np.array, data.get("real"), float)
+    _object(data, where, ("real",), ("imag",))
+    real = _field(f"{where}.real", np.array, data["real"], float)
     imag = np.zeros_like(real)
     if data.get("imag") is not None:
         imag = _field(f"{where}.imag", np.array, data["imag"], float)
@@ -113,8 +127,7 @@ class HamiltonianSpec:
 
     @classmethod
     def from_dict(cls, data: dict, where: str) -> "HamiltonianSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"{where}: expected an object")
+        _object(data, where, optional=("name", "scale", "matrix"))
         matrix = None
         if data.get("matrix") is not None:
             matrix = _matrix_from_json(data["matrix"], f"{where}.matrix")
@@ -144,8 +157,7 @@ class BlockSpec:
 
     @classmethod
     def from_dict(cls, data: dict, where: str) -> "BlockSpec":
-        if not isinstance(data, dict) or "phases" not in data:
-            raise ValueError(f"{where}: expected an object with a 'phases' list")
+        _object(data, where, ("phases",), ("basis",))
         phases = _floats(data["phases"], f"{where}.phases")
         basis = None
         if data.get("basis") is not None:
@@ -184,8 +196,9 @@ class ExperimentConfig:
     value is a temperature (beta = 1/value) or directly an inverse
     temperature.  The initial system state is diagonal in the energy
     eigenbasis with weight ``initial_population_a`` on the top level, unless
-    explicit level-basis coefficients are given.  A config is valid exactly
-    when :meth:`build` succeeds.
+    explicit level-basis coefficients are given.  Construction builds
+    everything a run needs into ``setup``, so a config exists only if it
+    builds; errors are ValueErrors that name the field.
     """
 
     name: str
@@ -201,13 +214,16 @@ class ExperimentConfig:
     initial_coeffs: np.ndarray | None = None
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     mto_relation: tuple[tuple[float, ...], float] | None = None
+    setup: StudySetup = field(init=False, repr=False, compare=False)
 
     KNOWN_MEASURES = ("log_negativity", "mutual_information", "discord", "choi_distance")
 
+    def __post_init__(self):
+        object.__setattr__(self, "setup", self._build())
+
     # overflow leaves inf/NaN, which the unitarity and Hermiticity checks reject
     @np.errstate(over="ignore", invalid="ignore")
-    def build(self) -> StudySetup:
-        """Everything a run builds; errors are ValueErrors that name the field."""
+    def _build(self) -> StudySetup:
         if self.sweep_variable not in ("temperature", "inverse_temperature"):
             raise ValueError("sweep_variable must be 'temperature' or 'inverse_temperature'")
         if not self.sweep_values or not all(math.isfinite(v) and v > 0 and math.isfinite(
@@ -299,30 +315,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ValueError("config: expected a JSON object")
-        for key in ("name", "system", "bath", "perturbation", "epsilons", "sweep",
-                    "unitary_blocks", "measures"):
-            if key not in data:
-                raise ValueError(f"config.{key}: missing required field")
-        sweep = data["sweep"]
-        if not isinstance(sweep, dict) or "values" not in sweep:
-            raise ValueError("config.sweep: expected an object with 'values'")
-        opt = data.get("optimizer", {})
-        if not isinstance(opt, dict):
-            raise ValueError("config.optimizer: expected an object")
+        _object(data, "config", ("name", "system", "bath", "perturbation", "epsilons", "sweep",
+                                 "unitary_blocks", "measures"),
+                ("initial_population_a", "initial_coeffs", "optimizer", "mto_relation"))
+        sweep = _object(data["sweep"], "config.sweep", ("values",), ("variable",))
         defaults = asdict(OptimizerConfig())
-        bad = set(opt) - set(defaults)
-        if bad:
-            raise ValueError(f"config.optimizer.{sorted(bad)[0]}: unknown field")
+        opt = _object(data.get("optimizer", {}), "config.optimizer", optional=tuple(defaults))
         settings = {key: _field(f"config.optimizer.{key}", type(defaults[key]), value)
                     for key, value in opt.items()}
         optimizer = _field("config.optimizer", lambda: OptimizerConfig(**settings))
         relation = None
         if data.get("mto_relation") is not None:
-            rel = data["mto_relation"]
-            if not isinstance(rel, dict) or "coefficients" not in rel:
-                raise ValueError("config.mto_relation: expected an object with 'coefficients'")
+            rel = _object(data["mto_relation"], "config.mto_relation", ("coefficients",),
+                          ("offset",))
             relation = (_floats(rel["coefficients"], "config.mto_relation.coefficients"),
                         _field("config.mto_relation.offset", float, rel.get("offset", 0.0)))
         coeffs = None
@@ -334,7 +339,7 @@ class ExperimentConfig:
         if not isinstance(name, str) or any(c in name for c in "/\\\0"):
             raise ValueError("config.name: expected a string without path separators")
         blocks = _as_list(data["unitary_blocks"], "config.unitary_blocks")
-        cfg = cls(
+        return cls(
             name=name,
             system=HamiltonianSpec.from_dict(data["system"], "config.system"),
             bath=HamiltonianSpec.from_dict(data["bath"], "config.bath"),
@@ -351,8 +356,6 @@ class ExperimentConfig:
             optimizer=optimizer,
             mto_relation=relation,
         )
-        cfg.build()
-        return cfg
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)
@@ -404,15 +407,15 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _measure_values(measure: str, cfg: ExperimentConfig, setup: StudySetup,
-                    op: thermal.ThermalOperation, joints) -> list[measures.MeasureValue]:
+def _measure_values(measure: str, cfg: ExperimentConfig, op: thermal.ThermalOperation,
+                    joints) -> list[measures.MeasureValue]:
     """The unperturbed value of ``measure`` at ``op``, then one value per config
     epsilon; ``joints`` are the evolved input states in that order."""
     if measure == "choi_distance":
-        family = setup.family(op)
+        family = cfg.setup.family(op)
         return [measures.distance_measure(op, family, cfg.optimizer)] + [
             measures.distance_measure(op, family, cfg.optimizer, pert=PerturbationSpec(
-                setup.h_prime, eps)) for eps in cfg.epsilons]
+                cfg.setup.h_prime, eps)) for eps in cfg.epsilons]
     if measure == "discord":
         return [measures.discord(joint, cfg.optimizer) for joint in joints]
     if measure == "log_negativity":
@@ -420,14 +423,14 @@ def _measure_values(measure: str, cfg: ExperimentConfig, setup: StudySetup,
     return [measures.mutual_information(joint) for joint in joints]
 
 
-def _sweep(cfg: ExperimentConfig, setup: StudySetup
-           ) -> tuple[SweepResult, list[thermal.ThermalOperation]]:
+def _sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[thermal.ThermalOperation]]:
     """Evaluate every configured measure on the (epsilon, control) grid.
 
     Per control value the operation is built once and applied once per input
     state; each measure's unperturbed value serves every epsilon row.  The
     operations are returned too, one per control value.
     """
+    setup = cfg.setup
     metadata = _base_metadata(cfg)
     rows, diags, ops = [], {}, []
     for value in cfg.sweep_values:
@@ -437,7 +440,7 @@ def _sweep(cfg: ExperimentConfig, setup: StudySetup
         if set(cfg.measures) - {"choi_distance"}:
             joints = [thermal.apply(op, rho) for rho in (setup.rho, *setup.rho_eps)]
         for measure in cfg.measures:
-            before, *after = _measure_values(measure, cfg, setup, op, joints)
+            before, *after = _measure_values(measure, cfg, op, joints)
             for eps, mv in zip(cfg.epsilons, after):
                 rows.append(SweepRow(value, eps, measure, before.value, mv.value,
                                      float(mv.value - before.value)))
@@ -456,7 +459,7 @@ def _sweep(cfg: ExperimentConfig, setup: StudySetup
 
 def run_config(cfg: ExperimentConfig) -> SweepResult:
     """Evaluate every configured measure on the (epsilon, control) grid."""
-    return _sweep(cfg, cfg.build())[0]
+    return _sweep(cfg)[0]
 
 
 def _flag_rows(result: SweepResult, offenders: set[tuple[str, float, float]]) -> SweepResult:
@@ -678,8 +681,8 @@ def run_distance_example(cfg: ExperimentConfig | None = None) -> SweepResult:
     """Distance-measure counter-example: the response stays within
     ``DISTANCE_DELTA_TOLERANCE`` and below the first-order bound at every strength."""
     cfg = cfg or builtin_distance()
-    setup = cfg.build()
-    result, ops = _sweep(cfg, setup)
+    setup = cfg.setup
+    result, ops = _sweep(cfg)
     deviations: list[str] = []
     offenders: set[tuple[str, float, float]] = set()
 
@@ -829,7 +832,7 @@ def _fixed_point_sweep(rng: np.random.Generator, cases: int) -> float:
 def _slope_ratio(cfg: ExperimentConfig, control: float) -> float:
     """Residual shrink factor of the first-order correlation-response law
     when epsilon halves, using first-order perturbed inputs."""
-    setup = cfg.build()
+    setup = cfg.setup
     op = setup.operation(cfg.beta_for(control))
     h_sys, h_prime, coeffs = setup.h_sys, setup.h_prime, setup.coeffs
 

@@ -121,24 +121,15 @@ def discord(rho_joint: DensityMatrix, cfg: OptimizerConfig | None = None) -> Mea
 # Choi states and the distance measure
 # ---------------------------------------------------------------------------
 
-def _system_kets(h_sys: thermal.Hamiltonian, pert: PerturbationSpec | None,
-                 first_order: bool) -> np.ndarray:
-    """Columns used for the maximally entangled input: exact perturbed
-    eigenvectors by default, first-order ones on request, unperturbed when
+def maximally_entangled_input(h_sys: thermal.Hamiltonian,
+                              pert: PerturbationSpec | None = None) -> np.ndarray:
+    """Projector onto (1/sqrt(d)) sum_i |i'> (x) |i> as a raw matrix, where |i'>
+    are the exact perturbed system eigenvectors, or the unperturbed ones when
     ``pert`` is None or has zero strength."""
-    if pert is None or pert.epsilon == 0.0:
-        return h_sys.eigvecs
-    if not first_order:
-        return thermal.perturbed_eigvectors(h_sys, pert)
-    g = thermal.first_order_generator(h_sys, pert.h_prime)
-    cols = h_sys.eigvecs + pert.epsilon * (g @ h_sys.eigvecs)
-    return cols / np.linalg.norm(cols, axis=0, keepdims=True)
-
-
-def maximally_entangled_input(h_sys: thermal.Hamiltonian, pert: PerturbationSpec | None = None,
-                              first_order: bool = False) -> np.ndarray:
-    """Projector onto (1/sqrt(d)) sum_i |i'> (x) |i> as a raw matrix."""
-    phi = _system_kets(h_sys, pert, first_order).reshape(-1)
+    kets = h_sys.eigvecs
+    if pert is not None and pert.epsilon != 0.0:
+        kets = thermal.perturbed_eigvectors(h_sys, pert)
+    phi = kets.reshape(-1)
     phi = phi / np.linalg.norm(phi)
     return np.outer(phi, phi.conj())
 
@@ -161,15 +152,15 @@ def _apply_on_system_factor(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np
 
 
 def choi_state(op: ThermalOperation, h_sys: thermal.Hamiltonian,
-               pert: PerturbationSpec | None = None, first_order: bool = False) -> DensityMatrix:
+               pert: PerturbationSpec | None = None) -> DensityMatrix:
     """Choi state (channel (x) identity) |Phi><Phi| of a thermal operation.
 
-    The entangled input pairs system eigenvectors (exact or first-order
-    perturbed ones when ``pert`` is given) with a fixed ancilla basis.
+    The entangled input pairs system eigenvectors (exact perturbed ones when
+    ``pert`` is given) with a fixed ancilla basis.
     """
     d = h_sys.dim
     out = _apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix,
-                                  maximally_entangled_input(h_sys, pert, first_order))
+                                  maximally_entangled_input(h_sys, pert))
     out = 0.5 * (out + dagger(out))
     return DensityMatrix._derived(out, (d, d))
 
@@ -214,7 +205,7 @@ def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_valu
     """Spot-check that no sampled input state beats the Choi-state distance."""
     rng = np.random.default_rng(71530)
     d = op.d_sys
-    worst = 0.0
+    states = np.empty((samples, d, d), dtype=complex)
     for k in range(samples):
         if k % 2 == 0:
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -224,8 +215,9 @@ def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_valu
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho = a @ dagger(a)
             rho /= np.trace(rho).real
-        diff = thermal.apply_to_operator(op, rho) - thermal.apply_to_operator(op_m, rho)
-        worst = max(worst, trace_norm(diff))
+        states[k] = rho
+    diff = thermal.apply_to_operator(op, states) - thermal.apply_to_operator(op_m, states)
+    worst = float(np.max(trace_norm(diff)))
     return {"sampled_max": worst, "sampled_exceeds_choi": bool(worst > choi_value + 1e-6)}
 
 
@@ -247,8 +239,8 @@ def _family_search(op: ThermalOperation, family: MarkovianFamily, x: np.ndarray,
 
 
 def distance_measure(op: ThermalOperation, family: MarkovianFamily,
-                     cfg: OptimizerConfig | None = None, pert: PerturbationSpec | None = None,
-                     first_order: bool = False) -> MeasureValue:
+                     cfg: OptimizerConfig | None = None,
+                     pert: PerturbationSpec | None = None) -> MeasureValue:
     """Distance from the channel to the nearest member of a Markovian family.
 
     The maximisation over input states is carried by the maximally entangled
@@ -257,7 +249,7 @@ def distance_measure(op: ThermalOperation, family: MarkovianFamily,
     parameters and convergence go into diagnostics, along with a sampled
     sanity check that no random input state exceeds the Choi-state value.
     """
-    chi_in = maximally_entangled_input(op.system_hamiltonian, pert, first_order)
+    chi_in = maximally_entangled_input(op.system_hamiltonian, pert)
     result = _family_search(op, family, chi_in, cfg, 1.0)
     best_full = family.manifold.embed(result.best_point)
     diags = {

@@ -110,8 +110,44 @@ def test_override_reflected_in_metadata():
 
 
 def test_override_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown config field 'flux'"):
-        apply_overrides(builtin_fig2().to_dict(), ["flux=3"])
+    with pytest.raises(ConfigError, match=r"^config\.flux: unknown field$"):
+        cli.config_from_dict(apply_overrides(builtin_fig2().to_dict(), ["flux=3"]))
+
+
+def test_override_creates_a_missing_optional_section(tmp_path):
+    data = builtin_fig2().to_dict()
+    del data["optimizer"]
+    path = tmp_path / "no-optimizer.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path), "--set", "optimizer.seeds=20"]) == 0
+    from athermal_markov.experiments import run_config
+    small = apply_overrides(data, ["optimizer.seeds=20", "epsilons=[0.1]",
+                                   "sweep={\"values\": [4.0], \"variable\": \"temperature\"}"])
+    result = run_config(cli.config_from_dict(small))
+    assert result.metadata["config"]["optimizer"]["seeds"] == 20
+
+
+def test_override_section_must_be_known_and_an_object(fig2_json, capsys):
+    with pytest.raises(ConfigError, match=r"^config\.flux: unknown field$"):
+        cli.config_from_dict(apply_overrides(builtin_fig2().to_dict(), ["flux.a=1"]))
+    assert main(["validate", "--config", fig2_json, "--set", "epsilons.x=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.epsilons: ") and "epsilons.x" in err
+
+
+def test_run_and_validate_build_once(monkeypatch, fig2_json, tmp_path):
+    from athermal_markov import thermal
+    calls = []
+    original = thermal.build_block_unitary
+    monkeypatch.setattr(thermal, "build_block_unitary",
+                        lambda *args: calls.append(1) or original(*args))
+    assert main(["validate", "--config", fig2_json]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["run", "--config", fig2_json, "--out", str(tmp_path / "out"),
+                 "--set", "epsilons=[0.2]",
+                 "--set", "sweep={\"values\": [4.0], \"variable\": \"temperature\"}"]) == 0
+    assert len(calls) == 1
 
 
 def test_override_requires_key_value():
@@ -203,7 +239,7 @@ def test_properties_subcommand(tmp_path, capsys):
     assert any(name.startswith("properties-") and name.endswith(".csv") for name in written)
 
 
-@pytest.mark.parametrize("override", [
+BAD_OVERRIDES = [
     "epsilons=[NaN]",
     "sweep.values=[NaN]",
     'mto_relation={"coefficients":[2,2,2,2]}',
@@ -221,18 +257,53 @@ def test_properties_subcommand(tmp_path, capsys):
     '{"phases":[3.0]},{"phases":[4.0]}]',
     "epsilons=[1e20]",
     "perturbation.scale=Infinity",
-])
-def test_bad_numbers_exit_2_without_traceback(tmp_path, override):
+    'sweep.varible="inverse_temperature"',
+    "system.scal=2",
+]
+
+# Runs `distance --set <override>` for each override read from stdin, in one
+# interpreter, and prints {override: {"code", "stderr"}} as JSON.  Every warning
+# is shown, as a fresh interpreter would show it, and an escaping exception is
+# recorded as its traceback on the case's stderr.
+_BAD_OVERRIDE_DRIVER = """
+import contextlib, io, json, sys, traceback, warnings
+from athermal_markov import cli
+
+warnings.simplefilter("always")
+out_dir, results = sys.argv[1], {}
+for k, override in enumerate(json.load(sys.stdin)):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["distance", "--out", f"{out_dir}/{k}", "--set", override])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    results[override] = {"code": code, "stderr": err.getvalue()}
+json.dump(results, sys.stdout)
+"""
+
+
+@pytest.fixture(scope="module")
+def bad_override_runs(tmp_path_factory):
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-m", "athermal_markov.cli", "distance", "--out", str(tmp_path),
-         "--set", override],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+        [sys.executable, "-c", _BAD_OVERRIDE_DRIVER, str(tmp_path_factory.mktemp("bad"))],
+        input=json.dumps(BAD_OVERRIDES), capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("override", BAD_OVERRIDES)
+def test_bad_numbers_exit_2_without_traceback(bad_override_runs, override):
+    run = bad_override_runs[override]
+    assert run["code"] == 2
+    assert run["stderr"].startswith("error: ")
+    assert "Traceback" not in run["stderr"]
 
 
 def test_optimizer_flags_need_config_objects(tmp_path, capsys):

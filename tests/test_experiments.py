@@ -1,6 +1,8 @@
 import csv
+import importlib
 import io
 import os
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -49,7 +51,7 @@ def test_spec_requires_exactly_one_source():
 def test_builtin_configs_validate():
     for make in (builtin_fig2, builtin_fig3, builtin_distance):
         cfg = make()
-        cfg.build()
+        assert cfg.setup.h_sys.dim == 2
         assert len(cfg.config_hash()) == 16
 
 
@@ -88,6 +90,50 @@ def test_config_rejects_bad_inputs():
     bad["unitary_blocks"] = bad["unitary_blocks"][:1]
     with pytest.raises(ValueError, match="energy blocks"):
         ExperimentConfig.from_dict(bad)
+
+
+def _matrix_fig2() -> dict:
+    """fig2 with its system Hamiltonian and initial state given as matrices."""
+    data = builtin_fig2().to_dict()
+    data["system"] = {"matrix": {"real": [[1.0, 0.0], [0.0, -1.0]]}}
+    del data["initial_population_a"]
+    data["initial_coeffs"] = {"real": [[0.1, 0.0], [0.0, 0.9]], "imag": [[0.0, 0.0], [0.0, 0.0]]}
+    return data
+
+
+UNKNOWN_FIELD_CASES = [  # (base config, path to an object in it, its dotted name)
+    ("fig2", (), "config"),
+    ("fig3", ("sweep",), "config.sweep"),
+    ("fig3", ("optimizer",), "config.optimizer"),
+    ("distance", ("mto_relation",), "config.mto_relation"),
+    ("fig2", ("perturbation",), "config.perturbation"),
+    ("fig2", ("unitary_blocks", 0), "config.unitary_blocks[0]"),
+    ("fig2", ("unitary_blocks", 1, "basis"), "config.unitary_blocks[1].basis"),
+    ("matrix_fig2", ("system", "matrix"), "config.system.matrix"),
+    ("matrix_fig2", ("initial_coeffs",), "config.initial_coeffs"),
+]
+
+
+@pytest.mark.parametrize("base, path, where", UNKNOWN_FIELD_CASES,
+                         ids=[where for _, _, where in UNKNOWN_FIELD_CASES])
+def test_config_rejects_unknown_field_at_every_level(base, path, where):
+    bases = {"fig2": builtin_fig2, "fig3": builtin_fig3, "distance": builtin_distance}
+    data = _matrix_fig2() if base == "matrix_fig2" else bases[base]().to_dict()
+    ExperimentConfig.from_dict(data)  # the base is accepted
+    node = data
+    for key in path:
+        node = node[key]
+    node["extra"] = 1
+    with pytest.raises(ValueError, match=f"^{re.escape(where)}\\.extra: unknown field$"):
+        ExperimentConfig.from_dict(data)
+
+
+def test_bench_channel_sweep_configs_are_accepted(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    channel_sweep = importlib.import_module("channel_sweep")
+    # one job of every system+bath dimension pair
+    for job in channel_sweep.generate_jobs(seed=3, count=len(channel_sweep.DIMS)):
+        assert ExperimentConfig.from_dict(job.config()).to_dict()["name"] == job.name
 
 
 def test_config_rejects_oversized_system():
@@ -195,18 +241,27 @@ def test_sweep_computes_each_quantity_once_per_control_value(monkeypatch):
     # one unperturbed distance, one per epsilon (3) and one bound search
     assert searches["minimize"] == 5
     assert calls["apply"] == 0
-    cfg = _tiny_fig2(n_temps=3, epsilons=(0.0, 0.2))
+    data = _tiny_fig2(n_temps=3, epsilons=(0.0, 0.2)).to_dict()
     calls.clear()
     checked = _counting(monkeypatch, DensityMatrix, "__init__")
-    run_config(cfg)
-    # the input states come from build() alone; each is applied once per temperature
-    assert calls == {"apply": 3 * 3, "state_from_level_coeffs": 1, "perturbed_state_exact": 2}
-    # only those three states are checked: every state the sweep derives is trusted
+    cfg = ExperimentConfig.from_dict(data)
+    # the input states come from construction alone, and only they are checked
+    assert calls == {"state_from_level_coeffs": 1, "perturbed_state_exact": 2}
     assert checked == {"__init__": 3}
-    setup = cfg.build()
+    calls.clear()
     checked.clear()
-    ex._sweep(cfg, setup)
+    run_config(cfg)
+    # each input state is applied once per temperature; every state the sweep derives is trusted
+    assert calls == {"apply": 3 * 3}
     assert checked == {}
+
+
+def test_runs_build_nothing(monkeypatch):
+    fig2, distance = _tiny_fig2(), _tiny_distance()
+    builds = _counting(monkeypatch, thermal, "build_block_unitary")
+    run_config(fig2)
+    ex.run_distance_example(distance)
+    assert builds == {}
 
 
 def test_distance_study_builds_one_operation_per_control_value(monkeypatch):
@@ -224,7 +279,7 @@ def test_distance_metadata_records_the_bound_search():
     recorded = {key: diags for key, diags in metadata["optimizer_diagnostics"].items()
                 if key.startswith("choi_distance_bound/")}
     assert list(recorded) == [f"choi_distance_bound/x={v}" for v in cfg.sweep_values]
-    setup = cfg.build()
+    setup = cfg.setup
     for value in cfg.sweep_values:
         op = setup.operation(cfg.beta_for(value))
         _, diags = measures.chi_lambda_bound(op, setup.family(op), setup.h_prime,

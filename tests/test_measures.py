@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from athermal_markov import measures, thermal
+from athermal_markov.experiments import builtin_distance
 from athermal_markov.linalg import (
     DensityMatrix,
     dagger,
@@ -336,20 +337,50 @@ def test_choi_matches_block_by_block_reference(d_sys, d_bath):
         assert mat_equal(mapped[idx], thermal.apply_to_operator(op, stack[idx]), 1e-12)
 
 
+def _sampled_max_one_by_one(op, op_m, samples=16):
+    """Reference sampled-state check: the same states, applied one at a time."""
+    rng = np.random.default_rng(71530)
+    d = op.d_sys
+    worst = 0.0
+    for k in range(samples):
+        if k % 2 == 0:
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v /= np.linalg.norm(v)
+            rho = np.outer(v, v.conj())
+        else:
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = a @ dagger(a)
+            rho /= np.trace(rho).real
+        diff = thermal.apply_to_operator(op, rho) - thermal.apply_to_operator(op_m, rho)
+        worst = max(worst, trace_norm(diff))
+    return worst
+
+
+def test_sampled_state_check_matches_one_by_one_reference(monkeypatch):
+    cfg = builtin_distance()
+    op = cfg.setup.operation(cfg.beta_for(cfg.sweep_values[0]))
+    family = cfg.setup.family(op)
+    rng = np.random.default_rng(7153)
+    pairs = [(op, family.operation(rng.uniform(0, 2 * np.pi, family.manifold.free_dim))),
+             (_random_block_op(rng, 3, 3)[1], _random_block_op(rng, 3, 3)[1])]
+    original = thermal.apply_to_operator
+    for op, op_m in pairs:
+        expected = _sampled_max_one_by_one(op, op_m)
+        calls = []
+        monkeypatch.setattr(thermal, "apply_to_operator",
+                            lambda *args: calls.append(1) or original(*args))
+        check = measures._sampled_state_check(op, op_m, expected)
+        monkeypatch.setattr(thermal, "apply_to_operator", original)
+        assert check == {"sampled_max": expected, "sampled_exceeds_choi": False}
+        assert len(calls) == 2  # one stacked application per operation
+
+
 def test_choi_zero_strength_matches_unperturbed():
     op = fig2_op()
     pert = PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.0)
     a = choi_state(op, H_QUBIT)
     b = choi_state(op, H_QUBIT, pert=pert)
     assert mat_equal(a.matrix, b.matrix, 1e-12)
-
-
-def test_choi_perturbed_first_order_close_to_exact():
-    op = fig2_op()
-    pert = PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 1e-3)
-    exact = choi_state(op, H_QUBIT, pert=pert).matrix
-    first = choi_state(op, H_QUBIT, pert=pert, first_order=True).matrix
-    assert np.max(np.abs(exact - first)) < 1e-5
 
 
 def test_choi_of_thermal_operation_is_valid():
