@@ -10,6 +10,7 @@ still written), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -86,6 +87,7 @@ def apply_overrides(data: dict, sets: list[str]) -> dict:
     return out
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="athermal-markov",
@@ -116,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolved_config(args) -> ExperimentConfig:
     if args.command in BUILTIN_CONFIGS:
-        data = BUILTIN_CONFIGS[args.command]().to_dict()
+        data = BUILTIN_CONFIGS[args.command]()
     else:
         data = _read_config_file(args.config)
     flags = {"grid_resolution": args.grid, "f_tol": args.tol, "seed_sequence": args.seed_list}
@@ -125,7 +127,7 @@ def _resolved_config(args) -> ExperimentConfig:
     return config_from_dict(apply_overrides(data, sets))
 
 
-def _print_result(result, verbose: bool):
+def _print_result(result, verbose: bool, control: str):
     for measure in result.measure_names:
         rows = result.rows_for(measure)
         deltas = [r.delta for r in rows]
@@ -133,7 +135,7 @@ def _print_result(result, verbose: bool):
               f"[{min(deltas):.3e}, {max(deltas):.3e}]")
     if verbose:
         for r in result.rows:
-            print(f"  T={r.control:g} eps={r.epsilon:g} {r.measure}: "
+            print(f"  {control}={r.control:g} eps={r.epsilon:g} {r.measure}: "
                   f"{r.unperturbed:.6e} -> {r.perturbed:.6e} (delta {r.delta:.3e}) [{r.status}]")
         print(json.dumps(result.metadata, indent=2, default=str))
     for d in result.deviations:
@@ -164,16 +166,16 @@ def main(argv=None) -> int:
             raise ConfigError(f"--out {args.out}: {exc.strerror}") from None
         if cfg is None:
             result = experiments.run_property_suite()
-            name = "properties"
+            name, control = "properties", "T"
         else:
             result = _RUNNERS[args.command](cfg)
-            name = cfg.name
+            name, control = cfg.name, cfg.control_name
 
         try:
             written = experiments.write_outputs(result, args.out, name, svg=not args.no_svg)
         except OSError as exc:
             raise ConfigError(f"{exc.filename}: {exc.strerror}") from None
-        _print_result(result, args.verbose)
+        _print_result(result, args.verbose, control)
         for path in written:
             print(f"wrote {path}")
         return 1 if result.deviations else 0

@@ -284,6 +284,11 @@ class ExperimentConfig:
         p[-1, -1] = self.initial_population_a
         return p
 
+    @property
+    def control_name(self) -> str:
+        """``T`` or ``beta``: the symbol of a sweep value."""
+        return "beta" if self.sweep_variable == "inverse_temperature" else "T"
+
     def beta_for(self, value: float) -> float:
         return float(value) if self.sweep_variable == "inverse_temperature" else 1.0 / float(value)
 
@@ -510,11 +515,8 @@ def _product_phase_relation(h_tot: Hamiltonian) -> tuple[tuple[float, ...], floa
     return coeffs, 0.0
 
 
-def builtin_fig2() -> ExperimentConfig:
-    """Qubit system and bath with matched splittings, a two-dimensional
-    zero-energy block hosting a rotated pair of eigenvectors, and huge
-    eigenphases.  Sweeps bath temperature 3..5 for three perturbation
-    strengths and tracks the entanglement response."""
+def _fig2_data() -> dict:
+    """The JSON config of :func:`builtin_fig2`."""
     h_sys = HamiltonianSpec("pauli_z")
     h_bath = HamiltonianSpec("pauli_z")
     h_tot = thermal.total_hamiltonian(h_sys.build(), h_bath.build())
@@ -536,25 +538,22 @@ def builtin_fig2() -> ExperimentConfig:
             specs.append(BlockSpec((1e5,)))  # top level |00>
         else:
             specs.append(BlockSpec((2e5,)))  # bottom level |11>
-    return ExperimentConfig(
-        name="fig2",
-        system=h_sys,
-        bath=h_bath,
-        perturbation=HamiltonianSpec("pauli_x"),
-        epsilons=(0.1, 0.15, 0.2),
-        sweep_values=tuple(float(v) for v in np.linspace(3.0, 5.0, 21)),
-        sweep_variable="temperature",
-        unitary_blocks=tuple(specs),
-        measures=("log_negativity",),
-        initial_population_a=0.9,
-    )
+    return {
+        "name": "fig2",
+        "system": h_sys.to_dict(),
+        "bath": h_bath.to_dict(),
+        "perturbation": HamiltonianSpec("pauli_x").to_dict(),
+        "epsilons": [0.1, 0.15, 0.2],
+        "sweep": {"values": [float(v) for v in np.linspace(3.0, 5.0, 21)],
+                  "variable": "temperature"},
+        "unitary_blocks": [b.to_dict() for b in specs],
+        "measures": ["log_negativity"],
+        "initial_population_a": 0.9,
+    }
 
 
-def builtin_fig3() -> ExperimentConfig:
-    """Qubit system against a qutrit bath with a non-degenerate total
-    spectrum.  Sweeps the bath's inverse temperature over (0, 1] and tracks
-    the mutual-information and discord responses at one perturbation
-    strength."""
+def _fig3_data() -> dict:
+    """The JSON config of :func:`builtin_fig3`."""
     h_sys = HamiltonianSpec("pauli_z", scale=2.0)
     h_bath = HamiltonianSpec("gell_mann_1")
     h_tot = thermal.total_hamiltonian(h_sys.build(), h_bath.build())
@@ -564,25 +563,23 @@ def builtin_fig3() -> ExperimentConfig:
     # 18/30/60 row sits on the system's top level with bath levels descending.
     grid = np.array([[90e7, 70e7, 80e7],
                      [60e7, 30e7, 18e7]])
-    return ExperimentConfig(
-        name="fig3",
-        system=h_sys,
-        bath=h_bath,
-        perturbation=HamiltonianSpec("pauli_x"),
-        epsilons=(0.2,),
-        sweep_values=tuple(float(v) for v in np.linspace(0.02, 1.0, 20)),
-        sweep_variable="inverse_temperature",
-        unitary_blocks=_block_specs_for_phase_grid(h_tot, grid),
-        measures=("mutual_information", "discord"),
-        initial_population_a=0.9,
-        optimizer=OptimizerConfig(grid_resolution=24),
-    )
+    return {
+        "name": "fig3",
+        "system": h_sys.to_dict(),
+        "bath": h_bath.to_dict(),
+        "perturbation": HamiltonianSpec("pauli_x").to_dict(),
+        "epsilons": [0.2],
+        "sweep": {"values": [float(v) for v in np.linspace(0.02, 1.0, 20)],
+                  "variable": "inverse_temperature"},
+        "unitary_blocks": [b.to_dict() for b in _block_specs_for_phase_grid(h_tot, grid)],
+        "measures": ["mutual_information", "discord"],
+        "initial_population_a": 0.9,
+        "optimizer": {"grid_resolution": 24},
+    }
 
 
-def builtin_distance() -> ExperimentConfig:
-    """Qubit system with a ten-times-stiffer qubit bath at temperature 100.
-    Compares the channel against the constrained Markovian phase family,
-    through the Choi-state distance, for three perturbation strengths."""
+def _distance_data() -> dict:
+    """The JSON config of :func:`builtin_distance`."""
     h_sys = HamiltonianSpec("pauli_z")
     h_bath = HamiltonianSpec("pauli_z", scale=10.0)
     h_tot = thermal.total_hamiltonian(h_sys.build(), h_bath.build())
@@ -593,27 +590,52 @@ def builtin_distance() -> ExperimentConfig:
     grid[0][0] = 2e4   # |11>
     grid[1][0] = 3e4   # |01>
     grid[0][1] = 4e4   # |10>
-    return ExperimentConfig(
-        name="distance",
-        system=h_sys,
-        bath=h_bath,
-        perturbation=HamiltonianSpec("pauli_x"),
-        epsilons=(0.01, 0.05, 0.1),
-        sweep_values=(100.0,),
-        sweep_variable="temperature",
-        unitary_blocks=_block_specs_for_phase_grid(h_tot, grid),
-        measures=("choi_distance",),
-        initial_population_a=0.9,
-        optimizer=OptimizerConfig(grid_resolution=8),
-        mto_relation=_product_phase_relation(h_tot),
-    )
+    coefficients, offset = _product_phase_relation(h_tot)
+    return {
+        "name": "distance",
+        "system": h_sys.to_dict(),
+        "bath": h_bath.to_dict(),
+        "perturbation": HamiltonianSpec("pauli_x").to_dict(),
+        "epsilons": [0.01, 0.05, 0.1],
+        "sweep": {"values": [100.0], "variable": "temperature"},
+        "unitary_blocks": [b.to_dict() for b in _block_specs_for_phase_grid(h_tot, grid)],
+        "measures": ["choi_distance"],
+        "initial_population_a": 0.9,
+        "optimizer": {"grid_resolution": 8},
+        "mto_relation": {"coefficients": list(coefficients), "offset": offset},
+    }
 
 
+# Each built-in study's config as the JSON data a config file holds, so the
+# CLI applies its overrides before the one build.
 BUILTIN_CONFIGS = {
-    "fig2": builtin_fig2,
-    "fig3": builtin_fig3,
-    "distance": builtin_distance,
+    "fig2": _fig2_data,
+    "fig3": _fig3_data,
+    "distance": _distance_data,
 }
+
+
+def builtin_fig2() -> ExperimentConfig:
+    """Qubit system and bath with matched splittings, a two-dimensional
+    zero-energy block hosting a rotated pair of eigenvectors, and huge
+    eigenphases.  Sweeps bath temperature 3..5 for three perturbation
+    strengths and tracks the entanglement response."""
+    return ExperimentConfig.from_dict(_fig2_data())
+
+
+def builtin_fig3() -> ExperimentConfig:
+    """Qubit system against a qutrit bath with a non-degenerate total
+    spectrum.  Sweeps the bath's inverse temperature over (0, 1] and tracks
+    the mutual-information and discord responses at one perturbation
+    strength."""
+    return ExperimentConfig.from_dict(_fig3_data())
+
+
+def builtin_distance() -> ExperimentConfig:
+    """Qubit system with a ten-times-stiffer qubit bath at temperature 100.
+    Compares the channel against the constrained Markovian phase family,
+    through the Choi-state distance, for three perturbation strengths."""
+    return ExperimentConfig.from_dict(_distance_data())
 
 
 # ---------------------------------------------------------------------------

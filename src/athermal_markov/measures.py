@@ -11,7 +11,7 @@ expansion check, and the distance-response upper bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .linalg import (
     trace_out_second,
     von_neumann_entropy,
 )
-from .optimize import OptimizerConfig, PhaseManifold, minimize
+from .optimize import OptimizerConfig, PhaseManifold, constrained_phase_manifold, minimize
 from .thermal import EnergyBlockUnitary, PerturbationSpec, ThermalOperation
 
 
@@ -136,19 +136,17 @@ def maximally_entangled_input(h_sys: thermal.Hamiltonian,
 
 def _apply_on_system_factor(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(channel (x) identity) on an operator ``x`` of the system+ancilla pair,
-    for the thermal operation with global unitary ``u`` on bath state ``tau``,
-    or for each unitary of a stack (n, d, d) at once, giving (n, ...).
+    for the thermal operation with global unitary ``u`` on bath state ``tau``.
 
     The (system, ancilla, system, ancilla) tensor is viewed as a stack of
     system operators indexed by the ancilla pair, mapped in one call.
     """
     d_bath = tau.shape[0]
-    d = u.shape[-1] // d_bath
+    d = u.shape[0] // d_bath
     blocks = x.reshape(d, d, d, d).transpose(1, 3, 0, 2)
-    out = trace_out_second(thermal.evolve(u[..., None, None, :, :], tau, blocks), d, d_bath)
-    # axes (..., ancilla, ancilla, system, system) back to (..., system, ancilla, system, ancilla)
-    out = np.moveaxis(out, (-2, -4, -1, -3), (-4, -3, -2, -1))
-    return out.reshape(*u.shape[:-2], d * d, d * d)
+    out = trace_out_second(thermal.evolve(u, tau, blocks), d, d_bath)
+    # axes (ancilla, ancilla, system, system) back to (system, ancilla, system, ancilla)
+    return out.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def choi_state(op: ThermalOperation, h_sys: thermal.Hamiltonian,
@@ -169,15 +167,31 @@ def choi_state(op: ThermalOperation, h_sys: thermal.Hamiltonian,
 class MarkovianFamily:
     """Phase-parametrised Markovian channels sharing the target's bath.
 
-    Members are the unitaries V diag(e^{-i alpha}) V^dag on the cached
-    eigenvectors V of the (non-degenerate) total-energy levels, checked unitary
-    once, with phases confined to the constraint manifold that keeps the
-    evolved joint state in product form.
+    Members are the unitaries V diag(e^{-i alpha}) V^dag on the cached product
+    eigenvectors V of a (non-degenerate) system+bath total Hamiltonian, checked
+    unitary once, with phases confined to the constraint manifold that keeps
+    the evolved joint state in product form.
+
+    In the system eigenbasis a member acts on system operators as the Schur
+    multiplier X -> X o M with M[i, j] = sum_r p_r e^{-i (alpha_ir - alpha_jr)},
+    where alpha_ir is the phase of product level (system i, bath r) and p_r
+    the bath weights.  Shifting every alpha_ir of one bath level r by the same
+    amount leaves M unchanged, so members are searched on the quotient by
+    these shifts: the differences alpha_ir - alpha_{i0 r} to a reference system
+    level i0, whose manifold is ``quotient``.  The relation carries over to the
+    differences when every bath level's coefficients sum to zero; otherwise
+    such a shift can always satisfy it, and ``quotient`` is the whole torus of
+    differences.
     """
 
     h_total: thermal.Hamiltonian
     bath: thermal.GibbsState
     manifold: PhaseManifold
+    quotient: PhaseManifold = field(init=False, repr=False, compare=False)
+    _levels: np.ndarray = field(init=False, repr=False, compare=False)
+    _grid: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _shift: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = self.h_total.energy_blocks()
@@ -188,16 +202,61 @@ class MarkovianFamily:
         v = self.h_total.eigvecs
         if not np.allclose(dagger(v) @ v, np.eye(self.h_total.dim), atol=thermal.UNITARY_TOL):
             raise ValueError("total Hamiltonian eigenvectors are not unitary")
+        parts = self.h_total.parts
+        if parts is None or not np.array_equal(parts[1].eigvecs, self.bath.hamiltonian.eigvecs):
+            raise ValueError("family bath must be a Gibbs state of the total Hamiltonian's bath")
 
-    def unitaries(self, free_phases) -> np.ndarray:
-        """The member unitary for free phases (free_dim,), or the stack of
-        member unitaries for the rows of (n, free_dim)."""
-        v = self.h_total.eigvecs
-        return (v * np.exp(-1j * self.manifold.embed(free_phases))[..., None, :]) @ dagger(v)
+        labels = np.array(self.h_total.product_labels)
+        d_sys, d_bath = parts[0].dim, parts[1].dim
+        grid = np.empty((d_sys, d_bath), dtype=int)  # the level of (system i, bath r)
+        grid[labels[:, 0], labels[:, 1]] = np.arange(len(labels))
+        c = np.asarray(self.manifold.coefficients)
+        e = self.manifold.eliminated
+        # the reference level must not hold the eliminated phase, or a kept
+        # relation would lose its unit coefficient
+        ref = 0 if e is None else (labels[e, 0] + 1) % d_sys
+        levels = np.flatnonzero(labels[:, 0] != ref)
+        sums = np.bincount(labels[:, 1], weights=c, minlength=d_bath)
+        kept = e is not None and not sums.any()
+        quotient = constrained_phase_manifold(len(levels), c[levels] if kept else None,
+                                              self.manifold.offset if kept else 0.0)
+        # lift: a shift of bath level r moves the relation by sums[r] per radian
+        shift = np.zeros(len(labels))
+        if e is not None and not kept:
+            r = int(np.argmax(np.abs(sums)))
+            shift[labels[:, 1] == r] = 1.0 / sums[r]
+        for name, value in (("quotient", quotient), ("_levels", levels), ("_grid", grid),
+                            ("_weights", self.bath.level_probabilities), ("_shift", shift)):
+            object.__setattr__(self, name, value)
+
+    def _differences(self, q) -> np.ndarray:
+        """Full phases with the reference level's row at zero, for quotient
+        points (quotient.free_dim,) or row-wise for (n, quotient.free_dim)."""
+        q = np.asarray(q, dtype=float)
+        alpha = np.zeros(q.shape[:-1] + (self.manifold.dim,))
+        alpha[..., self._levels] = self.quotient.embed(q)
+        return alpha
+
+    def multipliers(self, q) -> np.ndarray:
+        """The Schur multipliers M (d_sys, d_sys) of the members at quotient
+        points, row-wise for (n, quotient.free_dim)."""
+        e = np.exp(-1j * self._differences(q)[..., self._grid])
+        return (e * self._weights) @ np.swapaxes(e.conj(), -1, -2)
+
+    def lift(self, q) -> np.ndarray:
+        """Free phases on ``manifold`` of a member with the multiplier of the
+        quotient point ``q``, row-wise for (n, quotient.free_dim)."""
+        alpha = self._differences(q)
+        miss = self.manifold.offset - alpha @ np.asarray(self.manifold.coefficients)
+        alpha = alpha + miss[..., None] * self._shift
+        e = self.manifold.eliminated
+        return alpha if e is None else np.delete(alpha, e, axis=-1)
 
     def operation(self, free_phases) -> ThermalOperation:
-        u = EnergyBlockUnitary._derived(self.unitaries(free_phases), self.h_total)
-        return thermal.thermal_operation(u, self.bath)
+        """The member for free phases (free_dim,) of ``manifold``."""
+        v = self.h_total.eigvecs
+        u = (v * np.exp(-1j * self.manifold.embed(free_phases))) @ dagger(v)
+        return thermal.thermal_operation(EnergyBlockUnitary._derived(u, self.h_total), self.bath)
 
 
 def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_value: float,
@@ -223,18 +282,28 @@ def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_valu
 
 def _family_search(op: ThermalOperation, family: MarkovianFamily, x: np.ndarray,
                    cfg: OptimizerConfig | None, sign: float):
-    """Minimise sign * ||(channel - member) (x) id applied to x||_1 over the family.
+    """Minimise sign * ||(channel - member) (x) id applied to x||_1 over the
+    family's quotient.
 
-    The objective maps rows of free phases to the member images of ``x`` in
-    one stacked evaluation."""
+    The target image and ``x`` are rotated into the system eigenbasis once;
+    there a member's image is ``x`` times its Schur multiplier on the system
+    indices.  The difference is Hermitian, so its trace norm is the sum of
+    |eigenvalues|, for all rows of a batch in one ``eigvalsh``."""
     cfg = cfg or OptimizerConfig(grid_resolution=8)
-    target = _apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix, x)
-    tau = family.bath.state.matrix
+    d = op.d_sys
+    v = family.h_total.parts[0].eigvecs
 
-    def objective(free):
-        return sign * trace_norm(target - _apply_on_system_factor(family.unitaries(free), tau, x))
+    def rotated(y):
+        return np.einsum("ki,kalb,lj->iajb", v.conj(), y.reshape(d, d, d, d), v)
 
-    n = family.manifold.free_dim
+    target = rotated(_apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix, x))
+    x_rot = rotated(x)
+
+    def objective(q):
+        diff = target - x_rot * family.multipliers(q)[:, :, None, :, None]
+        return sign * np.abs(np.linalg.eigvalsh(diff.reshape(-1, d * d, d * d))).sum(axis=-1)
+
+    n = family.quotient.free_dim
     return minimize(objective, [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n)
 
 
@@ -251,14 +320,14 @@ def distance_measure(op: ThermalOperation, family: MarkovianFamily,
     """
     chi_in = maximally_entangled_input(op.system_hamiltonian, pert)
     result = _family_search(op, family, chi_in, cfg, 1.0)
-    best_full = family.manifold.embed(result.best_point)
+    free = family.lift(result.best_point)
     diags = {
-        "phases": [float(p) for p in best_full],
+        "phases": [float(p) for p in family.manifold.embed(free)],
         "converged": result.converged,
         "evaluations": result.evaluations,
     }
     if pert is None:
-        diags.update(_sampled_state_check(op, family.operation(result.best_point), result.best_value))
+        diags.update(_sampled_state_check(op, family.operation(free), result.best_value))
     return MeasureValue("choi_distance", float(result.best_value), diags)
 
 
@@ -372,5 +441,6 @@ def chi_lambda_bound(op: ThermalOperation, family: MarkovianFamily, h_prime: the
     h_sys = op.system_hamiltonian
     result = _family_search(op, family, response_direction(h_sys, h_prime), cfg, -1.0)
     bounds = [eps / h_sys.dim * (-result.best_value) for eps in epsilons]
+    phases = family.manifold.embed(family.lift(result.best_point))
     return bounds, {"converged": result.converged, "evaluations": result.evaluations,
-                    "phases": [float(p) for p in family.manifold.embed(result.best_point)]}
+                    "phases": [float(p) for p in phases]}

@@ -165,8 +165,8 @@ def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None) -> Op
     ``(n,)`` values.  ``bounds`` is a sequence of (lo, hi) pairs;
     ``periodic`` flags the coordinates to treat as angles on [lo, hi).  The
     best grid value is a floor for the result, so the returned value never
-    exceeds any grid sample.  Non-convergence of the winning start is
-    reported, not raised.
+    exceeds any grid sample; an empty box is its one point, evaluated once.
+    Non-convergence of the winning start is reported, not raised.
     """
     cfg = cfg or OptimizerConfig()
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
@@ -180,6 +180,8 @@ def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None) -> Op
     grid = _grid_points(bounds, periodic, cfg.grid_resolution)
     grid_values = _evaluate(f, grid)
     evaluations = len(grid)
+    if dim == 0:  # the box is one point
+        return OptimizationResult(float(grid_values[0]), grid[0], True, evaluations)
     order = np.argsort(grid_values, kind="stable")
 
     n_grid_starts = min(len(grid), cfg.seeds - cfg.seeds // 2)
@@ -257,13 +259,16 @@ def constrained_phase_manifold(dim: int, coefficients=None, offset: float = 0.0)
 
     ``coefficients`` of ``None`` (or all zeros with zero offset) yields the
     unconstrained torus.  Otherwise some coefficient must be +-1 so the
-    corresponding phase can be eliminated exactly.
+    corresponding phase can be eliminated exactly.  Coefficients are integers,
+    so the relation is one on angles: shifting any phase by 2pi keeps it.
     """
     if coefficients is None:
         coefficients = (0.0,) * dim
     coefficients = tuple(float(c) for c in coefficients)
     if len(coefficients) != dim:
         raise ValueError("coefficient count must equal dim")
+    if not all(c.is_integer() for c in coefficients):
+        raise ValueError("relation coefficients must be integers, as phases are angles mod 2pi")
     if all(c == 0 for c in coefficients):
         if offset % (2 * np.pi) != 0.0:
             raise ValueError("inconsistent relation: zero coefficients, nonzero offset")

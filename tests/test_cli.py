@@ -148,6 +148,27 @@ def test_run_and_validate_build_once(monkeypatch, fig2_json, tmp_path):
                  "--set", "epsilons=[0.2]",
                  "--set", "sweep={\"values\": [4.0], \"variable\": \"temperature\"}"]) == 0
     assert len(calls) == 1
+    calls.clear()
+    assert main(["fig3", "--out", str(tmp_path / "fig3"), "--no-svg",
+                 "--set", "sweep.values=[0.5]"]) == 0
+    assert len(calls) == 1
+
+
+def test_successive_calls_share_the_parser_but_not_overrides(fig2_json, capsys):
+    assert main(["validate", "--config", fig2_json, "--set", "epsilons=[0.05]"]) == 0
+    assert "epsilons: [0.05]" in capsys.readouterr().out
+    assert main(["validate", "--config", fig2_json, "--set", "sweep.values=[3.0]"]) == 0
+    printed = capsys.readouterr().out
+    assert "epsilons: [0.1, 0.15, 0.2]" in printed
+    assert "sweep: 1 x temperature" in printed
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_verbose_rows_name_the_sweep_variable(tmp_path, capsys):
+    assert main(["fig3", "--out", str(tmp_path), "--no-svg", "--verbose",
+                 "--set", "sweep.values=[0.5]"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if " eps=" in line]
+    assert len(rows) == 2 and all(line.startswith("  beta=0.5 eps=0.2 ") for line in rows)
 
 
 def test_override_requires_key_value():
@@ -244,6 +265,7 @@ BAD_OVERRIDES = [
     "sweep.values=[NaN]",
     'mto_relation={"coefficients":[2,2,2,2]}',
     'mto_relation={"coefficients":[1,1]}',
+    'mto_relation={"coefficients":[1,-0.5,-1,1]}',
     "epsilons=0.1",
     "sweep.values=3",
     "system.scale=[1]",

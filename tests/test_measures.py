@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from athermal_markov import measures, thermal
-from athermal_markov.experiments import builtin_distance
+from athermal_markov.experiments import ExperimentConfig, builtin_distance, run_distance_example
 from athermal_markov.linalg import (
     DensityMatrix,
     dagger,
@@ -416,6 +416,13 @@ def test_family_rejects_non_unitary_eigenvectors():
         MarkovianFamily(skewed, family.bath, family.manifold)
 
 
+def test_family_rejects_a_bath_of_another_hamiltonian():
+    _, family = distance_example_op()
+    with pytest.raises(ValueError, match="bath"):
+        MarkovianFamily(family.h_total, gibbs_state(Hamiltonian.from_matrix(SIGMA_X), 0.01),
+                        family.manifold)
+
+
 def test_distance_zero_for_markovian_member():
     op, family = distance_example_op()
     member = family.operation(np.array([0.3, 1.2, 2.6]))
@@ -423,23 +430,114 @@ def test_distance_zero_for_markovian_member():
     assert mv.value <= 1e-6
 
 
-@pytest.mark.parametrize("d_sys, d_bath", [(2, 2), (2, 3), (3, 3)])
-def test_stacked_family_images_match_member_operations(d_sys, d_bath):
-    rng = np.random.default_rng(5300 + 10 * d_sys + d_bath)
+def _random_family(rng, d_sys, d_bath, relation):
+    """A family on random spectra.  A kept relation pairs a +1 and a -1 in each
+    bath level, so every bath level's coefficients sum to zero; an absorbed one
+    has random +-1 coefficients."""
     h_sys = Hamiltonian.from_matrix(random_hermitian(rng, d_sys))
     h_bath = Hamiltonian.from_matrix(random_hermitian(rng, d_bath))
     h_tot = total_hamiltonian(h_sys, h_bath)
-    bath = gibbs_state(h_bath, 0.6)
-    n = h_tot.dim
-    family = MarkovianFamily(h_tot, bath, constrained_phase_manifold(n, rng.choice([-1.0, 1.0], n), 0.9))
-    x = random_density(rng, d_sys * d_sys).matrix
-    free = rng.uniform(0, 2 * np.pi, (5, family.manifold.free_dim))
-    images = measures._apply_on_system_factor(family.unitaries(free), bath.state.matrix, x)
-    assert images.shape == (5, d_sys * d_sys, d_sys * d_sys)
-    blocks = x.reshape(d_sys, d_sys, d_sys, d_sys).transpose(1, 3, 0, 2)
-    for row, image in zip(free, images):
-        member = thermal.apply_to_operator(family.operation(row), blocks)
-        assert mat_equal(image, member.transpose(2, 0, 3, 1).reshape(image.shape), 1e-12)
+    if relation == "kept":
+        grid = np.zeros((d_sys, d_bath))
+        for r in range(d_bath):
+            i, j = rng.choice(d_sys, 2, replace=False)
+            grid[i, r], grid[j, r] = 1.0, -1.0
+        coeffs = [grid[i, r] for i, r in h_tot.product_labels]
+    else:
+        coeffs = rng.choice([-1.0, 1.0], h_tot.dim)
+    manifold = constrained_phase_manifold(h_tot.dim, coeffs, 0.9)
+    return h_sys, MarkovianFamily(h_tot, gibbs_state(h_bath, 0.6), manifold)
+
+
+@pytest.mark.parametrize("relation", ["kept", "absorbed"])
+@pytest.mark.parametrize("d_sys, d_bath", [(2, 2), (2, 3), (3, 3), (4, 9)])
+def test_quotient_multipliers_match_member_operations(d_sys, d_bath, relation):
+    rng = np.random.default_rng(5300 + 10 * d_sys + d_bath)
+    h_sys, family = _random_family(rng, d_sys, d_bath, relation)
+    differences = (d_sys - 1) * d_bath
+    assert family.quotient.free_dim == (differences - 1 if relation == "kept" else differences)
+    v = h_sys.eigvecs
+    x = rng.normal(size=(3, d_sys, d_sys)) + 1j * rng.normal(size=(3, d_sys, d_sys))
+    q = rng.uniform(0, 2 * np.pi, (4, family.quotient.free_dim))
+    for free, m in zip(family.lift(q), family.multipliers(q)):
+        assert family.manifold.residual(family.manifold.embed(free)) <= 1e-12
+        schur = v @ ((dagger(v) @ x @ v) * m) @ dagger(v)
+        assert mat_equal(schur, thermal.apply_to_operator(family.operation(free), x), 1e-12)
+
+
+@pytest.mark.parametrize("d_sys, d_bath", [(2, 3), (3, 3)])
+def test_shifting_a_bath_level_leaves_the_member_image_unchanged(d_sys, d_bath):
+    rng = np.random.default_rng(5400 + 10 * d_sys + d_bath)
+    h_tot = total_hamiltonian(Hamiltonian.from_matrix(random_hermitian(rng, d_sys)),
+                              Hamiltonian.from_matrix(random_hermitian(rng, d_bath)))
+    bath = gibbs_state(h_tot.parts[1], 0.6)
+    x = rng.normal(size=(3, d_sys, d_sys)) + 1j * rng.normal(size=(3, d_sys, d_sys))
+    phases = rng.uniform(0, 2 * np.pi, h_tot.dim)
+    image = thermal.apply_to_operator(
+        thermal_operation(build_block_unitary(h_tot, list(phases)), bath), x)
+    bath_levels = np.array([r for _, r in h_tot.product_labels])
+    for r in range(d_bath):
+        shifted = phases + rng.uniform(0, 2 * np.pi) * (bath_levels == r)
+        op = thermal_operation(build_block_unitary(h_tot, list(shifted)), bath)
+        assert mat_equal(thermal.apply_to_operator(op, x), image, 1e-14)
+
+
+def _member_value(op, family, x, free):
+    """||(channel - member) (x) id applied to x||_1 through apply_to_operator
+    and the svd trace norm."""
+    d = op.d_sys
+    blocks = x.reshape(d, d, d, d).transpose(1, 3, 0, 2)
+    images = [thermal.apply_to_operator(o, blocks).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+              for o in (op, family.operation(free))]
+    return trace_norm(images[0] - images[1])
+
+
+@pytest.mark.parametrize("relation", ["builtin", "absorbed"])
+def test_family_search_is_no_worse_than_random_members(relation):
+    rng = np.random.default_rng(5500)
+    if relation == "builtin":
+        op, family = distance_example_op()
+        h_sys = op.system_hamiltonian
+    else:
+        h_sys, family = _random_family(rng, 2, 3, relation)
+        u = build_block_unitary(family.h_total, list(rng.uniform(0, 2 * np.pi, 6)))
+        op = thermal_operation(u, family.bath)
+    cfg = OptimizerConfig(seeds=10, grid_resolution=6)
+    members = rng.uniform(0, 2 * np.pi, (200, family.manifold.free_dim))
+    for sign, x in ((1.0, maximally_entangled_input(h_sys)),
+                    (-1.0, measures.response_direction(h_sys, Hamiltonian.from_matrix(SIGMA_X)))):
+        result = measures._family_search(op, family, x, cfg, sign)
+        best = _member_value(op, family, x, family.lift(result.best_point))
+        assert abs(sign * result.best_value - best) <= 1e-12
+        assert sign * best <= min(sign * _member_value(op, family, x, f) for f in members) + 1e-12
+
+
+def test_family_search_evolves_only_outside_its_objective(monkeypatch):
+    op, family = distance_example_op()
+    calls = []
+    original = thermal.evolve
+    monkeypatch.setattr(thermal, "evolve", lambda *args: calls.append(1) or original(*args))
+    mv = distance_measure(op, family, OptimizerConfig(seeds=10, grid_resolution=6))
+    assert mv.diagnostics["evaluations"] > 100
+    assert len(calls) == 3  # the target image, and the sampled check's two applications
+
+
+def test_one_point_quotient_evaluates_its_member():
+    # a 2x1 pair whose relation fixes the one phase difference: D = 2 sin(1/2)
+    data = {"name": "q0", "system": {"name": "pauli_z"}, "bath": {"matrix": {"real": [[0.0]]}},
+            "perturbation": {"name": "pauli_x"}, "epsilons": [0.05], "sweep": {"values": [1.0]},
+            "unitary_blocks": [{"phases": [0.0]}, {"phases": [1.0]}],
+            "measures": ["choi_distance"], "initial_population_a": 0.9,
+            "mto_relation": {"coefficients": [1, -1]}}
+    cfg = ExperimentConfig.from_dict(data)
+    op = cfg.setup.operation(1.0)
+    assert cfg.setup.family(op).quotient.free_dim == 0
+    result = run_distance_example(cfg)
+    (row,) = result.rows_for("choi_distance")
+    assert abs(row.unperturbed - 0.9588510772084058) <= 1e-12
+    assert row.status == "ok" and not result.deviations
+    assert result.metadata["optimizer_diagnostics"]["choi_distance/eps=0.05/x=1.0"][
+        "unperturbed"]["evaluations"] == 1
 
 
 def test_distance_zero_for_identity_channel():
@@ -460,7 +558,8 @@ def test_distance_matches_analytic_value():
     z1 = np.exp(-1j * (3e4 - 1e4))
     expected = 1.0 - abs(p[0] * z0 + p[1] * z1)
     mv = distance_measure(op, family, OptimizerConfig(seeds=20, grid_resolution=8))
-    assert abs(mv.value - expected) < 1e-6
+    assert abs(mv.value - expected) < 1e-9
+    assert family.manifold.residual(mv.diagnostics["phases"]) <= 1e-12
     assert mv.diagnostics["converged"]
     assert not mv.diagnostics["sampled_exceeds_choi"]
 

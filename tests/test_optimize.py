@@ -185,6 +185,14 @@ def test_objective_must_return_one_value_per_point():
         minimize(lambda points: np.zeros(1), [(0.0, 1.0)], OptimizerConfig(seeds=2, grid_resolution=3))
 
 
+def test_empty_box_is_one_point():
+    calls = []
+    result = minimize(lambda points: calls.append(points.shape) or np.full(len(points), 0.7), [])
+    assert calls == [(1, 0)]
+    assert (result.best_value, result.best_point.shape) == (0.7, (0,))
+    assert result.converged and result.evaluations == 1
+
+
 def test_quadratic_1d():
     result = minimize(lambda x: (x[:, 0] - 0.3) ** 2, [(0.0, 1.0)])
     assert abs(result.best_point[0] - 0.3) < 1e-6
@@ -312,6 +320,13 @@ def test_manifold_inconsistent_relation():
 def test_manifold_needs_unit_coefficient():
     with pytest.raises(ValueError, match="unit coefficient"):
         constrained_phase_manifold(2, (2.0, 2.0), 0.0)
+
+
+def test_manifold_needs_integer_coefficients():
+    # with (1, 0.5), reducing the free phase 7.0 mod 2pi would move the relation by pi
+    for coefficients in ((1.0, 0.5), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match="integers"):
+            constrained_phase_manifold(2, coefficients, 0.0)
 
 
 def test_manifold_samples_are_markovian():
