@@ -16,7 +16,8 @@ from .linalg import DensityMatrix, eigh, partial_trace, partial_transpose, trace
     von_neumann_entropy
 from .measures import MarkovianFamily, MeasureValue, choi_state, chi_lambda_bound, discord, \
     distance_measure, log_negativity, mutual_information, theta_lambda, x_lambda
-from .optimize import OptimizationResult, OptimizerConfig, constrained_phase_manifold, minimize
+from .optimize import OptimizationResult, OptimizationResults, OptimizerConfig, \
+    constrained_phase_manifold, minimize
 from .thermal import EnergyBlockUnitary, GibbsState, Hamiltonian, MtoConstraintReport, \
     PerturbationSpec, ThermalOperation, apply, build_block_unitary, commutator_norm, \
     gibbs_state, mto_check, perturbed_hamiltonian, perturbed_state_exact, \
@@ -30,7 +31,8 @@ __all__ = [
     "MarkovianFamily", "MeasureValue", "choi_state",
     "chi_lambda_bound", "discord", "distance_measure",
     "log_negativity", "mutual_information", "theta_lambda", "x_lambda",
-    "OptimizationResult", "OptimizerConfig", "constrained_phase_manifold", "minimize",
+    "OptimizationResult", "OptimizationResults", "OptimizerConfig", "constrained_phase_manifold",
+    "minimize",
     "EnergyBlockUnitary", "GibbsState", "Hamiltonian", "MtoConstraintReport",
     "PerturbationSpec", "ThermalOperation", "apply", "build_block_unitary",
     "commutator_norm", "gibbs_state", "mto_check", "perturbed_hamiltonian",

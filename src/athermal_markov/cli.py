@@ -127,7 +127,7 @@ def _resolved_config(args) -> ExperimentConfig:
     return config_from_dict(apply_overrides(data, sets))
 
 
-def _print_result(result, verbose: bool, control: str):
+def _print_result(result, verbose: bool, controls: dict):
     for measure in result.measure_names:
         rows = result.rows_for(measure)
         deltas = [r.delta for r in rows]
@@ -135,7 +135,7 @@ def _print_result(result, verbose: bool, control: str):
               f"[{min(deltas):.3e}, {max(deltas):.3e}]")
     if verbose:
         for r in result.rows:
-            print(f"  {control}={r.control:g} eps={r.epsilon:g} {r.measure}: "
+            print(f"  {controls[r.measure]}={r.control:g} eps={r.epsilon:g} {r.measure}: "
                   f"{r.unperturbed:.6e} -> {r.perturbed:.6e} (delta {r.delta:.3e}) [{r.status}]")
         print(json.dumps(result.metadata, indent=2, default=str))
     for d in result.deviations:
@@ -166,16 +166,16 @@ def main(argv=None) -> int:
             raise ConfigError(f"--out {args.out}: {exc.strerror}") from None
         if cfg is None:
             result = experiments.run_property_suite()
-            name, control = "properties", "T"
+            name, controls = "properties", result.metadata["controls"]
         else:
             result = _RUNNERS[args.command](cfg)
-            name, control = cfg.name, cfg.control_name
+            name, controls = cfg.name, dict.fromkeys(result.measure_names, cfg.control_name)
 
         try:
             written = experiments.write_outputs(result, args.out, name, svg=not args.no_svg)
         except OSError as exc:
             raise ConfigError(f"{exc.filename}: {exc.strerror}") from None
-        _print_result(result, args.verbose, control)
+        _print_result(result, args.verbose, controls)
         for path in written:
             print(f"wrote {path}")
         return 1 if result.deviations else 0

@@ -412,20 +412,27 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _measure_values(measure: str, cfg: ExperimentConfig, op: thermal.ThermalOperation,
-                    joints) -> list[measures.MeasureValue]:
-    """The unperturbed value of ``measure`` at ``op``, then one value per config
-    epsilon; ``joints`` are the evolved input states in that order."""
+def _measure_values(measure: str, cfg: ExperimentConfig, ops: list[thermal.ThermalOperation],
+                    joints: list[list[DensityMatrix]]) -> list[list[measures.MeasureValue]]:
+    """Per control value, the unperturbed value of ``measure`` at its operation
+    in ``ops``, then one value per config epsilon; ``joints`` holds each control
+    value's evolved input states in that order.  Discord is one search over
+    every joint state of the sweep."""
     if measure == "choi_distance":
-        family = cfg.setup.family(op)
-        return [measures.distance_measure(op, family, cfg.optimizer)] + [
-            measures.distance_measure(op, family, cfg.optimizer, pert=PerturbationSpec(
-                cfg.setup.h_prime, eps)) for eps in cfg.epsilons]
+        values = []
+        for op in ops:
+            family = cfg.setup.family(op)
+            values.append([measures.distance_measure(op, family, cfg.optimizer)] + [
+                measures.distance_measure(op, family, cfg.optimizer, pert=PerturbationSpec(
+                    cfg.setup.h_prime, eps)) for eps in cfg.epsilons])
+        return values
     if measure == "discord":
-        return [measures.discord(joint, cfg.optimizer) for joint in joints]
-    if measure == "log_negativity":
-        return [measures.log_negativity(joint) for joint in joints]
-    return [measures.mutual_information(joint) for joint in joints]
+        flat = measures.discord([joint for js in joints for joint in js], cfg.optimizer)
+        n = len(joints[0])
+        return [flat[k:k + n] for k in range(0, len(flat), n)]
+    measure_fn = (measures.log_negativity if measure == "log_negativity"
+                  else measures.mutual_information)
+    return [[measure_fn(joint) for joint in js] for js in joints]
 
 
 def _sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[thermal.ThermalOperation]]:
@@ -437,15 +444,13 @@ def _sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[thermal.ThermalOper
     """
     setup = cfg.setup
     metadata = _base_metadata(cfg)
-    rows, diags, ops = [], {}, []
-    for value in cfg.sweep_values:
-        op = setup.operation(cfg.beta_for(value))
-        ops.append(op)
-        joints = []
-        if set(cfg.measures) - {"choi_distance"}:
-            joints = [thermal.apply(op, rho) for rho in (setup.rho, *setup.rho_eps)]
-        for measure in cfg.measures:
-            before, *after = _measure_values(measure, cfg, op, joints)
+    ops = [setup.operation(cfg.beta_for(value)) for value in cfg.sweep_values]
+    states = (setup.rho, *setup.rho_eps) if set(cfg.measures) - {"choi_distance"} else ()
+    joints = [[thermal.apply(op, rho) for rho in states] for op in ops]
+    rows, diags = [], {}
+    for measure in cfg.measures:
+        per_value = _measure_values(measure, cfg, ops, joints)
+        for value, (before, *after) in zip(cfg.sweep_values, per_value):
             for eps, mv in zip(cfg.epsilons, after):
                 rows.append(SweepRow(value, eps, measure, before.value, mv.value,
                                      float(mv.value - before.value)))
@@ -902,8 +907,11 @@ def run_property_suite() -> SweepResult:
     if not ok:
         deviations.append(f"fixed_point: worst deviation {worst_fp}")
 
+    # a randomized sweep's control is its case count; a slope row's is its study's
+    controls = {row.measure: "cases" for row in rows}
     for cfg, control, label in ((builtin_fig2(), 4.0, "first_order_slope_fig2"),
                                 (builtin_fig3(), 0.5, "first_order_slope_fig3")):
+        controls[label] = cfg.control_name
         ratio = _slope_ratio(cfg, control)
         ok = 3.2 <= ratio <= 4.8
         rows.append(SweepRow(control, 1e-2, label, ratio, 4.0, ratio - 4.0,
@@ -915,6 +923,7 @@ def run_property_suite() -> SweepResult:
         "config": {"name": "properties", "seed": 20260809},
         "config_hash": "properties-20260809",
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        "controls": controls,
     }
     return SweepResult(_sort_rows(rows), metadata, tuple(deviations))
 

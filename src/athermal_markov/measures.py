@@ -11,6 +11,7 @@ expansion check, and the distance-response upper bound.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,19 +67,36 @@ def mutual_information(rho_joint: DensityMatrix) -> MeasureValue:
     return MeasureValue("mutual_information", float(s1 + s2 - s12))
 
 
-def _measured_conditional_entropy(rho4: np.ndarray, rho_b: np.ndarray,
-                                  angles: np.ndarray) -> np.ndarray:
-    """sum_i p_i S(rho_B^i) for measuring {|psi><psi|, I - |psi><psi|} on the qubit of
-    ``rho4`` (the joint state as (2, d2, 2, d2)), one value per (theta, phi) row of
-    ``angles``; outcome 2 leaves rho_B minus outcome 1.  An outcome of probability
-    at most 1e-14 contributes nothing."""
+def _bloch_blocks(rho: np.ndarray, d2: int) -> np.ndarray:
+    """P_k = Tr_A[(sigma_k (x) I) rho] / 2 for sigma = (I, X, Y, Z) on the qubit,
+    as (n, 4, d2, d2) for a stack of joint states ``rho`` (n, 2 d2, 2 d2)."""
+    r = rho.reshape(-1, 2, d2, 2, d2)
+    r00, r01, r10, r11 = r[:, 0, :, 0], r[:, 0, :, 1], r[:, 1, :, 0], r[:, 1, :, 1]
+    return 0.5 * np.stack([r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11], axis=1)
+
+
+def _measured_conditional_entropy(blocks: np.ndarray, angles: np.ndarray,
+                                  owner: np.ndarray) -> np.ndarray:
+    """sum_i p_i S(rho_B^i) for measuring {|psi><psi|, I - |psi><psi|} on the qubit,
+    one value per (theta, phi) row of ``angles``, of the state whose
+    :func:`_bloch_blocks` are ``blocks[owner]``.
+
+    With n the Bloch vector of psi, the unnormalised outcomes are
+    P_0 +- n . (P_1, P_2, P_3) and their probabilities the traces of those; the
+    spectra of the unnormalised outcomes are divided by the probabilities.  An
+    outcome of probability at most 1e-14 contributes nothing."""
     theta, phi = angles[:, 0], angles[:, 1]
-    psi = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
-    first = np.einsum("na,abcd,nc->nbd", psi.conj(), rho4, psi)
-    subs = np.stack([first, rho_b - first], axis=1)
-    prob = np.trace(subs, axis1=-2, axis2=-1).real
+    n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+                 axis=1)
+    tilt = (n[:, 0, None, None] * blocks[owner, 1] + n[:, 1, None, None] * blocks[owner, 2]
+            + n[:, 2, None, None] * blocks[owner, 3])
+    half = blocks[owner, 0]
+    subs = np.stack([half + tilt, half - tilt], axis=1)
+    t = np.trace(blocks, axis1=-2, axis2=-1).real[owner]
+    tilt_t = n[:, 0] * t[:, 1] + n[:, 1] * t[:, 2] + n[:, 2] * t[:, 3]
+    prob = np.stack([t[:, 0] + tilt_t, t[:, 0] - tilt_t], axis=1)
     kept = prob > 1e-14
-    w = np.linalg.eigvalsh(subs / np.where(kept, prob, 1.0)[..., None, None])
+    w = np.linalg.eigvalsh(subs) / np.where(kept, prob, 1.0)[..., None]
     support = w > SUPPORT_CUTOFF
     entropy = -np.sum(np.where(support, w * np.log2(np.where(support, w, 1.0)), 0.0), axis=-1)
     total = np.zeros(len(angles))
@@ -87,34 +105,42 @@ def _measured_conditional_entropy(rho4: np.ndarray, rho_b: np.ndarray,
     return total
 
 
-def discord(rho_joint: DensityMatrix, cfg: OptimizerConfig | None = None) -> MeasureValue:
-    """Quantum discord with the measurement on the first (qubit) factor.
+def discord(states: Sequence[DensityMatrix],
+            cfg: OptimizerConfig | None = None) -> list[MeasureValue]:
+    """Quantum discord of each joint state, with the measurement on the first
+    (qubit) factor.
 
     Minimises the measured conditional entropy over rank-one projective
     measurements of the measured qubit via grid-seeded multi-start search,
-    then returns S(A) - S(AB) + min_meas sum_i p_i S(rho_B^i), not clamped at zero.
+    then returns S(A) - S(AB) + min_meas sum_i p_i S(rho_B^i), not clamped at
+    zero.  The states share dims and one lockstep search, in which each state
+    is its own problem; each value equals that of a search for its state alone.
     """
-    if rho_joint.dims[0] != 2:
+    dims = states[0].dims
+    if dims[0] != 2:
         raise ValueError("unsupported measured dimension: first factor must be a qubit")
+    if any(rho.dims != dims for rho in states):
+        raise ValueError("discord states must share their dims")
     cfg = cfg or OptimizerConfig(grid_resolution=24)
-    d2 = rho_joint.dims[1]
-    rho4 = rho_joint.matrix.reshape(2, d2, 2, d2)
-    rho_b = trace_out_first(rho_joint.matrix, 2, d2)
+    blocks = _bloch_blocks(np.array([rho.matrix for rho in states]), dims[1])
 
-    def objective(angles):
-        return _measured_conditional_entropy(rho4, rho_b, angles)
+    def objective(angles, owner):
+        return _measured_conditional_entropy(blocks, angles, owner)
 
-    result = minimize(objective, [(0.0, np.pi), (0.0, 2 * np.pi)], cfg, periodic=[False, True])
-    s_a = von_neumann_entropy(partial_trace(rho_joint, 0))
-    s_ab = von_neumann_entropy(rho_joint)
-    value = float(s_a - s_ab + result.best_value)
-    diags = {
-        "theta": float(result.best_point[0]),
-        "phi": float(result.best_point[1]),
-        "converged": result.converged,
-        "evaluations": result.evaluations,
-    }
-    return MeasureValue("discord", value, diags)
+    results = minimize(objective, [(0.0, np.pi), (0.0, 2 * np.pi)], cfg, periodic=[False, True],
+                       problems=len(states))
+    values = []
+    for rho, result in zip(states, results):
+        s_a = von_neumann_entropy(partial_trace(rho, 0))
+        s_ab = von_neumann_entropy(rho)
+        diags = {
+            "theta": float(result.best_point[0]),
+            "phi": float(result.best_point[1]),
+            "converged": result.converged,
+            "evaluations": result.evaluations,
+        }
+        values.append(MeasureValue("discord", float(s_a - s_ab + result.best_value), diags))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +325,12 @@ def _family_search(op: ThermalOperation, family: MarkovianFamily, x: np.ndarray,
     target = rotated(_apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix, x))
     x_rot = rotated(x)
 
-    def objective(q):
+    def objective(q, _owner):
         diff = target - x_rot * family.multipliers(q)[:, :, None, :, None]
         return sign * np.abs(np.linalg.eigvalsh(diff.reshape(-1, d * d, d * d))).sum(axis=-1)
 
     n = family.quotient.free_dim
-    return minimize(objective, [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n)
+    return minimize(objective, [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n)[0]
 
 
 def distance_measure(op: ThermalOperation, family: MarkovianFamily,

@@ -7,11 +7,13 @@ the same config and objective are bit-identical.  Angular coordinates can be
 declared periodic; they are wrapped into their interval before each
 evaluation, so simplex moves never fall off the torus.
 
-Objectives are batched: ``f(X)`` takes points as the rows of an ``(n, dim)``
-array and returns their ``(n,)`` values.  The grid is one call, and the
-simplices of all starts advance in lockstep, one call per move kind and
-round.  Each start still follows its own sequential Nelder-Mead trajectory:
-the rows of a batch never interact.
+Objectives are batched: ``f(X, owner)`` takes points as the rows of an
+``(n, dim)`` array, with the index of the problem each row belongs to, and
+returns their ``(n,)`` values.  One search solves any number of independent
+problems over the same box: the grid is one call per problem, and the
+simplices of all their starts advance in lockstep, one evaluation per move
+kind and round (split into calls of bounded size).  Each start still follows its
+own sequential Nelder-Mead trajectory: the rows of a batch never interact.
 """
 
 from __future__ import annotations
@@ -49,16 +51,35 @@ class OptimizationResult:
     starts: tuple[tuple[float, bool], ...] = ()
 
 
+class OptimizationResults(tuple):
+    """One :class:`OptimizationResult` per problem of a search, in problem
+    order, with the search's totals over all problems."""
+
+    @property
+    def evaluations(self) -> int:
+        return sum(r.evaluations for r in self)
+
+    @property
+    def starts(self) -> tuple[tuple[float, bool], ...]:
+        return tuple(s for r in self for s in r.starts)
+
+
 def _rng_seed(sequence_id: str) -> int:
     digest = hashlib.sha256(sequence_id.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def _evaluate(f, x: np.ndarray) -> np.ndarray:
-    """One batched objective call on the rows of ``x``."""
-    values = np.asarray(f(x), dtype=float)
-    if values.shape != x.shape[:1]:
-        raise ValueError(f"objective returned shape {values.shape} for {len(x)} points")
+def _evaluate(f, x: np.ndarray, owner: np.ndarray, limit: int) -> np.ndarray:
+    """The objective on the rows of ``x``, of problems ``owner``, in calls of
+    at most ``limit`` rows."""
+    values = np.empty(len(x))
+    for i in range(0, len(x), limit):
+        rows = slice(i, i + limit)
+        chunk = np.asarray(f(x[rows], owner[rows]), dtype=float)
+        if chunk.shape != values[rows].shape:
+            raise ValueError(f"objective returned shape {chunk.shape} "
+                             f"for {len(values[rows])} points")
+        values[rows] = chunk
     return values
 
 
@@ -78,18 +99,16 @@ class _Box:
         y[..., c] = np.minimum(np.maximum(y[..., c], self.lo[c]), self.hi[c])
         return y
 
-    def evaluate(self, f, x: np.ndarray) -> np.ndarray:
-        """The objective at the canonical form of each row of ``x``."""
-        return _evaluate(f, self.canonicalize(x))
 
-
-def _nelder_mead(f, x0: np.ndarray, box: _Box, cfg: OptimizerConfig):
+def _nelder_mead(evaluate, x0: np.ndarray, owner: np.ndarray, box: _Box, cfg: OptimizerConfig):
     """Bounded Nelder-Mead from every row of ``x0``, all starts in lockstep.
 
+    ``evaluate(x, owner)`` gives the objective at the canonical form of each
+    row of ``x``; start k's points are evaluated for problem ``owner[k]``.
     Returns per-start arrays (best_x, best_f, converged, evals).  Standard
     coefficients: reflection 1, expansion 2, contraction and shrink 1/2.
     Each round gathers the reflect points of the active starts into one
-    objective call, then their expand and contract points, then their shrink
+    evaluation, then their expand and contract points, then their shrink
     points; a start leaves the batch when its simplex values span at most
     ``f_tol``.
     """
@@ -97,7 +116,7 @@ def _nelder_mead(f, x0: np.ndarray, box: _Box, cfg: OptimizerConfig):
     simplex = np.repeat(x0[:, None, :], dim + 1, axis=1)
     for k in range(dim):
         simplex[:, k + 1, k] += 0.1 * (box.hi[k] - box.lo[k])
-    values = box.evaluate(f, simplex.reshape(-1, dim)).reshape(m, dim + 1)
+    values = evaluate(simplex.reshape(-1, dim), np.repeat(owner, dim + 1)).reshape(m, dim + 1)
     evals = np.full(m, dim + 1)
     converged = np.zeros(m, dtype=bool)
 
@@ -116,7 +135,7 @@ def _nelder_mead(f, x0: np.ndarray, box: _Box, cfg: OptimizerConfig):
         centroid = np.mean(s[:, :-1], axis=1)
         worst = s[:, -1]
         reflected = centroid + (centroid - worst)
-        fr = box.evaluate(f, reflected)
+        fr = evaluate(reflected, owner[active])
         evals[active] += 1
         take = (v[:, 0] <= fr) & (fr < v[:, -2])
         expand = fr < v[:, 0]
@@ -127,7 +146,7 @@ def _nelder_mead(f, x0: np.ndarray, box: _Box, cfg: OptimizerConfig):
                          centroid + 0.5 * (worst - centroid))
         f_trial = fr.copy()
         if moved.any():
-            f_trial[moved] = box.evaluate(f, trial[moved])
+            f_trial[moved] = evaluate(trial[moved], owner[active[moved]])
             evals[active[moved]] += 1
         use_trial = (expand & (f_trial < fr)) | (contract & (f_trial < v[:, -1]))
         shrink = contract & ~use_trial
@@ -140,7 +159,8 @@ def _nelder_mead(f, x0: np.ndarray, box: _Box, cfg: OptimizerConfig):
             best = simplex[rows, :1]
             points = best + 0.5 * (simplex[rows, 1:] - best)
             simplex[rows, 1:] = points
-            values[rows, 1:] = box.evaluate(f, points.reshape(-1, dim)).reshape(-1, dim)
+            values[rows, 1:] = evaluate(points.reshape(-1, dim),
+                                        np.repeat(owner[rows], dim)).reshape(-1, dim)
             evals[rows] += dim
 
     k = np.argmin(values, axis=1)
@@ -158,15 +178,21 @@ def _grid_points(bounds, periodic, resolution) -> np.ndarray:
     return np.array(list(itertools.product(*axes)))
 
 
-def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None) -> OptimizationResult:
-    """Grid-seeded multi-start Nelder-Mead minimisation of ``f`` over a box.
+def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None,
+             problems: int = 1) -> OptimizationResults:
+    """Grid-seeded multi-start Nelder-Mead minimisation over a box, of
+    ``problems`` independent objectives at once.
 
-    ``f`` is batched: it maps an ``(n, dim)`` array of points to their
-    ``(n,)`` values.  ``bounds`` is a sequence of (lo, hi) pairs;
-    ``periodic`` flags the coordinates to treat as angles on [lo, hi).  The
-    best grid value is a floor for the result, so the returned value never
-    exceeds any grid sample; an empty box is its one point, evaluated once.
-    Non-convergence of the winning start is reported, not raised.
+    ``f`` is batched: ``f(X, owner)`` maps an ``(n, dim)`` array of points
+    and the ``(n,)`` problem index of each row to their ``(n,)`` values; no
+    call gets more rows than the grid or the starts' initial simplices of one
+    problem.  ``bounds`` is a sequence of (lo, hi) pairs; ``periodic`` flags
+    the coordinates to treat as angles on [lo, hi).  Every problem gets its
+    own best grid points and the same seeded random starts, so each result
+    equals that of a search of its problem alone.  The best grid value is a
+    floor for each result, so no returned value exceeds any of its grid
+    samples; an empty box is its one point, evaluated once.  Non-convergence
+    of the winning start is reported, not raised.
     """
     cfg = cfg or OptimizerConfig()
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
@@ -178,40 +204,48 @@ def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None) -> Op
                np.array(periodic, dtype=bool))
 
     grid = _grid_points(bounds, periodic, cfg.grid_resolution)
-    grid_values = _evaluate(f, grid)
-    evaluations = len(grid)
-    if dim == 0:  # the box is one point
-        return OptimizationResult(float(grid_values[0]), grid[0], True, evaluations)
-    order = np.argsort(grid_values, kind="stable")
-
+    limit = max(len(grid), cfg.seeds * (dim + 1))
     n_grid_starts = min(len(grid), cfg.seeds - cfg.seeds // 2)
+    # per problem, its best grid points, best first, and the best grid value
+    seeded, floors = [], []
+    for p in range(problems):
+        grid_values = _evaluate(f, grid, np.full(len(grid), p), limit)
+        order = np.argsort(grid_values, kind="stable")[:n_grid_starts]
+        seeded.append(grid[order])
+        floors.append(grid_values[order[0]])
+    if dim == 0:  # the box is one point
+        return OptimizationResults(OptimizationResult(float(v), grid[0], True, 1) for v in floors)
+
     rng = np.random.default_rng(_rng_seed(cfg.seed_sequence))
-    random_starts = [[rng.uniform(lo, hi) for lo, hi in bounds]
-                     for _ in range(cfg.seeds - n_grid_starts)]
-    starts = np.concatenate([grid[order[:n_grid_starts]],
-                             np.array(random_starts, dtype=float).reshape(-1, dim)])
+    random_starts = np.array([[rng.uniform(lo, hi) for lo, hi in bounds]
+                              for _ in range(cfg.seeds - n_grid_starts)]).reshape(-1, dim)
+    starts = np.concatenate([np.concatenate([points, random_starts]) for points in seeded])
+    owner = np.repeat(np.arange(problems), cfg.seeds)
 
-    best_x = grid[order[0]]
-    best_f = grid_values[order[0]]
-    best_converged = False
-    xs, fxs, convs, used = _nelder_mead(f, starts, box, cfg)
-    evaluations += int(used.sum())
-    per_start = [(float(fx), bool(conv)) for fx, conv in zip(fxs, convs)]
-    for x, (fx, conv) in zip(xs, per_start):
-        if fx < best_f:
-            best_x, best_f, best_converged = x, fx, conv
-    if not best_converged:
-        # the grid floor wins outright; count a converged start that reached
-        # the same value as confirmation
-        best_converged = any(conv and fx <= best_f + cfg.f_tol for fx, conv in per_start)
+    def evaluate(x, rows_owner):
+        return _evaluate(f, box.canonicalize(x), rows_owner, limit)
 
-    return OptimizationResult(
-        best_value=float(best_f),
-        best_point=np.array(best_x),
-        converged=bool(best_converged),
-        evaluations=evaluations,
-        starts=tuple(per_start),
-    )
+    xs, fxs, convs, used = _nelder_mead(evaluate, starts, owner, box, cfg)
+    results = []
+    for p in range(problems):
+        mine = slice(p * cfg.seeds, (p + 1) * cfg.seeds)
+        best_x, best_f, best_converged = seeded[p][0], floors[p], False
+        per_start = [(float(fx), bool(conv)) for fx, conv in zip(fxs[mine], convs[mine])]
+        for x, (fx, conv) in zip(xs[mine], per_start):
+            if fx < best_f:
+                best_x, best_f, best_converged = x, fx, conv
+        if not best_converged:
+            # the grid floor wins outright; count a converged start that reached
+            # the same value as confirmation
+            best_converged = any(conv and fx <= best_f + cfg.f_tol for fx, conv in per_start)
+        results.append(OptimizationResult(
+            best_value=float(best_f),
+            best_point=np.array(best_x),
+            converged=bool(best_converged),
+            evaluations=len(grid) + int(used[mine].sum()),
+            starts=tuple(per_start),
+        ))
+    return OptimizationResults(results)
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,10 @@ def test_criterion_2_correlation_response_sweep(fig3_result):
     growing = all(a.delta > b.delta - 1e-12 for a, b in zip(mi, mi[1:]))
     runtime = conftest.RUNTIMES["fig3"]
     ok = (fig3_result.deviations == () and len(mi) == 20 and len(dd) == 20
-          and positives and growing and runtime < 10.0)
+          and positives and growing and runtime < 3.0)
     _report("2", ok,
             f"positive={positives}, growing-toward-low-control={growing}, "
-            f"runtime={runtime:.1f}s (<10s)")
+            f"runtime={runtime:.1f}s (<3s)")
 
 
 def test_criterion_3_distance_counter_example(distance_result):

@@ -260,6 +260,18 @@ def test_properties_subcommand(tmp_path, capsys):
     assert any(name.startswith("properties-") and name.endswith(".csv") for name in written)
 
 
+def test_verbose_property_rows_name_their_control(tmp_path, capsys):
+    assert main(["properties", "--out", str(tmp_path), "--no-svg", "--verbose"]) == 0
+    rows = {line.split(":")[0].split()[-1]: line.split()[0]
+            for line in capsys.readouterr().out.splitlines() if " eps=" in line}
+    assert rows == {
+        **dict.fromkeys(["ppt_spectra_2x2", "ppt_spectra_2x3", "mto_equivalence",
+                         "mto_equivalence_perturbed", "fixed_point"], "cases=50"),
+        "first_order_slope_fig2": "T=4",
+        "first_order_slope_fig3": "beta=0.5",
+    }
+
+
 BAD_OVERRIDES = [
     "epsilons=[NaN]",
     "sweep.values=[NaN]",

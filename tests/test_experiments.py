@@ -256,6 +256,30 @@ def test_sweep_computes_each_quantity_once_per_control_value(monkeypatch):
     assert checked == {}
 
 
+def test_sweep_runs_one_discord_search(monkeypatch):
+    cfg = ExperimentConfig.from_dict({
+        **builtin_fig3().to_dict(),
+        "epsilons": [0.0, 0.2],
+        "sweep": {"values": [0.2, 0.5, 0.8], "variable": "inverse_temperature"},
+        "optimizer": {"seeds": 4, "grid_resolution": 6},
+    })
+    searches = _counting(monkeypatch, measures, "minimize")
+    result = run_config(cfg)
+    assert searches["minimize"] == 1
+    # each control value's rows equal a discord search of its own states
+    setup = cfg.setup
+    for value in cfg.sweep_values:
+        op = setup.operation(cfg.beta_for(value))
+        before, *after = measures.discord([thermal.apply(op, rho)
+                                           for rho in (setup.rho, *setup.rho_eps)], cfg.optimizer)
+        rows = [r for r in result.rows_for("discord") if r.control == value]
+        assert [(r.unperturbed, r.perturbed) for r in rows] == [
+            (before.value, mv.value) for mv in after]
+        for eps, mv in zip(cfg.epsilons, after):
+            assert result.metadata["optimizer_diagnostics"][f"discord/eps={eps}/x={value}"] == {
+                "unperturbed": before.diagnostics, "perturbed": mv.diagnostics}
+
+
 def test_runs_build_nothing(monkeypatch):
     fig2, distance = _tiny_fig2(), _tiny_distance()
     builds = _counting(monkeypatch, thermal, "build_block_unitary")

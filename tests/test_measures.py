@@ -174,7 +174,8 @@ def brute_force_conditional_entropy(rho: DensityMatrix, steps=60) -> float:
 
 def test_discord_product_state_zero():
     rng = np.random.default_rng(45)
-    value = discord(product_state(rng, 2, 3), OptimizerConfig(seeds=8, grid_resolution=10)).value
+    mv, = discord([product_state(rng, 2, 3)], OptimizerConfig(seeds=8, grid_resolution=10))
+    value = mv.value
     assert abs(value) < 1e-9
 
 
@@ -186,14 +187,14 @@ def test_discord_classical_quantum_zero():
     m[:3, :3] = p * blocks[0]
     m[3:, 3:] = (1 - p) * blocks[1]
     rho = DensityMatrix(m, (2, 3))
-    value = discord(rho, OptimizerConfig(seeds=8, grid_resolution=13)).value
+    value = discord([rho], OptimizerConfig(seeds=8, grid_resolution=13))[0].value
     assert abs(value) < 1e-7
 
 
 def test_discord_bell_one_bit_vs_brute_force():
     rho = bell_state()
     oracle_min = brute_force_conditional_entropy(rho)
-    mv = discord(rho, OptimizerConfig(seeds=8, grid_resolution=10))
+    mv, = discord([rho], OptimizerConfig(seeds=8, grid_resolution=10))
     assert oracle_min < 1e-6
     assert abs(mv.value - 1.0) < 1e-6
     assert mv.diagnostics["converged"]
@@ -202,7 +203,7 @@ def test_discord_bell_one_bit_vs_brute_force():
 def test_discord_matches_brute_force_on_random_state():
     rng = np.random.default_rng(47)
     rho = random_density(rng, 6, dims=(2, 3))
-    mv = discord(rho, OptimizerConfig(seeds=16, grid_resolution=16))
+    mv, = discord([rho], OptimizerConfig(seeds=16, grid_resolution=16))
     s_a = measures.von_neumann_entropy(measures.partial_trace(rho, 0))
     s_ab = measures.von_neumann_entropy(rho)
     oracle = s_a - s_ab + brute_force_conditional_entropy(rho)
@@ -213,7 +214,7 @@ def test_discord_not_above_mutual_information():
     rng = np.random.default_rng(48)
     for _ in range(5):
         rho = random_density(rng, 4, dims=(2, 2))
-        d = discord(rho, OptimizerConfig(seeds=8, grid_resolution=10)).value
+        d = discord([rho], OptimizerConfig(seeds=8, grid_resolution=10))[0].value
         assert d <= mutual_information(rho).value + 1e-8
         assert d >= -1e-9
 
@@ -221,7 +222,30 @@ def test_discord_not_above_mutual_information():
 def test_discord_requires_qubit_measured_side():
     rng = np.random.default_rng(49)
     with pytest.raises(ValueError, match="unsupported measured dimension"):
-        discord(random_density(rng, 6, dims=(3, 2)))
+        discord([random_density(rng, 6, dims=(3, 2))])
+    with pytest.raises(ValueError, match="share their dims"):
+        discord([random_density(rng, 6, dims=(2, 3)), random_density(rng, 4, dims=(2, 2))])
+
+
+@pytest.mark.parametrize("d2", [2, 3, 6])
+def test_discord_of_many_states_matches_one_state_searches_bitwise(d2):
+    rng = np.random.default_rng(70 + d2)
+    cfg = OptimizerConfig(seeds=6, grid_resolution=7)
+    # a product state gives a flat landscape, so its search ends early
+    states = [random_density(rng, 2 * d2, dims=(2, d2)) for _ in range(3)] + [
+        product_state(rng, 2, d2)]
+    together = discord(states, cfg)
+    for rho, got in zip(states, together):
+        alone, = discord([rho], cfg)
+        assert np.array_equal(np.float64(got.value).view(np.int64),
+                              np.float64(alone.value).view(np.int64))
+        assert got.diagnostics == alone.diagnostics
+
+
+def conditional_entropy(rho: DensityMatrix, angles: np.ndarray) -> np.ndarray:
+    """The stacked discord kernel on the rows of ``angles``, for one state."""
+    blocks = measures._bloch_blocks(rho.matrix, rho.dims[1])
+    return measures._measured_conditional_entropy(blocks, angles, np.zeros(len(angles), int))
 
 
 @pytest.mark.parametrize("d2", [2, 3, 6])
@@ -230,21 +254,33 @@ def test_measured_conditional_entropy_matches_kron_reference(d2):
     for _ in range(10):
         rho = random_density(rng, 2 * d2, dims=(2, d2))
         angles = np.array([[rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)]])
-        rho4 = rho.matrix.reshape(2, d2, 2, d2)
-        rho_b = measures.partial_trace(rho, 1).matrix
-        got = measures._measured_conditional_entropy(rho4, rho_b, angles)
+        got = conditional_entropy(rho, angles)
         assert abs(got[0] - kron_conditional_entropy(rho, *angles[0])) < 1e-12
 
 
-def pointwise_conditional_entropy(rho4, rho_b, theta, phi) -> float:
-    """The discord kernel one measurement at a time: the reference for the stacked one."""
-    psi = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-    first = np.einsum("a,abcd,c->bd", psi.conj(), rho4, psi)
+def test_measured_conditional_entropy_is_blind_to_the_measurement_order():
+    # {psi, psi_perp} is one measurement, and psi_perp is (pi - theta, phi + pi)
+    rng = np.random.default_rng(59)
+    rho = random_density(rng, 6, dims=(2, 3))
+    angles = np.column_stack([rng.uniform(0, np.pi, 50), rng.uniform(0, 2 * np.pi, 50)])
+    flipped = np.column_stack([np.pi - angles[:, 0], angles[:, 1] + np.pi])
+    gap = conditional_entropy(rho, angles) - conditional_entropy(rho, flipped)
+    assert np.max(np.abs(gap)) < 1e-14
+
+
+def pointwise_conditional_entropy(blocks, theta, phi) -> float:
+    """The discord kernel one measurement at a time, in the same Bloch form: the
+    reference for the stacked one."""
+    n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+    tilt = n[0] * blocks[1] + n[1] * blocks[2] + n[2] * blocks[3]
+    t = np.trace(blocks, axis1=-2, axis2=-1).real
+    tilt_t = n[0] * t[1] + n[1] * t[2] + n[2] * t[3]
     total = 0.0
-    for sub in (first, rho_b - first):
-        prob = float(np.trace(sub).real)
+    for sub, prob in ((blocks[0] + tilt, t[0] + tilt_t), (blocks[0] - tilt, t[0] - tilt_t)):
         if prob > 1e-14:
-            total += prob * entropy_of_spectrum(sub / prob)
+            w = np.linalg.eigvalsh(sub) / prob
+            w = w[w > measures.SUPPORT_CUTOFF]
+            total += prob * float(-np.sum(w * np.log2(w)))
     return total
 
 
@@ -253,14 +289,14 @@ def test_measured_conditional_entropy_stack_matches_pointwise_bitwise(d2):
     rng = np.random.default_rng(60 + d2)
     # a qubit in |0>: at theta = 0 and pi one outcome has probability <= 1e-14
     pure = np.kron(np.diag([1.0, 0.0]), random_density(rng, d2).matrix)
-    for rho in (random_density(rng, 2 * d2).matrix, pure):
-        rho4 = rho.reshape(2, d2, 2, d2)
-        rho_b = trace_out_first(rho, 2, d2)
-        angles = np.column_stack([rng.uniform(0, np.pi, 40), rng.uniform(0, 2 * np.pi, 40)])
-        angles[:10, 0], angles[10:20, 0] = 0.0, np.pi
-        got = measures._measured_conditional_entropy(rho4, rho_b, angles)
-        want = np.array([pointwise_conditional_entropy(rho4, rho_b, *row) for row in angles])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    blocks = measures._bloch_blocks(np.array([random_density(rng, 2 * d2).matrix, pure]), d2)
+    angles = np.column_stack([rng.uniform(0, np.pi, 80), rng.uniform(0, 2 * np.pi, 80)])
+    angles[:10, 0], angles[10:20, 0], angles[40:50, 0], angles[50:60, 0] = 0.0, np.pi, 0.0, np.pi
+    owner = np.repeat([0, 1], 40)
+    got = measures._measured_conditional_entropy(blocks, angles, owner)
+    want = np.array([pointwise_conditional_entropy(blocks[o], *row)
+                     for o, row in zip(owner, angles)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # -- Choi states -------------------------------------------------------------------
@@ -562,6 +598,36 @@ def test_distance_matches_analytic_value():
     assert family.manifold.residual(mv.diagnostics["phases"]) <= 1e-12
     assert mv.diagnostics["converged"]
     assert not mv.diagnostics["sampled_exceeds_choi"]
+
+
+def test_perturbed_choi_input_leaves_the_distance_objective_unchanged(monkeypatch):
+    # The perturbed input (W (x) 1)|Phi> equals (1 (x) W')|Phi> for a unitary W'
+    # on the ancilla, which channel (x) id and the trace norm do not see: the
+    # built-in study's D(eps) equals D(0) by construction.
+    cfg = builtin_distance()
+    setup = cfg.setup
+    op = setup.operation(cfg.beta_for(cfg.sweep_values[0]))
+    family = setup.family(op)
+    objectives, search = [], measures.minimize
+
+    def capture(f, *args, **kwargs):
+        objectives.append(f)
+        return search(f, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "minimize", capture)
+    small = OptimizerConfig(seeds=1, grid_resolution=1)
+    distance_measure(op, family, small)
+    for eps in cfg.epsilons:
+        pert = PerturbationSpec(setup.h_prime, eps)
+        assert np.max(np.abs(maximally_entangled_input(op.system_hamiltonian, pert)
+                             - maximally_entangled_input(op.system_hamiltonian))) > 1e-3
+        distance_measure(op, family, small, pert=pert)
+    q = np.random.default_rng(81).uniform(0, 2 * np.pi, (20, family.quotient.free_dim))
+    owner = np.zeros(len(q), dtype=int)
+    unperturbed = objectives[0](q, owner)
+    assert len(objectives) == 1 + len(cfg.epsilons)
+    for objective in objectives[1:]:
+        assert np.max(np.abs(objective(q, owner) - unperturbed)) < 1e-12
 
 
 def test_distance_nonnegative_and_diagnosed():

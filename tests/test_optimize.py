@@ -11,9 +11,14 @@ from athermal_markov.optimize import (
 )
 
 
-def batched(f):
-    """A batched objective from a pointwise one, evaluated row by row."""
-    return lambda points: np.array([f(x) for x in points])
+def batched(*fs):
+    """A batched objective from pointwise ones, one per problem, evaluated row by row."""
+    return lambda points, owner: np.array([fs[o](x) for x, o in zip(points, owner)])
+
+
+def solve(f, bounds, cfg=None, periodic=None):
+    """The result of a one-problem search of a batched objective of the points alone."""
+    return minimize(lambda points, _owner: f(points), bounds, cfg, periodic=periodic)[0]
 
 
 # -- sequential reference -----------------------------------------------------
@@ -146,7 +151,7 @@ REFERENCE_CASES = {
 def test_lockstep_matches_sequential_reference(case):
     f, bounds, periodic, cfg = REFERENCE_CASES[case]
     best_f, best_x, converged, evaluations, starts = reference_minimize(f, bounds, cfg, periodic)
-    got = minimize(batched(f), bounds, cfg, periodic=periodic)
+    got = minimize(batched(f), bounds, cfg, periodic=periodic)[0]
     assert got.best_value == best_f
     assert np.array_equal(got.best_point, best_x)
     assert got.converged == converged
@@ -169,39 +174,85 @@ def test_lockstep_batches_every_start():
     f, bounds, periodic, cfg = REFERENCE_CASES["rastrigin_shrinks"]
     batch_sizes = []
 
-    def counting(points):
+    def counting(points, owner):
         batch_sizes.append(len(points))
-        return batched(f)(points)
+        return batched(f)(points, owner)
 
-    result = minimize(counting, bounds, cfg, periodic=periodic)
+    result = minimize(counting, bounds, cfg, periodic=periodic)[0]
     # the grid, then every start's initial simplex, then one reflect point per start
     assert batch_sizes[:3] == [cfg.grid_resolution ** 2, cfg.seeds * 3, cfg.seeds]
     assert sum(batch_sizes) == result.evaluations
     assert len(batch_sizes) < result.evaluations / 10
 
 
+# Three problems on one box: two converge in different rounds, and the
+# scaled |sin| one reaches max_iterations in every start.
+MULTI_PROBLEMS = (lambda x: (x[0] - 1.3) ** 2 + np.cos(x[1] - 2.0),
+                  lambda x: 1e3 * ((x[0] - 7.1) ** 2 + 0.5 * np.abs(np.sin(x[1]))),
+                  lambda x: np.sin(17 * x[0]) + np.cos(5 * x[1]) + 0.01 * x[0])
+MULTI_BOX = ([(0.0, 10.0), (0.0, 2 * np.pi)], [False, True],
+             OptimizerConfig(seeds=7, grid_resolution=4, max_iterations=60, f_tol=1e-12))
+
+
+def test_each_problem_matches_its_sequential_reference():
+    bounds, periodic, cfg = MULTI_BOX
+    got = minimize(batched(*MULTI_PROBLEMS), bounds, cfg, periodic=periodic,
+                   problems=len(MULTI_PROBLEMS))
+    assert len(got) == len(MULTI_PROBLEMS)
+    for f, result in zip(MULTI_PROBLEMS, got):
+        best_f, best_x, converged, evaluations, starts = reference_minimize(f, bounds, cfg,
+                                                                            periodic)
+        assert result.best_value == best_f
+        assert np.array_equal(result.best_point, best_x)
+        assert result.converged == converged
+        assert result.evaluations == evaluations
+        assert result.starts == starts
+    assert len({r.evaluations for r in got}) == len(got)
+    assert [{conv for _, conv in r.starts} for r in got] == [{True}, {False}, {True}]
+    # the search's totals run over every problem
+    assert got.evaluations == sum(r.evaluations for r in got)
+    assert got.starts == got[0].starts + got[1].starts + got[2].starts
+
+
+def test_no_objective_call_exceeds_one_search_batch():
+    bounds, periodic, cfg = MULTI_BOX
+    objective = batched(*MULTI_PROBLEMS)
+    batch_sizes = []
+
+    def counting(points, owner):
+        batch_sizes.append(len(points))
+        return objective(points, owner)
+
+    got = minimize(counting, bounds, cfg, periodic=periodic, problems=len(MULTI_PROBLEMS))
+    limit = max(cfg.grid_resolution ** 2, cfg.seeds * (len(bounds) + 1))
+    assert max(batch_sizes) == limit
+    # one grid per problem, then the initial simplices of every start, in full chunks
+    assert batch_sizes[:6] == [cfg.grid_resolution ** 2] * 3 + [limit] * 3
+    assert sum(batch_sizes) == got.evaluations
+
+
 def test_objective_must_return_one_value_per_point():
     with pytest.raises(ValueError, match="objective returned shape"):
-        minimize(lambda points: np.zeros(1), [(0.0, 1.0)], OptimizerConfig(seeds=2, grid_resolution=3))
+        solve(lambda points: np.zeros(1), [(0.0, 1.0)], OptimizerConfig(seeds=2, grid_resolution=3))
 
 
 def test_empty_box_is_one_point():
     calls = []
-    result = minimize(lambda points: calls.append(points.shape) or np.full(len(points), 0.7), [])
+    result = solve(lambda points: calls.append(points.shape) or np.full(len(points), 0.7), [])
     assert calls == [(1, 0)]
     assert (result.best_value, result.best_point.shape) == (0.7, (0,))
     assert result.converged and result.evaluations == 1
 
 
 def test_quadratic_1d():
-    result = minimize(lambda x: (x[:, 0] - 0.3) ** 2, [(0.0, 1.0)])
+    result = solve(lambda x: (x[:, 0] - 0.3) ** 2, [(0.0, 1.0)])
     assert abs(result.best_point[0] - 0.3) < 1e-6
     assert result.best_value < 1e-10
     assert result.converged
 
 
 def test_sin_squared_theta():
-    result = minimize(lambda x: np.sin(x[:, 0]) ** 2, [(0.0, np.pi)],
+    result = solve(lambda x: np.sin(x[:, 0]) ** 2, [(0.0, np.pi)],
                       OptimizerConfig(seeds=8, grid_resolution=9))
     assert result.best_value < 1e-10
     assert min(result.best_point[0], np.pi - result.best_point[0]) < 1e-4
@@ -213,7 +264,7 @@ def test_rastrigin_2d_vs_dense_grid():
             - 10 * (np.cos(2 * np.pi * x[:, 0]) + np.cos(2 * np.pi * x[:, 1]))
 
     bounds = [(-5.12, 5.12)] * 2
-    result = minimize(rastrigin, bounds, OptimizerConfig(seeds=40, grid_resolution=16))
+    result = solve(rastrigin, bounds, OptimizerConfig(seeds=40, grid_resolution=16))
     # dense-grid oracle for the global minimum
     axis = np.linspace(-5.12, 5.12, 201)
     dense = rastrigin(np.array([(x, y) for x in axis for y in axis])).min()
@@ -226,8 +277,8 @@ def test_determinism_bit_identical():
         return np.sin(3 * x[:, 0]) * np.cos(2 * x[:, 1]) + 0.1 * x[:, 0] ** 2
 
     cfg = OptimizerConfig(seeds=10, grid_resolution=6, seed_sequence="abc")
-    r1 = minimize(f, [(-2.0, 2.0), (-2.0, 2.0)], cfg)
-    r2 = minimize(f, [(-2.0, 2.0), (-2.0, 2.0)], cfg)
+    r1 = solve(f, [(-2.0, 2.0), (-2.0, 2.0)], cfg)
+    r2 = solve(f, [(-2.0, 2.0), (-2.0, 2.0)], cfg)
     assert r1.best_value == r2.best_value
     assert np.array_equal(r1.best_point, r2.best_point)
     assert r1.evaluations == r2.evaluations
@@ -243,9 +294,9 @@ def test_seed_sequence_changes_random_starts():
             return (x[:, 0] - 0.4) ** 2
         return f
 
-    minimize(make(calls_a), [(0.0, 1.0)], OptimizerConfig(seeds=6, grid_resolution=3,
+    solve(make(calls_a), [(0.0, 1.0)], OptimizerConfig(seeds=6, grid_resolution=3,
                                                           seed_sequence="one"))
-    minimize(make(calls_b), [(0.0, 1.0)], OptimizerConfig(seeds=6, grid_resolution=3,
+    solve(make(calls_b), [(0.0, 1.0)], OptimizerConfig(seeds=6, grid_resolution=3,
                                                           seed_sequence="two"))
     assert calls_a != calls_b
 
@@ -262,13 +313,13 @@ def test_best_value_not_above_any_grid_sample():
 
     cfg = OptimizerConfig(seeds=4, grid_resolution=11, max_iterations=20)
     grid_values = f(np.linspace(0, 1, 11)[:, None])
-    result = minimize(f, [(0.0, 1.0)], cfg)
+    result = solve(f, [(0.0, 1.0)], cfg)
     assert result.best_value <= min(grid_values)
 
 
 def test_periodic_cosine_finds_pi():
     for lo in (0.0, 10 * np.pi):
-        result = minimize(lambda x: np.cos(x[:, 0]), [(lo, lo + 2 * np.pi)],
+        result = solve(lambda x: np.cos(x[:, 0]), [(lo, lo + 2 * np.pi)],
                           OptimizerConfig(seeds=6, grid_resolution=8), periodic=[True])
         folded = result.best_point[0] % (2 * np.pi)
         assert abs(folded - np.pi) < 1e-5
@@ -279,7 +330,7 @@ def test_nonconvergence_flagged():
     def f(x):
         return np.sin(17 * x[:, 0]) + x[:, 0]
 
-    result = minimize(f, [(0.0, 10.0)],
+    result = solve(f, [(0.0, 10.0)],
                       OptimizerConfig(seeds=2, grid_resolution=3, max_iterations=1, f_tol=1e-15))
     assert not result.converged  # best-so-far still returned
     assert np.isfinite(result.best_value)
