@@ -413,43 +413,46 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
 
 
 def _measure_values(measure: str, cfg: ExperimentConfig, ops: list[thermal.ThermalOperation],
-                    joints: list[list[DensityMatrix]]) -> list[list[measures.MeasureValue]]:
+                    joints: list[list[DensityMatrix]]
+                    ) -> tuple[list[list[measures.MeasureValue]], list[tuple[list[float], dict]]]:
     """Per control value, the unperturbed value of ``measure`` at its operation
     in ``ops``, then one value per config epsilon; ``joints`` holds each control
     value's evolved input states in that order.  Discord is one search over
-    every joint state of the sweep."""
+    every joint state of the sweep, and the Choi distance one family search
+    over every distance and response bound of the sweep.  Second, per control
+    value, its bounds at the config epsilons with their search's diagnostics;
+    empty for the other measures."""
     if measure == "choi_distance":
-        values = []
-        for op in ops:
-            family = cfg.setup.family(op)
-            values.append([measures.distance_measure(op, family, cfg.optimizer)] + [
-                measures.distance_measure(op, family, cfg.optimizer, pert=PerturbationSpec(
-                    cfg.setup.h_prime, eps)) for eps in cfg.epsilons])
-        return values
+        setup = cfg.setup
+        studies = measures.distance_sweep([(op, setup.family(op)) for op in ops], setup.h_prime,
+                                          cfg.epsilons, cfg.optimizer)
+        return [values for values, _, _ in studies], [(b, d) for _, b, d in studies]
     if measure == "discord":
         flat = measures.discord([joint for js in joints for joint in js], cfg.optimizer)
         n = len(joints[0])
-        return [flat[k:k + n] for k in range(0, len(flat), n)]
+        return [flat[k:k + n] for k in range(0, len(flat), n)], []
     measure_fn = (measures.log_negativity if measure == "log_negativity"
                   else measures.mutual_information)
-    return [[measure_fn(joint) for joint in js] for js in joints]
+    return [[measure_fn(joint) for joint in js] for js in joints], []
 
 
-def _sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[thermal.ThermalOperation]]:
+def _sweep(cfg: ExperimentConfig) -> tuple[SweepResult, dict[tuple[float, float], float]]:
     """Evaluate every configured measure on the (epsilon, control) grid.
 
     Per control value the operation is built once and applied once per input
-    state; each measure's unperturbed value serves every epsilon row.  The
-    operations are returned too, one per control value.
+    state; each measure's unperturbed value serves every epsilon row.  With
+    the Choi distance, its response bounds come back too, keyed by (control,
+    epsilon), and their searches' diagnostics follow the measures' in
+    ``optimizer_diagnostics``.
     """
     setup = cfg.setup
     metadata = _base_metadata(cfg)
     ops = [setup.operation(cfg.beta_for(value)) for value in cfg.sweep_values]
     states = (setup.rho, *setup.rho_eps) if set(cfg.measures) - {"choi_distance"} else ()
     joints = [[thermal.apply(op, rho) for rho in states] for op in ops]
-    rows, diags = [], {}
+    rows, diags, bounds, bound_diags = [], {}, {}, {}
     for measure in cfg.measures:
-        per_value = _measure_values(measure, cfg, ops, joints)
+        per_value, per_value_bounds = _measure_values(measure, cfg, ops, joints)
         for value, (before, *after) in zip(cfg.sweep_values, per_value):
             for eps, mv in zip(cfg.epsilons, after):
                 rows.append(SweepRow(value, eps, measure, before.value, mv.value,
@@ -458,13 +461,16 @@ def _sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[thermal.ThermalOper
                                                             ("perturbed", mv)) if v.diagnostics}
                 if tagged:
                     diags[f"{measure}/eps={eps}/x={value}"] = tagged
-    # keyed in (measure, epsilon, control) order
+        for value, (values, bound_diag) in zip(cfg.sweep_values, per_value_bounds):
+            bounds.update(((value, eps), bound) for eps, bound in zip(cfg.epsilons, values))
+            bound_diags[f"choi_distance_bound/x={value}"] = bound_diag
+    # keyed in (measure, epsilon, control) order, then the bounds in control order
     metadata["optimizer_diagnostics"] = {
         key: diags[key] for key in (f"{m}/eps={e}/x={v}" for m in cfg.measures
                                     for e in cfg.epsilons for v in cfg.sweep_values) if key in diags
-    }
+    } | bound_diags
     metadata["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    return SweepResult(_sort_rows(rows), metadata), ops
+    return SweepResult(_sort_rows(rows), metadata), bounds
 
 
 def run_config(cfg: ExperimentConfig) -> SweepResult:
@@ -708,21 +714,13 @@ def run_distance_example(cfg: ExperimentConfig | None = None) -> SweepResult:
     """Distance-measure counter-example: the response stays within
     ``DISTANCE_DELTA_TOLERANCE`` and below the first-order bound at every strength."""
     cfg = cfg or builtin_distance()
-    setup = cfg.setup
-    result, ops = _sweep(cfg)
+    result, bounds = _sweep(cfg)
     deviations: list[str] = []
     offenders: set[tuple[str, float, float]] = set()
 
-    bounds = {}  # (control, epsilon) -> bound, from one search per control value
-    diag_map = dict(result.metadata["optimizer_diagnostics"])
-    converged_all = True
-    controls = zip(cfg.sweep_values, ops) if "choi_distance" in cfg.measures else ()
-    for value, op in controls:
-        values, diags = measures.chi_lambda_bound(op, setup.family(op), setup.h_prime,
-                                                  cfg.epsilons, cfg.optimizer)
-        bounds.update(((value, eps), bound) for eps, bound in zip(cfg.epsilons, values))
-        diag_map[f"choi_distance_bound/x={value}"] = diags
-        converged_all = converged_all and diags["converged"]
+    diag_map = result.metadata["optimizer_diagnostics"]
+    converged_all = all(diags["converged"] for key, diags in diag_map.items()
+                        if key.startswith("choi_distance_bound/"))
     bound_rows = []
     for r in result.rows_for("choi_distance"):
         if abs(r.delta) > DISTANCE_DELTA_TOLERANCE:
@@ -741,7 +739,7 @@ def run_distance_example(cfg: ExperimentConfig | None = None) -> SweepResult:
             if tag in diags and not diags[tag].get("converged", True):
                 converged_all = False
                 deviations.append(f"optimizer did not converge for {key}/{tag}")
-    metadata = dict(result.metadata, optimizer_converged=converged_all, optimizer_diagnostics=diag_map)
+    metadata = dict(result.metadata, optimizer_converged=converged_all)
     flagged = _flag_rows(result, offenders)
     return SweepResult(_sort_rows(flagged.rows + tuple(bound_rows)), metadata, tuple(deviations))
 

@@ -168,14 +168,10 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
-    v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if pivot != 0:
-            v[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return w, v
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # one scalar division per column: an array-wide one can differ in the last ulp
+    phases = [p.conjugate() / abs(p) for p in pivots]
+    return w, v * np.array(phases, dtype=complex)
 
 
 def trace_norm(m: np.ndarray):

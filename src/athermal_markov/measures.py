@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -263,11 +264,14 @@ class MarkovianFamily:
         alpha[..., self._levels] = self.quotient.embed(q)
         return alpha
 
-    def multipliers(self, q) -> np.ndarray:
+    def multipliers(self, q, weights=None) -> np.ndarray:
         """The Schur multipliers M (d_sys, d_sys) of the members at quotient
-        points, row-wise for (n, quotient.free_dim)."""
+        points, row-wise for (n, quotient.free_dim).  ``weights`` (n, d_bath)
+        replaces the bath weights row by row, giving the members of families
+        that differ from this one only in their bath temperature."""
+        w = self._weights if weights is None else np.asarray(weights)[..., None, :]
         e = np.exp(-1j * self._differences(q)[..., self._grid])
-        return (e * self._weights) @ np.swapaxes(e.conj(), -1, -2)
+        return (e * w) @ np.swapaxes(e.conj(), -1, -2)
 
     def lift(self, q) -> np.ndarray:
         """Free phases on ``manifold`` of a member with the multiplier of the
@@ -306,31 +310,94 @@ def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_valu
     return {"sampled_max": worst, "sampled_exceeds_choi": bool(worst > choi_value + 1e-6)}
 
 
-def _family_search(op: ThermalOperation, family: MarkovianFamily, x: np.ndarray,
-                   cfg: OptimizerConfig | None, sign: float):
-    """Minimise sign * ||(channel - member) (x) id applied to x||_1 over the
-    family's quotient.
+class _FamilyProblem(NamedTuple):
+    """One search over a Markovian family: minimise (``sign`` +1) or maximise
+    (``sign`` -1) ||(channel - member) (x) id applied to x||_1 over its members,
+    for the channel ``op``; ``sampled_check`` spot-checks the best member's
+    value against random input states."""
 
-    The target image and ``x`` are rotated into the system eigenbasis once;
-    there a member's image is ``x`` times its Schur multiplier on the system
-    indices.  The difference is Hermitian, so its trace norm is the sum of
-    |eigenvalues|, for all rows of a batch in one ``eigvalsh``."""
+    op: ThermalOperation
+    family: MarkovianFamily
+    x: np.ndarray
+    sign: float
+    sampled_check: bool = False
+
+
+def _distance_problem(op: ThermalOperation, family: MarkovianFamily,
+                      pert: PerturbationSpec | None = None) -> _FamilyProblem:
+    return _FamilyProblem(op, family, maximally_entangled_input(op.system_hamiltonian, pert),
+                          1.0, pert is None)
+
+
+def _bound_problem(op: ThermalOperation, family: MarkovianFamily,
+                   h_prime: thermal.Hamiltonian) -> _FamilyProblem:
+    return _FamilyProblem(op, family, response_direction(op.system_hamiltonian, h_prime), -1.0)
+
+
+def _family_search(problems: Sequence[_FamilyProblem], cfg: OptimizerConfig | None):
+    """One lockstep search over the problems' common quotient, each problem
+    its own; minimises sign * ||...||_1 per problem.
+
+    Each target image and input is rotated into the system eigenbasis once;
+    there a member's image is the input times its Schur multiplier on the
+    system indices.  The families share the total Hamiltonian and manifold,
+    so they differ only in their bath weights, which each row of a batch
+    takes from its problem.  The difference is Hermitian, so its trace norm
+    is the sum of |eigenvalues|, for all rows of a batch in one ``eigvalsh``."""
     cfg = cfg or OptimizerConfig(grid_resolution=8)
-    d = op.d_sys
+    family = problems[0].family
+    if any(p.family.h_total is not family.h_total or p.family.manifold != family.manifold
+           for p in problems):
+        raise ValueError("family searches must share the total Hamiltonian and the manifold")
+    d = problems[0].op.d_sys
     v = family.h_total.parts[0].eigvecs
 
     def rotated(y):
         return np.einsum("ki,kalb,lj->iajb", v.conj(), y.reshape(d, d, d, d), v)
 
-    target = rotated(_apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix, x))
-    x_rot = rotated(x)
+    targets = np.array([rotated(_apply_on_system_factor(p.op.unitary.matrix,
+                                                        p.op.bath.state.matrix, p.x))
+                        for p in problems])
+    inputs = np.array([rotated(p.x) for p in problems])
+    weights = np.array([p.family._weights for p in problems])
+    signs = np.array([p.sign for p in problems])
 
-    def objective(q, _owner):
-        diff = target - x_rot * family.multipliers(q)[:, :, None, :, None]
-        return sign * np.abs(np.linalg.eigvalsh(diff.reshape(-1, d * d, d * d))).sum(axis=-1)
+    def objective(q, owner):
+        m = family.multipliers(q, weights[owner])
+        diff = targets[owner] - inputs[owner] * m[:, :, None, :, None]
+        return signs[owner] * np.abs(np.linalg.eigvalsh(diff.reshape(-1, d * d, d * d))).sum(axis=-1)
 
     n = family.quotient.free_dim
-    return minimize(objective, [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n)[0]
+    return minimize(objective, [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n,
+                    problems=len(problems))
+
+
+def _family_values(problems: Sequence[_FamilyProblem],
+                   cfg: OptimizerConfig | None) -> list[MeasureValue]:
+    """Per problem, its extremal norm with the best member's phases, from one
+    :func:`_family_search`: a ``choi_distance`` value for a minimised problem,
+    the ``chi_norm_max`` of a bound for a maximised one."""
+    values = []
+    for p, result in zip(problems, _family_search(problems, cfg)):
+        free = p.family.lift(result.best_point)
+        phases = [float(a) for a in p.family.manifold.embed(free)]
+        value = float(p.sign * result.best_value)
+        if p.sign < 0:
+            values.append(MeasureValue("chi_norm_max", value, {
+                "converged": result.converged, "evaluations": result.evaluations,
+                "phases": phases}))
+            continue
+        diags = {"phases": phases, "converged": result.converged,
+                 "evaluations": result.evaluations}
+        if p.sampled_check:
+            diags.update(_sampled_state_check(p.op, p.family.operation(free), value))
+        values.append(MeasureValue("choi_distance", value, diags))
+    return values
+
+
+def _bounds(chi: MeasureValue, d: int, epsilons) -> tuple[list[float], dict]:
+    """(eps/d) max ||chi||_1 per eps, with the bound search's diagnostics."""
+    return [eps / d * chi.value for eps in epsilons], chi.diagnostics
 
 
 def distance_measure(op: ThermalOperation, family: MarkovianFamily,
@@ -344,17 +411,7 @@ def distance_measure(op: ThermalOperation, family: MarkovianFamily,
     parameters and convergence go into diagnostics, along with a sampled
     sanity check that no random input state exceeds the Choi-state value.
     """
-    chi_in = maximally_entangled_input(op.system_hamiltonian, pert)
-    result = _family_search(op, family, chi_in, cfg, 1.0)
-    free = family.lift(result.best_point)
-    diags = {
-        "phases": [float(p) for p in family.manifold.embed(free)],
-        "converged": result.converged,
-        "evaluations": result.evaluations,
-    }
-    if pert is None:
-        diags.update(_sampled_state_check(op, family.operation(free), result.best_value))
-    return MeasureValue("choi_distance", float(result.best_value), diags)
+    return _family_values([_distance_problem(op, family, pert)], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +521,31 @@ def chi_lambda_bound(op: ThermalOperation, family: MarkovianFamily, h_prime: the
     entangled input; it does not depend on eps, so one multi-start search on
     the constraint manifold gives the maximum for every bound.
     """
-    h_sys = op.system_hamiltonian
-    result = _family_search(op, family, response_direction(h_sys, h_prime), cfg, -1.0)
-    bounds = [eps / h_sys.dim * (-result.best_value) for eps in epsilons]
-    phases = family.manifold.embed(family.lift(result.best_point))
-    return bounds, {"converged": result.converged, "evaluations": result.evaluations,
-                    "phases": [float(p) for p in phases]}
+    return _bounds(_family_values([_bound_problem(op, family, h_prime)], cfg)[0], op.d_sys,
+                   epsilons)
+
+
+def distance_sweep(targets: Sequence[tuple[ThermalOperation, MarkovianFamily]],
+                   h_prime: thermal.Hamiltonian, epsilons, cfg: OptimizerConfig | None = None
+                   ) -> list[tuple[list[MeasureValue], list[float], dict]]:
+    """Per (operation, family) pair of ``targets``: its :func:`distance_measure`
+    values, unperturbed and then one per eps of ``h_prime``, and its
+    :func:`chi_lambda_bound` bounds and diagnostics.
+
+    Every value and bound is its own problem of one lockstep family search,
+    so each equals that of its own search.  The families must share their
+    total Hamiltonian and manifold.
+    """
+    problems = []
+    for op, family in targets:
+        problems += [_distance_problem(op, family),
+                     *(_distance_problem(op, family, PerturbationSpec(h_prime, eps))
+                       for eps in epsilons),
+                     _bound_problem(op, family, h_prime)]
+    values = _family_values(problems, cfg)
+    n = len(epsilons) + 2
+    out = []
+    for (op, _), k in zip(targets, range(0, len(values), n)):
+        *distances, chi = values[k:k + n]
+        out.append((distances, *_bounds(chi, op.d_sys, epsilons)))
+    return out

@@ -38,10 +38,10 @@ def test_criterion_1_entanglement_response_sweep(fig2_result):
         hi_map = {r.control: r.delta for r in by_eps[hi]}
         ordered &= all(hi_map[t] > lo_map[t] for t in lo_map)
     runtime = conftest.RUNTIMES["fig2"]
-    ok = ok and positives and mono and ordered and runtime < 10.0
+    ok = ok and positives and mono and ordered and runtime < 3.0
     _report("1", ok,
             f"positive={positives}, nondecreasing-in-T={mono}, eps-ordered={ordered}, "
-            f"runtime={runtime:.1f}s (<10s)")
+            f"runtime={runtime:.1f}s (<3s)")
 
 
 def test_criterion_2_correlation_response_sweep(fig3_result):
@@ -66,10 +66,10 @@ def test_criterion_3_distance_counter_example(distance_result):
     runtime = conftest.RUNTIMES["distance"]
     ok = (distance_result.deviations == ()
           and {r.epsilon for r in rows} == {0.01, 0.05, 0.1}
-          and small and converged and bounded and runtime < 10.0)
+          and small and converged and bounded and runtime < 3.0)
     _report("3", ok,
             f"|dD|<=5e-4={small}, converged={converged}, dD<=bound+1e-6={bounded}, "
-            f"runtime={runtime:.1f}s (<10s)")
+            f"runtime={runtime:.1f}s (<3s)")
 
 
 def test_criterion_4_ppt_under_diagonal_unitaries(property_result):

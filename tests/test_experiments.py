@@ -238,8 +238,8 @@ def test_sweep_computes_each_quantity_once_per_control_value(monkeypatch):
     calls = _counting(monkeypatch, thermal, "apply", "state_from_level_coeffs",
                       "perturbed_state_exact")
     ex.run_distance_example(_tiny_distance(epsilons=builtin_distance().epsilons))
-    # one unperturbed distance, one per epsilon (3) and one bound search
-    assert searches["minimize"] == 5
+    # the unperturbed distance, one per epsilon (3) and the bound share one search
+    assert searches["minimize"] == 1
     assert calls["apply"] == 0
     data = _tiny_fig2(n_temps=3, epsilons=(0.0, 0.2)).to_dict()
     calls.clear()
@@ -293,8 +293,41 @@ def test_distance_study_builds_one_operation_per_control_value(monkeypatch):
     assert len(cfg.sweep_values) == 1
     calls = _counting(monkeypatch, thermal, "gibbs_state")
     ex.run_distance_example(cfg)
-    # the bound search reuses the operation the sweep built
+    # the bound rides in the sweep's family search, on the operation it built
     assert calls["gibbs_state"] == 1
+
+
+def test_distance_study_runs_one_family_search(monkeypatch):
+    cfg = ExperimentConfig.from_dict({
+        **_tiny_distance().to_dict(),
+        "sweep": {"values": [100.0, 20.0], "variable": "temperature"},
+        "optimizer": {"seeds": 3, "grid_resolution": 4},
+    })
+    searches = _counting(monkeypatch, measures, "minimize")
+    result = ex.run_distance_example(cfg)
+    assert searches["minimize"] == 1
+    # every row, diagnostic and bound equals a search of its own input
+    monkeypatch.undo()
+    setup, opt = cfg.setup, cfg.optimizer
+    recorded = result.metadata["optimizer_diagnostics"]
+    for value in cfg.sweep_values:
+        op = setup.operation(cfg.beta_for(value))
+        family = setup.family(op)
+        before = measures.distance_measure(op, family, opt)
+        after = [measures.distance_measure(op, family, opt, thermal.PerturbationSpec(
+            setup.h_prime, eps)) for eps in cfg.epsilons]
+        bounds, bound_diags = measures.chi_lambda_bound(op, family, setup.h_prime,
+                                                        cfg.epsilons, opt)
+        rows = [r for r in result.rows_for("choi_distance") if r.control == value]
+        assert [(r.unperturbed, r.perturbed) for r in rows] == [
+            (before.value, mv.value) for mv in after]
+        bound_rows = [r for r in result.rows_for("choi_distance_bound") if r.control == value]
+        assert [r.perturbed for r in bound_rows] == bounds
+        for eps, mv in zip(cfg.epsilons, after):
+            assert recorded[f"choi_distance/eps={eps}/x={value}"] == {
+                "unperturbed": before.diagnostics, "perturbed": mv.diagnostics}
+        assert recorded[f"choi_distance_bound/x={value}"] == bound_diags
+    assert list(run_config(cfg).metadata["optimizer_diagnostics"]) == list(recorded)
 
 
 def test_distance_metadata_records_the_bound_search():

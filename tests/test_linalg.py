@@ -133,6 +133,28 @@ def test_eigh_reconstruction_and_phase():
         assert abs(pivot.imag) < 1e-12 and pivot.real > 0
 
 
+def _eigh_column_by_column(m):
+    """The phase convention applied one column at a time."""
+    w, v = np.linalg.eigh(m)
+    v = v.copy()
+    for k in range(v.shape[1]):
+        pivot = v[np.argmax(np.abs(v[:, k])), k]
+        v[:, k] = v[:, k] * (pivot.conjugate() / abs(pivot))
+    return w, v
+
+
+def test_eigh_phase_fix_is_bitwise_the_column_loop():
+    rng = np.random.default_rng(61)
+    cases = [random_hermitian(rng, d) for d in (1, 2, 3, 6, 12, 36) for _ in range(5)]
+    # degenerate spectra, where eigh returns a basis of each eigenspace
+    cases += [np.eye(4, dtype=complex), np.diag([1.0, 1.0, -2.0, 3.0, 3.0]).astype(complex),
+              np.kron(SIGMA_Z, np.eye(3)), np.zeros((3, 3), dtype=complex)]
+    for m in cases:
+        w, v = eigh(m)
+        w_ref, v_ref = _eigh_column_by_column(m)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         eigh(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -542,7 +542,8 @@ def test_family_search_is_no_worse_than_random_members(relation):
     members = rng.uniform(0, 2 * np.pi, (200, family.manifold.free_dim))
     for sign, x in ((1.0, maximally_entangled_input(h_sys)),
                     (-1.0, measures.response_direction(h_sys, Hamiltonian.from_matrix(SIGMA_X)))):
-        result = measures._family_search(op, family, x, cfg, sign)
+        (result,) = measures._family_search([measures._FamilyProblem(op, family, x, sign)],
+                                            cfg)
         best = _member_value(op, family, x, family.lift(result.best_point))
         assert abs(sign * result.best_value - best) <= 1e-12
         assert sign * best <= min(sign * _member_value(op, family, x, f) for f in members) + 1e-12
@@ -556,6 +557,19 @@ def test_family_search_evolves_only_outside_its_objective(monkeypatch):
     mv = distance_measure(op, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.diagnostics["evaluations"] > 100
     assert len(calls) == 3  # the target image, and the sampled check's two applications
+
+
+def test_family_searches_differ_only_in_their_bath_weights():
+    op, family = distance_example_op()
+    warm = MarkovianFamily(family.h_total, gibbs_state(H_BATH_STIFF, 0.2), family.manifold)
+    q = np.random.default_rng(82).uniform(0, 2 * np.pi, (6, family.quotient.free_dim))
+    rows = family.multipliers(q, [warm._weights] * 3 + [family._weights] * 3)
+    assert np.array_equal(rows[:3], warm.multipliers(q[:3]))
+    assert np.array_equal(rows[3:], family.multipliers(q[3:]))
+    _, apart = distance_example_op()  # the same physics on another total Hamiltonian
+    with pytest.raises(ValueError, match="share the total Hamiltonian"):
+        measures.distance_sweep([(op, family), (op, apart)], Hamiltonian.from_matrix(SIGMA_X),
+                                [0.1], OptimizerConfig(seeds=1, grid_resolution=1))
 
 
 def test_one_point_quotient_evaluates_its_member():
