@@ -431,25 +431,26 @@ def _measure_values(measure: str, cfg: ExperimentConfig, ops: list[thermal.Therm
         flat = measures.discord([joint for js in joints for joint in js], cfg.optimizer)
         n = len(joints[0])
         return [flat[k:k + n] for k in range(0, len(flat), n)], []
-    measure_fn = (measures.log_negativity if measure == "log_negativity"
-                  else measures.mutual_information)
-    return [[measure_fn(joint) for joint in js] for js in joints], []
+    kernel = (measures.log_negativities if measure == "log_negativity"
+              else measures.mutual_informations)
+    return [kernel(js) for js in joints], []
 
 
 def _sweep(cfg: ExperimentConfig) -> tuple[SweepResult, dict[tuple[float, float], float]]:
     """Evaluate every configured measure on the (epsilon, control) grid.
 
-    Per control value the operation is built once and applied once per input
-    state; each measure's unperturbed value serves every epsilon row.  With
-    the Choi distance, its response bounds come back too, keyed by (control,
-    epsilon), and their searches' diagnostics follow the measures' in
-    ``optimizer_diagnostics``.
+    Per control value the operation is built once and applied once to the
+    stack of input states, and each closed-form measure is one kernel call on
+    its joint states; each measure's unperturbed value serves every epsilon
+    row.  With the Choi distance, its response bounds come back too, keyed by
+    (control, epsilon), and their searches' diagnostics follow the measures'
+    in ``optimizer_diagnostics``.
     """
     setup = cfg.setup
     metadata = _base_metadata(cfg)
     ops = [setup.operation(cfg.beta_for(value)) for value in cfg.sweep_values]
     states = (setup.rho, *setup.rho_eps) if set(cfg.measures) - {"choi_distance"} else ()
-    joints = [[thermal.apply(op, rho) for rho in states] for op in ops]
+    joints = [thermal.apply(op, states) for op in ops] if states else []
     rows, diags, bounds, bound_diags = [], {}, {}, {}
     for measure in cfg.measures:
         per_value, per_value_bounds = _measure_values(measure, cfg, ops, joints)

@@ -189,11 +189,18 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_of_spectrum(rho.matrix)
 
 
-def entropy_of_spectrum(matrix: np.ndarray) -> float:
-    """Entropy in bits of a raw Hermitian matrix's spectrum (no validation)."""
-    w = np.linalg.eigvalsh(matrix)
-    w = w[w > SUPPORT_CUTOFF]
-    return float(-np.sum(w * np.log2(w)))
+def spectrum_entropy(w: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each spectrum along the last axis of ``w``, over the
+    eigenvalues above ``SUPPORT_CUTOFF``; log2 sees no other value."""
+    support = w > SUPPORT_CUTOFF
+    return -np.sum(np.where(support, w * np.log2(np.where(support, w, 1.0)), 0.0), axis=-1)
+
+
+def entropy_of_spectrum(matrix: np.ndarray):
+    """Entropy in bits of a raw Hermitian matrix's spectrum, as a float, or of
+    each matrix in a stack (..., d, d), as an array (no validation)."""
+    entropy = spectrum_entropy(np.linalg.eigvalsh(matrix))
+    return float(entropy) if np.ndim(matrix) == 2 else entropy
 
 
 def matrix_log2_on_support(m: np.ndarray) -> np.ndarray:
@@ -202,11 +209,7 @@ def matrix_log2_on_support(m: np.ndarray) -> np.ndarray:
     Eigenvalues at or below ``SUPPORT_CUTOFF`` map to zero (projector-onto-
     support convention); an eigenvalue below ``-SUPPORT_CUTOFF`` is an error.
     """
-    return log2_on_support(*eigh(m))
-
-
-def log2_on_support(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """:func:`matrix_log2_on_support` from a decomposition ``eigh`` returned."""
+    w, v = eigh(m)
     if w[0] < -SUPPORT_CUTOFF:
         raise ValueError(f"matrix_log2_on_support: negative eigenvalue {w[0]}")
     on = w > SUPPORT_CUTOFF

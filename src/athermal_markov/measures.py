@@ -23,15 +23,12 @@ from .linalg import (
     SUPPORT_CUTOFF,
     DensityMatrix,
     dagger,
-    eigh,
-    log2_on_support,
+    entropy_of_spectrum,
     matrix_log2_on_support,
-    partial_trace,
-    partial_transpose,
+    spectrum_entropy,
     trace_norm,
     trace_out_first,
     trace_out_second,
-    von_neumann_entropy,
 )
 from .optimize import OptimizerConfig, PhaseManifold, constrained_phase_manifold, minimize
 from .thermal import EnergyBlockUnitary, PerturbationSpec, ThermalOperation
@@ -50,22 +47,48 @@ class MeasureValue:
 # State-based measures
 # ---------------------------------------------------------------------------
 
+def _joint_stack(states: Sequence[DensityMatrix]) -> tuple[np.ndarray, tuple[int, int]]:
+    """The (n, d, d) stack of joint states that share one two-factor dims, and the dims."""
+    dims = states[0].dims
+    if len(dims) != 2:
+        raise ValueError(f"bad factorization: need exactly two factors, got {dims}")
+    if any(rho.dims != dims for rho in states):
+        raise ValueError("joint states must share their dims")
+    return np.array([rho.matrix for rho in states]), dims
+
+
+def log_negativities(states: Sequence[DensityMatrix]) -> list[MeasureValue]:
+    """:func:`log_negativity` of each joint state, from one ``eigvalsh`` of the
+    stack of partial transposes: each is Hermitian, so the sum of its
+    |eigenvalues| is its trace norm."""
+    joints, (d1, d2) = _joint_stack(states)
+    pt = joints.reshape(-1, d1, d2, d1, d2).transpose(0, 3, 2, 1, 4).reshape(joints.shape)
+    values = np.log2(np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1))
+    return [MeasureValue("log_negativity", float(v)) for v in values]
+
+
+def mutual_informations(states: Sequence[DensityMatrix]) -> list[MeasureValue]:
+    """:func:`mutual_information` of each joint state, from one ``eigvalsh`` of
+    each marginal stack and one of the joint stack."""
+    joints, (d1, d2) = _joint_stack(states)
+    values = (entropy_of_spectrum(trace_out_second(joints, d1, d2))
+              + entropy_of_spectrum(trace_out_first(joints, d1, d2))
+              - entropy_of_spectrum(joints))
+    return [MeasureValue("mutual_information", float(v)) for v in values]
+
+
 def log_negativity(rho_joint: DensityMatrix) -> MeasureValue:
     """log2 of the trace norm of the partial transpose on the first factor.
 
     Zero on every PPT state, in particular on all separable states of 2x2
     and 2x3 systems.
     """
-    value = float(np.log2(trace_norm(partial_transpose(rho_joint, 0))))
-    return MeasureValue("log_negativity", value)
+    return log_negativities([rho_joint])[0]
 
 
 def mutual_information(rho_joint: DensityMatrix) -> MeasureValue:
     """S(first) + S(second) - S(joint), in bits."""
-    s1 = von_neumann_entropy(partial_trace(rho_joint, 0))
-    s2 = von_neumann_entropy(partial_trace(rho_joint, 1))
-    s12 = von_neumann_entropy(rho_joint)
-    return MeasureValue("mutual_information", float(s1 + s2 - s12))
+    return mutual_informations([rho_joint])[0]
 
 
 def _bloch_blocks(rho: np.ndarray, d2: int) -> np.ndarray:
@@ -97,9 +120,7 @@ def _measured_conditional_entropy(blocks: np.ndarray, angles: np.ndarray,
     tilt_t = n[:, 0] * t[:, 1] + n[:, 1] * t[:, 2] + n[:, 2] * t[:, 3]
     prob = np.stack([t[:, 0] + tilt_t, t[:, 0] - tilt_t], axis=1)
     kept = prob > 1e-14
-    w = np.linalg.eigvalsh(subs) / np.where(kept, prob, 1.0)[..., None]
-    support = w > SUPPORT_CUTOFF
-    entropy = -np.sum(np.where(support, w * np.log2(np.where(support, w, 1.0)), 0.0), axis=-1)
+    entropy = spectrum_entropy(np.linalg.eigvalsh(subs) / np.where(kept, prob, 1.0)[..., None])
     total = np.zeros(len(angles))
     for k in range(2):
         total += np.where(kept[:, k], prob[:, k] * entropy[:, k], 0.0)
@@ -117,30 +138,28 @@ def discord(states: Sequence[DensityMatrix],
     zero.  The states share dims and one lockstep search, in which each state
     is its own problem; each value equals that of a search for its state alone.
     """
-    dims = states[0].dims
-    if dims[0] != 2:
+    joints, (d1, d2) = _joint_stack(states)
+    if d1 != 2:
         raise ValueError("unsupported measured dimension: first factor must be a qubit")
-    if any(rho.dims != dims for rho in states):
-        raise ValueError("discord states must share their dims")
     cfg = cfg or OptimizerConfig(grid_resolution=24)
-    blocks = _bloch_blocks(np.array([rho.matrix for rho in states]), dims[1])
+    blocks = _bloch_blocks(joints, d2)
 
     def objective(angles, owner):
         return _measured_conditional_entropy(blocks, angles, owner)
 
     results = minimize(objective, [(0.0, np.pi), (0.0, 2 * np.pi)], cfg, periodic=[False, True],
                        problems=len(states))
+    # S(A) - S(AB) of every state
+    offsets = entropy_of_spectrum(trace_out_second(joints, d1, d2)) - entropy_of_spectrum(joints)
     values = []
-    for rho, result in zip(states, results):
-        s_a = von_neumann_entropy(partial_trace(rho, 0))
-        s_ab = von_neumann_entropy(rho)
+    for offset, result in zip(offsets, results):
         diags = {
             "theta": float(result.best_point[0]),
             "phi": float(result.best_point[1]),
             "converged": result.converged,
             "evaluations": result.evaluations,
         }
-        values.append(MeasureValue("discord", float(s_a - s_ab + result.best_value), diags))
+        values.append(MeasureValue("discord", float(offset + result.best_value), diags))
     return values
 
 
@@ -226,8 +245,7 @@ class MarkovianFamily:
             raise ValueError("Markovian phase family requires a non-degenerate total spectrum")
         if self.manifold.dim != len(blocks):
             raise ValueError("manifold dimension must match the number of energy levels")
-        v = self.h_total.eigvecs
-        if not np.allclose(dagger(v) @ v, np.eye(self.h_total.dim), atol=thermal.UNITARY_TOL):
+        if not self.h_total.unitary_eigvecs:
             raise ValueError("total Hamiltonian eigenvectors are not unitary")
         parts = self.h_total.parts
         if parts is None or not np.array_equal(parts[1].eigvecs, self.bath.hamiltonian.eigvecs):
@@ -419,15 +437,29 @@ def distance_measure(op: ThermalOperation, family: MarkovianFamily,
 # ---------------------------------------------------------------------------
 
 def _check_support(label: str, direction: np.ndarray, state: np.ndarray, flags: dict):
-    """Support check of ``direction`` against ``state``; returns ``eigh(state)``."""
-    w, v = eigh(state)
-    vs = v[:, w > SUPPORT_CUTOFF]
-    kernel = np.eye(len(w), dtype=complex) - vs @ dagger(vs)
-    if np.max(np.abs(kernel)) >= STATE_TOL:
-        flags[label] = True
-        if trace_norm(kernel @ direction @ kernel) > STATE_TOL:
-            raise ValueError("theta undefined at this point: response leaves the state's support")
+    """Support check of ``direction`` against ``state``; returns
+    ``np.linalg.eigh(state)``.  The kernel projector is formed only when some
+    eigenvalue lies at or below ``SUPPORT_CUTOFF``."""
+    w, v = np.linalg.eigh(state)
+    if w[0] <= SUPPORT_CUTOFF:
+        vs = v[:, w > SUPPORT_CUTOFF]
+        kernel = np.eye(len(w), dtype=complex) - vs @ dagger(vs)
+        if np.max(np.abs(kernel)) >= STATE_TOL:
+            flags[label] = True
+            if trace_norm(kernel @ direction @ kernel) > STATE_TOL:
+                raise ValueError("theta undefined at this point: response leaves the state's support")
     return w, v
+
+
+def _response_bar(x: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+    """Tr[x (I + log2 A)] for A = v diag(w) v^dag, with the support convention:
+    Tr x + sum over w_k > SUPPORT_CUTOFF of log2(w_k) (v^dag x v)_kk."""
+    if w[0] < -SUPPORT_CUTOFF:
+        raise ValueError(f"theta undefined at this point: negative eigenvalue {w[0]}")
+    on = w > SUPPORT_CUTOFF
+    vs = v[:, on]
+    diagonal = np.sum(vs.conj() * (x @ vs), axis=0).real
+    return float(np.trace(x).real + np.log2(w[on]) @ diagonal)
 
 
 def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
@@ -437,25 +469,25 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     Independent of epsilon: it is built from the perturbing operator, the
     input coefficients and the channel only.  Uses the support convention for
     the logarithms and refuses inputs whose response has weight outside the
-    support of the corresponding evolved state.
+    support of the corresponding evolved state.  The evolved state and the
+    evolved response come from one evolution of their stack.
     """
     h_sys = op.system_hamiltonian
     rho = thermal.state_from_level_coeffs(h_sys, rho_coeffs)
     rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
 
-    joint = thermal.apply(op, rho)
-    joint_dir = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, rho_tilde)
-    beta_1 = trace_out_second(joint_dir, op.d_sys, op.d_bath)
-    beta_2 = trace_out_first(joint_dir, op.d_sys, op.d_bath)
+    pair = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, np.array([rho.matrix, rho_tilde]))
+    joint, joint_dir = 0.5 * (pair[0] + dagger(pair[0])), pair[1]
+    d_s, d_b = op.d_sys, op.d_bath
 
     flags, decomposed = {}, []  # every support is checked before any logarithm
-    for name, direction, state in (("system", beta_1, partial_trace(joint, 0).matrix),
-                                   ("bath", beta_2, partial_trace(joint, 1).matrix),
-                                   ("joint", joint_dir, joint.matrix)):
+    for name, direction, state in (
+            ("system", trace_out_second(joint_dir, d_s, d_b), trace_out_second(joint, d_s, d_b)),
+            ("bath", trace_out_first(joint_dir, d_s, d_b), trace_out_first(joint, d_s, d_b)),
+            ("joint", joint_dir, joint)):
         w, v = _check_support(f"{name}_support_deficient", direction, state, flags)
         decomposed.append((direction, w, v))
-    a_bar, b_bar, c_bar = [float(np.trace(x @ (np.eye(len(w)) + log2_on_support(w, v))).real)
-                           for x, w, v in decomposed]
+    a_bar, b_bar, c_bar = [_response_bar(x, w, v) for x, w, v in decomposed]
     theta = c_bar - a_bar - b_bar
     if with_diagnostics:
         return theta, {"a_bar": a_bar, "b_bar": b_bar, "c_bar": c_bar, **flags}

@@ -13,7 +13,9 @@ in energy (index 0 is the ground level) everywhere a level index appears.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +72,13 @@ class Hamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def unitary_eigvecs(self) -> bool:
+        """True iff ``eigvecs`` is unitary within ``UNITARY_TOL``; checked once,
+        since the cached arrays are read-only."""
+        v = self.eigvecs
+        return bool(np.allclose(dagger(v) @ v, np.eye(self.dim), atol=UNITARY_TOL))
+
     def bohr_nondegenerate(self) -> bool:
         """True iff all pairwise level differences E_i - E_j (i != j) are distinct."""
         e = self.energies
@@ -121,9 +130,9 @@ def gibbs_state(h: Hamiltonian, beta: float) -> GibbsState:
         raise ValueError("beta must be nonnegative (math.inf allowed)")
     if math.isinf(beta) and len(h.energies) > 1 and h.energies[1] - h.energies[0] <= DEGENERACY_TOL:
         raise ValueError("ambiguous zero-temperature limit: degenerate ground space")
-    v = h.eigvecs
-    if not np.allclose(dagger(v) @ v, np.eye(h.dim), atol=UNITARY_TOL):
+    if not h.unitary_eigvecs:
         raise ValueError("Hamiltonian eigenvectors are not unitary")
+    v = h.eigvecs
     w = _boltzmann_weights(h.energies, beta)
     return GibbsState(DensityMatrix._derived((v * w) @ dagger(v), (h.dim,)), float(beta), h)
 
@@ -181,11 +190,7 @@ class EnergyBlockUnitary:
 
 
 def _coerce_block_unitary(param, size: int) -> np.ndarray:
-    """Accept a phase (1-D block), a (phases, basis) pair, or an explicit matrix."""
-    if np.isscalar(param):
-        if size != 1:
-            raise ValueError(f"scalar phase given for a {size}-dimensional block")
-        return np.array([[np.exp(-1j * reduce_mod_2pi(float(param)))]])
+    """Accept a (phases, basis) pair or an explicit matrix for a block."""
     if isinstance(param, tuple) and len(param) == 2:
         phases, basis = param
         basis = np.asarray(basis, dtype=complex)
@@ -210,17 +215,27 @@ def build_block_unitary(h_total: Hamiltonian, block_params) -> EnergyBlockUnitar
     a bare phase alpha for a one-dimensional block (the block unitary is
     e^{-i alpha}), a ``(phases, basis)`` pair giving eigenphases in an
     explicit intra-block basis, or a full intra-block unitary matrix.  The
-    result commutes with ``h_total`` by construction.
+    result commutes with ``h_total`` by construction.  All bare phases enter
+    through one product V diag(e^{-i alpha}) V^dag on their levels' cached
+    eigenvectors V; a unit phase needs no unitarity check.
     """
     blocks = h_total.energy_blocks()
     if len(block_params) != len(blocks):
         raise ValueError(f"got {len(block_params)} block parameters for {len(blocks)} energy blocks")
-    d = h_total.dim
-    u = np.zeros((d, d), dtype=complex)
+    v = h_total.eigvecs
+    u = np.zeros((h_total.dim, h_total.dim), dtype=complex)
+    levels, phases = [], []
     for (_, idx), param in zip(blocks, block_params):
-        sub = _coerce_block_unitary(param, len(idx))
-        basis = h_total.eigvecs[:, list(idx)]
-        u += basis @ sub @ dagger(basis)
+        if np.isscalar(param):
+            if len(idx) != 1:
+                raise ValueError(f"scalar phase given for a {len(idx)}-dimensional block")
+            levels.append(idx[0])
+            phases.append(reduce_mod_2pi(float(param)))
+            continue
+        basis = v[:, list(idx)]
+        u += basis @ _coerce_block_unitary(param, len(idx)) @ dagger(basis)
+    vs = v[:, levels]
+    u += (vs * np.exp(-1j * np.array(phases))) @ dagger(vs)
     return EnergyBlockUnitary(u, h_total)
 
 
@@ -279,12 +294,23 @@ def evolve(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
     return u @ joint @ dagger(u)
 
 
-def apply(op: ThermalOperation, rho_sys: DensityMatrix) -> DensityMatrix:
-    """Joint state U (rho (x) tau) U^dag; its marginals come from partial_trace."""
-    if rho_sys.dim != op.d_sys:
-        raise ValueError(f"system state dimension {rho_sys.dim} != {op.d_sys}")
-    joint = evolve(op.unitary.matrix, op.bath.state.matrix, rho_sys.matrix)
-    return DensityMatrix._derived(0.5 * (joint + dagger(joint)), (op.d_sys, op.d_bath))
+def apply(op: ThermalOperation, states: DensityMatrix | Sequence[DensityMatrix]
+          ) -> DensityMatrix | list[DensityMatrix]:
+    """Joint state U (rho (x) tau) U^dag of the system state ``states``; its
+    marginals come from partial_trace.
+
+    Given a sequence of system states instead, returns the list of their
+    joint states from one evolution of their (n, d_sys, d_sys) stack; one
+    state is the one-row case of the same computation.
+    """
+    rows = [states] if isinstance(states, DensityMatrix) else states
+    for rho in rows:
+        if rho.dim != op.d_sys:
+            raise ValueError(f"system state dimension {rho.dim} != {op.d_sys}")
+    joint = evolve(op.unitary.matrix, op.bath.state.matrix, np.array([rho.matrix for rho in rows]))
+    joint = 0.5 * (joint + dagger(joint))
+    out = [DensityMatrix._derived(m, (op.d_sys, op.d_bath)) for m in joint]
+    return out[0] if isinstance(states, DensityMatrix) else out
 
 
 def apply_to_operator(op: ThermalOperation, x: np.ndarray) -> np.ndarray:

@@ -131,9 +131,26 @@ def test_config_rejects_unknown_field_at_every_level(base, path, where):
 def test_bench_channel_sweep_configs_are_accepted(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     channel_sweep = importlib.import_module("channel_sweep")
-    # one job of every system+bath dimension pair
+    # one job of every system+bath dimension pair, against the bench's own plain-numpy
+    # recomputation of every row and of the direct calls it makes at each temperature
     for job in channel_sweep.generate_jobs(seed=3, count=len(channel_sweep.DIMS)):
-        assert ExperimentConfig.from_dict(job.config()).to_dict()["name"] == job.name
+        cfg = ExperimentConfig.from_dict(job.config())
+        assert cfg.to_dict()["name"] == job.name
+        values, deviations = channel_sweep.expected_values(job)
+        rows = run_config(cfg).rows
+        assert len(rows) == len(values) == job.rows
+        for r in rows:
+            unperturbed, perturbed = values[(r.control, r.epsilon, r.measure)]
+            assert r.status == "ok"
+            assert abs(r.unperturbed - unperturbed) <= 1e-12
+            assert abs(r.perturbed - perturbed) <= 1e-12
+            assert abs(r.delta - (perturbed - unperturbed)) <= 1e-12
+        setup = cfg.setup
+        pert = thermal.PerturbationSpec(setup.h_prime, cfg.epsilons[-1])
+        for value, want in zip(cfg.sweep_values, deviations):
+            op = setup.operation(cfg.beta_for(value))
+            assert np.isfinite(measures.theta_lambda(op, setup.coeffs, pert))
+            assert abs(thermal.mto_check(op, setup.rho).joint_product_deviation - want) <= 1e-12
 
 
 def test_config_rejects_oversized_system():
@@ -251,8 +268,9 @@ def test_sweep_computes_each_quantity_once_per_control_value(monkeypatch):
     calls.clear()
     checked.clear()
     run_config(cfg)
-    # each input state is applied once per temperature; every state the sweep derives is trusted
-    assert calls == {"apply": 3 * 3}
+    # the stack of input states is applied once per temperature; every state the sweep
+    # derives is trusted
+    assert calls == {"apply": 3}
     assert checked == {}
 
 

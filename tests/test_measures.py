@@ -1,16 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from athermal_markov import measures, thermal
 from athermal_markov.experiments import ExperimentConfig, builtin_distance, run_distance_example
 from athermal_markov.linalg import (
+    STATE_TOL,
+    SUPPORT_CUTOFF,
     DensityMatrix,
     dagger,
+    eigh,
     entropy_of_spectrum,
     mat_equal,
+    matrix_log2_on_support,
+    partial_trace,
+    partial_transpose,
     trace_norm,
     trace_out_first,
     trace_out_second,
+    von_neumann_entropy,
 )
 from athermal_markov.measures import (
     MarkovianFamily,
@@ -19,9 +28,11 @@ from athermal_markov.measures import (
     discord,
     distance_measure,
     expansion_lemma_residual,
+    log_negativities,
     log_negativity,
     maximally_entangled_input,
     mutual_information,
+    mutual_informations,
     theta_lambda,
     x_lambda,
 )
@@ -145,6 +156,85 @@ def test_mutual_information_nonnegative_and_zero_iff_product():
             assert mi < 1e-10
 
 
+# -- stacked kernels --------------------------------------------------------------
+
+def random_op(rng, d1, d2, beta=1.0):
+    """A thermal operation on random d1 x d2 Hamiltonians with one random phase per
+    total level; ``beta = math.inf`` gives a pure bath."""
+    while True:
+        h_sys = Hamiltonian.from_matrix(random_hermitian(rng, d1))
+        h_bath = Hamiltonian.from_matrix(random_hermitian(rng, d2))
+        h_tot = total_hamiltonian(h_sys, h_bath)
+        if (np.diff(h_sys.energies).min() > 0.1 and np.diff(h_bath.energies).min() > 1e-3
+                and np.diff(h_tot.energies).min() > 1e-3):
+            break
+    u = build_block_unitary(h_tot, list(rng.uniform(0, 2 * np.pi, d1 * d2)))
+    return thermal_operation(u, gibbs_state(h_bath, beta))
+
+
+def reference_entropy(m):
+    """The entropy form the stacked kernels replaced: the eigenvalues above the
+    cutoff, selected before the logarithm."""
+    w = np.linalg.eigvalsh(m)
+    w = w[w > SUPPORT_CUTOFF]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def reference_log_negativity(rho):
+    """log2 of the trace norm of the partial transpose, as a sum of singular values."""
+    return float(np.log2(np.linalg.svd(partial_transpose(rho, 0), compute_uv=False).sum()))
+
+
+def reference_mutual_information(rho):
+    d1, d2 = rho.dims
+    return (reference_entropy(trace_out_second(rho.matrix, d1, d2))
+            + reference_entropy(trace_out_first(rho.matrix, d1, d2)) - reference_entropy(rho.matrix))
+
+
+def assert_kernels_match_references(joints):
+    for kernel, single, reference in ((log_negativities, log_negativity, reference_log_negativity),
+                                      (mutual_informations, mutual_information,
+                                       reference_mutual_information)):
+        values = [mv.value for mv in kernel(joints)]
+        assert max(abs(v - reference(j)) for v, j in zip(values, joints)) <= 1e-13
+        # a batch of one, and the public one-state measure, are the same computation
+        for joint, v in zip(joints, values):
+            assert abs(kernel([joint])[0].value - v) <= 1e-13
+            assert abs(single(joint).value - v) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (2, 6), (4, 9)])
+def test_stacked_kernels_match_the_reference_forms(d1, d2):
+    rng = np.random.default_rng(90 + d2)
+    mixed = apply(random_op(rng, d1, d2), [random_density(rng, d1) for _ in range(3)])
+    kets = [v / np.linalg.norm(v) for v in rng.normal(size=(3, d1)) + 1j * rng.normal(size=(3, d1))]
+    pure = apply(random_op(rng, d1, d2, beta=math.inf),
+                 [DensityMatrix(np.outer(v, v.conj()), (d1,)) for v in kets])
+    # pure inputs on a pure bath give rank-one joints: all but one eigenvalue is
+    # rounding noise about zero, some of it negative, which log2 must never see
+    noise = np.array([np.linalg.eigvalsh(j.matrix)[:-1] for j in pure])
+    assert np.abs(noise).max() < 1e-14 and noise.min() < 0
+    assert_kernels_match_references(mixed + pure)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stacked_kernels_on_the_fig2_degenerate_block_joint():
+    inputs = [thermal.state_from_level_coeffs(H_QUBIT, np.diag(p).astype(complex))
+              for p in ([0.1, 0.9], [0.0, 1.0], [0.5, 0.5])]
+    joints = apply(fig2_op(), inputs)
+    assert log_negativities(joints)[0].value > 1e-3  # the entangled fig2 joint
+    assert_kernels_match_references(joints)
+
+
+def test_stacked_kernels_require_shared_two_factor_dims():
+    rng = np.random.default_rng(98)
+    with pytest.raises(ValueError, match="bad factorization"):
+        mutual_informations([random_density(rng, 4)])
+    with pytest.raises(ValueError, match="share their dims"):
+        log_negativities([random_density(rng, 4, dims=(2, 2)), DensityMatrix(np.eye(4) / 4, (4, 1))])
+
+
 # -- discord -----------------------------------------------------------------------
 
 def kron_conditional_entropy(rho: DensityMatrix, theta: float, phi: float) -> float:
@@ -204,8 +294,8 @@ def test_discord_matches_brute_force_on_random_state():
     rng = np.random.default_rng(47)
     rho = random_density(rng, 6, dims=(2, 3))
     mv, = discord([rho], OptimizerConfig(seeds=16, grid_resolution=16))
-    s_a = measures.von_neumann_entropy(measures.partial_trace(rho, 0))
-    s_ab = measures.von_neumann_entropy(rho)
+    s_a = von_neumann_entropy(partial_trace(rho, 0))
+    s_ab = von_neumann_entropy(rho)
     oracle = s_a - s_ab + brute_force_conditional_entropy(rho)
     assert mv.value <= oracle + 1e-9  # optimiser at least as good as the dense grid
 
@@ -699,6 +789,56 @@ def test_theta_lambda_support_flags():
     theta, diags = theta_lambda(op, coeffs, PerturbationSpec(h_prime, 0.1), with_diagnostics=True)
     assert np.isfinite(theta)
     assert diags.get("joint_support_deficient")
+
+
+def reference_theta_lambda(op, coeffs, pert):
+    """theta_lambda in its log-matrix form, Tr[x (I + log2 A)] with log2 A formed,
+    with its support flags."""
+    h_sys = op.system_hamiltonian
+    joint = apply(op, thermal.state_from_level_coeffs(h_sys, coeffs)).matrix
+    joint_dir = thermal.evolve(op.unitary.matrix, op.bath.state.matrix,
+                               thermal.first_order_correction(coeffs, h_sys, pert.h_prime))
+    d1, d2 = op.d_sys, op.d_bath
+    flags, bars = {}, []
+    for name, x, state in (
+            ("system", trace_out_second(joint_dir, d1, d2), trace_out_second(joint, d1, d2)),
+            ("bath", trace_out_first(joint_dir, d1, d2), trace_out_first(joint, d1, d2)),
+            ("joint", joint_dir, joint)):
+        w, v = eigh(state)
+        vs = v[:, w > SUPPORT_CUTOFF]
+        if np.max(np.abs(np.eye(len(w)) - vs @ dagger(vs))) >= STATE_TOL:
+            flags[f"{name}_support_deficient"] = True
+        bars.append(float(np.trace(x @ (np.eye(len(w)) + matrix_log2_on_support(state))).real))
+    a_bar, b_bar, c_bar = bars
+    return c_bar - a_bar - b_bar, flags
+
+
+def support_flags(diags):
+    return {key: value for key, value in diags.items() if key.endswith("_support_deficient")}
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (2, 6), (4, 4), (3, 6), (6, 6),
+                                    (4, 9)])
+def test_theta_lambda_matches_the_log_matrix_form(d1, d2):
+    rng = np.random.default_rng(100 + 10 * d1 + d2)
+    op = random_op(rng, d1, d2)
+    pert = PerturbationSpec(Hamiltonian.from_matrix(random_hermitian(rng, d1)), 0.1)
+    coeffs = random_density(rng, d1).matrix  # full rank
+    theta, diags = theta_lambda(op, coeffs, pert, with_diagnostics=True)
+    want, flags = reference_theta_lambda(op, coeffs, pert)
+    assert abs(theta - want) <= 1e-12
+    assert support_flags(diags) == flags == {}
+
+
+def test_theta_lambda_matches_the_log_matrix_form_on_a_pure_input():
+    rng = np.random.default_rng(110)
+    pure = np.diag([0.0, 1.0]).astype(complex)
+    for op in (fig2_op(), random_op(rng, 2, 3)):
+        pert = PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.1)
+        theta, diags = theta_lambda(op, pure, pert, with_diagnostics=True)
+        want, flags = reference_theta_lambda(op, pure, pert)
+        assert abs(theta - want) <= 1e-12
+        assert support_flags(diags) == flags and flags["joint_support_deficient"]
 
 
 def test_check_support_error_branch():

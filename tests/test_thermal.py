@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from athermal_markov import measures, thermal
-from athermal_markov.linalg import DensityMatrix, dagger, mat_equal, partial_trace, trace_norm
+from athermal_markov.linalg import (
+    DensityMatrix,
+    dagger,
+    mat_equal,
+    partial_trace,
+    reduce_mod_2pi,
+    trace_norm,
+)
 from athermal_markov.thermal import (
     DEGENERACY_TOL,
     Hamiltonian,
@@ -92,8 +99,11 @@ def test_gibbs_rejects_negative_beta():
 def test_gibbs_rejects_non_unitary_eigenvectors():
     # the Gibbs state is stored unchecked, so its eigenbasis must be checked
     skewed = Hamiltonian(H_QUBIT.matrix, H_QUBIT.energies, 1.01 * H_QUBIT.eigvecs)
-    with pytest.raises(ValueError, match="not unitary"):
-        gibbs_state(skewed, 0.7)
+    # the verdict is kept with the Hamiltonian, so every later call refuses it too
+    for beta in (0.7, 0.7, 2.0):
+        with pytest.raises(ValueError, match="not unitary"):
+            gibbs_state(skewed, beta)
+    assert H_QUBIT.unitary_eigvecs and not skewed.unitary_eigvecs
 
 
 def test_gibbs_commutes_with_source():
@@ -219,6 +229,23 @@ def test_block_unitary_nondegenerate_is_diagonal_in_product_basis():
     assert np.allclose(np.abs(np.diag(in_basis)), 1.0)
 
 
+def test_block_unitary_bare_phases_match_the_per_block_sum():
+    # bare phases enter through one product; the reference adds one rank-one term per
+    # level, with the raw angle reduced mod 2 pi as before exponentiation
+    rng = np.random.default_rng(24)
+    h_tot = total_hamiltonian(Hamiltonian.from_matrix(random_hermitian(rng, 2)),
+                              Hamiltonian.from_matrix(random_hermitian(rng, 3)))
+    phases = list(rng.uniform(0, 1e9, size=6))
+    v = h_tot.eigvecs
+    want = sum(np.exp(-1j * reduce_mod_2pi(a)) * np.outer(v[:, k], v[:, k].conj())
+               for k, a in enumerate(phases))
+    assert mat_equal(build_block_unitary(h_tot, phases).matrix, want, 1e-14)
+    # a bare phase is only a one-dimensional block's parameter
+    params = [0.0, 1.0, 0.0]
+    with pytest.raises(ValueError, match="scalar phase given for a 2-dimensional block"):
+        build_block_unitary(total_hamiltonian(H_QUBIT, H_QUBIT), params)
+
+
 def test_block_unitary_rejects_non_unitary_block():
     h_tot = total_hamiltonian(H_QUBIT, H_QUBIT)
     params = [0.0, np.array([[1.0, 0.0], [0.0, 2.0]]), 0.0]
@@ -300,11 +327,26 @@ def test_derived_states_pass_public_validation(d_sys, d_bath, beta):
             DensityMatrix(state.matrix, state.dims)
 
 
+def test_apply_to_a_sequence_is_each_state_applied():
+    rng = np.random.default_rng(25)
+    h_tot, u = fig2_unitary()
+    op = thermal_operation(u, gibbs_state(H_QUBIT, 0.25))
+    states = [random_density(rng, 2) for _ in range(3)]
+    joints = apply(op, states)
+    assert [j.dims for j in joints] == [(2, 2)] * 3
+    # each row of the stack is the one-state computation, bit for bit
+    for rho, joint in zip(states, joints):
+        assert np.array_equal(joint.matrix, apply(op, rho).matrix)
+        assert np.array_equal(joint.matrix, joint.matrix.conj().T)
+
+
 def test_apply_dimension_mismatch():
     h_tot, u = fig2_unitary()
     op = thermal_operation(u, gibbs_state(H_QUBIT, 0.25))
-    with pytest.raises(ValueError, match="dimension"):
-        apply(op, DensityMatrix(np.eye(3) / 3, (3,)))
+    wrong = DensityMatrix(np.eye(3) / 3, (3,))
+    for states in (wrong, [DensityMatrix(np.eye(2) / 2, (2,)), wrong]):
+        with pytest.raises(ValueError, match="dimension 3 != 2"):
+            apply(op, states)
 
 
 # -- commutator norm ----------------------------------------------------------------------
