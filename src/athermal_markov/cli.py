@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands run the built-in studies (``fig2``, ``fig3``, ``distance``,
-``properties``), run or validate a user-supplied JSON config (``run``,
-``validate``), and write one CSV plus one SVG per measure into the output
-directory.  Exit codes: 0 success, 1 a study's claims deviated (tables are
+Subcommands run the built-in studies (``fig2``, ``fig3``, ``distance``
+through ``experiments.run_study``, and ``properties``), run or validate a
+user-supplied JSON config (``run``, ``validate``), and write one CSV plus one
+SVG per measure into the output directory.  Exit codes: 0 success, 1 a
+study's claims deviated or one of its searches did not converge (tables are
 still written), 2 usage or configuration errors.
 """
 
@@ -17,14 +18,6 @@ import sys
 
 from . import experiments
 from .experiments import BUILTIN_CONFIGS, ExperimentConfig
-
-_RUNNERS = {
-    "fig2": experiments.run_fig2,
-    "fig3": experiments.run_fig3,
-    "distance": experiments.run_distance_example,
-    "run": experiments.run_config,
-}
-
 
 class ConfigError(Exception):
     """A user-facing usage or configuration problem; the message names the
@@ -71,18 +64,22 @@ def _parse_set(entry: str) -> tuple[str, object]:
 
 def apply_overrides(data: dict, sets: list[str]) -> dict:
     """Apply ``--set key=value`` pairs; a dotted key reaches a nested object
-    and creates the objects missing on its path."""
+    and creates the objects missing on its path.  ``data`` is left unchanged:
+    each override copies the objects on its path, and with no override
+    nothing is copied."""
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object")
-    out = json.loads(json.dumps(data))
+    out = dict(data) if sets else data
     for entry in sets:
         key, value = _parse_set(entry)
         *parents, leaf = key.split(".")
         node, where = out, "config"
         for p in parents:
-            node, where = node.setdefault(p, {}), f"{where}.{p}"
-            if not isinstance(node, dict):
+            child, where = node.get(p, {}), f"{where}.{p}"
+            if not isinstance(child, dict):
                 raise ConfigError(f"{where}: expected an object to set '{key}'")
+            node[p] = dict(child)
+            node = node[p]
         node[leaf] = value
     return out
 
@@ -168,7 +165,8 @@ def main(argv=None) -> int:
             result = experiments.run_property_suite()
             name, controls = "properties", result.metadata["controls"]
         else:
-            result = _RUNNERS[args.command](cfg)
+            result = (experiments.run_config(cfg) if args.command == "run"
+                      else experiments.run_study(args.command, cfg))
             name, controls = cfg.name, dict.fromkeys(result.measure_names, cfg.control_name)
 
         try:

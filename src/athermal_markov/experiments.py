@@ -1,12 +1,18 @@
 """Preconfigured numerical studies and the sweep engine behind them.
 
-Four entry points: a qubit-qubit entanglement-response sweep over bath
-temperature (``run_fig2``), a qubit-qutrit total-correlation and discord
-sweep (``run_fig3``), a qubit-qubit distance-measure counter-example with its
-response bound (``run_distance_example``), and a randomized property suite
-(``run_property_suite``).  Each returns a :class:`SweepResult` whose rows are
-deterministic functions of the configuration; claims about the numbers are
-recorded as deviations instead of raised, so a full table always comes back.
+``run_config`` sweeps any config over its (epsilon, control) grid; with the
+Choi distance it adds a ``choi_distance_bound`` row per grid point (response,
+first-order bound, their gap), and its metadata says whether every search
+converged.  ``run_study`` runs a built-in study, ``fig2`` (qubit-qubit
+entanglement response over bath temperature), ``fig3`` (qubit-qutrit
+correlation and discord response) or ``distance`` (a qubit-qubit
+distance-measure counter-example), and checks its claims from ``CLAIMS``: each
+is a predicate on every row of one measure, on consecutive control values at
+one epsilon, or on consecutive epsilons at one control value.
+``_check_claims`` records a deviation line per failed case and per search that
+did not converge, and flags the rows that fail a row claim; nothing is raised,
+so a full table always comes back.  ``run_property_suite`` runs randomized
+structural checks.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -252,7 +259,12 @@ class ExperimentConfig:
             raise ValueError("perturbation dimension must match the system")
         # every measure's perturbed input needs non-degenerate perturbation theory
         _field("system", thermal.first_order_generator, h_sys, h_prime)
-        coeffs = self.level_coeffs()
+        coeffs = self.initial_coeffs
+        if coeffs is None:
+            coeffs = np.zeros((h_sys.dim, h_sys.dim))
+            coeffs[0, 0] = 1.0 - self.initial_population_a
+            coeffs[-1, -1] = self.initial_population_a
+        coeffs = np.asarray(coeffs, dtype=complex)
         rho = _field("initial_coeffs", thermal.state_from_level_coeffs, h_sys, coeffs)
         rho_eps = tuple(_field("epsilons", thermal.perturbed_state_exact, coeffs, h_sys,
                                PerturbationSpec(h_prime, eps)) for eps in self.epsilons)
@@ -276,13 +288,8 @@ class ExperimentConfig:
         return self.bath.build()
 
     def level_coeffs(self) -> np.ndarray:
-        if self.initial_coeffs is not None:
-            return np.asarray(self.initial_coeffs, dtype=complex)
-        d = self.build_system().dim
-        p = np.zeros((d, d), dtype=complex)
-        p[0, 0] = 1.0 - self.initial_population_a
-        p[-1, -1] = self.initial_population_a
-        return p
+        """The initial state's coefficients in the system energy eigenbasis."""
+        return self.setup.coeffs
 
     @property
     def control_name(self) -> str:
@@ -436,22 +443,24 @@ def _measure_values(measure: str, cfg: ExperimentConfig, ops: list[thermal.Therm
     return [kernel(js) for js in joints], []
 
 
-def _sweep(cfg: ExperimentConfig) -> tuple[SweepResult, dict[tuple[float, float], float]]:
+def run_config(cfg: ExperimentConfig) -> SweepResult:
     """Evaluate every configured measure on the (epsilon, control) grid.
 
     Per control value the operation is built once and applied once to the
     stack of input states, and each closed-form measure is one kernel call on
     its joint states; each measure's unperturbed value serves every epsilon
-    row.  With the Choi distance, its response bounds come back too, keyed by
-    (control, epsilon), and their searches' diagnostics follow the measures'
-    in ``optimizer_diagnostics``.
+    row.  With the Choi distance, each (epsilon, control) pair also gets a
+    ``choi_distance_bound`` row: the distance response, its first-order bound
+    and bound minus response.  The bound searches' diagnostics follow the
+    measures' in ``optimizer_diagnostics``, and ``optimizer_converged`` says
+    whether every search converged.
     """
     setup = cfg.setup
     metadata = _base_metadata(cfg)
     ops = [setup.operation(cfg.beta_for(value)) for value in cfg.sweep_values]
     states = (setup.rho, *setup.rho_eps) if set(cfg.measures) - {"choi_distance"} else ()
     joints = [thermal.apply(op, states) for op in ops] if states else []
-    rows, diags, bounds, bound_diags = [], {}, {}, {}
+    rows, diags, bound_diags = [], {}, {}
     for measure in cfg.measures:
         per_value, per_value_bounds = _measure_values(measure, cfg, ops, joints)
         for value, (before, *after) in zip(cfg.sweep_values, per_value):
@@ -462,34 +471,75 @@ def _sweep(cfg: ExperimentConfig) -> tuple[SweepResult, dict[tuple[float, float]
                                                             ("perturbed", mv)) if v.diagnostics}
                 if tagged:
                     diags[f"{measure}/eps={eps}/x={value}"] = tagged
-        for value, (values, bound_diag) in zip(cfg.sweep_values, per_value_bounds):
-            bounds.update(((value, eps), bound) for eps, bound in zip(cfg.epsilons, values))
+        for value, (bounds, bound_diag), (before, *after) in zip(cfg.sweep_values,
+                                                                 per_value_bounds, per_value):
+            for eps, bound, mv in zip(cfg.epsilons, bounds, after):
+                delta = float(mv.value - before.value)
+                rows.append(SweepRow(value, eps, "choi_distance_bound", delta, bound,
+                                     bound - delta))
             bound_diags[f"choi_distance_bound/x={value}"] = bound_diag
     # keyed in (measure, epsilon, control) order, then the bounds in control order
     metadata["optimizer_diagnostics"] = {
         key: diags[key] for key in (f"{m}/eps={e}/x={v}" for m in cfg.measures
                                     for e in cfg.epsilons for v in cfg.sweep_values) if key in diags
     } | bound_diags
+    metadata["optimizer_converged"] = all(ok for _, ok in _searches(
+        metadata["optimizer_diagnostics"]))
     metadata["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    return SweepResult(_sort_rows(rows), metadata), bounds
+    return SweepResult(_sort_rows(rows), metadata)
 
 
-def run_config(cfg: ExperimentConfig) -> SweepResult:
-    """Evaluate every configured measure on the (epsilon, control) grid."""
-    return _sweep(cfg)[0]
+def _searches(diagnostics: dict):
+    """(label, converged) of each search in ``optimizer_diagnostics``: a bound
+    search is labelled by its key, a measure's searches by ``key/tag``."""
+    for key, diags in diagnostics.items():
+        if "converged" in diags:
+            yield key, diags["converged"]
+        else:
+            yield from ((f"{key}/{tag}", d["converged"]) for tag, d in diags.items())
 
 
-def _flag_rows(result: SweepResult, offenders: set[tuple[str, float, float]]) -> SweepResult:
-    if not offenders:
-        return result
-    rows = tuple(
-        replace(r, status="deviation") if (r.measure, r.epsilon, r.control) in offenders else r
-        for r in result.rows)
-    return SweepResult(rows, result.metadata, result.deviations)
+@dataclass(frozen=True)
+class Claim:
+    """What a study claims of the rows of one measure.
+
+    ``along`` is None for a claim on each row, ``"control"`` for one on each
+    pair of consecutive control values at one epsilon, and ``"epsilon"`` for
+    one on each pair of consecutive epsilons at one control value.  ``holds``
+    takes the row, or the pair in ascending order; ``text`` is the deviation
+    line, formatted with the same rows and ``x``, the name of the control.
+    """
+
+    measure: str
+    along: str | None
+    holds: Callable[..., bool]
+    text: str
 
 
-def _with_deviations(result: SweepResult, deviations: list[str]) -> SweepResult:
-    return SweepResult(result.rows, result.metadata, tuple(deviations))
+def _cases(rows: list[SweepRow], along: str | None) -> list[tuple[SweepRow, ...]]:
+    """Each row, or each pair of rows consecutive in ``along`` with the other
+    coordinate held."""
+    if along is None:
+        return [(r,) for r in rows]
+    held = "epsilon" if along == "control" else "control"
+    series = sorted(rows, key=lambda r: (getattr(r, held), getattr(r, along)))
+    return [(a, b) for a, b in zip(series, series[1:]) if getattr(a, held) == getattr(b, held)]
+
+
+def _check_claims(result: SweepResult, claims: tuple[Claim, ...], control_name: str) -> SweepResult:
+    """``result`` with one deviation line per failed case of ``claims`` and per
+    search that did not converge; the rows that fail a row claim are flagged."""
+    deviations, offenders = [], set()
+    for claim in claims:
+        for case in _cases(result.rows_for(claim.measure), claim.along):
+            if not claim.holds(*case):
+                deviations.append(claim.text.format(*case, x=control_name))
+                if claim.along is None:
+                    offenders.update(case)
+    deviations += [f"optimizer did not converge for {label}"
+                   for label, ok in _searches(result.metadata["optimizer_diagnostics"]) if not ok]
+    rows = tuple(replace(r, status="deviation") if r in offenders else r for r in result.rows)
+    return SweepResult(rows, result.metadata, tuple(deviations))
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +676,43 @@ BUILTIN_CONFIGS = {
     "distance": _distance_data,
 }
 
+# What each built-in study claims of its rows: positive responses that grow
+# along the control grid (fig3: toward its low end) and with epsilon, and a
+# distance response within 5e-4 and under its first-order bound.
+CLAIMS = {
+    "fig2": (
+        Claim("log_negativity", None, lambda r: r.delta > 0,
+              "delta not positive at eps={0.epsilon}, {x}={0.control}: {0.delta}"),
+        Claim("log_negativity", "control", lambda a, b: b.delta >= a.delta - 1e-12,
+              "delta decreases along {x} at eps={0.epsilon}: {x}={0.control}->{1.control}"),
+        Claim("log_negativity", "epsilon", lambda lo, hi: hi.delta > lo.delta,
+              "delta not ordered in eps at {x}={0.control}: eps={0.epsilon} vs {1.epsilon}"),
+    ),
+    "fig3": (
+        Claim("mutual_information", None, lambda r: r.delta > 0,
+              "mutual_information delta not positive at {x}={0.control}: {0.delta}"),
+        Claim("discord", None, lambda r: r.delta > 0,
+              "discord delta not positive at {x}={0.control}: {0.delta}"),
+        Claim("mutual_information", "control", lambda a, b: a.delta > b.delta - 1e-12,
+              "mutual_information delta does not grow toward small {x}: "
+              "{x}={0.control}->{1.control}"),
+    ),
+    "distance": (
+        Claim("choi_distance", None, lambda r: abs(r.delta) <= 5e-4,
+              "|delta D| above 0.0005 at eps={0.epsilon}: {0.delta}"),
+        Claim("choi_distance_bound", None, lambda r: r.unperturbed <= r.perturbed + 1e-6,
+              "response bound violated at eps={0.epsilon}: "
+              "delta={0.unperturbed}, bound={0.perturbed}"),
+    ),
+}
+
+
+def run_study(name: str, cfg: ExperimentConfig | None = None) -> SweepResult:
+    """The sweep of built-in study ``name`` on ``cfg`` (default: the study's
+    own config), with the study's claims checked."""
+    cfg = cfg or ExperimentConfig.from_dict(BUILTIN_CONFIGS[name]())
+    return _check_claims(run_config(cfg), CLAIMS[name], cfg.control_name)
+
 
 def builtin_fig2() -> ExperimentConfig:
     """Qubit system and bath with matched splittings, a two-dimensional
@@ -648,101 +735,6 @@ def builtin_distance() -> ExperimentConfig:
     Compares the channel against the constrained Markovian phase family,
     through the Choi-state distance, for three perturbation strengths."""
     return ExperimentConfig.from_dict(_distance_data())
-
-
-# ---------------------------------------------------------------------------
-# Named experiments with their claims
-# ---------------------------------------------------------------------------
-
-def run_fig2(cfg: ExperimentConfig | None = None) -> SweepResult:
-    """Entanglement-response sweep; checks positivity, growth along the
-    temperature grid, and pointwise ordering in the perturbation strength."""
-    cfg = cfg or builtin_fig2()
-    result = run_config(cfg)
-    deviations: list[str] = []
-    offenders: set[tuple[str, float, float]] = set()
-    rows = result.rows_for("log_negativity")
-    for eps in cfg.epsilons:
-        series = sorted((r for r in rows if r.epsilon == eps), key=lambda r: r.control)
-        for r in series:
-            if not r.delta > 0:
-                offenders.add((r.measure, r.epsilon, r.control))
-                deviations.append(f"delta not positive at eps={eps}, T={r.control}: {r.delta}")
-        for a, b in zip(series, series[1:]):
-            if b.delta < a.delta - 1e-12:
-                deviations.append(
-                    f"delta decreases along T at eps={eps}: T={a.control}->{b.control}")
-    ordered = sorted(cfg.epsilons)
-    for lo, hi in zip(ordered, ordered[1:]):
-        lo_rows = {r.control: r.delta for r in rows if r.epsilon == lo}
-        hi_rows = {r.control: r.delta for r in rows if r.epsilon == hi}
-        for control, d_lo in lo_rows.items():
-            if hi_rows.get(control, np.inf) <= d_lo:
-                deviations.append(
-                    f"delta not ordered in eps at T={control}: eps={lo} vs {hi}")
-    return _with_deviations(_flag_rows(result, offenders), deviations)
-
-
-def run_fig3(cfg: ExperimentConfig | None = None) -> SweepResult:
-    """Total-correlation and discord response sweep; checks positivity of
-    both responses and growth of the correlation response toward the low end
-    of the control grid."""
-    cfg = cfg or builtin_fig3()
-    result = run_config(cfg)
-    deviations: list[str] = []
-    offenders: set[tuple[str, float, float]] = set()
-    for measure in ("mutual_information", "discord"):
-        for r in result.rows_for(measure):
-            if not r.delta > 0:
-                offenders.add((r.measure, r.epsilon, r.control))
-                deviations.append(
-                    f"{measure} delta not positive at x={r.control}: {r.delta}")
-    for eps in cfg.epsilons:
-        series = sorted((r for r in result.rows_for("mutual_information") if r.epsilon == eps),
-                        key=lambda r: r.control)
-        for a, b in zip(series, series[1:]):
-            if not a.delta > b.delta - 1e-12:
-                deviations.append(
-                    f"mutual_information delta does not grow toward small x: "
-                    f"x={a.control}->{b.control}")
-    return _with_deviations(_flag_rows(result, offenders), deviations)
-
-
-DISTANCE_DELTA_TOLERANCE = 5e-4
-
-
-def run_distance_example(cfg: ExperimentConfig | None = None) -> SweepResult:
-    """Distance-measure counter-example: the response stays within
-    ``DISTANCE_DELTA_TOLERANCE`` and below the first-order bound at every strength."""
-    cfg = cfg or builtin_distance()
-    result, bounds = _sweep(cfg)
-    deviations: list[str] = []
-    offenders: set[tuple[str, float, float]] = set()
-
-    diag_map = result.metadata["optimizer_diagnostics"]
-    converged_all = all(diags["converged"] for key, diags in diag_map.items()
-                        if key.startswith("choi_distance_bound/"))
-    bound_rows = []
-    for r in result.rows_for("choi_distance"):
-        if abs(r.delta) > DISTANCE_DELTA_TOLERANCE:
-            offenders.add((r.measure, r.epsilon, r.control))
-            deviations.append(
-                f"|delta D| above {DISTANCE_DELTA_TOLERANCE} at eps={r.epsilon}: {r.delta}")
-        bound = bounds[r.control, r.epsilon]
-        status = "ok" if r.delta <= bound + 1e-6 else "deviation"
-        if status == "deviation":
-            deviations.append(f"response bound violated at eps={r.epsilon}: "
-                              f"delta={r.delta}, bound={bound}")
-        bound_rows.append(SweepRow(r.control, r.epsilon, "choi_distance_bound",
-                                   r.delta, bound, bound - r.delta, status))
-    for key, diags in diag_map.items():
-        for tag in ("unperturbed", "perturbed"):
-            if tag in diags and not diags[tag].get("converged", True):
-                converged_all = False
-                deviations.append(f"optimizer did not converge for {key}/{tag}")
-    metadata = dict(result.metadata, optimizer_converged=converged_all)
-    flagged = _flag_rows(result, offenders)
-    return SweepResult(_sort_rows(flagged.rows + tuple(bound_rows)), metadata, tuple(deviations))
 
 
 # ---------------------------------------------------------------------------

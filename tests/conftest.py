@@ -11,26 +11,26 @@ from athermal_markov import experiments
 RUNTIMES: dict[str, float] = {}
 
 
-def _timed(name, fn):
+def _timed(name, fn, *args):
     t0 = time.monotonic()
-    result = fn()
+    result = fn(*args)
     RUNTIMES[name] = time.monotonic() - t0
     return result
 
 
 @pytest.fixture(scope="session")
 def fig2_result():
-    return _timed("fig2", experiments.run_fig2)
+    return _timed("fig2", experiments.run_study, "fig2")
 
 
 @pytest.fixture(scope="session")
 def fig3_result():
-    return _timed("fig3", experiments.run_fig3)
+    return _timed("fig3", experiments.run_study, "fig3")
 
 
 @pytest.fixture(scope="session")
 def distance_result():
-    return _timed("distance", experiments.run_distance_example)
+    return _timed("distance", experiments.run_study, "distance")
 
 
 @pytest.fixture(scope="session")

@@ -109,6 +109,18 @@ def test_override_reflected_in_metadata():
     assert result.metadata["config"]["epsilons"] == [0.05]
 
 
+def test_overrides_leave_the_input_unchanged():
+    data = builtin_fig2().to_dict()
+    snapshot = copy.deepcopy(data)
+    out = apply_overrides(data, ["epsilons=[0.05]", "optimizer.seeds=3", "sweep.values=[4.0]",
+                                 "mto_relation.offset=1"])
+    assert data == snapshot
+    assert out["epsilons"] == [0.05] and out["optimizer"]["seeds"] == 3
+    assert out["sweep"] == {"values": [4.0], "variable": "temperature"}
+    assert out["mto_relation"] == {"offset": 1}
+    assert apply_overrides(data, []) is data
+
+
 def test_override_unknown_key_rejected():
     with pytest.raises(ConfigError, match=r"^config\.flux: unknown field$"):
         cli.config_from_dict(apply_overrides(builtin_fig2().to_dict(), ["flux=3"]))

@@ -4,6 +4,7 @@ import io
 import os
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from athermal_markov.experiments import (
     BlockSpec,
     ExperimentConfig,
     HamiltonianSpec,
+    SweepResult,
     SweepRow,
     builtin_distance,
     builtin_fig2,
@@ -195,6 +197,17 @@ def test_level_coeffs_from_population():
     assert np.allclose(np.diag(p).real, [0.1, 0.9])
 
 
+def test_builtin_config_builds_each_hamiltonian_spec_once(monkeypatch):
+    built = []
+    original = HamiltonianSpec.build
+    monkeypatch.setattr(HamiltonianSpec, "build", lambda self: built.append(self) or original(self))
+    cfg = builtin_fig2()
+    # the built specs stay referenced, so their ids are distinct
+    counts = Counter(map(id, built))
+    assert id(cfg.system) in counts and set(counts.values()) == {1}
+    assert cfg.level_coeffs() is cfg.setup.coeffs
+
+
 def test_beta_mapping():
     assert builtin_fig2().beta_for(4.0) == 0.25
     assert builtin_fig3().beta_for(0.5) == 0.5
@@ -254,7 +267,7 @@ def test_sweep_computes_each_quantity_once_per_control_value(monkeypatch):
     searches = _counting(monkeypatch, measures, "minimize")
     calls = _counting(monkeypatch, thermal, "apply", "state_from_level_coeffs",
                       "perturbed_state_exact")
-    ex.run_distance_example(_tiny_distance(epsilons=builtin_distance().epsilons))
+    ex.run_study("distance", _tiny_distance(epsilons=builtin_distance().epsilons))
     # the unperturbed distance, one per epsilon (3) and the bound share one search
     assert searches["minimize"] == 1
     assert calls["apply"] == 0
@@ -302,7 +315,7 @@ def test_runs_build_nothing(monkeypatch):
     fig2, distance = _tiny_fig2(), _tiny_distance()
     builds = _counting(monkeypatch, thermal, "build_block_unitary")
     run_config(fig2)
-    ex.run_distance_example(distance)
+    ex.run_study("distance", distance)
     assert builds == {}
 
 
@@ -310,7 +323,7 @@ def test_distance_study_builds_one_operation_per_control_value(monkeypatch):
     cfg = builtin_distance()
     assert len(cfg.sweep_values) == 1
     calls = _counting(monkeypatch, thermal, "gibbs_state")
-    ex.run_distance_example(cfg)
+    ex.run_study("distance", cfg)
     # the bound rides in the sweep's family search, on the operation it built
     assert calls["gibbs_state"] == 1
 
@@ -322,7 +335,7 @@ def test_distance_study_runs_one_family_search(monkeypatch):
         "optimizer": {"seeds": 3, "grid_resolution": 4},
     })
     searches = _counting(monkeypatch, measures, "minimize")
-    result = ex.run_distance_example(cfg)
+    result = ex.run_study("distance", cfg)
     assert searches["minimize"] == 1
     # every row, diagnostic and bound equals a search of its own input
     monkeypatch.undo()
@@ -345,12 +358,15 @@ def test_distance_study_runs_one_family_search(monkeypatch):
             assert recorded[f"choi_distance/eps={eps}/x={value}"] == {
                 "unperturbed": before.diagnostics, "perturbed": mv.diagnostics}
         assert recorded[f"choi_distance_bound/x={value}"] == bound_diags
-    assert list(run_config(cfg).metadata["optimizer_diagnostics"]) == list(recorded)
+    plain = run_config(cfg)
+    assert list(plain.metadata["optimizer_diagnostics"]) == list(recorded)
+    # a plain sweep writes the same rows, bound rows included, and checks no claim
+    assert [replace(r, status="ok") for r in result.rows] == list(plain.rows)
 
 
 def test_distance_metadata_records_the_bound_search():
     cfg = _tiny_distance()
-    metadata = ex.run_distance_example(cfg).metadata
+    metadata = ex.run_study("distance", cfg).metadata
     recorded = {key: diags for key, diags in metadata["optimizer_diagnostics"].items()
                 if key.startswith("choi_distance_bound/")}
     assert list(recorded) == [f"choi_distance_bound/x={v}" for v in cfg.sweep_values]
@@ -454,11 +470,78 @@ def test_deviations_recorded_not_raised():
         "epsilons": [0.0, 0.1],
         "sweep": {"values": [3.0, 4.0], "variable": "temperature"},
     })
-    result = ex.run_fig2(doctored)
+    result = ex.run_study("fig2", doctored)
     assert len(result.rows) == 4
     assert result.deviations  # eps=0 rows are flat zero: positivity claims fail
     flagged = [r for r in result.rows if r.status == "deviation"]
     assert flagged
+
+
+def test_deviation_lines_name_the_control():
+    cfg = ExperimentConfig.from_dict({
+        **builtin_fig2().to_dict(),
+        "epsilons": [0.0, 0.1],
+        "sweep": {"values": [0.25, 0.3], "variable": "inverse_temperature"},
+    })
+    deviations = ex.run_study("fig2", cfg).deviations
+    assert "delta not positive at eps=0.0, beta=0.25: 0.0" in deviations
+    assert not any("T=" in line for line in deviations)
+
+
+CLAIM_CASES = [(study, k) for study, claims in ex.CLAIMS.items() for k in range(len(claims))]
+
+
+@pytest.mark.parametrize("study, k", CLAIM_CASES, ids=[f"{s}-{k}" for s, k in CLAIM_CASES])
+def test_each_claim_reports_exactly_its_violation(request, study, k):
+    claim = ex.CLAIMS[study][k]
+    rows = list(request.getfixturevalue(f"{study}_result").rows)
+    held = ex._check_claims(SweepResult(tuple(rows), {"optimizer_diagnostics": {}}), (claim,), "c")
+    assert held.deviations == () and {r.status for r in held.rows} == {"ok"}
+    first = next(r for r in rows if r.measure == claim.measure)
+    if claim.along is None:
+        # a negative response above its bound breaks every row claim
+        case = (replace(first, unperturbed=1.0, perturbed=0.0, delta=-1.0),)
+        edits = {first: case[0]}
+    else:
+        # swapping the responses of the first pair turns the series against the claim
+        other = "epsilon" if claim.along == "control" else "control"
+        second = next(r for r in rows if r.measure == claim.measure and r is not first
+                      and getattr(r, other) == getattr(first, other))
+        case = (replace(first, delta=second.delta), replace(second, delta=first.delta))
+        edits = {first: case[0], second: case[1]}
+    broken = SweepResult(tuple(edits.get(r, r) for r in rows), {"optimizer_diagnostics": {}})
+    checked = ex._check_claims(broken, (claim,), "c")
+    assert checked.deviations == (claim.text.format(*case, x="c"),)
+    flagged = [r for r in checked.rows if r.status == "deviation"]
+    assert flagged == ([replace(case[0], status="deviation")] if claim.along is None else [])
+
+
+def test_every_unconverged_search_is_a_deviation():
+    diagnostics = {
+        "discord/eps=0.2/x=0.5": {"unperturbed": {"converged": True},
+                                  "perturbed": {"converged": False}},
+        "choi_distance/eps=0.1/x=100.0": {"unperturbed": {"converged": False},
+                                          "perturbed": {"converged": True}},
+        "choi_distance_bound/x=100.0": {"converged": False},
+        "choi_distance_bound/x=20.0": {"converged": True},
+    }
+    checked = ex._check_claims(SweepResult((), {"optimizer_diagnostics": diagnostics}), (), "T")
+    assert checked.deviations == (
+        "optimizer did not converge for discord/eps=0.2/x=0.5/perturbed",
+        "optimizer did not converge for choi_distance/eps=0.1/x=100.0/unperturbed",
+        "optimizer did not converge for choi_distance_bound/x=100.0",
+    )
+
+
+def test_an_unconverged_bound_search_fails_the_study(monkeypatch):
+    original = measures.distance_sweep
+    monkeypatch.setattr(measures, "distance_sweep", lambda *args: [
+        (values, bounds, dict(diags, converged=False))
+        for values, bounds, diags in original(*args)])
+    # every other search of the built-in study converges
+    result = ex.run_study("distance")
+    assert result.metadata["optimizer_converged"] is False
+    assert result.deviations == ("optimizer did not converge for choi_distance_bound/x=100.0",)
 
 
 # -- outputs -----------------------------------------------------------------------

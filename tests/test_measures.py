@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from athermal_markov import measures, thermal
-from athermal_markov.experiments import ExperimentConfig, builtin_distance, run_distance_example
+from athermal_markov.experiments import ExperimentConfig, builtin_distance, run_study
 from athermal_markov.linalg import (
     STATE_TOL,
     SUPPORT_CUTOFF,
@@ -672,7 +672,7 @@ def test_one_point_quotient_evaluates_its_member():
     cfg = ExperimentConfig.from_dict(data)
     op = cfg.setup.operation(1.0)
     assert cfg.setup.family(op).quotient.free_dim == 0
-    result = run_distance_example(cfg)
+    result = run_study("distance", cfg)
     (row,) = result.rows_for("choi_distance")
     assert abs(row.unperturbed - 0.9588510772084058) <= 1e-12
     assert row.status == "ok" and not result.deviations

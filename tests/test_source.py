@@ -71,8 +71,9 @@ DERIVING = {("thermal.py", "apply"), ("linalg.py", "partial_trace"),
             ("measures.py", "MarkovianFamily.operation")}
 
 
-def _unchecked_uses(tree: ast.Module) -> set[str | None]:
-    """Qualified names of the scopes that reference ``._derived`` (None: module level)."""
+def _scopes(tree: ast.Module, hit) -> set[str | None]:
+    """Qualified names of the scopes holding a node for which ``hit`` is true
+    (None: module level)."""
     found = set()
 
     def visit(node, scope):
@@ -80,12 +81,17 @@ def _unchecked_uses(tree: ast.Module) -> set[str | None]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "_derived":
+            if hit(child):
                 found.add(scope)
             visit(child, scope)
 
     visit(tree, None)
     return found
+
+
+def _unchecked_uses(tree: ast.Module) -> set[str | None]:
+    """The scopes that reference ``._derived``."""
+    return _scopes(tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "_derived")
 
 
 def test_unchecked_values_come_only_from_derivations():
@@ -103,3 +109,10 @@ def test_unchecked_state_rule_catches_a_boundary():
     assert routed != source
     uses = {("thermal.py", func) for func in _unchecked_uses(ast.parse(routed))}
     assert uses - DERIVING == {("thermal.py", "state_from_level_coeffs")}
+
+
+def test_only_the_claim_checkers_set_a_deviation_status():
+    # a study states its claims in CLAIMS, so none grows a private claim loop
+    found = {(path.name, scope) for path in MODULES for scope in _scopes(
+        _tree(path), lambda node: isinstance(node, ast.Constant) and node.value == "deviation")}
+    assert found == {("experiments.py", "_check_claims"), ("experiments.py", "run_property_suite")}
