@@ -103,11 +103,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("run", "validate"):
             p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config field (JSON-parsed value; repeatable)")
-        p.add_argument("--grid", type=int, default=None, help="optimizer grid resolution")
-        p.add_argument("--tol", type=float, default=None, help="optimizer value tolerance")
-        p.add_argument("--seed-list", default=None, help="optimizer seed sequence identifier")
+        # the property suite reads no config, so it takes none of the config flags
+        if name != "properties":
+            p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                           help="override a config field (JSON-parsed value; repeatable)")
+            p.add_argument("--grid", type=int, default=None, help="optimizer grid resolution")
+            p.add_argument("--tol", type=float, default=None, help="optimizer value tolerance")
+            p.add_argument("--seed-list", default=None, help="optimizer seed sequence identifier")
         p.add_argument("--no-svg", action="store_true", help="skip SVG output")
         p.add_argument("--verbose", action="store_true", help="print rows and metadata")
     return parser

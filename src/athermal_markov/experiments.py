@@ -236,8 +236,10 @@ class ExperimentConfig:
         if not self.sweep_values or not all(math.isfinite(v) and v > 0 and math.isfinite(
                 self.beta_for(v)) for v in self.sweep_values):
             raise ValueError("sweep_values must be finite and positive, with a finite inverse")
-        if not all(math.isfinite(e) and e >= 0 for e in self.epsilons):
-            raise ValueError("epsilons must be finite and nonnegative")
+        if not self.epsilons or not all(math.isfinite(e) and e >= 0 for e in self.epsilons):
+            raise ValueError("epsilons must be nonempty, finite and nonnegative")
+        if not self.measures:
+            raise ValueError("measures must not be empty")
         for m in self.measures:
             if m not in self.KNOWN_MEASURES:
                 raise ValueError(f"unknown measure '{m}'")

@@ -17,6 +17,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .linalg import (
     DensityMatrix,
     dagger,
     eigh,
-    partial_trace,
     reduce_mod_2pi,
     trace_norm,
     trace_out_second,
@@ -65,8 +65,7 @@ class Hamiltonian:
     @classmethod
     def from_matrix(cls, matrix) -> "Hamiltonian":
         m = np.asarray(matrix, dtype=complex)
-        w, v = eigh(m)
-        return cls(m, w, v)
+        return cls(m, *eigh(m))
 
     @property
     def dim(self) -> int:
@@ -112,11 +111,8 @@ class GibbsState:
 
 def _boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
     if math.isinf(beta):
-        w = np.zeros(len(energies))
-        w[0] = 1.0
-        return w
-    shifted = -beta * (energies - energies.min())
-    w = np.exp(shifted)
+        return np.eye(len(energies))[0]
+    w = np.exp(-beta * (energies - energies.min()))
     return w / w.sum()
 
 
@@ -187,6 +183,30 @@ class EnergyBlockUnitary:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def amplitude_table(self) -> "AmplitudeTable":
+        """The :class:`AmplitudeTable` of ``hamiltonian.parts``, built on first use."""
+        if self.hamiltonian.parts is None:
+            raise ValueError("unitary was not built from a system+bath total Hamiltonian")
+        h_sys, h_bath = self.hamiltonian.parts
+        d_s, d_b = h_sys.dim, h_bath.dim
+        levels = _bath_levels(h_sys, h_bath)
+        # U in the product eigenbasis on axes (j, r', i, r); r' = -1 reads an entry masked below
+        v = np.kron(h_sys.eigvecs, h_bath.eigvecs)
+        u = (dagger(v) @ self.matrix @ v).reshape(d_s, d_b, d_s, d_b)
+        s = np.arange(d_s)
+        amplitudes = np.where(levels < 0, np.nan,
+                              u[s[None, :, None], levels, s[:, None, None], np.arange(d_b)])
+        diag = amplitudes[s, s]
+        z = diag[:, None] * diag.conj()
+        # only i < j is constrained, and only on a non-degenerate Bohr spectrum
+        free = np.isnan(z) | (s[:, None] >= s[None, :])[..., None] | (not h_sys.bohr_nondegenerate())
+        table = AmplitudeTable(amplitudes, levels, np.nan_to_num(np.abs(amplitudes) ** 2),
+                               np.nan_to_num(z), free)
+        for arr in table:
+            arr.flags.writeable = False
+        return table
 
 
 def _coerce_block_unitary(param, size: int) -> np.ndarray:
@@ -322,35 +342,47 @@ def apply_to_operator(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
 # Markovianity constraints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MtoConstraintReport:
     """Outcome of the Markovianity check for one unitary and input state.
 
     ``joint_product_deviation`` is the trace distance between the evolved
-    joint state and (evolved system) (x) tau.  ``amplitude_residuals`` maps
-    (i, j, bath level) to the violation of the transition-amplitude
-    constraint, ``phase_residuals`` maps system pairs (i, j) to the spread of
-    the diagonal phase products across bath levels; ``None`` marks a
-    combination the constraint system does not constrain (missing bath level,
-    or degenerate Bohr spectrum for the off-diagonal law).
+    joint state and (evolved system) (x) tau.  ``amplitude_residuals[i, j, r]``
+    (d_sys x d_sys x d_bath) are the transition-amplitude violations and
+    ``phase_residuals[i, j]`` (d_sys x d_sys) the spreads of the diagonal phase
+    products over bath levels.  NaN marks what the constraints leave free: a
+    missing bath level, a zero bath weight, i >= j or a degenerate Bohr spectrum.
     """
 
     is_markovian: bool
     joint_product_deviation: float
-    amplitude_residuals: dict[tuple[int, int, int], float | None]
-    phase_residuals: dict[tuple[int, int], float | None]
+    amplitude_residuals: np.ndarray
+    phase_residuals: np.ndarray
 
     def max_amplitude_residual(self) -> float:
-        vals = [v for v in self.amplitude_residuals.values() if v is not None]
-        return max(vals, default=0.0)
+        return float(np.fmax.reduce(self.amplitude_residuals, axis=None, initial=0.0))
 
     def max_phase_residual(self) -> float:
-        vals = [v for v in self.phase_residuals.values() if v is not None]
-        return max(vals, default=0.0)
+        return float(np.fmax.reduce(self.phase_residuals, axis=None, initial=0.0))
 
     def residuals_markovian(self) -> bool:
         return (self.max_amplitude_residual() <= STATE_TOL
                 and self.max_phase_residual() <= STATE_TOL)
+
+
+class AmplitudeTable(NamedTuple):
+    """Per-unitary arrays of the Markovianity check, indexed [i, j, r] over system
+    levels i, j and bath levels r.  ``levels`` holds r', the bath level at
+    E_r + E_i - E_j, or -1 where it is missing; ``amplitudes`` holds
+    <j, r'| U |i, r> (NaN where missing) and ``weights`` its squared modulus.
+    ``phase_products`` holds a[i, i, r] conj(a[j, j, r]), constrained where
+    ``phase_free`` is false.  Missing entries weigh 0."""
+
+    amplitudes: np.ndarray
+    levels: np.ndarray
+    weights: np.ndarray
+    phase_products: np.ndarray
+    phase_free: np.ndarray
 
 
 def _bath_levels(h_sys: Hamiltonian, h_bath: Hamiltonian) -> np.ndarray:
@@ -362,83 +394,50 @@ def _bath_levels(h_sys: Hamiltonian, h_bath: Hamiltonian) -> np.ndarray:
     return np.where(hits.sum(axis=-1) == 1, hits.argmax(axis=-1), -1)
 
 
-def transition_amplitudes(op: ThermalOperation) -> dict[tuple[int, int, int], complex | None]:
-    """Matrix elements <j, r'| U |i, r> with r' the bath level at E_r + E_i - E_j.
+def _amplitude_table(op: ThermalOperation) -> AmplitudeTable:
+    """The unitary's table, once the operation's bath is the one it was built on."""
+    table = op.unitary.amplitude_table
+    own, bath = op.unitary.hamiltonian.parts[1], op.bath.hamiltonian
+    if bath is not own and not (np.array_equal(bath.energies, own.energies)
+                                and np.array_equal(bath.eigvecs, own.eigvecs)):
+        raise ValueError("bath Hamiltonian differs from the one the unitary was built on")
+    return table
 
-    Keys are (i, j, r) over system levels i, j and bath levels r; the value is
-    ``None`` when no unique bath level sits at the required energy.
-    """
-    return _transition_amplitudes(op, _bath_levels(op.system_hamiltonian, op.bath.hamiltonian))
 
-
-def _transition_amplitudes(op: ThermalOperation, levels: np.ndarray) -> dict:
-    """:func:`transition_amplitudes` on a level table ``_bath_levels`` returned."""
-    h_sys = op.system_hamiltonian
-    h_bath = op.bath.hamiltonian
-    # U in the product eigenbasis: column i*d_bath + r is the ket |i, r>
-    v = np.kron(h_sys.eigvecs, h_bath.eigvecs)
-    u = dagger(v) @ op.unitary.matrix @ v
-    d_bath = h_bath.dim
-    return {(i, j, r): None if rp < 0 else complex(u[j * d_bath + rp, i * d_bath + r])
-            for (i, j, r), rp in np.ndenumerate(levels)}
+def transition_amplitudes(op: ThermalOperation) -> np.ndarray:
+    """a[i, j, r] = <j, r'| U |i, r>, r' the bath level at E_r + E_i - E_j, NaN where no
+    unique level sits there: the unitary's cached read-only (d_sys, d_sys, d_bath) array.
+    Raises ValueError unless the bath is the one the unitary was built on."""
+    return _amplitude_table(op).amplitudes
 
 
 def mto_check(op: ThermalOperation, rho_sys: DensityMatrix) -> MtoConstraintReport:
     """Check Markovianity of one application of the channel.
 
-    The direct verdict compares the evolved joint state against the tensor
-    product of its marginal with the untouched bath.  The residual system
-    re-derives the same verdict from the unitary parameters alone: the
-    squared transition amplitudes must match the Boltzmann-weighted
-    transition probabilities, and for a system with a non-degenerate Bohr
-    spectrum the diagonal phase products must be independent of the bath
-    level.
+    The direct verdict compares the evolved joint state with the tensor
+    product of its marginal and the untouched bath.  The residual system
+    re-derives it from the unitary alone: squared transition amplitudes must
+    match the Boltzmann-weighted transition probabilities, and on a
+    non-degenerate Bohr spectrum the diagonal phase products must not depend
+    on the bath level.  Only the bath weights depend on the temperature.
     """
-    joint = apply(op, rho_sys)
-    product = np.kron(partial_trace(joint, 0).matrix, op.bath.state.matrix)
-    deviation = 0.5 * trace_norm(joint.matrix - product)
+    t = _amplitude_table(op)
+    joint = evolve(op.unitary.matrix, op.bath.state.matrix, rho_sys.matrix)
+    # rho' (x) tau, as np.kron forms it but without its per-call overhead
+    product = np.multiply.outer(trace_out_second(joint, op.d_sys, op.d_bath),
+                                op.bath.state.matrix).swapaxes(1, 2).reshape(joint.shape)
+    # the difference is Hermitian, so its trace norm is the sum of |eigenvalues|
+    deviation = 0.5 * float(np.abs(np.linalg.eigvalsh(joint - product)).sum())
 
-    h_sys = op.system_hamiltonian
-    h_bath = op.bath.hamiltonian
-    p_bath = op.bath.level_probabilities
-    levels = _bath_levels(h_sys, h_bath)
-    amps = _transition_amplitudes(op, levels)
-
-    # P(i -> j) from the available amplitudes.
-    pij = np.zeros((h_sys.dim, h_sys.dim))
-    for (i, j, r), a in amps.items():
-        if a is not None:
-            pij[i, j] += p_bath[r] * abs(a) ** 2
-    amplitude_residuals = {
-        (i, j, r): None if a is None or p_bath[r] <= 0
-        else abs(abs(a) ** 2 - p_bath[levels[i, j, r]] * pij[i, j] / p_bath[r])
-        for (i, j, r), a in amps.items()}
-
-    phase_residuals: dict[tuple[int, int], float | None] = {}
-    bohr_ok = h_sys.bohr_nondegenerate()
-    for i in range(h_sys.dim):
-        for j in range(i + 1, h_sys.dim):
-            if not bohr_ok:
-                phase_residuals[(i, j)] = None
-                continue
-            products = []
-            for r in range(h_bath.dim):
-                ai = amps[(i, i, r)]
-                aj = amps[(j, j, r)]
-                if ai is None or aj is None:
-                    continue
-                products.append((r, ai * aj.conjugate()))
-            if not products:
-                phase_residuals[(i, j)] = None
-                continue
-            lam = sum(p_bath[r] * z for r, z in products)
-            phase_residuals[(i, j)] = max(abs(z - lam) for _, z in products)
-
+    p = op.bath.level_probabilities
+    pij = t.weights @ p  # P(i -> j) from the available amplitudes
+    ratio = np.divide(p[t.levels] * pij[..., None], p, out=np.full_like(t.weights, np.nan), where=p > 0)
+    spread = np.abs(t.phase_products - (t.phase_products @ p)[..., None])
     return MtoConstraintReport(
-        is_markovian=bool(deviation <= STATE_TOL),
-        joint_product_deviation=float(deviation),
-        amplitude_residuals=amplitude_residuals,
-        phase_residuals=phase_residuals,
+        is_markovian=deviation <= STATE_TOL,
+        joint_product_deviation=deviation,
+        amplitude_residuals=np.where(t.levels < 0, np.nan, np.abs(t.weights - ratio)),
+        phase_residuals=np.fmax.reduce(np.where(t.phase_free, np.nan, spread), axis=-1),
     )
 
 

@@ -284,6 +284,27 @@ def test_verbose_property_rows_name_their_control(tmp_path, capsys):
     }
 
 
+
+@pytest.mark.parametrize("flag, value", [("--set", "x=1"), ("--grid", "3"), ("--tol", "5"),
+                                         ("--seed-list", "zz")])
+def test_properties_rejects_config_flags(tmp_path, capsys, flag, value):
+    # the property suite reads no config, so a config flag is an error, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["properties", "--out", str(tmp_path / "props"), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "props").exists()
+
+
+@pytest.mark.parametrize("field", ["epsilons", "measures"])
+def test_empty_list_fields_exit_2_and_write_nothing(tmp_path, capsys, field):
+    out = tmp_path / "out"
+    assert main(["fig2", "--out", str(out), "--set", f"{field}=[]"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must" in err
+    assert not out.exists()
+
+
 BAD_OVERRIDES = [
     "epsilons=[NaN]",
     "sweep.values=[NaN]",

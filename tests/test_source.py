@@ -116,3 +116,24 @@ def test_only_the_claim_checkers_set_a_deviation_status():
     found = {(path.name, scope) for path in MODULES for scope in _scopes(
         _tree(path), lambda node: isinstance(node, ast.Constant) and node.value == "deviation")}
     assert found == {("experiments.py", "_check_claims"), ("experiments.py", "run_property_suite")}
+
+
+def _ndenumerate_uses(tree: ast.Module) -> list[int]:
+    """Lines that name ``ndenumerate``: an attribute, a bare name or an import."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "ndenumerate")
+            or (isinstance(node, ast.Name) and node.id == "ndenumerate")
+            or (isinstance(node, ast.alias) and node.name == "ndenumerate")]
+
+
+def test_no_ndenumerate_under_src():
+    # the package computes on whole arrays; an entry-by-entry walk does not come back
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.parent.rglob("*.py"))
+             for line in _ndenumerate_uses(_tree(path))]
+    assert found == []
+
+
+def test_ndenumerate_rule_catches_each_spelling():
+    for source in ("for k, v in np.ndenumerate(a): pass", "from numpy import ndenumerate",
+                   "f = ndenumerate"):
+        assert _ndenumerate_uses(ast.parse(source)) == [1], source

@@ -31,6 +31,7 @@ from athermal_markov.thermal import (
 from util import SIGMA_X, SIGMA_Z, random_density, random_hermitian, random_unitary
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
+EPS = np.finfo(float).eps
 GELL_MANN_1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
 
 
@@ -420,10 +421,10 @@ def test_mto_check_swap_amplitude_residuals_use_the_matched_bath_level():
     report = mto_check(op, DensityMatrix(np.eye(2) / 2, (2,)))
     expected = {(0, 0, 0): p1, (0, 0, 1): p0, (0, 1, 0): None, (0, 1, 1): p1,
                 (1, 0, 0): p0, (1, 0, 1): None, (1, 1, 0): p1, (1, 1, 1): p0}
-    assert report.amplitude_residuals.keys() == expected.keys()
+    assert report.amplitude_residuals.shape == (2, 2, 2)
     for key, want in expected.items():
         have = report.amplitude_residuals[key]
-        assert (have is None) if want is None else abs(have - want) < 1e-12, key
+        assert np.isnan(have) if want is None else abs(have - want) < 1e-12, key
 
 
 def test_mto_check_distance_example_phases_residual_value():
@@ -455,6 +456,7 @@ def test_mto_check_distance_example_phases_residual_value():
 
 
 def test_mto_check_resolves_bath_levels_once(monkeypatch):
+    # the level table is per unitary: eight temperatures of one unitary resolve it once
     calls = []
 
     def counted(*args, _original=thermal._bath_levels):
@@ -463,9 +465,30 @@ def test_mto_check_resolves_bath_levels_once(monkeypatch):
 
     monkeypatch.setattr(thermal, "_bath_levels", counted)
     h_bath = Hamiltonian.from_matrix(10 * SIGMA_Z)
-    op = phase_diag_op([[1.0, 2.0], [3.0, 4.0]], h_bath=h_bath, beta=0.3)
-    mto_check(op, random_density(np.random.default_rng(26), 2))
+    unitary = phase_diag_op([[1.0, 2.0], [3.0, 4.0]], h_bath=h_bath).unitary
+    rho = random_density(np.random.default_rng(26), 2)
+    for beta in np.linspace(0.1, 2.0, 8):
+        op = thermal_operation(unitary, gibbs_state(h_bath, beta))
+        mto_check(op, rho)
+        amps = thermal.transition_amplitudes(op)
     assert len(calls) == 1
+    assert amps is unitary.amplitude_table.amplitudes and not amps.flags.writeable
+
+
+def test_mto_check_rejects_a_bath_the_unitary_was_not_built_on():
+    h_bath = Hamiltonian.from_matrix(10 * SIGMA_Z)
+    unitary = phase_diag_op([[1.0, 2.0], [3.0, 4.0]], h_bath=h_bath).unitary
+    rho = random_density(np.random.default_rng(27), 2)
+    # an equal bath built again is accepted, with the same verdict
+    same = thermal_operation(unitary, gibbs_state(Hamiltonian.from_matrix(10 * SIGMA_Z), 0.3))
+    own = thermal_operation(unitary, gibbs_state(h_bath, 0.3))
+    assert mto_check(same, rho).joint_product_deviation == mto_check(own, rho).joint_product_deviation
+    for other in (Hamiltonian.from_matrix(3 * SIGMA_Z), Hamiltonian.from_matrix(10 * SIGMA_X)):
+        op = thermal_operation(unitary, gibbs_state(other, 0.3))
+        with pytest.raises(ValueError, match="bath Hamiltonian differs"):
+            mto_check(op, rho)
+        with pytest.raises(ValueError, match="bath Hamiltonian differs"):
+            thermal.transition_amplitudes(op)
 
 
 def test_mto_check_equivalence_random_sweep():
@@ -536,18 +559,19 @@ def test_transition_amplitudes_match_kron_reference(d_sys, d_bath):
     amps = thermal.transition_amplitudes(op)
     vs, vb, u = h_sys.eigvecs, h_bath.eigvecs, op.unitary.matrix
     found = 0
-    for (i, j, r), amp in amps.items():
+    for i, j, r in np.ndindex(amps.shape):
+        amp = amps[i, j, r]
         target = h_bath.energies[r] + h_sys.energies[i] - h_sys.energies[j]
         hits = [k for k, e in enumerate(h_bath.energies) if abs(e - target) <= thermal.DEGENERACY_TOL]
         rp = hits[0] if len(hits) == 1 else None
         if rp is None:
-            assert amp is None
+            assert np.isnan(amp)
             continue
         bra = np.kron(vs[:, j], vb[:, rp])
         ket = np.kron(vs[:, i], vb[:, r])
         assert abs(amp - bra.conj() @ u @ ket) < 1e-12
         found += 1
-    assert len(amps) == d_sys * d_sys * d_bath and found > d_sys * d_bath
+    assert amps.shape == (d_sys, d_sys, d_bath) and found > d_sys * d_bath
 
 
 def test_mto_check_degenerate_bohr_marks_phase_residuals_na():
@@ -558,7 +582,8 @@ def test_mto_check_degenerate_bohr_marks_phase_residuals_na():
     op = thermal_operation(build_block_unitary(h_tot, params), gibbs_state(h_bath, 1.0))
     rng = np.random.default_rng(28)
     report = mto_check(op, random_density(rng, 3))
-    assert all(v is None for v in report.phase_residuals.values())
+    assert report.phase_residuals.shape == (3, 3)
+    assert np.isnan(report.phase_residuals).all()
 
 
 def test_mto_check_missing_bath_level_marked_na():
@@ -569,10 +594,116 @@ def test_mto_check_missing_bath_level_marked_na():
     op = thermal_operation(build_block_unitary(h_tot, [0.0] * 6), gibbs_state(h_bath, 1.0))
     rng = np.random.default_rng(29)
     report = mto_check(op, random_density(rng, 2))
-    offdiag = [v for (i, j, r), v in report.amplitude_residuals.items() if i != j]
-    assert all(v is None for v in offdiag)
-    diag = [v for (i, j, r), v in report.amplitude_residuals.items() if i == j]
-    assert all(v is not None and v < 1e-12 for v in diag)
+    offdiag = ~np.eye(2, dtype=bool)
+    assert np.isnan(report.amplitude_residuals[offdiag]).all()
+    diag = report.amplitude_residuals[np.eye(2, dtype=bool)]
+    assert diag.shape == (2, 3) and (diag < 1e-12).all()
+
+
+def _reference_mto_check(op, rho_sys):
+    """Reference: the Markovianity check with dict-valued residuals, keyed by
+    (i, j, r) and (i < j), None where unconstrained, built by element loops."""
+    joint = apply(op, rho_sys)
+    product = np.kron(partial_trace(joint, 0).matrix, op.bath.state.matrix)
+    deviation = 0.5 * trace_norm(joint.matrix - product)
+    h_sys, h_bath = op.system_hamiltonian, op.bath.hamiltonian
+    d_s, d_b = h_sys.dim, h_bath.dim
+    p_bath = op.bath.level_probabilities
+    v = np.kron(h_sys.eigvecs, h_bath.eigvecs)
+    u = dagger(v) @ op.unitary.matrix @ v
+    levels, amps = {}, {}
+    for i in range(d_s):
+        for j in range(d_s):
+            for r in range(d_b):
+                target = h_bath.energies[r] + h_sys.energies[i] - h_sys.energies[j]
+                hits = [k for k in range(d_b) if abs(h_bath.energies[k] - target) <= DEGENERACY_TOL]
+                levels[i, j, r] = hits[0] if len(hits) == 1 else None
+                amps[i, j, r] = None if len(hits) != 1 else complex(u[j * d_b + hits[0], i * d_b + r])
+    pij = np.zeros((d_s, d_s))
+    for (i, j, r), a in amps.items():
+        if a is not None:
+            pij[i, j] += p_bath[r] * abs(a) ** 2
+    amplitude_residuals = {
+        (i, j, r): None if a is None or p_bath[r] <= 0
+        else abs(abs(a) ** 2 - p_bath[levels[i, j, r]] * pij[i, j] / p_bath[r])
+        for (i, j, r), a in amps.items()}
+    phase_residuals = {}
+    bohr_ok = h_sys.bohr_nondegenerate()
+    for i in range(d_s):
+        for j in range(i + 1, d_s):
+            products = [(r, amps[i, i, r] * amps[j, j, r].conjugate()) for r in range(d_b)
+                        if amps[i, i, r] is not None and amps[j, j, r] is not None]
+            if not bohr_ok or not products:
+                phase_residuals[i, j] = None
+                continue
+            lam = sum(p_bath[r] * z for r, z in products)
+            phase_residuals[i, j] = max(abs(z - lam) for _, z in products)
+    return deviation, amplitude_residuals, phase_residuals
+
+
+def _reference_channels():
+    """(label, unitary, bath Hamiltonian) on random pairs up to 4x9."""
+    rng = np.random.default_rng(4100)
+
+    def rotated(energies):
+        v = random_unitary(rng, len(energies))
+        return Hamiltonian.from_matrix((v * np.asarray(energies, dtype=float)) @ dagger(v))
+
+    for d_s, d_b in [(2, 2), (2, 3), (3, 3), (2, 6), (3, 4), (4, 4), (3, 6), (4, 9)]:
+        kinds = {
+            # generic spectra: every off-diagonal bath level is missing
+            "generic": (Hamiltonian.from_matrix(random_hermitian(rng, d_s)),
+                        Hamiltonian.from_matrix(random_hermitian(rng, d_b))),
+            # rotated ladders: a degenerate Bohr spectrum and degenerate total blocks
+            "ladder": (rotated(np.arange(d_s)), rotated(np.arange(d_b))),
+            # a non-degenerate Bohr system on a ladder bath: some levels found, some missing
+            "mixed": (rotated(np.cumsum(rng.choice([1.0, 2.0, 5.0], size=d_s, replace=False))
+                              if d_s <= 3 else np.array([0.0, 1.0, 3.0, 7.0])),
+                      rotated(np.arange(d_b))),
+        }
+        for label, (h_sys, h_bath) in kinds.items():
+            h_tot = total_hamiltonian(h_sys, h_bath)
+            params = [float(rng.uniform(0, 2 * np.pi)) if len(idx) == 1
+                      else random_unitary(rng, len(idx)) for _, idx in h_tot.energy_blocks()]
+            yield f"{label} {d_s}x{d_b}", build_block_unitary(h_tot, params), h_bath
+
+
+def test_mto_check_matches_the_dict_reference():
+    rng = np.random.default_rng(4101)
+    seen = {"bohr_degenerate": 0, "missing": 0, "found_offdiag": 0, "zero_weight": 0, "blocks": 0}
+    for label, unitary, h_bath in _reference_channels():
+        d_s, d_b = unitary.hamiltonian.parts[0].dim, h_bath.dim
+        seen["bohr_degenerate"] += not unitary.hamiltonian.parts[0].bohr_nondegenerate()
+        seen["blocks"] += any(len(idx) > 1 for _, idx in unitary.hamiltonian.energy_blocks())
+        for beta in (0.0, 0.4, 1.5, math.inf):
+            op = thermal_operation(unitary, gibbs_state(h_bath, beta))
+            rho = random_density(rng, d_s)
+            report = mto_check(op, rho)
+            deviation, amplitude, phase = _reference_mto_check(op, rho)
+            where = f"{label} beta={beta}"
+            assert report.amplitude_residuals.shape == (d_s, d_s, d_b), where
+            assert report.phase_residuals.shape == (d_s, d_s), where
+            # a sum of d eigenvalue moduli, each accurate to eps * ||joint - product|| <= 2 eps
+            assert abs(report.joint_product_deviation - deviation) <= d_s * d_b * EPS, where
+            for key, want in amplitude.items():
+                have = report.amplitude_residuals[key]
+                if want is None:
+                    assert np.isnan(have), (where, key)
+                else:
+                    assert abs(have - want) <= 1e-14 * max(1.0, want), (where, key)
+            for i, j in np.ndindex(d_s, d_s):
+                want = phase.get((i, j))
+                have = report.phase_residuals[i, j]
+                assert np.isnan(have) if want is None else abs(have - want) <= 1e-14, (where, i, j)
+            ref_max = [max((x for x in d.values() if x is not None), default=0.0)
+                       for d in (amplitude, phase)]
+            assert report.is_markovian == (deviation <= thermal.STATE_TOL), where
+            assert report.residuals_markovian() == all(m <= thermal.STATE_TOL for m in ref_max), where
+            offdiag = [k for k in amplitude if k[0] != k[1]]
+            seen["missing"] += sum(amplitude[k] is None for k in offdiag)
+            seen["found_offdiag"] += sum(amplitude[k] is not None for k in offdiag)
+            seen["zero_weight"] += int((op.bath.level_probabilities == 0).any())
+    assert all(seen.values()), seen
 
 
 # -- perturbation -----------------------------------------------------------------------
