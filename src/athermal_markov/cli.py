@@ -102,7 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         if name in ("run", "validate"):
             p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--out", default="./out", help="output directory (default ./out)")
+        # validate writes and prints no result, so it takes none of the output flags
+        if name != "validate":
+            p.add_argument("--out", default="./out", help="output directory (default ./out)")
+            p.add_argument("--no-svg", action="store_true", help="skip SVG output")
+            p.add_argument("--verbose", action="store_true", help="print rows and metadata")
         # the property suite reads no config, so it takes none of the config flags
         if name != "properties":
             p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -110,8 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", type=int, default=None, help="optimizer grid resolution")
             p.add_argument("--tol", type=float, default=None, help="optimizer value tolerance")
             p.add_argument("--seed-list", default=None, help="optimizer seed sequence identifier")
-        p.add_argument("--no-svg", action="store_true", help="skip SVG output")
-        p.add_argument("--verbose", action="store_true", help="print rows and metadata")
     return parser
 
 

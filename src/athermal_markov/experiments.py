@@ -9,9 +9,10 @@ correlation and discord response) or ``distance`` (a qubit-qubit
 distance-measure counter-example), and checks its claims from ``CLAIMS``: each
 is a predicate on every row of one measure, on consecutive control values at
 one epsilon, or on consecutive epsilons at one control value.
-``_check_claims`` records a deviation line per failed case and per search that
-did not converge, and flags the rows that fail a row claim; nothing is raised,
-so a full table always comes back.  ``run_property_suite`` runs randomized
+``_check_claims`` records a deviation line per epsilon outside the
+perturbative regime, per failed case and per search that did not converge,
+and flags the rows that fail a row claim; nothing is raised, so a full table
+always comes back.  ``run_property_suite`` runs randomized
 structural checks.
 """
 
@@ -30,7 +31,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import measures, thermal
-from .linalg import DensityMatrix, dagger, partial_trace, partial_transpose, trace_norm
+from .linalg import (DensityMatrix, dagger, partial_trace, partial_transpose, spectrum_entropy,
+                     trace_norm)
 from .optimize import OptimizerConfig, PhaseManifold, constrained_phase_manifold
 from .thermal import Hamiltonian, PerturbationSpec
 
@@ -428,9 +430,12 @@ def _measure_values(measure: str, cfg: ExperimentConfig, ops: list[thermal.Therm
     in ``ops``, then one value per config epsilon; ``joints`` holds each control
     value's evolved input states in that order.  Discord is one search over
     every joint state of the sweep, and the Choi distance one family search
-    over every distance and response bound of the sweep.  Second, per control
-    value, its bounds at the config epsilons with their search's diagnostics;
-    empty for the other measures."""
+    over every distance and response bound of the sweep.  The mutual
+    information takes each joint entropy from the input spectra: a joint
+    state U (rho_k (x) tau) U^dag has the spectrum p_k (x) q, with p_k from
+    one ``eigvalsh`` of the stack of inputs and q the bath weights.  Second,
+    per control value, its bounds at the config epsilons with their search's
+    diagnostics; empty for the other measures."""
     if measure == "choi_distance":
         setup = cfg.setup
         studies = measures.distance_sweep([(op, setup.family(op)) for op in ops], setup.h_prime,
@@ -440,9 +445,15 @@ def _measure_values(measure: str, cfg: ExperimentConfig, ops: list[thermal.Therm
         flat = measures.discord([joint for js in joints for joint in js], cfg.optimizer)
         n = len(joints[0])
         return [flat[k:k + n] for k in range(0, len(flat), n)], []
-    kernel = (measures.log_negativities if measure == "log_negativity"
-              else measures.mutual_informations)
-    return [kernel(js) for js in joints], []
+    if measure == "log_negativity":
+        return [measures.log_negativities(js) for js in joints], []
+    setup = cfg.setup
+    p = np.linalg.eigvalsh(np.array([rho.matrix for rho in (setup.rho, *setup.rho_eps)]))
+    values = []
+    for op, js in zip(ops, joints):
+        spectra = np.multiply.outer(p, op.bath.level_probabilities).reshape(len(p), -1)
+        values.append(measures.mutual_informations(js, spectrum_entropy(spectra)))
+    return values, []
 
 
 def run_config(cfg: ExperimentConfig) -> SweepResult:
@@ -528,10 +539,12 @@ def _cases(rows: list[SweepRow], along: str | None) -> list[tuple[SweepRow, ...]
     return [(a, b) for a, b in zip(series, series[1:]) if getattr(a, held) == getattr(b, held)]
 
 
-def _check_claims(result: SweepResult, claims: tuple[Claim, ...], control_name: str) -> SweepResult:
-    """``result`` with one deviation line per failed case of ``claims`` and per
+def _check_claims(result: SweepResult, claims: tuple[Claim, ...], control_name: str,
+                  outside: tuple[str, ...] = ()) -> SweepResult:
+    """``result`` with the deviation lines ``outside`` (the epsilons outside the
+    perturbative regime), then one per failed case of ``claims`` and one per
     search that did not converge; the rows that fail a row claim are flagged."""
-    deviations, offenders = [], set()
+    deviations, offenders = list(outside), set()
     for claim in claims:
         for case in _cases(result.rows_for(claim.measure), claim.along):
             if not claim.holds(*case):
@@ -678,6 +691,10 @@ BUILTIN_CONFIGS = {
     "distance": _distance_data,
 }
 
+# A built-in study's epsilon is perturbative while eps ||H'||_2 stays below this
+# share of the smallest system gap; the built-in configs sit at 0.005-0.1.
+PERTURBATIVE_LIMIT = 0.5
+
 # What each built-in study claims of its rows: positive responses that grow
 # along the control grid (fig3: toward its low end) and with epsilon, and a
 # distance response within 5e-4 and under its first-order bound.
@@ -709,11 +726,26 @@ CLAIMS = {
 }
 
 
+def _outside_perturbative_regime(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """A deviation line per config epsilon at which eps ||H'||_2 / (minimum
+    system gap) reaches ``PERTURBATIVE_LIMIT``; a one-level system has no gap."""
+    setup = cfg.setup
+    gaps = np.diff(setup.h_sys.energies)
+    if not len(gaps):
+        return ()
+    # H' is Hermitian: its spectral norm is its largest |energy|
+    scale = float(np.abs(setup.h_prime.energies).max() / gaps.min())
+    return tuple(f"eps={eps:g} outside the perturbative regime: eps*||H'||/gap = {eps * scale:g}"
+                 for eps in cfg.epsilons if eps * scale >= PERTURBATIVE_LIMIT)
+
+
 def run_study(name: str, cfg: ExperimentConfig | None = None) -> SweepResult:
     """The sweep of built-in study ``name`` on ``cfg`` (default: the study's
-    own config), with the study's claims checked."""
+    own config), with the study's claims checked and every epsilon outside the
+    perturbative regime recorded as a deviation."""
     cfg = cfg or ExperimentConfig.from_dict(BUILTIN_CONFIGS[name]())
-    return _check_claims(run_config(cfg), CLAIMS[name], cfg.control_name)
+    return _check_claims(run_config(cfg), CLAIMS[name], cfg.control_name,
+                         _outside_perturbative_regime(cfg))
 
 
 def builtin_fig2() -> ExperimentConfig:

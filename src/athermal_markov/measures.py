@@ -67,13 +67,16 @@ def log_negativities(states: Sequence[DensityMatrix]) -> list[MeasureValue]:
     return [MeasureValue("log_negativity", float(v)) for v in values]
 
 
-def mutual_informations(states: Sequence[DensityMatrix]) -> list[MeasureValue]:
+def mutual_informations(states: Sequence[DensityMatrix], joint_entropies) -> list[MeasureValue]:
     """:func:`mutual_information` of each joint state, from one ``eigvalsh`` of
-    each marginal stack and one of the joint stack."""
+    each marginal stack; S(joint) of each state is its entry of
+    ``joint_entropies``, which the caller knows.  A joint state U (rho (x) tau)
+    U^dag has the spectrum {p_i q_r} of its inputs, so a sweep passes the
+    entropy of that product spectrum and diagonalises no joint state."""
     joints, (d1, d2) = _joint_stack(states)
     values = (entropy_of_spectrum(trace_out_second(joints, d1, d2))
               + entropy_of_spectrum(trace_out_first(joints, d1, d2))
-              - entropy_of_spectrum(joints))
+              - np.asarray(joint_entropies))
     return [MeasureValue("mutual_information", float(v)) for v in values]
 
 
@@ -88,7 +91,7 @@ def log_negativity(rho_joint: DensityMatrix) -> MeasureValue:
 
 def mutual_information(rho_joint: DensityMatrix) -> MeasureValue:
     """S(first) + S(second) - S(joint), in bits."""
-    return mutual_informations([rho_joint])[0]
+    return mutual_informations([rho_joint], [entropy_of_spectrum(rho_joint.matrix)])[0]
 
 
 def _bloch_blocks(rho: np.ndarray, d2: int) -> np.ndarray:
@@ -451,15 +454,17 @@ def _check_support(label: str, direction: np.ndarray, state: np.ndarray, flags: 
     return w, v
 
 
-def _response_bar(x: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
-    """Tr[x (I + log2 A)] for A = v diag(w) v^dag, with the support convention:
-    Tr x + sum over w_k > SUPPORT_CUTOFF of log2(w_k) (v^dag x v)_kk."""
-    if w[0] < -SUPPORT_CUTOFF:
-        raise ValueError(f"theta undefined at this point: negative eigenvalue {w[0]}")
-    on = w > SUPPORT_CUTOFF
-    vs = v[:, on]
-    diagonal = np.sum(vs.conj() * (x @ vs), axis=0).real
-    return float(np.trace(x).real + np.log2(w[on]) @ diagonal)
+def _response_bar(x: np.ndarray, w: np.ndarray, v: np.ndarray, q: np.ndarray) -> float:
+    """Tr[(x (x) tau)(I + log2(A (x) tau))] for A = v diag(w) v^dag and a state
+    tau of spectrum ``q``, with the support convention: Tr x + sum over
+    w_k q_r > SUPPORT_CUTOFF of q_r log2(w_k q_r) (v^dag x v)_kk.  With
+    q = (1,) it is Tr[x (I + log2 A)]."""
+    wq = np.multiply.outer(w, q)
+    if wq.min() < -SUPPORT_CUTOFF:
+        raise ValueError(f"theta undefined at this point: negative eigenvalue {wq.min()}")
+    on = wq > SUPPORT_CUTOFF
+    diagonal = np.sum(v.conj() * (x @ v), axis=0).real
+    return float(np.trace(x).real + np.log2(wq[on]) @ np.multiply.outer(diagonal, q)[on])
 
 
 def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
@@ -470,7 +475,13 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     input coefficients and the channel only.  Uses the support convention for
     the logarithms and refuses inputs whose response has weight outside the
     support of the corresponding evolved state.  The evolved state and the
-    evolved response come from one evolution of their stack.
+    evolved response come from one evolution of their stack, for their
+    marginals.  The joint bar needs no joint state: a unitary keeps the
+    spectrum {p_i q_r} of rho (x) tau, with p the spectrum of rho and q the
+    bath weights, so it comes from rho's d_sys eigendecomposition.  The joint
+    support is deficient iff some p_i q_r is at or below ``SUPPORT_CUTOFF``,
+    and rho-tilde (x) tau lies in supp rho (x) supp tau iff rho-tilde lies in
+    supp rho, so the response is checked against rho.
     """
     h_sys = op.system_hamiltonian
     rho = thermal.state_from_level_coeffs(h_sys, rho_coeffs)
@@ -479,15 +490,21 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     pair = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, np.array([rho.matrix, rho_tilde]))
     joint, joint_dir = 0.5 * (pair[0] + dagger(pair[0])), pair[1]
     d_s, d_b = op.d_sys, op.d_bath
+    q = op.bath.level_probabilities
 
-    flags, decomposed = {}, []  # every support is checked before any logarithm
-    for name, direction, state in (
-            ("system", trace_out_second(joint_dir, d_s, d_b), trace_out_second(joint, d_s, d_b)),
-            ("bath", trace_out_first(joint_dir, d_s, d_b), trace_out_first(joint, d_s, d_b)),
-            ("joint", joint_dir, joint)):
-        w, v = _check_support(f"{name}_support_deficient", direction, state, flags)
-        decomposed.append((direction, w, v))
-    a_bar, b_bar, c_bar = [_response_bar(x, w, v) for x, w, v in decomposed]
+    one = np.ones(1)  # the marginal bars weigh no bath spectrum
+    flags, checked = {}, []  # every support is checked before any logarithm
+    for name, x, state, weights in (
+            ("system", trace_out_second(joint_dir, d_s, d_b), trace_out_second(joint, d_s, d_b),
+             one),
+            ("bath", trace_out_first(joint_dir, d_s, d_b), trace_out_first(joint, d_s, d_b), one),
+            ("joint", rho_tilde, rho.matrix, q)):
+        w, v = _check_support(f"{name}_support_deficient", x, state, flags)
+        checked.append((x, w, v, weights))
+    # a bath weight alone can leave the joint spectrum {p_i q_r} deficient
+    if np.multiply.outer(checked[2][1], q).min() <= SUPPORT_CUTOFF:
+        flags["joint_support_deficient"] = True
+    a_bar, b_bar, c_bar = [_response_bar(*args) for args in checked]
     theta = c_bar - a_bar - b_bar
     if with_diagnostics:
         return theta, {"a_bar": a_bar, "b_bar": b_bar, "c_bar": c_bar, **flags}

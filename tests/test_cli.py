@@ -66,19 +66,31 @@ def test_config_missing_field_names_it(tmp_path, capsys):
     del data["perturbation"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
-    code = main(["validate", "--config", str(path), "--out", str(tmp_path)])
+    code = main(["validate", "--config", str(path)])
     assert code == 2
     assert "config.perturbation" in capsys.readouterr().err
 
 
-def test_validate_dry_run(fig2_json, tmp_path, capsys):
-    out = tmp_path / "never"
-    code = main(["validate", "--config", fig2_json, "--out", str(out)])
+def test_validate_dry_run(fig2_json, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["validate", "--config", fig2_json])
     assert code == 0
     printed = capsys.readouterr().out
     assert "dims: system 2, bath 2" in printed
     assert "100000" in printed or "1e+05" in printed  # block phases shown
-    assert not out.exists()  # nothing ran, nothing written
+    assert sorted(tmp_path.rglob("*")) == before  # nothing ran, nothing written
+
+
+@pytest.mark.parametrize("flags", [["--out", "never"], ["--no-svg"], ["--verbose"]])
+def test_validate_rejects_output_flags(fig2_json, tmp_path, capsys, monkeypatch, flags):
+    # validate writes and prints no result, so an output flag is an error, not ignored
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", fig2_json, *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
 
 
 def test_validate_round_trip(fig2_json):
@@ -296,6 +308,26 @@ def test_properties_rejects_config_flags(tmp_path, capsys, flag, value):
     assert not (tmp_path / "props").exists()
 
 
+@pytest.mark.parametrize("study, eps, line", [
+    ("fig3", "50.0", "eps=50 outside the perturbative regime: eps*||H'||/gap = 12.5"),
+    ("distance", "1e6", "eps=1e+06 outside the perturbative regime: eps*||H'||/gap = 500000"),
+])
+def test_built_in_study_flags_epsilon_outside_the_perturbative_regime(tmp_path, capsys, study,
+                                                                      eps, line):
+    # a built-in study's claims rest on first-order perturbation theory
+    out = tmp_path / "out"
+    assert main([study, "--out", str(out), "--no-svg", "--set", f"epsilons=[{eps}]"]) == 1
+    assert f"deviation: {line}\n" in capsys.readouterr().out
+    assert any(out.iterdir())  # the tables are still written
+
+
+def test_run_does_not_check_the_perturbative_regime(tmp_path, capsys):
+    path = tmp_path / "distance.json"
+    path.write_text(json.dumps({**builtin_distance().to_dict(), "epsilons": [1e6]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--no-svg"]) == 0
+    assert "perturbative" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("field", ["epsilons", "measures"])
 def test_empty_list_fields_exit_2_and_write_nothing(tmp_path, capsys, field):
     out = tmp_path / "out"
@@ -425,3 +457,51 @@ def test_config_fuzz_exits_0_or_2_without_raising(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in (0, 2), case
         assert code == 0 or err.startswith("error: "), case
+
+
+# Flag values for the command fuzz: each is of the type argparse expects, so a
+# bad one reaches the config checks; overrides keep the studies small.
+FUZZ_SETS = (
+    "epsilons=[0.05]", "epsilons=[0.02, 0.01]", "epsilons=[]", "epsilons=[-1]", "epsilons=[50.0]",
+    'epsilons="x"', "sweep.values=[0.5]", "sweep.values=[4.0, 3.0]", "sweep.values=[]",
+    "sweep.values=[0]", 'sweep.variable="inverse_temperature"', 'measures=["mutual_information"]',
+    'measures=["log_negativity"]', 'measures=["nope"]', "optimizer.seeds=2", "optimizer.seeds=0",
+    "optimizer.max_iterations=3", "optimizer.max_iterations=0", "initial_population_a=1.0",
+    "initial_population_a=2", "name=fuzz", "name=null", "perturbation.scale=0.0", "no_such_field=1",
+)
+FUZZ_FLAGS = {
+    "--grid": ("1", "2", "3", "0", "-2"),
+    "--tol": ("1e-8", "1e-3", "0", "-1", "nan", "inf", "1e300"),
+    "--seed-list": ("default", "bench-7", "", "x y"),
+}
+
+
+def test_command_flag_fuzz_exits_0_1_or_2_without_raising(tmp_path, capsys):
+    rng = random.Random(20261019)
+    configs = []
+    for make in (builtin_fig2, builtin_fig3, builtin_distance):
+        path = tmp_path / f"{make.__name__}.json"
+        path.write_text(json.dumps(make().to_dict()))
+        configs.append(str(path))
+    for k in range(60):
+        command = rng.choice(["fig2", "fig3", "distance", "run", "validate"])
+        out = tmp_path / f"out{k}"
+        argv = [command]
+        if command in ("run", "validate"):
+            argv += ["--config", rng.choice(configs)]
+        if command != "validate":
+            argv += ["--out", str(out)] + (["--no-svg"] if rng.random() < 0.5 else [])
+        for _ in range(rng.randint(0, 2)):
+            argv += ["--set", rng.choice(FUZZ_SETS)]
+        for flag, values in FUZZ_FLAGS.items():
+            if rng.random() < 0.3:
+                argv += [flag, rng.choice(values)]
+        try:
+            code = main(argv)
+        except BaseException as exc:  # argparse's SystemExit included: every flag is valid
+            pytest.fail(f"{type(exc).__name__}: {exc} for {argv}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        assert code != 2 or err.startswith("error: "), argv
+        assert code != 0 or command == "validate" or any(out.glob("*.csv")), argv

@@ -1,8 +1,10 @@
 import csv
 import importlib
 import io
+import math
 import os
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +28,7 @@ from athermal_markov.experiments import (
     run_config,
     write_outputs,
 )
-from athermal_markov.linalg import DensityMatrix
+from athermal_markov.linalg import DensityMatrix, entropy_of_spectrum
 
 
 # -- config plumbing ----------------------------------------------------------------
@@ -311,6 +313,78 @@ def test_sweep_runs_one_discord_search(monkeypatch):
                 "unperturbed": before.diagnostics, "perturbed": mv.diagnostics}
 
 
+def _channel_sweep_4x9(monkeypatch) -> ExperimentConfig:
+    """The 4 x 9 job of the bench's channel_sweep workload at seed 3."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    channel_sweep = importlib.import_module("channel_sweep")
+    job = channel_sweep.generate_jobs(seed=3, count=len(channel_sweep.DIMS))[-1]
+    return ExperimentConfig.from_dict(job.config())
+
+
+def _with_pure_input(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` started in its top system level."""
+    data = {key: value for key, value in cfg.to_dict().items()
+            if key not in ("initial_population_a", "initial_coeffs")}
+    d = cfg.setup.h_sys.dim
+    return ExperimentConfig.from_dict({**data, "initial_coeffs": {"real": np.diag(
+        np.eye(d)[-1]).tolist()}})
+
+
+def test_sweep_mutual_information_matches_the_joint_spectrum(monkeypatch):
+    # S(joint) from the input and bath spectra equals the entropy of the joint's
+    # own spectrum, on the degenerate fig2 block, fig3 and a 4 x 9 pair, with
+    # pure inputs, and on a pure bath
+    for base in (builtin_fig2(), builtin_fig3(), _channel_sweep_4x9(monkeypatch)):
+        for cfg in (base, _with_pure_input(base)):
+            setup = cfg.setup
+            ops = [setup.operation(beta) for beta in
+                   (*(cfg.beta_for(v) for v in cfg.sweep_values), math.inf)]
+            joints = [thermal.apply(op, (setup.rho, *setup.rho_eps)) for op in ops]
+            values, _ = ex._measure_values("mutual_information", cfg, ops, joints)
+            for js, mvs in zip(joints, values):
+                want = measures.mutual_informations(
+                    js, [entropy_of_spectrum(j.matrix) for j in js])
+                assert max(abs(mv.value - w.value) for mv, w in zip(mvs, want)) <= 1e-13
+            if "mutual_information" in cfg.measures:
+                rows = run_config(cfg).rows_for("mutual_information")
+                by_value = dict(zip(cfg.sweep_values, values))
+                for r in rows:
+                    before, *after = by_value[r.control]
+                    assert (r.unperturbed, r.perturbed) == (
+                        before.value, after[cfg.epsilons.index(r.epsilon)].value)
+
+
+def test_no_joint_size_eigendecomposition_outside_negativity_and_mto(monkeypatch):
+    # the joint spectrum of U (rho (x) tau) U^dag is known from its inputs, so only
+    # the log-negativity kernel and the Markovianity check decompose joint-size matrices
+    cfg = _channel_sweep_4x9(monkeypatch)
+    setup = cfg.setup
+    joint_dim = setup.h_sys.dim * setup.h_bath.dim
+    assert joint_dim == ex.MAX_TOTAL_DIMENSION
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def traced(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
+            frame, callers = sys._getframe(1), set()
+            while frame is not None:
+                callers.add(frame.f_code.co_name)
+                frame = frame.f_back
+            calls.append((np.shape(a)[-1], callers))
+            return _decompose(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, traced)
+    run_config(cfg)
+    pert = thermal.PerturbationSpec(setup.h_prime, cfg.epsilons[-1])
+    for value in cfg.sweep_values:
+        op = setup.operation(cfg.beta_for(value))
+        measures.theta_lambda(op, setup.coeffs, pert)
+        thermal.mto_check(op, setup.rho)
+    joint_size = [callers for size, callers in calls if size == joint_dim]
+    assert all(callers & {"log_negativities", "mto_check"} for callers in joint_size)
+    assert not any(callers & {"mutual_informations", "theta_lambda"} for callers in joint_size)
+    # the trace saw both kernels decompose, on smaller matrices
+    for kernel in ("mutual_informations", "theta_lambda"):
+        assert any(kernel in callers for _, callers in calls)
+
+
 def test_runs_build_nothing(monkeypatch):
     fig2, distance = _tiny_fig2(), _tiny_distance()
     builds = _counting(monkeypatch, thermal, "build_block_unitary")
@@ -486,6 +560,24 @@ def test_deviation_lines_name_the_control():
     deviations = ex.run_study("fig2", cfg).deviations
     assert "delta not positive at eps=0.0, beta=0.25: 0.0" in deviations
     assert not any("T=" in line for line in deviations)
+
+
+def test_perturbative_regime_starts_at_half_the_system_gap():
+    # fig2: ||H'||_2 / gap = 1/2, so eps = 1 sits on the limit
+    cfg = ExperimentConfig.from_dict({**builtin_fig2().to_dict(), "epsilons": [0.999, 1.0]})
+    assert ex._outside_perturbative_regime(cfg) == (
+        "eps=1 outside the perturbative regime: eps*||H'||/gap = 0.5",)
+    # a one-level system has no gap, so no epsilon is outside the regime
+    one_level = ExperimentConfig.from_dict({
+        **builtin_fig2().to_dict(),
+        "system": {"matrix": {"real": [[1.0]]}},
+        "perturbation": {"matrix": {"real": [[2.0]]}},
+        "unitary_blocks": [{"phases": [1.0]}, {"phases": [2.0]}],
+        "initial_population_a": 1.0,
+        "sweep": {"values": [3.0], "variable": "temperature"},
+    })
+    assert ex._outside_perturbative_regime(one_level) == ()
+    assert not any("perturbative" in line for line in ex.run_study("fig2", one_level).deviations)
 
 
 CLAIM_CASES = [(study, k) for study, claims in ex.CLAIMS.items() for k in range(len(claims))]

@@ -191,9 +191,14 @@ def reference_mutual_information(rho):
             + reference_entropy(trace_out_first(rho.matrix, d1, d2)) - reference_entropy(rho.matrix))
 
 
+def joint_entropy_mutual_informations(joints):
+    """:func:`mutual_informations` with each S(joint) from the joint's own spectrum."""
+    return mutual_informations(joints, [entropy_of_spectrum(j.matrix) for j in joints])
+
+
 def assert_kernels_match_references(joints):
     for kernel, single, reference in ((log_negativities, log_negativity, reference_log_negativity),
-                                      (mutual_informations, mutual_information,
+                                      (joint_entropy_mutual_informations, mutual_information,
                                        reference_mutual_information)):
         values = [mv.value for mv in kernel(joints)]
         assert max(abs(v - reference(j)) for v, j in zip(values, joints)) <= 1e-13
@@ -230,7 +235,7 @@ def test_stacked_kernels_on_the_fig2_degenerate_block_joint():
 def test_stacked_kernels_require_shared_two_factor_dims():
     rng = np.random.default_rng(98)
     with pytest.raises(ValueError, match="bad factorization"):
-        mutual_informations([random_density(rng, 4)])
+        mutual_informations([random_density(rng, 4)], [0.0])
     with pytest.raises(ValueError, match="share their dims"):
         log_negativities([random_density(rng, 4, dims=(2, 2)), DensityMatrix(np.eye(4) / 4, (4, 1))])
 
@@ -828,6 +833,9 @@ def test_theta_lambda_matches_the_log_matrix_form(d1, d2):
     want, flags = reference_theta_lambda(op, coeffs, pert)
     assert abs(theta - want) <= 1e-12
     assert support_flags(diags) == flags == {}
+    # the joint bar vanishes: rho-tilde = [G, rho] is traceless with a zero
+    # diagonal in rho's eigenbasis
+    assert abs(diags["c_bar"]) <= 1e-13
 
 
 def test_theta_lambda_matches_the_log_matrix_form_on_a_pure_input():
@@ -839,6 +847,22 @@ def test_theta_lambda_matches_the_log_matrix_form_on_a_pure_input():
         want, flags = reference_theta_lambda(op, pure, pert)
         assert abs(theta - want) <= 1e-12
         assert support_flags(diags) == flags and flags["joint_support_deficient"]
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (4, 9)])
+def test_theta_lambda_on_a_pure_bath_is_joint_deficient_from_the_bath_alone(d1, d2):
+    rng = np.random.default_rng(120 + 10 * d1 + d2)
+    op = random_op(rng, d1, d2, beta=math.inf)
+    pert = PerturbationSpec(Hamiltonian.from_matrix(random_hermitian(rng, d1)), 0.1)
+    coeffs = random_density(rng, d1).matrix
+    assert np.linalg.eigvalsh(coeffs)[0] > 1e-3  # full rank: only the bath weights vanish
+    theta, diags = theta_lambda(op, coeffs, pert, with_diagnostics=True)
+    want, flags = reference_theta_lambda(op, coeffs, pert)
+    assert abs(theta - want) <= 1e-12
+    assert support_flags(diags) == flags and flags["joint_support_deficient"]
+    finite = thermal_operation(op.unitary, gibbs_state(op.bath.hamiltonian, 1.0))
+    _, diags = theta_lambda(finite, coeffs, pert, with_diagnostics=True)
+    assert "joint_support_deficient" not in diags
 
 
 def test_check_support_error_branch():
