@@ -6,14 +6,15 @@ first-order bound, their gap), and its metadata says whether every search
 converged.  ``run_study`` runs a built-in study, ``fig2`` (qubit-qubit
 entanglement response over bath temperature), ``fig3`` (qubit-qutrit
 correlation and discord response) or ``distance`` (a qubit-qubit
-distance-measure counter-example), and checks its claims from ``CLAIMS``: each
-is a predicate on every row of one measure, on consecutive control values at
-one epsilon, or on consecutive epsilons at one control value.
-``_check_claims`` records a deviation line per epsilon outside the
-perturbative regime, per failed case and per search that did not converge,
-and flags the rows that fail a row claim; nothing is raised, so a full table
-always comes back.  ``run_property_suite`` runs randomized
-structural checks.
+distance-measure counter-example), on its config from ``BUILTIN_CONFIGS``
+(literal JSON data), and checks its claims from ``CLAIMS``: each is a
+predicate on every row of one measure, on consecutive control values at one
+epsilon, or on consecutive epsilons at one control value.  ``_check_claims``
+records a deviation line per epsilon outside the perturbative regime, per
+failed case and per search that did not converge, and flags the rows that
+fail a row claim; nothing is raised, so a full table always comes back.
+``run_property_suite`` runs randomized structural checks, one row per
+property, and checks them the same way against ``CLAIMS["properties"]``.
 """
 
 from __future__ import annotations
@@ -561,69 +562,26 @@ def _check_claims(result: SweepResult, claims: tuple[Claim, ...], control_name: 
 # Built-in configurations
 # ---------------------------------------------------------------------------
 
-def _block_specs_for_phase_grid(h_tot: Hamiltonian, phase_grid: np.ndarray) -> tuple[BlockSpec, ...]:
-    """Per-block phases for a non-degenerate total spectrum.
-
-    ``phase_grid[i][r]`` is the phase on the product level (system level i,
-    bath level r), both indexed ascending in energy.
-    """
-    blocks = h_tot.energy_blocks()
-    if any(len(idx) != 1 for _, idx in blocks):
-        raise ValueError("phase grid form needs a non-degenerate total spectrum")
-    labels = h_tot.product_labels
-    specs = []
-    for _, idx in blocks:
-        i, r = labels[idx[0]]
-        specs.append(BlockSpec((float(phase_grid[i][r]),)))
-    return tuple(specs)
-
-
-def _product_phase_relation(h_tot: Hamiltonian) -> tuple[tuple[float, ...], float]:
-    """Markovianity constraint on level phases for a qubit system, qubit bath.
-
-    Product form of the evolved joint state requires the system phase
-    difference to be bath-level independent; for 2x2 that is a single signed
-    sum over the four product levels.
-    """
-    labels = h_tot.product_labels
-    if labels is None or len(labels) != 4:
-        raise ValueError("relation helper expects a 2x2 product structure")
-    coeffs = tuple(1.0 if (i + r) % 2 == 0 else -1.0 for i, r in labels)
-    return coeffs, 0.0
-
-
 def _fig2_data() -> dict:
     """The JSON config of :func:`builtin_fig2`."""
-    h_sys = HamiltonianSpec("pauli_z")
-    h_bath = HamiltonianSpec("pauli_z")
-    h_tot = thermal.total_hamiltonian(h_sys.build(), h_bath.build())
-    blocks = h_tot.energy_blocks()
-    # Zero-energy eigenspace: phases 3e5/4e5 on sqrt(2/3)|01> + sqrt(1/3)|10>
-    # and its orthogonal partner, written in the computational basis and
-    # projected onto the cached block basis.
-    psi_1 = np.zeros(4, dtype=complex)
-    psi_2 = np.zeros(4, dtype=complex)
-    psi_1[0 * 2 + 1], psi_1[1 * 2 + 0] = np.sqrt(2 / 3), np.sqrt(1 / 3)
-    psi_2[0 * 2 + 1], psi_2[1 * 2 + 0] = np.sqrt(1 / 3), -np.sqrt(2 / 3)
-    specs: list[BlockSpec] = []
-    for energy, idx in blocks:
-        if len(idx) == 2:
-            basis = h_tot.eigvecs[:, list(idx)]
-            intra = dagger(basis) @ np.column_stack([psi_1, psi_2])
-            specs.append(BlockSpec((3e5, 4e5), intra))
-        elif energy > 0:
-            specs.append(BlockSpec((1e5,)))  # top level |00>
-        else:
-            specs.append(BlockSpec((2e5,)))  # bottom level |11>
     return {
         "name": "fig2",
-        "system": h_sys.to_dict(),
-        "bath": h_bath.to_dict(),
-        "perturbation": HamiltonianSpec("pauli_x").to_dict(),
+        "system": {"name": "pauli_z", "scale": 1.0},
+        "bath": {"name": "pauli_z", "scale": 1.0},
+        "perturbation": {"name": "pauli_x", "scale": 1.0},
         "epsilons": [0.1, 0.15, 0.2],
         "sweep": {"values": [float(v) for v in np.linspace(3.0, 5.0, 21)],
                   "variable": "temperature"},
-        "unitary_blocks": [b.to_dict() for b in specs],
+        "unitary_blocks": [
+            {"phases": [2e5]},  # bottom level |11>
+            # Zero-energy eigenspace, block basis (|10>, |01>): phases 3e5/4e5 on
+            # sqrt(2/3)|01> + sqrt(1/3)|10> and its orthogonal partner.
+            {"phases": [3e5, 4e5],
+             "basis": {"real": [[math.sqrt(1 / 3), -math.sqrt(2 / 3)],
+                                [math.sqrt(2 / 3), math.sqrt(1 / 3)]],
+                       "imag": [[0.0, 0.0], [0.0, 0.0]]}},
+            {"phases": [1e5]},  # top level |00>
+        ],
         "measures": ["log_negativity"],
         "initial_population_a": 0.9,
     }
@@ -631,24 +589,18 @@ def _fig2_data() -> dict:
 
 def _fig3_data() -> dict:
     """The JSON config of :func:`builtin_fig3`."""
-    h_sys = HamiltonianSpec("pauli_z", scale=2.0)
-    h_bath = HamiltonianSpec("gell_mann_1")
-    h_tot = thermal.total_hamiltonian(h_sys.build(), h_bath.build())
-    # Phases by (system level, bath level), both ascending in energy.  The
-    # nominal label order runs highest energy first on both sides (as for the
-    # qubit, whose first basis vector is the positive eigenvector), so the
-    # 18/30/60 row sits on the system's top level with bath levels descending.
-    grid = np.array([[90e7, 70e7, 80e7],
-                     [60e7, 30e7, 18e7]])
     return {
         "name": "fig3",
-        "system": h_sys.to_dict(),
-        "bath": h_bath.to_dict(),
-        "perturbation": HamiltonianSpec("pauli_x").to_dict(),
+        "system": {"name": "pauli_z", "scale": 2.0},
+        "bath": {"name": "gell_mann_1", "scale": 1.0},
+        "perturbation": {"name": "pauli_x", "scale": 1.0},
         "epsilons": [0.2],
         "sweep": {"values": [float(v) for v in np.linspace(0.02, 1.0, 20)],
                   "variable": "inverse_temperature"},
-        "unitary_blocks": [b.to_dict() for b in _block_specs_for_phase_grid(h_tot, grid)],
+        # One phase per product level, ascending in energy: the system's bottom
+        # level with the bath levels bottom to top, then its top level likewise.
+        "unitary_blocks": [{"phases": [9e8]}, {"phases": [7e8]}, {"phases": [8e8]},  # bottom
+                           {"phases": [6e8]}, {"phases": [3e8]}, {"phases": [1.8e8]}],  # top
         "measures": ["mutual_information", "discord"],
         "initial_population_a": 0.9,
         "optimizer": {"grid_resolution": 24},
@@ -657,29 +609,24 @@ def _fig3_data() -> dict:
 
 def _distance_data() -> dict:
     """The JSON config of :func:`builtin_distance`."""
-    h_sys = HamiltonianSpec("pauli_z")
-    h_bath = HamiltonianSpec("pauli_z", scale=10.0)
-    h_tot = thermal.total_hamiltonian(h_sys.build(), h_bath.build())
-    # Phases 1e4..4e4 on |00>, |11>, |01>, |10> in the computational basis.
-    grid = np.empty((2, 2))
-    # system level 1 = |0>, bath level 1 = |0> (positive-energy eigenvectors).
-    grid[1][1] = 1e4   # |00>
-    grid[0][0] = 2e4   # |11>
-    grid[1][0] = 3e4   # |01>
-    grid[0][1] = 4e4   # |10>
-    coefficients, offset = _product_phase_relation(h_tot)
     return {
         "name": "distance",
-        "system": h_sys.to_dict(),
-        "bath": h_bath.to_dict(),
-        "perturbation": HamiltonianSpec("pauli_x").to_dict(),
+        "system": {"name": "pauli_z", "scale": 1.0},
+        "bath": {"name": "pauli_z", "scale": 10.0},
+        "perturbation": {"name": "pauli_x", "scale": 1.0},
         "epsilons": [0.01, 0.05, 0.1],
         "sweep": {"values": [100.0], "variable": "temperature"},
-        "unitary_blocks": [b.to_dict() for b in _block_specs_for_phase_grid(h_tot, grid)],
+        # Ascending in energy; |0> is the positive-energy level on both sides.
+        "unitary_blocks": [{"phases": [2e4]},   # |11>
+                           {"phases": [3e4]},   # |01>
+                           {"phases": [4e4]},   # |10>
+                           {"phases": [1e4]}],  # |00>
         "measures": ["choi_distance"],
         "initial_population_a": 0.9,
         "optimizer": {"grid_resolution": 8},
-        "mto_relation": {"coefficients": list(coefficients), "offset": offset},
+        # a product joint state needs the system phase difference to be the same
+        # on both bath levels: +1 on |11> and |00>, -1 on |01> and |10>
+        "mto_relation": {"coefficients": [1.0, -1.0, -1.0, 1.0], "offset": 0.0},
     }
 
 
@@ -722,6 +669,21 @@ CLAIMS = {
         Claim("choi_distance_bound", None, lambda r: r.unperturbed <= r.perturbed + 1e-6,
               "response bound violated at eps={0.epsilon}: "
               "delta={0.unperturbed}, bound={0.perturbed}"),
+    ),
+    # the property suite's rows: a randomized sweep's worst case within its
+    # bound, and the residual of the first-order law shrinking about fourfold
+    # when epsilon halves
+    "properties": (
+        *(Claim(m, None, lambda r: r.unperturbed <= r.perturbed,
+                "{0.measure}: worst case {0.unperturbed} above {0.perturbed}")
+          for m in ("ppt_spectra_2x2", "ppt_spectra_2x3", "ppt_log_negativity_2x2",
+                    "ppt_log_negativity_2x3", "fixed_point")),
+        *(Claim(m, None, lambda r: r.unperturbed == r.perturbed,
+                "{0.measure}: verdicts agree in {0.unperturbed:g} of {0.perturbed:g} cases")
+          for m in ("mto_equivalence", "mto_equivalence_perturbed")),
+        *(Claim(m, None, lambda r: 3.2 <= r.unperturbed <= 4.8,
+                "{0.measure}: shrink ratio {0.unperturbed} outside [3.2, 4.8]")
+          for m in ("first_order_slope_fig2", "first_order_slope_fig3")),
     ),
 }
 
@@ -833,8 +795,9 @@ def _mto_equivalence_sweep(rng: np.random.Generator, cases: int) -> tuple[int, i
                 spread = np.ptp((diffs - diffs[0] + np.pi) % (2 * np.pi))
                 if spread > 0.3:
                     break
-        specs = _block_specs_for_phase_grid(h_tot, grid)
-        u = thermal.build_block_unitary(h_tot, [s.build() for s in specs])
+        labels = h_tot.product_labels
+        u = thermal.build_block_unitary(h_tot, [float(grid[labels[idx[0]]])
+                                                for _, idx in h_tot.energy_blocks()])
         op = thermal.thermal_operation(u, bath)
 
         coeffs = _random_density(rng, 2).matrix
@@ -902,35 +865,20 @@ def _slope_ratio(cfg: ExperimentConfig, control: float) -> float:
 
 
 def run_property_suite() -> SweepResult:
-    """Randomized checks of the structural claims behind the experiments."""
+    """Randomized checks of the structural claims behind the experiments, one
+    row per property, checked against ``CLAIMS["properties"]``.  A randomized
+    sweep's row holds its worst case, its bound and bound minus worst case; a
+    slope row holds the residual shrink ratio, 4 and ratio minus 4."""
     rng = np.random.default_rng(20260809)
-    rows = []
-    deviations: list[str] = []
-
-    for d2, label in ((2, "ppt_spectra_2x2"), (3, "ppt_spectra_2x3")):
-        worst_spec, worst_en = _ppt_spectra_sweep(rng, d2, 50)
-        ok = worst_spec <= 1e-10 and worst_en <= 1e-9
-        rows.append(SweepRow(50, 0.0, label, worst_spec, 1e-10, 1e-10 - worst_spec,
-                             "ok" if ok else "deviation"))
-        if not ok:
-            deviations.append(f"{label}: spectra deviation {worst_spec}, log-neg {worst_en}")
-
-    agreements, perturbed_agreements = _mto_equivalence_sweep(rng, 50)
-    ok = agreements == 50 and perturbed_agreements == 50
-    rows.append(SweepRow(50, 0.0, "mto_equivalence", agreements, 50, agreements - 50,
-                         "ok" if ok else "deviation"))
-    rows.append(SweepRow(50, 0.0, "mto_equivalence_perturbed", perturbed_agreements, 50,
-                         perturbed_agreements - 50, "ok" if ok else "deviation"))
-    if not ok:
-        deviations.append(
-            f"mto_equivalence: {agreements}/50 direct, {perturbed_agreements}/50 perturbed")
-
-    worst_fp = _fixed_point_sweep(rng, 50)
-    ok = worst_fp <= 1e-9
-    rows.append(SweepRow(50, 0.0, "fixed_point", worst_fp, 1e-9, 1e-9 - worst_fp,
-                         "ok" if ok else "deviation"))
-    if not ok:
-        deviations.append(f"fixed_point: worst deviation {worst_fp}")
+    found = []
+    for d2 in (2, 3):
+        spectra, negativity = _ppt_spectra_sweep(rng, d2, 50)
+        found += [(f"ppt_spectra_2x{d2}", spectra, 1e-10),
+                  (f"ppt_log_negativity_2x{d2}", negativity, 1e-9)]
+    direct, perturbed = _mto_equivalence_sweep(rng, 50)
+    found += [("mto_equivalence", direct, 50), ("mto_equivalence_perturbed", perturbed, 50),
+              ("fixed_point", _fixed_point_sweep(rng, 50), 1e-9)]
+    rows = [SweepRow(50, 0.0, label, value, bound, bound - value) for label, value, bound in found]
 
     # a randomized sweep's control is its case count; a slope row's is its study's
     controls = {row.measure: "cases" for row in rows}
@@ -938,19 +886,16 @@ def run_property_suite() -> SweepResult:
                                 (builtin_fig3(), 0.5, "first_order_slope_fig3")):
         controls[label] = cfg.control_name
         ratio = _slope_ratio(cfg, control)
-        ok = 3.2 <= ratio <= 4.8
-        rows.append(SweepRow(control, 1e-2, label, ratio, 4.0, ratio - 4.0,
-                             "ok" if ok else "deviation"))
-        if not ok:
-            deviations.append(f"{label}: shrink ratio {ratio} outside [3.2, 4.8]")
+        rows.append(SweepRow(control, 1e-2, label, ratio, 4.0, ratio - 4.0))
 
     metadata = {
         "config": {"name": "properties", "seed": 20260809},
         "config_hash": "properties-20260809",
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "controls": controls,
+        "optimizer_diagnostics": {},
     }
-    return SweepResult(_sort_rows(rows), metadata, tuple(deviations))
+    return _check_claims(SweepResult(_sort_rows(rows), metadata), CLAIMS["properties"], "cases")
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ class OptimizerConfig:
             raise ValueError("f_tol must be positive")
         if self.grid_resolution < 1:
             raise ValueError("grid_resolution must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ def distance_result():
 
 
 @pytest.fixture(scope="session")
-def property_result():
+def properties_result():
     return _timed("properties", experiments.run_property_suite)
 
 

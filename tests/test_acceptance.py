@@ -72,15 +72,19 @@ def test_criterion_3_distance_counter_example(distance_result):
             f"runtime={runtime:.1f}s (<3s)")
 
 
-def test_criterion_4_ppt_under_diagonal_unitaries(property_result):
-    rows = {r.measure: r for r in property_result.rows}
-    r22, r23 = rows["ppt_spectra_2x2"], rows["ppt_spectra_2x3"]
-    cases = int(r22.control + r23.control)
-    ok = (cases == 100 and r22.status == "ok" and r23.status == "ok"
-          and max(r22.unperturbed, r23.unperturbed) <= 1e-10)
+def test_criterion_4_ppt_under_diagonal_unitaries(properties_result):
+    rows = {r.measure: r for r in properties_result.rows}
+    spectra = [rows["ppt_spectra_2x2"], rows["ppt_spectra_2x3"]]
+    negativity = [rows["ppt_log_negativity_2x2"], rows["ppt_log_negativity_2x3"]]
+    cases = int(sum(r.control for r in spectra))
+    worst_spectra = max(r.unperturbed for r in spectra)
+    worst_negativity = max(r.unperturbed for r in negativity)
+    ok = (cases == 100 and [r.control for r in negativity] == [r.control for r in spectra]
+          and {r.status for r in spectra + negativity} == {"ok"}
+          and worst_spectra <= 1e-10 and worst_negativity <= 1e-9)
     _report("4", ok,
-            f"{cases} cases, worst spectra deviation "
-            f"{max(r22.unperturbed, r23.unperturbed):.2e} (<=1e-10), log-neg <= 1e-9")
+            f"{cases} cases, worst spectra deviation {worst_spectra:.2e} (<=1e-10), "
+            f"worst log-neg {worst_negativity:.2e} (<=1e-9)")
 
 
 def test_criterion_5_first_order_correlation_law():
@@ -111,18 +115,19 @@ def test_criterion_6_trace_log_expansion_lemma():
             f"(within [3.2, 4.8])")
 
 
-def test_criterion_7_markovianity_constraint_equivalence(property_result):
-    rows = {r.measure: r for r in property_result.rows}
+def test_criterion_7_markovianity_constraint_equivalence(properties_result):
+    rows = {r.measure: r for r in properties_result.rows}
     direct = rows["mto_equivalence"]
     perturbed = rows["mto_equivalence_perturbed"]
-    ok = direct.unperturbed == 50 and perturbed.unperturbed == 50
+    ok = (direct.unperturbed == 50 and perturbed.unperturbed == 50
+          and direct.status == perturbed.status == "ok")
     _report("7", ok,
             f"direct-vs-residual verdicts agree {int(direct.unperturbed)}/50, "
             f"first-order inputs agree {int(perturbed.unperturbed)}/50, tolerance 1e-9")
 
 
-def test_criterion_8_channel_sanity(property_result):
-    rows = {r.measure: r for r in property_result.rows}
+def test_criterion_8_channel_sanity(properties_result):
+    rows = {r.measure: r for r in properties_result.rows}
     fp = rows["fixed_point"]
     # joint validity is enforced during the sweep itself: every evolved joint
     # is constructed as a density matrix at tolerance 1e-9

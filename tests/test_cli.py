@@ -289,7 +289,8 @@ def test_verbose_property_rows_name_their_control(tmp_path, capsys):
     rows = {line.split(":")[0].split()[-1]: line.split()[0]
             for line in capsys.readouterr().out.splitlines() if " eps=" in line}
     assert rows == {
-        **dict.fromkeys(["ppt_spectra_2x2", "ppt_spectra_2x3", "mto_equivalence",
+        **dict.fromkeys(["ppt_spectra_2x2", "ppt_spectra_2x3", "ppt_log_negativity_2x2",
+                         "ppt_log_negativity_2x3", "mto_equivalence",
                          "mto_equivalence_perturbed", "fixed_point"], "cases=50"),
         "first_order_slope_fig2": "T=4",
         "first_order_slope_fig3": "beta=0.5",
@@ -326,6 +327,14 @@ def test_run_does_not_check_the_perturbative_regime(tmp_path, capsys):
     path.write_text(json.dumps({**builtin_distance().to_dict(), "epsilons": [1e6]}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--no-svg"]) == 0
     assert "perturbative" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("study", ["fig2", "fig3"])
+def test_nonpositive_max_iterations_exits_2(tmp_path, capsys, study):
+    out = tmp_path / "out"
+    assert main([study, "--out", str(out), "--set", "optimizer.max_iterations=-5"]) == 2
+    assert capsys.readouterr().err == "error: config.optimizer: max_iterations must be >= 1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["epsilons", "measures"])

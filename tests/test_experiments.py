@@ -59,6 +59,21 @@ def test_builtin_configs_validate():
         assert len(cfg.config_hash()) == 16
 
 
+def test_builtin_config_hashes_are_pinned():
+    # the hash covers the whole config, so a change to any built-in number shows here
+    hashes = {name: ExperimentConfig.from_dict(data()).config_hash()
+              for name, data in ex.BUILTIN_CONFIGS.items()}
+    assert hashes == {"fig2": "2a47d897a5c286ef", "fig3": "368beb24684b696f",
+                      "distance": "c0cf0978ec0871e5"}
+
+
+def test_builtin_config_data_is_fresh_on_every_call():
+    for data in ex.BUILTIN_CONFIGS.values():
+        first = data()
+        first["unitary_blocks"][0]["phases"][0] = -1.0
+        assert data() != first
+
+
 def test_config_round_trip():
     for make in (builtin_fig2, builtin_fig3, builtin_distance):
         cfg = make()
@@ -203,11 +218,13 @@ def test_builtin_config_builds_each_hamiltonian_spec_once(monkeypatch):
     built = []
     original = HamiltonianSpec.build
     monkeypatch.setattr(HamiltonianSpec, "build", lambda self: built.append(self) or original(self))
-    cfg = builtin_fig2()
-    # the built specs stay referenced, so their ids are distinct
-    counts = Counter(map(id, built))
-    assert id(cfg.system) in counts and set(counts.values()) == {1}
-    assert cfg.level_coeffs() is cfg.setup.coeffs
+    for make in (builtin_fig2, builtin_fig3, builtin_distance):
+        built.clear()
+        cfg = make()
+        # the built specs stay referenced, so their ids are distinct
+        assert len(built) == 3, make.__name__
+        assert Counter(map(id, built)) == Counter(map(id, (cfg.system, cfg.bath, cfg.perturbation)))
+        assert cfg.level_coeffs() is cfg.setup.coeffs
 
 
 def test_beta_mapping():
@@ -528,12 +545,15 @@ def test_studies_match_bench_reference(request, study, measure):
                    for x, y in zip(h[3:6], w[3:6])), (h, w)
 
 
-def test_property_suite_all_ok(property_result):
-    assert property_result.deviations == ()
-    assert {r.status for r in property_result.rows} == {"ok"}
-    names = {r.measure for r in property_result.rows}
-    assert {"ppt_spectra_2x2", "ppt_spectra_2x3", "mto_equivalence",
-            "fixed_point", "first_order_slope_fig2", "first_order_slope_fig3"} <= names
+def test_property_suite_all_ok(properties_result):
+    assert properties_result.deviations == ()
+    assert {r.status for r in properties_result.rows} == {"ok"}
+    # one row per property, each checked by its own claim
+    names = [r.measure for r in properties_result.rows]
+    assert sorted(names) == sorted(c.measure for c in ex.CLAIMS["properties"]) == sorted({
+        "ppt_spectra_2x2", "ppt_spectra_2x3", "ppt_log_negativity_2x2", "ppt_log_negativity_2x3",
+        "mto_equivalence", "mto_equivalence_perturbed", "fixed_point", "first_order_slope_fig2",
+        "first_order_slope_fig3"})
 
 
 def test_deviations_recorded_not_raised():

@@ -341,6 +341,8 @@ def test_config_validation():
         OptimizerConfig(seeds=0)
     with pytest.raises(ValueError):
         OptimizerConfig(f_tol=0.0)
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        OptimizerConfig(max_iterations=0)
 
 
 # -- constrained phase manifold -------------------------------------------------

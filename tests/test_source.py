@@ -115,7 +115,7 @@ def test_only_the_claim_checkers_set_a_deviation_status():
     # a study states its claims in CLAIMS, so none grows a private claim loop
     found = {(path.name, scope) for path in MODULES for scope in _scopes(
         _tree(path), lambda node: isinstance(node, ast.Constant) and node.value == "deviation")}
-    assert found == {("experiments.py", "_check_claims"), ("experiments.py", "run_property_suite")}
+    assert found == {("experiments.py", "_check_claims")}
 
 
 def _ndenumerate_uses(tree: ast.Module) -> list[int]:
