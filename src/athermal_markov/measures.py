@@ -1,9 +1,10 @@
 """Non-Markovianity measures for thermal channels and their perturbation response.
 
-Three measures are provided: logarithmic negativity of the evolved joint
-state, quantum mutual information across the system/bath split, and the
-trace-norm distance from the channel to the nearest member of a constrained
-Markovian family, evaluated through Choi states.  Alongside them live the
+Four measures are provided: logarithmic negativity of the evolved joint
+state, quantum mutual information across the system/bath split, quantum
+discord with the measurement on the first (qubit) factor, and the trace-norm
+distance from the channel to the nearest member of a constrained Markovian
+family, evaluated through Choi states.  Alongside them live the
 first-order response quantities: the exact mutual-information response
 coefficient, the relative-entropy response evaluator with its trace-log
 expansion check, and the distance-response upper bound.
@@ -170,15 +171,10 @@ def discord(states: Sequence[DensityMatrix],
 # Choi states and the distance measure
 # ---------------------------------------------------------------------------
 
-def maximally_entangled_input(h_sys: thermal.Hamiltonian,
-                              pert: PerturbationSpec | None = None) -> np.ndarray:
-    """Projector onto (1/sqrt(d)) sum_i |i'> (x) |i> as a raw matrix, where |i'>
-    are the exact perturbed system eigenvectors, or the unperturbed ones when
-    ``pert`` is None or has zero strength."""
-    kets = h_sys.eigvecs
-    if pert is not None and pert.epsilon != 0.0:
-        kets = thermal.perturbed_eigvectors(h_sys, pert)
-    phi = kets.reshape(-1)
+def maximally_entangled_input(h_sys: thermal.Hamiltonian) -> np.ndarray:
+    """Projector onto (1/sqrt(d)) sum_i |i> (x) |i> as a raw matrix, pairing the
+    system eigenvectors |i> of ``h_sys`` with a fixed ancilla basis."""
+    phi = h_sys.eigvecs.reshape(-1)
     phi = phi / np.linalg.norm(phi)
     return np.outer(phi, phi.conj())
 
@@ -198,18 +194,13 @@ def _apply_on_system_factor(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np
     return out.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
-def choi_state(op: ThermalOperation, h_sys: thermal.Hamiltonian,
-               pert: PerturbationSpec | None = None) -> DensityMatrix:
-    """Choi state (channel (x) identity) |Phi><Phi| of a thermal operation.
-
-    The entangled input pairs system eigenvectors (exact perturbed ones when
-    ``pert`` is given) with a fixed ancilla basis.
-    """
-    d = h_sys.dim
+def choi_state(op: ThermalOperation) -> DensityMatrix:
+    """Choi state (channel (x) identity) |Phi><Phi| of a thermal operation, on
+    the :func:`maximally_entangled_input` of its system Hamiltonian."""
     out = _apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix,
-                                  maximally_entangled_input(h_sys, pert))
+                                  maximally_entangled_input(op.system_hamiltonian))
     out = 0.5 * (out + dagger(out))
-    return DensityMatrix._derived(out, (d, d))
+    return DensityMatrix._derived(out, (op.d_sys, op.d_sys))
 
 
 @dataclass(frozen=True)
@@ -310,13 +301,15 @@ class MarkovianFamily:
         return thermal.thermal_operation(EnergyBlockUnitary._derived(u, self.h_total), self.bath)
 
 
-def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_value: float,
-                         samples: int = 16) -> dict:
+SAMPLED_STATES = 16  # random input states of the distance measure's spot check
+
+
+def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_value: float) -> dict:
     """Spot-check that no sampled input state beats the Choi-state distance."""
     rng = np.random.default_rng(71530)
     d = op.d_sys
-    states = np.empty((samples, d, d), dtype=complex)
-    for k in range(samples):
+    states = np.empty((SAMPLED_STATES, d, d), dtype=complex)
+    for k in range(SAMPLED_STATES):
         if k % 2 == 0:
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
             v /= np.linalg.norm(v)
@@ -334,20 +327,17 @@ def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_valu
 class _FamilyProblem(NamedTuple):
     """One search over a Markovian family: minimise (``sign`` +1) or maximise
     (``sign`` -1) ||(channel - member) (x) id applied to x||_1 over its members,
-    for the channel ``op``; ``sampled_check`` spot-checks the best member's
-    value against random input states."""
+    for the channel ``op``.  A minimised problem's best member is spot-checked
+    against random input states."""
 
     op: ThermalOperation
     family: MarkovianFamily
     x: np.ndarray
     sign: float
-    sampled_check: bool = False
 
 
-def _distance_problem(op: ThermalOperation, family: MarkovianFamily,
-                      pert: PerturbationSpec | None = None) -> _FamilyProblem:
-    return _FamilyProblem(op, family, maximally_entangled_input(op.system_hamiltonian, pert),
-                          1.0, pert is None)
+def _distance_problem(op: ThermalOperation, family: MarkovianFamily) -> _FamilyProblem:
+    return _FamilyProblem(op, family, maximally_entangled_input(op.system_hamiltonian), 1.0)
 
 
 def _bound_problem(op: ThermalOperation, family: MarkovianFamily,
@@ -409,9 +399,8 @@ def _family_values(problems: Sequence[_FamilyProblem],
                 "phases": phases}))
             continue
         diags = {"phases": phases, "converged": result.converged,
-                 "evaluations": result.evaluations}
-        if p.sampled_check:
-            diags.update(_sampled_state_check(p.op, p.family.operation(free), value))
+                 "evaluations": result.evaluations,
+                 **_sampled_state_check(p.op, p.family.operation(free), value)}
         values.append(MeasureValue("choi_distance", value, diags))
     return values
 
@@ -422,17 +411,16 @@ def _bounds(chi: MeasureValue, d: int, epsilons) -> tuple[list[float], dict]:
 
 
 def distance_measure(op: ThermalOperation, family: MarkovianFamily,
-                     cfg: OptimizerConfig | None = None,
-                     pert: PerturbationSpec | None = None) -> MeasureValue:
+                     cfg: OptimizerConfig | None = None) -> MeasureValue:
     """Distance from the channel to the nearest member of a Markovian family.
 
     The maximisation over input states is carried by the maximally entangled
-    Choi input (perturbed eigenvectors when ``pert`` is given); the
-    minimisation over the family runs on its constraint manifold.  Best-found
-    parameters and convergence go into diagnostics, along with a sampled
-    sanity check that no random input state exceeds the Choi-state value.
+    Choi input on the system eigenvectors; the minimisation over the family
+    runs on its constraint manifold.  Best-found parameters and convergence
+    go into diagnostics, along with a sampled sanity check that no random
+    input state exceeds the Choi-state value.
     """
-    return _family_values([_distance_problem(op, family, pert)], cfg)[0]
+    return _family_values([_distance_problem(op, family)], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,23 +566,18 @@ def distance_sweep(targets: Sequence[tuple[ThermalOperation, MarkovianFamily]],
                    h_prime: thermal.Hamiltonian, epsilons, cfg: OptimizerConfig | None = None
                    ) -> list[tuple[list[MeasureValue], list[float], dict]]:
     """Per (operation, family) pair of ``targets``: its :func:`distance_measure`
-    values, unperturbed and then one per eps of ``h_prime``, and its
-    :func:`chi_lambda_bound` bounds and diagnostics.
+    value D(0), then D(0) again without diagnostics for each eps of ``h_prime``,
+    and its :func:`chi_lambda_bound` bounds and diagnostics.
 
-    Every value and bound is its own problem of one lockstep family search,
-    so each equals that of its own search.  The families must share their
-    total Hamiltonian and manifold.
+    D(eps) = D(0) exactly: the perturbed Choi input (W (x) 1)|Phi> equals
+    (1 (x) W')|Phi> for an ancilla unitary W', which neither channel (x) id nor
+    the trace norm sees.  Each pair's distance and bound are two problems of
+    one lockstep family search, so each equals that of its own search.  The
+    families must share their total Hamiltonian and manifold.
     """
-    problems = []
-    for op, family in targets:
-        problems += [_distance_problem(op, family),
-                     *(_distance_problem(op, family, PerturbationSpec(h_prime, eps))
-                       for eps in epsilons),
-                     _bound_problem(op, family, h_prime)]
+    problems = [problem for op, family in targets
+                for problem in (_distance_problem(op, family), _bound_problem(op, family, h_prime))]
     values = _family_values(problems, cfg)
-    n = len(epsilons) + 2
-    out = []
-    for (op, _), k in zip(targets, range(0, len(values), n)):
-        *distances, chi = values[k:k + n]
-        out.append((distances, *_bounds(chi, op.d_sys, epsilons)))
-    return out
+    return [([d0, *[MeasureValue(d0.kind, d0.value)] * len(epsilons)],
+             *_bounds(chi, op.d_sys, epsilons))
+            for (op, _), d0, chi in zip(targets, values[::2], values[1::2])]

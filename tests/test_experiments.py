@@ -287,7 +287,7 @@ def test_sweep_computes_each_quantity_once_per_control_value(monkeypatch):
     calls = _counting(monkeypatch, thermal, "apply", "state_from_level_coeffs",
                       "perturbed_state_exact")
     ex.run_study("distance", _tiny_distance(epsilons=builtin_distance().epsilons))
-    # the unperturbed distance, one per epsilon (3) and the bound share one search
+    # the distance and its bound share one search
     assert searches["minimize"] == 1
     assert calls["apply"] == 0
     data = _tiny_fig2(n_temps=3, epsilons=(0.0, 0.2)).to_dict()
@@ -425,10 +425,14 @@ def test_distance_study_runs_one_family_search(monkeypatch):
         "sweep": {"values": [100.0, 20.0], "variable": "temperature"},
         "optimizer": {"seeds": 3, "grid_resolution": 4},
     })
-    searches = _counting(monkeypatch, measures, "minimize")
+    problems, search = [], measures.minimize
+    monkeypatch.setattr(measures, "minimize", lambda *args, **kwargs: problems.append(
+        kwargs["problems"]) or search(*args, **kwargs))
     result = ex.run_study("distance", cfg)
-    assert searches["minimize"] == 1
-    # every row, diagnostic and bound equals a search of its own input
+    # one search: each control value's distance and its bound
+    assert problems == [2 * len(cfg.sweep_values)]
+    # every row, diagnostic and bound equals a search of its own input, and each
+    # epsilon row repeats D(0)
     monkeypatch.undo()
     setup, opt = cfg.setup, cfg.optimizer
     recorded = result.metadata["optimizer_diagnostics"]
@@ -436,18 +440,16 @@ def test_distance_study_runs_one_family_search(monkeypatch):
         op = setup.operation(cfg.beta_for(value))
         family = setup.family(op)
         before = measures.distance_measure(op, family, opt)
-        after = [measures.distance_measure(op, family, opt, thermal.PerturbationSpec(
-            setup.h_prime, eps)) for eps in cfg.epsilons]
         bounds, bound_diags = measures.chi_lambda_bound(op, family, setup.h_prime,
                                                         cfg.epsilons, opt)
         rows = [r for r in result.rows_for("choi_distance") if r.control == value]
-        assert [(r.unperturbed, r.perturbed) for r in rows] == [
-            (before.value, mv.value) for mv in after]
+        assert [(r.unperturbed, r.perturbed, r.delta) for r in rows] == [
+            (before.value, before.value, 0.0)] * len(cfg.epsilons)
         bound_rows = [r for r in result.rows_for("choi_distance_bound") if r.control == value]
         assert [r.perturbed for r in bound_rows] == bounds
-        for eps, mv in zip(cfg.epsilons, after):
+        for eps in cfg.epsilons:
             assert recorded[f"choi_distance/eps={eps}/x={value}"] == {
-                "unperturbed": before.diagnostics, "perturbed": mv.diagnostics}
+                "unperturbed": before.diagnostics}
         assert recorded[f"choi_distance_bound/x={value}"] == bound_diags
     plain = run_config(cfg)
     assert list(plain.metadata["optimizer_diagnostics"]) == list(recorded)
@@ -516,9 +518,12 @@ def test_distance_claims_hold(distance_result):
     assert {r.epsilon for r in rows} == {0.01, 0.05, 0.1}
     for r in rows:
         assert abs(r.delta) <= 5e-4
+        # D(eps) is D(0) by construction, reported as such
+        assert r.perturbed == r.unperturbed and r.delta == 0.0
     bounds = distance_result.rows_for("choi_distance_bound")
     for r in bounds:
         assert r.unperturbed <= r.perturbed + 1e-6  # delta <= bound
+        assert r.unperturbed == 0.0
     assert distance_result.metadata["optimizer_converged"]
 
 

@@ -401,7 +401,7 @@ def test_choi_identity_map():
     h_tot = total_hamiltonian(H_QUBIT, H_BATH_STIFF)
     u = build_block_unitary(h_tot, [0.0] * len(h_tot.energy_blocks()))
     op = thermal_operation(u, gibbs_state(H_BATH_STIFF, 0.3))
-    chi = choi_state(op, H_QUBIT)
+    chi = choi_state(op)
     assert mat_equal(chi.matrix, maximally_entangled_input(H_QUBIT), 1e-12)
 
 
@@ -416,7 +416,7 @@ def test_choi_depolarizing_map():
         basis = h_tot.eigvecs[:, list(idx)]
         params.append(0.0 if len(idx) == 1 else dagger(basis) @ swap @ basis)
     op = thermal_operation(build_block_unitary(h_tot, params), gibbs_state(H_QUBIT, 0.0))
-    chi = choi_state(op, H_QUBIT)
+    chi = choi_state(op)
     assert mat_equal(chi.matrix, np.eye(4) / 4, 1e-12)
 
 
@@ -458,7 +458,7 @@ def test_choi_matches_block_by_block_reference(d_sys, d_bath):
     rng = np.random.default_rng(4100 + d_sys)
     h_sys, op = _random_block_op(rng, d_sys, d_bath)
     assert any(len(idx) > 1 for _, idx in op.unitary.hamiltonian.energy_blocks())
-    chi = choi_state(op, h_sys)
+    chi = choi_state(op)
     assert mat_equal(chi.matrix, _choi_by_blocks(op, h_sys), 1e-12)
 
     stack = rng.normal(size=(4, 5, d_sys, d_sys)) + 1j * rng.normal(size=(4, 5, d_sys, d_sys))
@@ -506,16 +506,8 @@ def test_sampled_state_check_matches_one_by_one_reference(monkeypatch):
         assert len(calls) == 2  # one stacked application per operation
 
 
-def test_choi_zero_strength_matches_unperturbed():
-    op = fig2_op()
-    pert = PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.0)
-    a = choi_state(op, H_QUBIT)
-    b = choi_state(op, H_QUBIT, pert=pert)
-    assert mat_equal(a.matrix, b.matrix, 1e-12)
-
-
 def test_choi_of_thermal_operation_is_valid():
-    chi = choi_state(fig2_op(), H_QUBIT)  # construction validates
+    chi = choi_state(fig2_op())  # construction validates
     assert chi.dims == (2, 2)
 
 
@@ -709,14 +701,28 @@ def test_distance_matches_analytic_value():
     assert not mv.diagnostics["sampled_exceeds_choi"]
 
 
+def _perturbed_choi_input(h_sys, pert):
+    """The entangled input (W (x) 1)|Phi> on the exact perturbed system
+    eigenvectors, as a projector."""
+    phi = thermal.perturbed_eigvectors(h_sys, pert).reshape(-1)
+    phi = phi / np.linalg.norm(phi)
+    return np.outer(phi, phi.conj())
+
+
 def test_perturbed_choi_input_leaves_the_distance_objective_unchanged(monkeypatch):
     # The perturbed input (W (x) 1)|Phi> equals (1 (x) W')|Phi> for a unitary W'
     # on the ancilla, which channel (x) id and the trace norm do not see: the
-    # built-in study's D(eps) equals D(0) by construction.
+    # built-in study's D(eps) equals D(0) by construction, so a sweep reports D(0).
     cfg = builtin_distance()
     setup = cfg.setup
     op = setup.operation(cfg.beta_for(cfg.sweep_values[0]))
     family = setup.family(op)
+    h_sys = op.system_hamiltonian
+    inputs = [maximally_entangled_input(h_sys)]
+    for eps in cfg.epsilons:
+        perturbed = _perturbed_choi_input(h_sys, PerturbationSpec(setup.h_prime, eps))
+        assert np.max(np.abs(perturbed - inputs[0])) > 1e-3
+        inputs.append(perturbed)
     objectives, search = [], measures.minimize
 
     def capture(f, *args, **kwargs):
@@ -724,19 +730,13 @@ def test_perturbed_choi_input_leaves_the_distance_objective_unchanged(monkeypatc
         return search(f, *args, **kwargs)
 
     monkeypatch.setattr(measures, "minimize", capture)
-    small = OptimizerConfig(seeds=1, grid_resolution=1)
-    distance_measure(op, family, small)
-    for eps in cfg.epsilons:
-        pert = PerturbationSpec(setup.h_prime, eps)
-        assert np.max(np.abs(maximally_entangled_input(op.system_hamiltonian, pert)
-                             - maximally_entangled_input(op.system_hamiltonian))) > 1e-3
-        distance_measure(op, family, small, pert=pert)
+    measures._family_search([measures._FamilyProblem(op, family, x, 1.0) for x in inputs],
+                            OptimizerConfig(seeds=1, grid_resolution=1))
+    (objective,) = objectives
     q = np.random.default_rng(81).uniform(0, 2 * np.pi, (20, family.quotient.free_dim))
-    owner = np.zeros(len(q), dtype=int)
-    unperturbed = objectives[0](q, owner)
-    assert len(objectives) == 1 + len(cfg.epsilons)
-    for objective in objectives[1:]:
-        assert np.max(np.abs(objective(q, owner) - unperturbed)) < 1e-12
+    unperturbed = objective(q, np.zeros(len(q), dtype=int))
+    for k in range(1, len(inputs)):
+        assert np.max(np.abs(objective(q, np.full(len(q), k)) - unperturbed)) < 1e-12
 
 
 def test_distance_nonnegative_and_diagnosed():
@@ -928,8 +928,11 @@ def test_chi_lambda_bound_dominates_measured_response():
     op, family = distance_example_op()
     cfg = OptimizerConfig(seeds=12, grid_resolution=6)
     pert = PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.05)
-    d0 = distance_measure(op, family, cfg)
-    d1 = distance_measure(op, family, cfg, pert=pert)
+    # the bound faces a search on the perturbed Choi input itself
+    h_sys = op.system_hamiltonian
+    d0, d1 = measures._family_search(
+        [measures._FamilyProblem(op, family, x, 1.0)
+         for x in (maximally_entangled_input(h_sys), _perturbed_choi_input(h_sys, pert))], cfg)
     (bound,), _ = chi_lambda_bound(op, family, pert.h_prime, [pert.epsilon], cfg)
-    assert d1.value - d0.value <= bound + 1e-6
+    assert d1.best_value - d0.best_value <= bound + 1e-6
 

@@ -323,7 +323,7 @@ def test_derived_states_pass_public_validation(d_sys, d_bath, beta):
             rho = random_density(rng, d_sys)
         joint = apply(op, rho)
         derived = (joint, partial_trace(joint, 0), partial_trace(joint, 1), bath.state,
-                   gibbs_state(h_sys, beta).state, measures.choi_state(op, h_sys))
+                   gibbs_state(h_sys, beta).state, measures.choi_state(op))
         for state in derived:
             DensityMatrix(state.matrix, state.dims)
 
