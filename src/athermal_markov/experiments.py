@@ -424,37 +424,42 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _joint_entropies(cfg: ExperimentConfig, ops: list[thermal.ThermalOperation]
+                     ) -> list[np.ndarray]:
+    """Per operation in ``ops``, S(joint) of each of its evolved input states,
+    without a joint-size eigendecomposition: a joint state U (rho_k (x) tau)
+    U^dag has the spectrum p_k (x) q, with p_k from one ``eigvalsh`` of the
+    stack of inputs and q the bath weights."""
+    setup = cfg.setup
+    p = np.linalg.eigvalsh(np.array([rho.matrix for rho in (setup.rho, *setup.rho_eps)]))
+    return [spectrum_entropy(np.multiply.outer(p, op.bath.level_probabilities).reshape(len(p), -1))
+            for op in ops]
+
+
 def _measure_values(measure: str, cfg: ExperimentConfig, ops: list[thermal.ThermalOperation],
-                    joints: list[list[DensityMatrix]]
+                    joints: list[list[DensityMatrix]], entropies: list[np.ndarray]
                     ) -> tuple[list[list[measures.MeasureValue]], list[tuple[list[float], dict]]]:
     """Per control value, the unperturbed value of ``measure`` at its operation
     in ``ops``, then one value per config epsilon; ``joints`` holds each control
-    value's evolved input states in that order.  Discord is one search over
-    every joint state of the sweep, and the Choi distance one family search
-    over every distance and response bound of the sweep.  The mutual
-    information takes each joint entropy from the input spectra: a joint
-    state U (rho_k (x) tau) U^dag has the spectrum p_k (x) q, with p_k from
-    one ``eigvalsh`` of the stack of inputs and q the bath weights.  Second,
-    per control value, its bounds at the config epsilons with their search's
-    diagnostics; empty for the other measures."""
+    value's evolved input states in that order, and ``entropies`` their
+    :func:`_joint_entropies`, which the mutual information and discord take
+    as S(AB).  Discord is one search over every joint state of the sweep, and
+    the Choi distance one family search over every distance and response
+    bound of the sweep.  Second, per control value, its bounds at the config
+    epsilons with their search's diagnostics; empty for the other measures."""
     if measure == "choi_distance":
         setup = cfg.setup
         studies = measures.distance_sweep([(op, setup.family(op)) for op in ops], setup.h_prime,
                                           cfg.epsilons, cfg.optimizer)
         return [values for values, _, _ in studies], [(b, d) for _, b, d in studies]
     if measure == "discord":
-        flat = measures.discord([joint for js in joints for joint in js], cfg.optimizer)
+        flat = measures.discord([joint for js in joints for joint in js], np.concatenate(entropies),
+                                cfg.optimizer)
         n = len(joints[0])
         return [flat[k:k + n] for k in range(0, len(flat), n)], []
     if measure == "log_negativity":
         return [measures.log_negativities(js) for js in joints], []
-    setup = cfg.setup
-    p = np.linalg.eigvalsh(np.array([rho.matrix for rho in (setup.rho, *setup.rho_eps)]))
-    values = []
-    for op, js in zip(ops, joints):
-        spectra = np.multiply.outer(p, op.bath.level_probabilities).reshape(len(p), -1)
-        values.append(measures.mutual_informations(js, spectrum_entropy(spectra)))
-    return values, []
+    return [measures.mutual_informations(js, s) for js, s in zip(joints, entropies)], []
 
 
 def run_config(cfg: ExperimentConfig) -> SweepResult:
@@ -474,9 +479,11 @@ def run_config(cfg: ExperimentConfig) -> SweepResult:
     ops = [setup.operation(cfg.beta_for(value)) for value in cfg.sweep_values]
     states = (setup.rho, *setup.rho_eps) if set(cfg.measures) - {"choi_distance"} else ()
     joints = [thermal.apply(op, states) for op in ops] if states else []
+    entropies = (_joint_entropies(cfg, ops)
+                 if {"mutual_information", "discord"} & set(cfg.measures) else [])
     rows, diags, bound_diags = [], {}, {}
     for measure in cfg.measures:
-        per_value, per_value_bounds = _measure_values(measure, cfg, ops, joints)
+        per_value, per_value_bounds = _measure_values(measure, cfg, ops, joints, entropies)
         for value, (before, *after) in zip(cfg.sweep_values, per_value):
             for eps, mv in zip(cfg.epsilons, after):
                 rows.append(SweepRow(value, eps, measure, before.value, mv.value,

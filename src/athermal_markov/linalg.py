@@ -4,7 +4,10 @@ Operators are plain numpy arrays (row-major, complex128).  States carry an
 explicit subsystem factorisation through :class:`DensityMatrix`.  Validity
 checks happen on public construction, to the fixed absolute tolerance
 ``STATE_TOL``; spectral supports end at ``SUPPORT_CUTOFF``.  All entropies
-and matrix logarithms are base 2.
+and matrix logarithms are base 2.  :func:`eigvalsh` gives the spectra of
+stacks of 1x1, 2x2 and 3x3 Hermitian matrices in closed form, where LAPACK's
+per-matrix overhead would outweigh the arithmetic, and hands larger matrices
+and nearly degenerate 3x3 ones to ``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ SUPPORT_CUTOFF = 1e-12
 
 # 2*pi with enough digits for exact-to-double reduction of huge angles.
 _TWO_PI = Decimal("6.2831853071795864769252867665590057683943387987502116419498891846")
+
+# A 3x3 matrix whose cubic has 1 - |r| below this goes to LAPACK: near a
+# repeated eigenvalue the trigonometric roots lose up to sqrt(eps).
+CUBIC_FALLBACK = 1e-2
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -172,6 +179,47 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # one scalar division per column: an array-wide one can differ in the last ulp
     phases = [p.conjugate() / abs(p) for p in pivots]
     return w, v * np.array(phases, dtype=complex)
+
+
+def eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (n, n), or of each matrix in
+    a stack (..., n, n), from its lower triangle as ``np.linalg.eigvalsh``.
+
+    For n <= 3 the roots are closed forms, each row computed on its own:
+    n = 2 gives (a + d)/2 -+ hypot((a - d)/2, |b|), and n = 3 Smith's
+    trigonometric roots q + 2p cos(phi + 2 pi k/3) of A = qI + B with
+    q = tr A / 3, p^2 = tr B^2 / 6 and cos(3 phi) = r = det B / (2 p^3).  A 3x3
+    row with 1 - |r| below ``CUBIC_FALLBACK`` (a scalar matrix has no r) and
+    every n >= 4 go to ``np.linalg.eigvalsh``.
+    """
+    h = np.asarray(h)
+    n = h.shape[-1]
+    if n > 3:
+        return np.linalg.eigvalsh(h)
+    if n == 1:
+        return h[..., 0].real.copy()
+    # rows of a 2-D stack, even for one matrix: numpy's complex scalars multiply
+    # without the fused operations of its array loops
+    rows = h.reshape(-1, n, n)
+    a, d, b = rows[:, 0, 0].real, rows[:, 1, 1].real, rows[:, 1, 0]
+    if n == 2:
+        mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
+        return np.stack([mean - radius, mean + radius], axis=-1).reshape(h.shape[:-1])
+    f, c, e = rows[:, 2, 2].real, rows[:, 2, 0], rows[:, 2, 1]
+    q = (a + d + f) / 3
+    a, d, f = a - q, d - q, f - q
+    bb, cc, ee = [z.real * z.real + z.imag * z.imag for z in (b, c, e)]
+    p = np.sqrt((a * a + d * d + f * f + 2 * (bb + cc + ee)) / 6)
+    det = a * d * f + 2 * (b * e * c.conj()).real - a * ee - d * cc - f * bb
+    two_p3 = 2 * p * p * p
+    r = np.divide(det, two_p3, out=np.ones_like(det), where=two_p3 > 0)
+    fallback = np.abs(r) > 1 - CUBIC_FALLBACK
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3
+    top, bottom = 2 * p * np.cos(phi), 2 * p * np.cos(phi + 2 * np.pi / 3)
+    w = np.stack([bottom, -top - bottom, top], axis=-1) + q[:, None]
+    if fallback.any():
+        w[fallback] = np.linalg.eigvalsh(rows[fallback])
+    return w.reshape(h.shape[:-1])
 
 
 def trace_norm(m: np.ndarray):

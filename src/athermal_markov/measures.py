@@ -24,6 +24,7 @@ from .linalg import (
     SUPPORT_CUTOFF,
     DensityMatrix,
     dagger,
+    eigvalsh,
     entropy_of_spectrum,
     matrix_log2_on_support,
     spectrum_entropy,
@@ -111,8 +112,10 @@ def _measured_conditional_entropy(blocks: np.ndarray, angles: np.ndarray,
 
     With n the Bloch vector of psi, the unnormalised outcomes are
     P_0 +- n . (P_1, P_2, P_3) and their probabilities the traces of those; the
-    spectra of the unnormalised outcomes are divided by the probabilities.  An
-    outcome of probability at most 1e-14 contributes nothing."""
+    spectra of the unnormalised outcomes, from one :func:`linalg.eigvalsh` of
+    their stack (closed-form roots for a qubit or qutrit second factor), are
+    divided by the probabilities.  An outcome of probability at most 1e-14
+    contributes nothing."""
     theta, phi = angles[:, 0], angles[:, 1]
     n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
                  axis=1)
@@ -124,14 +127,14 @@ def _measured_conditional_entropy(blocks: np.ndarray, angles: np.ndarray,
     tilt_t = n[:, 0] * t[:, 1] + n[:, 1] * t[:, 2] + n[:, 2] * t[:, 3]
     prob = np.stack([t[:, 0] + tilt_t, t[:, 0] - tilt_t], axis=1)
     kept = prob > 1e-14
-    entropy = spectrum_entropy(np.linalg.eigvalsh(subs) / np.where(kept, prob, 1.0)[..., None])
+    entropy = spectrum_entropy(eigvalsh(subs) / np.where(kept, prob, 1.0)[..., None])
     total = np.zeros(len(angles))
     for k in range(2):
         total += np.where(kept[:, k], prob[:, k] * entropy[:, k], 0.0)
     return total
 
 
-def discord(states: Sequence[DensityMatrix],
+def discord(states: Sequence[DensityMatrix], joint_entropies,
             cfg: OptimizerConfig | None = None) -> list[MeasureValue]:
     """Quantum discord of each joint state, with the measurement on the first
     (qubit) factor.
@@ -139,8 +142,10 @@ def discord(states: Sequence[DensityMatrix],
     Minimises the measured conditional entropy over rank-one projective
     measurements of the measured qubit via grid-seeded multi-start search,
     then returns S(A) - S(AB) + min_meas sum_i p_i S(rho_B^i), not clamped at
-    zero.  The states share dims and one lockstep search, in which each state
-    is its own problem; each value equals that of a search for its state alone.
+    zero.  S(AB) of each state is its entry of ``joint_entropies``, which the
+    caller knows, as for :func:`mutual_informations`.  The states share dims
+    and one lockstep search, in which each state is its own problem; each value
+    equals that of a search for its state alone.
     """
     joints, (d1, d2) = _joint_stack(states)
     if d1 != 2:
@@ -154,7 +159,7 @@ def discord(states: Sequence[DensityMatrix],
     results = minimize(objective, [(0.0, np.pi), (0.0, 2 * np.pi)], cfg, periodic=[False, True],
                        problems=len(states))
     # S(A) - S(AB) of every state
-    offsets = entropy_of_spectrum(trace_out_second(joints, d1, d2)) - entropy_of_spectrum(joints)
+    offsets = entropy_of_spectrum(trace_out_second(joints, d1, d2)) - np.asarray(joint_entropies)
     values = []
     for offset, result in zip(offsets, results):
         diags = {

@@ -320,8 +320,8 @@ def test_sweep_runs_one_discord_search(monkeypatch):
     setup = cfg.setup
     for value in cfg.sweep_values:
         op = setup.operation(cfg.beta_for(value))
-        before, *after = measures.discord([thermal.apply(op, rho)
-                                           for rho in (setup.rho, *setup.rho_eps)], cfg.optimizer)
+        before, *after = measures.discord(thermal.apply(op, (setup.rho, *setup.rho_eps)),
+                                          ex._joint_entropies(cfg, [op])[0], cfg.optimizer)
         rows = [r for r in result.rows_for("discord") if r.control == value]
         assert [(r.unperturbed, r.perturbed) for r in rows] == [
             (before.value, mv.value) for mv in after]
@@ -357,7 +357,8 @@ def test_sweep_mutual_information_matches_the_joint_spectrum(monkeypatch):
             ops = [setup.operation(beta) for beta in
                    (*(cfg.beta_for(v) for v in cfg.sweep_values), math.inf)]
             joints = [thermal.apply(op, (setup.rho, *setup.rho_eps)) for op in ops]
-            values, _ = ex._measure_values("mutual_information", cfg, ops, joints)
+            values, _ = ex._measure_values("mutual_information", cfg, ops, joints,
+                                           ex._joint_entropies(cfg, ops))
             for js, mvs in zip(joints, values):
                 want = measures.mutual_informations(
                     js, [entropy_of_spectrum(j.matrix) for j in js])
@@ -371,13 +372,9 @@ def test_sweep_mutual_information_matches_the_joint_spectrum(monkeypatch):
                         before.value, after[cfg.epsilons.index(r.epsilon)].value)
 
 
-def test_no_joint_size_eigendecomposition_outside_negativity_and_mto(monkeypatch):
-    # the joint spectrum of U (rho (x) tau) U^dag is known from its inputs, so only
-    # the log-negativity kernel and the Markovianity check decompose joint-size matrices
-    cfg = _channel_sweep_4x9(monkeypatch)
-    setup = cfg.setup
-    joint_dim = setup.h_sys.dim * setup.h_bath.dim
-    assert joint_dim == ex.MAX_TOTAL_DIMENSION
+def _traced_eigen_calls(monkeypatch) -> list[tuple[int, set[str]]]:
+    """From now on, (matrix size, names of the calling functions) of every
+    ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` call."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         def traced(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
@@ -388,6 +385,17 @@ def test_no_joint_size_eigendecomposition_outside_negativity_and_mto(monkeypatch
             calls.append((np.shape(a)[-1], callers))
             return _decompose(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, traced)
+    return calls
+
+
+def test_no_joint_size_eigendecomposition_outside_negativity_and_mto(monkeypatch):
+    # the joint spectrum of U (rho (x) tau) U^dag is known from its inputs, so only
+    # the log-negativity kernel and the Markovianity check decompose joint-size matrices
+    cfg = _channel_sweep_4x9(monkeypatch)
+    setup = cfg.setup
+    joint_dim = setup.h_sys.dim * setup.h_bath.dim
+    assert joint_dim == ex.MAX_TOTAL_DIMENSION
+    calls = _traced_eigen_calls(monkeypatch)
     run_config(cfg)
     pert = thermal.PerturbationSpec(setup.h_prime, cfg.epsilons[-1])
     for value in cfg.sweep_values:
@@ -400,6 +408,17 @@ def test_no_joint_size_eigendecomposition_outside_negativity_and_mto(monkeypatch
     # the trace saw both kernels decompose, on smaller matrices
     for kernel in ("mutual_informations", "theta_lambda"):
         assert any(kernel in callers for _, callers in calls)
+
+
+def test_fig3_sweep_decomposes_no_joint_state(monkeypatch):
+    # discord, like the mutual information, takes S(AB) from the input spectra,
+    # and its outcomes live on the qutrit factor
+    cfg = builtin_fig3()
+    joint_dim = cfg.setup.h_sys.dim * cfg.setup.h_bath.dim
+    calls = _traced_eigen_calls(monkeypatch)
+    run_config(cfg)
+    assert not [callers for size, callers in calls if size == joint_dim]
+    assert any("discord" in callers for _, callers in calls)
 
 
 def test_runs_build_nothing(monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from athermal_markov.linalg import (
     DensityMatrix,
     dagger,
     eigh,
+    eigvalsh,
     mat_equal,
     matrix_log2_on_support,
     partial_trace,
@@ -153,6 +156,62 @@ def test_eigh_phase_fix_is_bitwise_the_column_loop():
         w, v = eigh(m)
         w_ref, v_ref = _eigh_column_by_column(m)
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+def _with_spectra(rng, spectra: np.ndarray) -> np.ndarray:
+    """A Hermitian matrix u diag(w) u^dag, for a random unitary u, per row w of ``spectra``."""
+    us = np.array([random_unitary(rng, spectra.shape[-1]) for _ in spectra])
+    return (us * spectra[:, None, :]) @ dagger(us)
+
+
+def eigvalsh_cases(n: int) -> dict[str, np.ndarray]:
+    """Stacks of n x n Hermitian matrices: random, PSD of each rank below n,
+    with a k-fold eigenvalue for each k >= 2, zero, scaled from 1e-15 to 1e3
+    and with extra leading axes."""
+    rng = np.random.default_rng(90 + n)
+    random = np.array([random_hermitian(rng, n) for _ in range(240)])
+    cases = {"random": random, "zero": np.zeros((3, n, n), dtype=complex),
+             "leading_axes": random[:120].reshape(2, 3, 4, 5, n, n)}
+    for rank in range(1, n):
+        w = np.zeros((200, n))
+        w[:, n - rank:] = rng.uniform(0.0, 1.0, (200, rank))
+        cases[f"rank_{rank}"] = _with_spectra(rng, w)
+    for k in range(2, n + 1):
+        w = rng.normal(size=(200, n))
+        w[:, :k] = w[:, :1]
+        cases[f"{k}_fold"] = _with_spectra(rng, w)
+    for scale in (1e-15, 1e-10, 1e-5, 1.0, 1e3):
+        cases[f"norm_{scale:g}"] = scale * random
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigvalsh_matches_lapack(n):
+    for name, h in eigvalsh_cases(n).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eigvalsh(h)
+        want = np.linalg.eigvalsh(h)
+        bound = 1e-14 * np.maximum(1.0, np.linalg.norm(h, 2, axis=(-2, -1)))
+        assert got.shape == want.shape, name
+        assert np.all(np.abs(got - want) <= bound[..., None]), name
+        assert np.all(np.diff(got, axis=-1) >= 0.0), name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigvalsh_computes_each_row_alone(n):
+    cases = eigvalsh_cases(n)
+    # closed-form and LAPACK rows mixed in one stack
+    h = np.concatenate([cases["random"], cases["2_fold"], cases["zero"]])
+    alone = np.array([eigvalsh(m) for m in h])
+    assert np.array_equal(eigvalsh(h).view(np.int64), alone.view(np.int64))
+
+
+def test_eigvalsh_hands_larger_matrices_to_lapack():
+    rng = np.random.default_rng(96)
+    h = np.array([random_hermitian(rng, 6) for _ in range(20)])
+    assert np.array_equal(eigvalsh(h).view(np.int64), np.linalg.eigvalsh(h).view(np.int64))
+    assert np.array_equal(eigvalsh(h[0]).view(np.int64), np.linalg.eigvalsh(h[0]).view(np.int64))
 
 
 def test_eigh_rejects_non_hermitian():

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from athermal_markov import measures, thermal
-from athermal_markov.experiments import ExperimentConfig, builtin_distance, run_study
+from athermal_markov.experiments import (ExperimentConfig, builtin_distance, builtin_fig3,
+                                         run_config, run_study)
 from athermal_markov.linalg import (
     STATE_TOL,
     SUPPORT_CUTOFF,
     DensityMatrix,
     dagger,
     eigh,
+    eigvalsh,
     entropy_of_spectrum,
     mat_equal,
     matrix_log2_on_support,
@@ -267,9 +269,15 @@ def brute_force_conditional_entropy(rho: DensityMatrix, steps=60) -> float:
                for phi in np.linspace(0, 2 * np.pi, steps, endpoint=False))
 
 
+def joint_entropy_discord(states, cfg=None):
+    """:func:`discord` with each S(AB) from the joint state's own spectrum."""
+    return discord(states, [entropy_of_spectrum(rho.matrix) for rho in states], cfg)
+
+
 def test_discord_product_state_zero():
     rng = np.random.default_rng(45)
-    mv, = discord([product_state(rng, 2, 3)], OptimizerConfig(seeds=8, grid_resolution=10))
+    mv, = joint_entropy_discord([product_state(rng, 2, 3)],
+                                OptimizerConfig(seeds=8, grid_resolution=10))
     value = mv.value
     assert abs(value) < 1e-9
 
@@ -282,14 +290,14 @@ def test_discord_classical_quantum_zero():
     m[:3, :3] = p * blocks[0]
     m[3:, 3:] = (1 - p) * blocks[1]
     rho = DensityMatrix(m, (2, 3))
-    value = discord([rho], OptimizerConfig(seeds=8, grid_resolution=13))[0].value
+    value = joint_entropy_discord([rho], OptimizerConfig(seeds=8, grid_resolution=13))[0].value
     assert abs(value) < 1e-7
 
 
 def test_discord_bell_one_bit_vs_brute_force():
     rho = bell_state()
     oracle_min = brute_force_conditional_entropy(rho)
-    mv, = discord([rho], OptimizerConfig(seeds=8, grid_resolution=10))
+    mv, = joint_entropy_discord([rho], OptimizerConfig(seeds=8, grid_resolution=10))
     assert oracle_min < 1e-6
     assert abs(mv.value - 1.0) < 1e-6
     assert mv.diagnostics["converged"]
@@ -298,7 +306,7 @@ def test_discord_bell_one_bit_vs_brute_force():
 def test_discord_matches_brute_force_on_random_state():
     rng = np.random.default_rng(47)
     rho = random_density(rng, 6, dims=(2, 3))
-    mv, = discord([rho], OptimizerConfig(seeds=16, grid_resolution=16))
+    mv, = joint_entropy_discord([rho], OptimizerConfig(seeds=16, grid_resolution=16))
     s_a = von_neumann_entropy(partial_trace(rho, 0))
     s_ab = von_neumann_entropy(rho)
     oracle = s_a - s_ab + brute_force_conditional_entropy(rho)
@@ -309,7 +317,7 @@ def test_discord_not_above_mutual_information():
     rng = np.random.default_rng(48)
     for _ in range(5):
         rho = random_density(rng, 4, dims=(2, 2))
-        d = discord([rho], OptimizerConfig(seeds=8, grid_resolution=10))[0].value
+        d = joint_entropy_discord([rho], OptimizerConfig(seeds=8, grid_resolution=10))[0].value
         assert d <= mutual_information(rho).value + 1e-8
         assert d >= -1e-9
 
@@ -317,9 +325,10 @@ def test_discord_not_above_mutual_information():
 def test_discord_requires_qubit_measured_side():
     rng = np.random.default_rng(49)
     with pytest.raises(ValueError, match="unsupported measured dimension"):
-        discord([random_density(rng, 6, dims=(3, 2))])
+        joint_entropy_discord([random_density(rng, 6, dims=(3, 2))])
     with pytest.raises(ValueError, match="share their dims"):
-        discord([random_density(rng, 6, dims=(2, 3)), random_density(rng, 4, dims=(2, 2))])
+        joint_entropy_discord([random_density(rng, 6, dims=(2, 3)),
+                               random_density(rng, 4, dims=(2, 2))])
 
 
 @pytest.mark.parametrize("d2", [2, 3, 6])
@@ -329,9 +338,9 @@ def test_discord_of_many_states_matches_one_state_searches_bitwise(d2):
     # a product state gives a flat landscape, so its search ends early
     states = [random_density(rng, 2 * d2, dims=(2, d2)) for _ in range(3)] + [
         product_state(rng, 2, d2)]
-    together = discord(states, cfg)
+    together = joint_entropy_discord(states, cfg)
     for rho, got in zip(states, together):
-        alone, = discord([rho], cfg)
+        alone, = joint_entropy_discord([rho], cfg)
         assert np.array_equal(np.float64(got.value).view(np.int64),
                               np.float64(alone.value).view(np.int64))
         assert got.diagnostics == alone.diagnostics
@@ -363,9 +372,10 @@ def test_measured_conditional_entropy_is_blind_to_the_measurement_order():
     assert np.max(np.abs(gap)) < 1e-14
 
 
-def pointwise_conditional_entropy(blocks, theta, phi) -> float:
-    """The discord kernel one measurement at a time, in the same Bloch form: the
-    reference for the stacked one."""
+def pointwise_conditional_entropy(blocks, theta, phi, spectrum=eigvalsh) -> float:
+    """The discord kernel one measurement at a time, in the same Bloch form, with
+    each outcome's eigenvalues from ``spectrum``: the reference for the stacked
+    one."""
     n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
     tilt = n[0] * blocks[1] + n[1] * blocks[2] + n[2] * blocks[3]
     t = np.trace(blocks, axis1=-2, axis2=-1).real
@@ -373,25 +383,58 @@ def pointwise_conditional_entropy(blocks, theta, phi) -> float:
     total = 0.0
     for sub, prob in ((blocks[0] + tilt, t[0] + tilt_t), (blocks[0] - tilt, t[0] - tilt_t)):
         if prob > 1e-14:
-            w = np.linalg.eigvalsh(sub) / prob
+            w = spectrum(sub) / prob
             w = w[w > measures.SUPPORT_CUTOFF]
             total += prob * float(-np.sum(w * np.log2(w)))
     return total
 
 
-@pytest.mark.parametrize("d2", [2, 3, 6])
-def test_measured_conditional_entropy_stack_matches_pointwise_bitwise(d2):
+def kernel_case(d2):
+    """Bloch blocks of a random state and of a state with its qubit in |0>, and
+    40 measurement angles per state, ten of them at theta = 0 and ten at pi,
+    where an outcome of the second state has probability <= 1e-14."""
     rng = np.random.default_rng(60 + d2)
-    # a qubit in |0>: at theta = 0 and pi one outcome has probability <= 1e-14
     pure = np.kron(np.diag([1.0, 0.0]), random_density(rng, d2).matrix)
     blocks = measures._bloch_blocks(np.array([random_density(rng, 2 * d2).matrix, pure]), d2)
     angles = np.column_stack([rng.uniform(0, np.pi, 80), rng.uniform(0, 2 * np.pi, 80)])
     angles[:10, 0], angles[10:20, 0], angles[40:50, 0], angles[50:60, 0] = 0.0, np.pi, 0.0, np.pi
-    owner = np.repeat([0, 1], 40)
+    return blocks, angles, np.repeat([0, 1], 40)
+
+
+@pytest.mark.parametrize("d2", [2, 3, 6])
+def test_measured_conditional_entropy_stack_matches_pointwise_bitwise(d2):
+    blocks, angles, owner = kernel_case(d2)
     got = measures._measured_conditional_entropy(blocks, angles, owner)
     want = np.array([pointwise_conditional_entropy(blocks[o], *row)
                      for o, row in zip(owner, angles)])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("d2", [2, 3, 6])
+def test_measured_conditional_entropy_matches_lapack_spectra(d2):
+    blocks, angles, owner = kernel_case(d2)
+    got = measures._measured_conditional_entropy(blocks, angles, owner)
+    want = np.array([pointwise_conditional_entropy(blocks[o], *row, spectrum=np.linalg.eigvalsh)
+                     for o, row in zip(owner, angles)])
+    assert np.max(np.abs(got - want)) <= 1e-14
+    if d2 > 3:  # LAPACK's own outcome spectra, so the kernel keeps its bits
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_fig3_discord_outcome_spectra_match_lapack(monkeypatch):
+    # every outcome stack a built-in fig3 sweep's discord search diagonalises
+    outcomes = []
+
+    def recorded(h):
+        outcomes.append(h)
+        return eigvalsh(h)
+
+    monkeypatch.setattr(measures, "eigvalsh", recorded)
+    cfg = ExperimentConfig.from_dict({**builtin_fig3().to_dict(), "measures": ["discord"]})
+    run_config(cfg)
+    h = np.concatenate([o.reshape(-1, 3, 3) for o in outcomes])
+    assert len(h) > 100_000
+    assert np.max(np.abs(eigvalsh(h) - np.linalg.eigvalsh(h))) <= 2e-15
 
 
 # -- Choi states -------------------------------------------------------------------
