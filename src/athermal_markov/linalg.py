@@ -5,9 +5,10 @@ explicit subsystem factorisation through :class:`DensityMatrix`.  Validity
 checks happen on public construction, to the fixed absolute tolerance
 ``STATE_TOL``; spectral supports end at ``SUPPORT_CUTOFF``.  All entropies
 and matrix logarithms are base 2.  :func:`eigvalsh` gives the spectra of
-stacks of 1x1, 2x2 and 3x3 Hermitian matrices in closed form, where LAPACK's
-per-matrix overhead would outweigh the arithmetic, and hands larger matrices
-and nearly degenerate 3x3 ones to ``np.linalg.eigvalsh``.
+stacks of 3x3 Hermitian matrices in closed form, where LAPACK's per-matrix
+overhead would outweigh the arithmetic (the discord kernel's qubit-qutrit
+outcomes), and hands every other size and nearly degenerate 3x3 rows to
+``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ _TWO_PI = Decimal("6.28318530717958647692528676655900576839433879875021164194988
 # A 3x3 matrix whose cubic has 1 - |r| below this goes to LAPACK: near a
 # repeated eigenvalue the trigonometric roots lose up to sqrt(eps).
 CUBIC_FALLBACK = 1e-2
+
+# Open range of the 3x3 scale p = sqrt(tr B^2 / 6) served in closed form: inside
+# it p^3 and det B are normal doubles, so r = det B / (2 p^3) keeps its bits.
+CUBIC_P_RANGE = (1e-100, 1e100)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -185,37 +190,35 @@ def eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (n, n), or of each matrix in
     a stack (..., n, n), from its lower triangle as ``np.linalg.eigvalsh``.
 
-    For n <= 3 the roots are closed forms, each row computed on its own:
-    n = 2 gives (a + d)/2 -+ hypot((a - d)/2, |b|), and n = 3 Smith's
-    trigonometric roots q + 2p cos(phi + 2 pi k/3) of A = qI + B with
-    q = tr A / 3, p^2 = tr B^2 / 6 and cos(3 phi) = r = det B / (2 p^3).  A 3x3
-    row with 1 - |r| below ``CUBIC_FALLBACK`` (a scalar matrix has no r) and
-    every n >= 4 go to ``np.linalg.eigvalsh``.
+    For n = 3 the roots are Smith's trigonometric closed form, each row
+    computed on its own: q + 2p cos(phi + 2 pi k/3) of A = qI + B with
+    q = tr A / 3, p^2 = tr B^2 / 6 and cos(3 phi) = r = det B / (2 p^3).  A 3x3 row
+    with 1 - |r| below ``CUBIC_FALLBACK``, or with p outside ``CUBIC_P_RANGE``
+    (a scalar matrix, or one whose traceless part B has norm beyond about
+    1e-100 or 1e100), and every other n go to ``np.linalg.eigvalsh``.
     """
     h = np.asarray(h)
-    n = h.shape[-1]
-    if n > 3:
+    if h.shape[-1] != 3:
         return np.linalg.eigvalsh(h)
-    if n == 1:
-        return h[..., 0].real.copy()
     # rows of a 2-D stack, even for one matrix: numpy's complex scalars multiply
     # without the fused operations of its array loops
-    rows = h.reshape(-1, n, n)
-    a, d, b = rows[:, 0, 0].real, rows[:, 1, 1].real, rows[:, 1, 0]
-    if n == 2:
-        mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
-        return np.stack([mean - radius, mean + radius], axis=-1).reshape(h.shape[:-1])
-    f, c, e = rows[:, 2, 2].real, rows[:, 2, 0], rows[:, 2, 1]
-    q = (a + d + f) / 3
-    a, d, f = a - q, d - q, f - q
-    bb, cc, ee = [z.real * z.real + z.imag * z.imag for z in (b, c, e)]
-    p = np.sqrt((a * a + d * d + f * f + 2 * (bb + cc + ee)) / 6)
-    det = a * d * f + 2 * (b * e * c.conj()).real - a * ee - d * cc - f * bb
-    two_p3 = 2 * p * p * p
-    r = np.divide(det, two_p3, out=np.ones_like(det), where=two_p3 > 0)
-    fallback = np.abs(r) > 1 - CUBIC_FALLBACK
+    rows = h.reshape(-1, 3, 3)
+    a, d, f = rows[:, 0, 0].real, rows[:, 1, 1].real, rows[:, 2, 2].real
+    b, c, e = rows[:, 1, 0], rows[:, 2, 0], rows[:, 2, 1]
+    # inf or NaN here only reaches rows outside CUBIC_P_RANGE, which LAPACK redoes
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (a + d + f) / 3
+        a, d, f = a - q, d - q, f - q
+        bb, cc, ee = (z.real * z.real + z.imag * z.imag for z in (b, c, e))
+        p = np.sqrt((a * a + d * d + f * f + 2 * (bb + cc + ee)) / 6)
+        det = a * d * f + 2 * (b * e * c.conj()).real - a * ee - d * cc - f * bb
+        scaled = (p > CUBIC_P_RANGE[0]) & (p < CUBIC_P_RANGE[1])
+        inv_p = np.divide(1.0, p, out=np.zeros_like(p), where=scaled)
+        r = 0.5 * det * (inv_p * inv_p * inv_p)
+    fallback = ~scaled | (np.abs(r) > 1 - CUBIC_FALLBACK)
+    radius = 2 * np.where(scaled, p, 0.0)
     phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3
-    top, bottom = 2 * p * np.cos(phi), 2 * p * np.cos(phi + 2 * np.pi / 3)
+    top, bottom = radius * np.cos(phi), radius * np.cos(phi + 2 * np.pi / 3)
     w = np.stack([bottom, -top - bottom, top], axis=-1) + q[:, None]
     if fallback.any():
         w[fallback] = np.linalg.eigvalsh(rows[fallback])

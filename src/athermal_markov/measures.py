@@ -59,6 +59,15 @@ def _joint_stack(states: Sequence[DensityMatrix]) -> tuple[np.ndarray, tuple[int
     return np.array([rho.matrix for rho in states]), dims
 
 
+def _joint_entropy_array(joint_entropies, states: Sequence[DensityMatrix]) -> np.ndarray:
+    """The caller's S(AB) values as an array, one entry per state."""
+    values = np.asarray(joint_entropies, dtype=float)
+    if values.shape != (len(states),):
+        raise ValueError(f"joint_entropies has shape {values.shape}, "
+                         f"expected one entry per state ({len(states)},)")
+    return values
+
+
 def log_negativities(states: Sequence[DensityMatrix]) -> list[MeasureValue]:
     """:func:`log_negativity` of each joint state, from one ``eigvalsh`` of the
     stack of partial transposes: each is Hermitian, so the sum of its
@@ -78,7 +87,7 @@ def mutual_informations(states: Sequence[DensityMatrix], joint_entropies) -> lis
     joints, (d1, d2) = _joint_stack(states)
     values = (entropy_of_spectrum(trace_out_second(joints, d1, d2))
               + entropy_of_spectrum(trace_out_first(joints, d1, d2))
-              - np.asarray(joint_entropies))
+              - _joint_entropy_array(joint_entropies, states))
     return [MeasureValue("mutual_information", float(v)) for v in values]
 
 
@@ -113,7 +122,7 @@ def _measured_conditional_entropy(blocks: np.ndarray, angles: np.ndarray,
     With n the Bloch vector of psi, the unnormalised outcomes are
     P_0 +- n . (P_1, P_2, P_3) and their probabilities the traces of those; the
     spectra of the unnormalised outcomes, from one :func:`linalg.eigvalsh` of
-    their stack (closed-form roots for a qubit or qutrit second factor), are
+    their stack (closed-form roots for a qutrit second factor), are
     divided by the probabilities.  An outcome of probability at most 1e-14
     contributes nothing."""
     theta, phi = angles[:, 0], angles[:, 1]
@@ -150,6 +159,7 @@ def discord(states: Sequence[DensityMatrix], joint_entropies,
     joints, (d1, d2) = _joint_stack(states)
     if d1 != 2:
         raise ValueError("unsupported measured dimension: first factor must be a qubit")
+    s_ab = _joint_entropy_array(joint_entropies, states)
     cfg = cfg or OptimizerConfig(grid_resolution=24)
     blocks = _bloch_blocks(joints, d2)
 
@@ -159,7 +169,7 @@ def discord(states: Sequence[DensityMatrix], joint_entropies,
     results = minimize(objective, [(0.0, np.pi), (0.0, 2 * np.pi)], cfg, periodic=[False, True],
                        problems=len(states))
     # S(A) - S(AB) of every state
-    offsets = entropy_of_spectrum(trace_out_second(joints, d1, d2)) - np.asarray(joint_entropies)
+    offsets = entropy_of_spectrum(trace_out_second(joints, d1, d2)) - s_ab
     values = []
     for offset, result in zip(offsets, results):
         diags = {

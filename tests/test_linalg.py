@@ -185,9 +185,8 @@ def eigvalsh_cases(n: int) -> dict[str, np.ndarray]:
     return cases
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_eigvalsh_matches_lapack(n):
-    for name, h in eigvalsh_cases(n).items():
+def test_eigvalsh_matches_lapack():
+    for name, h in eigvalsh_cases(3).items():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = eigvalsh(h)
@@ -198,18 +197,29 @@ def test_eigvalsh_matches_lapack(n):
         assert np.all(np.diff(got, axis=-1) >= 0.0), name
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_eigvalsh_computes_each_row_alone(n):
-    cases = eigvalsh_cases(n)
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+def test_eigvalsh_stays_relative_to_the_norm_across_the_double_range(scale):
+    h = scale * eigvalsh_cases(3)["random"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eigvalsh(h)
+    want = np.linalg.eigvalsh(h)
+    norm = np.linalg.norm(h, 2, axis=(-2, -1))
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-14 * norm[:, None])
+
+
+def test_eigvalsh_computes_each_row_alone():
+    cases = eigvalsh_cases(3)
     # closed-form and LAPACK rows mixed in one stack
     h = np.concatenate([cases["random"], cases["2_fold"], cases["zero"]])
     alone = np.array([eigvalsh(m) for m in h])
     assert np.array_equal(eigvalsh(h).view(np.int64), alone.view(np.int64))
 
 
-def test_eigvalsh_hands_larger_matrices_to_lapack():
-    rng = np.random.default_rng(96)
-    h = np.array([random_hermitian(rng, 6) for _ in range(20)])
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_eigvalsh_hands_other_sizes_to_lapack(n):
+    h = eigvalsh_cases(n)["random"][:20]
     assert np.array_equal(eigvalsh(h).view(np.int64), np.linalg.eigvalsh(h).view(np.int64))
     assert np.array_equal(eigvalsh(h[0]).view(np.int64), np.linalg.eigvalsh(h[0]).view(np.int64))
 

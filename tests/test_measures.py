@@ -242,6 +242,16 @@ def test_stacked_kernels_require_shared_two_factor_dims():
         log_negativities([random_density(rng, 4, dims=(2, 2)), DensityMatrix(np.eye(4) / 4, (4, 1))])
 
 
+
+@pytest.mark.parametrize("joint_entropies", [0.5, [0.5], [0.5, 0.5, 0.5]])
+def test_kernels_take_one_joint_entropy_per_state(joint_entropies):
+    rng = np.random.default_rng(99)
+    states = [random_density(rng, 6, dims=(2, 3)) for _ in range(2)]
+    with pytest.raises(ValueError, match="one entry per state"):
+        mutual_informations(states, joint_entropies)
+    with pytest.raises(ValueError, match="one entry per state"):
+        discord(states, joint_entropies)
+
 # -- discord -----------------------------------------------------------------------
 
 def kron_conditional_entropy(rho: DensityMatrix, theta: float, phi: float) -> float:
@@ -417,7 +427,7 @@ def test_measured_conditional_entropy_matches_lapack_spectra(d2):
     want = np.array([pointwise_conditional_entropy(blocks[o], *row, spectrum=np.linalg.eigvalsh)
                      for o, row in zip(owner, angles)])
     assert np.max(np.abs(got - want)) <= 1e-14
-    if d2 > 3:  # LAPACK's own outcome spectra, so the kernel keeps its bits
+    if d2 != 3:  # LAPACK's own outcome spectra, so the kernel keeps its bits
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
