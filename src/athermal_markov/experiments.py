@@ -95,7 +95,12 @@ def _as_list(value, where: str) -> list:
 
 
 def _floats(value, where: str) -> tuple[float, ...]:
-    return tuple(_field(where, float, v) for v in _as_list(value, where))
+    """The list as finite floats in one conversion, or the error of its first bad entry."""
+    items = _as_list(value, where)
+    with contextlib.suppress(TypeError, ValueError, ArithmeticError):
+        if all(map(math.isfinite, values := tuple(map(float, items)))):
+            return values
+    return tuple(_field(where, float, v) for v in items)
 
 
 def _matrix_from_json(data, where: str) -> np.ndarray:
@@ -208,7 +213,8 @@ class ExperimentConfig:
     eigenbasis with weight ``initial_population_a`` on the top level, unless
     explicit level-basis coefficients are given.  Construction builds
     everything a run needs into ``setup``, so a config exists only if it
-    builds; errors are ValueErrors that name the field.
+    builds, and is its build: ``build_system`` and ``build_bath`` return what
+    ``setup`` holds.  Errors are ValueErrors that name the field.
     """
 
     name: str
@@ -253,8 +259,8 @@ class ExperimentConfig:
         if "choi_distance" in self.measures and self.mto_relation is None:
             raise ValueError("choi_distance requires mto_relation")
 
-        h_sys = _field("system", self.build_system)
-        h_bath = _field("bath", self.build_bath)
+        h_sys = _field("system", self.system.build)
+        h_bath = _field("bath", self.bath.build)
         if h_sys.dim * h_bath.dim > MAX_TOTAL_DIMENSION:
             raise ValueError(f"total dimension {h_sys.dim * h_bath.dim} exceeds {MAX_TOTAL_DIMENSION}")
         if "discord" in self.measures and h_sys.dim != 2:
@@ -287,10 +293,10 @@ class ExperimentConfig:
     # -- construction helpers -------------------------------------------------
 
     def build_system(self) -> Hamiltonian:
-        return self.system.build()
+        return self.setup.h_sys
 
     def build_bath(self) -> Hamiltonian:
-        return self.bath.build()
+        return self.setup.h_bath
 
     def level_coeffs(self) -> np.ndarray:
         """The initial state's coefficients in the system energy eigenbasis."""
@@ -375,8 +381,12 @@ class ExperimentConfig:
         )
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return _hash(self.to_dict())
+
+
+def _hash(data: dict) -> str:
+    """The config hash of :meth:`ExperimentConfig.to_dict`'s ``data``."""
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +427,10 @@ def _sort_rows(rows) -> tuple[SweepRow, ...]:
 
 
 def _base_metadata(cfg: ExperimentConfig) -> dict:
+    data = cfg.to_dict()
     return {
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
+        "config": data,
+        "config_hash": _hash(data),
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
 
@@ -443,32 +454,36 @@ def _measure_values(measure: str, cfg: ExperimentConfig, ops: list[thermal.Therm
     in ``ops``, then one value per config epsilon; ``joints`` holds each control
     value's evolved input states in that order, and ``entropies`` their
     :func:`_joint_entropies`, which the mutual information and discord take
-    as S(AB).  Discord is one search over every joint state of the sweep, and
-    the Choi distance one family search over every distance and response
-    bound of the sweep.  Second, per control value, its bounds at the config
-    epsilons with their search's diagnostics; empty for the other measures."""
+    as S(AB).  The mutual information is one kernel call and discord one
+    search on every joint state of the sweep, but the log-negativity one call
+    per control value: a sweep-wide stack of partial transposes costs more
+    peak memory than its calls save.  The Choi distance is one family search
+    over every distance and response bound of the sweep.  Second, per control
+    value, its bounds at the config epsilons with their search's diagnostics;
+    empty for the other measures."""
     if measure == "choi_distance":
         setup = cfg.setup
         studies = measures.distance_sweep([(op, setup.family(op)) for op in ops], setup.h_prime,
                                           cfg.epsilons, cfg.optimizer)
         return [values for values, _, _ in studies], [(b, d) for _, b, d in studies]
-    if measure == "discord":
-        flat = measures.discord([joint for js in joints for joint in js], np.concatenate(entropies),
-                                cfg.optimizer)
-        n = len(joints[0])
-        return [flat[k:k + n] for k in range(0, len(flat), n)], []
     if measure == "log_negativity":
         return [measures.log_negativities(js) for js in joints], []
-    return [measures.mutual_informations(js, s) for js, s in zip(joints, entropies)], []
+    flat = [joint for js in joints for joint in js]
+    if measure == "discord":
+        values = measures.discord(flat, np.concatenate(entropies), cfg.optimizer)
+    else:
+        values = measures.mutual_informations(flat, np.concatenate(entropies))
+    n = len(joints[0])
+    return [values[k:k + n] for k in range(0, len(values), n)], []
 
 
 def run_config(cfg: ExperimentConfig) -> SweepResult:
     """Evaluate every configured measure on the (epsilon, control) grid.
 
     Per control value the operation is built once and applied once to the
-    stack of input states, and each closed-form measure is one kernel call on
-    its joint states; each measure's unperturbed value serves every epsilon
-    row.  With the Choi distance, each (epsilon, control) pair also gets a
+    stack of input states, whose joints :func:`_measure_values` takes to the
+    measures; each measure's unperturbed value serves every epsilon row.
+    With the Choi distance, each (epsilon, control) pair also gets a
     ``choi_distance_bound`` row: the distance response, its first-order bound
     and bound minus response.  The bound searches' diagnostics follow the
     measures' in ``optimizer_diagnostics``, and ``optimizer_converged`` says

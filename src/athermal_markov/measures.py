@@ -69,13 +69,19 @@ def _joint_entropy_array(joint_entropies, states: Sequence[DensityMatrix]) -> np
 
 
 def log_negativities(states: Sequence[DensityMatrix]) -> list[MeasureValue]:
-    """:func:`log_negativity` of each joint state, from one ``eigvalsh`` of the
-    stack of partial transposes: each is Hermitian, so the sum of its
-    |eigenvalues| is its trace norm."""
+    """:func:`log_negativity` of each joint state, from the stack of partial
+    transposes.  A stack that ``np.linalg.cholesky`` certifies positive
+    definite (to rounding, about n eps ||pt||) has its traces as trace norms;
+    any other goes, whole, to one ``eigvalsh``: each partial transpose is
+    Hermitian, so the sum of its |eigenvalues| is its trace norm."""
     joints, (d1, d2) = _joint_stack(states)
     pt = joints.reshape(-1, d1, d2, d1, d2).transpose(0, 3, 2, 1, 4).reshape(joints.shape)
-    values = np.log2(np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1))
-    return [MeasureValue("log_negativity", float(v)) for v in values]
+    try:
+        np.linalg.cholesky(pt)
+        norms = np.trace(pt, axis1=-2, axis2=-1).real
+    except np.linalg.LinAlgError:
+        norms = np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1)
+    return [MeasureValue("log_negativity", float(v)) for v in np.log2(norms)]
 
 
 def mutual_informations(states: Sequence[DensityMatrix], joint_entropies) -> list[MeasureValue]:
@@ -85,6 +91,7 @@ def mutual_informations(states: Sequence[DensityMatrix], joint_entropies) -> lis
     U^dag has the spectrum {p_i q_r} of its inputs, so a sweep passes the
     entropy of that product spectrum and diagonalises no joint state."""
     joints, (d1, d2) = _joint_stack(states)
+    # LAPACK, not linalg.eigvalsh's closed form: LAPACK is faster on these marginal stacks
     values = (entropy_of_spectrum(trace_out_second(joints, d1, d2))
               + entropy_of_spectrum(trace_out_first(joints, d1, d2))
               - _joint_entropy_array(joint_entropies, states))
@@ -442,11 +449,11 @@ def distance_measure(op: ThermalOperation, family: MarkovianFamily,
 # First-order response quantities
 # ---------------------------------------------------------------------------
 
-def _check_support(label: str, direction: np.ndarray, state: np.ndarray, flags: dict):
-    """Support check of ``direction`` against ``state``; returns
-    ``np.linalg.eigh(state)``.  The kernel projector is formed only when some
-    eigenvalue lies at or below ``SUPPORT_CUTOFF``."""
-    w, v = np.linalg.eigh(state)
+def _check_support(label: str, direction: np.ndarray, w: np.ndarray, v: np.ndarray,
+                   flags: dict):
+    """Support check of ``direction`` against the state of ascending
+    eigenvalues ``w`` and eigenvectors ``v``.  The kernel projector is formed
+    only when some eigenvalue lies at or below ``SUPPORT_CUTOFF``."""
     if w[0] <= SUPPORT_CUTOFF:
         vs = v[:, w > SUPPORT_CUTOFF]
         kernel = np.eye(len(w), dtype=complex) - vs @ dagger(vs)
@@ -454,20 +461,22 @@ def _check_support(label: str, direction: np.ndarray, state: np.ndarray, flags: 
             flags[label] = True
             if trace_norm(kernel @ direction @ kernel) > STATE_TOL:
                 raise ValueError("theta undefined at this point: response leaves the state's support")
-    return w, v
 
 
-def _response_bar(x: np.ndarray, w: np.ndarray, v: np.ndarray, q: np.ndarray) -> float:
+def _response_bar(x: np.ndarray, w: np.ndarray, v: np.ndarray, q: np.ndarray | None) -> float:
     """Tr[(x (x) tau)(I + log2(A (x) tau))] for A = v diag(w) v^dag and a state
     tau of spectrum ``q``, with the support convention: Tr x + sum over
     w_k q_r > SUPPORT_CUTOFF of q_r log2(w_k q_r) (v^dag x v)_kk.  With
-    q = (1,) it is Tr[x (I + log2 A)]."""
-    wq = np.multiply.outer(w, q)
-    if wq.min() < -SUPPORT_CUTOFF:
-        raise ValueError(f"theta undefined at this point: negative eigenvalue {wq.min()}")
-    on = wq > SUPPORT_CUTOFF
-    diagonal = np.sum(v.conj() * (x @ v), axis=0).real
-    return float(np.trace(x).real + np.log2(wq[on]) @ np.multiply.outer(diagonal, q)[on])
+    q = None it is Tr[x (I + log2 A)]."""
+    diagonal = (v.conj() * (x @ v)).sum(axis=0).real
+    if q is not None:
+        w, diagonal = np.multiply.outer(w, q).ravel(), np.multiply.outer(diagonal, q).ravel()
+    lo = w.min()
+    if lo < -SUPPORT_CUTOFF:
+        raise ValueError(f"theta undefined at this point: negative eigenvalue {lo}")
+    if lo <= SUPPORT_CUTOFF:  # log2 sees the support only
+        w, diagonal = w[w > SUPPORT_CUTOFF], diagonal[w > SUPPORT_CUTOFF]
+    return float(x.trace().real + np.log2(w) @ diagonal)
 
 
 def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
@@ -478,34 +487,35 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     input coefficients and the channel only.  Uses the support convention for
     the logarithms and refuses inputs whose response has weight outside the
     support of the corresponding evolved state.  The evolved state and the
-    evolved response come from one evolution of their stack, for their
-    marginals.  The joint bar needs no joint state: a unitary keeps the
-    spectrum {p_i q_r} of rho (x) tau, with p the spectrum of rho and q the
-    bath weights, so it comes from rho's d_sys eigendecomposition.  The joint
+    evolved response come from one evolution of their stack, and each
+    marginal of both from one partial trace.  The joint bar needs no joint
+    state: a unitary keeps the spectrum {p_i q_r} of rho (x) tau, with p the
+    spectrum of rho and q the bath weights, so it comes from the d_sys
+    eigendecomposition that checks rho as a density matrix.  The joint
     support is deficient iff some p_i q_r is at or below ``SUPPORT_CUTOFF``,
     and rho-tilde (x) tau lies in supp rho (x) supp tau iff rho-tilde lies in
     supp rho, so the response is checked against rho.
     """
     h_sys = op.system_hamiltonian
-    rho = thermal.state_from_level_coeffs(h_sys, rho_coeffs)
-    rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
+    v = h_sys.eigvecs
+    rho = v @ np.asarray(rho_coeffs, dtype=complex) @ dagger(v)
+    _, p, p_vecs = DensityMatrix.with_eigh(rho, (h_sys.dim,))
+    g = thermal.first_order_generator(h_sys, pert.h_prime)
+    rho_tilde = g @ rho - rho @ g
 
-    pair = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, np.array([rho.matrix, rho_tilde]))
-    joint, joint_dir = 0.5 * (pair[0] + dagger(pair[0])), pair[1]
+    pair = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, np.array([rho, rho_tilde]))
     d_s, d_b = op.d_sys, op.d_bath
     q = op.bath.level_probabilities
 
-    one = np.ones(1)  # the marginal bars weigh no bath spectrum
-    flags, checked = {}, []  # every support is checked before any logarithm
-    for name, x, state, weights in (
-            ("system", trace_out_second(joint_dir, d_s, d_b), trace_out_second(joint, d_s, d_b),
-             one),
-            ("bath", trace_out_first(joint_dir, d_s, d_b), trace_out_first(joint, d_s, d_b), one),
-            ("joint", rho_tilde, rho.matrix, q)):
-        w, v = _check_support(f"{name}_support_deficient", x, state, flags)
-        checked.append((x, w, v, weights))
+    # eigh reads a lower triangle, so the marginal states need no symmetrising
+    checked = [(x, *np.linalg.eigh(state), None) for state, x in (
+        trace_out_second(pair, d_s, d_b), trace_out_first(pair, d_s, d_b))]
+    checked.append((rho_tilde, p, p_vecs, q))
+    flags = {}  # every support is checked before any logarithm
+    for name, (x, w, u, _) in zip(("system", "bath", "joint"), checked):
+        _check_support(f"{name}_support_deficient", x, w, u, flags)
     # a bath weight alone can leave the joint spectrum {p_i q_r} deficient
-    if np.multiply.outer(checked[2][1], q).min() <= SUPPORT_CUTOFF:
+    if p[0] * q.min() <= SUPPORT_CUTOFF:
         flags["joint_support_deficient"] = True
     a_bar, b_bar, c_bar = [_response_bar(*args) for args in checked]
     theta = c_bar - a_bar - b_bar

@@ -26,6 +26,7 @@ from .linalg import (
     DensityMatrix,
     dagger,
     eigh,
+    mat_equal,
     reduce_mod_2pi,
     trace_norm,
     trace_out_second,
@@ -34,7 +35,8 @@ from .linalg import (
 # Total-energy values closer than this are grouped into one degenerate block.
 DEGENERACY_TOL = 1e-8
 
-# Absolute tolerance of U U^dag = I for block and family unitaries.
+# Absolute tolerance of U U^dag = I for block and family unitaries: the largest
+# entry of U U^dag - I, with no relative part, may reach it.
 UNITARY_TOL = 1e-10
 
 
@@ -57,8 +59,7 @@ class Hamiltonian:
 
     def __post_init__(self):
         for name in ("matrix", "energies", "eigvecs"):
-            arr = np.asarray(getattr(self, name))
-            arr = arr.astype(complex) if name != "energies" else arr.astype(float)
+            arr = np.array(getattr(self, name), dtype=float if name == "energies" else complex)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -76,7 +77,7 @@ class Hamiltonian:
         """True iff ``eigvecs`` is unitary within ``UNITARY_TOL``; checked once,
         since the cached arrays are read-only."""
         v = self.eigvecs
-        return bool(np.allclose(dagger(v) @ v, np.eye(self.dim), atol=UNITARY_TOL))
+        return mat_equal(dagger(v) @ v, np.eye(self.dim), UNITARY_TOL)
 
     def bohr_nondegenerate(self) -> bool:
         """True iff all pairwise level differences E_i - E_j (i != j) are distinct."""
@@ -87,11 +88,11 @@ class Hamiltonian:
     def energy_blocks(self) -> list[tuple[float, tuple[int, ...]]]:
         """Group cached levels into (energy, level indices) eigenspace blocks."""
         blocks: list[tuple[float, list[int]]] = []
-        for k, e in enumerate(self.energies):
+        for k, e in enumerate(self.energies.tolist()):
             if blocks and abs(e - blocks[-1][0]) <= DEGENERACY_TOL:
                 blocks[-1][1].append(k)
             else:
-                blocks.append((float(e), [k]))
+                blocks.append((e, [k]))
         return [(e, tuple(idx)) for e, idx in blocks]
 
 
@@ -141,18 +142,18 @@ def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
     eigenspaces stay expressed in product kets.
     """
     d1, d2 = h_sys.dim, h_bath.dim
-    m = np.kron(h_sys.matrix, np.eye(d2)) + np.kron(np.eye(d1), h_bath.matrix)
-    labels = [(i, r) for i in range(d1) for r in range(d2)]
-    energies = np.array([h_sys.energies[i] + h_bath.energies[r] for i, r in labels])
-    order = sorted(range(len(labels)), key=lambda k: (energies[k], labels[k]))
-    # column i*d2 + r of the Kronecker product is the product ket |i>|r>
-    vecs = np.kron(h_sys.eigvecs, h_bath.eigvecs)[:, order]
+    # axes (system, system, bath, bath), to (system, bath, system, bath): Kronecker order
+    m = np.multiply.outer(h_sys.matrix, np.eye(d2)) + np.multiply.outer(np.eye(d1), h_bath.matrix)
+    vecs = np.multiply.outer(h_sys.eigvecs, h_bath.eigvecs).swapaxes(1, 2).reshape(d1 * d2, -1)
+    # level k = i*d2 + r is the product ket |i>|r>; a stable sort breaks ties by (i, r)
+    energies = np.add.outer(h_sys.energies, h_bath.energies).ravel()
+    order = np.argsort(energies, kind="stable")
     return Hamiltonian(
-        m,
+        m.swapaxes(1, 2).reshape(d1 * d2, -1),
         energies[order],
-        vecs,
+        vecs[:, order],
         parts=(h_sys, h_bath),
-        product_labels=tuple(labels[k] for k in order),
+        product_labels=tuple(zip((order // d2).tolist(), (order % d2).tolist())),
     )
 
 
@@ -169,7 +170,7 @@ class EnergyBlockUnitary:
     hamiltonian: Hamiltonian
 
     def __post_init__(self):
-        if not np.allclose(self.matrix @ dagger(self.matrix), np.eye(self.dim), atol=UNITARY_TOL):
+        if not mat_equal(self.matrix @ dagger(self.matrix), np.eye(self.dim), UNITARY_TOL):
             raise ValueError("energy-block operator is not unitary")
 
     @classmethod
@@ -203,7 +204,8 @@ class EnergyBlockUnitary:
         # only i < j is constrained, and only on a non-degenerate Bohr spectrum
         free = np.isnan(z) | (s[:, None] >= s[None, :])[..., None] | (not h_sys.bohr_nondegenerate())
         table = AmplitudeTable(amplitudes, levels, np.nan_to_num(np.abs(amplitudes) ** 2),
-                               np.nan_to_num(z), free)
+                               np.where(levels < 0, np.nan, 0.0), np.nan_to_num(z),
+                               np.where(free, np.nan, 0.0))
         for arr in table:
             arr.flags.writeable = False
         return table
@@ -223,7 +225,7 @@ def _coerce_block_unitary(param, size: int) -> np.ndarray:
         u = np.asarray(param, dtype=complex)
         if u.shape != (size, size):
             raise ValueError(f"block unitary has shape {u.shape}, expected {(size, size)}")
-    if not np.allclose(u @ dagger(u), np.eye(size), atol=UNITARY_TOL):
+    if not mat_equal(u @ dagger(u), np.eye(size), UNITARY_TOL):
         raise ValueError("block parameter is not unitary within tolerance")
     return u
 
@@ -375,12 +377,14 @@ class AmplitudeTable(NamedTuple):
     levels i, j and bath levels r.  ``levels`` holds r', the bath level at
     E_r + E_i - E_j, or -1 where it is missing; ``amplitudes`` holds
     <j, r'| U |i, r> (NaN where missing) and ``weights`` its squared modulus.
-    ``phase_products`` holds a[i, i, r] conj(a[j, j, r]), constrained where
-    ``phase_free`` is false.  Missing entries weigh 0."""
+    ``phase_products`` holds a[i, i, r] conj(a[j, j, r]).  Missing entries weigh
+    0.  ``missing`` and ``phase_free``, added to a residual, mask it: NaN where
+    an amplitude is missing or a phase product unconstrained, else 0."""
 
     amplitudes: np.ndarray
     levels: np.ndarray
     weights: np.ndarray
+    missing: np.ndarray
     phase_products: np.ndarray
     phase_free: np.ndarray
 
@@ -430,14 +434,14 @@ def mto_check(op: ThermalOperation, rho_sys: DensityMatrix) -> MtoConstraintRepo
     deviation = 0.5 * float(np.abs(np.linalg.eigvalsh(joint - product)).sum())
 
     p = op.bath.level_probabilities
-    pij = t.weights @ p  # P(i -> j) from the available amplitudes
-    ratio = np.divide(p[t.levels] * pij[..., None], p, out=np.full_like(t.weights, np.nan), where=p > 0)
+    # P(i -> j) from the available amplitudes, moved to bath level r'; NaN where p_r = 0
+    ratio = p[t.levels] * (t.weights @ p)[..., None] / np.where(p > 0, p, np.nan)
     spread = np.abs(t.phase_products - (t.phase_products @ p)[..., None])
     return MtoConstraintReport(
         is_markovian=deviation <= STATE_TOL,
         joint_product_deviation=deviation,
-        amplitude_residuals=np.where(t.levels < 0, np.nan, np.abs(t.weights - ratio)),
-        phase_residuals=np.fmax.reduce(np.where(t.phase_free, np.nan, spread), axis=-1),
+        amplitude_residuals=np.abs(t.weights - ratio) + t.missing,
+        phase_residuals=np.fmax.reduce(spread + t.phase_free, axis=-1),
     )
 
 
@@ -464,24 +468,20 @@ def perturbed_hamiltonian(h_sys: Hamiltonian, pert: PerturbationSpec) -> Hamilto
     return Hamiltonian.from_matrix(h_sys.matrix + pert.epsilon * pert.h_prime.matrix)
 
 
-def _require_nondegenerate(h: Hamiltonian):
-    gaps = np.diff(h.energies)
-    if len(gaps) and gaps.min() <= DEGENERACY_TOL:
-        raise ValueError("degenerate spectrum: non-degenerate perturbation theory does not apply")
-
-
 def first_order_generator(h_sys: Hamiltonian, h_prime: Hamiltonian) -> np.ndarray:
     """Anti-Hermitian G with |i'> = (I + eps G)|i> to first order.
 
     In the eigenbasis of ``h_sys``: G[k, i] = <k|H'|i> / (E_i - E_k) off the
     diagonal, zero on it.  Returned in the computational representation.
     """
-    _require_nondegenerate(h_sys)
+    e = h_sys.energies
+    if len(e) > 1 and (e[1:] - e[:-1]).min() <= DEGENERACY_TOL:
+        raise ValueError("degenerate spectrum: non-degenerate perturbation theory does not apply")
     v = h_sys.eigvecs
     hp = dagger(v) @ h_prime.matrix @ v
-    e = h_sys.energies
-    g = np.divide(hp, e[None, :] - e[:, None], out=np.zeros_like(hp),
-                  where=~np.eye(h_sys.dim, dtype=bool))
+    gaps = e[None, :] - e[:, None]
+    # the spectrum is non-degenerate: a zero gap is a diagonal entry
+    g = np.divide(hp, gaps, out=np.zeros(hp.shape, dtype=complex), where=gaps != 0)
     return v @ g @ dagger(v)
 
 
@@ -495,17 +495,12 @@ def perturbed_eigvectors(h_sys: Hamiltonian, pert: PerturbationSpec) -> np.ndarr
     """
     hp = perturbed_hamiltonian(h_sys, pert)
     overlaps = dagger(h_sys.eigvecs) @ hp.eigvecs
-    d = h_sys.dim
-    cols = np.zeros((d, d), dtype=complex)
-    taken: set[int] = set()
-    for i in range(d):
-        j = int(np.argmax(np.abs(overlaps[i, :])))
-        ov = overlaps[i, j]
-        if abs(ov) ** 2 <= 0.5 or j in taken:
-            raise ValueError("perturbation too strong: eigenvector matching ambiguous")
-        taken.add(j)
-        cols[:, i] = hp.eigvecs[:, j] * (ov.conjugate() / abs(ov))
-    return cols
+    match = np.argmax(np.abs(overlaps), axis=1)
+    ov = overlaps[np.arange(h_sys.dim), match]
+    if (np.abs(ov) ** 2 <= 0.5).any() or len(set(match.tolist())) < h_sys.dim:
+        raise ValueError("perturbation too strong: eigenvector matching ambiguous")
+    # one scalar division per level, as linalg.eigh aligns its columns
+    return hp.eigvecs[:, match] * np.array([o.conjugate() / abs(o) for o in ov])
 
 
 def state_from_level_coeffs(h_sys: Hamiltonian, coeffs: np.ndarray) -> DensityMatrix:
@@ -518,7 +513,6 @@ def state_from_level_coeffs(h_sys: Hamiltonian, coeffs: np.ndarray) -> DensityMa
 def perturbed_state_exact(coeffs: np.ndarray, h_sys: Hamiltonian,
                           pert: PerturbationSpec) -> DensityMatrix:
     """sum_ij P_ij |i'><j'| using exact matched eigenvectors of H + eps H'."""
-    _require_nondegenerate(h_sys)
     p = np.asarray(coeffs, dtype=complex)
     v = perturbed_eigvectors(h_sys, pert)
     return DensityMatrix(v @ p @ dagger(v), (h_sys.dim,))

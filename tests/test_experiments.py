@@ -111,6 +111,20 @@ def test_config_rejects_bad_inputs():
         ExperimentConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("values, message", [
+    ([0.1, float("nan"), "x"], "config.epsilons: nan is not finite"),
+    ([0.1, "x", float("nan")], "config.epsilons: could not convert string to float: 'x'"),
+    (["1e400", None], "config.epsilons: inf is not finite"),
+])
+def test_float_lists_name_their_first_bad_entry(values, message):
+    # a list converts in one call; the error still names the first entry that fails
+    data = builtin_fig2().to_dict()
+    data["epsilons"] = values
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_dict(data)
+    assert str(info.value) == message
+
+
 def _matrix_fig2() -> dict:
     """fig2 with its system Hamiltonian and initial state given as matrices."""
     data = builtin_fig2().to_dict()
@@ -225,6 +239,9 @@ def test_builtin_config_builds_each_hamiltonian_spec_once(monkeypatch):
         assert len(built) == 3, make.__name__
         assert Counter(map(id, built)) == Counter(map(id, (cfg.system, cfg.bath, cfg.perturbation)))
         assert cfg.level_coeffs() is cfg.setup.coeffs
+        # a config is its build: asking for the system or the bath builds nothing again
+        assert cfg.build_system() is cfg.setup.h_sys and cfg.build_bath() is cfg.setup.h_bath
+        assert len(built) == 3, make.__name__
 
 
 def test_beta_mapping():

@@ -16,6 +16,7 @@ from athermal_markov.linalg import (
     trace_norm,
     von_neumann_entropy,
 )
+from athermal_markov.thermal import Hamiltonian
 from util import BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, random_density, random_hermitian, random_unitary
 
 
@@ -26,14 +27,37 @@ def bell_state():
 # -- types -------------------------------------------------------------------
 
 def test_density_matrix_validation():
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]), (2,))
-    with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(np.eye(2), (2,))
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        DensityMatrix(np.diag([1.5, -0.5]), (2,))
-    with pytest.raises(ValueError, match="bad factorization"):
-        DensityMatrix(np.eye(4) / 4, (2, 3))
+    # with_eigh checks what the constructor checks, on the eigenvalues it returns
+    for build in (DensityMatrix, DensityMatrix.with_eigh):
+        with pytest.raises(ValueError, match="Hermitian"):
+            build(np.array([[0.5, 1.0], [0.0, 0.5]]), (2,))
+        with pytest.raises(ValueError, match="trace"):
+            build(np.eye(2), (2,))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            build(np.diag([1.5, -0.5]), (2,))
+        with pytest.raises(ValueError, match="bad factorization"):
+            build(np.eye(4) / 4, (2, 3))
+
+
+def test_density_matrix_with_eigh_returns_the_state_and_its_eigh():
+    m = random_density(np.random.default_rng(5), 3).matrix
+    rho, w, v = DensityMatrix.with_eigh(m, (3,))
+    want_w, want_v = np.linalg.eigh(m)
+    assert np.array_equal(rho.matrix, m) and not rho.matrix.flags.writeable
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected_before_any_arithmetic(bad):
+    # their own message, and no RuntimeWarning from the Hermiticity difference
+    m = np.eye(2, dtype=complex) / 2
+    m[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: DensityMatrix(m, (2,)), lambda: DensityMatrix.with_eigh(m, (2,)),
+                      lambda: eigh(m), lambda: Hamiltonian.from_matrix(m)):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                build()
 
 
 def test_density_matrix_tolerance_is_explicit():
@@ -346,6 +370,26 @@ def test_reduce_mod_2pi_small_angles():
     for angle in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             reduce_mod_2pi(angle)
+
+
+def test_reduce_mod_2pi_is_bitwise_the_local_context_form():
+    # one module-level 50-digit context does what a fresh local context per call did
+    from decimal import Decimal, localcontext
+    two_pi = Decimal("6.2831853071795864769252867665590057683943387987502116419498891846")
+
+    def local(angle):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            r = Decimal(angle) % two_pi
+            if r < 0:
+                r += two_pi
+            r = float(r)
+        return 0.0 if r == 2 * np.pi else r
+
+    rng = np.random.default_rng(2026)
+    angles = rng.uniform(-1, 1, size=4000) * 10.0 ** rng.uniform(0, 12, size=4000)
+    for angle in (*angles.tolist(), 2 * np.pi, -2 * np.pi, 1e9, -1e9, 1e40):
+        assert reduce_mod_2pi(angle) == local(angle), angle
 
 
 def test_reduce_mod_2pi_huge_angles():

@@ -234,6 +234,51 @@ def test_stacked_kernels_on_the_fig2_degenerate_block_joint():
     assert_kernels_match_references(joints)
 
 
+def _eigvalsh_sizes(monkeypatch) -> list[int]:
+    """From now on, the matrix size of every ``np.linalg.eigvalsh`` call."""
+    sizes = []
+
+    def traced(a, *args, _eigvalsh=np.linalg.eigvalsh, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return _eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", traced)
+    return sizes
+
+
+def log_negativities_by_eigvalsh(monkeypatch, states) -> list[float]:
+    """:func:`log_negativities` with the Cholesky certificate failing every stack."""
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("no certificate")
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", fail)
+        return [mv.value for mv in log_negativities(states)]
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 6), (4, 9)])
+def test_positive_definite_partial_transposes_need_no_eigendecomposition(monkeypatch, d1, d2):
+    # a channel_sweep-like stack: the partial transposes are positive definite, so
+    # each trace norm is a trace, and one Cholesky factorisation certifies it
+    rng = np.random.default_rng(130 + 10 * d1 + d2)
+    inputs = [DensityMatrix(0.5 * random_density(rng, d1).matrix + 0.5 * np.eye(d1) / d1, (d1,))
+              for _ in range(3)]
+    states = apply(random_op(rng, d1, d2, beta=0.2), inputs)
+    assert all(np.linalg.eigvalsh(partial_transpose(j, 0)).min() > 0 for j in states)
+    want = log_negativities_by_eigvalsh(monkeypatch, states)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    values = [mv.value for mv in log_negativities(states)]
+    assert sizes == []
+    assert max(abs(v - w) for v, w in zip(values, want)) <= 1e-15
+
+
+def test_a_stack_that_is_not_positive_definite_falls_back_whole(monkeypatch):
+    rng = np.random.default_rng(140)
+    states = [product_state(rng, 2, 2), bell_state(), product_state(rng, 2, 2)]
+    want = log_negativities_by_eigvalsh(monkeypatch, states)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    assert [mv.value for mv in log_negativities(states)] == want
+    assert sizes == [4]  # one eigvalsh of the whole stack
+
+
 def test_stacked_kernels_require_shared_two_factor_dims():
     rng = np.random.default_rng(98)
     with pytest.raises(ValueError, match="bad factorization"):
@@ -923,7 +968,7 @@ def test_check_support_error_branch():
     state = np.diag([1.0, 0.0]).astype(complex)
     leaky = np.array([[0.0, 0.1], [0.1, 0.2]], dtype=complex)
     with pytest.raises(ValueError, match="theta undefined"):
-        measures._check_support("t", leaky, state, flags)
+        measures._check_support("t", leaky, *np.linalg.eigh(state), flags)
 
 
 def test_x_lambda_commuting_perturbation_zero():

@@ -118,22 +118,41 @@ def test_only_the_claim_checkers_set_a_deviation_status():
     assert found == {("experiments.py", "_check_claims")}
 
 
-def _ndenumerate_uses(tree: ast.Module) -> list[int]:
-    """Lines that name ``ndenumerate``: an attribute, a bare name or an import."""
+def _uses(tree: ast.Module, names: set[str]) -> list[int]:
+    """Lines that name one of ``names``: an attribute, a bare name or an import."""
     return [node.lineno for node in ast.walk(tree)
-            if (isinstance(node, ast.Attribute) and node.attr == "ndenumerate")
-            or (isinstance(node, ast.Name) and node.id == "ndenumerate")
-            or (isinstance(node, ast.alias) and node.name == "ndenumerate")]
+            if (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.alias) and node.name in names)]
+
+
+def _uses_under_src(names: set[str]) -> list[str]:
+    return [f"{path.name}:{line}" for path in sorted(PACKAGE.parent.rglob("*.py"))
+            for line in _uses(_tree(path), names)]
 
 
 def test_no_ndenumerate_under_src():
     # the package computes on whole arrays; an entry-by-entry walk does not come back
-    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.parent.rglob("*.py"))
-             for line in _ndenumerate_uses(_tree(path))]
-    assert found == []
+    assert _uses_under_src({"ndenumerate"}) == []
 
 
 def test_ndenumerate_rule_catches_each_spelling():
     for source in ("for k, v in np.ndenumerate(a): pass", "from numpy import ndenumerate",
                    "f = ndenumerate"):
-        assert _ndenumerate_uses(ast.parse(source)) == [1], source
+        assert _uses(ast.parse(source), {"ndenumerate"}) == [1], source
+
+
+# np.allclose and np.isclose add rtol * |b| to the absolute tolerance they are given,
+# so every tolerance in the package goes through mat_equal or an explicit comparison
+RELATIVE_CHECKS = {"allclose", "isclose"}
+
+
+def test_no_allclose_or_isclose_under_src():
+    assert _uses_under_src(RELATIVE_CHECKS) == []
+
+
+def test_relative_check_rule_catches_each_spelling():
+    for source in ("ok = np.allclose(a, b, atol=1e-10)", "ok = numpy.isclose(a, b)",
+                   "from numpy import allclose", "from numpy import isclose as near",
+                   "f = isclose"):
+        assert _uses(ast.parse(source), RELATIVE_CHECKS) == [1], source

@@ -262,6 +262,22 @@ def test_energy_block_unitary_rejects_non_unitary_matrix():
             thermal.EnergyBlockUnitary(m.astype(complex), h_tot)
 
 
+def test_unitarity_checks_are_absolute():
+    # the largest entry of U U^dag - I may reach UNITARY_TOL = 1e-10, with no relative
+    # part: np.allclose's default rtol would add 1e-5 on the diagonal
+    h_tot = total_hamiltonian(H_QUBIT, H_QUBIT)
+    basis = np.diag([1.0, 1.0 + 1e-6])  # max |U U^dag - I| = 4.0e-6
+    with pytest.raises(ValueError, match="not unitary"):
+        build_block_unitary(h_tot, [0.1, (np.array([0.3, 0.7]), basis), 0.2])
+    u = build_block_unitary(h_tot, [0.1, (np.array([0.3, 0.7]), np.eye(2)), 0.2])
+    with pytest.raises(ValueError, match="not unitary"):
+        thermal.EnergyBlockUnitary(u.matrix * (1 + 3e-6), h_tot)
+    stretched = Hamiltonian(H_QUBIT.matrix, H_QUBIT.energies, H_QUBIT.eigvecs * (1 + 3e-6))
+    assert H_QUBIT.unitary_eigvecs and not stretched.unitary_eigvecs
+    with pytest.raises(ValueError, match="not unitary"):
+        gibbs_state(stretched, 1.0)
+
+
 def test_block_unitary_wrong_count():
     h_tot = total_hamiltonian(H_QUBIT, H_QUBIT)
     with pytest.raises(ValueError, match="block parameters"):
