@@ -95,12 +95,7 @@ def _as_list(value, where: str) -> list:
 
 
 def _floats(value, where: str) -> tuple[float, ...]:
-    """The list as finite floats in one conversion, or the error of its first bad entry."""
-    items = _as_list(value, where)
-    with contextlib.suppress(TypeError, ValueError, ArithmeticError):
-        if all(map(math.isfinite, values := tuple(map(float, items)))):
-            return values
-    return tuple(_field(where, float, v) for v in items)
+    return tuple(_field(where, float, v) for v in _as_list(value, where))
 
 
 def _matrix_from_json(data, where: str) -> np.ndarray:
@@ -213,8 +208,7 @@ class ExperimentConfig:
     eigenbasis with weight ``initial_population_a`` on the top level, unless
     explicit level-basis coefficients are given.  Construction builds
     everything a run needs into ``setup``, so a config exists only if it
-    builds, and is its build: ``build_system`` and ``build_bath`` return what
-    ``setup`` holds.  Errors are ValueErrors that name the field.
+    builds; errors are ValueErrors that name the field.
     """
 
     name: str
@@ -384,8 +378,7 @@ class ExperimentConfig:
         return _hash(self.to_dict())
 
 
-def _hash(data: dict) -> str:
-    """The config hash of :meth:`ExperimentConfig.to_dict`'s ``data``."""
+def _hash(data: dict) -> str:  # of ExperimentConfig.to_dict's data
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
@@ -415,11 +408,7 @@ class SweepResult:
 
     @property
     def measure_names(self) -> list[str]:
-        seen = []
-        for r in self.rows:
-            if r.measure not in seen:
-                seen.append(r.measure)
-        return seen
+        return list(dict.fromkeys(r.measure for r in self.rows))
 
 
 def _sort_rows(rows) -> tuple[SweepRow, ...]:
@@ -454,36 +443,32 @@ def _measure_values(measure: str, cfg: ExperimentConfig, ops: list[thermal.Therm
     in ``ops``, then one value per config epsilon; ``joints`` holds each control
     value's evolved input states in that order, and ``entropies`` their
     :func:`_joint_entropies`, which the mutual information and discord take
-    as S(AB).  The mutual information is one kernel call and discord one
-    search on every joint state of the sweep, but the log-negativity one call
-    per control value: a sweep-wide stack of partial transposes costs more
-    peak memory than its calls save.  The Choi distance is one family search
-    over every distance and response bound of the sweep.  Second, per control
-    value, its bounds at the config epsilons with their search's diagnostics;
-    empty for the other measures."""
+    as S(AB).  Discord is one search over every joint state of the sweep, and
+    the Choi distance one family search over every distance and response
+    bound of the sweep.  Second, per control value, its bounds at the config
+    epsilons with their search's diagnostics; empty for the other measures."""
     if measure == "choi_distance":
         setup = cfg.setup
         studies = measures.distance_sweep([(op, setup.family(op)) for op in ops], setup.h_prime,
                                           cfg.epsilons, cfg.optimizer)
         return [values for values, _, _ in studies], [(b, d) for _, b, d in studies]
+    if measure == "discord":
+        flat = measures.discord([joint for js in joints for joint in js], np.concatenate(entropies),
+                                cfg.optimizer)
+        n = len(joints[0])
+        return [flat[k:k + n] for k in range(0, len(flat), n)], []
     if measure == "log_negativity":
         return [measures.log_negativities(js) for js in joints], []
-    flat = [joint for js in joints for joint in js]
-    if measure == "discord":
-        values = measures.discord(flat, np.concatenate(entropies), cfg.optimizer)
-    else:
-        values = measures.mutual_informations(flat, np.concatenate(entropies))
-    n = len(joints[0])
-    return [values[k:k + n] for k in range(0, len(values), n)], []
+    return [measures.mutual_informations(js, s) for js, s in zip(joints, entropies)], []
 
 
 def run_config(cfg: ExperimentConfig) -> SweepResult:
     """Evaluate every configured measure on the (epsilon, control) grid.
 
     Per control value the operation is built once and applied once to the
-    stack of input states, whose joints :func:`_measure_values` takes to the
-    measures; each measure's unperturbed value serves every epsilon row.
-    With the Choi distance, each (epsilon, control) pair also gets a
+    stack of input states, and each closed-form measure is one kernel call on
+    its joint states; each measure's unperturbed value serves every epsilon
+    row.  With the Choi distance, each (epsilon, control) pair also gets a
     ``choi_distance_bound`` row: the distance response, its first-order bound
     and bound minus response.  The bound searches' diagnostics follow the
     measures' in ``optimizer_diagnostics``, and ``optimizer_converged`` says
@@ -808,8 +793,7 @@ def _mto_equivalence_sweep(rng: np.random.Generator, cases: int) -> tuple[int, i
         if make_markovian:
             base = rng.uniform(0, 2 * np.pi, size=2)
             offsets = rng.uniform(0, 2 * np.pi, size=3)
-            grid = np.array([[base[0] + offsets[r] for r in range(3)],
-                             [base[1] + offsets[r] for r in range(3)]])
+            grid = base[:, None] + offsets
         else:
             while True:
                 grid = rng.uniform(0, 2 * np.pi, size=(2, 3))

@@ -26,10 +26,9 @@ STATE_TOL = 1e-9
 # Eigenvalues at or below this cutoff count as zero support.
 SUPPORT_CUTOFF = 1e-12
 
-# 2*pi with enough digits for exact-to-double reduction of huge angles, and the
-# 50-digit arithmetic that reduces them.
+# 2*pi with enough digits for exact-to-double reduction of huge angles.
 _TWO_PI = Decimal("6.2831853071795864769252867665590057683943387987502116419498891846")
-_DECIMAL = Context(prec=50)
+_DECIMAL = Context(prec=50)  # the arithmetic of that reduction
 
 # A 3x3 matrix whose cubic has 1 - |r| below this goes to LAPACK: near a
 # repeated eigenvalue the trigonometric roots lose up to sqrt(eps).
@@ -49,12 +48,11 @@ def mat_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     """Entrywise equality within an absolute tolerance."""
     a = np.asarray(a)
     b = np.asarray(b)
-    return a.shape == b.shape and bool(np.abs(a - b).max(initial=0.0) <= tol)
+    return a.shape == b.shape and bool(np.max(np.abs(a - b), initial=0.0) <= tol)
 
 
 def _require_hermitian(m: np.ndarray, what: str):
-    """Reject a NaN or inf entry, before any arithmetic could warn about it,
-    then a matrix that is not Hermitian within ``STATE_TOL``."""
+    """Reject NaN or inf entries before any arithmetic warns, then a non-Hermitian ``m``."""
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
     if not mat_equal(m, dagger(m), STATE_TOL):
@@ -80,60 +78,50 @@ def reduce_mod_2pi(angle: float) -> float:
     return 0.0 if r == math.tau else r
 
 
+def check_state(m: np.ndarray, dims: tuple[int, ...], vectors: bool = False):
+    """Check complex ``m`` as a density matrix over ``dims``; return (w, v) of the
+    ``np.linalg.eigh`` that serves its positivity check (v None unless ``vectors``)."""
+    n = m.shape[0]
+    if m.ndim != 2 or m.shape[1] != n:
+        raise ValueError("density matrix must be square")
+    if int(np.prod(dims)) != n:
+        raise ValueError(f"bad factorization: prod{dims} != {n}")
+    _require_hermitian(m, "density matrix")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > STATE_TOL:
+        raise ValueError(f"density matrix trace {tr} != 1 within tolerance")
+    w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    if w[0] < -STATE_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {float(w[0])}")
+    return w, v
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Positive unit-trace Hermitian matrix with a declared factorisation.
 
     ``dims`` lists subsystem dimensions whose product equals the matrix
-    dimension; single-factor states use a one-element tuple.  Validation
-    happens on public construction, to ``STATE_TOL``, after non-finite
-    entries are rejected; states the library derives by CPTP maps are stored
-    through :meth:`_derived`, unchecked.
+    dimension; single-factor states use a one-element tuple.  :func:`check_state`
+    checks public construction; CPTP-derived states go through :meth:`_derived`.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
 
-    def _store(self, m: np.ndarray, dims) -> "DensityMatrix":
+    def _store(self, matrix, dims) -> "DensityMatrix":
+        m = np.array(matrix, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", tuple(map(int, dims)))
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         return self
 
     @classmethod
     def _derived(cls, matrix, dims) -> "DensityMatrix":
-        """A state computed from valid states by a CPTP map, stored unchecked
-        and as a read-only view: the caller hands ``matrix`` over."""
-        return object.__new__(cls)._store(np.asarray(matrix, dtype=complex).view(), dims)
+        """A state computed from valid states by a CPTP map, stored unchecked."""
+        return object.__new__(cls)._store(matrix, dims)
 
     def __post_init__(self):
-        self._check(self.matrix, self.dims, np.linalg.eigvalsh)
-
-    @classmethod
-    def with_eigh(cls, matrix, dims) -> tuple["DensityMatrix", np.ndarray, np.ndarray]:
-        """A checked state with ``np.linalg.eigh`` of its matrix, whose
-        eigenvalues serve the positivity check in place of ``eigvalsh``."""
-        rho = object.__new__(cls)
-        return (rho, *rho._check(matrix, dims, np.linalg.eigh))
-
-    def _check(self, matrix, dims, decompose):
-        """Store and check ``matrix``, positivity last, on the eigenvalues of
-        ``decompose(matrix)``, which is returned."""
-        m = self._store(np.array(matrix, dtype=complex), dims).matrix
-        n = m.shape[0]
-        if m.ndim != 2 or m.shape[1] != n:
-            raise ValueError("density matrix must be square")
-        if math.prod(self.dims) != n:
-            raise ValueError(f"bad factorization: prod{self.dims} != {n}")
-        _require_hermitian(m, "density matrix")
-        tr = complex(m.trace())
-        if abs(tr - 1.0) > STATE_TOL:
-            raise ValueError(f"density matrix trace {tr} != 1 within tolerance")
-        out = decompose(m)  # eigvalsh gives the eigenvalues, eigh a (w, v) pair
-        lo = float((out[0] if isinstance(out, tuple) else out)[0])
-        if lo < -STATE_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lo}")
-        return out
+        check_state(self._store(self.matrix, self.dims).matrix, self.dims)
 
     @property
     def dim(self) -> int:
@@ -191,8 +179,7 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues ascending, eigenvectors as columns).  Each column is
     rescaled so its largest-magnitude component is real positive, which makes
     repeated calls bit-identical and keeps downstream optimisation starts
-    reproducible.  Rejects a matrix with a NaN or inf entry, and one that is not
-    Hermitian within ``STATE_TOL``.
+    reproducible.  Rejects NaN or inf entries and a non-Hermitian matrix (``STATE_TOL``).
     """
     m = np.asarray(m, dtype=complex)
     _require_hermitian(m, "matrix")
@@ -261,7 +248,7 @@ def spectrum_entropy(w: np.ndarray) -> np.ndarray:
     """Entropy in bits of each spectrum along the last axis of ``w``, over the
     eigenvalues above ``SUPPORT_CUTOFF``; log2 sees no other value."""
     support = w > SUPPORT_CUTOFF
-    return -np.where(support, w * np.log2(np.where(support, w, 1.0)), 0.0).sum(axis=-1)
+    return -np.sum(np.where(support, w * np.log2(np.where(support, w, 1.0)), 0.0), axis=-1)
 
 
 def entropy_of_spectrum(matrix: np.ndarray):

@@ -23,6 +23,7 @@ from .linalg import (
     STATE_TOL,
     SUPPORT_CUTOFF,
     DensityMatrix,
+    check_state,
     dagger,
     eigvalsh,
     entropy_of_spectrum,
@@ -69,11 +70,9 @@ def _joint_entropy_array(joint_entropies, states: Sequence[DensityMatrix]) -> np
 
 
 def log_negativities(states: Sequence[DensityMatrix]) -> list[MeasureValue]:
-    """:func:`log_negativity` of each joint state, from the stack of partial
-    transposes.  A stack that ``np.linalg.cholesky`` certifies positive
-    definite (to rounding, about n eps ||pt||) has its traces as trace norms;
-    any other goes, whole, to one ``eigvalsh``: each partial transpose is
-    Hermitian, so the sum of its |eigenvalues| is its trace norm."""
+    """:func:`log_negativity` of each joint state: the trace norms of a stack of partial
+    transposes that ``np.linalg.cholesky`` certifies positive definite are their traces;
+    any other goes whole to one ``eigvalsh``, the sum of |eigenvalues| of each."""
     joints, (d1, d2) = _joint_stack(states)
     pt = joints.reshape(-1, d1, d2, d1, d2).transpose(0, 3, 2, 1, 4).reshape(joints.shape)
     try:
@@ -449,11 +448,9 @@ def distance_measure(op: ThermalOperation, family: MarkovianFamily,
 # First-order response quantities
 # ---------------------------------------------------------------------------
 
-def _check_support(label: str, direction: np.ndarray, w: np.ndarray, v: np.ndarray,
-                   flags: dict):
-    """Support check of ``direction`` against the state of ascending
-    eigenvalues ``w`` and eigenvectors ``v``.  The kernel projector is formed
-    only when some eigenvalue lies at or below ``SUPPORT_CUTOFF``."""
+def _check_support(label: str, direction: np.ndarray, w: np.ndarray, v: np.ndarray, flags: dict):
+    """Support check of ``direction`` against the state of ascending eigenvalues ``w`` and
+    eigenvectors ``v``; the kernel projector is formed only when some ``w <= SUPPORT_CUTOFF``."""
     if w[0] <= SUPPORT_CUTOFF:
         vs = v[:, w > SUPPORT_CUTOFF]
         kernel = np.eye(len(w), dtype=complex) - vs @ dagger(vs)
@@ -463,20 +460,17 @@ def _check_support(label: str, direction: np.ndarray, w: np.ndarray, v: np.ndarr
                 raise ValueError("theta undefined at this point: response leaves the state's support")
 
 
-def _response_bar(x: np.ndarray, w: np.ndarray, v: np.ndarray, q: np.ndarray | None) -> float:
+def _response_bar(x: np.ndarray, w: np.ndarray, v: np.ndarray, q: np.ndarray) -> float:
     """Tr[(x (x) tau)(I + log2(A (x) tau))] for A = v diag(w) v^dag and a state
     tau of spectrum ``q``, with the support convention: Tr x + sum over
     w_k q_r > SUPPORT_CUTOFF of q_r log2(w_k q_r) (v^dag x v)_kk.  With
-    q = None it is Tr[x (I + log2 A)]."""
-    diagonal = (v.conj() * (x @ v)).sum(axis=0).real
-    if q is not None:
-        w, diagonal = np.multiply.outer(w, q).ravel(), np.multiply.outer(diagonal, q).ravel()
-    lo = w.min()
-    if lo < -SUPPORT_CUTOFF:
-        raise ValueError(f"theta undefined at this point: negative eigenvalue {lo}")
-    if lo <= SUPPORT_CUTOFF:  # log2 sees the support only
-        w, diagonal = w[w > SUPPORT_CUTOFF], diagonal[w > SUPPORT_CUTOFF]
-    return float(x.trace().real + np.log2(w) @ diagonal)
+    q = (1,) it is Tr[x (I + log2 A)]."""
+    wq = np.multiply.outer(w, q)
+    if wq.min() < -SUPPORT_CUTOFF:
+        raise ValueError(f"theta undefined at this point: negative eigenvalue {wq.min()}")
+    on = wq > SUPPORT_CUTOFF
+    diagonal = np.sum(v.conj() * (x @ v), axis=0).real
+    return float(np.trace(x).real + np.log2(wq[on]) @ np.multiply.outer(diagonal, q)[on])
 
 
 def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
@@ -487,28 +481,26 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     input coefficients and the channel only.  Uses the support convention for
     the logarithms and refuses inputs whose response has weight outside the
     support of the corresponding evolved state.  The evolved state and the
-    evolved response come from one evolution of their stack, and each
-    marginal of both from one partial trace.  The joint bar needs no joint
-    state: a unitary keeps the spectrum {p_i q_r} of rho (x) tau, with p the
-    spectrum of rho and q the bath weights, so it comes from the d_sys
-    eigendecomposition that checks rho as a density matrix.  The joint
+    evolved response come from one evolution of their stack, for their
+    marginals.  The joint bar needs no joint state: a unitary keeps the
+    spectrum {p_i q_r} of rho (x) tau, with p the spectrum of rho and q the
+    bath weights, so it comes from the eigh that checks rho.  The joint
     support is deficient iff some p_i q_r is at or below ``SUPPORT_CUTOFF``,
     and rho-tilde (x) tau lies in supp rho (x) supp tau iff rho-tilde lies in
     supp rho, so the response is checked against rho.
     """
     h_sys = op.system_hamiltonian
-    v = h_sys.eigvecs
-    rho = v @ np.asarray(rho_coeffs, dtype=complex) @ dagger(v)
-    _, p, p_vecs = DensityMatrix.with_eigh(rho, (h_sys.dim,))
-    g = thermal.first_order_generator(h_sys, pert.h_prime)
-    rho_tilde = g @ rho - rho @ g
+    rho = h_sys.eigvecs @ np.asarray(rho_coeffs, dtype=complex) @ dagger(h_sys.eigvecs)
+    p, p_vecs = check_state(rho, (h_sys.dim,), vectors=True)
+    rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
 
     pair = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, np.array([rho, rho_tilde]))
     d_s, d_b = op.d_sys, op.d_bath
     q = op.bath.level_probabilities
 
+    one = np.ones(1)  # the marginal bars weigh no bath spectrum
     # eigh reads a lower triangle, so the marginal states need no symmetrising
-    checked = [(x, *np.linalg.eigh(state), None) for state, x in (
+    checked = [(x, *np.linalg.eigh(state), one) for state, x in (
         trace_out_second(pair, d_s, d_b), trace_out_first(pair, d_s, d_b))]
     checked.append((rho_tilde, p, p_vecs, q))
     flags = {}  # every support is checked before any logarithm
@@ -538,9 +530,7 @@ def x_lambda(op: ThermalOperation, rho_coeffs, sigma: DensityMatrix,
         raise ValueError("sigma must be full rank")
     rho = thermal.state_from_level_coeffs(h_sys, rho_coeffs)
     rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
-    u, tau = op.unitary.matrix, op.bath.state.matrix
-    a = thermal.evolve(u, tau, rho.matrix)
-    b = thermal.evolve(u, tau, rho_tilde)
+    a, b = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, np.array([rho.matrix, rho_tilde]))
     d = a.shape[0]
     log_ratio = matrix_log2_on_support(a) - matrix_log2_on_support(sigma.matrix)
     return float(np.trace(b @ (np.eye(d) + log_ratio)).real)

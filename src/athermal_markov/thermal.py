@@ -35,8 +35,7 @@ from .linalg import (
 # Total-energy values closer than this are grouped into one degenerate block.
 DEGENERACY_TOL = 1e-8
 
-# Absolute tolerance of U U^dag = I for block and family unitaries: the largest
-# entry of U U^dag - I, with no relative part, may reach it.
+# Largest |U U^dag - I| entry of block and family unitaries: absolute, no rtol.
 UNITARY_TOL = 1e-10
 
 
@@ -59,7 +58,8 @@ class Hamiltonian:
 
     def __post_init__(self):
         for name in ("matrix", "energies", "eigvecs"):
-            arr = np.array(getattr(self, name), dtype=float if name == "energies" else complex)
+            arr = np.asarray(getattr(self, name))
+            arr = arr.astype(complex) if name != "energies" else arr.astype(float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -88,11 +88,11 @@ class Hamiltonian:
     def energy_blocks(self) -> list[tuple[float, tuple[int, ...]]]:
         """Group cached levels into (energy, level indices) eigenspace blocks."""
         blocks: list[tuple[float, list[int]]] = []
-        for k, e in enumerate(self.energies.tolist()):
+        for k, e in enumerate(self.energies):
             if blocks and abs(e - blocks[-1][0]) <= DEGENERACY_TOL:
                 blocks[-1][1].append(k)
             else:
-                blocks.append((e, [k]))
+                blocks.append((float(e), [k]))
         return [(e, tuple(idx)) for e, idx in blocks]
 
 
@@ -204,8 +204,7 @@ class EnergyBlockUnitary:
         # only i < j is constrained, and only on a non-degenerate Bohr spectrum
         free = np.isnan(z) | (s[:, None] >= s[None, :])[..., None] | (not h_sys.bohr_nondegenerate())
         table = AmplitudeTable(amplitudes, levels, np.nan_to_num(np.abs(amplitudes) ** 2),
-                               np.where(levels < 0, np.nan, 0.0), np.nan_to_num(z),
-                               np.where(free, np.nan, 0.0))
+                               np.nan_to_num(z), free)
         for arr in table:
             arr.flags.writeable = False
         return table
@@ -377,14 +376,12 @@ class AmplitudeTable(NamedTuple):
     levels i, j and bath levels r.  ``levels`` holds r', the bath level at
     E_r + E_i - E_j, or -1 where it is missing; ``amplitudes`` holds
     <j, r'| U |i, r> (NaN where missing) and ``weights`` its squared modulus.
-    ``phase_products`` holds a[i, i, r] conj(a[j, j, r]).  Missing entries weigh
-    0.  ``missing`` and ``phase_free``, added to a residual, mask it: NaN where
-    an amplitude is missing or a phase product unconstrained, else 0."""
+    ``phase_products`` holds a[i, i, r] conj(a[j, j, r]), constrained where
+    ``phase_free`` is false.  Missing entries weigh 0."""
 
     amplitudes: np.ndarray
     levels: np.ndarray
     weights: np.ndarray
-    missing: np.ndarray
     phase_products: np.ndarray
     phase_free: np.ndarray
 
@@ -434,14 +431,14 @@ def mto_check(op: ThermalOperation, rho_sys: DensityMatrix) -> MtoConstraintRepo
     deviation = 0.5 * float(np.abs(np.linalg.eigvalsh(joint - product)).sum())
 
     p = op.bath.level_probabilities
-    # P(i -> j) from the available amplitudes, moved to bath level r'; NaN where p_r = 0
-    ratio = p[t.levels] * (t.weights @ p)[..., None] / np.where(p > 0, p, np.nan)
+    pij = t.weights @ p  # P(i -> j) from the available amplitudes
+    ratio = np.divide(p[t.levels] * pij[..., None], p, out=np.full_like(t.weights, np.nan), where=p > 0)
     spread = np.abs(t.phase_products - (t.phase_products @ p)[..., None])
     return MtoConstraintReport(
         is_markovian=deviation <= STATE_TOL,
         joint_product_deviation=deviation,
-        amplitude_residuals=np.abs(t.weights - ratio) + t.missing,
-        phase_residuals=np.fmax.reduce(spread + t.phase_free, axis=-1),
+        amplitude_residuals=np.where(t.levels < 0, np.nan, np.abs(t.weights - ratio)),
+        phase_residuals=np.fmax.reduce(np.where(t.phase_free, np.nan, spread), axis=-1),
     )
 
 
@@ -468,20 +465,24 @@ def perturbed_hamiltonian(h_sys: Hamiltonian, pert: PerturbationSpec) -> Hamilto
     return Hamiltonian.from_matrix(h_sys.matrix + pert.epsilon * pert.h_prime.matrix)
 
 
+def _require_nondegenerate(h: Hamiltonian):
+    gaps = np.diff(h.energies)
+    if len(gaps) and gaps.min() <= DEGENERACY_TOL:
+        raise ValueError("degenerate spectrum: non-degenerate perturbation theory does not apply")
+
+
 def first_order_generator(h_sys: Hamiltonian, h_prime: Hamiltonian) -> np.ndarray:
     """Anti-Hermitian G with |i'> = (I + eps G)|i> to first order.
 
     In the eigenbasis of ``h_sys``: G[k, i] = <k|H'|i> / (E_i - E_k) off the
     diagonal, zero on it.  Returned in the computational representation.
     """
-    e = h_sys.energies
-    if len(e) > 1 and (e[1:] - e[:-1]).min() <= DEGENERACY_TOL:
-        raise ValueError("degenerate spectrum: non-degenerate perturbation theory does not apply")
+    _require_nondegenerate(h_sys)
     v = h_sys.eigvecs
     hp = dagger(v) @ h_prime.matrix @ v
-    gaps = e[None, :] - e[:, None]
-    # the spectrum is non-degenerate: a zero gap is a diagonal entry
-    g = np.divide(hp, gaps, out=np.zeros(hp.shape, dtype=complex), where=gaps != 0)
+    e = h_sys.energies
+    g = np.divide(hp, e[None, :] - e[:, None], out=np.zeros_like(hp),
+                  where=~np.eye(h_sys.dim, dtype=bool))
     return v @ g @ dagger(v)
 
 
@@ -513,6 +514,7 @@ def state_from_level_coeffs(h_sys: Hamiltonian, coeffs: np.ndarray) -> DensityMa
 def perturbed_state_exact(coeffs: np.ndarray, h_sys: Hamiltonian,
                           pert: PerturbationSpec) -> DensityMatrix:
     """sum_ij P_ij |i'><j'| using exact matched eigenvectors of H + eps H'."""
+    _require_nondegenerate(h_sys)
     p = np.asarray(coeffs, dtype=complex)
     v = perturbed_eigvectors(h_sys, pert)
     return DensityMatrix(v @ p @ dagger(v), (h_sys.dim,))

@@ -117,7 +117,7 @@ def test_config_rejects_bad_inputs():
     (["1e400", None], "config.epsilons: inf is not finite"),
 ])
 def test_float_lists_name_their_first_bad_entry(values, message):
-    # a list converts in one call; the error still names the first entry that fails
+    # the error names the first entry that fails, whichever way it fails
     data = builtin_fig2().to_dict()
     data["epsilons"] = values
     with pytest.raises(ValueError) as info:

@@ -5,6 +5,7 @@ import pytest
 
 from athermal_markov.linalg import (
     DensityMatrix,
+    check_state,
     dagger,
     eigh,
     eigvalsh,
@@ -27,8 +28,8 @@ def bell_state():
 # -- types -------------------------------------------------------------------
 
 def test_density_matrix_validation():
-    # with_eigh checks what the constructor checks, on the eigenvalues it returns
-    for build in (DensityMatrix, DensityMatrix.with_eigh):
+    # check_state with eigenvectors checks what the constructor checks
+    for build in (DensityMatrix, lambda m, dims: check_state(m, dims, vectors=True)):
         with pytest.raises(ValueError, match="Hermitian"):
             build(np.array([[0.5, 1.0], [0.0, 0.5]]), (2,))
         with pytest.raises(ValueError, match="trace"):
@@ -39,12 +40,13 @@ def test_density_matrix_validation():
             build(np.eye(4) / 4, (2, 3))
 
 
-def test_density_matrix_with_eigh_returns_the_state_and_its_eigh():
+def test_check_state_returns_the_decomposition_that_checked_it():
     m = random_density(np.random.default_rng(5), 3).matrix
-    rho, w, v = DensityMatrix.with_eigh(m, (3,))
+    w, v = check_state(m, (3,), vectors=True)
     want_w, want_v = np.linalg.eigh(m)
-    assert np.array_equal(rho.matrix, m) and not rho.matrix.flags.writeable
     assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+    w, v = check_state(m, (3,))
+    assert np.array_equal(w, np.linalg.eigvalsh(m)) and v is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -54,7 +56,7 @@ def test_non_finite_entries_are_rejected_before_any_arithmetic(bad):
     m[1, 0] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for build in (lambda: DensityMatrix(m, (2,)), lambda: DensityMatrix.with_eigh(m, (2,)),
+        for build in (lambda: DensityMatrix(m, (2,)), lambda: check_state(m, (2,)),
                       lambda: eigh(m), lambda: Hamiltonian.from_matrix(m)):
             with pytest.raises(ValueError, match="non-finite entries"):
                 build()

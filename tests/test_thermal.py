@@ -818,3 +818,13 @@ def test_perturbed_state_first_order_rejects_degenerate():
     pert = PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.1)
     with pytest.raises(ValueError, match="degenerate"):
         perturbed_state_first_order(np.diag([0.4, 0.6]), h, pert)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.1])
+def test_perturbed_state_exact_rejects_degenerate(eps):
+    # without the check, this H' has a degenerate-block overlap^2 above 1/2, so the
+    # matching would succeed and turn the eigenvectors by a finite angle as eps -> 0
+    h = Hamiltonian.from_matrix(np.diag([0.0, 0.0, 1.0]).astype(complex))
+    h_prime = Hamiltonian.from_matrix(np.array([[1, 0.3, 0], [0.3, 0, 0], [0, 0, 0]], dtype=complex))
+    with pytest.raises(ValueError, match="degenerate spectrum"):
+        perturbed_state_exact(np.diag([0.2, 0.3, 0.5]), h, PerturbationSpec(h_prime, eps))
