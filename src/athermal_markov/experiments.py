@@ -443,23 +443,23 @@ def _measure_values(measure: str, cfg: ExperimentConfig, ops: list[thermal.Therm
     in ``ops``, then one value per config epsilon; ``joints`` holds each control
     value's evolved input states in that order, and ``entropies`` their
     :func:`_joint_entropies`, which the mutual information and discord take
-    as S(AB).  Discord is one search over every joint state of the sweep, and
-    the Choi distance one family search over every distance and response
-    bound of the sweep.  Second, per control value, its bounds at the config
-    epsilons with their search's diagnostics; empty for the other measures."""
+    as S(AB).  The mutual information is one kernel call and discord one
+    search over every joint state of the sweep, the Choi distance one family
+    search over every distance and response bound of the sweep.  Second, per
+    control value, its bounds at the config epsilons with their search's
+    diagnostics; empty for the other measures."""
     if measure == "choi_distance":
         setup = cfg.setup
         studies = measures.distance_sweep([(op, setup.family(op)) for op in ops], setup.h_prime,
                                           cfg.epsilons, cfg.optimizer)
         return [values for values, _, _ in studies], [(b, d) for _, b, d in studies]
-    if measure == "discord":
-        flat = measures.discord([joint for js in joints for joint in js], np.concatenate(entropies),
-                                cfg.optimizer)
-        n = len(joints[0])
-        return [flat[k:k + n] for k in range(0, len(flat), n)], []
     if measure == "log_negativity":
         return [measures.log_negativities(js) for js in joints], []
-    return [measures.mutual_informations(js, s) for js, s in zip(joints, entropies)], []
+    flat, s_ab = [joint for js in joints for joint in js], np.concatenate(entropies)
+    values = (measures.discord(flat, s_ab, cfg.optimizer) if measure == "discord"
+              else measures.mutual_informations(flat, s_ab))
+    n = len(joints[0])
+    return [values[k:k + n] for k in range(0, len(values), n)], []
 
 
 def run_config(cfg: ExperimentConfig) -> SweepResult:

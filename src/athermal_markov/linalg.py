@@ -79,12 +79,12 @@ def reduce_mod_2pi(angle: float) -> float:
 
 
 def check_state(m: np.ndarray, dims: tuple[int, ...], vectors: bool = False):
-    """Check complex ``m`` as a density matrix over ``dims``; return (w, v) of the
-    ``np.linalg.eigh`` that serves its positivity check (v None unless ``vectors``)."""
+    """Check ``m`` as a density matrix over ``dims``; return the eigenvalues ``w`` of
+    its positivity check and, with ``vectors``, the same eigh's eigenvectors ``v`` (else None)."""
     n = m.shape[0]
     if m.ndim != 2 or m.shape[1] != n:
         raise ValueError("density matrix must be square")
-    if int(np.prod(dims)) != n:
+    if math.prod(dims) != n:  # np.prod of a tuple costs 6 us, math.prod 0.1 us
         raise ValueError(f"bad factorization: prod{dims} != {n}")
     _require_hermitian(m, "density matrix")
     tr = complex(np.trace(m))

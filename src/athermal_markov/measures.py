@@ -460,17 +460,20 @@ def _check_support(label: str, direction: np.ndarray, w: np.ndarray, v: np.ndarr
                 raise ValueError("theta undefined at this point: response leaves the state's support")
 
 
-def _response_bar(x: np.ndarray, w: np.ndarray, v: np.ndarray, q: np.ndarray) -> float:
+def _response_bar(x: np.ndarray, w: np.ndarray, v: np.ndarray, q: np.ndarray | None) -> float:
     """Tr[(x (x) tau)(I + log2(A (x) tau))] for A = v diag(w) v^dag and a state
     tau of spectrum ``q``, with the support convention: Tr x + sum over
     w_k q_r > SUPPORT_CUTOFF of q_r log2(w_k q_r) (v^dag x v)_kk.  With
-    q = (1,) it is Tr[x (I + log2 A)]."""
-    wq = np.multiply.outer(w, q)
-    if wq.min() < -SUPPORT_CUTOFF:
-        raise ValueError(f"theta undefined at this point: negative eigenvalue {wq.min()}")
-    on = wq > SUPPORT_CUTOFF
-    diagonal = np.sum(v.conj() * (x @ v), axis=0).real
-    return float(np.trace(x).real + np.log2(wq[on]) @ np.multiply.outer(diagonal, q)[on])
+    q = None it is Tr[x (I + log2 A)]."""
+    diagonal = (v.conj() * (x @ v)).sum(axis=0).real
+    if q is not None:
+        w, diagonal = np.multiply.outer(w, q).ravel(), np.multiply.outer(diagonal, q).ravel()
+    lo = w.min()
+    if lo < -SUPPORT_CUTOFF:
+        raise ValueError(f"theta undefined at this point: negative eigenvalue {lo}")
+    if lo <= SUPPORT_CUTOFF:  # log2 sees the support only
+        w, diagonal = w[w > SUPPORT_CUTOFF], diagonal[w > SUPPORT_CUTOFF]
+    return float(x.trace().real + np.log2(w) @ diagonal)
 
 
 def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
@@ -498,9 +501,8 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     d_s, d_b = op.d_sys, op.d_bath
     q = op.bath.level_probabilities
 
-    one = np.ones(1)  # the marginal bars weigh no bath spectrum
     # eigh reads a lower triangle, so the marginal states need no symmetrising
-    checked = [(x, *np.linalg.eigh(state), one) for state, x in (
+    checked = [(x, *np.linalg.eigh(state), None) for state, x in (
         trace_out_second(pair, d_s, d_b), trace_out_first(pair, d_s, d_b))]
     checked.append((rho_tilde, p, p_vecs, q))
     flags = {}  # every support is checked before any logarithm

@@ -466,7 +466,7 @@ def perturbed_hamiltonian(h_sys: Hamiltonian, pert: PerturbationSpec) -> Hamilto
 
 
 def _require_nondegenerate(h: Hamiltonian):
-    gaps = np.diff(h.energies)
+    gaps = h.energies[1:] - h.energies[:-1]
     if len(gaps) and gaps.min() <= DEGENERACY_TOL:
         raise ValueError("degenerate spectrum: non-degenerate perturbation theory does not apply")
 
@@ -480,9 +480,8 @@ def first_order_generator(h_sys: Hamiltonian, h_prime: Hamiltonian) -> np.ndarra
     _require_nondegenerate(h_sys)
     v = h_sys.eigvecs
     hp = dagger(v) @ h_prime.matrix @ v
-    e = h_sys.energies
-    g = np.divide(hp, e[None, :] - e[:, None], out=np.zeros_like(hp),
-                  where=~np.eye(h_sys.dim, dtype=bool))
+    gaps = h_sys.energies[None, :] - h_sys.energies[:, None]
+    g = np.divide(hp, gaps, out=np.zeros_like(hp), where=gaps != 0)  # 0 only on the diagonal
     return v @ g @ dagger(v)
 
 
