@@ -12,30 +12,28 @@ Library layout:
 - :mod:`athermal_markov.cli` -- command-line front end
 """
 
-from .linalg import DensityMatrix, eigh, partial_trace, partial_transpose, trace_norm, \
-    von_neumann_entropy
+from .linalg import DensityMatrix, eigh, partial_trace, partial_transpose, trace_norm
 from .measures import MarkovianFamily, MeasureValue, choi_state, chi_lambda_bound, discord, \
-    distance_measure, log_negativity, mutual_information, theta_lambda, x_lambda
+    distance_measure, log_negativity, mutual_information, theta_lambda
 from .optimize import OptimizationResult, OptimizationResults, OptimizerConfig, \
     constrained_phase_manifold, minimize
 from .thermal import EnergyBlockUnitary, GibbsState, Hamiltonian, MtoConstraintReport, \
-    PerturbationSpec, ThermalOperation, apply, build_block_unitary, commutator_norm, \
-    gibbs_state, mto_check, perturbed_hamiltonian, perturbed_state_exact, \
-    perturbed_state_first_order, thermal_operation, total_hamiltonian
+    PerturbationSpec, ThermalOperation, apply, build_block_unitary, gibbs_state, mto_check, \
+    perturbed_hamiltonian, perturbed_state_exact, perturbed_state_first_order, \
+    thermal_operation, total_hamiltonian
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix", "eigh", "partial_trace", "partial_transpose",
-    "trace_norm", "von_neumann_entropy",
+    "DensityMatrix", "eigh", "partial_trace", "partial_transpose", "trace_norm",
     "MarkovianFamily", "MeasureValue", "choi_state",
     "chi_lambda_bound", "discord", "distance_measure",
-    "log_negativity", "mutual_information", "theta_lambda", "x_lambda",
+    "log_negativity", "mutual_information", "theta_lambda",
     "OptimizationResult", "OptimizationResults", "OptimizerConfig", "constrained_phase_manifold",
     "minimize",
     "EnergyBlockUnitary", "GibbsState", "Hamiltonian", "MtoConstraintReport",
     "PerturbationSpec", "ThermalOperation", "apply", "build_block_unitary",
-    "commutator_norm", "gibbs_state", "mto_check", "perturbed_hamiltonian",
+    "gibbs_state", "mto_check", "perturbed_hamiltonian",
     "perturbed_state_exact", "perturbed_state_first_order", "thermal_operation",
     "total_hamiltonian",
     "__version__",

@@ -62,15 +62,33 @@ def _matrix_to_json(m: np.ndarray) -> dict:
 
 
 def _field(where: str, build, *args):
-    """``build(*args)``, with a conversion or construction error, or a
-    non-finite float, re-raised as a ValueError that names the field ``where``."""
+    """``build(*args)``, with a conversion or construction error re-raised as a
+    ValueError that names the field ``where``."""
     try:
-        value = build(*args)
+        return build(*args)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ValueError(f"{where}: {exc}") from None
-    if isinstance(value, float) and not math.isfinite(value):
+
+
+def _typed(value, where: str, kind: type = float):
+    """``value`` as ``kind``: a float from any JSON number but a boolean, an int
+    from an integer or an integral float, a str from a string.  Any other
+    value, and a non-finite float, is a ValueError naming ``where`` and the value."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (isinstance(value, str) if kind is str else number and (
+            kind is float or isinstance(value, int) or value.is_integer())):
+        expected = {float: "a number", int: "an integer", str: "a string"}[kind]
+        raise ValueError(f"{where}: expected {expected}, got {json.dumps(value, default=repr)}")
+    value = _field(where, kind, value)
+    if kind is float and not math.isfinite(value):
         raise ValueError(f"{where}: {value} is not finite")
     return value
+
+
+def _given(data: dict, key: str, parse, where: str, *args):
+    """``parse(data[key], f"{where}.{key}", *args)``, or None where ``key`` is absent or null."""
+    value = data.get(key)
+    return None if value is None else parse(value, f"{where}.{key}", *args)
 
 
 def _object(data, where: str, required: tuple[str, ...] = (),
@@ -95,19 +113,24 @@ def _as_list(value, where: str) -> list:
 
 
 def _floats(value, where: str) -> tuple[float, ...]:
-    return tuple(_field(where, float, v) for v in _as_list(value, where))
+    return tuple(_typed(v, where) for v in _as_list(value, where))
+
+
+def _real_array(value, where: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array, each entry a finite float."""
+    def entries(v):
+        return [entries(x) for x in v] if isinstance(v, list) else _typed(v, where)
+    return _field(where, np.array, entries(value), float)
 
 
 def _matrix_from_json(data, where: str) -> np.ndarray:
     _object(data, where, ("real",), ("imag",))
-    real = _field(f"{where}.real", np.array, data["real"], float)
+    real = _real_array(data["real"], f"{where}.real")
     imag = np.zeros_like(real)
     if data.get("imag") is not None:
-        imag = _field(f"{where}.imag", np.array, data["imag"], float)
+        imag = _real_array(data["imag"], f"{where}.imag")
         if imag.shape != real.shape:
             raise ValueError(f"{where}: 'imag' shape {imag.shape} != 'real' shape {real.shape}")
-    if not (np.isfinite(real).all() and np.isfinite(imag).all()):
-        raise ValueError(f"{where}: entries must be finite")
     return real + 1j * imag
 
 
@@ -122,13 +145,10 @@ class HamiltonianSpec:
     def build(self) -> Hamiltonian:
         if (self.name is None) == (self.matrix is None):
             raise ValueError("hamiltonian spec needs exactly one of 'name' or 'matrix'")
-        if self.name is not None:
-            if self.name not in NAMED_OPERATORS:
-                raise ValueError(f"unknown operator name '{self.name}'")
-            m = NAMED_OPERATORS[self.name]
-        else:
-            m = np.asarray(self.matrix, dtype=complex)
-        return Hamiltonian.from_matrix(self.scale * m)
+        if self.name is not None and self.name not in NAMED_OPERATORS:
+            raise ValueError(f"unknown operator name '{self.name}'")
+        m = NAMED_OPERATORS[self.name] if self.matrix is None else self.matrix
+        return Hamiltonian.from_matrix(self.scale * np.asarray(m, dtype=complex))
 
     def to_dict(self) -> dict:
         if self.name is not None:
@@ -138,11 +158,9 @@ class HamiltonianSpec:
     @classmethod
     def from_dict(cls, data: dict, where: str) -> "HamiltonianSpec":
         _object(data, where, optional=("name", "scale", "matrix"))
-        matrix = None
-        if data.get("matrix") is not None:
-            matrix = _matrix_from_json(data["matrix"], f"{where}.matrix")
-        return cls(name=data.get("name"), scale=_field(f"{where}.scale", float, data.get("scale", 1.0)),
-                   matrix=matrix)
+        return cls(matrix=_given(data, "matrix", _matrix_from_json, where),
+                   name=_given(data, "name", _typed, where, str),
+                   scale=_typed(data.get("scale", 1.0), f"{where}.scale"))
 
 
 @dataclass(frozen=True)
@@ -168,11 +186,8 @@ class BlockSpec:
     @classmethod
     def from_dict(cls, data: dict, where: str) -> "BlockSpec":
         _object(data, where, ("phases",), ("basis",))
-        phases = _floats(data["phases"], f"{where}.phases")
-        basis = None
-        if data.get("basis") is not None:
-            basis = _matrix_from_json(data["basis"], f"{where}.basis")
-        return cls(phases, basis)
+        return cls(_floats(data["phases"], f"{where}.phases"),
+                   _given(data, "basis", _matrix_from_json, where))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +353,7 @@ class ExperimentConfig:
         sweep = _object(data["sweep"], "config.sweep", ("values",), ("variable",))
         defaults = asdict(OptimizerConfig())
         opt = _object(data.get("optimizer", {}), "config.optimizer", optional=tuple(defaults))
-        settings = {key: _field(f"config.optimizer.{key}", type(defaults[key]), value)
+        settings = {key: _typed(value, f"config.optimizer.{key}", type(defaults[key]))
                     for key, value in opt.items()}
         optimizer = _field("config.optimizer", lambda: OptimizerConfig(**settings))
         relation = None
@@ -346,11 +361,8 @@ class ExperimentConfig:
             rel = _object(data["mto_relation"], "config.mto_relation", ("coefficients",),
                           ("offset",))
             relation = (_floats(rel["coefficients"], "config.mto_relation.coefficients"),
-                        _field("config.mto_relation.offset", float, rel.get("offset", 0.0)))
-        coeffs = None
-        if data.get("initial_coeffs") is not None:
-            coeffs = _matrix_from_json(data["initial_coeffs"], "config.initial_coeffs")
-        pop = data.get("initial_population_a")
+                        _typed(rel.get("offset", 0.0), "config.mto_relation.offset"))
+        coeffs = _given(data, "initial_coeffs", _matrix_from_json, "config")
         name = data["name"]
         # the name becomes the prefix of the output file names
         if not isinstance(name, str) or any(c in name for c in "/\\\0"):
@@ -363,12 +375,12 @@ class ExperimentConfig:
             perturbation=HamiltonianSpec.from_dict(data["perturbation"], "config.perturbation"),
             epsilons=_floats(data["epsilons"], "config.epsilons"),
             sweep_values=_floats(sweep["values"], "config.sweep.values"),
-            sweep_variable=str(sweep.get("variable", "temperature")),
+            sweep_variable=_typed(sweep.get("variable", "temperature"), "config.sweep.variable", str),
             unitary_blocks=tuple(BlockSpec.from_dict(b, f"config.unitary_blocks[{k}]")
                                  for k, b in enumerate(blocks)),
-            measures=tuple(str(m) for m in _as_list(data["measures"], "config.measures")),
-            initial_population_a=(None if pop is None
-                                  else _field("config.initial_population_a", float, pop)),
+            measures=tuple(_typed(m, "config.measures", str)
+                           for m in _as_list(data["measures"], "config.measures")),
+            initial_population_a=_given(data, "initial_population_a", _typed, "config"),
             initial_coeffs=coeffs,
             optimizer=optimizer,
             mto_relation=relation,

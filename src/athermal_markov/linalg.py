@@ -30,6 +30,12 @@ SUPPORT_CUTOFF = 1e-12
 _TWO_PI = Decimal("6.2831853071795864769252867665590057683943387987502116419498891846")
 _DECIMAL = Context(prec=50)  # the arithmetic of that reduction
 
+# Largest |angle| reduce_mod_2pi accepts.  _TWO_PI is short of 2*pi by 1.6e-65,
+# so the remainder is off by that times the quotient |angle|/2pi: 2.5e-21 at
+# 1e45, and from about 1e46 enough to round some results to another double.
+# From about 1e50 the quotient no longer fits the 50-digit context at all.
+MAX_ANGLE = 1e45
+
 # A 3x3 matrix whose cubic has 1 - |r| below this goes to LAPACK: near a
 # repeated eigenvalue the trigonometric roots lose up to sqrt(eps).
 CUBIC_FALLBACK = 1e-2
@@ -66,13 +72,15 @@ def reduce_mod_2pi(angle: float) -> float:
     1e9; phases that large appear in the block-unitary configurations, and
     only the reduced value matters to ``exp(-1j*angle)``.  An angle already
     in range is returned unchanged.  A remainder that rounds up to 2*pi
-    wraps to 0.
+    wraps to 0.  An angle of magnitude ``MAX_ANGLE`` or more is a ValueError.
     """
     angle = float(angle)
     if 0.0 <= angle < math.tau:
         return angle
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
+    if abs(angle) >= MAX_ANGLE:
+        raise ValueError(f"angle {angle!r} is too large: |angle| must be below {MAX_ANGLE:g}")
     r = _DECIMAL.remainder(Decimal(angle), _TWO_PI)
     r = float(_DECIMAL.add(r, _TWO_PI) if r < 0 else r)
     return 0.0 if r == math.tau else r
@@ -237,11 +245,6 @@ def trace_norm(m: np.ndarray):
         raise ValueError("trace_norm expects a square matrix or a stack of them")
     norms = np.linalg.svd(m, compute_uv=False).sum(-1)
     return float(norms) if m.ndim == 2 else norms
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy -sum(p log2 p) in bits, with the 0 log 0 = 0 convention."""
-    return entropy_of_spectrum(rho.matrix)
 
 
 def spectrum_entropy(w: np.ndarray) -> np.ndarray:

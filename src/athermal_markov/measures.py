@@ -6,8 +6,8 @@ discord with the measurement on the first (qubit) factor, and the trace-norm
 distance from the channel to the nearest member of a constrained Markovian
 family, evaluated through Choi states.  Alongside them live the
 first-order response quantities: the exact mutual-information response
-coefficient, the relative-entropy response evaluator with its trace-log
-expansion check, and the distance-response upper bound.
+coefficient, the trace-log expansion check, and the distance-response
+upper bound.
 """
 
 from __future__ import annotations
@@ -516,26 +516,6 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     if with_diagnostics:
         return theta, {"a_bar": a_bar, "b_bar": b_bar, "c_bar": c_bar, **flags}
     return theta
-
-
-def x_lambda(op: ThermalOperation, rho_coeffs, sigma: DensityMatrix,
-             pert: PerturbationSpec) -> float:
-    """Relative-entropy response evaluated against one separable witness.
-
-    Computes Tr[B (I + log2 A - log2 sigma)] with A the evolved joint state
-    and B the evolved first-order correction; ``sigma`` must be full rank.
-    """
-    h_sys = op.system_hamiltonian
-    if sigma.dim != op.d_sys * op.d_bath:
-        raise ValueError("sigma dimension mismatch")
-    if float(np.linalg.eigvalsh(sigma.matrix)[0]) <= SUPPORT_CUTOFF:
-        raise ValueError("sigma must be full rank")
-    rho = thermal.state_from_level_coeffs(h_sys, rho_coeffs)
-    rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
-    a, b = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, np.array([rho.matrix, rho_tilde]))
-    d = a.shape[0]
-    log_ratio = matrix_log2_on_support(a) - matrix_log2_on_support(sigma.matrix)
-    return float(np.trace(b @ (np.eye(d) + log_ratio)).real)
 
 
 def expansion_lemma_residual(a: np.ndarray, b: np.ndarray, eps: float) -> float:

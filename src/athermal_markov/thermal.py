@@ -28,7 +28,6 @@ from .linalg import (
     eigh,
     mat_equal,
     reduce_mod_2pi,
-    trace_norm,
     trace_out_second,
 )
 
@@ -98,16 +97,14 @@ class Hamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class GibbsState:
-    """Thermal state e^{-beta H}/Z together with its source Hamiltonian."""
+    """Thermal state e^{-beta H}/Z together with its source Hamiltonian and
+    ``level_probabilities``, the read-only Boltzmann weight of each cached
+    energy level (ascending order)."""
 
     state: DensityMatrix
     beta: float
     hamiltonian: Hamiltonian
-
-    @property
-    def level_probabilities(self) -> np.ndarray:
-        """Boltzmann weight of each cached energy level (ascending order)."""
-        return _boltzmann_weights(self.hamiltonian.energies, self.beta)
+    level_probabilities: np.ndarray
 
 
 def _boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
@@ -131,7 +128,8 @@ def gibbs_state(h: Hamiltonian, beta: float) -> GibbsState:
         raise ValueError("Hamiltonian eigenvectors are not unitary")
     v = h.eigvecs
     w = _boltzmann_weights(h.energies, beta)
-    return GibbsState(DensityMatrix._derived((v * w) @ dagger(v), (h.dim,)), float(beta), h)
+    w.flags.writeable = False
+    return GibbsState(DensityMatrix._derived((v * w) @ dagger(v), (h.dim,)), float(beta), h, w)
 
 
 def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
@@ -258,13 +256,6 @@ def build_block_unitary(h_total: Hamiltonian, block_params) -> EnergyBlockUnitar
     vs = v[:, levels]
     u += (vs * np.exp(-1j * np.array(phases))) @ dagger(vs)
     return EnergyBlockUnitary(u, h_total)
-
-
-def commutator_norm(u, h) -> float:
-    """Trace norm of U H - H U; zero certifies an energy-preserving unitary."""
-    um = u.matrix if isinstance(u, EnergyBlockUnitary) else np.asarray(u, dtype=complex)
-    hm = h.matrix if isinstance(h, Hamiltonian) else np.asarray(h, dtype=complex)
-    return trace_norm(um @ hm - hm @ um)
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,23 +386,6 @@ def _bath_levels(h_sys: Hamiltonian, h_bath: Hamiltonian) -> np.ndarray:
     return np.where(hits.sum(axis=-1) == 1, hits.argmax(axis=-1), -1)
 
 
-def _amplitude_table(op: ThermalOperation) -> AmplitudeTable:
-    """The unitary's table, once the operation's bath is the one it was built on."""
-    table = op.unitary.amplitude_table
-    own, bath = op.unitary.hamiltonian.parts[1], op.bath.hamiltonian
-    if bath is not own and not (np.array_equal(bath.energies, own.energies)
-                                and np.array_equal(bath.eigvecs, own.eigvecs)):
-        raise ValueError("bath Hamiltonian differs from the one the unitary was built on")
-    return table
-
-
-def transition_amplitudes(op: ThermalOperation) -> np.ndarray:
-    """a[i, j, r] = <j, r'| U |i, r>, r' the bath level at E_r + E_i - E_j, NaN where no
-    unique level sits there: the unitary's cached read-only (d_sys, d_sys, d_bath) array.
-    Raises ValueError unless the bath is the one the unitary was built on."""
-    return _amplitude_table(op).amplitudes
-
-
 def mto_check(op: ThermalOperation, rho_sys: DensityMatrix) -> MtoConstraintReport:
     """Check Markovianity of one application of the channel.
 
@@ -421,8 +395,13 @@ def mto_check(op: ThermalOperation, rho_sys: DensityMatrix) -> MtoConstraintRepo
     match the Boltzmann-weighted transition probabilities, and on a
     non-degenerate Bohr spectrum the diagonal phase products must not depend
     on the bath level.  Only the bath weights depend on the temperature.
+    Raises ValueError unless the bath is the one the unitary was built on.
     """
-    t = _amplitude_table(op)
+    t = op.unitary.amplitude_table
+    own, bath = op.unitary.hamiltonian.parts[1], op.bath.hamiltonian
+    if bath is not own and not (np.array_equal(bath.energies, own.energies)
+                                and np.array_equal(bath.eigvecs, own.eigvecs)):
+        raise ValueError("bath Hamiltonian differs from the one the unitary was built on")
     joint = evolve(op.unitary.matrix, op.bath.state.matrix, rho_sys.matrix)
     # rho' (x) tau, as np.kron forms it but without its per-call overhead
     product = np.multiply.outer(trace_out_second(joint, op.d_sys, op.d_bath),

@@ -346,6 +346,28 @@ def test_empty_list_fields_exit_2_and_write_nothing(tmp_path, capsys, field):
     assert not out.exists()
 
 
+_LAST_THREE_BLOCKS = '{"phases":[2.0]},{"phases":[3.0]},{"phases":[4.0]}]'
+
+# Overrides whose value has the wrong JSON type or is out of range, with the
+# whole stderr each must give: the field and the value are named.
+NAMED_ERRORS = {
+    "optimizer.seeds=1.5": "config.optimizer.seeds: expected an integer, got 1.5",
+    "optimizer.grid_resolution=24.9": "config.optimizer.grid_resolution: expected an integer, "
+                                      "got 24.9",
+    "optimizer.max_iterations=true": "config.optimizer.max_iterations: expected an integer, "
+                                     "got true",
+    "epsilons=[true]": "config.epsilons: expected a number, got true",
+    'initial_population_a="0.5"': 'config.initial_population_a: expected a number, got "0.5"',
+    'optimizer.f_tol="1e-8"': 'config.optimizer.f_tol: expected a number, got "1e-8"',
+    "optimizer.seed_sequence=5": "config.optimizer.seed_sequence: expected a string, got 5",
+    'unitary_blocks=[{"phases":[1e51]},' + _LAST_THREE_BLOCKS:
+        "unitary_blocks: angle 1e+51 is too large: |angle| must be below 1e+45",
+    'unitary_blocks=[{"phases":[-1e51]},' + _LAST_THREE_BLOCKS:
+        "unitary_blocks: angle -1e+51 is too large: |angle| must be below 1e+45",
+    'unitary_blocks=[{"phases":[1e308]},' + _LAST_THREE_BLOCKS:
+        "unitary_blocks: angle 1e+308 is too large: |angle| must be below 1e+45",
+}
+
 BAD_OVERRIDES = [
     "epsilons=[NaN]",
     "sweep.values=[NaN]",
@@ -367,6 +389,7 @@ BAD_OVERRIDES = [
     "perturbation.scale=Infinity",
     'sweep.varible="inverse_temperature"',
     "system.scal=2",
+    *NAMED_ERRORS,
 ]
 
 # Runs `distance --set <override>` for each override read from stdin, in one
@@ -412,6 +435,11 @@ def test_bad_numbers_exit_2_without_traceback(bad_override_runs, override):
     assert run["code"] == 2
     assert run["stderr"].startswith("error: ")
     assert "Traceback" not in run["stderr"]
+
+
+@pytest.mark.parametrize("override", NAMED_ERRORS)
+def test_bad_values_are_named_with_the_field(bad_override_runs, override):
+    assert bad_override_runs[override]["stderr"] == f"error: {NAMED_ERRORS[override]}\n"
 
 
 def test_optimizer_flags_need_config_objects(tmp_path, capsys):

@@ -113,8 +113,8 @@ def test_config_rejects_bad_inputs():
 
 @pytest.mark.parametrize("values, message", [
     ([0.1, float("nan"), "x"], "config.epsilons: nan is not finite"),
-    ([0.1, "x", float("nan")], "config.epsilons: could not convert string to float: 'x'"),
-    (["1e400", None], "config.epsilons: inf is not finite"),
+    ([0.1, "x", float("nan")], 'config.epsilons: expected a number, got "x"'),
+    ([1e400, None], "config.epsilons: inf is not finite"),
 ])
 def test_float_lists_name_their_first_bad_entry(values, message):
     # the error names the first entry that fails, whichever way it fails
@@ -132,6 +132,27 @@ def _matrix_fig2() -> dict:
     del data["initial_population_a"]
     data["initial_coeffs"] = {"real": [[0.1, 0.0], [0.0, 0.9]], "imag": [[0.0, 0.0], [0.0, 0.0]]}
     return data
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("real", [[1.0, "0"], [0.0, -1.0]], 'config.system.matrix.real: expected a number, got "0"'),
+    ("imag", [[True, 0], [0, 0]], "config.system.matrix.imag: expected a number, got true"),
+    ("real", [[1.0, 0.0], [0.0, float("nan")]], "config.system.matrix.real: nan is not finite"),
+])
+def test_matrix_entries_are_finite_json_numbers(key, value, message):
+    data = _matrix_fig2()
+    data["system"]["matrix"][key] = value
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_dict(data)
+    assert str(info.value) == message
+
+
+def test_integer_fields_take_integral_floats():
+    data = builtin_fig3().to_dict()
+    data["optimizer"]["seeds"] = float(data["optimizer"]["seeds"])
+    cfg = ExperimentConfig.from_dict(data)
+    assert type(cfg.optimizer.seeds) is int
+    assert cfg.config_hash() == builtin_fig3().config_hash()
 
 
 UNKNOWN_FIELD_CASES = [  # (base config, path to an object in it, its dotted name)

@@ -1,21 +1,23 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from athermal_markov.linalg import (
+    MAX_ANGLE,
     DensityMatrix,
     check_state,
     dagger,
     eigh,
     eigvalsh,
+    entropy_of_spectrum,
     mat_equal,
     matrix_log2_on_support,
     partial_trace,
     partial_transpose,
     reduce_mod_2pi,
     trace_norm,
-    von_neumann_entropy,
 )
 from athermal_markov.thermal import Hamiltonian
 from util import BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, random_density, random_hermitian, random_unitary
@@ -295,18 +297,18 @@ def test_trace_norm_unitary_invariance():
 def test_entropy_pure_state():
     psi = np.array([0.6, 0.8j])
     rho = DensityMatrix(np.outer(psi, psi.conj()), (2,))
-    assert abs(von_neumann_entropy(rho)) < 1e-12
+    assert abs(entropy_of_spectrum(rho.matrix)) < 1e-12
 
 
 def test_entropy_maximally_mixed_qubit():
-    assert abs(von_neumann_entropy(DensityMatrix(np.eye(2) / 2, (2,))) - 1.0) < 1e-12
+    assert abs(entropy_of_spectrum(DensityMatrix(np.eye(2) / 2, (2,)).matrix) - 1.0) < 1e-12
 
 
 def test_entropy_binary_oracle():
     # independent binary-entropy evaluation: -(p log2 p + q log2 q)
     p, q = 0.9, 0.1
     expected = -(p * np.log2(p) + q * np.log2(q))
-    got = von_neumann_entropy(DensityMatrix(np.diag([p, q]), (2,)))
+    got = entropy_of_spectrum(DensityMatrix(np.diag([p, q]), (2,)).matrix)
     assert abs(got - expected) < 1e-12
     assert abs(got - 0.4689955935892812) < 1e-12
 
@@ -317,13 +319,13 @@ def test_entropy_unitary_invariance():
         rho = random_density(rng, 5)
         u = random_unitary(rng, 5)
         rotated = DensityMatrix(u @ rho.matrix @ dagger(u), (5,))
-        assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) < 1e-10
+        assert abs(entropy_of_spectrum(rotated.matrix) - entropy_of_spectrum(rho.matrix)) < 1e-10
 
 
 def test_entropy_range():
     rng = np.random.default_rng(12)
     for d in (2, 3, 4):
-        s = von_neumann_entropy(random_density(rng, d))
+        s = entropy_of_spectrum(random_density(rng, d).matrix)
         assert -1e-12 <= s <= np.log2(d) + 1e-12
 
 
@@ -392,6 +394,14 @@ def test_reduce_mod_2pi_is_bitwise_the_local_context_form():
     angles = rng.uniform(-1, 1, size=4000) * 10.0 ** rng.uniform(0, 12, size=4000)
     for angle in (*angles.tolist(), 2 * np.pi, -2 * np.pi, 1e9, -1e9, 1e40):
         assert reduce_mod_2pi(angle) == local(angle), angle
+
+
+def test_reduce_mod_2pi_rejects_angles_beyond_its_exact_range():
+    for angle in (1e51, -1e51, 1e308, MAX_ANGLE, -MAX_ANGLE):
+        with pytest.raises(ValueError, match=f"angle {re.escape(repr(angle))} is too large"):
+            reduce_mod_2pi(angle)
+    for angle in (np.nextafter(MAX_ANGLE, 0.0), -np.nextafter(MAX_ANGLE, 0.0)):
+        assert 0 <= reduce_mod_2pi(angle) < 2 * np.pi
 
 
 def test_reduce_mod_2pi_huge_angles():

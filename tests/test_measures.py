@@ -21,7 +21,6 @@ from athermal_markov.linalg import (
     trace_norm,
     trace_out_first,
     trace_out_second,
-    von_neumann_entropy,
 )
 from athermal_markov.measures import (
     MarkovianFamily,
@@ -36,7 +35,6 @@ from athermal_markov.measures import (
     mutual_information,
     mutual_informations,
     theta_lambda,
-    x_lambda,
 )
 from athermal_markov.optimize import OptimizerConfig, constrained_phase_manifold
 from athermal_markov.thermal import (
@@ -362,8 +360,8 @@ def test_discord_matches_brute_force_on_random_state():
     rng = np.random.default_rng(47)
     rho = random_density(rng, 6, dims=(2, 3))
     mv, = joint_entropy_discord([rho], OptimizerConfig(seeds=16, grid_resolution=16))
-    s_a = von_neumann_entropy(partial_trace(rho, 0))
-    s_ab = von_neumann_entropy(rho)
+    s_a = entropy_of_spectrum(partial_trace(rho, 0).matrix)
+    s_ab = entropy_of_spectrum(rho.matrix)
     oracle = s_a - s_ab + brute_force_conditional_entropy(rho)
     assert mv.value <= oracle + 1e-9  # optimiser at least as good as the dense grid
 
@@ -969,33 +967,6 @@ def test_check_support_error_branch():
     leaky = np.array([[0.0, 0.1], [0.1, 0.2]], dtype=complex)
     with pytest.raises(ValueError, match="theta undefined"):
         measures._check_support("t", leaky, *np.linalg.eigh(state), flags)
-
-
-def test_x_lambda_commuting_perturbation_zero():
-    op = fig2_op()
-    coeffs = np.diag([0.3, 0.7]).astype(complex)
-    sigma = DensityMatrix(np.eye(4) / 4, (4,))
-    x = x_lambda(op, coeffs, sigma, PerturbationSpec(Hamiltonian.from_matrix(SIGMA_Z), 0.1))
-    assert abs(x) < 1e-12
-
-
-def test_x_lambda_sigma_equal_to_evolved_state():
-    # log ratio vanishes on the support, leaving Tr[B] = 0 for traceless B
-    op = fig2_op()
-    coeffs = np.diag([0.1, 0.9]).astype(complex)
-    rho = thermal.state_from_level_coeffs(H_QUBIT, coeffs)
-    joint = apply(op, rho)
-    sigma = DensityMatrix(joint.matrix, (4,))
-    x = x_lambda(op, coeffs, sigma, PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.1))
-    assert abs(x) < 1e-10
-
-
-def test_x_lambda_rejects_singular_sigma():
-    op = fig2_op()
-    coeffs = np.diag([0.1, 0.9]).astype(complex)
-    sigma = DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]), (4,))
-    with pytest.raises(ValueError, match="full rank"):
-        x_lambda(op, coeffs, sigma, PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.1))
 
 
 def test_expansion_lemma_second_order():

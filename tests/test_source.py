@@ -54,13 +54,27 @@ def test_no_unused_imports(path):
     assert unused == []
 
 
+def _export_faults(package) -> list[str]:
+    """Names in ``package.__all__`` that the package lacks or that appear more than once."""
+    names = package.__all__
+    return sorted({f"{name}: missing" for name in names if not hasattr(package, name)}
+                  | {f"{name}: repeated" for name in names if names.count(name) > 1})
+
+
 def test_package_exports_resolve():
     import athermal_markov
 
     imported = [alias.asname or alias.name for node in _tree(PACKAGE / "__init__.py").body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert [name for name in athermal_markov.__all__ if not hasattr(athermal_markov, name)] == []
+    assert _export_faults(athermal_markov) == []
     assert sorted(athermal_markov.__all__) == sorted(imported + ["__version__"])
+
+
+def test_export_rule_catches_a_stale_or_repeated_name():
+    import types
+
+    stale = types.SimpleNamespace(__all__=["apply", "gone", "apply"], apply=len)
+    assert _export_faults(stale) == ["apply: repeated", "gone: missing"]
 
 
 # Where the unchecked ``_derived`` constructors may be called: the CPTP maps that
