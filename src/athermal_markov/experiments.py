@@ -34,7 +34,8 @@ import numpy as np
 from . import measures, thermal
 from .linalg import (DensityMatrix, dagger, partial_trace, partial_transpose, spectrum_entropy,
                      trace_norm)
-from .optimize import OptimizerConfig, PhaseManifold, constrained_phase_manifold
+from .optimize import (OptimizerConfig, PhaseManifold, check_search_size,
+                       constrained_phase_manifold)
 from .thermal import Hamiltonian, PerturbationSpec
 
 MAX_TOTAL_DIMENSION = 36
@@ -297,6 +298,16 @@ class ExperimentConfig:
             coefficients, offset = self.mto_relation
             manifold = _field("mto_relation", constrained_phase_manifold,
                               len(h_tot.energy_blocks()), coefficients, offset)
+        # each searched measure is one search over the whole sweep
+        controls = len(self.sweep_values)
+        if "discord" in self.measures:
+            check_search_size(self.optimizer, 2, controls * (1 + len(self.epsilons)),
+                              "config.optimizer")
+        if "choi_distance" in self.measures:
+            bath = thermal.gibbs_state(h_bath, self.beta_for(self.sweep_values[0]))
+            check_search_size(self.optimizer,
+                              measures.MarkovianFamily(h_tot, bath, manifold).quotient.free_dim,
+                              2 * controls, "config.optimizer")
         return StudySetup(h_sys, h_bath, h_tot, unitary, h_prime, coeffs, rho, rho_eps, manifold)
 
     # -- construction helpers -------------------------------------------------

@@ -198,43 +198,85 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v * np.array(phases, dtype=complex)
 
 
-def eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (n, n), or of each matrix in
-    a stack (..., n, n), from its lower triangle as ``np.linalg.eigvalsh``.
+def _lower(n: int) -> tuple[list[int], list[int]]:
+    """Flat indices into an n x n matrix of its diagonal and of the entries
+    below it, row by row (the order of ``np.tril_indices(n, -1)``)."""
+    return [a * (n + 1) for a in range(n)], [a * n + b for a in range(n) for b in range(a)]
 
-    For n = 3 the roots are Smith's trigonometric closed form, each row
-    computed on its own: q + 2p cos(phi + 2 pi k/3) of A = qI + B with
-    q = tr A / 3, p^2 = tr B^2 / 6 and cos(3 phi) = r = det B / (2 p^3).  A 3x3 row
-    with 1 - |r| below ``CUBIC_FALLBACK``, or with p outside ``CUBIC_P_RANGE``
-    (a scalar matrix, or one whose traceless part B has norm beyond about
-    1e-100 or 1e100), and every other n go to ``np.linalg.eigvalsh``.
+
+def pack_lower(h: np.ndarray) -> np.ndarray:
+    """The lower triangles of a stack (..., n, n) of Hermitian matrices as n * n
+    reals along a new first axis: the real diagonal, then the real parts of the
+    entries below it, row by row, then their imaginary parts.  Each entry of
+    the stack is then one contiguous array."""
+    n = h.shape[-1]
+    diag, below = _lower(n)
+    flat = np.moveaxis(h.reshape(*h.shape[:-2], n * n), -1, 0)
+    low = flat[below]
+    return np.concatenate([flat[diag].real, low.real, low.imag])
+
+
+def unpack_lower(p: np.ndarray) -> np.ndarray:
+    """The complex stack (..., n, n) whose lower triangles :func:`pack_lower`
+    packed into ``p`` (n * n, ...); the upper triangles are zero, and
+    ``np.linalg.eigvalsh`` reads the lower ones only."""
+    n = math.isqrt(len(p))
+    diag, below = _lower(n)
+    flat = np.zeros(p.shape, dtype=complex)
+    flat.real[diag] = p[:n]
+    flat.real[below] = p[n:n + len(below)]
+    flat.imag[below] = p[n + len(below):]
+    return np.moveaxis(flat, 0, -1).reshape(*p.shape[1:], n, n)
+
+
+def eigvalsh_packed(p: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, along a new first axis (n, ...), of the Hermitian
+    matrices whose lower triangles :func:`pack_lower` packed into ``p``.
+
+    For n = 3 the roots are Smith's trigonometric closed form, each matrix
+    computed on its own in real arithmetic: q + 2p cos(phi + 2 pi k/3) of
+    A = qI + B with q = tr A / 3, p^2 = tr B^2 / 6 and cos(3 phi) = r =
+    det B / (2 p^3).  The 3x3 matrices with 1 - |r| below ``CUBIC_FALLBACK``,
+    or with p outside ``CUBIC_P_RANGE`` (a scalar matrix, or one whose
+    traceless part B has norm beyond about 1e-100 or 1e100), go to one
+    ``np.linalg.eigvalsh`` call, and so does the whole stack for every other n.
     """
-    h = np.asarray(h)
-    if h.shape[-1] != 3:
-        return np.linalg.eigvalsh(h)
-    # rows of a 2-D stack, even for one matrix: numpy's complex scalars multiply
-    # without the fused operations of its array loops
-    rows = h.reshape(-1, 3, 3)
-    a, d, f = rows[:, 0, 0].real, rows[:, 1, 1].real, rows[:, 2, 2].real
-    b, c, e = rows[:, 1, 0], rows[:, 2, 0], rows[:, 2, 1]
+    if len(p) != 9:
+        return np.moveaxis(np.linalg.eigvalsh(unpack_lower(p)), -1, 0)
+    a, d, f, br, cr, er, bi, ci, ei = p
     # inf or NaN here only reaches rows outside CUBIC_P_RANGE, which LAPACK redoes
     with np.errstate(over="ignore", invalid="ignore"):
         q = (a + d + f) / 3
         a, d, f = a - q, d - q, f - q
-        bb, cc, ee = (z.real * z.real + z.imag * z.imag for z in (b, c, e))
-        p = np.sqrt((a * a + d * d + f * f + 2 * (bb + cc + ee)) / 6)
-        det = a * d * f + 2 * (b * e * c.conj()).real - a * ee - d * cc - f * bb
-        scaled = (p > CUBIC_P_RANGE[0]) & (p < CUBIC_P_RANGE[1])
-        inv_p = np.divide(1.0, p, out=np.zeros_like(p), where=scaled)
+        bb, cc, ee = br * br + bi * bi, cr * cr + ci * ci, er * er + ei * ei
+        p2 = np.sqrt((a * a + d * d + f * f + 2 * (bb + cc + ee)) / 6)
+        # Re(b e conj(c)), with b, c, e the entries (1, 0), (2, 0) and (2, 1)
+        bec = (br * er - bi * ei) * cr + (br * ei + bi * er) * ci
+        det = a * d * f + 2 * bec - a * ee - d * cc - f * bb
+        scaled = (p2 > CUBIC_P_RANGE[0]) & (p2 < CUBIC_P_RANGE[1])
+        inv_p = np.divide(1.0, p2, out=np.zeros_like(p2), where=scaled)
         r = 0.5 * det * (inv_p * inv_p * inv_p)
     fallback = ~scaled | (np.abs(r) > 1 - CUBIC_FALLBACK)
-    radius = 2 * np.where(scaled, p, 0.0)
+    radius = 2 * np.where(scaled, p2, 0.0)
     phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3
     top, bottom = radius * np.cos(phi), radius * np.cos(phi + 2 * np.pi / 3)
-    w = np.stack([bottom, -top - bottom, top], axis=-1) + q[:, None]
+    w = np.stack([bottom, -top - bottom, top]) + q
     if fallback.any():
-        w[fallback] = np.linalg.eigvalsh(rows[fallback])
-    return w.reshape(h.shape[:-1])
+        w[:, fallback] = np.linalg.eigvalsh(unpack_lower(p[:, fallback])).T
+    return w
+
+
+def eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (n, n), or of each matrix in
+    a stack (..., n, n), from its lower triangle as ``np.linalg.eigvalsh``:
+    for n = 3 by :func:`eigvalsh_packed`'s closed form, for every other n by
+    ``np.linalg.eigvalsh``."""
+    h = np.asarray(h)
+    if h.shape[-1] != 3:
+        return np.linalg.eigvalsh(h)
+    # rows of a 2-D stack, even for one matrix, so each entry is an array
+    rows = pack_lower(h.reshape(-1, 3, 3))
+    return eigvalsh_packed(rows).T.reshape(h.shape[:-1])
 
 
 def trace_norm(m: np.ndarray):
@@ -247,11 +289,11 @@ def trace_norm(m: np.ndarray):
     return float(norms) if m.ndim == 2 else norms
 
 
-def spectrum_entropy(w: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each spectrum along the last axis of ``w``, over the
+def spectrum_entropy(w: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Entropy in bits of each spectrum along ``axis`` of ``w``, over the
     eigenvalues above ``SUPPORT_CUTOFF``; log2 sees no other value."""
     support = w > SUPPORT_CUTOFF
-    return -np.sum(np.where(support, w * np.log2(np.where(support, w, 1.0)), 0.0), axis=-1)
+    return -np.sum(np.where(support, w * np.log2(np.where(support, w, 1.0)), 0.0), axis=axis)
 
 
 def entropy_of_spectrum(matrix: np.ndarray):

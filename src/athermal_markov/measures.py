@@ -25,9 +25,10 @@ from .linalg import (
     DensityMatrix,
     check_state,
     dagger,
-    eigvalsh,
+    eigvalsh_packed,
     entropy_of_spectrum,
     matrix_log2_on_support,
+    pack_lower,
     spectrum_entropy,
     trace_norm,
     trace_out_first,
@@ -119,34 +120,52 @@ def _bloch_blocks(rho: np.ndarray, d2: int) -> np.ndarray:
     return 0.5 * np.stack([r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11], axis=1)
 
 
-def _measured_conditional_entropy(blocks: np.ndarray, angles: np.ndarray,
+def _pack_bloch_blocks(blocks: np.ndarray) -> np.ndarray:
+    """:func:`_bloch_blocks` (n, 4, d2, d2) as real columns (4, d2 d2 + 1, n):
+    per block, its lower triangle as :func:`linalg.pack_lower` packs it, then
+    its trace, for each state."""
+    t = np.trace(blocks, axis1=-2, axis2=-1).real
+    return np.concatenate([pack_lower(blocks), t[None]]).transpose(2, 0, 1).copy()
+
+
+def _measured_conditional_entropy(packed: np.ndarray, angles: np.ndarray,
                                   owner: np.ndarray) -> np.ndarray:
     """sum_i p_i S(rho_B^i) for measuring {|psi><psi|, I - |psi><psi|} on the qubit,
     one value per (theta, phi) row of ``angles``, of the state whose
-    :func:`_bloch_blocks` are ``blocks[owner]``.
+    :func:`_pack_bloch_blocks` columns are ``packed[..., owner]``.
 
     With n the Bloch vector of psi, the unnormalised outcomes are
-    P_0 +- n . (P_1, P_2, P_3) and their probabilities the traces of those; the
-    spectra of the unnormalised outcomes, from one :func:`linalg.eigvalsh` of
-    their stack (closed-form roots for a qutrit second factor), are
-    divided by the probabilities.  An outcome of probability at most 1e-14
-    contributes nothing."""
+    P_0 +- n . (P_1, P_2, P_3), formed packed in real arithmetic, and their
+    probabilities the traces of those; the spectra of the unnormalised
+    outcomes, from one :func:`linalg.eigvalsh_packed` of their stack (closed-form
+    roots for a qutrit second factor), are divided by the probabilities.  An
+    outcome of probability at most 1e-14 contributes nothing."""
     theta, phi = angles[:, 0], angles[:, 1]
-    n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
-                 axis=1)
-    tilt = (n[:, 0, None, None] * blocks[owner, 1] + n[:, 1, None, None] * blocks[owner, 2]
-            + n[:, 2, None, None] * blocks[owner, 3])
-    half = blocks[owner, 0]
-    subs = np.stack([half + tilt, half - tilt], axis=1)
-    t = np.trace(blocks, axis1=-2, axis2=-1).real[owner]
-    tilt_t = n[:, 0] * t[:, 1] + n[:, 1] * t[:, 2] + n[:, 2] * t[:, 3]
-    prob = np.stack([t[:, 0] + tilt_t, t[:, 0] - tilt_t], axis=1)
+    sin = np.sin(theta)
+    n = (sin * np.cos(phi), sin * np.sin(phi), np.cos(theta))
+    half, x, y, z = np.take(packed, owner, axis=-1)
+    tilt = n[0] * x + n[1] * y + n[2] * z
+    outcomes = np.stack([half + tilt, half - tilt], axis=1)  # (d2 d2 + 1, 2, rows)
+    prob = outcomes[-1]
     kept = prob > 1e-14
-    entropy = spectrum_entropy(eigvalsh(subs) / np.where(kept, prob, 1.0)[..., None])
-    total = np.zeros(len(angles))
-    for k in range(2):
-        total += np.where(kept[:, k], prob[:, k] * entropy[:, k], 0.0)
-    return total
+    spectra = eigvalsh_packed(outcomes[:-1]) / np.where(kept, prob, 1.0)
+    return np.where(kept, prob * spectrum_entropy(spectra, axis=0), 0.0).sum(axis=0)
+
+
+def distinct_measurements(resolution: int) -> np.ndarray:
+    """Indices, into the discord search's regular (theta, phi) grid of
+    ``resolution`` points per axis (theta the slow axis), of one point per
+    distinct measurement.
+
+    {|psi><psi|, I - |psi><psi|} is one measurement for psi and psi-perp,
+    whose angles are (pi - theta, phi + pi).  Every pole point (theta = 0 or
+    pi) is the measurement {|0><0|, |1><1|}, kept as point 0.  For an even
+    resolution r the twin of point (i, j) is (r - 1 - i, j + r/2 mod r), so
+    the theta rows 1 to r/2 - 1 hold every other measurement once; for an odd
+    r no off-pole point has a twin on the grid."""
+    r = resolution
+    rows = r // 2 if r % 2 == 0 else r - 1
+    return np.concatenate([[0], np.arange(r, rows * r)])
 
 
 def discord(states: Sequence[DensityMatrix], joint_entropies,
@@ -157,23 +176,25 @@ def discord(states: Sequence[DensityMatrix], joint_entropies,
     Minimises the measured conditional entropy over rank-one projective
     measurements of the measured qubit via grid-seeded multi-start search,
     then returns S(A) - S(AB) + min_meas sum_i p_i S(rho_B^i), not clamped at
-    zero.  S(AB) of each state is its entry of ``joint_entropies``, which the
-    caller knows, as for :func:`mutual_informations`.  The states share dims
-    and one lockstep search, in which each state is its own problem; each value
-    equals that of a search for its state alone.
+    zero.  The grid of ``cfg.grid_resolution`` points per angle is searched
+    over its :func:`distinct_measurements` only.  S(AB) of each state is its
+    entry of ``joint_entropies``, which the caller knows, as for
+    :func:`mutual_informations`.  The states share dims and one lockstep
+    search, in which each state is its own problem; each value equals that
+    of a search for its state alone.
     """
     joints, (d1, d2) = _joint_stack(states)
     if d1 != 2:
         raise ValueError("unsupported measured dimension: first factor must be a qubit")
     s_ab = _joint_entropy_array(joint_entropies, states)
     cfg = cfg or OptimizerConfig(grid_resolution=24)
-    blocks = _bloch_blocks(joints, d2)
+    packed = _pack_bloch_blocks(_bloch_blocks(joints, d2))
 
     def objective(angles, owner):
-        return _measured_conditional_entropy(blocks, angles, owner)
+        return _measured_conditional_entropy(packed, angles, owner)
 
     results = minimize(objective, [(0.0, np.pi), (0.0, 2 * np.pi)], cfg, periodic=[False, True],
-                       problems=len(states))
+                       problems=len(states), distinct=distinct_measurements(cfg.grid_resolution))
     # S(A) - S(AB) of every state
     offsets = entropy_of_spectrum(trace_out_second(joints, d1, d2)) - s_ab
     values = []

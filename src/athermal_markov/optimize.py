@@ -10,16 +10,17 @@ evaluation, so simplex moves never fall off the torus.
 Objectives are batched: ``f(X, owner)`` takes points as the rows of an
 ``(n, dim)`` array, with the index of the problem each row belongs to, and
 returns their ``(n,)`` values.  One search solves any number of independent
-problems over the same box: the grid is one call per problem, and the
-simplices of all their starts advance in lockstep, one evaluation per move
-kind and round (split into calls of bounded size).  Each start still follows its
-own sequential Nelder-Mead trajectory: the rows of a batch never interact.
+problems over the same box: the grids of all problems stream through the
+objective, and the simplices of all their starts advance in lockstep, one
+evaluation per move kind and round.  Every evaluation is split into calls of
+at most ``ROW_BUDGET`` rows.  Each start still follows its own sequential
+Nelder-Mead trajectory: the rows of a batch never interact.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,22 +67,64 @@ class OptimizationResults(tuple):
         return tuple(s for r in self for s in r.starts)
 
 
+# Most rows one objective call gets.  The fig3 discord search (40 problems, 265
+# grid rows and 40 starts each) ran fastest at 1024 of 1024, 2048 and 4096, as
+# fewer rows per call mean fewer, larger calls than one per problem without
+# working arrays that spill the cache; 2048 added 0.8 MB to the peak RSS.
+ROW_BUDGET = 1024
+
+
+# Caps on the size of one search, so that a config that builds also runs; they
+# are checked where a config is built, which knows each search's box and
+# problem count.  Each was measured at its cap on the built-in studies, every
+# other setting at its built-in value (fig3: 40 problems of 2 dimensions;
+# distance: 2 problems of 1), on a 2-core x86-64 sandbox with numpy 2.4.6:
+# - grid points, problems * grid_resolution ** dim: fig3 at grid_resolution=161
+#   ran in 0.9 s with a peak RSS of 57 MB, distance at 524288 in 3.2 s and 63 MB;
+# - Nelder-Mead starts, problems * seeds: fig3 at seeds=1638 ran in 1.5 s and
+#   62 MB, distance at 32768 in 7.3 s and 58 MB;
+# - rounds, max_iterations: fig3 with f_tol=1e-300, so that starts stop only
+#   on a collapsed simplex, ran in 11.6 s and 41 MB.
+MAX_GRID_POINTS = 2 ** 20
+MAX_STARTS = 2 ** 16
+MAX_ROUNDS = 10 ** 4
+
+
+def _magnitude(n: int) -> str:
+    """``n``, or its power of ten once it has more than 12 digits."""
+    return str(n) if n < 10 ** 12 else f"~1e{int(math.log10(n))}"
+
+
+def check_search_size(cfg: OptimizerConfig, dim: int, problems: int, where: str):
+    """Raise a ValueError that names the field of ``cfg``, under ``where``, and its
+    value, if a search of ``problems`` problems over a ``dim``-dimensional box
+    would exceed ``MAX_GRID_POINTS``, ``MAX_STARTS`` or ``MAX_ROUNDS``."""
+    for name, size, what, cap in (
+            ("grid_resolution", problems * cfg.grid_resolution ** dim, "grid points",
+             MAX_GRID_POINTS),
+            ("seeds", problems * cfg.seeds, "Nelder-Mead starts", MAX_STARTS),
+            ("max_iterations", cfg.max_iterations, "rounds", MAX_ROUNDS)):
+        if size > cap:
+            raise ValueError(f"{where}.{name}: {_magnitude(getattr(cfg, name))} gives "
+                             f"{_magnitude(size)} {what} for {problems} problems over a {dim}-dimensional "
+                             f"box, above the cap of {cap}")
+
+
 def _rng_seed(sequence_id: str) -> int:
     digest = hashlib.sha256(sequence_id.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def _evaluate(f, x: np.ndarray, owner: np.ndarray, limit: int) -> np.ndarray:
-    """The objective on the rows of ``x``, of problems ``owner``, in calls of
-    at most ``limit`` rows."""
-    values = np.empty(len(x))
-    for i in range(0, len(x), limit):
-        rows = slice(i, i + limit)
-        chunk = np.asarray(f(x[rows], owner[rows]), dtype=float)
-        if chunk.shape != values[rows].shape:
-            raise ValueError(f"objective returned shape {chunk.shape} "
-                             f"for {len(values[rows])} points")
-        values[rows] = chunk
+def _evaluate(f, n: int, rows) -> np.ndarray:
+    """The objective on ``n`` rows, in calls of at most ``ROW_BUDGET`` rows;
+    ``rows(i, j)`` gives the points and the problem indices of rows i to j."""
+    values = np.empty(n)
+    for i in range(0, n, ROW_BUDGET):
+        j = min(i + ROW_BUDGET, n)
+        chunk = np.asarray(f(*rows(i, j)), dtype=float)
+        if chunk.shape != (j - i,):
+            raise ValueError(f"objective returned shape {chunk.shape} for {j - i} points")
+        values[i:j] = chunk
     return values
 
 
@@ -112,7 +155,8 @@ def _nelder_mead(evaluate, x0: np.ndarray, owner: np.ndarray, box: _Box, cfg: Op
     Each round gathers the reflect points of the active starts into one
     evaluation, then their expand and contract points, then their shrink
     points; a start leaves the batch when its simplex values span at most
-    ``f_tol``.
+    ``f_tol``.  Only the active starts' simplices are kept, compacted when
+    some converge, and a start's result is written out when it leaves.
     """
     m, dim = x0.shape
     simplex = np.repeat(x0[:, None, :], dim + 1, axis=1)
@@ -120,27 +164,38 @@ def _nelder_mead(evaluate, x0: np.ndarray, owner: np.ndarray, box: _Box, cfg: Op
         simplex[:, k + 1, k] += 0.1 * (box.hi[k] - box.lo[k])
     values = evaluate(simplex.reshape(-1, dim), np.repeat(owner, dim + 1)).reshape(m, dim + 1)
     evals = np.full(m, dim + 1)
-    converged = np.zeros(m, dtype=bool)
+    best_x, best_f = np.empty((m, dim)), np.empty(m)
+    converged, used = np.zeros(m, dtype=bool), np.empty(m, dtype=int)
+    active = np.arange(m)  # the start of each row of simplex, values and evals
 
-    active = np.arange(m)
+    def leave(rows):
+        k = np.argmin(values[rows], axis=1)
+        starts = active[rows]
+        best_x[starts] = simplex[rows, k]
+        best_f[starts] = values[rows, k]
+        used[starts] = evals[rows]
+
     for _ in range(cfg.max_iterations):
-        order = np.argsort(values[active], axis=1, kind="stable")
-        simplex[active] = np.take_along_axis(simplex[active], order[..., None], axis=1)
-        values[active] = np.take_along_axis(values[active], order, axis=1)
-        done = values[active, -1] - values[active, 0] <= cfg.f_tol
-        converged[active[done]] = True
-        active = active[~done]
-        if not active.size:
-            break
-        s, v = simplex[active], values[active]
+        order = np.argsort(values, axis=1, kind="stable")
+        simplex = np.take_along_axis(simplex, order[..., None], axis=1)
+        values = np.take_along_axis(values, order, axis=1)
+        done = values[:, -1] - values[:, 0] <= cfg.f_tol
+        if done.any():
+            leave(done)
+            converged[active[done]] = True
+            stay = ~done
+            simplex, values, evals, active = simplex[stay], values[stay], evals[stay], active[stay]
+            if not active.size:
+                break
+        own = owner[active]
 
-        centroid = np.mean(s[:, :-1], axis=1)
-        worst = s[:, -1]
+        centroid = np.mean(simplex[:, :-1], axis=1)
+        worst = simplex[:, -1]
         reflected = centroid + (centroid - worst)
-        fr = evaluate(reflected, owner[active])
-        evals[active] += 1
-        take = (v[:, 0] <= fr) & (fr < v[:, -2])
-        expand = fr < v[:, 0]
+        fr = evaluate(reflected, own)
+        evals += 1
+        take = (values[:, 0] <= fr) & (fr < values[:, -2])
+        expand = fr < values[:, 0]
         contract = ~take & ~expand
 
         moved = expand | contract
@@ -148,53 +203,52 @@ def _nelder_mead(evaluate, x0: np.ndarray, owner: np.ndarray, box: _Box, cfg: Op
                          centroid + 0.5 * (worst - centroid))
         f_trial = fr.copy()
         if moved.any():
-            f_trial[moved] = evaluate(trial[moved], owner[active[moved]])
-            evals[active[moved]] += 1
-        use_trial = (expand & (f_trial < fr)) | (contract & (f_trial < v[:, -1]))
+            f_trial[moved] = evaluate(trial[moved], own[moved])
+            evals[moved] += 1
+        use_trial = (expand & (f_trial < fr)) | (contract & (f_trial < values[:, -1]))
         shrink = contract & ~use_trial
-        replace = active[~shrink]
-        simplex[replace, -1] = np.where(use_trial[:, None], trial, reflected)[~shrink]
-        values[replace, -1] = np.where(use_trial, f_trial, fr)[~shrink]
+        replace = ~shrink
+        simplex[replace, -1] = np.where(use_trial[:, None], trial, reflected)[replace]
+        values[replace, -1] = np.where(use_trial, f_trial, fr)[replace]
 
         if shrink.any():
-            rows = active[shrink]
-            best = simplex[rows, :1]
-            points = best + 0.5 * (simplex[rows, 1:] - best)
-            simplex[rows, 1:] = points
-            values[rows, 1:] = evaluate(points.reshape(-1, dim),
-                                        np.repeat(owner[rows], dim)).reshape(-1, dim)
-            evals[rows] += dim
+            best = simplex[shrink, :1]
+            points = best + 0.5 * (simplex[shrink, 1:] - best)
+            simplex[shrink, 1:] = points
+            values[shrink, 1:] = evaluate(points.reshape(-1, dim),
+                                          np.repeat(own[shrink], dim)).reshape(-1, dim)
+            evals[shrink] += dim
 
-    k = np.argmin(values, axis=1)
-    rows = np.arange(m)
-    return box.canonicalize(simplex[rows, k]), values[rows, k], converged, evals
+    leave(np.ones(len(active), dtype=bool))
+    return box.canonicalize(best_x), best_f, converged, used
 
 
 def _grid_points(bounds, periodic, resolution) -> np.ndarray:
-    axes = []
-    for (lo, hi), per in zip(bounds, periodic):
-        if per:
-            axes.append(np.linspace(lo, hi, resolution, endpoint=False))
-        else:
-            axes.append(np.linspace(lo, hi, resolution))
-    return np.array(list(itertools.product(*axes)))
+    """The regular grid of ``resolution`` points per axis, row-major, as (points, dim)."""
+    axes = [np.linspace(lo, hi, resolution, endpoint=not per)
+            for (lo, hi), per in zip(bounds, periodic)]
+    # (dim, points) then transposed; an empty box gives its one point, (1, 0)
+    return np.array(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(
+        len(axes), resolution ** len(axes)).T
 
 
 def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None,
-             problems: int = 1) -> OptimizationResults:
+             problems: int = 1, distinct=None) -> OptimizationResults:
     """Grid-seeded multi-start Nelder-Mead minimisation over a box, of
     ``problems`` independent objectives at once.
 
     ``f`` is batched: ``f(X, owner)`` maps an ``(n, dim)`` array of points
     and the ``(n,)`` problem index of each row to their ``(n,)`` values; no
-    call gets more rows than the grid or the starts' initial simplices of one
-    problem.  ``bounds`` is a sequence of (lo, hi) pairs; ``periodic`` flags
-    the coordinates to treat as angles on [lo, hi).  Every problem gets its
-    own best grid points and the same seeded random starts, so each result
-    equals that of a search of its problem alone.  The best grid value is a
-    floor for each result, so no returned value exceeds any of its grid
-    samples; an empty box is its one point, evaluated once.  Non-convergence
-    of the winning start is reported, not raised.
+    call gets more than ``ROW_BUDGET`` rows.  ``bounds`` is a sequence of
+    (lo, hi) pairs; ``periodic`` flags the coordinates to treat as angles on
+    [lo, hi).  ``distinct``, if given, indexes the points of the regular grid
+    to evaluate, for an objective that repeats its value at the others by a
+    symmetry; the others are neither evaluated nor seeded.  Every problem
+    gets its own best grid points and the same seeded random starts, so each
+    result equals that of a search of its problem alone.  The best grid value
+    is a floor for each result, so no returned value exceeds any of its
+    evaluated grid samples; an empty box is its one point, evaluated once.
+    Non-convergence of the winning start is reported, not raised.
     """
     cfg = cfg or OptimizerConfig()
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
@@ -206,26 +260,33 @@ def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None,
                np.array(periodic, dtype=bool))
 
     grid = _grid_points(bounds, periodic, cfg.grid_resolution)
-    limit = max(len(grid), cfg.seeds * (dim + 1))
-    n_grid_starts = min(len(grid), cfg.seeds - cfg.seeds // 2)
+    if distinct is not None:
+        grid = grid[distinct]
+    size = len(grid)
+
+    def grid_rows(i, j):  # row k is grid point k % size of problem k // size
+        k = np.arange(i, j)
+        return grid[k % size], k // size
+
+    grid_values = _evaluate(f, problems * size, grid_rows).reshape(problems, size)
+    n_grid_starts = min(size, cfg.seeds - cfg.seeds // 2)
     # per problem, its best grid points, best first, and the best grid value
-    seeded, floors = [], []
-    for p in range(problems):
-        grid_values = _evaluate(f, grid, np.full(len(grid), p), limit)
-        order = np.argsort(grid_values, kind="stable")[:n_grid_starts]
-        seeded.append(grid[order])
-        floors.append(grid_values[order[0]])
+    order = np.argsort(grid_values, axis=1, kind="stable")[:, :n_grid_starts]
+    seeded = grid[order]
+    floors = grid_values[np.arange(problems), order[:, 0]]
     if dim == 0:  # the box is one point
         return OptimizationResults(OptimizationResult(float(v), grid[0], True, 1) for v in floors)
 
     rng = np.random.default_rng(_rng_seed(cfg.seed_sequence))
     random_starts = np.array([[rng.uniform(lo, hi) for lo, hi in bounds]
                               for _ in range(cfg.seeds - n_grid_starts)]).reshape(-1, dim)
-    starts = np.concatenate([np.concatenate([points, random_starts]) for points in seeded])
+    starts = np.concatenate([seeded, np.broadcast_to(random_starts, (problems, *random_starts.shape))],
+                            axis=1).reshape(-1, dim)
     owner = np.repeat(np.arange(problems), cfg.seeds)
 
     def evaluate(x, rows_owner):
-        return _evaluate(f, box.canonicalize(x), rows_owner, limit)
+        y = box.canonicalize(x)
+        return _evaluate(f, len(y), lambda i, j: (y[i:j], rows_owner[i:j]))
 
     xs, fxs, convs, used = _nelder_mead(evaluate, starts, owner, box, cfg)
     results = []
@@ -244,7 +305,7 @@ def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None,
             best_value=float(best_f),
             best_point=np.array(best_x),
             converged=bool(best_converged),
-            evaluations=len(grid) + int(used[mine].sum()),
+            evaluations=size + int(used[mine].sum()),
             starts=tuple(per_start),
         ))
     return OptimizationResults(results)

@@ -12,6 +12,7 @@ import pytest
 from athermal_markov import cli
 from athermal_markov.cli import ConfigError, apply_overrides, load_config, main
 from athermal_markov.experiments import builtin_distance, builtin_fig2, builtin_fig3
+from athermal_markov.optimize import MAX_GRID_POINTS, MAX_ROUNDS, MAX_STARTS
 
 
 @pytest.fixture()
@@ -542,3 +543,87 @@ def test_command_flag_fuzz_exits_0_1_or_2_without_raising(tmp_path, capsys):
         assert "Traceback" not in err, argv
         assert code != 2 or err.startswith("error: "), argv
         assert code != 0 or command == "validate" or any(out.glob("*.csv")), argv
+
+
+# The search-size caps are tested through validate only: no search above a cap
+# is ever run.  fig3's discord search has 40 problems over a 2-dimensional box,
+# distance's family search 2 problems over a 1-dimensional one.
+SEARCHES = {"fig3": (builtin_fig3, 40, 2), "distance": (builtin_distance, 2, 1)}
+CAPPED = {
+    ("fig3", "optimizer.grid_resolution=1e300"):
+        "config.optimizer.grid_resolution: ~1e300 gives ~1e601 grid points for 40 problems "
+        "over a 2-dimensional box, above the cap of 1048576",
+    ("fig3", "optimizer.seeds=1e12"):
+        "config.optimizer.seeds: ~1e12 gives ~1e13 Nelder-Mead starts for 40 problems "
+        "over a 2-dimensional box, above the cap of 65536",
+    ("fig3", "optimizer.max_iterations=1e15"):
+        "config.optimizer.max_iterations: ~1e15 gives ~1e15 rounds for 40 problems "
+        "over a 2-dimensional box, above the cap of 10000",
+    ("fig3", "optimizer.grid_resolution=162"):
+        "config.optimizer.grid_resolution: 162 gives 1049760 grid points for 40 problems "
+        "over a 2-dimensional box, above the cap of 1048576",
+    ("distance", "optimizer.grid_resolution=524289"):
+        "config.optimizer.grid_resolution: 524289 gives 1048578 grid points for 2 problems "
+        "over a 1-dimensional box, above the cap of 1048576",
+    ("distance", "optimizer.seeds=32769"):
+        "config.optimizer.seeds: 32769 gives 65538 Nelder-Mead starts for 2 problems "
+        "over a 1-dimensional box, above the cap of 65536",
+}
+
+
+@pytest.fixture()
+def study_configs(tmp_path):
+    paths = {}
+    for name, (make, _, _) in SEARCHES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(make().to_dict()))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("study, override", CAPPED)
+def test_validate_rejects_a_search_above_its_cap(study_configs, capsys, study, override):
+    assert main(["validate", "--config", study_configs[study], "--set", override]) == 2
+    assert capsys.readouterr().err == f"error: {CAPPED[study, override]}\n"
+
+
+@pytest.mark.parametrize("study, override", [
+    ("fig3", "optimizer.grid_resolution=161"), ("fig3", "optimizer.seeds=1638"),
+    ("fig3", "optimizer.max_iterations=10000"), ("distance", "optimizer.grid_resolution=524288"),
+    ("distance", "optimizer.seeds=32768")])
+def test_validate_accepts_a_search_at_its_cap(study_configs, study, override):
+    assert main(["validate", "--config", study_configs[study], "--set", override]) == 0
+
+
+def test_optimizer_size_fuzz_validates_and_runs_what_it_accepts(study_configs, tmp_path, capsys):
+    # optimizer integers on both sides of each cap; validate settles every one,
+    # and the accepted configs with a small search also run
+    rng = random.Random(20261020)
+    ran = 0
+    for k in range(40):
+        study = rng.choice(sorted(SEARCHES))
+        _, problems, dim = SEARCHES[study]
+        # each value small half the time, else near a cap or far above it
+        grid = rng.choice([rng.randint(1, 4)] * 3 + [rng.randint(150, 170),
+                          rng.randint(520_000, 530_000), 10 ** rng.randint(7, 300)])
+        seeds = rng.choice([rng.randint(1, 3)] * 3 + [rng.randint(1630, 1650),
+                           rng.randint(32_760, 32_780), 10 ** rng.randint(6, 30)])
+        rounds = rng.choice([rng.randint(1, 5)] * 2 + [rng.randint(9_990, 10_010),
+                            10 ** rng.randint(5, 30)])
+        sets = []
+        for key, value in (("grid_resolution", grid), ("seeds", seeds), ("max_iterations", rounds)):
+            sets += ["--set", f"optimizer.{key}={value}"]
+        over = (problems * grid ** dim > MAX_GRID_POINTS or problems * seeds > MAX_STARTS
+                or rounds > MAX_ROUNDS)
+        try:
+            code = main(["validate", "--config", study_configs[study], *sets])
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc} for {study} {sets}")
+        err = capsys.readouterr().err
+        assert code == (2 if over else 0), (study, sets)
+        assert code == 0 or err.startswith("error: config.optimizer."), (study, sets)
+        if code == 0 and grid <= 4 and seeds <= 3 and rounds <= 5:
+            code = main([study, "--out", str(tmp_path / f"out{k}"), "--no-svg", *sets])
+            assert code in (0, 1), (study, sets)
+            assert "Traceback" not in capsys.readouterr().err
+            ran += 1
+    assert ran >= 3, ran

@@ -13,6 +13,7 @@ from athermal_markov.linalg import (
     dagger,
     eigh,
     eigvalsh,
+    eigvalsh_packed,
     entropy_of_spectrum,
     mat_equal,
     matrix_log2_on_support,
@@ -21,6 +22,7 @@ from athermal_markov.linalg import (
     trace_norm,
     trace_out_first,
     trace_out_second,
+    unpack_lower,
 )
 from athermal_markov.measures import (
     MarkovianFamily,
@@ -36,7 +38,8 @@ from athermal_markov.measures import (
     mutual_informations,
     theta_lambda,
 )
-from athermal_markov.optimize import OptimizerConfig, constrained_phase_manifold
+from athermal_markov.optimize import (ROW_BUDGET, OptimizerConfig, _grid_points,
+                                      constrained_phase_manifold)
 from athermal_markov.thermal import (
     Hamiltonian,
     PerturbationSpec,
@@ -399,20 +402,75 @@ def test_discord_of_many_states_matches_one_state_searches_bitwise(d2):
         assert got.diagnostics == alone.diagnostics
 
 
+def kernel(blocks: np.ndarray, angles: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The stacked discord kernel on the rows of ``angles``, of the states whose
+    :func:`measures._bloch_blocks` are ``blocks[owner]``."""
+    return measures._measured_conditional_entropy(measures._pack_bloch_blocks(blocks), angles,
+                                                  owner)
+
+
 def conditional_entropy(rho: DensityMatrix, angles: np.ndarray) -> np.ndarray:
     """The stacked discord kernel on the rows of ``angles``, for one state."""
-    blocks = measures._bloch_blocks(rho.matrix, rho.dims[1])
-    return measures._measured_conditional_entropy(blocks, angles, np.zeros(len(angles), int))
+    return kernel(measures._bloch_blocks(rho.matrix, rho.dims[1]), angles,
+                  np.zeros(len(angles), int))
 
 
 @pytest.mark.parametrize("d2", [2, 3, 6])
-def test_measured_conditional_entropy_matches_kron_reference(d2):
+def test_measured_conditional_entropy_matches_kron_reference(d2, monkeypatch):
     rng = np.random.default_rng(50 + d2)
     for _ in range(10):
         rho = random_density(rng, 2 * d2, dims=(2, d2))
         angles = np.array([[rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)]])
         got = conditional_entropy(rho, angles)
         assert abs(got[0] - kron_conditional_entropy(rho, *angles[0])) < 1e-12
+
+    # edge rows: a product rho_A (x) I/d2, whose outcomes are scalar matrices, all
+    # of which fall back; a pure state, whose outcomes are rank-deficient; and a
+    # stack mixing both with ordinary rows
+    product = DensityMatrix(np.kron(random_density(rng, 2).matrix, np.eye(d2) / d2), (2, d2))
+    psi = rng.normal(size=2 * d2) + 1j * rng.normal(size=2 * d2)
+    pure = DensityMatrix(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, (2, d2))
+    states = [product, pure, random_density(rng, 2 * d2, dims=(2, d2))]
+    angles = np.column_stack([rng.uniform(0, np.pi, 36), rng.uniform(0, 2 * np.pi, 36)])
+    owner = np.arange(36) % 3
+    want = np.array([kron_conditional_entropy(states[o], *row) for o, row in zip(owner, angles)])
+    lapack = []  # the matrices of each np.linalg.eigvalsh call
+    lapack_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda h: lapack.append(h.size // d2 ** 2) or lapack_eigvalsh(h))
+    for k, rho in enumerate(states[:2]):
+        mine = owner == k
+        got = conditional_entropy(rho, angles[mine])
+        assert np.max(np.abs(got - want[mine])) < 1e-12
+    got = kernel(measures._bloch_blocks(np.array([rho.matrix for rho in states]), d2), angles,
+                 owner)
+    assert np.max(np.abs(got - want)) < 1e-12
+    # one kernel call makes at most one LAPACK call, and every product row falls back
+    assert len(lapack) == 3 and lapack[0] == 2 * 12
+
+
+def measurement_key(theta, phi):
+    """The Bloch vector of the measurement at (theta, phi), up to its sign, rounded:
+    equal for psi and psi-perp."""
+    n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    lead = n[np.abs(n) > 1e-9][0]
+    return tuple(np.round(np.sign(lead) * n, 9) + 0.0)
+
+
+def test_distinct_measurements_hold_every_measurement_once():
+    rng = np.random.default_rng(58)
+    rho = random_density(rng, 6, dims=(2, 3))
+    for r in range(1, 31):
+        grid = _grid_points([(0.0, np.pi), (0.0, 2 * np.pi)], [False, True], r)
+        kept = measures.distinct_measurements(r)
+        keys = [measurement_key(*point) for point in grid]
+        twin = {keys[k]: k for k in kept}
+        assert len(twin) == len(kept) == len(set(keys)), r
+        values = conditional_entropy(rho, grid)
+        dropped = np.setdiff1d(np.arange(len(grid)), kept)
+        gaps = [abs(values[k] - values[twin[keys[k]]]) for k in dropped]
+        assert max(gaps, default=0.0) <= 1e-14, r
+    assert len(measures.distinct_measurements(24)) == 265
 
 
 def test_measured_conditional_entropy_is_blind_to_the_measurement_order():
@@ -457,7 +515,7 @@ def kernel_case(d2):
 @pytest.mark.parametrize("d2", [2, 3, 6])
 def test_measured_conditional_entropy_stack_matches_pointwise_bitwise(d2):
     blocks, angles, owner = kernel_case(d2)
-    got = measures._measured_conditional_entropy(blocks, angles, owner)
+    got = kernel(blocks, angles, owner)
     want = np.array([pointwise_conditional_entropy(blocks[o], *row)
                      for o, row in zip(owner, angles)])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -466,7 +524,7 @@ def test_measured_conditional_entropy_stack_matches_pointwise_bitwise(d2):
 @pytest.mark.parametrize("d2", [2, 3, 6])
 def test_measured_conditional_entropy_matches_lapack_spectra(d2):
     blocks, angles, owner = kernel_case(d2)
-    got = measures._measured_conditional_entropy(blocks, angles, owner)
+    got = kernel(blocks, angles, owner)
     want = np.array([pointwise_conditional_entropy(blocks[o], *row, spectrum=np.linalg.eigvalsh)
                      for o, row in zip(owner, angles)])
     assert np.max(np.abs(got - want)) <= 1e-14
@@ -474,20 +532,39 @@ def test_measured_conditional_entropy_matches_lapack_spectra(d2):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def builtin_fig3_discord():
+    return ExperimentConfig.from_dict({**builtin_fig3().to_dict(), "measures": ["discord"]})
+
+
 def test_fig3_discord_outcome_spectra_match_lapack(monkeypatch):
     # every outcome stack a built-in fig3 sweep's discord search diagonalises
     outcomes = []
 
-    def recorded(h):
-        outcomes.append(h)
-        return eigvalsh(h)
+    def recorded(p):
+        outcomes.append(unpack_lower(p).reshape(-1, 3, 3))
+        return eigvalsh_packed(p)
 
-    monkeypatch.setattr(measures, "eigvalsh", recorded)
-    cfg = ExperimentConfig.from_dict({**builtin_fig3().to_dict(), "measures": ["discord"]})
-    run_config(cfg)
-    h = np.concatenate([o.reshape(-1, 3, 3) for o in outcomes])
-    assert len(h) > 100_000
+    monkeypatch.setattr(measures, "eigvalsh_packed", recorded)
+    run_config(builtin_fig3_discord())
+    h = np.concatenate(outcomes)
+    assert len(h) > 90_000
     assert np.max(np.abs(eigvalsh(h) - np.linalg.eigvalsh(h))) <= 2e-15
+
+
+def test_fig3_discord_search_cost_is_pinned(monkeypatch):
+    # The kernel rows and objective calls of the built-in fig3 discord search.
+    # Both repeat exactly, so a change to either is a change to the search.
+    calls = []
+
+    def counted(packed, angles, owner):
+        calls.append(len(angles))
+        return kernel_of(packed, angles, owner)
+
+    kernel_of = measures._measured_conditional_entropy
+    monkeypatch.setattr(measures, "_measured_conditional_entropy", counted)
+    run_config(builtin_fig3_discord())
+    assert (sum(calls), len(calls)) == (47_237, 87)
+    assert max(calls) <= ROW_BUDGET
 
 
 # -- Choi states -------------------------------------------------------------------
@@ -851,6 +928,19 @@ def test_theta_lambda_epsilon_independent():
     t1 = theta_lambda(op, coeffs, PerturbationSpec(h_prime, 0.1))
     t2 = theta_lambda(op, coeffs, PerturbationSpec(h_prime, 0.2))
     assert t1 == t2
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (2, 6), (4, 4), (3, 6), (6, 6),
+                                    (4, 9)])
+def test_theta_lambda_vanishes_on_incoherent_inputs(d1, d2):
+    # a thermal operation maps populations to populations, so an input diagonal
+    # in the system energy basis has no first-order response
+    rng = np.random.default_rng(130 + 10 * d1 + d2)
+    for _ in range(3):
+        op = random_op(rng, d1, d2)
+        pert = PerturbationSpec(Hamiltonian.from_matrix(random_hermitian(rng, d1)), 0.1)
+        coeffs = np.diag(rng.dirichlet(np.ones(d1))).astype(complex)
+        assert abs(theta_lambda(op, coeffs, pert)) <= 1e-13
 
 
 def test_theta_lambda_first_order_law():

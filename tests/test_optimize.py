@@ -1,9 +1,11 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from athermal_markov.optimize import (
+    ROW_BUDGET,
     OptimizerConfig,
     _rng_seed,
     constrained_phase_manifold,
@@ -94,9 +96,10 @@ def _reference_nelder_mead(f, x0, bounds, periodic, cfg, moves):
     return _reference_canonicalize(simplex[k], bounds, periodic), values[k], converged, evals
 
 
-def reference_minimize(f, bounds, cfg, periodic=None, moves=None):
-    """Sequential grid-seeded multi-start search over a pointwise ``f``;
-    ``moves`` collects the name of every simplex move taken."""
+def reference_minimize(f, bounds, cfg, periodic=None, moves=None, distinct=None):
+    """Sequential grid-seeded multi-start search over a pointwise ``f``, on the
+    grid points ``distinct`` indexes (default all); ``moves`` collects the name
+    of every simplex move taken."""
     moves = [] if moves is None else moves
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     dim = len(bounds)
@@ -104,6 +107,8 @@ def reference_minimize(f, bounds, cfg, periodic=None, moves=None):
     axes = [np.linspace(lo, hi, cfg.grid_resolution, endpoint=not per)
             for (lo, hi), per in zip(bounds, periodic)]
     grid = [np.array(p) for p in itertools.product(*axes)]
+    if distinct is not None:
+        grid = [grid[k] for k in distinct]
     grid_values = [f(p) for p in grid]
     evaluations = len(grid)
     order = np.argsort(grid_values, kind="stable")
@@ -161,6 +166,22 @@ def test_lockstep_matches_sequential_reference(case):
         assert not all(conv for _, conv in starts)
 
 
+def test_distinct_grid_points_match_sequential_reference():
+    # every third point of a 5^3 grid, over three problems: the grid-seeded
+    # starts come from those points only
+    f, bounds, periodic, cfg = REFERENCE_CASES["periodic_3d"]
+    distinct = np.arange(0, cfg.grid_resolution ** 3, 3)
+    fs = (f, lambda x: f(x) + 0.3 * np.sin(x[1]), lambda x: -f(x))
+    got = minimize(batched(*fs), bounds, cfg, periodic=periodic, problems=3, distinct=distinct)
+    for g, result in zip(fs, got):
+        best_f, best_x, converged, evaluations, starts = reference_minimize(
+            g, bounds, cfg, periodic, distinct=distinct)
+        assert result.best_value == best_f
+        assert np.array_equal(result.best_point, best_x)
+        assert (result.converged, result.evaluations, result.starts) == (converged, evaluations,
+                                                                         starts)
+
+
 def test_reference_cases_cover_every_move():
     moves = {}
     for case, (f, bounds, periodic, cfg) in REFERENCE_CASES.items():
@@ -216,6 +237,8 @@ def test_each_problem_matches_its_sequential_reference():
 
 def test_no_objective_call_exceeds_one_search_batch():
     bounds, periodic, cfg = MULTI_BOX
+    # three grids of 400 points: more rows than one call may take
+    cfg = replace(cfg, grid_resolution=20)
     objective = batched(*MULTI_PROBLEMS)
     batch_sizes = []
 
@@ -224,10 +247,11 @@ def test_no_objective_call_exceeds_one_search_batch():
         return objective(points, owner)
 
     got = minimize(counting, bounds, cfg, periodic=periodic, problems=len(MULTI_PROBLEMS))
-    limit = max(cfg.grid_resolution ** 2, cfg.seeds * (len(bounds) + 1))
-    assert max(batch_sizes) == limit
-    # one grid per problem, then the initial simplices of every start, in full chunks
-    assert batch_sizes[:6] == [cfg.grid_resolution ** 2] * 3 + [limit] * 3
+    assert max(batch_sizes) <= ROW_BUDGET
+    # the grids stream through full calls, then the initial simplices of every start
+    grid_rows = len(MULTI_PROBLEMS) * cfg.grid_resolution ** 2
+    assert batch_sizes[:3] == [ROW_BUDGET, grid_rows - ROW_BUDGET,
+                               len(MULTI_PROBLEMS) * cfg.seeds * (len(bounds) + 1)]
     assert sum(batch_sizes) == got.evaluations
 
 
