@@ -4,11 +4,12 @@ Operators are plain numpy arrays (row-major, complex128).  States carry an
 explicit subsystem factorisation through :class:`DensityMatrix`.  Validity
 checks happen on public construction, to the fixed absolute tolerance
 ``STATE_TOL``; spectral supports end at ``SUPPORT_CUTOFF``.  All entropies
-and matrix logarithms are base 2.  :func:`eigvalsh` gives the spectra of
-stacks of 3x3 Hermitian matrices in closed form, where LAPACK's per-matrix
-overhead would outweigh the arithmetic (the discord kernel's qubit-qutrit
-outcomes), and hands every other size and nearly degenerate 3x3 rows to
-``np.linalg.eigvalsh``.
+and matrix logarithms are base 2.  :func:`eigvalsh_packed` gives the spectra
+of stacks of 3x3 Hermitian matrices, packed as real lower triangles by
+:func:`pack_lower`, in closed form, where LAPACK's per-matrix overhead would
+outweigh the arithmetic (the discord kernel's qubit-qutrit outcomes), and
+hands every other size and nearly degenerate 3x3 rows to
+``np.linalg.eigvalsh``; :func:`eigvalsh` is its form for complex matrices.
 """
 
 from __future__ import annotations
@@ -222,11 +223,11 @@ def unpack_lower(p: np.ndarray) -> np.ndarray:
     ``np.linalg.eigvalsh`` reads the lower ones only."""
     n = math.isqrt(len(p))
     diag, below = _lower(n)
-    flat = np.zeros(p.shape, dtype=complex)
-    flat.real[diag] = p[:n]
-    flat.real[below] = p[n:n + len(below)]
-    flat.imag[below] = p[n + len(below):]
-    return np.moveaxis(flat, 0, -1).reshape(*p.shape[1:], n, n)
+    # each packed entry's place among the interleaved real and imaginary parts
+    places = [2 * k for k in diag + below] + [2 * k + 1 for k in below]
+    h = np.zeros(p.shape[1:] + (2 * n * n,))
+    h[..., places] = np.moveaxis(p, 0, -1)
+    return h.view(complex).reshape(*p.shape[1:], n, n)
 
 
 def eigvalsh_packed(p: np.ndarray) -> np.ndarray:
@@ -243,24 +244,29 @@ def eigvalsh_packed(p: np.ndarray) -> np.ndarray:
     """
     if len(p) != 9:
         return np.moveaxis(np.linalg.eigvalsh(unpack_lower(p)), -1, 0)
-    a, d, f, br, cr, er, bi, ci, ei = p
-    # inf or NaN here only reaches rows outside CUBIC_P_RANGE, which LAPACK redoes
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = (a + d + f) / 3
-        a, d, f = a - q, d - q, f - q
-        bb, cc, ee = br * br + bi * bi, cr * cr + ci * ci, er * er + ei * ei
-        p2 = np.sqrt((a * a + d * d + f * f + 2 * (bb + cc + ee)) / 6)
-        # Re(b e conj(c)), with b, c, e the entries (1, 0), (2, 0) and (2, 1)
-        bec = (br * er - bi * ei) * cr + (br * ei + bi * er) * ci
-        det = a * d * f + 2 * bec - a * ee - d * cc - f * bb
-        scaled = (p2 > CUBIC_P_RANGE[0]) & (p2 < CUBIC_P_RANGE[1])
-        inv_p = np.divide(1.0, p2, out=np.zeros_like(p2), where=scaled)
+    diag, re, im = p[:3], p[3:6], p[6:]
+    # inf or NaN here only reaches the rows that fall back, which LAPACK redoes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q = (diag[0] + diag[1] + diag[2]) / 3
+        a, d, f = dev = diag - q
+        # |b|^2, |c|^2 and |e|^2 of the entries b, c, e at (1, 0), (2, 0) and (2, 1)
+        bb, cc, ee = mod = re * re + im * im
+        sq = dev * dev
+        p2 = np.sqrt((sq[0] + sq[1] + sq[2] + 2 * (bb + cc + ee)) / 6)
+        (br, cr, er), (bi, ci, ei) = re, im
+        bec = (br * er - bi * ei) * cr + (br * ei + bi * er) * ci  # Re(b e conj(c))
+        cross = dev * mod[::-1]  # a|e|^2, d|c|^2, f|b|^2
+        det = a * d * f + 2 * bec - cross[0] - cross[1] - cross[2]
+        inv_p = 1 / p2
         r = 0.5 * det * (inv_p * inv_p * inv_p)
-    fallback = ~scaled | (np.abs(r) > 1 - CUBIC_FALLBACK)
-    radius = 2 * np.where(scaled, p2, 0.0)
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3
-    top, bottom = radius * np.cos(phi), radius * np.cos(phi + 2 * np.pi / 3)
+        # an undefined r compares false, so its row falls back
+        closed = ((p2 > CUBIC_P_RANGE[0]) & (p2 < CUBIC_P_RANGE[1])
+                  & (np.abs(r) <= 1 - CUBIC_FALLBACK))
+        phi = np.arccos(r) / 3
+        radius = 2 * p2
+        top, bottom = radius * np.cos(phi), radius * np.cos(phi + 2 * np.pi / 3)
     w = np.stack([bottom, -top - bottom, top]) + q
+    fallback = ~closed
     if fallback.any():
         w[:, fallback] = np.linalg.eigvalsh(unpack_lower(p[:, fallback])).T
     return w

@@ -67,10 +67,11 @@ class OptimizationResults(tuple):
         return tuple(s for r in self for s in r.starts)
 
 
-# Most rows one objective call gets.  The fig3 discord search (40 problems, 265
-# grid rows and 40 starts each) ran fastest at 1024 of 1024, 2048 and 4096, as
-# fewer rows per call mean fewer, larger calls than one per problem without
-# working arrays that spill the cache; 2048 added 0.8 MB to the peak RSS.
+# Most rows one objective call gets: enough that a call's fixed cost is spread
+# over many rows, few enough that its working arrays stay small.  On the fig3
+# discord search (40 problems of 265 grid points and 40 starts each), 1024 ran
+# fastest of 512, 1024, 2048 and 4096 (medians 48.7, 43.7, 44.6 and 45.7 ms
+# over 30 interleaved passes); 2048 added 0.7 MB to the peak RSS, 4096 3.3 MB.
 ROW_BUDGET = 1024
 
 
@@ -106,8 +107,8 @@ def check_search_size(cfg: OptimizerConfig, dim: int, problems: int, where: str)
             ("max_iterations", cfg.max_iterations, "rounds", MAX_ROUNDS)):
         if size > cap:
             raise ValueError(f"{where}.{name}: {_magnitude(getattr(cfg, name))} gives "
-                             f"{_magnitude(size)} {what} for {problems} problems over a {dim}-dimensional "
-                             f"box, above the cap of {cap}")
+                             f"{_magnitude(size)} {what} for {problems} problems over a "
+                             f"{dim}-dimensional box, above the cap of {cap}")
 
 
 def _rng_seed(sequence_id: str) -> int:
@@ -168,17 +169,17 @@ def _nelder_mead(evaluate, x0: np.ndarray, owner: np.ndarray, box: _Box, cfg: Op
     converged, used = np.zeros(m, dtype=bool), np.empty(m, dtype=int)
     active = np.arange(m)  # the start of each row of simplex, values and evals
 
-    def leave(rows):
-        k = np.argmin(values[rows], axis=1)
-        starts = active[rows]
-        best_x[starts] = simplex[rows, k]
-        best_f[starts] = values[rows, k]
-        used[starts] = evals[rows]
+    def leave(going):
+        k = np.argmin(values[going], axis=1)
+        starts = active[going]
+        best_x[starts] = simplex[going, k]
+        best_f[starts] = values[going, k]
+        used[starts] = evals[going]
 
     for _ in range(cfg.max_iterations):
         order = np.argsort(values, axis=1, kind="stable")
-        simplex = np.take_along_axis(simplex, order[..., None], axis=1)
-        values = np.take_along_axis(values, order, axis=1)
+        rows = np.arange(len(order))[:, None]
+        simplex, values = simplex[rows, order], values[rows, order]
         done = values[:, -1] - values[:, 0] <= cfg.f_tol
         if done.any():
             leave(done)
@@ -189,7 +190,7 @@ def _nelder_mead(evaluate, x0: np.ndarray, owner: np.ndarray, box: _Box, cfg: Op
                 break
         own = owner[active]
 
-        centroid = np.mean(simplex[:, :-1], axis=1)
+        centroid = simplex[:, :-1].sum(axis=1) / dim
         worst = simplex[:, -1]
         reflected = centroid + (centroid - worst)
         fr = evaluate(reflected, own)
@@ -280,8 +281,8 @@ def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None,
     rng = np.random.default_rng(_rng_seed(cfg.seed_sequence))
     random_starts = np.array([[rng.uniform(lo, hi) for lo, hi in bounds]
                               for _ in range(cfg.seeds - n_grid_starts)]).reshape(-1, dim)
-    starts = np.concatenate([seeded, np.broadcast_to(random_starts, (problems, *random_starts.shape))],
-                            axis=1).reshape(-1, dim)
+    shared = np.broadcast_to(random_starts, (problems, *random_starts.shape))
+    starts = np.concatenate([seeded, shared], axis=1).reshape(-1, dim)
     owner = np.repeat(np.arange(problems), cfg.seeds)
 
     def evaluate(x, rows_owner):
