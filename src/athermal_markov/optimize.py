@@ -20,7 +20,6 @@ Nelder-Mead trajectory: the rows of a batch never interact.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +90,9 @@ MAX_STARTS = 2 ** 16
 MAX_ROUNDS = 10 ** 4
 
 
-def _magnitude(n: int) -> str:
+def _shown(n: int) -> str:
     """``n``, or its power of ten once it has more than 12 digits."""
-    return str(n) if n < 10 ** 12 else f"~1e{int(math.log10(n))}"
+    return str(n) if n < 10 ** 12 else f"~1e{len(str(n)) - 1}"
 
 
 def check_search_size(cfg: OptimizerConfig, dim: int, problems: int, where: str):
@@ -106,9 +105,9 @@ def check_search_size(cfg: OptimizerConfig, dim: int, problems: int, where: str)
             ("seeds", problems * cfg.seeds, "Nelder-Mead starts", MAX_STARTS),
             ("max_iterations", cfg.max_iterations, "rounds", MAX_ROUNDS)):
         if size > cap:
-            raise ValueError(f"{where}.{name}: {_magnitude(getattr(cfg, name))} gives "
-                             f"{_magnitude(size)} {what} for {problems} problems over a "
-                             f"{dim}-dimensional box, above the cap of {cap}")
+            raise ValueError(f"{where}.{name}: {_shown(getattr(cfg, name))} gives more than "
+                             f"the {cap} {what} one search may hold ({problems} problems over "
+                             f"a {dim}-dimensional box)")
 
 
 def _rng_seed(sequence_id: str) -> int:

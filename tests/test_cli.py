@@ -550,24 +550,17 @@ def test_command_flag_fuzz_exits_0_1_or_2_without_raising(tmp_path, capsys):
 # distance's family search 2 problems over a 1-dimensional one.
 SEARCHES = {"fig3": (builtin_fig3, 40, 2), "distance": (builtin_distance, 2, 1)}
 CAPPED = {
-    ("fig3", "optimizer.grid_resolution=1e300"):
-        "config.optimizer.grid_resolution: ~1e300 gives ~1e601 grid points for 40 problems "
-        "over a 2-dimensional box, above the cap of 1048576",
-    ("fig3", "optimizer.seeds=1e12"):
-        "config.optimizer.seeds: ~1e12 gives ~1e13 Nelder-Mead starts for 40 problems "
-        "over a 2-dimensional box, above the cap of 65536",
-    ("fig3", "optimizer.max_iterations=1e15"):
-        "config.optimizer.max_iterations: ~1e15 gives ~1e15 rounds for 40 problems "
-        "over a 2-dimensional box, above the cap of 10000",
-    ("fig3", "optimizer.grid_resolution=162"):
-        "config.optimizer.grid_resolution: 162 gives 1049760 grid points for 40 problems "
-        "over a 2-dimensional box, above the cap of 1048576",
-    ("distance", "optimizer.grid_resolution=524289"):
-        "config.optimizer.grid_resolution: 524289 gives 1048578 grid points for 2 problems "
-        "over a 1-dimensional box, above the cap of 1048576",
-    ("distance", "optimizer.seeds=32769"):
-        "config.optimizer.seeds: 32769 gives 65538 Nelder-Mead starts for 2 problems "
-        "over a 1-dimensional box, above the cap of 65536",
+    ("fig3", "optimizer.grid_resolution=1e300"): "grid_resolution: ~1e300 gives more than the "
+                                                 "1048576 grid points",
+    ("fig3", "optimizer.seeds=1e12"): "seeds: ~1e12 gives more than the 65536 Nelder-Mead starts",
+    ("fig3", "optimizer.max_iterations=1e15"): "max_iterations: ~1e15 gives more than the 10000 "
+                                               "rounds",
+    ("fig3", "optimizer.grid_resolution=162"): "grid_resolution: 162 gives more than the 1048576 "
+                                               "grid points",
+    ("distance", "optimizer.grid_resolution=524289"): "grid_resolution: 524289 gives more than "
+                                                      "the 1048576 grid points",
+    ("distance", "optimizer.seeds=32769"): "seeds: 32769 gives more than the 65536 Nelder-Mead "
+                                           "starts",
 }
 
 
@@ -583,7 +576,10 @@ def study_configs(tmp_path):
 @pytest.mark.parametrize("study, override", CAPPED)
 def test_validate_rejects_a_search_above_its_cap(study_configs, capsys, study, override):
     assert main(["validate", "--config", study_configs[study], "--set", override]) == 2
-    assert capsys.readouterr().err == f"error: {CAPPED[study, override]}\n"
+    _, problems, dim = SEARCHES[study]
+    assert capsys.readouterr().err == (
+        f"error: config.optimizer.{CAPPED[study, override]} one search may hold "
+        f"({problems} problems over a {dim}-dimensional box)\n")
 
 
 @pytest.mark.parametrize("study, override", [

@@ -536,8 +536,14 @@ def builtin_fig3_discord():
     return ExperimentConfig.from_dict({**builtin_fig3().to_dict(), "measures": ["discord"]})
 
 
+# The kernel rows and objective calls of the built-in fig3 discord search.  Both
+# repeat exactly, so a change to either is a change to the search.
+FIG3_DISCORD_ROWS, FIG3_DISCORD_CALLS = 47_237, 87
+
+
 def test_fig3_discord_outcome_spectra_match_lapack(monkeypatch):
-    # every outcome stack a built-in fig3 sweep's discord search diagonalises
+    # every outcome stack a built-in fig3 sweep's discord search diagonalises,
+    # two per kernel row
     outcomes = []
 
     def recorded(p):
@@ -547,23 +553,20 @@ def test_fig3_discord_outcome_spectra_match_lapack(monkeypatch):
     monkeypatch.setattr(measures, "eigvalsh_packed", recorded)
     run_config(builtin_fig3_discord())
     h = np.concatenate(outcomes)
-    assert len(h) > 90_000
+    assert len(h) == 2 * FIG3_DISCORD_ROWS
     assert np.max(np.abs(eigvalsh(h) - np.linalg.eigvalsh(h))) <= 2e-15
 
 
 def test_fig3_discord_search_cost_is_pinned(monkeypatch):
-    # The kernel rows and objective calls of the built-in fig3 discord search.
-    # Both repeat exactly, so a change to either is a change to the search.
-    calls = []
+    kernel_of, calls = measures._measured_conditional_entropy, []
 
     def counted(packed, angles, owner):
         calls.append(len(angles))
         return kernel_of(packed, angles, owner)
 
-    kernel_of = measures._measured_conditional_entropy
     monkeypatch.setattr(measures, "_measured_conditional_entropy", counted)
     run_config(builtin_fig3_discord())
-    assert (sum(calls), len(calls)) == (47_237, 87)
+    assert (sum(calls), len(calls)) == (FIG3_DISCORD_ROWS, FIG3_DISCORD_CALLS)
     assert max(calls) <= ROW_BUDGET
 
 
