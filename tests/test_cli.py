@@ -566,11 +566,9 @@ CAPPED = {
 
 @pytest.fixture()
 def study_configs(tmp_path):
-    paths = {}
     for name, (make, _, _) in SEARCHES.items():
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(make().to_dict()))
-    return {name: str(path) for name, path in paths.items()}
+        (tmp_path / f"{name}.json").write_text(json.dumps(make().to_dict()))
+    return {name: str(tmp_path / f"{name}.json") for name in SEARCHES}
 
 
 @pytest.mark.parametrize("study, override", CAPPED)
