@@ -537,7 +537,8 @@ def builtin_fig3_discord():
 
 
 # The kernel rows and objective calls of the built-in fig3 discord search.  Both
-# repeat exactly, so a change to either is a change to the search.
+# repeat exactly for one numpy build and CPU, so a change to either is a change
+# to the search (or to the floating-point bits of its objective).
 FIG3_DISCORD_ROWS, FIG3_DISCORD_CALLS = 47_237, 87
 
 
