@@ -139,9 +139,9 @@ class _Box:
     def canonicalize(self, x: np.ndarray) -> np.ndarray:
         """Wrap periodic coordinates into [lo, hi), clip the others to [lo, hi]."""
         y = np.array(x, dtype=float)
-        p, c = self.periodic, ~self.periodic
-        y[..., p] = self.lo[p] + (y[..., p] - self.lo[p]) % (self.hi[p] - self.lo[p])
-        y[..., c] = np.minimum(np.maximum(y[..., c], self.lo[c]), self.hi[c])
+        for k, (lo, hi, per) in enumerate(zip(self.lo, self.hi, self.periodic)):
+            col = y[..., k]
+            y[..., k] = lo + (col - lo) % (hi - lo) if per else np.minimum(np.maximum(col, lo), hi)
         return y
 
 
@@ -166,7 +166,7 @@ def _nelder_mead(evaluate, x0: np.ndarray, owner: np.ndarray, box: _Box, cfg: Op
     evals = np.full(m, dim + 1)
     best_x, best_f = np.empty((m, dim)), np.empty(m)
     converged, used = np.zeros(m, dtype=bool), np.empty(m, dtype=int)
-    active = np.arange(m)  # the start of each row of simplex, values and evals
+    active, own = np.arange(m), owner  # each row's start, and its problem
 
     def leave(going):
         k = np.argmin(values[going], axis=1)
@@ -187,7 +187,7 @@ def _nelder_mead(evaluate, x0: np.ndarray, owner: np.ndarray, box: _Box, cfg: Op
             simplex, values, evals, active = simplex[stay], values[stay], evals[stay], active[stay]
             if not active.size:
                 break
-        own = owner[active]
+            own = owner[active]
 
         centroid = simplex[:, :-1].sum(axis=1) / dim
         worst = simplex[:, -1]
@@ -196,9 +196,8 @@ def _nelder_mead(evaluate, x0: np.ndarray, owner: np.ndarray, box: _Box, cfg: Op
         evals += 1
         take = (values[:, 0] <= fr) & (fr < values[:, -2])
         expand = fr < values[:, 0]
-        contract = ~take & ~expand
-
-        moved = expand | contract
+        moved = ~take
+        contract = moved & ~expand
         trial = np.where(expand[:, None], centroid + 2.0 * (reflected - centroid),
                          centroid + 0.5 * (worst - centroid))
         f_trial = fr.copy()
