@@ -185,9 +185,9 @@ def _nelder_mead(evaluate, x0: np.ndarray, owner: np.ndarray, box: _Box, cfg: Op
             converged[active[done]] = True
             stay = ~done
             simplex, values, evals, active = simplex[stay], values[stay], evals[stay], active[stay]
-            if not active.size:
-                break
             own = owner[active]
+        if not active.size:
+            break
 
         centroid = simplex[:, :-1].sum(axis=1) / dim
         worst = simplex[:, -1]
