@@ -34,6 +34,8 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # undecodable bytes, or an integer past Python's digit limit
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -59,6 +61,8 @@ def _parse_set(entry: str) -> tuple[str, object]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ConfigError(f"--set {key}: {exc}") from None
     return key, value
 
 

@@ -5,11 +5,12 @@ explicit subsystem factorisation through :class:`DensityMatrix`.  Validity
 checks happen on public construction, to the fixed absolute tolerance
 ``STATE_TOL``; spectral supports end at ``SUPPORT_CUTOFF``.  All entropies
 and matrix logarithms are base 2.  :func:`eigvalsh_packed` gives the spectra
-of stacks of 3x3 Hermitian matrices, packed as real lower triangles by
-:func:`pack_lower`, in closed form, where LAPACK's per-matrix overhead would
-outweigh the arithmetic (the discord kernel's qubit-qutrit outcomes), and
-hands every other size and nearly degenerate 3x3 rows to
-``np.linalg.eigvalsh``; :func:`eigvalsh` is its form for complex matrices.
+of stacks of 1x1, 2x2 and 3x3 Hermitian matrices, packed as real lower
+triangles by :func:`pack_lower`, in closed form, where LAPACK's per-matrix
+overhead would outweigh the arithmetic (the level blocks of the discord
+kernel's outcomes), and hands every larger size and nearly degenerate 3x3
+rows to ``np.linalg.eigvalsh``; :func:`eigvalsh` is its form for complex
+matrices.
 """
 
 from __future__ import annotations
@@ -234,14 +235,25 @@ def eigvalsh_packed(p: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues, along a new first axis (n, ...), of the Hermitian
     matrices whose lower triangles :func:`pack_lower` packed into ``p``.
 
-    For n = 3 the roots are Smith's trigonometric closed form, each matrix
-    computed on its own in real arithmetic: q + 2p cos(phi + 2 pi k/3) of
-    A = qI + B with q = tr A / 3, p^2 = tr B^2 / 6 and cos(3 phi) = r =
-    det B / (2 p^3).  The 3x3 matrices with 1 - |r| below ``CUBIC_FALLBACK``,
-    or with p outside ``CUBIC_P_RANGE`` (a scalar matrix, or one whose
-    traceless part B has norm beyond about 1e-100 or 1e100), go to one
-    ``np.linalg.eigvalsh`` call, and so does the whole stack for every other n.
+    Each matrix is computed on its own, in real arithmetic.  For n = 1 the
+    eigenvalue is the entry.  For n = 2 the roots are m -+ r, with m the mean
+    of the diagonal a, d and r = hypot((a - d) / 2, |b|) of the entry b
+    below it, which neither overflows nor underflows across the double
+    range.  For n = 3 they are Smith's trigonometric closed form:
+    q + 2p cos(phi + 2 pi k/3) of A = qI + B with q = tr A / 3,
+    p^2 = tr B^2 / 6 and cos(3 phi) = r = det B / (2 p^3).  The 3x3 matrices
+    with 1 - |r| below ``CUBIC_FALLBACK``, or with p outside ``CUBIC_P_RANGE``
+    (a scalar matrix, or one whose traceless part B has norm beyond about
+    1e-100 or 1e100), go to one ``np.linalg.eigvalsh`` call, and so does the
+    whole stack for every n above 3.
     """
+    if len(p) == 1:
+        return p.copy()
+    if len(p) == 4:
+        a, d, br, bi = p
+        half_a, half_d = 0.5 * a, 0.5 * d
+        mean, r = half_a + half_d, np.hypot(half_a - half_d, np.hypot(br, bi))
+        return np.stack([mean - r, mean + r])
     if len(p) != 9:
         return np.moveaxis(np.linalg.eigvalsh(unpack_lower(p)), -1, 0)
     diag, re, im = p[:3], p[3:6], p[6:]
@@ -275,13 +287,14 @@ def eigvalsh_packed(p: np.ndarray) -> np.ndarray:
 def eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (n, n), or of each matrix in
     a stack (..., n, n), from its lower triangle as ``np.linalg.eigvalsh``:
-    for n = 3 by :func:`eigvalsh_packed`'s closed form, for every other n by
-    ``np.linalg.eigvalsh``."""
+    for n = 1, 2 and 3 by :func:`eigvalsh_packed`'s closed forms, for every
+    other n by ``np.linalg.eigvalsh``."""
     h = np.asarray(h)
-    if h.shape[-1] != 3:
+    n = h.shape[-1]
+    if not 1 <= n <= 3:
         return np.linalg.eigvalsh(h)
     # rows of a 2-D stack, even for one matrix, so each entry is an array
-    rows = pack_lower(h.reshape(-1, 3, 3))
+    rows = pack_lower(h.reshape(-1, n, n))
     return eigvalsh_packed(rows).T.reshape(h.shape[:-1])
 
 

@@ -120,35 +120,99 @@ def _bloch_blocks(rho: np.ndarray, d2: int) -> np.ndarray:
     return 0.5 * np.stack([r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11], axis=1)
 
 
-def _pack_bloch_blocks(blocks: np.ndarray) -> np.ndarray:
-    """:func:`_bloch_blocks` (n, 4, d2, d2) as real columns (4, d2 d2 + 1, n):
-    per block, its lower triangle as :func:`linalg.pack_lower` packs it, then
-    its trace, for each state."""
-    t = np.trace(blocks, axis1=-2, axis2=-1).real
-    return np.concatenate([pack_lower(blocks), t[None]]).transpose(2, 0, 1).copy()
+def _level_blocks(blocks: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
+    """Per state of a stack of :func:`_bloch_blocks` (n, 4, d2, d2), its level
+    blocks: the connected components of the nonzero pattern of its four
+    blocks, each as its ascending levels, in the order of their first level.
+    An entry between two level blocks is exactly 0.0 in all four blocks, so
+    every outcome P_0 +- n . (P_1, P_2, P_3) is exactly block diagonal on them."""
+    d2 = blocks.shape[-1]
+    linked = (blocks != 0).any(axis=1)
+    reach = (linked | linked.swapaxes(-1, -2) | np.eye(d2, dtype=bool)).astype(float)
+    for _ in range((d2 - 1).bit_length()):  # each squaring doubles the path length
+        reach = np.minimum(reach @ reach, 1.0)
+    # per state, each level's block as the block's first level
+    return [tuple(tuple(k for k, h in enumerate(heads) if h == head) for head in sorted(set(heads)))
+            for heads in (reach > 0).argmax(axis=-1).tolist()]
 
 
-def _measured_conditional_entropy(packed: np.ndarray, angles: np.ndarray,
+class _PackedBlocks(NamedTuple):
+    """:func:`_bloch_blocks` of a stack of states, grouped by their
+    :func:`_level_blocks`: per group, its real columns (4, L + 1, m) of its m
+    states, the packed lower triangles of the level blocks (L reals) then the
+    trace, for each Bloch block, with the slice of each level block's
+    triangle; and per state, its group and its column there."""
+
+    groups: list[tuple[list[slice], np.ndarray]]
+    group: np.ndarray
+    column: np.ndarray
+
+
+def _pack_bloch_blocks(blocks: np.ndarray) -> _PackedBlocks:
+    """:func:`_bloch_blocks` (n, 4, d2, d2) as :class:`_PackedBlocks`: each
+    level block packed as :func:`linalg.pack_lower` packs it, in the order of
+    :func:`_level_blocks`.  A state of one level block, size d2, packs as a
+    whole matrix."""
+    members = {}
+    for k, partition in enumerate(_level_blocks(blocks)):
+        members.setdefault(partition, []).append(k)
+    group, column = np.empty(len(blocks), int), np.empty(len(blocks), int)
+    groups = []
+    for g, (partition, states) in enumerate(members.items()):
+        group[states], column[states] = g, np.arange(len(states))
+        sub = blocks[states]
+        t = np.trace(sub, axis1=-2, axis2=-1).real
+        packs = [pack_lower(sub[..., levels, :][..., levels]) for levels in map(list, partition)]
+        ends = np.cumsum([len(p) for p in packs]).tolist()
+        groups.append(([slice(a, b) for a, b in zip([0, *ends], ends)],
+                       np.concatenate([*packs, t[None]]).transpose(2, 0, 1).copy()))
+    return _PackedBlocks(groups, group, column)
+
+
+def _measured_conditional_entropy(packed: _PackedBlocks, angles: np.ndarray,
                                   owner: np.ndarray) -> np.ndarray:
     """sum_i p_i S(rho_B^i) for measuring {|psi><psi|, I - |psi><psi|} on the qubit,
-    one value per (theta, phi) row of ``angles``, of the state whose
-    :func:`_pack_bloch_blocks` columns are ``packed[..., owner]``.
+    one value per (theta, phi) row of ``angles``, of the state ``owner`` of
+    the :func:`_pack_bloch_blocks` ``packed``.
+
+    The rows of each group of states go through :func:`_group_conditional_entropy`
+    together; they are split by group only when ``packed`` holds more than
+    one, and each row's value is that of its state alone."""
+    if len(packed.groups) == 1:  # then each state's column is its index
+        return _group_conditional_entropy(*packed.groups[0], angles, owner)
+    values = np.empty(len(angles))
+    group = packed.group[owner]
+    for g, (triangles, columns) in enumerate(packed.groups):
+        rows = np.flatnonzero(group == g)
+        if len(rows):
+            values[rows] = _group_conditional_entropy(triangles, columns, angles[rows],
+                                                      packed.column[owner[rows]])
+    return values
+
+
+def _group_conditional_entropy(triangles: list[slice], columns: np.ndarray,
+                               angles: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """:func:`_measured_conditional_entropy` of one group of states, whose
+    level blocks' packed triangles are the ``triangles`` of its columns, for
+    rows of the state whose columns are ``columns[..., owner]``.
 
     With n the Bloch vector of psi, the unnormalised outcomes are
     P_0 +- n . (P_1, P_2, P_3), formed packed in real arithmetic, and their
-    probabilities the traces of those; the spectra of the unnormalised
-    outcomes, from one :func:`linalg.eigvalsh_packed` of their stack (closed-form
-    roots for a qutrit second factor), are divided by the probabilities.  An
-    outcome of probability at most 1e-14 contributes nothing."""
+    probabilities the traces of those.  An outcome's spectrum is the union of
+    its level blocks' spectra, each from one :func:`linalg.eigvalsh_packed` of
+    the block's stack (closed-form roots up to 3x3), and is divided by the
+    probability.  An outcome of probability at most 1e-14 contributes
+    nothing."""
     theta, phi = angles[:, 0], angles[:, 1]
     sin = np.sin(theta)
     n = (sin * np.cos(phi), sin * np.sin(phi), np.cos(theta))
-    half, x, y, z = np.take(packed, owner, axis=-1)
+    half, x, y, z = np.take(columns, owner, axis=-1)
     tilt = n[0] * x + n[1] * y + n[2] * z
-    outcomes = np.stack([half + tilt, half - tilt], axis=1)  # (d2 d2 + 1, 2, rows)
+    outcomes = np.stack([half + tilt, half - tilt], axis=1)  # (L + 1, 2, rows)
     prob = outcomes[-1]
     kept = prob > 1e-14
-    spectra = eigvalsh_packed(outcomes[:-1]) / np.where(kept, prob, 1.0)
+    spectra = np.concatenate([eigvalsh_packed(outcomes[block]) for block in triangles])
+    spectra /= np.where(kept, prob, 1.0)
     return np.where(kept, prob * spectrum_entropy(spectra, axis=0), 0.0).sum(axis=0)
 
 
@@ -181,7 +245,9 @@ def discord(states: Sequence[DensityMatrix], joint_entropies,
     entry of ``joint_entropies``, which the caller knows, as for
     :func:`mutual_informations`.  The states share dims and one lockstep
     search, in which each state is its own problem; each value equals that
-    of a search for its state alone.
+    of a search for its state alone.  Each state's Bloch blocks are split
+    once into its :func:`_level_blocks`, and the search diagonalises only
+    those, exactly as the whole outcomes.
     """
     joints, (d1, d2) = _joint_stack(states)
     if d1 != 2:

@@ -62,6 +62,22 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["file_digits", "file_bytes", "set_digits"])
+def test_unparseable_config_values_exit_2_naming_their_source(tmp_path, capsys, case):
+    # a 5,001-digit integer is past Python's digit limit, and \xff\xfe is no UTF-8
+    path, digits = tmp_path / "big.json", "1" * 5001
+    path.write_bytes({"file_digits": f'{{"optimizer": {{"seeds": {digits}}}}}'.encode(),
+                      "file_bytes": b"\xff\xfe",
+                      "set_digits": json.dumps(builtin_fig2().to_dict()).encode()}[case])
+    argv = ["validate", "--config", str(path)]
+    if case == "set_digits":
+        argv += ["--set", f"optimizer.seeds={digits}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and len(err) < 500
+    assert ("--set optimizer.seeds" if case == "set_digits" else str(path)) in err
+
+
 def test_config_missing_field_names_it(tmp_path, capsys):
     data = builtin_fig2().to_dict()
     del data["perturbation"]

@@ -214,27 +214,29 @@ def eigvalsh_cases(n: int) -> dict[str, np.ndarray]:
 
 
 def test_eigvalsh_matches_lapack():
-    for name, h in eigvalsh_cases(3).items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = eigvalsh(h)
-        want = np.linalg.eigvalsh(h)
-        bound = 1e-14 * np.maximum(1.0, np.linalg.norm(h, 2, axis=(-2, -1)))
-        assert got.shape == want.shape, name
-        assert np.all(np.abs(got - want) <= bound[..., None]), name
-        assert np.all(np.diff(got, axis=-1) >= 0.0), name
+    for n in (1, 2, 3):
+        for name, h in eigvalsh_cases(n).items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = eigvalsh(h)
+            want = np.linalg.eigvalsh(h)
+            bound = 1e-14 * np.maximum(1.0, np.linalg.norm(h, 2, axis=(-2, -1)))
+            assert got.shape == want.shape, (n, name)
+            assert np.all(np.abs(got - want) <= bound[..., None]), (n, name)
+            assert np.all(np.diff(got, axis=-1) >= 0.0), (n, name)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
 def test_eigvalsh_stays_relative_to_the_norm_across_the_double_range(scale):
-    h = scale * eigvalsh_cases(3)["random"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = eigvalsh(h)
-    want = np.linalg.eigvalsh(h)
-    norm = np.linalg.norm(h, 2, axis=(-2, -1))
-    assert np.all(np.isfinite(got))
-    assert np.all(np.abs(got - want) <= 1e-14 * norm[:, None])
+    for n in (1, 2, 3):
+        h = scale * eigvalsh_cases(n)["random"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eigvalsh(h)
+        want = np.linalg.eigvalsh(h)
+        norm = np.linalg.norm(h, 2, axis=(-2, -1))
+        assert np.all(np.isfinite(got)), n
+        assert np.all(np.abs(got - want) <= 1e-14 * norm[:, None]), n
 
 
 def test_eigvalsh_computes_each_row_alone():
@@ -245,7 +247,7 @@ def test_eigvalsh_computes_each_row_alone():
     assert np.array_equal(eigvalsh(h).view(np.int64), alone.view(np.int64))
 
 
-@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("n", [4, 6])
 def test_eigvalsh_hands_other_sizes_to_lapack(n):
     h = eigvalsh_cases(n)["random"][:20]
     assert np.array_equal(eigvalsh(h).view(np.int64), np.linalg.eigvalsh(h).view(np.int64))

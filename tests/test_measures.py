@@ -13,7 +13,6 @@ from athermal_markov.linalg import (
     dagger,
     eigh,
     eigvalsh,
-    eigvalsh_packed,
     entropy_of_spectrum,
     mat_equal,
     matrix_log2_on_support,
@@ -22,7 +21,6 @@ from athermal_markov.linalg import (
     trace_norm,
     trace_out_first,
     trace_out_second,
-    unpack_lower,
 )
 from athermal_markov.measures import (
     MarkovianFamily,
@@ -387,13 +385,43 @@ def test_discord_requires_qubit_measured_side():
                                random_density(rng, 4, dims=(2, 2))])
 
 
+def planted_partition(rng, d2: int) -> tuple[tuple[int, ...], ...]:
+    """A random partition of d2 shuffled levels into blocks of 1 to 4 levels,
+    in the order of :func:`measures._level_blocks`."""
+    levels, ends = rng.permutation(d2), [0]
+    while ends[-1] < d2:
+        ends.append(min(ends[-1] + int(rng.integers(1, 5)), d2))
+    return tuple(sorted(tuple(sorted(levels[a:b].tolist())) for a, b in zip(ends, ends[1:])))
+
+
+def planted_state(rng, partition) -> DensityMatrix:
+    """A random qubit-and-d2 joint state that is block diagonal on the levels of
+    ``partition``: a weighted random state on the qubit and each block's levels."""
+    d2 = sum(map(len, partition))
+    m = np.zeros((2, d2, 2, d2), dtype=complex)
+    for levels in partition:
+        s = len(levels)
+        block = rng.uniform(0.2, 1.0) * random_density(rng, 2 * s).matrix
+        m[np.ix_([0, 1], levels, [0, 1], levels)] = block.reshape(2, s, 2, s)
+    m = m.reshape(2 * d2, 2 * d2)
+    return DensityMatrix(m / np.trace(m).real, (2, d2))
+
+
+def pure_state(rng, d: int, dims) -> DensityMatrix:
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return DensityMatrix(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, dims)
+
+
 @pytest.mark.parametrize("d2", [2, 3, 6])
 def test_discord_of_many_states_matches_one_state_searches_bitwise(d2):
     rng = np.random.default_rng(70 + d2)
     cfg = OptimizerConfig(seeds=6, grid_resolution=7)
-    # a product state gives a flat landscape, so its search ends early
+    # a product state gives a flat landscape, so its search ends early; the
+    # planted, diagonal and pure states add groups of other level blocks
+    diagonal = DensityMatrix(np.diag(rng.dirichlet(np.ones(2 * d2))).astype(complex), (2, d2))
     states = [random_density(rng, 2 * d2, dims=(2, d2)) for _ in range(3)] + [
-        product_state(rng, 2, d2)]
+        product_state(rng, 2, d2), planted_state(rng, planted_partition(rng, d2)), diagonal,
+        pure_state(rng, 2 * d2, (2, d2))]
     together = joint_entropy_discord(states, cfg)
     for rho, got in zip(states, together):
         alone, = joint_entropy_discord([rho], cfg)
@@ -424,12 +452,11 @@ def test_measured_conditional_entropy_matches_kron_reference(d2, monkeypatch):
         got = conditional_entropy(rho, angles)
         assert abs(got[0] - kron_conditional_entropy(rho, *angles[0])) < 1e-12
 
-    # edge rows: a product rho_A (x) I/d2, whose outcomes are scalar matrices, all
-    # of which fall back; a pure state, whose outcomes are rank-deficient; and a
-    # stack mixing both with ordinary rows
+    # edge rows: a product rho_A (x) I/d2, whose outcomes are diagonal, so its
+    # level blocks are single levels; a pure state, whose outcomes are
+    # rank-deficient; and a stack mixing both with ordinary rows
     product = DensityMatrix(np.kron(random_density(rng, 2).matrix, np.eye(d2) / d2), (2, d2))
-    psi = rng.normal(size=2 * d2) + 1j * rng.normal(size=2 * d2)
-    pure = DensityMatrix(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, (2, d2))
+    pure = pure_state(rng, 2 * d2, (2, d2))
     states = [product, pure, random_density(rng, 2 * d2, dims=(2, d2))]
     angles = np.column_stack([rng.uniform(0, np.pi, 36), rng.uniform(0, 2 * np.pi, 36)])
     owner = np.arange(36) % 3
@@ -445,8 +472,22 @@ def test_measured_conditional_entropy_matches_kron_reference(d2, monkeypatch):
     got = kernel(measures._bloch_blocks(np.array([rho.matrix for rho in states]), d2), angles,
                  owner)
     assert np.max(np.abs(got - want)) < 1e-12
-    # one kernel call makes at most one LAPACK call, and every product row falls back
-    assert len(lapack) == 3 and lapack[0] == 2 * 12
+    # the product rows need no LAPACK call; a qutrit pure state's rank-deficient
+    # outcomes all fall back, and every d2 = 6 outcome goes to LAPACK, in one
+    # call per kernel call: 12 pure rows alone, then the pure and random rows
+    assert lapack == {2: [], 3: [2 * 12, 2 * 12], 6: [2 * 12, 2 * 24]}[d2]
+
+
+@pytest.mark.parametrize("d2", [3, 4, 6])
+def test_planted_level_blocks_are_found_and_diagonalised_exactly(d2):
+    rng = np.random.default_rng(80 + d2)
+    for _ in range(10):
+        partition = planted_partition(rng, d2)
+        rho = planted_state(rng, partition)
+        assert measures._level_blocks(measures._bloch_blocks(rho.matrix, d2)) == [partition]
+        angles = np.column_stack([rng.uniform(0, np.pi, 8), rng.uniform(0, 2 * np.pi, 8)])
+        want = [kron_conditional_entropy(rho, *row) for row in angles]
+        assert np.max(np.abs(conditional_entropy(rho, angles) - want)) < 1e-12
 
 
 def measurement_key(theta, phi):
@@ -528,7 +569,7 @@ def test_measured_conditional_entropy_matches_lapack_spectra(d2):
     want = np.array([pointwise_conditional_entropy(blocks[o], *row, spectrum=np.linalg.eigvalsh)
                      for o, row in zip(owner, angles)])
     assert np.max(np.abs(got - want)) <= 1e-14
-    if d2 != 3:  # LAPACK's own outcome spectra, so the kernel keeps its bits
+    if d2 not in (2, 3):  # LAPACK's own outcome spectra, so the kernel keeps its bits
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -542,20 +583,64 @@ def builtin_fig3_discord():
 FIG3_DISCORD_ROWS, FIG3_DISCORD_CALLS = 47_237, 87
 
 
-def test_fig3_discord_outcome_spectra_match_lapack(monkeypatch):
-    # every outcome stack a built-in fig3 sweep's discord search diagonalises,
-    # two per kernel row
-    outcomes = []
+def test_fig3_discord_states_split_into_level_blocks_without_lapack(monkeypatch):
+    # what the fig3 search's speed rests on: in each state the qutrit's level 2
+    # is uncoupled, so every outcome is a 2x2 and a 1x1 block in closed form
+    partitions, lapack = [], []
+    level_blocks, kernel_of, lapack_eigvalsh = (measures._level_blocks,
+                                                measures._measured_conditional_entropy,
+                                                np.linalg.eigvalsh)
 
-    def recorded(p):
-        outcomes.append(unpack_lower(p).reshape(-1, 3, 3))
-        return eigvalsh_packed(p)
+    def found(blocks):
+        partitions.extend(level_blocks(blocks))
+        return partitions[len(partitions) - len(blocks):]
 
-    monkeypatch.setattr(measures, "eigvalsh_packed", recorded)
+    def counted_kernel(*args):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", lambda h: lapack.append(h.shape) or lapack_eigvalsh(h))
+            return kernel_of(*args)
+
+    monkeypatch.setattr(measures, "_level_blocks", found)
+    monkeypatch.setattr(measures, "_measured_conditional_entropy", counted_kernel)
     run_config(builtin_fig3_discord())
-    h = np.concatenate(outcomes)
-    assert len(h) == 2 * FIG3_DISCORD_ROWS
-    assert np.max(np.abs(eigvalsh(h) - np.linalg.eigvalsh(h))) <= 2e-15
+    assert partitions == [((0, 1), (2,))] * 40
+    assert lapack == []
+
+
+def test_fig3_discord_outcome_spectra_match_lapack(monkeypatch):
+    # every outcome a built-in fig3 sweep's discord search diagonalises, two per
+    # kernel row: its level blocks' spectra against LAPACK's of the whole 3x3
+    # outcome, rebuilt from its state's Bloch blocks
+    blocks, rows, spectra = [], [], []
+    bloch_of, kernel_of, spectra_of = (measures._bloch_blocks, measures._measured_conditional_entropy,
+                                       measures.eigvalsh_packed)
+
+    def recorded_blocks(rho, d2):
+        blocks.append(bloch_of(rho, d2))
+        return blocks[-1]
+
+    def recorded_kernel(packed, angles, owner):
+        rows.append((angles, owner))
+        spectra.append([])
+        return kernel_of(packed, angles, owner)
+
+    def recorded_spectra(p):
+        spectra[-1].append(spectra_of(p))
+        return spectra[-1][-1]
+
+    monkeypatch.setattr(measures, "_bloch_blocks", recorded_blocks)
+    monkeypatch.setattr(measures, "_measured_conditional_entropy", recorded_kernel)
+    monkeypatch.setattr(measures, "eigvalsh_packed", recorded_spectra)
+    run_config(builtin_fig3_discord())
+    got = np.sort(np.concatenate([np.concatenate(call) for call in spectra], axis=-1), axis=0)
+    angles, owner = (np.concatenate(part) for part in zip(*rows))
+    b = blocks[0][owner]
+    theta, phi = angles[:, 0], angles[:, 1]
+    n = np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    tilt = np.einsum("rk,rkij->rij", n, b[:, 1:])
+    want = np.linalg.eigvalsh(np.stack([b[:, 0] + tilt, b[:, 0] - tilt], axis=1))
+    assert len(blocks) == 1 and len(angles) == FIG3_DISCORD_ROWS
+    assert np.max(np.abs(got.transpose(2, 1, 0) - want)) <= 2e-15
 
 
 def test_fig3_discord_search_cost_is_pinned(monkeypatch):
