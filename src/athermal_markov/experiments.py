@@ -73,8 +73,9 @@ def _field(where: str, build, *args):
 
 def _typed(value, where: str, kind: type = float):
     """``value`` as ``kind``: a float from any JSON number but a boolean, an int
-    from an integer or an integral float, a str from a string.  Any other
-    value, and a non-finite float, is a ValueError naming ``where`` and the value."""
+    from an integer or an integral float, a str from a string of valid Unicode.
+    Any other value, a non-finite float and a string holding a lone surrogate
+    are a ValueError naming ``where`` and the value."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (isinstance(value, str) if kind is str else number and (
             kind is float or isinstance(value, int) or value.is_integer())):
@@ -83,6 +84,9 @@ def _typed(value, where: str, kind: type = float):
     value = _field(where, kind, value)
     if kind is float and not math.isfinite(value):
         raise ValueError(f"{where}: {value} is not finite")
+    # lone surrogates (JSON "\ud800", argv bytes not in UTF-8) encode to no file name or seed
+    if kind is str and any("\ud800" <= c <= "\udfff" for c in value):
+        raise ValueError(f"{where}: expected valid Unicode, got {json.dumps(value)}")
     return value
 
 
@@ -374,10 +378,10 @@ class ExperimentConfig:
             relation = (_floats(rel["coefficients"], "config.mto_relation.coefficients"),
                         _typed(rel.get("offset", 0.0), "config.mto_relation.offset"))
         coeffs = _given(data, "initial_coeffs", _matrix_from_json, "config")
-        name = data["name"]
+        name = _typed(data["name"], "config.name", str)
         # the name becomes the prefix of the output file names
-        if not isinstance(name, str) or any(c in name for c in "/\\\0"):
-            raise ValueError("config.name: expected a string without path separators")
+        if not name or any(c in name for c in "/\\\0"):
+            raise ValueError("config.name: expected a non-empty string without path separators")
         blocks = _as_list(data["unitary_blocks"], "config.unitary_blocks")
         return cls(
             name=name,

@@ -5,12 +5,10 @@ explicit subsystem factorisation through :class:`DensityMatrix`.  Validity
 checks happen on public construction, to the fixed absolute tolerance
 ``STATE_TOL``; spectral supports end at ``SUPPORT_CUTOFF``.  All entropies
 and matrix logarithms are base 2.  :func:`eigvalsh_packed` gives the spectra
-of stacks of 1x1, 2x2 and 3x3 Hermitian matrices, packed as real lower
-triangles by :func:`pack_lower`, in closed form, where LAPACK's per-matrix
-overhead would outweigh the arithmetic (the level blocks of the discord
-kernel's outcomes), and hands every larger size and nearly degenerate 3x3
-rows to ``np.linalg.eigvalsh``; :func:`eigvalsh` is its form for complex
-matrices.
+of stacks of 1x1 and 2x2 Hermitian matrices, packed as real lower triangles
+by :func:`pack_lower`, in closed form, where LAPACK's per-matrix overhead
+would outweigh the arithmetic (the level blocks of the discord kernel's
+outcomes), and hands every larger size to ``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -37,15 +35,6 @@ _DECIMAL = Context(prec=50)  # the arithmetic of that reduction
 # 1e45, and from about 1e46 enough to round some results to another double.
 # From about 1e50 the quotient no longer fits the 50-digit context at all.
 MAX_ANGLE = 1e45
-
-# A 3x3 matrix whose cubic has 1 - |r| below this goes to LAPACK: near a
-# repeated eigenvalue the trigonometric roots lose up to sqrt(eps).
-CUBIC_FALLBACK = 1e-2
-
-# Open range of the 3x3 scale p = sqrt(tr B^2 / 6) served in closed form: inside
-# it p^3 and det B are normal doubles, so r = det B / (2 p^3) keeps its bits.
-CUBIC_P_RANGE = (1e-100, 1e100)
-
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack (..., d, d)."""
@@ -235,17 +224,11 @@ def eigvalsh_packed(p: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues, along a new first axis (n, ...), of the Hermitian
     matrices whose lower triangles :func:`pack_lower` packed into ``p``.
 
-    Each matrix is computed on its own, in real arithmetic.  For n = 1 the
-    eigenvalue is the entry.  For n = 2 the roots are m -+ r, with m the mean
-    of the diagonal a, d and r = hypot((a - d) / 2, |b|) of the entry b
+    Each matrix is computed on its own.  For n = 1 the eigenvalue is the
+    entry.  For n = 2 the roots are m -+ r, in real arithmetic, with m the
+    mean of the diagonal a, d and r = hypot((a - d) / 2, |b|) of the entry b
     below it, which neither overflows nor underflows across the double
-    range.  For n = 3 they are Smith's trigonometric closed form:
-    q + 2p cos(phi + 2 pi k/3) of A = qI + B with q = tr A / 3,
-    p^2 = tr B^2 / 6 and cos(3 phi) = r = det B / (2 p^3).  The 3x3 matrices
-    with 1 - |r| below ``CUBIC_FALLBACK``, or with p outside ``CUBIC_P_RANGE``
-    (a scalar matrix, or one whose traceless part B has norm beyond about
-    1e-100 or 1e100), go to one ``np.linalg.eigvalsh`` call, and so does the
-    whole stack for every n above 3.
+    range.  Every other n goes whole to one ``np.linalg.eigvalsh`` call.
     """
     if len(p) == 1:
         return p.copy()
@@ -254,48 +237,7 @@ def eigvalsh_packed(p: np.ndarray) -> np.ndarray:
         half_a, half_d = 0.5 * a, 0.5 * d
         mean, r = half_a + half_d, np.hypot(half_a - half_d, np.hypot(br, bi))
         return np.stack([mean - r, mean + r])
-    if len(p) != 9:
-        return np.moveaxis(np.linalg.eigvalsh(unpack_lower(p)), -1, 0)
-    diag, re, im = p[:3], p[3:6], p[6:]
-    # inf or NaN here only reaches the rows that fall back, which LAPACK redoes
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q = (diag[0] + diag[1] + diag[2]) / 3
-        a, d, f = dev = diag - q
-        # |b|^2, |c|^2 and |e|^2 of the entries b, c, e at (1, 0), (2, 0) and (2, 1)
-        bb, cc, ee = mod = re * re + im * im
-        sq = dev * dev
-        p2 = np.sqrt((sq[0] + sq[1] + sq[2] + 2 * (bb + cc + ee)) / 6)
-        (br, cr, er), (bi, ci, ei) = re, im
-        bec = (br * er - bi * ei) * cr + (br * ei + bi * er) * ci  # Re(b e conj(c))
-        cross = dev * mod[::-1]  # a|e|^2, d|c|^2, f|b|^2
-        det = a * d * f + 2 * bec - cross[0] - cross[1] - cross[2]
-        inv_p = 1 / p2
-        r = 0.5 * det * (inv_p * inv_p * inv_p)
-        # an undefined r compares false, so its row falls back
-        closed = ((p2 > CUBIC_P_RANGE[0]) & (p2 < CUBIC_P_RANGE[1])
-                  & (np.abs(r) <= 1 - CUBIC_FALLBACK))
-        phi = np.arccos(r) / 3
-        radius = 2 * p2
-        top, bottom = radius * np.cos(phi), radius * np.cos(phi + 2 * np.pi / 3)
-    w = np.stack([bottom, -top - bottom, top]) + q
-    fallback = ~closed
-    if fallback.any():
-        w[:, fallback] = np.linalg.eigvalsh(unpack_lower(p[:, fallback])).T
-    return w
-
-
-def eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (n, n), or of each matrix in
-    a stack (..., n, n), from its lower triangle as ``np.linalg.eigvalsh``:
-    for n = 1, 2 and 3 by :func:`eigvalsh_packed`'s closed forms, for every
-    other n by ``np.linalg.eigvalsh``."""
-    h = np.asarray(h)
-    n = h.shape[-1]
-    if not 1 <= n <= 3:
-        return np.linalg.eigvalsh(h)
-    # rows of a 2-D stack, even for one matrix, so each entry is an array
-    rows = pack_lower(h.reshape(-1, n, n))
-    return eigvalsh_packed(rows).T.reshape(h.shape[:-1])
+    return np.moveaxis(np.linalg.eigvalsh(unpack_lower(p)), -1, 0)
 
 
 def trace_norm(m: np.ndarray):

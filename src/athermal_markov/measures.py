@@ -91,7 +91,7 @@ def mutual_informations(states: Sequence[DensityMatrix], joint_entropies) -> lis
     U^dag has the spectrum {p_i q_r} of its inputs, so a sweep passes the
     entropy of that product spectrum and diagonalises no joint state."""
     joints, (d1, d2) = _joint_stack(states)
-    # LAPACK, not linalg.eigvalsh's closed form: LAPACK is faster on these marginal stacks
+    # LAPACK, not eigvalsh_packed: packing a sweep's few dozen marginals costs more than it saves
     values = (entropy_of_spectrum(trace_out_second(joints, d1, d2))
               + entropy_of_spectrum(trace_out_first(joints, d1, d2))
               - _joint_entropy_array(joint_entropies, states))
@@ -200,7 +200,7 @@ def _group_conditional_entropy(triangles: list[slice], columns: np.ndarray,
     P_0 +- n . (P_1, P_2, P_3), formed packed in real arithmetic, and their
     probabilities the traces of those.  An outcome's spectrum is the union of
     its level blocks' spectra, each from one :func:`linalg.eigvalsh_packed` of
-    the block's stack (closed-form roots up to 3x3), and is divided by the
+    the block's stack (closed-form roots up to 2x2), and is divided by the
     probability.  An outcome of probability at most 1e-14 contributes
     nothing."""
     theta, phi = angles[:, 0], angles[:, 1]

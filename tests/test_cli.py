@@ -377,6 +377,11 @@ NAMED_ERRORS = {
     'initial_population_a="0.5"': 'config.initial_population_a: expected a number, got "0.5"',
     'optimizer.f_tol="1e-8"': 'config.optimizer.f_tol: expected a number, got "1e-8"',
     "optimizer.seed_sequence=5": "config.optimizer.seed_sequence: expected a string, got 5",
+    # a lone surrogate, which JSON allows, is no file name and no seed sequence
+    'optimizer.seed_sequence="\\ud800"': 'config.optimizer.seed_sequence: expected valid '
+                                          'Unicode, got "\\ud800"',
+    'name="\\ud800"': 'config.name: expected valid Unicode, got "\\ud800"',
+    'name=""': "config.name: expected a non-empty string without path separators",
     'unitary_blocks=[{"phases":[1e51]},' + _LAST_THREE_BLOCKS:
         "unitary_blocks: angle 1e+51 is too large: |angle| must be below 1e+45",
     'unitary_blocks=[{"phases":[-1e51]},' + _LAST_THREE_BLOCKS:
@@ -409,27 +414,33 @@ BAD_OVERRIDES = [
     *NAMED_ERRORS,
 ]
 
-# Runs `distance --set <override>` for each override read from stdin, in one
-# interpreter, and prints {override: {"code", "stderr"}} as JSON.  Every warning
-# is shown, as a fresh interpreter would show it, and an escaping exception is
+# Runs `distance --set <override>` and `validate --config <distance config>
+# --set <override>` for each override read from stdin, in one interpreter, and
+# prints {override: {command: {"code", "stderr"}}} as JSON.  Every warning is
+# shown, as a fresh interpreter would show it, and an escaping exception is
 # recorded as its traceback on the case's stderr.
 _BAD_OVERRIDE_DRIVER = """
 import contextlib, io, json, sys, traceback, warnings
-from athermal_markov import cli
+from athermal_markov import cli, experiments
 
 warnings.simplefilter("always")
 out_dir, results = sys.argv[1], {}
+config = f"{out_dir}/distance.json"
+with open(config, "w") as f:
+    json.dump(experiments.BUILTIN_CONFIGS["distance"](), f)
 for k, override in enumerate(json.load(sys.stdin)):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(["distance", "--out", f"{out_dir}/{k}", "--set", override])
-        except SystemExit as exc:
-            code = exc.code
-        except Exception:
-            traceback.print_exc()
-            code = 1
-    results[override] = {"code": code, "stderr": err.getvalue()}
+    results[override] = {}
+    for command in (["distance", "--out", f"{out_dir}/{k}"], ["validate", "--config", config]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([*command, "--set", override])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                traceback.print_exc()
+                code = 1
+        results[override][command[0]] = {"code": code, "stderr": err.getvalue()}
 json.dump(results, sys.stdout)
 """
 
@@ -448,7 +459,9 @@ def bad_override_runs(tmp_path_factory):
 
 @pytest.mark.parametrize("override", BAD_OVERRIDES)
 def test_bad_numbers_exit_2_without_traceback(bad_override_runs, override):
-    run = bad_override_runs[override]
+    # validate accepts no value that the run rejects
+    assert bad_override_runs[override]["validate"] == bad_override_runs[override]["distance"]
+    run = bad_override_runs[override]["distance"]
     assert run["code"] == 2
     assert run["stderr"].startswith("error: ")
     assert "Traceback" not in run["stderr"]
@@ -456,7 +469,7 @@ def test_bad_numbers_exit_2_without_traceback(bad_override_runs, override):
 
 @pytest.mark.parametrize("override", NAMED_ERRORS)
 def test_bad_values_are_named_with_the_field(bad_override_runs, override):
-    assert bad_override_runs[override]["stderr"] == f"error: {NAMED_ERRORS[override]}\n"
+    assert bad_override_runs[override]["distance"]["stderr"] == f"error: {NAMED_ERRORS[override]}\n"
 
 
 def test_optimizer_flags_need_config_objects(tmp_path, capsys):

@@ -12,7 +12,6 @@ from athermal_markov.linalg import (
     DensityMatrix,
     dagger,
     eigh,
-    eigvalsh,
     entropy_of_spectrum,
     mat_equal,
     matrix_log2_on_support,
@@ -47,7 +46,8 @@ from athermal_markov.thermal import (
     thermal_operation,
     total_hamiltonian,
 )
-from util import BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, random_density, random_hermitian, random_unitary
+from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, packed_eigvalsh, random_density,
+                  random_hermitian, random_unitary)
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
 H_BATH_STIFF = Hamiltonian.from_matrix(10 * SIGMA_Z)
@@ -412,7 +412,7 @@ def pure_state(rng, d: int, dims) -> DensityMatrix:
     return DensityMatrix(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, dims)
 
 
-@pytest.mark.parametrize("d2", [2, 3, 6])
+@pytest.mark.parametrize("d2", [1, 2, 3, 6])
 def test_discord_of_many_states_matches_one_state_searches_bitwise(d2):
     rng = np.random.default_rng(70 + d2)
     cfg = OptimizerConfig(seeds=6, grid_resolution=7)
@@ -443,7 +443,7 @@ def conditional_entropy(rho: DensityMatrix, angles: np.ndarray) -> np.ndarray:
                   np.zeros(len(angles), int))
 
 
-@pytest.mark.parametrize("d2", [2, 3, 6])
+@pytest.mark.parametrize("d2", [1, 2, 3, 6])
 def test_measured_conditional_entropy_matches_kron_reference(d2, monkeypatch):
     rng = np.random.default_rng(50 + d2)
     for _ in range(10):
@@ -472,10 +472,10 @@ def test_measured_conditional_entropy_matches_kron_reference(d2, monkeypatch):
     got = kernel(measures._bloch_blocks(np.array([rho.matrix for rho in states]), d2), angles,
                  owner)
     assert np.max(np.abs(got - want)) < 1e-12
-    # the product rows need no LAPACK call; a qutrit pure state's rank-deficient
-    # outcomes all fall back, and every d2 = 6 outcome goes to LAPACK, in one
-    # call per kernel call: 12 pure rows alone, then the pure and random rows
-    assert lapack == {2: [], 3: [2 * 12, 2 * 12], 6: [2 * 12, 2 * 24]}[d2]
+    # the product rows need no LAPACK call, and every dense outcome above 2x2
+    # goes to LAPACK, in one call per kernel call: 12 pure rows alone, then
+    # the pure and random rows
+    assert lapack == {1: [], 2: [], 3: [2 * 12, 2 * 24], 6: [2 * 12, 2 * 24]}[d2]
 
 
 @pytest.mark.parametrize("d2", [3, 4, 6])
@@ -524,7 +524,7 @@ def test_measured_conditional_entropy_is_blind_to_the_measurement_order():
     assert np.max(np.abs(gap)) < 1e-14
 
 
-def pointwise_conditional_entropy(blocks, theta, phi, spectrum=eigvalsh) -> float:
+def pointwise_conditional_entropy(blocks, theta, phi, spectrum=packed_eigvalsh) -> float:
     """The discord kernel one measurement at a time, in the same Bloch form, with
     each outcome's eigenvalues from ``spectrum``: the reference for the stacked
     one."""
@@ -553,7 +553,7 @@ def kernel_case(d2):
     return blocks, angles, np.repeat([0, 1], 40)
 
 
-@pytest.mark.parametrize("d2", [2, 3, 6])
+@pytest.mark.parametrize("d2", [1, 2, 3, 6])
 def test_measured_conditional_entropy_stack_matches_pointwise_bitwise(d2):
     blocks, angles, owner = kernel_case(d2)
     got = kernel(blocks, angles, owner)
@@ -562,14 +562,14 @@ def test_measured_conditional_entropy_stack_matches_pointwise_bitwise(d2):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("d2", [2, 3, 6])
+@pytest.mark.parametrize("d2", [1, 2, 3, 6])
 def test_measured_conditional_entropy_matches_lapack_spectra(d2):
     blocks, angles, owner = kernel_case(d2)
     got = kernel(blocks, angles, owner)
     want = np.array([pointwise_conditional_entropy(blocks[o], *row, spectrum=np.linalg.eigvalsh)
                      for o, row in zip(owner, angles)])
     assert np.max(np.abs(got - want)) <= 1e-14
-    if d2 not in (2, 3):  # LAPACK's own outcome spectra, so the kernel keeps its bits
+    if d2 != 2:  # LAPACK's own outcome spectra, so the kernel keeps its bits
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
