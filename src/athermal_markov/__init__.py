@@ -13,8 +13,8 @@ Library layout:
 """
 
 from .linalg import DensityMatrix, eigh, partial_trace, partial_transpose, trace_norm
-from .measures import MarkovianFamily, MeasureValue, choi_state, chi_lambda_bound, discord, \
-    distance_measure, log_negativity, mutual_information, theta_lambda
+from .measures import MarkovianFamily, MeasureValue, discord, log_negativity, \
+    mutual_information, theta_lambda
 from .optimize import OptimizationResult, OptimizationResults, OptimizerConfig, \
     constrained_phase_manifold, minimize
 from .thermal import EnergyBlockUnitary, GibbsState, Hamiltonian, MtoConstraintReport, \
@@ -26,8 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DensityMatrix", "eigh", "partial_trace", "partial_transpose", "trace_norm",
-    "MarkovianFamily", "MeasureValue", "choi_state",
-    "chi_lambda_bound", "discord", "distance_measure",
+    "MarkovianFamily", "MeasureValue", "discord",
     "log_negativity", "mutual_information", "theta_lambda",
     "OptimizationResult", "OptimizationResults", "OptimizerConfig", "constrained_phase_manifold",
     "minimize",

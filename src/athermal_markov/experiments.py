@@ -121,19 +121,29 @@ def _floats(value, where: str) -> tuple[float, ...]:
     return tuple(_typed(v, where) for v in _as_list(value, where))
 
 
-def _real_array(value, where: str) -> np.ndarray:
-    """Nested lists of JSON numbers as a float array, each entry a finite float."""
+def _real_matrix(value, where: str) -> np.ndarray:
+    """A square matrix of 1 to ``MAX_TOTAL_DIMENSION`` rows of JSON numbers, as
+    a float array of finite entries; the row count is checked before any entry
+    is typed."""
+    expected = f"{where}: expected a square matrix of 1 to {MAX_TOTAL_DIMENSION} rows, got"
+    rows = len(_as_list(value, where))
+    if not 1 <= rows <= MAX_TOTAL_DIMENSION:
+        raise ValueError(f"{expected} {rows} rows")
+
     def entries(v):
         return [entries(x) for x in v] if isinstance(v, list) else _typed(v, where)
-    return _field(where, np.array, entries(value), float)
+    m = _field(where, np.array, entries(value), float)
+    if m.shape != (rows, rows):
+        raise ValueError(f"{expected} shape {m.shape}")
+    return m
 
 
 def _matrix_from_json(data, where: str) -> np.ndarray:
     _object(data, where, ("real",), ("imag",))
-    real = _real_array(data["real"], f"{where}.real")
+    real = _real_matrix(data["real"], f"{where}.real")
     imag = np.zeros_like(real)
     if data.get("imag") is not None:
-        imag = _real_array(data["imag"], f"{where}.imag")
+        imag = _real_matrix(data["imag"], f"{where}.imag")
         if imag.shape != real.shape:
             raise ValueError(f"{where}: 'imag' shape {imag.shape} != 'real' shape {real.shape}")
     return real + 1j * imag
@@ -266,6 +276,8 @@ class ExperimentConfig:
         for m in self.measures:
             if m not in self.KNOWN_MEASURES:
                 raise ValueError(f"unknown measure '{m}'")
+            if self.measures.count(m) > 1:
+                raise ValueError(f"measures: '{m}' is listed more than once")
         if (self.initial_population_a is None) == (self.initial_coeffs is None):
             raise ValueError("need exactly one of initial_population_a or initial_coeffs")
         if self.initial_population_a is not None and not 0.0 <= self.initial_population_a <= 1.0:
@@ -290,6 +302,9 @@ class ExperimentConfig:
             coeffs[0, 0] = 1.0 - self.initial_population_a
             coeffs[-1, -1] = self.initial_population_a
         coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape != (h_sys.dim, h_sys.dim):
+            raise ValueError(f"initial_coeffs: expected shape {(h_sys.dim, h_sys.dim)} for a "
+                             f"{h_sys.dim}-level system, got {coeffs.shape}")
         rho = _field("initial_coeffs", thermal.state_from_level_coeffs, h_sys, coeffs)
         rho_eps = tuple(_field("epsilons", thermal.perturbed_state_exact, coeffs, h_sys,
                                PerturbationSpec(h_prime, eps)) for eps in self.epsilons)

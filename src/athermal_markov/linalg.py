@@ -263,16 +263,3 @@ def entropy_of_spectrum(matrix: np.ndarray):
     entropy = spectrum_entropy(np.linalg.eigvalsh(matrix))
     return float(entropy) if np.ndim(matrix) == 2 else entropy
 
-
-def matrix_log2_on_support(m: np.ndarray) -> np.ndarray:
-    """Spectral log2 of a PSD matrix, restricted to its support.
-
-    Eigenvalues at or below ``SUPPORT_CUTOFF`` map to zero (projector-onto-
-    support convention); an eigenvalue below ``-SUPPORT_CUTOFF`` is an error.
-    """
-    w, v = eigh(m)
-    if w[0] < -SUPPORT_CUTOFF:
-        raise ValueError(f"matrix_log2_on_support: negative eigenvalue {w[0]}")
-    on = w > SUPPORT_CUTOFF
-    vs = v[:, on]
-    return (vs * np.log2(w[on])) @ dagger(vs)

@@ -6,8 +6,7 @@ discord with the measurement on the first (qubit) factor, and the trace-norm
 distance from the channel to the nearest member of a constrained Markovian
 family, evaluated through Choi states.  Alongside them live the
 first-order response quantities: the exact mutual-information response
-coefficient, the trace-log expansion check, and the distance-response
-upper bound.
+coefficient and the distance-response upper bound.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .linalg import (
     dagger,
     eigvalsh_packed,
     entropy_of_spectrum,
-    matrix_log2_on_support,
     pack_lower,
     spectrum_entropy,
     trace_norm,
@@ -302,15 +300,6 @@ def _apply_on_system_factor(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np
     return out.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
-def choi_state(op: ThermalOperation) -> DensityMatrix:
-    """Choi state (channel (x) identity) |Phi><Phi| of a thermal operation, on
-    the :func:`maximally_entangled_input` of its system Hamiltonian."""
-    out = _apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix,
-                                  maximally_entangled_input(op.system_hamiltonian))
-    out = 0.5 * (out + dagger(out))
-    return DensityMatrix._derived(out, (op.d_sys, op.d_sys))
-
-
 @dataclass(frozen=True)
 class MarkovianFamily:
     """Phase-parametrised Markovian channels sharing the target's bath.
@@ -513,24 +502,6 @@ def _family_values(problems: Sequence[_FamilyProblem],
     return values
 
 
-def _bounds(chi: MeasureValue, d: int, epsilons) -> tuple[list[float], dict]:
-    """(eps/d) max ||chi||_1 per eps, with the bound search's diagnostics."""
-    return [eps / d * chi.value for eps in epsilons], chi.diagnostics
-
-
-def distance_measure(op: ThermalOperation, family: MarkovianFamily,
-                     cfg: OptimizerConfig | None = None) -> MeasureValue:
-    """Distance from the channel to the nearest member of a Markovian family.
-
-    The maximisation over input states is carried by the maximally entangled
-    Choi input on the system eigenvectors; the minimisation over the family
-    runs on its constraint manifold.  Best-found parameters and convergence
-    go into diagnostics, along with a sampled sanity check that no random
-    input state exceeds the Choi-state value.
-    """
-    return _family_values([_distance_problem(op, family)], cfg)[0]
-
-
 # ---------------------------------------------------------------------------
 # First-order response quantities
 # ---------------------------------------------------------------------------
@@ -605,21 +576,6 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     return theta
 
 
-def expansion_lemma_residual(a: np.ndarray, b: np.ndarray, eps: float) -> float:
-    """|Tr[(A+eB) log2(A+eB)] - Tr[A log2 A] - e Tr[B (I + log2 A)]|.
-
-    The first-order trace-log expansion behind both response bounds; the
-    residual is O(eps^2) for full-rank PSD A.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    d = a.shape[0]
-    lhs = float(np.trace((a + eps * b) @ matrix_log2_on_support(a + eps * b)).real)
-    base = float(np.trace(a @ matrix_log2_on_support(a)).real)
-    linear = float(np.trace(b @ (np.eye(d) + matrix_log2_on_support(a))).real)
-    return abs(lhs - base - eps * linear)
-
-
 def response_direction(h_sys: thermal.Hamiltonian, h_prime: thermal.Hamiltonian) -> np.ndarray:
     """Perturbation-direction operator entering the distance response bound.
 
@@ -634,24 +590,20 @@ def response_direction(h_sys: thermal.Hamiltonian, h_prime: thermal.Hamiltonian)
     return gk + dagger(gk)
 
 
-def chi_lambda_bound(op: ThermalOperation, family: MarkovianFamily, h_prime: thermal.Hamiltonian,
-                     epsilons, cfg: OptimizerConfig | None = None) -> tuple[list[float], dict]:
-    """Upper bounds on the distance-measure response: (eps/d) max ||chi||_1 per eps.
-
-    ``chi`` is the family-relative image of the perturbation direction of the
-    entangled input; it does not depend on eps, so one multi-start search on
-    the constraint manifold gives the maximum for every bound.
-    """
-    return _bounds(_family_values([_bound_problem(op, family, h_prime)], cfg)[0], op.d_sys,
-                   epsilons)
-
-
 def distance_sweep(targets: Sequence[tuple[ThermalOperation, MarkovianFamily]],
                    h_prime: thermal.Hamiltonian, epsilons, cfg: OptimizerConfig | None = None
                    ) -> list[tuple[list[MeasureValue], list[float], dict]]:
-    """Per (operation, family) pair of ``targets``: its :func:`distance_measure`
-    value D(0), then D(0) again without diagnostics for each eps of ``h_prime``,
-    and its :func:`chi_lambda_bound` bounds and diagnostics.
+    """Per (operation, family) pair of ``targets``: its distance D(0) from the
+    nearest family member, then D(0) again without diagnostics for each eps of
+    ``h_prime``, and its response bounds (eps/d) max ||chi||_1 per eps with
+    the bound search's diagnostics.
+
+    The distance takes the maximally entangled Choi input on the system
+    eigenvectors and minimises over the family's constraint manifold; its
+    diagnostics hold the best member's phases, convergence, and a sampled
+    check that no random input state exceeds the Choi-state value.  ``chi``
+    is the family-relative image of the perturbation direction of that
+    input; it does not depend on eps, so one maximum serves every bound.
 
     D(eps) = D(0) exactly: the perturbed Choi input (W (x) 1)|Phi> equals
     (1 (x) W')|Phi> for an ancilla unitary W', which neither channel (x) id nor
@@ -663,5 +615,5 @@ def distance_sweep(targets: Sequence[tuple[ThermalOperation, MarkovianFamily]],
                 for problem in (_distance_problem(op, family), _bound_problem(op, family, h_prime))]
     values = _family_values(problems, cfg)
     return [([d0, *[MeasureValue(d0.kind, d0.value)] * len(epsilons)],
-             *_bounds(chi, op.d_sys, epsilons))
+             [eps / op.d_sys * chi.value for eps in epsilons], chi.diagnostics)
             for (op, _), d0, chi in zip(targets, values[::2], values[1::2])]

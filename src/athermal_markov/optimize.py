@@ -343,12 +343,6 @@ class PhaseManifold:
         full[..., self.eliminated] = (acc / c[self.eliminated]) % (2 * np.pi)
         return full % (2 * np.pi)
 
-    def residual(self, phases) -> float:
-        phases = np.asarray(phases, dtype=float)
-        r = float(np.asarray(self.coefficients) @ phases) - self.offset
-        r = r % (2 * np.pi)
-        return min(r, 2 * np.pi - r)
-
 
 def constrained_phase_manifold(dim: int, coefficients=None, offset: float = 0.0) -> PhaseManifold:
     """Parametrise the phase torus subject to one affine relation.

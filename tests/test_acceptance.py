@@ -12,8 +12,7 @@ import conftest
 from athermal_markov import measures, thermal
 from athermal_markov.experiments import builtin_fig2, builtin_fig3, _slope_ratio
 from athermal_markov.linalg import trace_norm
-from athermal_markov.measures import expansion_lemma_residual
-from util import random_density, random_hermitian
+from util import expansion_lemma_residual, random_density, random_hermitian
 
 
 def _report(criterion: str, ok: bool, detail: str):

@@ -247,6 +247,19 @@ def test_failed_run_leaves_no_partial_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_initial_coeffs_of_another_size_exit_2_under_validate_and_run(tmp_path, capsys):
+    data = builtin_fig2().to_dict()
+    del data["initial_population_a"]
+    data["initial_coeffs"] = {"real": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == ("error: initial_coeffs: expected shape (2, 2) for a "
+                                           "2-level system, got (3, 3)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
@@ -388,6 +401,14 @@ NAMED_ERRORS = {
         "unitary_blocks: angle -1e+51 is too large: |angle| must be below 1e+45",
     'unitary_blocks=[{"phases":[1e308]},' + _LAST_THREE_BLOCKS:
         "unitary_blocks: angle 1e+308 is too large: |angle| must be below 1e+45",
+    'measures=["choi_distance","choi_distance"]':
+        "measures: 'choi_distance' is listed more than once",
+    'system={"matrix":{"real":[1.0,2.0]}}':
+        "config.system.matrix.real: expected a square matrix of 1 to 36 rows, got shape (2,)",
+    'system={"matrix":{"real":[[[1.0]]]}}':
+        "config.system.matrix.real: expected a square matrix of 1 to 36 rows, got shape (1, 1, 1)",
+    'bath={"matrix":{"real":[' + ",".join(["[]"] * 37) + "]}}":
+        "config.bath.matrix.real: expected a square matrix of 1 to 36 rows, got 37 rows",
 }
 
 BAD_OVERRIDES = [

@@ -147,6 +147,29 @@ def test_matrix_entries_are_finite_json_numbers(key, value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("system", [1.0, 2.0], "config.system.matrix.real: expected a square matrix of 1 to 36 "
+                           "rows, got shape (2,)"),
+    ("system", [[[1.0]]], "config.system.matrix.real: expected a square matrix of 1 to 36 "
+                          "rows, got shape (1, 1, 1)"),
+    ("system", [[1.0, 0.0]], "config.system.matrix.real: expected a square matrix of 1 to 36 "
+                             "rows, got shape (1, 2)"),
+    ("system", [], "config.system.matrix.real: expected a square matrix of 1 to 36 rows, "
+                   "got 0 rows"),
+    # entries that are no numbers show that the row count is checked before any entry is typed
+    ("system", [["x"] * 600] * 600, "config.system.matrix.real: expected a square matrix of 1 "
+                                    "to 36 rows, got 600 rows"),
+    ("initial_coeffs", np.diag([1.0, 0.0, 0.0]).tolist(),
+     "initial_coeffs: expected shape (2, 2) for a 2-level system, got (3, 3)"),
+])
+def test_malformed_matrices_are_named_with_their_shape(key, value, message):
+    data = _matrix_fig2()
+    data[key] = {"matrix": {"real": value}} if key == "system" else {"real": value}
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_dict(data)
+    assert str(info.value) == message
+
+
 def test_integer_fields_take_integral_floats():
     data = builtin_fig3().to_dict()
     data["optimizer"]["seeds"] = float(data["optimizer"]["seeds"])
@@ -488,17 +511,16 @@ def test_distance_study_runs_one_family_search(monkeypatch):
     result = ex.run_study("distance", cfg)
     # one search: each control value's distance and its bound
     assert problems == [2 * len(cfg.sweep_values)]
-    # every row, diagnostic and bound equals a search of its own input, and each
-    # epsilon row repeats D(0)
+    # every row, diagnostic and bound equals a sweep of its own control value,
+    # and each epsilon row repeats D(0)
     monkeypatch.undo()
     setup, opt = cfg.setup, cfg.optimizer
     recorded = result.metadata["optimizer_diagnostics"]
     for value in cfg.sweep_values:
         op = setup.operation(cfg.beta_for(value))
         family = setup.family(op)
-        before = measures.distance_measure(op, family, opt)
-        bounds, bound_diags = measures.chi_lambda_bound(op, family, setup.h_prime,
-                                                        cfg.epsilons, opt)
+        (((before, *_), bounds, bound_diags),) = measures.distance_sweep(
+            [(op, family)], setup.h_prime, cfg.epsilons, opt)
         rows = [r for r in result.rows_for("choi_distance") if r.control == value]
         assert [(r.unperturbed, r.perturbed, r.delta) for r in rows] == [
             (before.value, before.value, 0.0)] * len(cfg.epsilons)
@@ -523,8 +545,8 @@ def test_distance_metadata_records_the_bound_search():
     setup = cfg.setup
     for value in cfg.sweep_values:
         op = setup.operation(cfg.beta_for(value))
-        _, diags = measures.chi_lambda_bound(op, setup.family(op), setup.h_prime,
-                                             cfg.epsilons, cfg.optimizer)
+        ((_, _, diags),) = measures.distance_sweep([(op, setup.family(op))], setup.h_prime,
+                                                   cfg.epsilons, cfg.optimizer)
         assert recorded[f"choi_distance_bound/x={value}"] == diags
         assert diags["evaluations"] > 0 and len(diags["phases"]) == setup.h_tot.dim
     if not all(d["converged"] for d in recorded.values()):

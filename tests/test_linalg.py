@@ -12,15 +12,14 @@ from athermal_markov.linalg import (
     eigh,
     entropy_of_spectrum,
     mat_equal,
-    matrix_log2_on_support,
     partial_trace,
     partial_transpose,
     reduce_mod_2pi,
     trace_norm,
 )
 from athermal_markov.thermal import Hamiltonian
-from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, packed_eigvalsh, random_density,
-                  random_hermitian, random_unitary)
+from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, matrix_log2_on_support, packed_eigvalsh,
+                  random_density, random_hermitian, random_unitary)
 
 
 def bell_state():

@@ -14,7 +14,6 @@ from athermal_markov.linalg import (
     eigh,
     entropy_of_spectrum,
     mat_equal,
-    matrix_log2_on_support,
     partial_trace,
     partial_transpose,
     trace_norm,
@@ -23,11 +22,7 @@ from athermal_markov.linalg import (
 )
 from athermal_markov.measures import (
     MarkovianFamily,
-    chi_lambda_bound,
-    choi_state,
     discord,
-    distance_measure,
-    expansion_lemma_residual,
     log_negativities,
     log_negativity,
     maximally_entangled_input,
@@ -46,8 +41,9 @@ from athermal_markov.thermal import (
     thermal_operation,
     total_hamiltonian,
 )
-from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, packed_eigvalsh, random_density,
-                  random_hermitian, random_unitary)
+from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, choi_state, distance_value,
+                  expansion_lemma_residual, matrix_log2_on_support, packed_eigvalsh,
+                  random_density, random_hermitian, random_unitary, relation_residual)
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
 H_BATH_STIFF = Hamiltonian.from_matrix(10 * SIGMA_Z)
@@ -374,6 +370,25 @@ def test_discord_not_above_mutual_information():
         d = joint_entropy_discord([rho], OptimizerConfig(seeds=8, grid_resolution=10))[0].value
         assert d <= mutual_information(rho).value + 1e-8
         assert d >= -1e-9
+
+
+def test_discord_is_at_most_the_mutual_information(fig3_result):
+    # D_A = I(A:B) - J(B|A), and J(B|A) >= 0 for every measurement on A, so the
+    # bound holds at whatever measurement a search ends on
+    mutual = {(r.control, r.epsilon): r for r in fig3_result.rows_for("mutual_information")}
+    rows = fig3_result.rows_for("discord")
+    assert len(rows) == len(mutual) == 20
+    for r in rows:
+        i = mutual[(r.control, r.epsilon)]
+        assert r.unperturbed <= i.unperturbed + 1e-12
+        assert r.perturbed <= i.perturbed + 1e-12
+    rng = np.random.default_rng(480)
+    for d2 in (2, 3, 6):
+        states = ([random_density(rng, 2 * d2, dims=(2, d2)) for _ in range(4)]
+                  + [pure_state(rng, 2 * d2, (2, d2)) for _ in range(4)])
+        values = joint_entropy_discord(states, OptimizerConfig(seeds=4, grid_resolution=6))
+        for rho, d in zip(states, values):
+            assert d.value <= mutual_information(rho).value + 1e-12
 
 
 def test_discord_requires_qubit_measured_side():
@@ -769,7 +784,7 @@ def test_sampled_state_check_matches_one_by_one_reference(monkeypatch):
 
 
 def test_choi_of_thermal_operation_is_valid():
-    chi = choi_state(fig2_op())  # construction validates
+    chi = choi_state(fig2_op())  # public construction validates
     assert chi.dims == (2, 2)
 
 
@@ -811,7 +826,7 @@ def test_family_rejects_a_bath_of_another_hamiltonian():
 def test_distance_zero_for_markovian_member():
     op, family = distance_example_op()
     member = family.operation(np.array([0.3, 1.2, 2.6]))
-    mv = distance_measure(member, family, OptimizerConfig(seeds=10, grid_resolution=6))
+    mv = distance_value(member, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.value <= 1e-6
 
 
@@ -845,7 +860,7 @@ def test_quotient_multipliers_match_member_operations(d_sys, d_bath, relation):
     x = rng.normal(size=(3, d_sys, d_sys)) + 1j * rng.normal(size=(3, d_sys, d_sys))
     q = rng.uniform(0, 2 * np.pi, (4, family.quotient.free_dim))
     for free, m in zip(family.lift(q), family.multipliers(q)):
-        assert family.manifold.residual(family.manifold.embed(free)) <= 1e-12
+        assert relation_residual(family.manifold, family.manifold.embed(free)) <= 1e-12
         schur = v @ ((dagger(v) @ x @ v) * m) @ dagger(v)
         assert mat_equal(schur, thermal.apply_to_operator(family.operation(free), x), 1e-12)
 
@@ -903,7 +918,7 @@ def test_family_search_evolves_only_outside_its_objective(monkeypatch):
     calls = []
     original = thermal.evolve
     monkeypatch.setattr(thermal, "evolve", lambda *args: calls.append(1) or original(*args))
-    mv = distance_measure(op, family, OptimizerConfig(seeds=10, grid_resolution=6))
+    mv = distance_value(op, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.diagnostics["evaluations"] > 100
     assert len(calls) == 3  # the target image, and the sampled check's two applications
 
@@ -943,7 +958,7 @@ def test_distance_zero_for_identity_channel():
     op, family = distance_example_op()
     h_tot = family.h_total
     identity = thermal_operation(build_block_unitary(h_tot, [0.0] * 4), family.bath)
-    mv = distance_measure(identity, family, OptimizerConfig(seeds=10, grid_resolution=6))
+    mv = distance_value(identity, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.value <= 1e-6
 
 
@@ -956,9 +971,9 @@ def test_distance_matches_analytic_value():
     z0 = np.exp(-1j * (2e4 - 4e4))
     z1 = np.exp(-1j * (3e4 - 1e4))
     expected = 1.0 - abs(p[0] * z0 + p[1] * z1)
-    mv = distance_measure(op, family, OptimizerConfig(seeds=20, grid_resolution=8))
+    mv = distance_value(op, family, OptimizerConfig(seeds=20, grid_resolution=8))
     assert abs(mv.value - expected) < 1e-9
-    assert family.manifold.residual(mv.diagnostics["phases"]) <= 1e-12
+    assert relation_residual(family.manifold, mv.diagnostics["phases"]) <= 1e-12
     assert mv.diagnostics["converged"]
     assert not mv.diagnostics["sampled_exceeds_choi"]
 
@@ -1003,7 +1018,7 @@ def test_perturbed_choi_input_leaves_the_distance_objective_unchanged(monkeypatc
 
 def test_distance_nonnegative_and_diagnosed():
     op, family = distance_example_op()
-    mv = distance_measure(op, family, OptimizerConfig(seeds=10, grid_resolution=6))
+    mv = distance_value(op, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.value >= 0
     assert len(mv.diagnostics["phases"]) == 4
 
@@ -1166,9 +1181,11 @@ def test_expansion_lemma_second_order():
 def test_chi_lambda_bound_zero_cases():
     op, family = distance_example_op()
     cfg = OptimizerConfig(seeds=4, grid_resolution=4)
-    (commuting,), _ = chi_lambda_bound(op, family, Hamiltonian.from_matrix(SIGMA_Z), [0.1], cfg)
+    ((_, (commuting,), _),) = measures.distance_sweep(
+        [(op, family)], Hamiltonian.from_matrix(SIGMA_Z), [0.1], cfg)
     assert commuting < 1e-12
-    (zero_eps,), _ = chi_lambda_bound(op, family, Hamiltonian.from_matrix(SIGMA_X), [0.0], cfg)
+    ((_, (zero_eps,), _),) = measures.distance_sweep(
+        [(op, family)], Hamiltonian.from_matrix(SIGMA_X), [0.0], cfg)
     assert zero_eps == 0.0
 
 
@@ -1181,6 +1198,7 @@ def test_chi_lambda_bound_dominates_measured_response():
     d0, d1 = measures._family_search(
         [measures._FamilyProblem(op, family, x, 1.0)
          for x in (maximally_entangled_input(h_sys), _perturbed_choi_input(h_sys, pert))], cfg)
-    (bound,), _ = chi_lambda_bound(op, family, pert.h_prime, [pert.epsilon], cfg)
+    ((_, (bound,), _),) = measures.distance_sweep([(op, family)], pert.h_prime,
+                                                   [pert.epsilon], cfg)
     assert d1.best_value - d0.best_value <= bound + 1e-6
 

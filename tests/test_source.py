@@ -1,6 +1,8 @@
 """Rules on the package source, checked on its syntax trees."""
 
 import ast
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -81,8 +83,7 @@ def test_export_rule_catches_a_stale_or_repeated_name():
 # derive a DensityMatrix from checked states, and the Markovian family, whose
 # EnergyBlockUnitary members V e^{-i alpha} V^dag rest on a V it checks once.
 DERIVING = {("thermal.py", "apply"), ("linalg.py", "partial_trace"),
-            ("thermal.py", "gibbs_state"), ("measures.py", "choi_state"),
-            ("measures.py", "MarkovianFamily.operation")}
+            ("thermal.py", "gibbs_state"), ("measures.py", "MarkovianFamily.operation")}
 
 
 def _scopes(tree: ast.Module, hit) -> set[str | None]:
@@ -170,3 +171,60 @@ def test_relative_check_rule_catches_each_spelling():
                    "from numpy import allclose", "from numpy import isclose as near",
                    "f = isclose"):
         assert _uses(ast.parse(source), RELATIVE_CHECKS) == [1], source
+
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+# bench/setup_probe.py reaches this one as getattr(experiments, f"builtin_{arg}")
+REACHED_BY_NAME = {"experiments.py:builtin_distance"}
+
+
+def _referenced(tree: ast.AST) -> Counter:
+    """How often each bare name and attribute name occurs in ``tree``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _unreached_functions(modules: dict[str, ast.Module], bench) -> list[str]:
+    """Module-level public functions of ``modules`` (file name: tree) that no
+    other module but ``__init__.py``, no code of their own module outside their
+    own body, and no bench script references."""
+    counts = {name: _referenced(tree) for name, tree in modules.items()}
+    bench_names = set().union(*map(_referenced, bench))
+    found = []
+    for name, tree in modules.items():
+        others = set().union(*(c for key, c in counts.items() if key not in (name, "__init__.py")))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_") and node.name not in others | bench_names
+                    and counts[name][node.name] == _referenced(node)[node.name]):
+                found.append(f"{name}:{node.name}")
+    return found
+
+
+@cache
+def _source_modules() -> dict[str, ast.Module]:
+    return {path.name: _tree(path) for path in MODULES}
+
+
+@cache
+def _bench_scripts() -> tuple[ast.Module, ...]:
+    return tuple(_tree(path) for path in sorted(BENCH.glob("*.py")))
+
+
+def test_every_public_function_has_a_caller_besides_the_tests():
+    assert set(_unreached_functions(_source_modules(), _bench_scripts())) == REACHED_BY_NAME
+
+
+def test_caller_rule_catches_a_function_only_tests_call():
+    toy = {"__init__.py": ast.parse("from .a import kept, lonely, recursive\nPUBLIC = (lonely,)"),
+           "a.py": ast.parse("def kept(): pass\ndef lonely(): pass\n"
+                             "def recursive(n): return recursive(n - 1)\n"
+                             "def local(): pass\nLOCAL = local\n"),
+           "b.py": ast.parse("from . import a\na.kept()")}
+    assert _unreached_functions(toy, []) == ["a.py:lonely", "a.py:recursive"]
+    assert _unreached_functions(toy, [ast.parse("a.lonely()")]) == ["a.py:recursive"]
+    modules = dict(_source_modules())
+    source = (PACKAGE / "measures.py").read_text(encoding="utf-8")
+    modules["measures.py"] = ast.parse(source + "\n\ndef choi_state(op):\n    return op\n")
+    assert "measures.py:choi_state" in _unreached_functions(modules, _bench_scripts())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from athermal_markov import measures, thermal
+from athermal_markov import thermal
 from athermal_markov.linalg import (
     DensityMatrix,
     dagger,
@@ -27,7 +27,7 @@ from athermal_markov.thermal import (
     thermal_operation,
     total_hamiltonian,
 )
-from util import SIGMA_X, SIGMA_Z, random_density, random_hermitian, random_unitary
+from util import SIGMA_X, SIGMA_Z, choi_state, random_density, random_hermitian, random_unitary
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
 EPS = np.finfo(float).eps
@@ -271,7 +271,7 @@ def test_block_unitary_rejects_non_unitary_block():
 
 
 def test_energy_block_unitary_rejects_non_unitary_matrix():
-    # apply and choi_state trust their unitary, so a direct construction is checked too
+    # apply and the Choi construction trust their unitary, so a direct construction is checked too
     h_tot = total_hamiltonian(H_QUBIT, H_QUBIT)
     for m in (2 * np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])):
         with pytest.raises(ValueError, match="not unitary"):
@@ -337,7 +337,8 @@ def test_apply_joint_is_valid_density_matrix():
 @pytest.mark.parametrize("beta", [0.0, 0.7, 5.0])
 @pytest.mark.parametrize("d_sys, d_bath", [(2, 2), (2, 3), (3, 3), (6, 6), (4, 9)])
 def test_derived_states_pass_public_validation(d_sys, d_bath, beta):
-    # apply, partial_trace, gibbs_state and choi_state store their outputs unchecked
+    # apply, partial_trace and gibbs_state store their outputs unchecked; the Choi
+    # construction's output is checked as a state too
     rng = np.random.default_rng(10 * d_sys + d_bath)
     for trial in range(4):
         h_sys = Hamiltonian.from_matrix(random_hermitian(rng, d_sys))
@@ -355,7 +356,7 @@ def test_derived_states_pass_public_validation(d_sys, d_bath, beta):
             rho = random_density(rng, d_sys)
         joint = apply(op, rho)
         derived = (joint, partial_trace(joint, 0), partial_trace(joint, 1), bath.state,
-                   gibbs_state(h_sys, beta).state, measures.choi_state(op))
+                   gibbs_state(h_sys, beta).state, choi_state(op))
         for state in derived:
             DensityMatrix(state.matrix, state.dims)
 
