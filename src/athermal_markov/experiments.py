@@ -26,7 +26,7 @@ import json
 import math
 import os
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -34,8 +34,7 @@ import numpy as np
 from . import measures, thermal
 from .linalg import (DensityMatrix, dagger, partial_trace, partial_transpose, spectrum_entropy,
                      trace_norm)
-from .optimize import (OptimizerConfig, PhaseManifold, check_search_size,
-                       constrained_phase_manifold)
+from .optimize import OptimizerConfig, check_search_size, constrained_phase_manifold
 from .thermal import Hamiltonian, PerturbationSpec
 
 MAX_TOTAL_DIMENSION = 36
@@ -123,12 +122,18 @@ def _floats(value, where: str) -> tuple[float, ...]:
 
 def _real_matrix(value, where: str) -> np.ndarray:
     """A square matrix of 1 to ``MAX_TOTAL_DIMENSION`` rows of JSON numbers, as
-    a float array of finite entries; the row count is checked before any entry
-    is typed."""
+    a float array of finite entries; the row count, then that every row is a
+    list of as many entries as the first, is checked before any entry is typed."""
     expected = f"{where}: expected a square matrix of 1 to {MAX_TOTAL_DIMENSION} rows, got"
     rows = len(_as_list(value, where))
     if not 1 <= rows <= MAX_TOTAL_DIMENSION:
         raise ValueError(f"{expected} {rows} rows")
+    lengths = [len(row) if isinstance(row, list) else None for row in value]
+    for k, n in enumerate(lengths):
+        if n != lengths[0]:  # a ragged row, which np.array rejects in its own words
+            raise ValueError(f"{expected} " + " and ".join(
+                f"row {j} " + ("not a list" if m is None else f"of length {m}")
+                for j, m in ((0, lengths[0]), (k, n))))
 
     def entries(v):
         return [entries(x) for x in v] if isinstance(v, list) else _typed(v, where)
@@ -217,15 +222,11 @@ class StudySetup:
     coeffs: np.ndarray
     rho: DensityMatrix
     rho_eps: tuple[DensityMatrix, ...]  # one exact perturbed input per config epsilon
-    manifold: PhaseManifold | None
+    family: measures.MarkovianFamily | None  # the Choi distance's phase family, or None
 
     def operation(self, beta: float) -> thermal.ThermalOperation:
         """The thermal operation against the bath's Gibbs state at ``beta``."""
         return thermal.thermal_operation(self.unitary, thermal.gibbs_state(self.h_bath, beta))
-
-    def family(self, op: thermal.ThermalOperation) -> measures.MarkovianFamily:
-        """The Markovian phase family on the bath of ``op``."""
-        return measures.MarkovianFamily(self.h_tot, op.bath, self.manifold)
 
 
 @dataclass(frozen=True)
@@ -312,22 +313,20 @@ class ExperimentConfig:
         unitary = _field("unitary_blocks", self.build_unitary, h_tot)
         if "choi_distance" in self.measures and any(len(idx) > 1 for _, idx in h_tot.energy_blocks()):
             raise ValueError("choi_distance requires a non-degenerate total spectrum")
-        manifold = None
-        if self.mto_relation is not None:
-            coefficients, offset = self.mto_relation
-            manifold = _field("mto_relation", constrained_phase_manifold,
-                              len(h_tot.energy_blocks()), coefficients, offset)
+        manifold = None if self.mto_relation is None else _field(
+            "mto_relation", constrained_phase_manifold, len(h_tot.energy_blocks()),
+            *self.mto_relation)
         # each searched measure is one search over the whole sweep
         controls = len(self.sweep_values)
         if "discord" in self.measures:
             check_search_size(self.optimizer, 2, controls * (1 + len(self.epsilons)),
                               "config.optimizer")
+        family = None
         if "choi_distance" in self.measures:
-            bath = thermal.gibbs_state(h_bath, self.beta_for(self.sweep_values[0]))
-            check_search_size(self.optimizer,
-                              measures.MarkovianFamily(h_tot, bath, manifold).quotient.free_dim,
-                              2 * controls, "config.optimizer")
-        return StudySetup(h_sys, h_bath, h_tot, unitary, h_prime, coeffs, rho, rho_eps, manifold)
+            family = measures.MarkovianFamily(h_tot, manifold)
+            check_search_size(self.optimizer, family.quotient.free_dim, 2 * controls,
+                              "config.optimizer")
+        return StudySetup(h_sys, h_bath, h_tot, unitary, h_prime, coeffs, rho, rho_eps, family)
 
     # -- construction helpers -------------------------------------------------
 
@@ -480,28 +479,24 @@ def _joint_entropies(cfg: ExperimentConfig, ops: list[thermal.ThermalOperation]
 
 def _measure_values(measure: str, cfg: ExperimentConfig, ops: list[thermal.ThermalOperation],
                     joints: list[list[DensityMatrix]], entropies: list[np.ndarray]
-                    ) -> tuple[list[list[measures.MeasureValue]], list[tuple[list[float], dict]]]:
+                    ) -> list[Sequence[measures.MeasureValue]]:
     """Per control value, the unperturbed value of ``measure`` at its operation
     in ``ops``, then one value per config epsilon; ``joints`` holds each control
     value's evolved input states in that order, and ``entropies`` their
     :func:`_joint_entropies`, which the mutual information and discord take
     as S(AB).  The mutual information is one kernel call and discord one
-    search over every joint state of the sweep, the Choi distance one family
-    search over every distance and response bound of the sweep.  Second, per
-    control value, its bounds at the config epsilons with their search's
-    diagnostics; empty for the other measures."""
+    search over every joint state of the sweep.  For the Choi distance, per
+    control value, its D(0) and its bound's max ||chi||_1, from one family
+    search over the sweep."""
     if measure == "choi_distance":
-        setup = cfg.setup
-        studies = measures.distance_sweep([(op, setup.family(op)) for op in ops], setup.h_prime,
-                                          cfg.epsilons, cfg.optimizer)
-        return [values for values, _, _ in studies], [(b, d) for _, b, d in studies]
+        return measures.distance_sweep(ops, cfg.setup.family, cfg.setup.h_prime, cfg.optimizer)
     if measure == "log_negativity":
-        return [measures.log_negativities(js) for js in joints], []
+        return [measures.log_negativities(js) for js in joints]
     flat, s_ab = [joint for js in joints for joint in js], np.concatenate(entropies)
     values = (measures.discord(flat, s_ab, cfg.optimizer) if measure == "discord"
               else measures.mutual_informations(flat, s_ab))
     n = len(joints[0])
-    return [values[k:k + n] for k in range(0, len(values), n)], []
+    return [values[k:k + n] for k in range(0, len(values), n)]
 
 
 def run_config(cfg: ExperimentConfig) -> SweepResult:
@@ -510,11 +505,12 @@ def run_config(cfg: ExperimentConfig) -> SweepResult:
     Per control value the operation is built once and applied once to the
     stack of input states, and each closed-form measure is one kernel call on
     its joint states; each measure's unperturbed value serves every epsilon
-    row.  With the Choi distance, each (epsilon, control) pair also gets a
-    ``choi_distance_bound`` row: the distance response, its first-order bound
-    and bound minus response.  The bound searches' diagnostics follow the
-    measures' in ``optimizer_diagnostics``, and ``optimizer_converged`` says
-    whether every search converged.
+    row.  The Choi distance is expanded over epsilon here: D(eps) = D(0), and
+    each (epsilon, control) pair also gets a ``choi_distance_bound`` row: the
+    distance response, its first-order bound (eps/d) max ||chi||_1 and bound
+    minus response.  Rows and ``optimizer_diagnostics`` come in (measure,
+    epsilon, control) order, the bounds after every measure, and
+    ``optimizer_converged`` says whether every search converged.
     """
     setup = cfg.setup
     metadata = _base_metadata(cfg)
@@ -523,31 +519,29 @@ def run_config(cfg: ExperimentConfig) -> SweepResult:
     joints = [thermal.apply(op, states) for op in ops] if states else []
     entropies = (_joint_entropies(cfg, ops)
                  if {"mutual_information", "discord"} & set(cfg.measures) else [])
-    rows, diags, bound_diags = [], {}, {}
-    for measure in cfg.measures:
-        per_value, per_value_bounds = _measure_values(measure, cfg, ops, joints, entropies)
-        for value, (before, *after) in zip(cfg.sweep_values, per_value):
-            for eps, mv in zip(cfg.epsilons, after):
+    grids = {m: _measure_values(m, cfg, ops, joints, entropies) for m in cfg.measures}
+    if "choi_distance" in grids:  # per control value, (D(0), max ||chi||_1)
+        grids["choi_distance_bound"] = grids["choi_distance"]
+    rows, diags = [], {}
+    for measure, grid in grids.items():
+        for k, eps in enumerate(cfg.epsilons):
+            for value, op, (before, *after) in zip(cfg.sweep_values, ops, grid):
+                if measure == "choi_distance_bound":
+                    # the distance response is 0.0, as D(eps) = D(0)
+                    bound = eps / op.d_sys * after[0].value
+                    rows.append(SweepRow(value, eps, measure, 0.0, bound, bound))
+                    diags[f"{measure}/x={value}"] = after[0].diagnostics
+                    continue
+                mv = (measures.MeasureValue(before.kind, before.value)
+                      if measure == "choi_distance" else after[k])
                 rows.append(SweepRow(value, eps, measure, before.value, mv.value,
                                      float(mv.value - before.value)))
                 tagged = {tag: v.diagnostics for tag, v in (("unperturbed", before),
                                                             ("perturbed", mv)) if v.diagnostics}
                 if tagged:
                     diags[f"{measure}/eps={eps}/x={value}"] = tagged
-        for value, (bounds, bound_diag), (before, *after) in zip(cfg.sweep_values,
-                                                                 per_value_bounds, per_value):
-            for eps, bound, mv in zip(cfg.epsilons, bounds, after):
-                delta = float(mv.value - before.value)
-                rows.append(SweepRow(value, eps, "choi_distance_bound", delta, bound,
-                                     bound - delta))
-            bound_diags[f"choi_distance_bound/x={value}"] = bound_diag
-    # keyed in (measure, epsilon, control) order, then the bounds in control order
-    metadata["optimizer_diagnostics"] = {
-        key: diags[key] for key in (f"{m}/eps={e}/x={v}" for m in cfg.measures
-                                    for e in cfg.epsilons for v in cfg.sweep_values) if key in diags
-    } | bound_diags
-    metadata["optimizer_converged"] = all(ok for _, ok in _searches(
-        metadata["optimizer_diagnostics"]))
+    metadata["optimizer_diagnostics"] = diags
+    metadata["optimizer_converged"] = all(ok for _, ok in _searches(diags))
     metadata["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     return SweepResult(_sort_rows(rows), metadata)
 

@@ -4,7 +4,8 @@ Four measures are provided: logarithmic negativity of the evolved joint
 state, quantum mutual information across the system/bath split, quantum
 discord with the measurement on the first (qubit) factor, and the trace-norm
 distance from the channel to the nearest member of a constrained Markovian
-family, evaluated through Choi states.  Alongside them live the
+family, evaluated through Choi states; the family depends on the total
+Hamiltonian only, so one serves a whole sweep.  Alongside them live the
 first-order response quantities: the exact mutual-information response
 coefficient and the distance-response upper bound.
 """
@@ -231,7 +232,7 @@ def distinct_measurements(resolution: int) -> np.ndarray:
 
 
 def discord(states: Sequence[DensityMatrix], joint_entropies,
-            cfg: OptimizerConfig | None = None) -> list[MeasureValue]:
+            cfg: OptimizerConfig) -> list[MeasureValue]:
     """Quantum discord of each joint state, with the measurement on the first
     (qubit) factor.
 
@@ -251,7 +252,6 @@ def discord(states: Sequence[DensityMatrix], joint_entropies,
     if d1 != 2:
         raise ValueError("unsupported measured dimension: first factor must be a qubit")
     s_ab = _joint_entropy_array(joint_entropies, states)
-    cfg = cfg or OptimizerConfig(grid_resolution=24)
     packed = _pack_bloch_blocks(_bloch_blocks(joints, d2))
 
     def objective(angles, owner):
@@ -302,12 +302,14 @@ def _apply_on_system_factor(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class MarkovianFamily:
-    """Phase-parametrised Markovian channels sharing the target's bath.
+    """Phase-parametrised Markovian channels of one total Hamiltonian.
 
     Members are the unitaries V diag(e^{-i alpha}) V^dag on the cached product
     eigenvectors V of a (non-degenerate) system+bath total Hamiltonian, checked
     unitary once, with phases confined to the constraint manifold that keeps
-    the evolved joint state in product form.
+    the evolved joint state in product form.  Neither depends on the bath
+    temperature, so one family serves a whole sweep; a member acts with the
+    bath each caller passes.
 
     In the system eigenbasis a member acts on system operators as the Schur
     multiplier X -> X o M with M[i, j] = sum_r p_r e^{-i (alpha_ir - alpha_jr)},
@@ -322,12 +324,10 @@ class MarkovianFamily:
     """
 
     h_total: thermal.Hamiltonian
-    bath: thermal.GibbsState
     manifold: PhaseManifold
     quotient: PhaseManifold = field(init=False, repr=False, compare=False)
     _levels: np.ndarray = field(init=False, repr=False, compare=False)
     _grid: np.ndarray = field(init=False, repr=False, compare=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _shift: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -339,8 +339,8 @@ class MarkovianFamily:
         if not self.h_total.unitary_eigvecs:
             raise ValueError("total Hamiltonian eigenvectors are not unitary")
         parts = self.h_total.parts
-        if parts is None or not np.array_equal(parts[1].eigvecs, self.bath.hamiltonian.eigvecs):
-            raise ValueError("family bath must be a Gibbs state of the total Hamiltonian's bath")
+        if parts is None:
+            raise ValueError("Markovian phase family requires a system+bath total Hamiltonian")
 
         labels = np.array(self.h_total.product_labels)
         d_sys, d_bath = parts[0].dim, parts[1].dim
@@ -362,7 +362,7 @@ class MarkovianFamily:
             r = int(np.argmax(np.abs(sums)))
             shift[labels[:, 1] == r] = 1.0 / sums[r]
         for name, value in (("quotient", quotient), ("_levels", levels), ("_grid", grid),
-                            ("_weights", self.bath.level_probabilities), ("_shift", shift)):
+                            ("_shift", shift)):
             object.__setattr__(self, name, value)
 
     def _differences(self, q) -> np.ndarray:
@@ -373,14 +373,12 @@ class MarkovianFamily:
         alpha[..., self._levels] = self.quotient.embed(q)
         return alpha
 
-    def multipliers(self, q, weights=None) -> np.ndarray:
+    def multipliers(self, q, weights) -> np.ndarray:
         """The Schur multipliers M (d_sys, d_sys) of the members at quotient
-        points, row-wise for (n, quotient.free_dim).  ``weights`` (n, d_bath)
-        replaces the bath weights row by row, giving the members of families
-        that differ from this one only in their bath temperature."""
-        w = self._weights if weights is None else np.asarray(weights)[..., None, :]
+        points with bath weights (d_bath,), row-wise for points
+        (n, quotient.free_dim) and weights (d_bath,) or (n, d_bath)."""
         e = np.exp(-1j * self._differences(q)[..., self._grid])
-        return (e * w) @ np.swapaxes(e.conj(), -1, -2)
+        return (e * np.asarray(weights)[..., None, :]) @ np.swapaxes(e.conj(), -1, -2)
 
     def lift(self, q) -> np.ndarray:
         """Free phases on ``manifold`` of a member with the multiplier of the
@@ -391,11 +389,11 @@ class MarkovianFamily:
         e = self.manifold.eliminated
         return alpha if e is None else np.delete(alpha, e, axis=-1)
 
-    def operation(self, free_phases) -> ThermalOperation:
-        """The member for free phases (free_dim,) of ``manifold``."""
+    def operation(self, free_phases, bath: thermal.GibbsState) -> ThermalOperation:
+        """The member for free phases (free_dim,) of ``manifold``, on ``bath``."""
         v = self.h_total.eigvecs
         u = (v * np.exp(-1j * self.manifold.embed(free_phases))) @ dagger(v)
-        return thermal.thermal_operation(EnergyBlockUnitary._derived(u, self.h_total), self.bath)
+        return thermal.thermal_operation(EnergyBlockUnitary._derived(u, self.h_total), bath)
 
 
 SAMPLED_STATES = 16  # random input states of the distance measure's spot check
@@ -421,54 +419,30 @@ def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_valu
     return {"sampled_max": worst, "sampled_exceeds_choi": bool(worst > choi_value + 1e-6)}
 
 
-class _FamilyProblem(NamedTuple):
-    """One search over a Markovian family: minimise (``sign`` +1) or maximise
-    (``sign`` -1) ||(channel - member) (x) id applied to x||_1 over its members,
-    for the channel ``op``.  A minimised problem's best member is spot-checked
-    against random input states."""
-
-    op: ThermalOperation
-    family: MarkovianFamily
-    x: np.ndarray
-    sign: float
-
-
-def _distance_problem(op: ThermalOperation, family: MarkovianFamily) -> _FamilyProblem:
-    return _FamilyProblem(op, family, maximally_entangled_input(op.system_hamiltonian), 1.0)
-
-
-def _bound_problem(op: ThermalOperation, family: MarkovianFamily,
-                   h_prime: thermal.Hamiltonian) -> _FamilyProblem:
-    return _FamilyProblem(op, family, response_direction(op.system_hamiltonian, h_prime), -1.0)
-
-
-def _family_search(problems: Sequence[_FamilyProblem], cfg: OptimizerConfig | None):
-    """One lockstep search over the problems' common quotient, each problem
-    its own; minimises sign * ||...||_1 per problem.
+def _family_search(family: MarkovianFamily, ops: Sequence[ThermalOperation],
+                   inputs: Sequence[np.ndarray], signs: Sequence[float], cfg: OptimizerConfig):
+    """One lockstep search over the family's quotient, problem k minimising
+    (``signs[k]`` +1) or maximising (-1) ||(channel - member) (x) id applied
+    to ``inputs[k]``||_1 over the members, for the channel ``ops[k]``.
 
     Each target image and input is rotated into the system eigenbasis once;
     there a member's image is the input times its Schur multiplier on the
-    system indices.  The families share the total Hamiltonian and manifold,
-    so they differ only in their bath weights, which each row of a batch
-    takes from its problem.  The difference is Hermitian, so its trace norm
-    is the sum of |eigenvalues|, for all rows of a batch in one ``eigvalsh``."""
-    cfg = cfg or OptimizerConfig(grid_resolution=8)
-    family = problems[0].family
-    if any(p.family.h_total is not family.h_total or p.family.manifold != family.manifold
-           for p in problems):
-        raise ValueError("family searches must share the total Hamiltonian and the manifold")
-    d = problems[0].op.d_sys
-    v = family.h_total.parts[0].eigvecs
+    system indices, with the bath weights of the problem's operation.  The
+    difference is Hermitian, so its trace norm is the sum of |eigenvalues|,
+    for all rows of a batch in one ``eigvalsh``."""
+    h_sys, h_bath = family.h_total.parts
+    if any(not np.array_equal(h_bath.eigvecs, op.bath.hamiltonian.eigvecs) for op in ops):
+        raise ValueError("family bath must be a Gibbs state of the total Hamiltonian's bath")
+    d, v = h_sys.dim, h_sys.eigvecs
 
     def rotated(y):
         return np.einsum("ki,kalb,lj->iajb", v.conj(), y.reshape(d, d, d, d), v)
 
-    targets = np.array([rotated(_apply_on_system_factor(p.op.unitary.matrix,
-                                                        p.op.bath.state.matrix, p.x))
-                        for p in problems])
-    inputs = np.array([rotated(p.x) for p in problems])
-    weights = np.array([p.family._weights for p in problems])
-    signs = np.array([p.sign for p in problems])
+    targets = np.array([rotated(_apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix, x))
+                        for op, x in zip(ops, inputs)])
+    inputs = np.array([rotated(x) for x in inputs])
+    weights = np.array([op.bath.level_probabilities for op in ops])
+    signs = np.array(signs)
 
     def objective(q, owner):
         m = family.multipliers(q, weights[owner])
@@ -477,29 +451,7 @@ def _family_search(problems: Sequence[_FamilyProblem], cfg: OptimizerConfig | No
 
     n = family.quotient.free_dim
     return minimize(objective, [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n,
-                    problems=len(problems))
-
-
-def _family_values(problems: Sequence[_FamilyProblem],
-                   cfg: OptimizerConfig | None) -> list[MeasureValue]:
-    """Per problem, its extremal norm with the best member's phases, from one
-    :func:`_family_search`: a ``choi_distance`` value for a minimised problem,
-    the ``chi_norm_max`` of a bound for a maximised one."""
-    values = []
-    for p, result in zip(problems, _family_search(problems, cfg)):
-        free = p.family.lift(result.best_point)
-        phases = [float(a) for a in p.family.manifold.embed(free)]
-        value = float(p.sign * result.best_value)
-        if p.sign < 0:
-            values.append(MeasureValue("chi_norm_max", value, {
-                "converged": result.converged, "evaluations": result.evaluations,
-                "phases": phases}))
-            continue
-        diags = {"phases": phases, "converged": result.converged,
-                 "evaluations": result.evaluations,
-                 **_sampled_state_check(p.op, p.family.operation(free), value)}
-        values.append(MeasureValue("choi_distance", value, diags))
-    return values
+                    problems=len(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -590,30 +542,39 @@ def response_direction(h_sys: thermal.Hamiltonian, h_prime: thermal.Hamiltonian)
     return gk + dagger(gk)
 
 
-def distance_sweep(targets: Sequence[tuple[ThermalOperation, MarkovianFamily]],
-                   h_prime: thermal.Hamiltonian, epsilons, cfg: OptimizerConfig | None = None
-                   ) -> list[tuple[list[MeasureValue], list[float], dict]]:
-    """Per (operation, family) pair of ``targets``: its distance D(0) from the
-    nearest family member, then D(0) again without diagnostics for each eps of
-    ``h_prime``, and its response bounds (eps/d) max ||chi||_1 per eps with
-    the bound search's diagnostics.
+def distance_sweep(ops: Sequence[ThermalOperation], family: MarkovianFamily,
+                   h_prime: thermal.Hamiltonian, cfg: OptimizerConfig
+                   ) -> list[tuple[MeasureValue, MeasureValue]]:
+    """Per operation of ``ops``: its ``choi_distance`` D(0) from the nearest
+    member of ``family``, and the ``chi_norm_max`` max ||chi||_1 of its
+    response bound, each with its search's diagnostics.
 
     The distance takes the maximally entangled Choi input on the system
     eigenvectors and minimises over the family's constraint manifold; its
     diagnostics hold the best member's phases, convergence, and a sampled
     check that no random input state exceeds the Choi-state value.  ``chi``
-    is the family-relative image of the perturbation direction of that
-    input; it does not depend on eps, so one maximum serves every bound.
-
-    D(eps) = D(0) exactly: the perturbed Choi input (W (x) 1)|Phi> equals
+    is the family-relative image of the perturbation direction of ``h_prime``
+    on that input; the bound at eps is (eps/d) max ||chi||_1, and D(eps) =
+    D(0) exactly: the perturbed Choi input (W (x) 1)|Phi> equals
     (1 (x) W')|Phi> for an ancilla unitary W', which neither channel (x) id nor
-    the trace norm sees.  Each pair's distance and bound are two problems of
-    one lockstep family search, so each equals that of its own search.  The
-    families must share their total Hamiltonian and manifold.
+    the trace norm sees.  Both inputs are built once; every distance and
+    bound is a problem of one lockstep family search, so each equals that of
+    its own search.
     """
-    problems = [problem for op, family in targets
-                for problem in (_distance_problem(op, family), _bound_problem(op, family, h_prime))]
-    values = _family_values(problems, cfg)
-    return [([d0, *[MeasureValue(d0.kind, d0.value)] * len(epsilons)],
-             [eps / op.d_sys * chi.value for eps in epsilons], chi.diagnostics)
-            for (op, _), d0, chi in zip(targets, values[::2], values[1::2])]
+    h_sys = family.h_total.parts[0]
+    inputs = (maximally_entangled_input(h_sys), response_direction(h_sys, h_prime))
+    results = _family_search(family, [op for op in ops for _ in inputs], inputs * len(ops),
+                             (1.0, -1.0) * len(ops), cfg)
+    values = []
+    for op, distance, chi in zip(ops, results[::2], results[1::2]):
+        free = family.lift(distance.best_point)
+        value = float(distance.best_value)
+        values.append((
+            MeasureValue("choi_distance", value, {
+                "phases": [float(a) for a in family.manifold.embed(free)],
+                "converged": distance.converged, "evaluations": distance.evaluations,
+                **_sampled_state_check(op, family.operation(free, op.bath), value)}),
+            MeasureValue("chi_norm_max", float(-chi.best_value), {
+                "converged": chi.converged, "evaluations": chi.evaluations,
+                "phases": [float(a) for a in family.manifold.embed(family.lift(chi.best_point))]})))
+    return values

@@ -9,7 +9,6 @@ those recorded runtimes.
 import numpy as np
 
 import conftest
-from athermal_markov import measures, thermal
 from athermal_markov.experiments import builtin_fig2, builtin_fig3, _slope_ratio
 from athermal_markov.linalg import trace_norm
 from util import expansion_lemma_residual, random_density, random_hermitian

@@ -409,6 +409,15 @@ NAMED_ERRORS = {
         "config.system.matrix.real: expected a square matrix of 1 to 36 rows, got shape (1, 1, 1)",
     'bath={"matrix":{"real":[' + ",".join(["[]"] * 37) + "]}}":
         "config.bath.matrix.real: expected a square matrix of 1 to 36 rows, got 37 rows",
+    'system={"matrix":{"real":[[1.0],[0.0,1.0]]}}':
+        "config.system.matrix.real: expected a square matrix of 1 to 36 rows, "
+        "got row 0 of length 1 and row 1 of length 2",
+    'system={"matrix":{"real":[[1.0,2.0],[0.0]]}}':
+        "config.system.matrix.real: expected a square matrix of 1 to 36 rows, "
+        "got row 0 of length 2 and row 1 of length 1",
+    'system={"matrix":{"real":[[1.0,2.0],3.0]}}':
+        "config.system.matrix.real: expected a square matrix of 1 to 36 rows, "
+        "got row 0 of length 2 and row 1 not a list",
 }
 
 BAD_OVERRIDES = [

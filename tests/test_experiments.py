@@ -15,7 +15,6 @@ import pytest
 from athermal_markov import experiments as ex
 from athermal_markov import measures, thermal
 from athermal_markov.experiments import (
-    BlockSpec,
     ExperimentConfig,
     HamiltonianSpec,
     SweepResult,
@@ -161,6 +160,13 @@ def test_matrix_entries_are_finite_json_numbers(key, value, message):
                                     "to 36 rows, got 600 rows"),
     ("initial_coeffs", np.diag([1.0, 0.0, 0.0]).tolist(),
      "initial_coeffs: expected shape (2, 2) for a 2-level system, got (3, 3)"),
+    # ragged rows are named before numpy would reject them in its own words
+    ("system", [[1.0], [0.0, 1.0]], "config.system.matrix.real: expected a square matrix of 1 "
+                                    "to 36 rows, got row 0 of length 1 and row 1 of length 2"),
+    ("system", [[1.0, 2.0], [0.0]], "config.system.matrix.real: expected a square matrix of 1 "
+                                    "to 36 rows, got row 0 of length 2 and row 1 of length 1"),
+    ("system", [[1.0, 2.0], 3.0], "config.system.matrix.real: expected a square matrix of 1 "
+                                  "to 36 rows, got row 0 of length 2 and row 1 not a list"),
 ])
 def test_malformed_matrices_are_named_with_their_shape(key, value, message):
     data = _matrix_fig2()
@@ -418,8 +424,8 @@ def test_sweep_mutual_information_matches_the_joint_spectrum(monkeypatch):
             ops = [setup.operation(beta) for beta in
                    (*(cfg.beta_for(v) for v in cfg.sweep_values), math.inf)]
             joints = [thermal.apply(op, (setup.rho, *setup.rho_eps)) for op in ops]
-            values, _ = ex._measure_values("mutual_information", cfg, ops, joints,
-                                           ex._joint_entropies(cfg, ops))
+            values = ex._measure_values("mutual_information", cfg, ops, joints,
+                                        ex._joint_entropies(cfg, ops))
             for js, mvs in zip(joints, values):
                 want = measures.mutual_informations(
                     js, [entropy_of_spectrum(j.matrix) for j in js])
@@ -518,18 +524,17 @@ def test_distance_study_runs_one_family_search(monkeypatch):
     recorded = result.metadata["optimizer_diagnostics"]
     for value in cfg.sweep_values:
         op = setup.operation(cfg.beta_for(value))
-        family = setup.family(op)
-        (((before, *_), bounds, bound_diags),) = measures.distance_sweep(
-            [(op, family)], setup.h_prime, cfg.epsilons, opt)
+        ((before, chi),) = measures.distance_sweep([op], setup.family, setup.h_prime, opt)
         rows = [r for r in result.rows_for("choi_distance") if r.control == value]
         assert [(r.unperturbed, r.perturbed, r.delta) for r in rows] == [
             (before.value, before.value, 0.0)] * len(cfg.epsilons)
         bound_rows = [r for r in result.rows_for("choi_distance_bound") if r.control == value]
-        assert [r.perturbed for r in bound_rows] == bounds
+        assert [r.perturbed for r in bound_rows] == [eps / op.d_sys * chi.value
+                                                     for eps in cfg.epsilons]
         for eps in cfg.epsilons:
             assert recorded[f"choi_distance/eps={eps}/x={value}"] == {
                 "unperturbed": before.diagnostics}
-        assert recorded[f"choi_distance_bound/x={value}"] == bound_diags
+        assert recorded[f"choi_distance_bound/x={value}"] == chi.diagnostics
     plain = run_config(cfg)
     assert list(plain.metadata["optimizer_diagnostics"]) == list(recorded)
     # a plain sweep writes the same rows, bound rows included, and checks no claim
@@ -545,8 +550,8 @@ def test_distance_metadata_records_the_bound_search():
     setup = cfg.setup
     for value in cfg.sweep_values:
         op = setup.operation(cfg.beta_for(value))
-        ((_, _, diags),) = measures.distance_sweep([(op, setup.family(op))], setup.h_prime,
-                                                   cfg.epsilons, cfg.optimizer)
+        ((_, chi),) = measures.distance_sweep([op], setup.family, setup.h_prime, cfg.optimizer)
+        diags = chi.diagnostics
         assert recorded[f"choi_distance_bound/x={value}"] == diags
         assert diags["evaluations"] > 0 and len(diags["phases"]) == setup.h_tot.dim
     if not all(d["converged"] for d in recorded.values()):
@@ -732,8 +737,8 @@ def test_every_unconverged_search_is_a_deviation():
 def test_an_unconverged_bound_search_fails_the_study(monkeypatch):
     original = measures.distance_sweep
     monkeypatch.setattr(measures, "distance_sweep", lambda *args: [
-        (values, bounds, dict(diags, converged=False))
-        for values, bounds, diags in original(*args)])
+        (d0, replace(chi, diagnostics=dict(chi.diagnostics, converged=False)))
+        for d0, chi in original(*args)])
     # every other search of the built-in study converges
     result = ex.run_study("distance")
     assert result.metadata["optimizer_converged"] is False

@@ -90,7 +90,7 @@ def distance_example_op(beta=0.01):
     bath = gibbs_state(H_BATH_STIFF, beta)
     op = thermal_operation(u, bath)
     coeffs = tuple(1.0 if (i + r) % 2 == 0 else -1.0 for i, r in h_tot.product_labels)
-    family = MarkovianFamily(h_tot, bath, constrained_phase_manifold(4, coeffs, 0.0))
+    family = MarkovianFamily(h_tot, constrained_phase_manifold(4, coeffs, 0.0))
     return op, family
 
 
@@ -290,7 +290,7 @@ def test_kernels_take_one_joint_entropy_per_state(joint_entropies):
     with pytest.raises(ValueError, match="one entry per state"):
         mutual_informations(states, joint_entropies)
     with pytest.raises(ValueError, match="one entry per state"):
-        discord(states, joint_entropies)
+        discord(states, joint_entropies, OptimizerConfig())
 
 # -- discord -----------------------------------------------------------------------
 
@@ -319,7 +319,7 @@ def brute_force_conditional_entropy(rho: DensityMatrix, steps=60) -> float:
                for phi in np.linspace(0, 2 * np.pi, steps, endpoint=False))
 
 
-def joint_entropy_discord(states, cfg=None):
+def joint_entropy_discord(states, cfg):
     """:func:`discord` with each S(AB) from the joint state's own spectrum."""
     return discord(states, [entropy_of_spectrum(rho.matrix) for rho in states], cfg)
 
@@ -391,13 +391,72 @@ def test_discord_is_at_most_the_mutual_information(fig3_result):
             assert d.value <= mutual_information(rho).value + 1e-12
 
 
+def _covariant_state(rng, d2, coherence=0.0) -> np.ndarray:
+    """A random full-rank joint state of a qubit and a d2-level bath that
+    commutes with H_A (x) I + I (x) H_B, for H_A = diag(0, 1) and H_B of levels
+    0, 1, ..., d2 - 1 in a random basis.  The spectra are resonant, so its
+    total-energy blocks are dense.  ``coherence`` couples |0>|0> and |1>|0>,
+    whose total energies differ, and breaks the covariance."""
+    energies = np.add.outer([0.0, 1.0], np.arange(d2)).ravel()
+    rho = np.zeros((2 * d2, 2 * d2), dtype=complex)
+    for energy in np.unique(energies):
+        block = np.ix_(*[np.flatnonzero(energies == energy)] * 2)
+        rho[block] = random_density(rng, len(block[0])).matrix
+    rho = 0.5 * rho / np.trace(rho).real + 0.5 * np.eye(2 * d2) / (2 * d2)
+    rho[0, d2] = rho[d2, 0] = coherence
+    w = np.kron(np.eye(2), random_unitary(rng, d2))
+    return w @ rho @ dagger(w)
+
+
+def _phi_spread(rho: np.ndarray) -> float:
+    """The largest spread over phi, at fixed theta, of the discord objective's
+    measured conditional entropy of ``rho``, on a 9 x 16 grid of angles."""
+    theta, phi = np.meshgrid(np.linspace(0.0, np.pi, 9), np.linspace(0.0, 2 * np.pi, 16),
+                             indexing="ij")
+    angles = np.column_stack([theta.ravel(), phi.ravel()])
+    packed = measures._pack_bloch_blocks(measures._bloch_blocks(rho[None], rho.shape[0] // 2))
+    values = measures._measured_conditional_entropy(packed, angles, np.zeros(len(angles), int))
+    return float(np.ptp(values.reshape(theta.shape), axis=1).max())
+
+
+def test_discord_objective_is_phase_covariant():
+    # a state that commutes with H_A (x) I + I (x) H_B, H_A diagonal, is invariant
+    # under e^{-i H_A t} (x) e^{-i H_B t}, which turns phi by t and acts on the
+    # bath by a local unitary: its measured conditional entropy has no phi dependence
+    rng = np.random.default_rng(860)
+    spreads = [_phi_spread(_covariant_state(rng, 2 + k % 3)) for k in range(20)]
+    assert max(spreads) <= 1e-14
+    # a coherence between two total energies breaks it
+    assert _phi_spread(_covariant_state(rng, 3, coherence=0.01)) > 1e-3
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (2, 6), (4, 4), (3, 6), (6, 6),
+                                    (4, 9)])
+def test_nondegenerate_thermal_operation_fixes_incoherent_inputs(d1, d2):
+    # with a non-degenerate total spectrum the energy-preserving unitary is
+    # diagonal in the product energy basis, so it leaves rho_S (x) gamma_B
+    # unchanged for rho_S diagonal in the system energy basis.  On dense random
+    # Hamiltonians the rounding of their eigenvectors leaves up to 1.5e-15 per
+    # entry and 1.2e-14 on the measures (150 systems of each size)
+    rng = np.random.default_rng(870 + 10 * d1 + d2)
+    op = random_op(rng, d1, d2)
+    rho = thermal.state_from_level_coeffs(op.system_hamiltonian,
+                                          np.diag(rng.dirichlet(np.ones(d1))).astype(complex))
+    joint = apply(op, rho)
+    assert np.max(np.abs(joint.matrix - np.kron(rho.matrix, op.bath.state.matrix))) <= 4e-15
+    values = [log_negativity(joint), mutual_information(joint)]
+    if d1 == 2:
+        values += joint_entropy_discord([joint], OptimizerConfig(seeds=2, grid_resolution=4))
+    assert max(abs(mv.value) for mv in values) <= 4e-14
+
+
 def test_discord_requires_qubit_measured_side():
     rng = np.random.default_rng(49)
     with pytest.raises(ValueError, match="unsupported measured dimension"):
-        joint_entropy_discord([random_density(rng, 6, dims=(3, 2))])
+        joint_entropy_discord([random_density(rng, 6, dims=(3, 2))], OptimizerConfig())
     with pytest.raises(ValueError, match="share their dims"):
         joint_entropy_discord([random_density(rng, 6, dims=(2, 3)),
-                               random_density(rng, 4, dims=(2, 2))])
+                               random_density(rng, 4, dims=(2, 2))], OptimizerConfig())
 
 
 def planted_partition(rng, d2: int) -> tuple[tuple[int, ...], ...]:
@@ -767,9 +826,9 @@ def _sampled_max_one_by_one(op, op_m, samples=16):
 def test_sampled_state_check_matches_one_by_one_reference(monkeypatch):
     cfg = builtin_distance()
     op = cfg.setup.operation(cfg.beta_for(cfg.sweep_values[0]))
-    family = cfg.setup.family(op)
+    family = cfg.setup.family
     rng = np.random.default_rng(7153)
-    pairs = [(op, family.operation(rng.uniform(0, 2 * np.pi, family.manifold.free_dim))),
+    pairs = [(op, family.operation(rng.uniform(0, 2 * np.pi, family.manifold.free_dim), op.bath)),
              (_random_block_op(rng, 3, 3)[1], _random_block_op(rng, 3, 3)[1])]
     original = thermal.apply_to_operator
     for op, op_m in pairs:
@@ -798,13 +857,13 @@ def test_family_member_matches_block_unitary_reference(d_sys, d_bath):
     h_tot = total_hamiltonian(h_sys, h_bath)
     bath = gibbs_state(h_bath, 0.8)
     n = h_tot.dim
-    family = MarkovianFamily(h_tot, bath, constrained_phase_manifold(n, rng.choice([-1.0, 1.0], n), 0.4))
+    family = MarkovianFamily(h_tot, constrained_phase_manifold(n, rng.choice([-1.0, 1.0], n), 0.4))
     x = rng.normal(size=(3, d_sys, d_sys)) + 1j * rng.normal(size=(3, d_sys, d_sys))
     for _ in range(3):
         free = rng.uniform(0, 2 * np.pi, family.manifold.free_dim)
         phases = [float(p) for p in family.manifold.embed(free)]
         reference = thermal_operation(build_block_unitary(h_tot, phases), bath)
-        got = thermal.apply_to_operator(family.operation(free), x)
+        got = thermal.apply_to_operator(family.operation(free, bath), x)
         assert mat_equal(got, thermal.apply_to_operator(reference, x), 1e-12)
 
 
@@ -813,27 +872,28 @@ def test_family_rejects_non_unitary_eigenvectors():
     h = family.h_total
     skewed = Hamiltonian(h.matrix, h.energies, 1.01 * h.eigvecs, h.parts, h.product_labels)
     with pytest.raises(ValueError, match="not unitary"):
-        MarkovianFamily(skewed, family.bath, family.manifold)
+        MarkovianFamily(skewed, family.manifold)
 
 
 def test_family_rejects_a_bath_of_another_hamiltonian():
-    _, family = distance_example_op()
-    with pytest.raises(ValueError, match="bath"):
-        MarkovianFamily(family.h_total, gibbs_state(Hamiltonian.from_matrix(SIGMA_X), 0.01),
-                        family.manifold)
+    op, family = distance_example_op()
+    other = thermal_operation(op.unitary, gibbs_state(Hamiltonian.from_matrix(SIGMA_X), 0.01))
+    with pytest.raises(ValueError, match="family bath must be a Gibbs state"):
+        measures.distance_sweep([op, other], family, Hamiltonian.from_matrix(SIGMA_X),
+                                OptimizerConfig(seeds=1, grid_resolution=1))
 
 
 def test_distance_zero_for_markovian_member():
     op, family = distance_example_op()
-    member = family.operation(np.array([0.3, 1.2, 2.6]))
+    member = family.operation(np.array([0.3, 1.2, 2.6]), op.bath)
     mv = distance_value(member, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.value <= 1e-6
 
 
 def _random_family(rng, d_sys, d_bath, relation):
-    """A family on random spectra.  A kept relation pairs a +1 and a -1 in each
-    bath level, so every bath level's coefficients sum to zero; an absorbed one
-    has random +-1 coefficients."""
+    """A family on random spectra, with a bath state of its bath.  A kept
+    relation pairs a +1 and a -1 in each bath level, so every bath level's
+    coefficients sum to zero; an absorbed one has random +-1 coefficients."""
     h_sys = Hamiltonian.from_matrix(random_hermitian(rng, d_sys))
     h_bath = Hamiltonian.from_matrix(random_hermitian(rng, d_bath))
     h_tot = total_hamiltonian(h_sys, h_bath)
@@ -846,23 +906,23 @@ def _random_family(rng, d_sys, d_bath, relation):
     else:
         coeffs = rng.choice([-1.0, 1.0], h_tot.dim)
     manifold = constrained_phase_manifold(h_tot.dim, coeffs, 0.9)
-    return h_sys, MarkovianFamily(h_tot, gibbs_state(h_bath, 0.6), manifold)
+    return h_sys, gibbs_state(h_bath, 0.6), MarkovianFamily(h_tot, manifold)
 
 
 @pytest.mark.parametrize("relation", ["kept", "absorbed"])
 @pytest.mark.parametrize("d_sys, d_bath", [(2, 2), (2, 3), (3, 3), (4, 9)])
 def test_quotient_multipliers_match_member_operations(d_sys, d_bath, relation):
     rng = np.random.default_rng(5300 + 10 * d_sys + d_bath)
-    h_sys, family = _random_family(rng, d_sys, d_bath, relation)
+    h_sys, bath, family = _random_family(rng, d_sys, d_bath, relation)
     differences = (d_sys - 1) * d_bath
     assert family.quotient.free_dim == (differences - 1 if relation == "kept" else differences)
     v = h_sys.eigvecs
     x = rng.normal(size=(3, d_sys, d_sys)) + 1j * rng.normal(size=(3, d_sys, d_sys))
     q = rng.uniform(0, 2 * np.pi, (4, family.quotient.free_dim))
-    for free, m in zip(family.lift(q), family.multipliers(q)):
+    for free, m in zip(family.lift(q), family.multipliers(q, bath.level_probabilities)):
         assert relation_residual(family.manifold, family.manifold.embed(free)) <= 1e-12
         schur = v @ ((dagger(v) @ x @ v) * m) @ dagger(v)
-        assert mat_equal(schur, thermal.apply_to_operator(family.operation(free), x), 1e-12)
+        assert mat_equal(schur, thermal.apply_to_operator(family.operation(free, bath), x), 1e-12)
 
 
 @pytest.mark.parametrize("d_sys, d_bath", [(2, 3), (3, 3)])
@@ -888,7 +948,7 @@ def _member_value(op, family, x, free):
     d = op.d_sys
     blocks = x.reshape(d, d, d, d).transpose(1, 3, 0, 2)
     images = [thermal.apply_to_operator(o, blocks).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-              for o in (op, family.operation(free))]
+              for o in (op, family.operation(free, op.bath))]
     return trace_norm(images[0] - images[1])
 
 
@@ -899,15 +959,14 @@ def test_family_search_is_no_worse_than_random_members(relation):
         op, family = distance_example_op()
         h_sys = op.system_hamiltonian
     else:
-        h_sys, family = _random_family(rng, 2, 3, relation)
+        h_sys, bath, family = _random_family(rng, 2, 3, relation)
         u = build_block_unitary(family.h_total, list(rng.uniform(0, 2 * np.pi, 6)))
-        op = thermal_operation(u, family.bath)
+        op = thermal_operation(u, bath)
     cfg = OptimizerConfig(seeds=10, grid_resolution=6)
     members = rng.uniform(0, 2 * np.pi, (200, family.manifold.free_dim))
     for sign, x in ((1.0, maximally_entangled_input(h_sys)),
                     (-1.0, measures.response_direction(h_sys, Hamiltonian.from_matrix(SIGMA_X)))):
-        (result,) = measures._family_search([measures._FamilyProblem(op, family, x, sign)],
-                                            cfg)
+        (result,) = measures._family_search(family, [op], [x], [sign], cfg)
         best = _member_value(op, family, x, family.lift(result.best_point))
         assert abs(sign * result.best_value - best) <= 1e-12
         assert sign * best <= min(sign * _member_value(op, family, x, f) for f in members) + 1e-12
@@ -920,20 +979,17 @@ def test_family_search_evolves_only_outside_its_objective(monkeypatch):
     monkeypatch.setattr(thermal, "evolve", lambda *args: calls.append(1) or original(*args))
     mv = distance_value(op, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.diagnostics["evaluations"] > 100
-    assert len(calls) == 3  # the target image, and the sampled check's two applications
+    # the distance's and the bound's target images, and the sampled check's two applications
+    assert len(calls) == 4
 
 
 def test_family_searches_differ_only_in_their_bath_weights():
     op, family = distance_example_op()
-    warm = MarkovianFamily(family.h_total, gibbs_state(H_BATH_STIFF, 0.2), family.manifold)
+    warm, cold = gibbs_state(H_BATH_STIFF, 0.2).level_probabilities, op.bath.level_probabilities
     q = np.random.default_rng(82).uniform(0, 2 * np.pi, (6, family.quotient.free_dim))
-    rows = family.multipliers(q, [warm._weights] * 3 + [family._weights] * 3)
-    assert np.array_equal(rows[:3], warm.multipliers(q[:3]))
-    assert np.array_equal(rows[3:], family.multipliers(q[3:]))
-    _, apart = distance_example_op()  # the same physics on another total Hamiltonian
-    with pytest.raises(ValueError, match="share the total Hamiltonian"):
-        measures.distance_sweep([(op, family), (op, apart)], Hamiltonian.from_matrix(SIGMA_X),
-                                [0.1], OptimizerConfig(seeds=1, grid_resolution=1))
+    rows = family.multipliers(q, [warm] * 3 + [cold] * 3)
+    assert np.array_equal(rows[:3], family.multipliers(q[:3], warm))
+    assert np.array_equal(rows[3:], family.multipliers(q[3:], cold))
 
 
 def test_one_point_quotient_evaluates_its_member():
@@ -944,8 +1000,7 @@ def test_one_point_quotient_evaluates_its_member():
             "measures": ["choi_distance"], "initial_population_a": 0.9,
             "mto_relation": {"coefficients": [1, -1]}}
     cfg = ExperimentConfig.from_dict(data)
-    op = cfg.setup.operation(1.0)
-    assert cfg.setup.family(op).quotient.free_dim == 0
+    assert cfg.setup.family.quotient.free_dim == 0
     result = run_study("distance", cfg)
     (row,) = result.rows_for("choi_distance")
     assert abs(row.unperturbed - 0.9588510772084058) <= 1e-12
@@ -957,7 +1012,7 @@ def test_one_point_quotient_evaluates_its_member():
 def test_distance_zero_for_identity_channel():
     op, family = distance_example_op()
     h_tot = family.h_total
-    identity = thermal_operation(build_block_unitary(h_tot, [0.0] * 4), family.bath)
+    identity = thermal_operation(build_block_unitary(h_tot, [0.0] * 4), op.bath)
     mv = distance_value(identity, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.value <= 1e-6
 
@@ -993,7 +1048,7 @@ def test_perturbed_choi_input_leaves_the_distance_objective_unchanged(monkeypatc
     cfg = builtin_distance()
     setup = cfg.setup
     op = setup.operation(cfg.beta_for(cfg.sweep_values[0]))
-    family = setup.family(op)
+    family = setup.family
     h_sys = op.system_hamiltonian
     inputs = [maximally_entangled_input(h_sys)]
     for eps in cfg.epsilons:
@@ -1007,7 +1062,7 @@ def test_perturbed_choi_input_leaves_the_distance_objective_unchanged(monkeypatc
         return search(f, *args, **kwargs)
 
     monkeypatch.setattr(measures, "minimize", capture)
-    measures._family_search([measures._FamilyProblem(op, family, x, 1.0) for x in inputs],
+    measures._family_search(family, [op] * len(inputs), inputs, [1.0] * len(inputs),
                             OptimizerConfig(seeds=1, grid_resolution=1))
     (objective,) = objectives
     q = np.random.default_rng(81).uniform(0, 2 * np.pi, (20, family.quotient.free_dim))
@@ -1181,12 +1236,11 @@ def test_expansion_lemma_second_order():
 def test_chi_lambda_bound_zero_cases():
     op, family = distance_example_op()
     cfg = OptimizerConfig(seeds=4, grid_resolution=4)
-    ((_, (commuting,), _),) = measures.distance_sweep(
-        [(op, family)], Hamiltonian.from_matrix(SIGMA_Z), [0.1], cfg)
-    assert commuting < 1e-12
-    ((_, (zero_eps,), _),) = measures.distance_sweep(
-        [(op, family)], Hamiltonian.from_matrix(SIGMA_X), [0.0], cfg)
-    assert zero_eps == 0.0
+    ((_, commuting),) = measures.distance_sweep([op], family, Hamiltonian.from_matrix(SIGMA_Z), cfg)
+    assert 0.1 / op.d_sys * commuting.value < 1e-12
+    zero_eps = ExperimentConfig.from_dict({**builtin_distance().to_dict(), "epsilons": [0.0],
+                                           "optimizer": {"seeds": 4, "grid_resolution": 4}})
+    assert [r.perturbed for r in run_config(zero_eps).rows_for("choi_distance_bound")] == [0.0]
 
 
 def test_chi_lambda_bound_dominates_measured_response():
@@ -1196,9 +1250,8 @@ def test_chi_lambda_bound_dominates_measured_response():
     # the bound faces a search on the perturbed Choi input itself
     h_sys = op.system_hamiltonian
     d0, d1 = measures._family_search(
-        [measures._FamilyProblem(op, family, x, 1.0)
-         for x in (maximally_entangled_input(h_sys), _perturbed_choi_input(h_sys, pert))], cfg)
-    ((_, (bound,), _),) = measures.distance_sweep([(op, family)], pert.h_prime,
-                                                   [pert.epsilon], cfg)
-    assert d1.best_value - d0.best_value <= bound + 1e-6
+        family, [op, op], [maximally_entangled_input(h_sys), _perturbed_choi_input(h_sys, pert)],
+        [1.0, 1.0], cfg)
+    ((_, chi),) = measures.distance_sweep([op], family, pert.h_prime, cfg)
+    assert d1.best_value - d0.best_value <= pert.epsilon / op.d_sys * chi.value + 1e-6
 

@@ -409,7 +409,6 @@ def test_manifold_needs_integer_coefficients():
 
 def test_manifold_samples_are_markovian():
     # every sampled point keeps the evolved joint state in product form
-    from athermal_markov import thermal
     from athermal_markov.thermal import Hamiltonian, build_block_unitary, gibbs_state, \
         mto_check, thermal_operation, total_hamiltonian
     from util import SIGMA_Z, random_density

@@ -9,6 +9,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "athermal_markov"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -46,14 +47,23 @@ def _imports(tree: ast.Module):
                 yield alias.asname or alias.name, node.lineno
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """``line name`` of every import in a module that no bare name uses."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line} {name}" for name, line in _imports(tree) if name not in used]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"] + TESTS,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     # __init__.py is exempt: its imports are the package's re-exports
-    tree = _tree(path)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = [f"{path.name}:{line} {name}" for name, line in _imports(tree) if name not in used]
-    assert unused == []
+    assert _unused_imports(_tree(path)) == []
+
+
+def test_unused_import_rule_catches_each_spelling():
+    source = ("import os\nimport numpy as np\nfrom a import b, c as d\n"
+              "def f():\n    from e import g\n    return np.pi + b\n")
+    assert _unused_imports(ast.parse(source)) == ["1 os", "3 d", "5 g"]
 
 
 def _export_faults(package) -> list[str]:

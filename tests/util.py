@@ -43,9 +43,10 @@ def packed_eigvalsh(h: np.ndarray) -> np.ndarray:
     return eigvalsh_packed(pack_lower(h.reshape(-1, n, n))).T.reshape(h.shape[:-1])
 
 
-def distance_value(op, family, cfg=None) -> measures.MeasureValue:
-    """The distance of ``op`` from ``family``, as the lone problem of a family search."""
-    return measures._family_values([measures._distance_problem(op, family)], cfg)[0]
+def distance_value(op, family, cfg) -> measures.MeasureValue:
+    """The distance of ``op`` from ``family``, from a sweep of ``op`` alone whose
+    bound takes the system Hamiltonian itself as the perturbation."""
+    return measures.distance_sweep([op], family, op.system_hamiltonian, cfg)[0][0]
 
 
 def choi_state(op) -> DensityMatrix:
