@@ -122,22 +122,28 @@ def _floats(value, where: str) -> tuple[float, ...]:
 
 def _real_matrix(value, where: str) -> np.ndarray:
     """A square matrix of 1 to ``MAX_TOTAL_DIMENSION`` rows of JSON numbers, as
-    a float array of finite entries; the row count, then that every row is a
-    list of as many entries as the first, is checked before any entry is typed."""
+    a float array of finite entries.  The row count is checked before any entry
+    is typed, then, depth by depth, that every list is as long as the first of
+    its depth and every other value is a list where the first is, so numpy
+    only ever sees a regular nest of lists."""
     expected = f"{where}: expected a square matrix of 1 to {MAX_TOTAL_DIMENSION} rows, got"
     rows = len(_as_list(value, where))
     if not 1 <= rows <= MAX_TOTAL_DIMENSION:
         raise ValueError(f"{expected} {rows} rows")
-    lengths = [len(row) if isinstance(row, list) else None for row in value]
-    for k, n in enumerate(lengths):
-        if n != lengths[0]:  # a ragged row, which np.array rejects in its own words
-            raise ValueError(f"{expected} " + " and ".join(
-                f"row {j} " + ("not a list" if m is None else f"of length {m}")
-                for j, m in ((0, lengths[0]), (k, n))))
+    shape, level = (rows,), value  # the values at one depth, in row-major order
 
-    def entries(v):
-        return [entries(x) for x in v] if isinstance(v, list) else _typed(v, where)
-    m = _field(where, np.array, entries(value), float)
+    def named(k, n):
+        at = f"row {k}" if len(shape) == 1 else f"entry {tuple(map(int, np.unravel_index(k, shape)))}"
+        return f"{at} not a list" if n is None else f"{at} of length {n}"
+    while level:
+        lengths = [len(v) if isinstance(v, list) else None for v in level]
+        for k, n in enumerate(lengths):
+            if n != lengths[0]:
+                raise ValueError(f"{expected} {named(0, lengths[0])} and {named(k, n)}")
+        if lengths[0] is None:
+            break
+        shape, level = shape + (lengths[0],), [x for v in level for x in v]
+    m = np.array([_typed(v, where) for v in level], dtype=float).reshape(shape)
     if m.shape != (rows, rows):
         raise ValueError(f"{expected} shape {m.shape}")
     return m
@@ -416,11 +422,8 @@ class ExperimentConfig:
         )
 
     def config_hash(self) -> str:
-        return _hash(self.to_dict())
-
-
-def _hash(data: dict) -> str:  # of ExperimentConfig.to_dict's data
-    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+        data = json.dumps(self.to_dict(), sort_keys=True)
+        return hashlib.sha256(data.encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +460,9 @@ def _sort_rows(rows) -> tuple[SweepRow, ...]:
 
 
 def _base_metadata(cfg: ExperimentConfig) -> dict:
-    data = cfg.to_dict()
     return {
-        "config": data,
-        "config_hash": _hash(data),
+        "config": cfg.to_dict(),
+        "config_hash": cfg.config_hash(),
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -135,65 +134,26 @@ def _level_blocks(blocks: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
             for heads in (reach > 0).argmax(axis=-1).tolist()]
 
 
-class _PackedBlocks(NamedTuple):
-    """:func:`_bloch_blocks` of a stack of states, grouped by their
-    :func:`_level_blocks`: per group, its real columns (4, L + 1, m) of its m
-    states, the packed lower triangles of the level blocks (L reals) then the
-    trace, for each Bloch block, with the slice of each level block's
-    triangle; and per state, its group and its column there."""
-
-    groups: list[tuple[list[slice], np.ndarray]]
-    group: np.ndarray
-    column: np.ndarray
-
-
-def _pack_bloch_blocks(blocks: np.ndarray) -> _PackedBlocks:
-    """:func:`_bloch_blocks` (n, 4, d2, d2) as :class:`_PackedBlocks`: each
-    level block packed as :func:`linalg.pack_lower` packs it, in the order of
-    :func:`_level_blocks`.  A state of one level block, size d2, packs as a
-    whole matrix."""
-    members = {}
-    for k, partition in enumerate(_level_blocks(blocks)):
-        members.setdefault(partition, []).append(k)
-    group, column = np.empty(len(blocks), int), np.empty(len(blocks), int)
-    groups = []
-    for g, (partition, states) in enumerate(members.items()):
-        group[states], column[states] = g, np.arange(len(states))
-        sub = blocks[states]
-        t = np.trace(sub, axis1=-2, axis2=-1).real
-        packs = [pack_lower(sub[..., levels, :][..., levels]) for levels in map(list, partition)]
-        ends = np.cumsum([len(p) for p in packs]).tolist()
-        groups.append(([slice(a, b) for a, b in zip([0, *ends], ends)],
-                       np.concatenate([*packs, t[None]]).transpose(2, 0, 1).copy()))
-    return _PackedBlocks(groups, group, column)
+def _pack_bloch_blocks(blocks: np.ndarray, partition) -> tuple[list[slice], np.ndarray]:
+    """:func:`_bloch_blocks` (m, 4, d2, d2) of m states that share the
+    :func:`_level_blocks` ``partition``, as (triangles, columns): real columns
+    (4, L + 1, m), each level block's lower triangle packed as
+    :func:`linalg.pack_lower` packs it, in the order of ``partition``, then the
+    trace, for each Bloch block; and the slice of each level block's triangle.
+    A partition of one level block, size d2, packs the whole matrix."""
+    t = np.trace(blocks, axis1=-2, axis2=-1).real
+    packs = [pack_lower(blocks[..., levels, :][..., levels]) for levels in map(list, partition)]
+    ends = np.cumsum([len(p) for p in packs]).tolist()
+    return ([slice(a, b) for a, b in zip([0, *ends], ends)],
+            np.concatenate([*packs, t[None]]).transpose(2, 0, 1).copy())
 
 
-def _measured_conditional_entropy(packed: _PackedBlocks, angles: np.ndarray,
-                                  owner: np.ndarray) -> np.ndarray:
+def _measured_conditional_entropy(triangles: list[slice], columns: np.ndarray,
+                                  angles: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """sum_i p_i S(rho_B^i) for measuring {|psi><psi|, I - |psi><psi|} on the qubit,
-    one value per (theta, phi) row of ``angles``, of the state ``owner`` of
-    the :func:`_pack_bloch_blocks` ``packed``.
-
-    The rows of each group of states go through :func:`_group_conditional_entropy`
-    together; they are split by group only when ``packed`` holds more than
-    one, and each row's value is that of its state alone."""
-    if len(packed.groups) == 1:  # then each state's column is its index
-        return _group_conditional_entropy(*packed.groups[0], angles, owner)
-    values = np.empty(len(angles))
-    group = packed.group[owner]
-    for g, (triangles, columns) in enumerate(packed.groups):
-        rows = np.flatnonzero(group == g)
-        if len(rows):
-            values[rows] = _group_conditional_entropy(triangles, columns, angles[rows],
-                                                      packed.column[owner[rows]])
-    return values
-
-
-def _group_conditional_entropy(triangles: list[slice], columns: np.ndarray,
-                               angles: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """:func:`_measured_conditional_entropy` of one group of states, whose
-    level blocks' packed triangles are the ``triangles`` of its columns, for
-    rows of the state whose columns are ``columns[..., owner]``.
+    one value per (theta, phi) row of ``angles``, of the state whose
+    :func:`_pack_bloch_blocks` columns are ``columns[..., owner]``; the states
+    share one partition, whose level blocks' packed triangles are ``triangles``.
 
     With n the Bloch vector of psi, the unnormalised outcomes are
     P_0 +- n . (P_1, P_2, P_3), formed packed in real arithmetic, and their
@@ -201,7 +161,7 @@ def _group_conditional_entropy(triangles: list[slice], columns: np.ndarray,
     its level blocks' spectra, each from one :func:`linalg.eigvalsh_packed` of
     the block's stack (closed-form roots up to 2x2), and is divided by the
     probability.  An outcome of probability at most 1e-14 contributes
-    nothing."""
+    nothing.  Each row's value is that of its state alone."""
     theta, phi = angles[:, 0], angles[:, 1]
     sin = np.sin(theta)
     n = (sin * np.cos(phi), sin * np.sin(phi), np.cos(theta))
@@ -242,27 +202,32 @@ def discord(states: Sequence[DensityMatrix], joint_entropies,
     zero.  The grid of ``cfg.grid_resolution`` points per angle is searched
     over its :func:`distinct_measurements` only.  S(AB) of each state is its
     entry of ``joint_entropies``, which the caller knows, as for
-    :func:`mutual_informations`.  The states share dims and one lockstep
-    search, in which each state is its own problem; each value equals that
-    of a search for its state alone.  Each state's Bloch blocks are split
-    once into its :func:`_level_blocks`, and the search diagonalises only
-    those, exactly as the whole outcomes.
+    :func:`mutual_informations`.  The states share dims; those that share
+    their :func:`_level_blocks` partition share one lockstep search, in which
+    each state is its own problem, so each value equals that of a search for
+    its state alone.  The search diagonalises only each state's level blocks,
+    exactly as the whole outcomes.
     """
     joints, (d1, d2) = _joint_stack(states)
     if d1 != 2:
         raise ValueError("unsupported measured dimension: first factor must be a qubit")
     s_ab = _joint_entropy_array(joint_entropies, states)
-    packed = _pack_bloch_blocks(_bloch_blocks(joints, d2))
-
-    def objective(angles, owner):
-        return _measured_conditional_entropy(packed, angles, owner)
-
-    results = minimize(objective, [(0.0, np.pi), (0.0, 2 * np.pi)], cfg, periodic=[False, True],
-                       problems=len(states), distinct=distinct_measurements(cfg.grid_resolution))
+    blocks = _bloch_blocks(joints, d2)
+    members = {}
+    for k, partition in enumerate(_level_blocks(blocks)):
+        members.setdefault(partition, []).append(k)
+    results = {}
+    for partition, ks in members.items():
+        triangles, columns = _pack_bloch_blocks(blocks[ks], partition)
+        results.update(zip(ks, minimize(
+            lambda angles, owner: _measured_conditional_entropy(triangles, columns, angles, owner),
+            [(0.0, np.pi), (0.0, 2 * np.pi)], cfg, periodic=[False, True], problems=len(ks),
+            distinct=distinct_measurements(cfg.grid_resolution))))
     # S(A) - S(AB) of every state
     offsets = entropy_of_spectrum(trace_out_second(joints, d1, d2)) - s_ab
     values = []
-    for offset, result in zip(offsets, results):
+    for k, offset in enumerate(offsets):
+        result = results[k]
         diags = {
             "theta": float(result.best_point[0]),
             "phi": float(result.best_point[1]),

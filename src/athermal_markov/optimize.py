@@ -231,7 +231,7 @@ def _grid_points(bounds, periodic, resolution) -> np.ndarray:
         len(axes), resolution ** len(axes)).T
 
 
-def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None,
+def minimize(f, bounds, cfg: OptimizerConfig, periodic=None,
              problems: int = 1, distinct=None) -> OptimizationResults:
     """Grid-seeded multi-start Nelder-Mead minimisation over a box, of
     ``problems`` independent objectives at once.
@@ -249,7 +249,6 @@ def minimize(f, bounds, cfg: OptimizerConfig | None = None, periodic=None,
     evaluated grid samples; an empty box is its one point, evaluated once.
     Non-convergence of the winning start is reported, not raised.
     """
-    cfg = cfg or OptimizerConfig()
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     if any(hi <= lo for lo, hi in bounds):
         raise ValueError("bounds must have hi > lo")

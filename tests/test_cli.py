@@ -418,6 +418,12 @@ NAMED_ERRORS = {
     'system={"matrix":{"real":[[1.0,2.0],3.0]}}':
         "config.system.matrix.real: expected a square matrix of 1 to 36 rows, "
         "got row 0 of length 2 and row 1 not a list",
+    'system={"matrix":{"real":[[1.0,[2.0]],[0.0,1.0]]}}':
+        "config.system.matrix.real: expected a square matrix of 1 to 36 rows, "
+        "got entry (0, 0) not a list and entry (0, 1) of length 1",
+    'system={"matrix":{"real":[[[1.0],[2.0,3.0]]]}}':
+        "config.system.matrix.real: expected a square matrix of 1 to 36 rows, "
+        "got entry (0, 0) of length 1 and entry (0, 1) of length 2",
 }
 
 BAD_OVERRIDES = [

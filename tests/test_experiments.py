@@ -167,6 +167,13 @@ def test_matrix_entries_are_finite_json_numbers(key, value, message):
                                     "to 36 rows, got row 0 of length 2 and row 1 of length 1"),
     ("system", [[1.0, 2.0], 3.0], "config.system.matrix.real: expected a square matrix of 1 "
                                   "to 36 rows, got row 0 of length 2 and row 1 not a list"),
+    # and so are lists nested where an entry belongs, at any depth
+    ("system", [[1.0, [2.0]], [0.0, 1.0]], "config.system.matrix.real: expected a square matrix "
+                                           "of 1 to 36 rows, got entry (0, 0) not a list and "
+                                           "entry (0, 1) of length 1"),
+    ("system", [[[1.0], [2.0, 3.0]]], "config.system.matrix.real: expected a square matrix of 1 "
+                                      "to 36 rows, got entry (0, 0) of length 1 and entry (0, 1) "
+                                      "of length 2"),
 ])
 def test_malformed_matrices_are_named_with_their_shape(key, value, message):
     data = _matrix_fig2()

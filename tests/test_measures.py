@@ -414,8 +414,8 @@ def _phi_spread(rho: np.ndarray) -> float:
     theta, phi = np.meshgrid(np.linspace(0.0, np.pi, 9), np.linspace(0.0, 2 * np.pi, 16),
                              indexing="ij")
     angles = np.column_stack([theta.ravel(), phi.ravel()])
-    packed = measures._pack_bloch_blocks(measures._bloch_blocks(rho[None], rho.shape[0] // 2))
-    values = measures._measured_conditional_entropy(packed, angles, np.zeros(len(angles), int))
+    values = kernel(measures._bloch_blocks(rho[None], rho.shape[0] // 2), angles,
+                    np.zeros(len(angles), int))
     return float(np.ptp(values.reshape(theta.shape), axis=1).max())
 
 
@@ -487,7 +487,7 @@ def pure_state(rng, d: int, dims) -> DensityMatrix:
 
 
 @pytest.mark.parametrize("d2", [1, 2, 3, 6])
-def test_discord_of_many_states_matches_one_state_searches_bitwise(d2):
+def test_discord_of_many_states_matches_one_state_searches_bitwise(d2, monkeypatch):
     rng = np.random.default_rng(70 + d2)
     cfg = OptimizerConfig(seeds=6, grid_resolution=7)
     # a product state gives a flat landscape, so its search ends early; the
@@ -496,7 +496,11 @@ def test_discord_of_many_states_matches_one_state_searches_bitwise(d2):
     states = [random_density(rng, 2 * d2, dims=(2, d2)) for _ in range(3)] + [
         product_state(rng, 2, d2), planted_state(rng, planted_partition(rng, d2)), diagonal,
         pure_state(rng, 2 * d2, (2, d2))]
+    partitions = set(measures._level_blocks(
+        measures._bloch_blocks(np.array([rho.matrix for rho in states]), d2)))
+    searches = minimize_calls(monkeypatch)
     together = joint_entropy_discord(states, cfg)
+    assert len(searches) == len(partitions)  # one lockstep search per partition
     for rho, got in zip(states, together):
         alone, = joint_entropy_discord([rho], cfg)
         assert np.array_equal(np.float64(got.value).view(np.int64),
@@ -504,11 +508,31 @@ def test_discord_of_many_states_matches_one_state_searches_bitwise(d2):
         assert got.diagnostics == alone.diagnostics
 
 
+def minimize_calls(monkeypatch) -> list[int]:
+    """From now on, the ``problems`` of every ``minimize`` call that :mod:`measures` makes."""
+    calls, search = [], measures.minimize
+
+    def counted(*args, problems=1, **kwargs):
+        calls.append(problems)
+        return search(*args, problems=problems, **kwargs)
+    monkeypatch.setattr(measures, "minimize", counted)
+    return calls
+
+
 def kernel(blocks: np.ndarray, angles: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """The stacked discord kernel on the rows of ``angles``, of the states whose
-    :func:`measures._bloch_blocks` are ``blocks[owner]``."""
-    return measures._measured_conditional_entropy(measures._pack_bloch_blocks(blocks), angles,
-                                                  owner)
+    :func:`measures._bloch_blocks` are ``blocks[owner]``: as :func:`measures.discord`
+    does, one kernel call per :func:`measures._level_blocks` partition of those states."""
+    members, values = {}, np.empty(len(angles))
+    for k, partition in enumerate(measures._level_blocks(blocks)):
+        members.setdefault(partition, []).append(k)
+    for partition, ks in members.items():
+        rows = np.flatnonzero(np.isin(owner, ks))
+        if len(rows):
+            values[rows] = measures._measured_conditional_entropy(
+                *measures._pack_bloch_blocks(blocks[ks], partition), angles[rows],
+                np.searchsorted(ks, owner[rows]))
+    return values
 
 
 def conditional_entropy(rho: DensityMatrix, angles: np.ndarray) -> np.ndarray:
@@ -693,10 +717,10 @@ def test_fig3_discord_outcome_spectra_match_lapack(monkeypatch):
         blocks.append(bloch_of(rho, d2))
         return blocks[-1]
 
-    def recorded_kernel(packed, angles, owner):
+    def recorded_kernel(triangles, columns, angles, owner):
         rows.append((angles, owner))
         spectra.append([])
-        return kernel_of(packed, angles, owner)
+        return kernel_of(triangles, columns, angles, owner)
 
     def recorded_spectra(p):
         spectra[-1].append(spectra_of(p))
@@ -720,12 +744,15 @@ def test_fig3_discord_outcome_spectra_match_lapack(monkeypatch):
 def test_fig3_discord_search_cost_is_pinned(monkeypatch):
     kernel_of, calls = measures._measured_conditional_entropy, []
 
-    def counted(packed, angles, owner):
+    def counted(triangles, columns, angles, owner):
         calls.append(len(angles))
-        return kernel_of(packed, angles, owner)
+        return kernel_of(triangles, columns, angles, owner)
 
     monkeypatch.setattr(measures, "_measured_conditional_entropy", counted)
+    searches = minimize_calls(monkeypatch)
     run_config(builtin_fig3_discord())
+    # its 40 states share one partition, so the sweep is one search
+    assert searches == [40]
     assert (sum(calls), len(calls)) == (FIG3_DISCORD_ROWS, FIG3_DISCORD_CALLS)
     assert max(calls) <= ROW_BUDGET
 

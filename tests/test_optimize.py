@@ -19,7 +19,7 @@ def batched(*fs):
     return lambda points, owner: np.array([fs[o](x) for x, o in zip(points, owner)])
 
 
-def solve(f, bounds, cfg=None, periodic=None):
+def solve(f, bounds, cfg, periodic=None):
     """The result of a one-problem search of a batched objective of the points alone."""
     return minimize(lambda points, _owner: f(points), bounds, cfg, periodic=periodic)[0]
 
@@ -263,14 +263,15 @@ def test_objective_must_return_one_value_per_point():
 
 def test_empty_box_is_one_point():
     calls = []
-    result = solve(lambda points: calls.append(points.shape) or np.full(len(points), 0.7), [])
+    result = solve(lambda points: calls.append(points.shape) or np.full(len(points), 0.7), [],
+                   OptimizerConfig())
     assert calls == [(1, 0)]
     assert (result.best_value, result.best_point.shape) == (0.7, (0,))
     assert result.converged and result.evaluations == 1
 
 
 def test_quadratic_1d():
-    result = solve(lambda x: (x[:, 0] - 0.3) ** 2, [(0.0, 1.0)])
+    result = solve(lambda x: (x[:, 0] - 0.3) ** 2, [(0.0, 1.0)], OptimizerConfig())
     assert abs(result.best_point[0] - 0.3) < 1e-6
     assert result.best_value < 1e-10
     assert result.converged

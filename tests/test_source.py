@@ -195,20 +195,40 @@ def _referenced(tree: ast.AST) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def _unreached_functions(modules: dict[str, ast.Module], bench) -> list[str]:
-    """Module-level public functions of ``modules`` (file name: tree) that no
-    other module but ``__init__.py``, no code of their own module outside their
-    own body, and no bench script references."""
+def _getattr_strings(tree: ast.AST) -> set[str]:
+    """The attribute names that ``getattr`` calls in ``tree`` spell as string constants."""
+    return {node.args[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)}
+
+
+def _public_defs(tree: ast.Module):
+    """(qualified name, node) of each public module-level function and each
+    public method or property of a module-level class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            members = [(f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, functions)]
+        else:
+            members = [(node.name, node)] if isinstance(node, functions) else []
+        yield from ((q, m) for q, m in members if not m.name.startswith("_"))
+
+
+def _unreached(modules: dict[str, ast.Module], bench) -> list[str]:
+    """Public functions, methods and properties of ``modules`` (file name:
+    tree) that no other module but ``__init__.py``, no code of their own module
+    outside their own body, and no bench script references, by name or by a
+    ``getattr`` string."""
     counts = {name: _referenced(tree) for name, tree in modules.items()}
-    bench_names = set().union(*map(_referenced, bench))
+    bench_names = set().union(*map(_referenced, bench), *map(_getattr_strings, bench))
     found = []
     for name, tree in modules.items():
         others = set().union(*(c for key, c in counts.items() if key not in (name, "__init__.py")))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not node.name.startswith("_") and node.name not in others | bench_names
+        for qualified, node in _public_defs(tree):
+            if (node.name not in others | bench_names
                     and counts[name][node.name] == _referenced(node)[node.name]):
-                found.append(f"{name}:{node.name}")
+                found.append(f"{name}:{qualified}")
     return found
 
 
@@ -223,7 +243,7 @@ def _bench_scripts() -> tuple[ast.Module, ...]:
 
 
 def test_every_public_function_has_a_caller_besides_the_tests():
-    assert set(_unreached_functions(_source_modules(), _bench_scripts())) == REACHED_BY_NAME
+    assert set(_unreached(_source_modules(), _bench_scripts())) == REACHED_BY_NAME
 
 
 def test_caller_rule_catches_a_function_only_tests_call():
@@ -232,9 +252,31 @@ def test_caller_rule_catches_a_function_only_tests_call():
                              "def recursive(n): return recursive(n - 1)\n"
                              "def local(): pass\nLOCAL = local\n"),
            "b.py": ast.parse("from . import a\na.kept()")}
-    assert _unreached_functions(toy, []) == ["a.py:lonely", "a.py:recursive"]
-    assert _unreached_functions(toy, [ast.parse("a.lonely()")]) == ["a.py:recursive"]
+    assert _unreached(toy, []) == ["a.py:lonely", "a.py:recursive"]
+    assert _unreached(toy, [ast.parse("a.lonely()")]) == ["a.py:recursive"]
     modules = dict(_source_modules())
     source = (PACKAGE / "measures.py").read_text(encoding="utf-8")
     modules["measures.py"] = ast.parse(source + "\n\ndef choi_state(op):\n    return op\n")
-    assert "measures.py:choi_state" in _unreached_functions(modules, _bench_scripts())
+    assert "measures.py:choi_state" in _unreached(modules, _bench_scripts())
+
+
+def test_caller_rule_catches_a_method_only_tests_call():
+    toy = {"__init__.py": ast.parse("from .a import Box"),
+           "a.py": ast.parse("class Box:\n    def kept(self): pass\n    def lonely(self): pass\n"
+                             "    def recursive(self, n): return self.recursive(n - 1)\n"
+                             "    @property\n    def size(self): return 1\n"
+                             "    @property\n    def read(self): return self.size\n"
+                             "    def _private(self): pass\n"),
+           "b.py": ast.parse("from . import a\na.Box().kept()")}
+    assert _unreached(toy, []) == ["a.py:Box.lonely", "a.py:Box.recursive", "a.py:Box.read"]
+    assert _unreached(toy, [ast.parse("getattr(box, 'read', None)\nbox.lonely()")]) == [
+        "a.py:Box.recursive"]
+    # the bench alone calls these
+    assert set(_unreached(_source_modules(), [])) >= {"experiments.py:ExperimentConfig.build_system",
+                                                      "experiments.py:ExperimentConfig.level_coeffs"}
+    modules = dict(_source_modules())
+    source = (PACKAGE / "experiments.py").read_text(encoding="utf-8")
+    assert source.count("cfg.config_hash()") == 1
+    modules["experiments.py"] = ast.parse(source.replace("cfg.config_hash()", "None"))
+    assert set(_unreached(modules, _bench_scripts())) - REACHED_BY_NAME == {
+        "experiments.py:ExperimentConfig.config_hash"}
