@@ -8,7 +8,9 @@ and matrix logarithms are base 2.  :func:`eigvalsh_packed` gives the spectra
 of stacks of 1x1 and 2x2 Hermitian matrices, packed as real lower triangles
 by :func:`pack_lower`, in closed form, where LAPACK's per-matrix overhead
 would outweigh the arithmetic (the level blocks of the discord kernel's
-outcomes), and hands every larger size to ``np.linalg.eigvalsh``.
+outcomes), and hands every larger size to ``np.linalg.eigvalsh``;
+:func:`trace_norm` does the same for 2x2 matrices (the distance search's
+rows on a qubit) and ``np.linalg.svd``.
 """
 
 from __future__ import annotations
@@ -242,11 +244,26 @@ def eigvalsh_packed(p: np.ndarray) -> np.ndarray:
 
 def trace_norm(m: np.ndarray):
     """Sum of singular values of a square matrix, as a float, or of each matrix
-    in a stack (..., d, d), as an array of the stack's shape."""
+    in a stack (..., d, d), as an array of the stack's shape.
+
+    A 2x2 matrix A has s_1^2 + s_2^2 = ||A||_F^2 and s_1 s_2 = |det A|, so its
+    norm is sqrt(||A||_F^2 + 2 |det A|), taken on A divided by its largest
+    |entry| so that neither square overflows nor underflows across the double
+    range.  Every other size goes to ``np.linalg.svd``.  Rejects NaN or inf entries.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("trace_norm expects a square matrix or a stack of them")
-    norms = np.linalg.svd(m, compute_uv=False).sum(-1)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    if m.shape[-1] == 2:
+        peak = np.abs(m).max(axis=(-2, -1))
+        a = m / np.where(peak > 0, peak, 1.0)[..., None, None]
+        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        frobenius = (a.real ** 2 + a.imag ** 2).sum(axis=(-2, -1))
+        norms = peak * np.sqrt(frobenius + 2 * np.abs(det))
+    else:
+        norms = np.linalg.svd(m, compute_uv=False).sum(-1)
     return float(norms) if m.ndim == 2 else norms
 
 

@@ -4,7 +4,8 @@ Four measures are provided: logarithmic negativity of the evolved joint
 state, quantum mutual information across the system/bath split, quantum
 discord with the measurement on the first (qubit) factor, and the trace-norm
 distance from the channel to the nearest member of a constrained Markovian
-family, evaluated through Choi states; the family depends on the total
+family, evaluated through Choi states, whose trace norms reduce to d x d
+Schur multipliers in the system eigenbasis; the family depends on the total
 Hamiltonian only, so one serves a whole sweep.  Alongside them live the
 first-order response quantities: the exact mutual-information response
 coefficient and the distance-response upper bound.
@@ -33,7 +34,7 @@ from .linalg import (
     trace_out_second,
 )
 from .optimize import OptimizerConfig, PhaseManifold, constrained_phase_manifold, minimize
-from .thermal import EnergyBlockUnitary, PerturbationSpec, ThermalOperation
+from .thermal import UNITARY_TOL, EnergyBlockUnitary, PerturbationSpec, ThermalOperation
 
 
 @dataclass(frozen=True)
@@ -242,29 +243,6 @@ def discord(states: Sequence[DensityMatrix], joint_entropies,
 # Choi states and the distance measure
 # ---------------------------------------------------------------------------
 
-def maximally_entangled_input(h_sys: thermal.Hamiltonian) -> np.ndarray:
-    """Projector onto (1/sqrt(d)) sum_i |i> (x) |i> as a raw matrix, pairing the
-    system eigenvectors |i> of ``h_sys`` with a fixed ancilla basis."""
-    phi = h_sys.eigvecs.reshape(-1)
-    phi = phi / np.linalg.norm(phi)
-    return np.outer(phi, phi.conj())
-
-
-def _apply_on_system_factor(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(channel (x) identity) on an operator ``x`` of the system+ancilla pair,
-    for the thermal operation with global unitary ``u`` on bath state ``tau``.
-
-    The (system, ancilla, system, ancilla) tensor is viewed as a stack of
-    system operators indexed by the ancilla pair, mapped in one call.
-    """
-    d_bath = tau.shape[0]
-    d = u.shape[0] // d_bath
-    blocks = x.reshape(d, d, d, d).transpose(1, 3, 0, 2)
-    out = trace_out_second(thermal.evolve(u, tau, blocks), d, d_bath)
-    # axes (ancilla, ancilla, system, system) back to (system, ancilla, system, ancilla)
-    return out.transpose(2, 0, 3, 1).reshape(d * d, d * d)
-
-
 @dataclass(frozen=True)
 class MarkovianFamily:
     """Phase-parametrised Markovian channels of one total Hamiltonian.
@@ -285,7 +263,9 @@ class MarkovianFamily:
     level i0, whose manifold is ``quotient``.  The relation carries over to the
     differences when every bath level's coefficients sum to zero; otherwise
     such a shift can always satisfy it, and ``quotient`` is the whole torus of
-    differences.
+    differences.  A thermal operation whose unitary is diagonal in the same
+    product eigenbasis is a Schur multiplier too, so the distance search
+    compares d_sys x d_sys multipliers only.
     """
 
     h_total: thermal.Hamiltonian
@@ -385,38 +365,54 @@ def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_valu
 
 
 def _family_search(family: MarkovianFamily, ops: Sequence[ThermalOperation],
-                   inputs: Sequence[np.ndarray], signs: Sequence[float], cfg: OptimizerConfig):
-    """One lockstep search over the family's quotient, problem k minimising
-    (``signs[k]`` +1) or maximising (-1) ||(channel - member) (x) id applied
-    to ``inputs[k]``||_1 over the members, for the channel ``ops[k]``.
+                   h_prime: thermal.Hamiltonian, cfg: OptimizerConfig):
+    """One lockstep search over the family's quotient with two problems per
+    operation of ``ops``, in that order: minimise the Choi distance
+    ||(channel - member) (x) id |Phi><Phi|||_1, then maximise ||(channel -
+    member) (x) id chi||_1 for the perturbation direction chi = (G (x) 1) K +
+    K (G (x) 1)^dag of ``h_prime``, K = sum_ij |ii><jj| and G its
+    :func:`thermal.first_order_generator`; |Phi> = K's vector / sqrt(d) pairs
+    the system eigenvectors |i> with an ancilla basis.
 
-    Each target image and input is rotated into the system eigenbasis once;
-    there a member's image is the input times its Schur multiplier on the
-    system indices, with the bath weights of the problem's operation.  The
-    difference is Hermitian, so its trace norm is the sum of |eigenvalues|,
-    for all rows of a batch in one ``eigvalsh``."""
+    The operation's unitary is diagonal in the family's product eigenbasis,
+    so in the system eigenbasis the channel is the Schur multiplier M_op[i, j]
+    = sum_r p_r a[i, i, r] conj(a[j, j, r]) of its amplitude table, as each
+    member is that of :meth:`MarkovianFamily.multipliers`, m.  With D = M_op -
+    m, both norms are those of d x d matrices: the Choi image is D / d on
+    span{|ii>}, of norm ||D||_1 / d, and chi's image is [[0, B^dag], [B, 0]]
+    between span{|ii>} and its complement (G_ii = 0), with B^dag B = D W D for
+    W = diag(sum_a |G_ia|^2), of norm 2 ||W^{1/2} D||_1.  No member is
+    built during the search.  Raises ValueError unless each operation's bath
+    is a Gibbs state of the family's bath and its unitary was built on the
+    family's total Hamiltonian and is diagonal in its product eigenbasis."""
     h_sys, h_bath = family.h_total.parts
-    if any(not np.array_equal(h_bath.eigvecs, op.bath.hamiltonian.eigvecs) for op in ops):
-        raise ValueError("family bath must be a Gibbs state of the total Hamiltonian's bath")
+    for op in ops:
+        if not np.array_equal(h_bath.eigvecs, op.bath.hamiltonian.eigvecs):
+            raise ValueError("family bath must be a Gibbs state of the total Hamiltonian's bath")
+        parts = op.unitary.hamiltonian.parts
+        if parts is None or not all(np.array_equal(a.eigvecs, b.eigvecs)
+                                    for a, b in zip(parts, (h_sys, h_bath))):
+            raise ValueError("operation's unitary was not built on the family's total Hamiltonian")
+        # a unitary whose diagonal entries all have modulus 1 is diagonal
+        if np.max(np.abs(np.diagonal(op.unitary.amplitude_table.weights) - 1.0)) > UNITARY_TOL:
+            raise ValueError("operation's unitary is not diagonal in the family's product eigenbasis")
     d, v = h_sys.dim, h_sys.eigvecs
-
-    def rotated(y):
-        return np.einsum("ki,kalb,lj->iajb", v.conj(), y.reshape(d, d, d, d), v)
-
-    targets = np.array([rotated(_apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix, x))
-                        for op, x in zip(ops, inputs)])
-    inputs = np.array([rotated(x) for x in inputs])
-    weights = np.array([op.bath.level_probabilities for op in ops])
-    signs = np.array(signs)
+    g = dagger(v) @ thermal.first_order_generator(h_sys, h_prime) @ v
+    # the row scales of D: the Choi problem's, then the bound's
+    scales = np.array([np.full((d, 1), 1.0 / d),
+                       2.0 * np.sqrt((np.abs(g) ** 2).sum(axis=1, keepdims=True))] * len(ops))
+    weights = np.repeat([op.bath.level_probabilities for op in ops], 2, axis=0)
+    targets = np.repeat([op.unitary.amplitude_table.phase_products @ op.bath.level_probabilities
+                         for op in ops], 2, axis=0)
+    signs = np.tile([1.0, -1.0], len(ops))
 
     def objective(q, owner):
         m = family.multipliers(q, weights[owner])
-        diff = targets[owner] - inputs[owner] * m[:, :, None, :, None]
-        return signs[owner] * np.abs(np.linalg.eigvalsh(diff.reshape(-1, d * d, d * d))).sum(axis=-1)
+        return signs[owner] * trace_norm(scales[owner] * (targets[owner] - m))
 
     n = family.quotient.free_dim
     return minimize(objective, [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n,
-                    problems=len(ops))
+                    problems=2 * len(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -493,20 +489,6 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     return theta
 
 
-def response_direction(h_sys: thermal.Hamiltonian, h_prime: thermal.Hamiltonian) -> np.ndarray:
-    """Perturbation-direction operator entering the distance response bound.
-
-    Equals (G (x) I) K + K (G (x) I)^dag with K = sum_ij |ii><jj| built on the
-    system eigenbasis paired with the ancilla basis; K is d times the
-    maximally entangled projector.
-    """
-    d = h_sys.dim
-    g = thermal.first_order_generator(h_sys, h_prime)
-    k = d * maximally_entangled_input(h_sys)
-    gk = np.kron(g, np.eye(d)) @ k
-    return gk + dagger(gk)
-
-
 def distance_sweep(ops: Sequence[ThermalOperation], family: MarkovianFamily,
                    h_prime: thermal.Hamiltonian, cfg: OptimizerConfig
                    ) -> list[tuple[MeasureValue, MeasureValue]]:
@@ -521,15 +503,12 @@ def distance_sweep(ops: Sequence[ThermalOperation], family: MarkovianFamily,
     is the family-relative image of the perturbation direction of ``h_prime``
     on that input; the bound at eps is (eps/d) max ||chi||_1, and D(eps) =
     D(0) exactly: the perturbed Choi input (W (x) 1)|Phi> equals
-    (1 (x) W')|Phi> for an ancilla unitary W', which neither channel (x) id nor
-    the trace norm sees.  Both inputs are built once; every distance and
-    bound is a problem of one lockstep family search, so each equals that of
-    its own search.
+    (1 (x) W')|Phi> for an ancilla unitary W', and the d x d objective of
+    :func:`_family_search` never sees the ancilla.  Every distance and bound
+    is a problem of one lockstep family search, so each equals that of its
+    own search.
     """
-    h_sys = family.h_total.parts[0]
-    inputs = (maximally_entangled_input(h_sys), response_direction(h_sys, h_prime))
-    results = _family_search(family, [op for op in ops for _ in inputs], inputs * len(ops),
-                             (1.0, -1.0) * len(ops), cfg)
+    results = _family_search(family, ops, h_prime, cfg)
     values = []
     for op, distance, chi in zip(ops, results[::2], results[1::2]):
         free = family.lift(distance.best_point)

@@ -294,6 +294,37 @@ def test_trace_norm_unitary_invariance():
     assert abs(trace_norm(u @ m @ v) - trace_norm(m)) < 1e-10
 
 
+def trace_norm_cases() -> np.ndarray:
+    """A stack of 2x2 matrices: general complex, rank one, Hermitian and zero."""
+    rng = np.random.default_rng(12)
+    general = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    rank_one = general[:100, :, :1] @ dagger(general[100:, :, :1])
+    return np.concatenate([general, rank_one, [random_hermitian(rng, 2) for _ in range(100)],
+                           np.zeros((3, 2, 2))])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_trace_norm_closed_form_stays_relative_across_the_double_range(scale):
+    m = scale * trace_norm_cases()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = trace_norm(m)
+    want = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    assert trace_norm(m[0]) == got[0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_trace_norm_rejects_non_finite_entries(n, bad):
+    m = np.zeros((4, n, n), dtype=complex)
+    m[2, 0, -1] = bad
+    for case in (m, m[2]):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            trace_norm(case)
+
+
 # -- entropy ----------------------------------------------------------------------
 
 def test_entropy_pure_state():

@@ -25,13 +25,12 @@ from athermal_markov.measures import (
     discord,
     log_negativities,
     log_negativity,
-    maximally_entangled_input,
     mutual_information,
     mutual_informations,
     theta_lambda,
 )
 from athermal_markov.optimize import (ROW_BUDGET, OptimizerConfig, _grid_points,
-                                      constrained_phase_manifold)
+                                      constrained_phase_manifold, minimize)
 from athermal_markov.thermal import (
     Hamiltonian,
     PerturbationSpec,
@@ -42,8 +41,9 @@ from athermal_markov.thermal import (
     total_hamiltonian,
 )
 from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, choi_state, distance_value,
-                  expansion_lemma_residual, matrix_log2_on_support, packed_eigvalsh,
-                  random_density, random_hermitian, random_unitary, relation_residual)
+                  expansion_lemma_residual, matrix_log2_on_support, maximally_entangled_input,
+                  member_distances, packed_eigvalsh, random_density, random_hermitian,
+                  random_unitary, relation_residual, response_direction)
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
 H_BATH_STIFF = Hamiltonian.from_matrix(10 * SIGMA_Z)
@@ -991,9 +991,10 @@ def test_family_search_is_no_worse_than_random_members(relation):
         op = thermal_operation(u, bath)
     cfg = OptimizerConfig(seeds=10, grid_resolution=6)
     members = rng.uniform(0, 2 * np.pi, (200, family.manifold.free_dim))
-    for sign, x in ((1.0, maximally_entangled_input(h_sys)),
-                    (-1.0, measures.response_direction(h_sys, Hamiltonian.from_matrix(SIGMA_X)))):
-        (result,) = measures._family_search(family, [op], [x], [sign], cfg)
+    h_prime = Hamiltonian.from_matrix(SIGMA_X)
+    results = measures._family_search(family, [op], h_prime, cfg)
+    for sign, x, result in zip((1.0, -1.0), (maximally_entangled_input(h_sys),
+                                             response_direction(h_sys, h_prime)), results):
         best = _member_value(op, family, x, family.lift(result.best_point))
         assert abs(sign * result.best_value - best) <= 1e-12
         assert sign * best <= min(sign * _member_value(op, family, x, f) for f in members) + 1e-12
@@ -1006,8 +1007,8 @@ def test_family_search_evolves_only_outside_its_objective(monkeypatch):
     monkeypatch.setattr(thermal, "evolve", lambda *args: calls.append(1) or original(*args))
     mv = distance_value(op, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.diagnostics["evaluations"] > 100
-    # the distance's and the bound's target images, and the sampled check's two applications
-    assert len(calls) == 4
+    # the sampled check's two applications: the search reads each channel's multiplier
+    assert len(calls) == 2
 
 
 def test_family_searches_differ_only_in_their_bath_weights():
@@ -1068,20 +1069,8 @@ def _perturbed_choi_input(h_sys, pert):
     return np.outer(phi, phi.conj())
 
 
-def test_perturbed_choi_input_leaves_the_distance_objective_unchanged(monkeypatch):
-    # The perturbed input (W (x) 1)|Phi> equals (1 (x) W')|Phi> for a unitary W'
-    # on the ancilla, which channel (x) id and the trace norm do not see: the
-    # built-in study's D(eps) equals D(0) by construction, so a sweep reports D(0).
-    cfg = builtin_distance()
-    setup = cfg.setup
-    op = setup.operation(cfg.beta_for(cfg.sweep_values[0]))
-    family = setup.family
-    h_sys = op.system_hamiltonian
-    inputs = [maximally_entangled_input(h_sys)]
-    for eps in cfg.epsilons:
-        perturbed = _perturbed_choi_input(h_sys, PerturbationSpec(setup.h_prime, eps))
-        assert np.max(np.abs(perturbed - inputs[0])) > 1e-3
-        inputs.append(perturbed)
+def family_objective(monkeypatch, family, ops, h_prime):
+    """The objective of :func:`measures._family_search` over ``ops``, captured from its search."""
     objectives, search = [], measures.minimize
 
     def capture(f, *args, **kwargs):
@@ -1089,13 +1078,87 @@ def test_perturbed_choi_input_leaves_the_distance_objective_unchanged(monkeypatc
         return search(f, *args, **kwargs)
 
     monkeypatch.setattr(measures, "minimize", capture)
-    measures._family_search(family, [op] * len(inputs), inputs, [1.0] * len(inputs),
-                            OptimizerConfig(seeds=1, grid_resolution=1))
+    measures._family_search(family, ops, h_prime, OptimizerConfig(seeds=1, grid_resolution=1))
+    monkeypatch.setattr(measures, "minimize", search)
     (objective,) = objectives
+    return objective
+
+
+def test_perturbed_choi_input_leaves_the_distance_objective_unchanged(monkeypatch):
+    # The perturbed input (W (x) 1)|Phi> equals (1 (x) W')|Phi> for a unitary W'
+    # on the ancilla, which channel (x) id and the trace norm do not see: the
+    # built-in study's D(eps) equals D(0) by construction, so a sweep reports D(0),
+    # and the search's d x d objective, which never sees the ancilla, serves every input.
+    cfg = builtin_distance()
+    setup = cfg.setup
+    op = setup.operation(cfg.beta_for(cfg.sweep_values[0]))
+    family = setup.family
+    h_sys = op.system_hamiltonian
+    objective = family_objective(monkeypatch, family, [op], setup.h_prime)
     q = np.random.default_rng(81).uniform(0, 2 * np.pi, (20, family.quotient.free_dim))
     unperturbed = objective(q, np.zeros(len(q), dtype=int))
-    for k in range(1, len(inputs)):
-        assert np.max(np.abs(objective(q, np.full(len(q), k)) - unperturbed)) < 1e-12
+    choi = maximally_entangled_input(h_sys)
+    assert np.max(np.abs(member_distances(family, op, choi, q) - unperturbed)) < 1e-12
+    for eps in cfg.epsilons:
+        perturbed = _perturbed_choi_input(h_sys, PerturbationSpec(setup.h_prime, eps))
+        assert np.max(np.abs(perturbed - choi)) > 1e-3
+        assert np.max(np.abs(member_distances(family, op, perturbed, q) - unperturbed)) < 1e-12
+
+
+@pytest.mark.parametrize("d_sys, d_bath", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_family_objective_matches_the_brute_force(monkeypatch, d_sys, d_bath):
+    # both problem kinds of two operations, on the 2x2 closed-form trace norm and on svd
+    rng = np.random.default_rng(5600 + 10 * d_sys + d_bath)
+    h_sys, bath, family = _random_family(rng, d_sys, d_bath, "absorbed")
+    h_prime = Hamiltonian.from_matrix(random_hermitian(rng, d_sys))
+    ops = [thermal_operation(build_block_unitary(
+        family.h_total, list(rng.uniform(0, 2 * np.pi, family.h_total.dim))), bath) for _ in range(2)]
+    objective = family_objective(monkeypatch, family, ops, h_prime)
+    q = rng.uniform(0, 2 * np.pi, (20, family.quotient.free_dim))
+    inputs = (maximally_entangled_input(h_sys), response_direction(h_sys, h_prime))
+    for k, op in enumerate(ops):
+        for kind, (sign, x) in enumerate(zip((1.0, -1.0), inputs)):
+            got = sign * objective(q, np.full(len(q), 2 * k + kind))
+            assert np.max(np.abs(got - member_distances(family, op, x, q))) <= 1e-12, (k, kind)
+
+
+def test_distance_family_search_makes_no_eigendecomposition(monkeypatch):
+    calls = []
+    for name in ("eigvalsh", "eigh", "svd"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, _f=original, _name=name, **kwargs:
+                            calls.append(_name) or _f(*args, **kwargs))
+    searches, search = [], measures._family_search
+
+    def counted(*args):
+        before = len(calls)
+        results = search(*args)
+        searches.append((len(results), calls[before:]))
+        return results
+
+    monkeypatch.setattr(measures, "_family_search", counted)
+    run_config(builtin_distance())
+    # one search of the distance and its bound, whose rows are 2x2 closed-form trace norms
+    assert searches == [(2, [])]
+
+
+def test_family_search_rejects_a_unitary_it_cannot_reduce():
+    cfg = builtin_distance()
+    setup = cfg.setup
+    op = setup.operation(cfg.beta_for(cfg.sweep_values[0]))
+    h_tot = setup.family.h_total
+    rng = np.random.default_rng(5700)
+    dense = thermal.EnergyBlockUnitary(random_unitary(rng, h_tot.dim), h_tot)
+    rotated = total_hamiltonian(Hamiltonian.from_matrix(SIGMA_X), h_tot.parts[1])
+    cases = ((dense, "not diagonal in the family's product eigenbasis"),
+             (thermal.EnergyBlockUnitary(np.eye(h_tot.dim), rotated),
+              "not built on the family's total Hamiltonian"),
+             (thermal.EnergyBlockUnitary(np.eye(h_tot.dim), Hamiltonian.from_matrix(h_tot.matrix)),
+              "not built on the family's total Hamiltonian"))
+    for unitary, message in cases:
+        with pytest.raises(ValueError, match=message):
+            measures.distance_sweep([op, thermal_operation(unitary, op.bath)], setup.family,
+                                    setup.h_prime, OptimizerConfig(seeds=1, grid_resolution=1))
 
 
 def test_distance_nonnegative_and_diagnosed():
@@ -1131,23 +1194,25 @@ def test_theta_lambda_vanishes_on_incoherent_inputs(d1, d2):
 
 def test_theta_lambda_first_order_law():
     # |I(eps) - I - eps*theta| shrinks ~4x when eps halves, with
-    # first-order perturbed inputs
+    # first-order perturbed inputs; a coherent input has theta far from 0
     op = fig2_op()
-    coeffs = np.diag([0.1, 0.9]).astype(complex)
     h_prime = Hamiltonian.from_matrix(SIGMA_X)
-    theta = theta_lambda(op, coeffs, PerturbationSpec(h_prime, 1.0))
-    base = mutual_information(apply(op, thermal.state_from_level_coeffs(H_QUBIT, coeffs))).value
+    for coeffs, coherent in ((np.diag([0.1, 0.9]), False), ([[0.1, 0.25], [0.25, 0.9]], True)):
+        coeffs = np.asarray(coeffs, dtype=complex)
+        theta = theta_lambda(op, coeffs, PerturbationSpec(h_prime, 1.0))
+        assert not coherent or abs(theta) > 0.1
+        base = mutual_information(apply(op, thermal.state_from_level_coeffs(H_QUBIT, coeffs))).value
 
-    def residual(eps):
-        state = DensityMatrix(
-            thermal.perturbed_state_first_order(coeffs, H_QUBIT, PerturbationSpec(h_prime, eps)),
-            (2,))
-        val = mutual_information(apply(op, state)).value
-        return abs(val - base - eps * theta)
+        def residual(eps):
+            state = DensityMatrix(
+                thermal.perturbed_state_first_order(coeffs, H_QUBIT, PerturbationSpec(h_prime, eps)),
+                (2,))
+            val = mutual_information(apply(op, state)).value
+            return abs(val - base - eps * theta)
 
-    r1, r2, r3 = residual(1e-2), residual(5e-3), residual(2.5e-3)
-    assert 3.2 < r1 / r2 < 4.8
-    assert 3.2 < r2 / r3 < 4.8
+        r1, r2, r3 = residual(1e-2), residual(5e-3), residual(2.5e-3)
+        assert 3.2 < r1 / r2 < 4.8, coherent
+        assert 3.2 < r2 / r3 < 4.8, coherent
 
 
 def test_theta_lambda_commuting_perturbation_zero():
@@ -1274,11 +1339,13 @@ def test_chi_lambda_bound_dominates_measured_response():
     op, family = distance_example_op()
     cfg = OptimizerConfig(seeds=12, grid_resolution=6)
     pert = PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.05)
-    # the bound faces a search on the perturbed Choi input itself
+    # the bound faces a brute-force search on the perturbed Choi input itself
     h_sys = op.system_hamiltonian
-    d0, d1 = measures._family_search(
-        family, [op, op], [maximally_entangled_input(h_sys), _perturbed_choi_input(h_sys, pert)],
-        [1.0, 1.0], cfg)
+    inputs = (maximally_entangled_input(h_sys), _perturbed_choi_input(h_sys, pert))
+    n = family.quotient.free_dim
+    d0, d1 = minimize(lambda q, owner: np.where(
+        owner == 0, *(member_distances(family, op, x, q) for x in inputs)),
+        [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n, problems=2)
     ((_, chi),) = measures.distance_sweep([op], family, pert.h_prime, cfg)
     assert d1.best_value - d0.best_value <= pert.epsilon / op.d_sys * chi.value + 1e-6
 

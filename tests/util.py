@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from athermal_markov import measures
+from athermal_markov import measures, thermal
 from athermal_markov.linalg import SUPPORT_CUTOFF, DensityMatrix, dagger, eigh, eigvalsh_packed, \
-    pack_lower
+    pack_lower, trace_out_second
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,12 +49,57 @@ def distance_value(op, family, cfg) -> measures.MeasureValue:
     return measures.distance_sweep([op], family, op.system_hamiltonian, cfg)[0][0]
 
 
+def maximally_entangled_input(h_sys) -> np.ndarray:
+    """Projector onto (1/sqrt(d)) sum_i |i> (x) |i> as a raw matrix, pairing the
+    system eigenvectors |i> of ``h_sys`` with a fixed ancilla basis."""
+    phi = h_sys.eigvecs.reshape(-1)
+    phi = phi / np.linalg.norm(phi)
+    return np.outer(phi, phi.conj())
+
+
+def response_direction(h_sys, h_prime) -> np.ndarray:
+    """The distance bound's perturbation direction (G (x) I) K + K (G (x) I)^dag,
+    with K = sum_ij |ii><jj| on the system eigenbasis paired with the ancilla
+    basis (d times the maximally entangled projector) and G the
+    :func:`thermal.first_order_generator` of ``h_prime``."""
+    d = h_sys.dim
+    g = thermal.first_order_generator(h_sys, h_prime)
+    gk = np.kron(g, np.eye(d)) @ (d * maximally_entangled_input(h_sys))
+    return gk + dagger(gk)
+
+
+def apply_on_system_factor(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(channel (x) identity) on an operator ``x`` of the system+ancilla pair,
+    for the thermal operation with global unitary ``u`` on bath state ``tau``,
+    through the full system+bath evolution; a stack (..., d, d) of unitaries
+    gives the stack of images."""
+    d_bath = tau.shape[0]
+    d = u.shape[-1] // d_bath
+    # a stack of system operators indexed by the ancilla pair
+    blocks = x.reshape(d, d, d, d).transpose(1, 3, 0, 2)
+    out = trace_out_second(thermal.evolve(u[..., None, None, :, :], tau, blocks), d, d_bath)
+    # axes (ancilla, ancilla, system, system) back to (system, ancilla, system, ancilla)
+    return np.einsum("...abst->...satb", out).reshape(*u.shape[:-2], d * d, d * d)
+
+
+def member_distances(family, op, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """||((channel - member) (x) id)(x)||_1 for the member of ``family`` at each
+    quotient point of ``q`` (n, quotient.free_dim), by brute force: each
+    member's unitary from its lifted phases, both channels applied through the
+    full system+bath evolution, and the norm from ``np.linalg.svd``."""
+    v = family.h_total.eigvecs
+    phases = family.manifold.embed(family.lift(q))
+    members = (v * np.exp(-1j * phases)[:, None, :]) @ dagger(v)
+    tau = op.bath.state.matrix
+    diff = apply_on_system_factor(op.unitary.matrix, tau, x) - apply_on_system_factor(members, tau, x)
+    return np.linalg.svd(diff, compute_uv=False).sum(axis=-1)
+
+
 def choi_state(op) -> DensityMatrix:
     """Choi state (channel (x) identity)|Phi><Phi| of a thermal operation on the
     maximally entangled input over its system eigenvectors, checked on construction."""
-    out = measures._apply_on_system_factor(
-        op.unitary.matrix, op.bath.state.matrix,
-        measures.maximally_entangled_input(op.system_hamiltonian))
+    out = apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix,
+                                 maximally_entangled_input(op.system_hamiltonian))
     return DensityMatrix(0.5 * (out + dagger(out)), (op.d_sys, op.d_sys))
 
 
