@@ -305,6 +305,9 @@ class ExperimentConfig:
         _field("system", thermal.first_order_generator, h_sys, h_prime)
         coeffs = self.initial_coeffs
         if coeffs is None:
+            if h_sys.dim == 1 and self.initial_population_a != 1.0:  # its ground level is its top
+                raise ValueError("initial_population_a: a one-level system's only level holds "
+                                 f"population 1, got {self.initial_population_a}")
             coeffs = np.zeros((h_sys.dim, h_sys.dim))
             coeffs[0, 0] = 1.0 - self.initial_population_a
             coeffs[-1, -1] = self.initial_population_a

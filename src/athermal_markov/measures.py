@@ -34,7 +34,7 @@ from .linalg import (
     trace_out_second,
 )
 from .optimize import OptimizerConfig, PhaseManifold, constrained_phase_manifold, minimize
-from .thermal import UNITARY_TOL, EnergyBlockUnitary, PerturbationSpec, ThermalOperation
+from .thermal import UNITARY_TOL, PerturbationSpec, ThermalOperation
 
 
 @dataclass(frozen=True)
@@ -247,25 +247,24 @@ def discord(states: Sequence[DensityMatrix], joint_entropies,
 class MarkovianFamily:
     """Phase-parametrised Markovian channels of one total Hamiltonian.
 
-    Members are the unitaries V diag(e^{-i alpha}) V^dag on the cached product
-    eigenvectors V of a (non-degenerate) system+bath total Hamiltonian, checked
-    unitary once, with phases confined to the constraint manifold that keeps
-    the evolved joint state in product form.  Neither depends on the bath
-    temperature, so one family serves a whole sweep; a member acts with the
-    bath each caller passes.
+    Members are the unitaries V diag(e^{-i alpha}) V^dag on the product
+    eigenvectors V of a (non-degenerate) system+bath total Hamiltonian, with
+    phases confined to the constraint manifold that keeps the evolved joint
+    state in product form.  Neither depends on the bath temperature, so one
+    family serves a whole sweep; a member acts with the bath each caller passes.
 
-    In the system eigenbasis a member acts on system operators as the Schur
-    multiplier X -> X o M with M[i, j] = sum_r p_r e^{-i (alpha_ir - alpha_jr)},
-    where alpha_ir is the phase of product level (system i, bath r) and p_r
-    the bath weights.  Shifting every alpha_ir of one bath level r by the same
-    amount leaves M unchanged, so members are searched on the quotient by
-    these shifts: the differences alpha_ir - alpha_{i0 r} to a reference system
-    level i0, whose manifold is ``quotient``.  The relation carries over to the
-    differences when every bath level's coefficients sum to zero; otherwise
-    such a shift can always satisfy it, and ``quotient`` is the whole torus of
-    differences.  A thermal operation whose unitary is diagonal in the same
-    product eigenbasis is a Schur multiplier too, so the distance search
-    compares d_sys x d_sys multipliers only.
+    A member exists only as its Schur multiplier: in the system eigenbasis it
+    acts on system operators as X -> X o M with M[i, j] = sum_r p_r
+    e^{-i (alpha_ir - alpha_jr)}, where alpha_ir is the phase of product level
+    (system i, bath r) and p_r the bath weights.  Shifting every alpha_ir of
+    one bath level r by the same amount leaves M unchanged, so members are
+    searched on the quotient by these shifts: the differences alpha_ir -
+    alpha_{i0 r} to a reference system level i0, whose manifold is
+    ``quotient``.  The relation carries over to the differences when every
+    bath level's coefficients sum to zero; otherwise such a shift can always
+    satisfy it, and ``quotient`` is the whole torus of differences.  A thermal
+    operation whose unitary is diagonal in the product eigenbasis is a Schur
+    multiplier too, so the distance search compares d_sys x d_sys ones only.
     """
 
     h_total: thermal.Hamiltonian
@@ -281,8 +280,6 @@ class MarkovianFamily:
             raise ValueError("Markovian phase family requires a non-degenerate total spectrum")
         if self.manifold.dim != len(blocks):
             raise ValueError("manifold dimension must match the number of energy levels")
-        if not self.h_total.unitary_eigvecs:
-            raise ValueError("total Hamiltonian eigenvectors are not unitary")
         parts = self.h_total.parts
         if parts is None:
             raise ValueError("Markovian phase family requires a system+bath total Hamiltonian")
@@ -334,20 +331,16 @@ class MarkovianFamily:
         e = self.manifold.eliminated
         return alpha if e is None else np.delete(alpha, e, axis=-1)
 
-    def operation(self, free_phases, bath: thermal.GibbsState) -> ThermalOperation:
-        """The member for free phases (free_dim,) of ``manifold``, on ``bath``."""
-        v = self.h_total.eigvecs
-        u = (v * np.exp(-1j * self.manifold.embed(free_phases))) @ dagger(v)
-        return thermal.thermal_operation(EnergyBlockUnitary._derived(u, self.h_total), bath)
-
 
 SAMPLED_STATES = 16  # random input states of the distance measure's spot check
 
 
-def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_value: float) -> dict:
-    """Spot-check that no sampled input state beats the Choi-state distance."""
+def _sampled_state_check(basis: np.ndarray, diff: np.ndarray, choi_value: float) -> dict:
+    """Spot-check that no sampled input state beats the Choi-state distance: with
+    ``diff`` the channel's Schur multiplier minus the member's in the system
+    eigenbasis ``basis`` V, a state rho scores ||(V^dag rho V) o diff||_1."""
     rng = np.random.default_rng(71530)
-    d = op.d_sys
+    d = len(basis)
     states = np.empty((SAMPLED_STATES, d, d), dtype=complex)
     for k in range(SAMPLED_STATES):
         if k % 2 == 0:
@@ -359,8 +352,7 @@ def _sampled_state_check(op: ThermalOperation, op_m: ThermalOperation, choi_valu
             rho = a @ dagger(a)
             rho /= np.trace(rho).real
         states[k] = rho
-    diff = thermal.apply_to_operator(op, states) - thermal.apply_to_operator(op_m, states)
-    worst = float(np.max(trace_norm(diff)))
+    worst = float(np.max(trace_norm((dagger(basis) @ states @ basis) * diff)))
     return {"sampled_max": worst, "sampled_exceeds_choi": bool(worst > choi_value + 1e-6)}
 
 
@@ -381,10 +373,11 @@ def _family_search(family: MarkovianFamily, ops: Sequence[ThermalOperation],
     m, both norms are those of d x d matrices: the Choi image is D / d on
     span{|ii>}, of norm ||D||_1 / d, and chi's image is [[0, B^dag], [B, 0]]
     between span{|ii>} and its complement (G_ii = 0), with B^dag B = D W D for
-    W = diag(sum_a |G_ia|^2), of norm 2 ||W^{1/2} D||_1.  No member is
-    built during the search.  Raises ValueError unless each operation's bath
-    is a Gibbs state of the family's bath and its unitary was built on the
-    family's total Hamiltonian and is diagonal in its product eigenbasis."""
+    W = diag(sum_a |G_ia|^2), of norm 2 ||W^{1/2} D||_1.  Returns the
+    operations' multipliers M_op (len(ops), d, d) and the search's results.
+    Raises ValueError unless each operation's bath is a Gibbs state of the
+    family's bath and its unitary was built on the family's total Hamiltonian
+    and is diagonal in its product eigenbasis."""
     h_sys, h_bath = family.h_total.parts
     for op in ops:
         if not np.array_equal(h_bath.eigvecs, op.bath.hamiltonian.eigvecs):
@@ -402,17 +395,17 @@ def _family_search(family: MarkovianFamily, ops: Sequence[ThermalOperation],
     scales = np.array([np.full((d, 1), 1.0 / d),
                        2.0 * np.sqrt((np.abs(g) ** 2).sum(axis=1, keepdims=True))] * len(ops))
     weights = np.repeat([op.bath.level_probabilities for op in ops], 2, axis=0)
-    targets = np.repeat([op.unitary.amplitude_table.phase_products @ op.bath.level_probabilities
-                         for op in ops], 2, axis=0)
+    channels = np.array([op.unitary.amplitude_table.phase_products @ op.bath.level_probabilities
+                         for op in ops])
     signs = np.tile([1.0, -1.0], len(ops))
 
     def objective(q, owner):
         m = family.multipliers(q, weights[owner])
-        return signs[owner] * trace_norm(scales[owner] * (targets[owner] - m))
+        return signs[owner] * trace_norm(scales[owner] * (channels[owner // 2] - m))
 
     n = family.quotient.free_dim
-    return minimize(objective, [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n,
-                    problems=2 * len(ops))
+    return channels, minimize(objective, [(0.0, 2 * np.pi)] * n, cfg, periodic=[True] * n,
+                              problems=2 * len(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -499,25 +492,27 @@ def distance_sweep(ops: Sequence[ThermalOperation], family: MarkovianFamily,
     The distance takes the maximally entangled Choi input on the system
     eigenvectors and minimises over the family's constraint manifold; its
     diagnostics hold the best member's phases, convergence, and a sampled
-    check that no random input state exceeds the Choi-state value.  ``chi``
-    is the family-relative image of the perturbation direction of ``h_prime``
-    on that input; the bound at eps is (eps/d) max ||chi||_1, and D(eps) =
-    D(0) exactly: the perturbed Choi input (W (x) 1)|Phi> equals
-    (1 (x) W')|Phi> for an ancilla unitary W', and the d x d objective of
-    :func:`_family_search` never sees the ancilla.  Every distance and bound
-    is a problem of one lockstep family search, so each equals that of its
-    own search.
+    check, on the channel's and the best member's multipliers, that no random
+    input state exceeds the Choi-state value.  ``chi`` is the family-relative
+    image of the perturbation direction of ``h_prime`` on that input; the
+    bound at eps is (eps/d) max ||chi||_1, and D(eps) = D(0) exactly: the
+    perturbed Choi input (W (x) 1)|Phi> equals (1 (x) W')|Phi> for an ancilla
+    unitary W', and the d x d objective of :func:`_family_search` never sees
+    the ancilla.  Every distance and bound is a problem of one lockstep family
+    search, so each equals that of its own search.  No member unitary is
+    built, and nothing is evolved.
     """
-    results = _family_search(family, ops, h_prime, cfg)
+    channels, results = _family_search(family, ops, h_prime, cfg)
+    basis = family.h_total.parts[0].eigvecs
     values = []
-    for op, distance, chi in zip(ops, results[::2], results[1::2]):
-        free = family.lift(distance.best_point)
+    for op, channel, distance, chi in zip(ops, channels, results[::2], results[1::2]):
         value = float(distance.best_value)
+        diff = channel - family.multipliers(distance.best_point, op.bath.level_probabilities)
         values.append((
             MeasureValue("choi_distance", value, {
-                "phases": [float(a) for a in family.manifold.embed(free)],
+                "phases": [float(a) for a in family.manifold.embed(family.lift(distance.best_point))],
                 "converged": distance.converged, "evaluations": distance.evaluations,
-                **_sampled_state_check(op, family.operation(free, op.bath), value)}),
+                **_sampled_state_check(basis, diff, value)}),
             MeasureValue("chi_norm_max", float(-chi.best_value), {
                 "converged": chi.converged, "evaluations": chi.evaluations,
                 "phases": [float(a) for a in family.manifold.embed(family.lift(chi.best_point))]})))

@@ -34,7 +34,7 @@ from .linalg import (
 # Total-energy values closer than this are grouped into one degenerate block.
 DEGENERACY_TOL = 1e-8
 
-# Largest |U U^dag - I| entry of block and family unitaries: absolute, no rtol.
+# Largest |U U^dag - I| entry of a block unitary: absolute, no rtol.
 UNITARY_TOL = 1e-10
 
 
@@ -159,9 +159,8 @@ def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
 class EnergyBlockUnitary:
     """Unitary block diagonal over the total-energy eigenspaces of a Hamiltonian.
 
-    ``matrix`` must be unitary, so every thermal operation on it is CPTP.  Public
-    construction checks this to ``UNITARY_TOL``; ``MarkovianFamily.operation``
-    stores members of a family whose V it checked once through :meth:`_derived`.
+    ``matrix`` must be unitary, so every thermal operation on it is CPTP; every
+    construction checks this to ``UNITARY_TOL``.
     """
 
     matrix: np.ndarray
@@ -170,14 +169,6 @@ class EnergyBlockUnitary:
     def __post_init__(self):
         if not mat_equal(self.matrix @ dagger(self.matrix), np.eye(self.dim), UNITARY_TOL):
             raise ValueError("energy-block operator is not unitary")
-
-    @classmethod
-    def _derived(cls, matrix, hamiltonian) -> "EnergyBlockUnitary":
-        """A unitary built from a checked unitary and unit phases, stored unchecked."""
-        u = object.__new__(cls)
-        object.__setattr__(u, "matrix", matrix)
-        object.__setattr__(u, "hamiltonian", hamiltonian)
-        return u
 
     @property
     def dim(self) -> int:
@@ -323,11 +314,6 @@ def apply(op: ThermalOperation, states: DensityMatrix | Sequence[DensityMatrix]
     joint = 0.5 * (joint + dagger(joint))
     out = [DensityMatrix._derived(m, (op.d_sys, op.d_bath)) for m in joint]
     return out[0] if isinstance(states, DensityMatrix) else out
-
-
-def apply_to_operator(op: ThermalOperation, x: np.ndarray) -> np.ndarray:
-    """Linear extension of the channel to system operators, or stacks of them."""
-    return trace_out_second(evolve(op.unitary.matrix, op.bath.state.matrix, x), op.d_sys, op.d_bath)
 
 
 # ---------------------------------------------------------------------------

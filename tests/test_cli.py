@@ -260,6 +260,23 @@ def test_initial_coeffs_of_another_size_exit_2_under_validate_and_run(tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+def test_one_level_system_population_exits_2_under_validate_and_run(tmp_path, capsys):
+    # 1 - a and a would land in the one level's single entry
+    data = {"name": "one_level", "system": {"matrix": {"real": [[0.0]]}},
+            "bath": {"name": "pauli_z"}, "perturbation": {"matrix": {"real": [[1.0]]}},
+            "epsilons": [0.05], "sweep": {"values": [1.0]},
+            "unitary_blocks": [{"phases": [0.0]}, {"phases": [1.0]}],
+            "measures": ["choi_distance"], "initial_population_a": 0.9,
+            "mto_relation": {"coefficients": [1, -1]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == ("error: initial_population_a: a one-level system's "
+                                           "only level holds population 1, got 0.9\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory")

@@ -40,10 +40,10 @@ from athermal_markov.thermal import (
     thermal_operation,
     total_hamiltonian,
 )
-from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, choi_state, distance_value,
-                  expansion_lemma_residual, matrix_log2_on_support, maximally_entangled_input,
-                  member_distances, packed_eigvalsh, random_density, random_hermitian,
-                  random_unitary, relation_residual, response_direction)
+from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, channel_image, choi_state, distance_value,
+                  expansion_lemma_residual, family_member, matrix_log2_on_support,
+                  maximally_entangled_input, member_distances, packed_eigvalsh, random_density,
+                  random_hermitian, random_unitary, relation_residual, response_direction)
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
 H_BATH_STIFF = Hamiltonian.from_matrix(10 * SIGMA_Z)
@@ -825,14 +825,15 @@ def test_choi_matches_block_by_block_reference(d_sys, d_bath):
     assert mat_equal(chi.matrix, _choi_by_blocks(op, h_sys), 1e-12)
 
     stack = rng.normal(size=(4, 5, d_sys, d_sys)) + 1j * rng.normal(size=(4, 5, d_sys, d_sys))
-    mapped = thermal.apply_to_operator(op, stack)
+    mapped = channel_image(op, stack)
     assert mapped.shape == stack.shape
     for idx in np.ndindex(4, 5):
-        assert mat_equal(mapped[idx], thermal.apply_to_operator(op, stack[idx]), 1e-12)
+        assert mat_equal(mapped[idx], channel_image(op, stack[idx]), 1e-12)
 
 
-def _sampled_max_one_by_one(op, op_m, samples=16):
-    """Reference sampled-state check: the same states, applied one at a time."""
+def _sampled_max_one_by_one(op, member, samples=16):
+    """Reference sampled-state check: the same states, each applied on its own
+    through the full system+bath evolution of the operation and the member."""
     rng = np.random.default_rng(71530)
     d = op.d_sys
     worst = 0.0
@@ -845,28 +846,46 @@ def _sampled_max_one_by_one(op, op_m, samples=16):
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho = a @ dagger(a)
             rho /= np.trace(rho).real
-        diff = thermal.apply_to_operator(op, rho) - thermal.apply_to_operator(op_m, rho)
-        worst = max(worst, trace_norm(diff))
+        worst = max(worst, trace_norm(channel_image(op, rho) - channel_image(member, rho)))
     return worst
 
 
-def test_sampled_state_check_matches_one_by_one_reference(monkeypatch):
+def test_sampled_state_check_matches_one_by_one_reference():
+    # the built-in operation, and a random-phase 3x3 one, against a random member of its family
     cfg = builtin_distance()
-    op = cfg.setup.operation(cfg.beta_for(cfg.sweep_values[0]))
-    family = cfg.setup.family
     rng = np.random.default_rng(7153)
-    pairs = [(op, family.operation(rng.uniform(0, 2 * np.pi, family.manifold.free_dim), op.bath)),
-             (_random_block_op(rng, 3, 3)[1], _random_block_op(rng, 3, 3)[1])]
-    original = thermal.apply_to_operator
-    for op, op_m in pairs:
-        expected = _sampled_max_one_by_one(op, op_m)
-        calls = []
-        monkeypatch.setattr(thermal, "apply_to_operator",
-                            lambda *args: calls.append(1) or original(*args))
-        check = measures._sampled_state_check(op, op_m, expected)
-        monkeypatch.setattr(thermal, "apply_to_operator", original)
-        assert check == {"sampled_max": expected, "sampled_exceeds_choi": False}
-        assert len(calls) == 2  # one stacked application per operation
+    _, bath, qutrits = _random_family(rng, 3, 3, "absorbed")
+    phases = list(rng.uniform(0, 2 * np.pi, qutrits.h_total.dim))
+    cases = [(cfg.setup.operation(cfg.beta_for(cfg.sweep_values[0])), cfg.setup.family),
+             (thermal_operation(build_block_unitary(qutrits.h_total, phases), bath), qutrits)]
+    for op, family in cases:
+        q = rng.uniform(0, 2 * np.pi, family.quotient.free_dim)
+        p = op.bath.level_probabilities
+        diff = op.unitary.amplitude_table.phase_products @ p - family.multipliers(q, p)
+        expected = _sampled_max_one_by_one(op, family_member(family, family.lift(q), op.bath))
+        check = measures._sampled_state_check(op.system_hamiltonian.eigvecs, diff, expected)
+        assert abs(check["sampled_max"] - expected) <= 1e-12
+        assert not check["sampled_exceeds_choi"]
+
+
+def test_sampled_state_check_flags_a_state_beyond_the_choi_distance():
+    # a qutrit whose best member loses to some sampled state by more than the check's 1e-6
+    data = builtin_distance().to_dict()
+    data.update(system={"matrix": {"real": [[0.0, 0.0, 0.0], [0.0, 1.3, 0.0], [0.0, 0.0, 3.1]]}},
+                perturbation={"name": "gell_mann_1"},
+                unitary_blocks=[{"phases": [float(k * k)]} for k in range(6)],
+                mto_relation={"coefficients": [1, -1, 0, 0, 0, 0]})
+    cfg = ExperimentConfig.from_dict(data)
+    setup = cfg.setup
+    op = setup.operation(cfg.beta_for(cfg.sweep_values[0]))
+    ((mv, _),) = measures.distance_sweep([op], setup.family, setup.h_prime, cfg.optimizer)
+    assert mv.diagnostics["sampled_exceeds_choi"]
+    assert mv.diagnostics["sampled_max"] > mv.value + 0.05
+    phases = mv.diagnostics["phases"]
+    assert relation_residual(setup.family.manifold, phases) <= 1e-12
+    free = np.delete(phases, setup.family.manifold.eliminated)
+    member = family_member(setup.family, free, op.bath)
+    assert abs(mv.diagnostics["sampled_max"] - _sampled_max_one_by_one(op, member)) <= 1e-12
 
 
 def test_choi_of_thermal_operation_is_valid():
@@ -878,6 +897,7 @@ def test_choi_of_thermal_operation_is_valid():
 
 @pytest.mark.parametrize("d_sys, d_bath", [(2, 2), (2, 3), (3, 3), (4, 9)])
 def test_family_member_matches_block_unitary_reference(d_sys, d_bath):
+    # a member's channel is the Schur multiplier M[i, j] = sum_r p_r e^{-i (alpha_ir - alpha_jr)}
     rng = np.random.default_rng(5100 + 10 * d_sys + d_bath)
     h_sys = Hamiltonian.from_matrix(random_hermitian(rng, d_sys))
     h_bath = Hamiltonian.from_matrix(random_hermitian(rng, d_bath))
@@ -886,20 +906,16 @@ def test_family_member_matches_block_unitary_reference(d_sys, d_bath):
     n = h_tot.dim
     family = MarkovianFamily(h_tot, constrained_phase_manifold(n, rng.choice([-1.0, 1.0], n), 0.4))
     x = rng.normal(size=(3, d_sys, d_sys)) + 1j * rng.normal(size=(3, d_sys, d_sys))
+    v = h_sys.eigvecs
+    labels = np.array(h_tot.product_labels)
     for _ in range(3):
         free = rng.uniform(0, 2 * np.pi, family.manifold.free_dim)
-        phases = [float(p) for p in family.manifold.embed(free)]
-        reference = thermal_operation(build_block_unitary(h_tot, phases), bath)
-        got = thermal.apply_to_operator(family.operation(free, bath), x)
-        assert mat_equal(got, thermal.apply_to_operator(reference, x), 1e-12)
-
-
-def test_family_rejects_non_unitary_eigenvectors():
-    _, family = distance_example_op()
-    h = family.h_total
-    skewed = Hamiltonian(h.matrix, h.energies, 1.01 * h.eigvecs, h.parts, h.product_labels)
-    with pytest.raises(ValueError, match="not unitary"):
-        MarkovianFamily(skewed, family.manifold)
+        alpha = np.empty((d_sys, d_bath))
+        alpha[labels[:, 0], labels[:, 1]] = family.manifold.embed(free)
+        e = np.exp(-1j * alpha)
+        m = (e * bath.level_probabilities) @ dagger(e)
+        schur = v @ ((dagger(v) @ x @ v) * m) @ dagger(v)
+        assert mat_equal(channel_image(family_member(family, free, bath), x), schur, 1e-12)
 
 
 def test_family_rejects_a_bath_of_another_hamiltonian():
@@ -912,7 +928,7 @@ def test_family_rejects_a_bath_of_another_hamiltonian():
 
 def test_distance_zero_for_markovian_member():
     op, family = distance_example_op()
-    member = family.operation(np.array([0.3, 1.2, 2.6]), op.bath)
+    member = family_member(family, np.array([0.3, 1.2, 2.6]), op.bath)
     mv = distance_value(member, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.value <= 1e-6
 
@@ -949,7 +965,7 @@ def test_quotient_multipliers_match_member_operations(d_sys, d_bath, relation):
     for free, m in zip(family.lift(q), family.multipliers(q, bath.level_probabilities)):
         assert relation_residual(family.manifold, family.manifold.embed(free)) <= 1e-12
         schur = v @ ((dagger(v) @ x @ v) * m) @ dagger(v)
-        assert mat_equal(schur, thermal.apply_to_operator(family.operation(free, bath), x), 1e-12)
+        assert mat_equal(schur, channel_image(family_member(family, free, bath), x), 1e-12)
 
 
 @pytest.mark.parametrize("d_sys, d_bath", [(2, 3), (3, 3)])
@@ -960,22 +976,21 @@ def test_shifting_a_bath_level_leaves_the_member_image_unchanged(d_sys, d_bath):
     bath = gibbs_state(h_tot.parts[1], 0.6)
     x = rng.normal(size=(3, d_sys, d_sys)) + 1j * rng.normal(size=(3, d_sys, d_sys))
     phases = rng.uniform(0, 2 * np.pi, h_tot.dim)
-    image = thermal.apply_to_operator(
-        thermal_operation(build_block_unitary(h_tot, list(phases)), bath), x)
+    image = channel_image(thermal_operation(build_block_unitary(h_tot, list(phases)), bath), x)
     bath_levels = np.array([r for _, r in h_tot.product_labels])
     for r in range(d_bath):
         shifted = phases + rng.uniform(0, 2 * np.pi) * (bath_levels == r)
         op = thermal_operation(build_block_unitary(h_tot, list(shifted)), bath)
-        assert mat_equal(thermal.apply_to_operator(op, x), image, 1e-14)
+        assert mat_equal(channel_image(op, x), image, 1e-14)
 
 
 def _member_value(op, family, x, free):
-    """||(channel - member) (x) id applied to x||_1 through apply_to_operator
+    """||(channel - member) (x) id applied to x||_1 through the full evolution
     and the svd trace norm."""
     d = op.d_sys
     blocks = x.reshape(d, d, d, d).transpose(1, 3, 0, 2)
-    images = [thermal.apply_to_operator(o, blocks).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-              for o in (op, family.operation(free, op.bath))]
+    images = [channel_image(o, blocks).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+              for o in (op, family_member(family, free, op.bath))]
     return trace_norm(images[0] - images[1])
 
 
@@ -992,7 +1007,7 @@ def test_family_search_is_no_worse_than_random_members(relation):
     cfg = OptimizerConfig(seeds=10, grid_resolution=6)
     members = rng.uniform(0, 2 * np.pi, (200, family.manifold.free_dim))
     h_prime = Hamiltonian.from_matrix(SIGMA_X)
-    results = measures._family_search(family, [op], h_prime, cfg)
+    _, results = measures._family_search(family, [op], h_prime, cfg)
     for sign, x, result in zip((1.0, -1.0), (maximally_entangled_input(h_sys),
                                              response_direction(h_sys, h_prime)), results):
         best = _member_value(op, family, x, family.lift(result.best_point))
@@ -1003,12 +1018,17 @@ def test_family_search_is_no_worse_than_random_members(relation):
 def test_family_search_evolves_only_outside_its_objective(monkeypatch):
     op, family = distance_example_op()
     calls = []
-    original = thermal.evolve
-    monkeypatch.setattr(thermal, "evolve", lambda *args: calls.append(1) or original(*args))
+    for name in ("evolve", "thermal_operation"):
+        original = getattr(thermal, name)
+        monkeypatch.setattr(thermal, name, lambda *args, _f=original, _name=name:
+                            calls.append(_name) or _f(*args))
+    check = thermal.EnergyBlockUnitary.__post_init__
+    monkeypatch.setattr(thermal.EnergyBlockUnitary, "__post_init__",
+                        lambda u: calls.append("EnergyBlockUnitary") or check(u))
     mv = distance_value(op, family, OptimizerConfig(seeds=10, grid_resolution=6))
     assert mv.diagnostics["evaluations"] > 100
-    # the sampled check's two applications: the search reads each channel's multiplier
-    assert len(calls) == 2
+    # the search and the sampled check read each channel's and member's multiplier
+    assert calls == []
 
 
 def test_family_searches_differ_only_in_their_bath_weights():
@@ -1132,9 +1152,9 @@ def test_distance_family_search_makes_no_eigendecomposition(monkeypatch):
 
     def counted(*args):
         before = len(calls)
-        results = search(*args)
+        channels, results = search(*args)
         searches.append((len(results), calls[before:]))
-        return results
+        return channels, results
 
     monkeypatch.setattr(measures, "_family_search", counted)
     run_config(builtin_distance())

@@ -89,11 +89,9 @@ def test_export_rule_catches_a_stale_or_repeated_name():
     assert _export_faults(stale) == ["apply: repeated", "gone: missing"]
 
 
-# Where the unchecked ``_derived`` constructors may be called: the CPTP maps that
-# derive a DensityMatrix from checked states, and the Markovian family, whose
-# EnergyBlockUnitary members V e^{-i alpha} V^dag rest on a V it checks once.
-DERIVING = {("thermal.py", "apply"), ("linalg.py", "partial_trace"),
-            ("thermal.py", "gibbs_state"), ("measures.py", "MarkovianFamily.operation")}
+# Where the unchecked constructor may be called: only DensityMatrix keeps one,
+# ``_derived``, for the CPTP maps that derive a state from checked states.
+DERIVING = {("thermal.py", "apply"), ("linalg.py", "partial_trace"), ("thermal.py", "gibbs_state")}
 
 
 def _scopes(tree: ast.Module, hit) -> set[str | None]:

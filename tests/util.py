@@ -49,6 +49,21 @@ def distance_value(op, family, cfg) -> measures.MeasureValue:
     return measures.distance_sweep([op], family, op.system_hamiltonian, cfg)[0][0]
 
 
+def channel_image(op, x: np.ndarray) -> np.ndarray:
+    """The channel of the thermal operation ``op`` on a system operator or a
+    stack (..., d_sys, d_sys) of them, through the full system+bath evolution."""
+    return trace_out_second(thermal.evolve(op.unitary.matrix, op.bath.state.matrix, x),
+                            op.d_sys, op.d_bath)
+
+
+def family_member(family, free, bath) -> thermal.ThermalOperation:
+    """The member of ``family`` at free phases ``free`` of its manifold, on
+    ``bath``: a thermal operation whose unitary the checking
+    :func:`thermal.build_block_unitary` assembles from the embedded phases."""
+    phases = [float(a) for a in family.manifold.embed(free)]
+    return thermal.thermal_operation(thermal.build_block_unitary(family.h_total, phases), bath)
+
+
 def maximally_entangled_input(h_sys) -> np.ndarray:
     """Projector onto (1/sqrt(d)) sum_i |i> (x) |i> as a raw matrix, pairing the
     system eigenvectors |i> of ``h_sys`` with a fixed ancilla basis."""
