@@ -19,8 +19,7 @@ from .optimize import OptimizationResult, OptimizationResults, OptimizerConfig, 
     constrained_phase_manifold, minimize
 from .thermal import EnergyBlockUnitary, GibbsState, Hamiltonian, MtoConstraintReport, \
     PerturbationSpec, ThermalOperation, apply, build_block_unitary, gibbs_state, mto_check, \
-    perturbed_hamiltonian, perturbed_state_exact, perturbed_state_first_order, \
-    thermal_operation, total_hamiltonian
+    perturbed_state_exact, perturbed_state_first_order, thermal_operation, total_hamiltonian
 
 __version__ = "0.1.0"
 
@@ -32,8 +31,7 @@ __all__ = [
     "minimize",
     "EnergyBlockUnitary", "GibbsState", "Hamiltonian", "MtoConstraintReport",
     "PerturbationSpec", "ThermalOperation", "apply", "build_block_unitary",
-    "gibbs_state", "mto_check", "perturbed_hamiltonian",
-    "perturbed_state_exact", "perturbed_state_first_order", "thermal_operation",
-    "total_hamiltonian",
+    "gibbs_state", "mto_check", "perturbed_state_exact", "perturbed_state_first_order",
+    "thermal_operation", "total_hamiltonian",
     "__version__",
 ]

@@ -283,8 +283,13 @@ class ExperimentConfig:
         for m in self.measures:
             if m not in self.KNOWN_MEASURES:
                 raise ValueError(f"unknown measure '{m}'")
-            if self.measures.count(m) > 1:
-                raise ValueError(f"measures: '{m}' is listed more than once")
+        for name, values in (("sweep_values", self.sweep_values), ("epsilons", self.epsilons),
+                             ("measures", self.measures)):
+            seen = set()
+            for v in values:
+                if v in seen:
+                    raise ValueError(f"{name}: {v!r} is listed more than once")
+                seen.add(v)
         if (self.initial_population_a is None) == (self.initial_coeffs is None):
             raise ValueError("need exactly one of initial_population_a or initial_coeffs")
         if self.initial_population_a is not None and not 0.0 <= self.initial_population_a <= 1.0:

@@ -362,9 +362,9 @@ def _family_search(family: MarkovianFamily, ops: Sequence[ThermalOperation],
     operation of ``ops``, in that order: minimise the Choi distance
     ||(channel - member) (x) id |Phi><Phi|||_1, then maximise ||(channel -
     member) (x) id chi||_1 for the perturbation direction chi = (G (x) 1) K +
-    K (G (x) 1)^dag of ``h_prime``, K = sum_ij |ii><jj| and G its
-    :func:`thermal.first_order_generator`; |Phi> = K's vector / sqrt(d) pairs
-    the system eigenvectors |i> with an ancilla basis.
+    K (G (x) 1)^dag of ``h_prime``, K = sum_ij |ii><jj| and G~ = G in the
+    system eigenbasis (:func:`thermal.first_order_generator`); |Phi> = K's
+    vector / sqrt(d) pairs the system eigenvectors |i> with an ancilla basis.
 
     The operation's unitary is diagonal in the family's product eigenbasis,
     so in the system eigenbasis the channel is the Schur multiplier M_op[i, j]
@@ -372,8 +372,8 @@ def _family_search(family: MarkovianFamily, ops: Sequence[ThermalOperation],
     member is that of :meth:`MarkovianFamily.multipliers`, m.  With D = M_op -
     m, both norms are those of d x d matrices: the Choi image is D / d on
     span{|ii>}, of norm ||D||_1 / d, and chi's image is [[0, B^dag], [B, 0]]
-    between span{|ii>} and its complement (G_ii = 0), with B^dag B = D W D for
-    W = diag(sum_a |G_ia|^2), of norm 2 ||W^{1/2} D||_1.  Returns the
+    between span{|ii>} and its complement (G~_ii = 0), with B^dag B = D W D for
+    W = diag(sum_a |G~_ia|^2), of norm 2 ||W^{1/2} D||_1.  Returns the
     operations' multipliers M_op (len(ops), d, d) and the search's results.
     Raises ValueError unless each operation's bath is a Gibbs state of the
     family's bath and its unitary was built on the family's total Hamiltonian
@@ -389,8 +389,8 @@ def _family_search(family: MarkovianFamily, ops: Sequence[ThermalOperation],
         # a unitary whose diagonal entries all have modulus 1 is diagonal
         if np.max(np.abs(np.diagonal(op.unitary.amplitude_table.weights) - 1.0)) > UNITARY_TOL:
             raise ValueError("operation's unitary is not diagonal in the family's product eigenbasis")
-    d, v = h_sys.dim, h_sys.eigvecs
-    g = dagger(v) @ thermal.first_order_generator(h_sys, h_prime) @ v
+    d = h_sys.dim
+    g = thermal.first_order_generator(h_sys, h_prime)
     # the row scales of D: the Choi problem's, then the bound's
     scales = np.array([np.full((d, 1), 1.0 / d),
                        2.0 * np.sqrt((np.abs(g) ** 2).sum(axis=1, keepdims=True))] * len(ops))
@@ -447,23 +447,25 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     Independent of epsilon: it is built from the perturbing operator, the
     input coefficients and the channel only.  Uses the support convention for
     the logarithms and refuses inputs whose response has weight outside the
-    support of the corresponding evolved state.  The evolved state and the
-    evolved response come from one evolution of their stack, for their
-    marginals.  The joint bar needs no joint state: a unitary keeps the
-    spectrum {p_i q_r} of rho (x) tau, with p the spectrum of rho and q the
-    bath weights, so it comes from the eigh that checks rho.  The joint
-    support is deficient iff some p_i q_r is at or below ``SUPPORT_CUTOFF``,
-    and rho-tilde (x) tau lies in supp rho (x) supp tau iff rho-tilde lies in
-    supp rho, so the response is checked against rho.
+    support of the corresponding evolved state.  All of it happens in the
+    energy eigenbases: from the level coefficients P of rho, rho-tilde is
+    [G~, P], and the pair evolves as one stack under ``product_basis_matrix``
+    and diag(q), for their marginals.  The joint bar needs no joint state: a
+    unitary keeps the spectrum {p_i q_r} of P (x) diag(q), so it comes from
+    the eigh that checks P.  The joint support is deficient iff some p_i q_r
+    is at or below ``SUPPORT_CUTOFF``, and rho-tilde (x) tau lies in supp rho
+    (x) supp tau iff rho-tilde lies in supp rho, so the response is checked
+    against P.  The bath must have the eigenvectors the unitary was built on.
     """
-    h_sys = op.system_hamiltonian
-    rho = h_sys.eigvecs @ np.asarray(rho_coeffs, dtype=complex) @ dagger(h_sys.eigvecs)
+    h_sys, h_bath = op.system_hamiltonian, op.unitary.hamiltonian.parts[1]
+    if not np.array_equal(h_bath.eigvecs, op.bath.hamiltonian.eigvecs):
+        raise ValueError("bath eigenvectors differ from those the unitary was built on")
+    rho = np.asarray(rho_coeffs, dtype=complex)
     p, p_vecs = check_state(rho, (h_sys.dim,), vectors=True)
-    rho_tilde = thermal.first_order_correction(rho_coeffs, h_sys, pert.h_prime)
+    rho_tilde = thermal.first_order_correction(rho, h_sys, pert.h_prime)
 
-    pair = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, np.array([rho, rho_tilde]))
-    d_s, d_b = op.d_sys, op.d_bath
-    q = op.bath.level_probabilities
+    q, d_s, d_b = op.bath.level_probabilities, op.d_sys, op.d_bath
+    pair = thermal.evolve(op.unitary.product_basis_matrix, np.diag(q), np.array([rho, rho_tilde]))
 
     # eigh reads a lower triangle, so the marginal states need no symmetrising
     checked = [(x, *np.linalg.eigh(state), None) for state, x in (

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import reduce_mod_2pi
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -316,6 +318,7 @@ class PhaseManifold:
     The relation is enforced by elimination: ``embed`` computes the dependent
     phase from the free ones, so every image point satisfies the relation
     exactly.  A relation with all-zero coefficients leaves the full torus.
+    :func:`constrained_phase_manifold` stores ``offset`` reduced to [0, 2pi).
     """
 
     dim: int
@@ -349,7 +352,10 @@ def constrained_phase_manifold(dim: int, coefficients=None, offset: float = 0.0)
     ``coefficients`` of ``None`` (or all zeros with zero offset) yields the
     unconstrained torus.  Otherwise some coefficient must be +-1 so the
     corresponding phase can be eliminated exactly.  Coefficients are integers,
-    so the relation is one on angles: shifting any phase by 2pi keeps it.
+    so the relation is one on angles: shifting any phase by 2pi keeps it.  The
+    offset is kept reduced by :func:`linalg.reduce_mod_2pi`, exactly as block
+    phases are, so a finite one below ``linalg.MAX_ANGLE`` in magnitude is
+    required.
     """
     if coefficients is None:
         coefficients = (0.0,) * dim
@@ -358,11 +364,12 @@ def constrained_phase_manifold(dim: int, coefficients=None, offset: float = 0.0)
         raise ValueError("coefficient count must equal dim")
     if not all(c.is_integer() for c in coefficients):
         raise ValueError("relation coefficients must be integers, as phases are angles mod 2pi")
+    offset = reduce_mod_2pi(offset)
     if all(c == 0 for c in coefficients):
-        if offset % (2 * np.pi) != 0.0:
+        if offset != 0.0:
             raise ValueError("inconsistent relation: zero coefficients, nonzero offset")
         return PhaseManifold(dim, coefficients, 0.0, None)
     unit = [k for k, c in enumerate(coefficients) if abs(abs(c) - 1.0) < 1e-12]
     if not unit:
         raise ValueError("relation needs a unit coefficient to eliminate a phase")
-    return PhaseManifold(dim, coefficients, float(offset), unit[-1])
+    return PhaseManifold(dim, coefficients, offset, unit[-1])

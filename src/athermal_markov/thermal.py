@@ -175,19 +175,26 @@ class EnergyBlockUnitary:
         return self.matrix.shape[0]
 
     @functools.cached_property
-    def amplitude_table(self) -> "AmplitudeTable":
-        """The :class:`AmplitudeTable` of ``hamiltonian.parts``, built on first use."""
+    def product_basis_matrix(self) -> np.ndarray:
+        """U in the product eigenbasis kron(V_S, V_B) of ``hamiltonian.parts``; read-only."""
         if self.hamiltonian.parts is None:
             raise ValueError("unitary was not built from a system+bath total Hamiltonian")
+        v = np.kron(*(h.eigvecs for h in self.hamiltonian.parts))
+        u = dagger(v) @ self.matrix @ v
+        u.flags.writeable = False
+        return u
+
+    @functools.cached_property
+    def amplitude_table(self) -> "AmplitudeTable":
+        """The :class:`AmplitudeTable` of ``hamiltonian.parts``, built on first use."""
+        u = self.product_basis_matrix
         h_sys, h_bath = self.hamiltonian.parts
         d_s, d_b = h_sys.dim, h_bath.dim
         levels = _bath_levels(h_sys, h_bath)
-        # U in the product eigenbasis on axes (j, r', i, r); r' = -1 reads an entry masked below
-        v = np.kron(h_sys.eigvecs, h_bath.eigvecs)
-        u = (dagger(v) @ self.matrix @ v).reshape(d_s, d_b, d_s, d_b)
         s = np.arange(d_s)
-        amplitudes = np.where(levels < 0, np.nan,
-                              u[s[None, :, None], levels, s[:, None, None], np.arange(d_b)])
+        # U on axes (j, r', i, r); r' = -1 reads an entry masked below
+        amplitudes = np.where(levels < 0, np.nan, u.reshape(d_s, d_b, d_s, d_b)[
+            s[None, :, None], levels, s[:, None, None], np.arange(d_b)])
         diag = amplitudes[s, s]
         z = diag[:, None] * diag.conj()
         # only i < j is constrained, and only on a non-degenerate Bohr spectrum
@@ -423,13 +430,6 @@ class PerturbationSpec:
             raise ValueError("epsilon must be nonnegative")
 
 
-def perturbed_hamiltonian(h_sys: Hamiltonian, pert: PerturbationSpec) -> Hamiltonian:
-    """H + epsilon H' with a fresh eigendecomposition."""
-    if pert.h_prime.dim != h_sys.dim:
-        raise ValueError("perturbation dimension mismatch")
-    return Hamiltonian.from_matrix(h_sys.matrix + pert.epsilon * pert.h_prime.matrix)
-
-
 def _require_nondegenerate(h: Hamiltonian):
     gaps = h.energies[1:] - h.energies[:-1]
     if len(gaps) and gaps.min() <= DEGENERACY_TOL:
@@ -437,17 +437,14 @@ def _require_nondegenerate(h: Hamiltonian):
 
 
 def first_order_generator(h_sys: Hamiltonian, h_prime: Hamiltonian) -> np.ndarray:
-    """Anti-Hermitian G with |i'> = (I + eps G)|i> to first order.
-
-    In the eigenbasis of ``h_sys``: G[k, i] = <k|H'|i> / (E_i - E_k) off the
-    diagonal, zero on it.  Returned in the computational representation.
+    """Anti-Hermitian G with |i'> = (I + eps G)|i> to first order, as its
+    matrix G~ in the eigenbasis of ``h_sys``, where first-order theory lives:
+    G~[k, i] = <k|H'|i> / (E_i - E_k) off the diagonal, zero on it.
     """
     _require_nondegenerate(h_sys)
-    v = h_sys.eigvecs
-    hp = dagger(v) @ h_prime.matrix @ v
+    hp = dagger(h_sys.eigvecs) @ h_prime.matrix @ h_sys.eigvecs
     gaps = h_sys.energies[None, :] - h_sys.energies[:, None]
-    g = np.divide(hp, gaps, out=np.zeros_like(hp), where=gaps != 0)  # 0 only on the diagonal
-    return v @ g @ dagger(v)
+    return np.divide(hp, gaps, out=np.zeros_like(hp), where=gaps != 0)  # 0 only on the diagonal
 
 
 def perturbed_eigvectors(h_sys: Hamiltonian, pert: PerturbationSpec) -> np.ndarray:
@@ -458,14 +455,16 @@ def perturbed_eigvectors(h_sys: Hamiltonian, pert: PerturbationSpec) -> np.ndarr
     real positive.  Matching with squared overlap at or below 1/2, or two
     levels claiming the same perturbed vector, is an error.
     """
-    hp = perturbed_hamiltonian(h_sys, pert)
-    overlaps = dagger(h_sys.eigvecs) @ hp.eigvecs
+    if pert.h_prime.dim != h_sys.dim:
+        raise ValueError("perturbation dimension mismatch")
+    _, vecs = eigh(h_sys.matrix + pert.epsilon * pert.h_prime.matrix)
+    overlaps = dagger(h_sys.eigvecs) @ vecs
     match = np.argmax(np.abs(overlaps), axis=1)
     ov = overlaps[np.arange(h_sys.dim), match]
     if (np.abs(ov) ** 2 <= 0.5).any() or len(set(match.tolist())) < h_sys.dim:
         raise ValueError("perturbation too strong: eigenvector matching ambiguous")
     # one scalar division per level, as linalg.eigh aligns its columns
-    return hp.eigvecs[:, match] * np.array([o.conjugate() / abs(o) for o in ov])
+    return vecs[:, match] * np.array([o.conjugate() / abs(o) for o in ov])
 
 
 def state_from_level_coeffs(h_sys: Hamiltonian, coeffs: np.ndarray) -> DensityMatrix:
@@ -485,10 +484,10 @@ def perturbed_state_exact(coeffs: np.ndarray, h_sys: Hamiltonian,
 
 
 def first_order_correction(coeffs: np.ndarray, h_sys: Hamiltonian, h_prime: Hamiltonian) -> np.ndarray:
-    """The operator rho-tilde = [G, rho]; Hermitian and traceless."""
-    rho = h_sys.eigvecs @ np.asarray(coeffs, dtype=complex) @ dagger(h_sys.eigvecs)
+    """[G~, P], rho-tilde = [G, rho] in the eigenbasis of ``h_sys`` for rho's P = ``coeffs``."""
+    p = np.asarray(coeffs, dtype=complex)
     g = first_order_generator(h_sys, h_prime)
-    return g @ rho - rho @ g
+    return g @ p - p @ g
 
 
 def perturbed_state_first_order(coeffs: np.ndarray, h_sys: Hamiltonian,
@@ -498,5 +497,5 @@ def perturbed_state_first_order(coeffs: np.ndarray, h_sys: Hamiltonian,
     Returned as a raw matrix because the first-order truncation can dip a
     hair below positivity.
     """
-    rho = h_sys.eigvecs @ np.asarray(coeffs, dtype=complex) @ dagger(h_sys.eigvecs)
-    return rho + pert.epsilon * first_order_correction(coeffs, h_sys, pert.h_prime)
+    p = coeffs + pert.epsilon * first_order_correction(coeffs, h_sys, pert.h_prime)
+    return h_sys.eigvecs @ p @ dagger(h_sys.eigvecs)

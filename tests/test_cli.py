@@ -12,6 +12,7 @@ import pytest
 from athermal_markov import cli
 from athermal_markov.cli import ConfigError, apply_overrides, load_config, main
 from athermal_markov.experiments import builtin_distance, builtin_fig2, builtin_fig3
+from athermal_markov.linalg import reduce_mod_2pi
 from athermal_markov.optimize import MAX_GRID_POINTS, MAX_ROUNDS, MAX_STARTS
 
 
@@ -393,6 +394,18 @@ def test_empty_list_fields_exit_2_and_write_nothing(tmp_path, capsys, field):
     assert not out.exists()
 
 
+def test_relation_offset_is_reduced_exactly(tmp_path):
+    # 1e9 % 2pi in doubles lands 3.9e-8 rad off the exact remainder
+    outputs = []
+    for offset in (1e9, reduce_mod_2pi(1e9)):
+        out = tmp_path / repr(offset)
+        assert main(["distance", "--out", str(out), "--no-svg",
+                     "--set", f"mto_relation.offset={offset!r}"]) == 0
+        outputs.append([(out / f"distance-{m}.csv").read_bytes()
+                        for m in ("choi_distance", "choi_distance_bound")])
+    assert outputs[0] == outputs[1]
+
+
 _LAST_THREE_BLOCKS = '{"phases":[2.0]},{"phases":[3.0]},{"phases":[4.0]}]'
 
 # Overrides whose value has the wrong JSON type or is out of range, with the
@@ -420,6 +433,10 @@ NAMED_ERRORS = {
         "unitary_blocks: angle 1e+308 is too large: |angle| must be below 1e+45",
     'measures=["choi_distance","choi_distance"]':
         "measures: 'choi_distance' is listed more than once",
+    'mto_relation={"coefficients":[1,-1,-1,1],"offset":1e300}':
+        "mto_relation: angle 1e+300 is too large: |angle| must be below 1e+45",
+    "sweep.values=[3,3]": "sweep_values: 3.0 is listed more than once",
+    "epsilons=[0.1,0.1]": "epsilons: 0.1 is listed more than once",
     'system={"matrix":{"real":[1.0,2.0]}}':
         "config.system.matrix.real: expected a square matrix of 1 to 36 rows, got shape (2,)",
     'system={"matrix":{"real":[[[1.0]]]}}':

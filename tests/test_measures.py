@@ -42,8 +42,9 @@ from athermal_markov.thermal import (
 )
 from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, channel_image, choi_state, distance_value,
                   expansion_lemma_residual, family_member, matrix_log2_on_support,
-                  maximally_entangled_input, member_distances, packed_eigvalsh, random_density,
-                  random_hermitian, random_unitary, relation_residual, response_direction)
+                  maximally_entangled_input, member_distances, packed_eigvalsh,
+                  qubit_choi_closed_form, random_density, random_hermitian, random_unitary,
+                  relation_residual, response_direction)
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
 H_BATH_STIFF = Hamiltonian.from_matrix(10 * SIGMA_Z)
@@ -926,6 +927,44 @@ def test_family_rejects_a_bath_of_another_hamiltonian():
                                 OptimizerConfig(seeds=1, grid_resolution=1))
 
 
+def assert_qubit_search_at_closed_form(op, family, h_prime, distance, chi_max):
+    """The searched D and max ||chi||_1 within 2 f_tol of the closed form, and
+    never on the wrong side of it (D below, the max above) by more than 1e-12;
+    the max relative to its value, whose scale is ||H'|| / gap."""
+    want_distance, want_chi = qubit_choi_closed_form(op, family, h_prime)
+    assert -1e-12 <= distance - want_distance <= 2e-8
+    assert -2e-8 <= chi_max / want_chi - 1.0 <= 1e-12
+
+
+def test_qubit_family_search_matches_the_closed_form(distance_result):
+    # the built-in study, whose relation (1, -1, -1, 1) has offset 0
+    cfg = builtin_distance()
+    setup = cfg.setup
+    (distance,) = {r.unperturbed for r in distance_result.rows_for("choi_distance")}
+    bounds = distance_result.rows_for("choi_distance_bound")
+    for r in bounds:
+        assert_qubit_search_at_closed_form(setup.operation(cfg.beta_for(r.control)), setup.family,
+                                           setup.h_prime, distance, r.perturbed * 2 / r.epsilon)
+    # random qubit-qubit channels, each relation kind with a random offset in [0, 2pi): the
+    # circle (s (-1)^(i + r) on product level (i, r)) and the whole torus (a bath level whose
+    # coefficients do not sum to zero); measured gaps up to 4.3e-10 and 7.5e-9 on D, and
+    # 1.1e-9 relative on the max
+    rng = np.random.default_rng(2024)
+    for kind in ("circle", "torus") * 10:
+        op = random_op(rng, 2, 2, beta=rng.uniform(0.1, 3.0))
+        h_tot = op.unitary.hamiltonian
+        labels = np.array(h_tot.product_labels)
+        coefficients = rng.choice([-1.0, 1.0]) * (-1.0) ** labels.sum(axis=1)
+        while kind == "torus" and not np.bincount(labels[:, 1], weights=coefficients).any():
+            coefficients = rng.choice([-1.0, 1.0], 4)
+        family = MarkovianFamily(h_tot, constrained_phase_manifold(4, coefficients,
+                                                                   rng.uniform(0, 2 * np.pi)))
+        h_prime = Hamiltonian.from_matrix(random_hermitian(rng, 2))
+        (distance, chi), = measures.distance_sweep([op], family, h_prime,
+                                                   OptimizerConfig(grid_resolution=8))
+        assert_qubit_search_at_closed_form(op, family, h_prime, distance.value, chi.value)
+
+
 def test_distance_zero_for_markovian_member():
     op, family = distance_example_op()
     member = family_member(family, np.array([0.3, 1.2, 2.6]), op.bath)
@@ -1258,8 +1297,9 @@ def reference_theta_lambda(op, coeffs, pert):
     with its support flags."""
     h_sys = op.system_hamiltonian
     joint = apply(op, thermal.state_from_level_coeffs(h_sys, coeffs)).matrix
-    joint_dir = thermal.evolve(op.unitary.matrix, op.bath.state.matrix,
-                               thermal.first_order_correction(coeffs, h_sys, pert.h_prime))
+    v = h_sys.eigvecs
+    rho_tilde = v @ thermal.first_order_correction(coeffs, h_sys, pert.h_prime) @ dagger(v)
+    joint_dir = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, rho_tilde)
     d1, d2 = op.d_sys, op.d_bath
     flags, bars = {}, []
     for name, x, state in (
@@ -1320,6 +1360,43 @@ def test_theta_lambda_on_a_pure_bath_is_joint_deficient_from_the_bath_alone(d1, 
     finite = thermal_operation(op.unitary, gibbs_state(op.bath.hamiltonian, 1.0))
     _, diags = theta_lambda(finite, coeffs, pert, with_diagnostics=True)
     assert "joint_support_deficient" not in diags
+
+
+def test_theta_lambda_rejects_a_bath_of_another_hamiltonian():
+    op = fig2_op()
+    other = thermal_operation(op.unitary, gibbs_state(Hamiltonian.from_matrix(SIGMA_X), 0.25))
+    with pytest.raises(ValueError, match="bath eigenvectors differ"):
+        theta_lambda(other, np.diag([0.3, 0.7]),
+                     PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.1))
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (2, 6), (4, 4), (3, 6), (6, 6),
+                                    (4, 9)])
+def test_nondegenerate_thermal_operation_leaves_the_bath_classical(d1, d2):
+    # the unitary is diagonal in the product energy basis, so the joint state is
+    # sum_r q_r (u_r P u_r^dag) (x) |r><r| with u_r the phases of bath level r:
+    # separable, with the bath marginal diag(q) and the system one P o M_op,
+    # M_op = phase_products @ q, in the system energy basis.  So the
+    # log-negativity is 0, I(S:B) = S(P o M_op) - S(P), and theta_lambda =
+    # -Tr[([G~, P] o M_op) log2(P o M_op)], its bath and joint bars being 0;
+    # on an incoherent P all three read 0
+    rng = np.random.default_rng(900 + 10 * d1 + d2)
+    for _ in range(2):
+        op = random_op(rng, d1, d2)
+        h_sys = op.system_hamiltonian
+        pert = PerturbationSpec(Hamiltonian.from_matrix(random_hermitian(rng, d1)), 0.1)
+        multiplier = op.unitary.amplitude_table.phase_products @ op.bath.level_probabilities
+        incoherent = np.diag(rng.dirichlet(np.ones(d1))).astype(complex)
+        for coeffs in (random_density(rng, d1).matrix, 0.5 * random_density(rng, d1).matrix
+                       + 0.5 * incoherent, incoherent):
+            joint = apply(op, thermal.state_from_level_coeffs(h_sys, coeffs))
+            assert abs(log_negativity(joint).value) <= 1e-13
+            out = coeffs * multiplier
+            want = entropy_of_spectrum(out) - entropy_of_spectrum(coeffs)
+            assert abs(mutual_information(joint).value - want) <= 1e-13
+            response = thermal.first_order_correction(coeffs, h_sys, pert.h_prime) * multiplier
+            want = -np.trace(response @ matrix_log2_on_support(out)).real
+            assert abs(theta_lambda(op, coeffs, pert) - want) <= 1e-12
 
 
 def test_check_support_error_branch():

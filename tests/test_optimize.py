@@ -1,9 +1,11 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from athermal_markov.linalg import reduce_mod_2pi
 from athermal_markov.optimize import (
     ROW_BUDGET,
     OptimizerConfig,
@@ -394,6 +396,24 @@ def test_manifold_trivial_relation_full_torus():
 def test_manifold_inconsistent_relation():
     with pytest.raises(ValueError, match="inconsistent"):
         constrained_phase_manifold(3, (0.0, 0.0, 0.0), 1.0)
+
+
+def test_manifold_offset_is_reduced_exactly():
+    # 1e9 % 2pi in doubles lands 3.9e-8 rad off the exact remainder
+    exact = reduce_mod_2pi(1e9)
+    free = np.random.default_rng(3).uniform(0, 2 * np.pi, size=(5, 3))
+    for coefficients in ((1.0, -1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, 1.0)):
+        manifold = constrained_phase_manifold(4, coefficients, 1e9)
+        assert manifold.offset == exact
+        want = constrained_phase_manifold(4, coefficients, exact).embed(free)
+        assert manifold.embed(free).tobytes() == want.tobytes()
+    for coefficients in ((1.0, -1.0, -1.0, 1.0), (0.0, 0.0, 0.0, 0.0)):
+        for offset in (1e45, -1e300):
+            with pytest.raises(ValueError, match="is too large"):
+                constrained_phase_manifold(4, coefficients, offset)
+        for offset in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                constrained_phase_manifold(4, coefficients, offset)
 
 
 def test_manifold_needs_unit_coefficient():

@@ -20,7 +20,6 @@ from athermal_markov.thermal import (
     build_block_unitary,
     gibbs_state,
     mto_check,
-    perturbed_hamiltonian,
     perturbed_state_exact,
     perturbed_state_first_order,
     state_from_level_coeffs,
@@ -191,7 +190,7 @@ def _element_loops(h_sys: Hamiltonian, h_prime: Hamiltonian):
         for i in range(n):
             if k != i:
                 g[k, i] = hp[k, i] / (e[i] - e[k])
-    return bohr, v @ g @ dagger(v)
+    return bohr, g
 
 
 def test_bohr_flag_and_generator_match_element_loops():
@@ -738,19 +737,6 @@ def test_mto_check_matches_the_dict_reference():
 
 
 # -- perturbation -----------------------------------------------------------------------
-
-def test_perturbed_hamiltonian_zero_strength():
-    pert = PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.0)
-    out = perturbed_hamiltonian(H_QUBIT, pert)
-    assert mat_equal(out.matrix, SIGMA_Z, 0)
-
-
-def test_perturbed_hamiltonian_closed_form_eigenvalues():
-    pert = PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.2)
-    out = perturbed_hamiltonian(H_QUBIT, pert)
-    assert np.allclose(out.energies, [-np.sqrt(1.04), np.sqrt(1.04)], atol=1e-12)
-    assert mat_equal(out.matrix, dagger(out.matrix), 1e-15)
-
 
 def test_perturbed_state_exact_zero_strength():
     coeffs = np.diag([0.1, 0.9]).astype(complex)

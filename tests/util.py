@@ -75,10 +75,11 @@ def maximally_entangled_input(h_sys) -> np.ndarray:
 def response_direction(h_sys, h_prime) -> np.ndarray:
     """The distance bound's perturbation direction (G (x) I) K + K (G (x) I)^dag,
     with K = sum_ij |ii><jj| on the system eigenbasis paired with the ancilla
-    basis (d times the maximally entangled projector) and G the
-    :func:`thermal.first_order_generator` of ``h_prime``."""
-    d = h_sys.dim
-    g = thermal.first_order_generator(h_sys, h_prime)
+    basis (d times the maximally entangled projector) and G the generator of
+    ``h_prime``, its eigenbasis matrix :func:`thermal.first_order_generator`
+    conjugated to the computational basis."""
+    d, v = h_sys.dim, h_sys.eigvecs
+    g = v @ thermal.first_order_generator(h_sys, h_prime) @ dagger(v)
     gk = np.kron(g, np.eye(d)) @ (d * maximally_entangled_input(h_sys))
     return gk + dagger(gk)
 
@@ -146,3 +147,37 @@ def expansion_lemma_residual(a: np.ndarray, b: np.ndarray, eps: float) -> float:
     base = np.trace(a @ matrix_log2_on_support(a)).real
     linear = np.trace(b @ (np.eye(a.shape[0]) + matrix_log2_on_support(a))).real
     return float(abs(lhs - base - eps * linear))
+
+
+def qubit_choi_closed_form(op, family, h_prime) -> tuple[float, float]:
+    """The Choi distance D of the qubit channel ``op`` from ``family`` on a
+    qubit bath, and the max ||chi||_1 of its bound for the perturbation
+    ``h_prime``, in closed form.
+
+    In the system eigenbasis the channel and each member are Schur multipliers
+    with a unit diagonal, so with x = c - m_01, c = M_op[0, 1], the Choi
+    objective is |x| and chi's is 2 (sqrt(w_0) + sqrt(w_1)) |x| = 4 |G~_01| |x|.
+    A member has m_01 = sum_r p_r e^{-i delta_r}, delta_r = alpha_0r - alpha_1r.
+    The relation s (-1)^(i + r) alpha_ir = k reads s (delta_0 - delta_1) = k,
+    so m_01 runs over the circle of radius R = |p_0 e^{-ik} + p_1|: D =
+    ||c| - R|, and the max uses |c| + R.  A relation whose coefficients do not
+    sum to zero on some bath level leaves both delta_r free, so m_01 fills the
+    annulus |p_0 - p_1| <= |z| <= 1, which holds c: D = 0, and the max uses
+    |c| + 1.  Any other relation has no closed form here (ValueError)."""
+    p = op.bath.level_probabilities
+    c = abs((op.unitary.amplitude_table.phase_products @ p)[0, 1])
+    coefficients = np.zeros((2, 2))
+    for k, (i, r) in enumerate(family.h_total.product_labels):
+        coefficients[i, r] = family.manifold.coefficients[k]
+    s = coefficients[0, 0]
+    if not coefficients.any() or coefficients.sum(axis=0).any():
+        distance, radius = 0.0, 1.0
+    elif abs(s) == 1 and np.array_equal(coefficients, s * np.array([[1, -1], [-1, 1]])):
+        radius = abs(p[0] * np.exp(-1j * family.manifold.offset) + p[1])
+        distance = abs(c - radius)
+    else:
+        raise ValueError("no closed form for this relation")
+    h_sys = family.h_total.parts[0]
+    v = h_sys.eigvecs
+    g01 = (dagger(v) @ h_prime.matrix @ v)[0, 1] / (h_sys.energies[1] - h_sys.energies[0])
+    return distance, 4 * abs(g01) * (c + radius)
