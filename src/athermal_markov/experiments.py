@@ -890,9 +890,10 @@ def _fixed_point_sweep(rng: np.random.Generator, cases: int) -> float:
         beta = float(rng.uniform(0.1, 3.0))
         bath = thermal.gibbs_state(h_bath, beta)
         op = thermal.thermal_operation(u, bath)
-        tau_sys = thermal.gibbs_state(h_sys, beta).state
-        out = partial_trace(thermal.apply(op, tau_sys), 0)
-        worst = max(worst, 0.5 * trace_norm(out.matrix - tau_sys.matrix))
+        tau_sys = thermal.gibbs_state(h_sys, beta)
+        # apply's system marginal is in the system eigenbasis, where tau_sys is diag(p)
+        out = partial_trace(thermal.apply(op, tau_sys.state), 0)
+        worst = max(worst, 0.5 * trace_norm(out.matrix - np.diag(tau_sys.level_probabilities)))
     return worst
 
 

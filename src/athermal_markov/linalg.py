@@ -5,12 +5,12 @@ explicit subsystem factorisation through :class:`DensityMatrix`.  Validity
 checks happen on public construction, to the fixed absolute tolerance
 ``STATE_TOL``; spectral supports end at ``SUPPORT_CUTOFF``.  All entropies
 and matrix logarithms are base 2.  :func:`eigvalsh_packed` gives the spectra
-of stacks of 1x1 and 2x2 Hermitian matrices, packed as real lower triangles
-by :func:`pack_lower`, in closed form, where LAPACK's per-matrix overhead
-would outweigh the arithmetic (the level blocks of the discord kernel's
-outcomes), and hands every larger size to ``np.linalg.eigvalsh``;
-:func:`trace_norm` does the same for 2x2 matrices (the distance search's
-rows on a qubit) and ``np.linalg.svd``.
+of stacks of Hermitian matrices packed as real lower triangles by
+:func:`pack_lower`, the level blocks of the discord kernel's outcomes: a 1x1
+block is its entry, and every larger size goes to ``np.linalg.eigvalsh``.
+:func:`trace_norm` takes 2x2 matrices (the distance search's rows on a qubit)
+in closed form, where LAPACK's per-matrix overhead would outweigh the
+arithmetic, and hands every other size to ``np.linalg.svd``.
 """
 
 from __future__ import annotations
@@ -227,18 +227,10 @@ def eigvalsh_packed(p: np.ndarray) -> np.ndarray:
     matrices whose lower triangles :func:`pack_lower` packed into ``p``.
 
     Each matrix is computed on its own.  For n = 1 the eigenvalue is the
-    entry.  For n = 2 the roots are m -+ r, in real arithmetic, with m the
-    mean of the diagonal a, d and r = hypot((a - d) / 2, |b|) of the entry b
-    below it, which neither overflows nor underflows across the double
-    range.  Every other n goes whole to one ``np.linalg.eigvalsh`` call.
+    entry; every other n goes whole to one ``np.linalg.eigvalsh`` call.
     """
     if len(p) == 1:
         return p.copy()
-    if len(p) == 4:
-        a, d, br, bi = p
-        half_a, half_d = 0.5 * a, 0.5 * d
-        mean, r = half_a + half_d, np.hypot(half_a - half_d, np.hypot(br, bi))
-        return np.stack([mean - r, mean + r])
     return np.moveaxis(np.linalg.eigvalsh(unpack_lower(p)), -1, 0)
 
 

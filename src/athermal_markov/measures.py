@@ -70,17 +70,20 @@ def _joint_entropy_array(joint_entropies, states: Sequence[DensityMatrix]) -> np
 
 
 def log_negativities(states: Sequence[DensityMatrix]) -> list[MeasureValue]:
-    """:func:`log_negativity` of each joint state: the trace norms of a stack of partial
-    transposes that ``np.linalg.cholesky`` certifies positive definite are their traces;
-    any other goes whole to one ``eigvalsh``, the sum of |eigenvalues| of each."""
+    """:func:`log_negativity` of each joint state, as log2 of the trace norm of its
+    partial transpose over their common trace: a stack of partial transposes that
+    ``np.linalg.cholesky`` certifies positive definite has norms equal to those
+    traces, so each reads exactly 0.0; any other goes whole to one ``eigvalsh``,
+    the sum of |eigenvalues| of each."""
     joints, (d1, d2) = _joint_stack(states)
     pt = joints.reshape(-1, d1, d2, d1, d2).transpose(0, 3, 2, 1, 4).reshape(joints.shape)
+    traces = np.trace(pt, axis1=-2, axis2=-1).real
     try:
         np.linalg.cholesky(pt)
-        norms = np.trace(pt, axis1=-2, axis2=-1).real
+        norms = traces
     except np.linalg.LinAlgError:
         norms = np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1)
-    return [MeasureValue("log_negativity", float(v)) for v in np.log2(norms)]
+    return [MeasureValue("log_negativity", float(v)) for v in np.log2(norms / traces)]
 
 
 def mutual_informations(states: Sequence[DensityMatrix], joint_entropies) -> list[MeasureValue]:
@@ -98,7 +101,8 @@ def mutual_informations(states: Sequence[DensityMatrix], joint_entropies) -> lis
 
 
 def log_negativity(rho_joint: DensityMatrix) -> MeasureValue:
-    """log2 of the trace norm of the partial transpose on the first factor.
+    """log2 of the trace norm of the partial transpose on the first factor,
+    normalised by its trace.
 
     Zero on every PPT state, in particular on all separable states of 2x2
     and 2x3 systems.
@@ -160,7 +164,7 @@ def _measured_conditional_entropy(triangles: list[slice], columns: np.ndarray,
     P_0 +- n . (P_1, P_2, P_3), formed packed in real arithmetic, and their
     probabilities the traces of those.  An outcome's spectrum is the union of
     its level blocks' spectra, each from one :func:`linalg.eigvalsh_packed` of
-    the block's stack (closed-form roots up to 2x2), and is divided by the
+    the block's stack (a 1x1 block is its entry), and is divided by the
     probability.  An outcome of probability at most 1e-14 contributes
     nothing.  Each row's value is that of its state alone."""
     theta, phi = angles[:, 0], angles[:, 1]
@@ -375,16 +379,13 @@ def _family_search(family: MarkovianFamily, ops: Sequence[ThermalOperation],
     between span{|ii>} and its complement (G~_ii = 0), with B^dag B = D W D for
     W = diag(sum_a |G~_ia|^2), of norm 2 ||W^{1/2} D||_1.  Returns the
     operations' multipliers M_op (len(ops), d, d) and the search's results.
-    Raises ValueError unless each operation's bath is a Gibbs state of the
-    family's bath and its unitary was built on the family's total Hamiltonian
-    and is diagonal in its product eigenbasis."""
+    Raises ValueError unless each operation's unitary was built on the
+    family's total Hamiltonian and is diagonal in its product eigenbasis; its
+    bath is then one of the family's (:class:`thermal.ThermalOperation`)."""
     h_sys, h_bath = family.h_total.parts
     for op in ops:
-        if not np.array_equal(h_bath.eigvecs, op.bath.hamiltonian.eigvecs):
-            raise ValueError("family bath must be a Gibbs state of the total Hamiltonian's bath")
-        parts = op.unitary.hamiltonian.parts
-        if parts is None or not all(np.array_equal(a.eigvecs, b.eigvecs)
-                                    for a, b in zip(parts, (h_sys, h_bath))):
+        if not all(np.array_equal(a.eigvecs, b.eigvecs)
+                   for a, b in zip(op.unitary.hamiltonian.parts, (h_sys, h_bath))):
             raise ValueError("operation's unitary was not built on the family's total Hamiltonian")
         # a unitary whose diagonal entries all have modulus 1 is diagonal
         if np.max(np.abs(np.diagonal(op.unitary.amplitude_table.weights) - 1.0)) > UNITARY_TOL:
@@ -449,23 +450,21 @@ def theta_lambda(op: ThermalOperation, rho_coeffs, pert: PerturbationSpec,
     the logarithms and refuses inputs whose response has weight outside the
     support of the corresponding evolved state.  All of it happens in the
     energy eigenbases: from the level coefficients P of rho, rho-tilde is
-    [G~, P], and the pair evolves as one stack under ``product_basis_matrix``
+    [G~, P], and the pair evolves as one stack under the unitary's ``matrix``
     and diag(q), for their marginals.  The joint bar needs no joint state: a
     unitary keeps the spectrum {p_i q_r} of P (x) diag(q), so it comes from
     the eigh that checks P.  The joint support is deficient iff some p_i q_r
     is at or below ``SUPPORT_CUTOFF``, and rho-tilde (x) tau lies in supp rho
     (x) supp tau iff rho-tilde lies in supp rho, so the response is checked
-    against P.  The bath must have the eigenvectors the unitary was built on.
+    against P.
     """
-    h_sys, h_bath = op.system_hamiltonian, op.unitary.hamiltonian.parts[1]
-    if not np.array_equal(h_bath.eigvecs, op.bath.hamiltonian.eigvecs):
-        raise ValueError("bath eigenvectors differ from those the unitary was built on")
+    h_sys = op.system_hamiltonian
     rho = np.asarray(rho_coeffs, dtype=complex)
     p, p_vecs = check_state(rho, (h_sys.dim,), vectors=True)
     rho_tilde = thermal.first_order_correction(rho, h_sys, pert.h_prime)
 
     q, d_s, d_b = op.bath.level_probabilities, op.d_sys, op.d_bath
-    pair = thermal.evolve(op.unitary.product_basis_matrix, np.diag(q), np.array([rho, rho_tilde]))
+    pair = thermal.evolve(op.unitary.matrix, np.diag(q), np.array([rho, rho_tilde]))
 
     # eigh reads a lower triangle, so the marginal states need no symmetrising
     checked = [(x, *np.linalg.eigh(state), None) for state, x in (

@@ -1,10 +1,11 @@
 """Thermal channels on small system+bath pairs.
 
 Builds Hamiltonians with cached eigensystems, Gibbs states, global unitaries
-that are block diagonal over total-energy eigenspaces, and the channel
-``rho -> Tr_bath[U (rho (x) tau) U^dag]``.  Also hosts the Markovianity
-constraint report (tensor-product deviation plus the amplitude/phase residual
-system) and non-degenerate first-order perturbation of the system state.
+block diagonal over total-energy eigenspaces, held in the product energy
+eigenbasis, and the channel ``rho -> Tr_bath[U (rho (x) tau) U^dag]``, evolved
+in that basis.  Also hosts the Markovianity constraint report (tensor-product
+deviation plus the amplitude/phase residual system) and non-degenerate
+first-order perturbation of the system state.
 
 Conventions: k_B = hbar = 1, energies in the problem's energy unit, inverse
 temperature beta = 1/T in the same unit.  System levels are indexed ascending
@@ -157,16 +158,20 @@ def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class EnergyBlockUnitary:
-    """Unitary block diagonal over the total-energy eigenspaces of a Hamiltonian.
+    """Unitary block diagonal over the total-energy eigenspaces of a
+    :func:`total_hamiltonian`, as its matrix in the product eigenbasis
+    kron(V_S, V_B) of ``hamiltonian.parts``, with [i d_b + r, j d_b + s] = <i, r|U|j, s>.
 
     ``matrix`` must be unitary, so every thermal operation on it is CPTP; every
-    construction checks this to ``UNITARY_TOL``.
+    construction checks this to ``UNITARY_TOL``, and that ``hamiltonian`` has ``parts``.
     """
 
     matrix: np.ndarray
     hamiltonian: Hamiltonian
 
     def __post_init__(self):
+        if self.hamiltonian.parts is None:
+            raise ValueError("unitary was not built from a system+bath total Hamiltonian")
         if not mat_equal(self.matrix @ dagger(self.matrix), np.eye(self.dim), UNITARY_TOL):
             raise ValueError("energy-block operator is not unitary")
 
@@ -175,19 +180,9 @@ class EnergyBlockUnitary:
         return self.matrix.shape[0]
 
     @functools.cached_property
-    def product_basis_matrix(self) -> np.ndarray:
-        """U in the product eigenbasis kron(V_S, V_B) of ``hamiltonian.parts``; read-only."""
-        if self.hamiltonian.parts is None:
-            raise ValueError("unitary was not built from a system+bath total Hamiltonian")
-        v = np.kron(*(h.eigvecs for h in self.hamiltonian.parts))
-        u = dagger(v) @ self.matrix @ v
-        u.flags.writeable = False
-        return u
-
-    @functools.cached_property
     def amplitude_table(self) -> "AmplitudeTable":
         """The :class:`AmplitudeTable` of ``hamiltonian.parts``, built on first use."""
-        u = self.product_basis_matrix
+        u = self.matrix
         h_sys, h_bath = self.hamiltonian.parts
         d_s, d_b = h_sys.dim, h_bath.dim
         levels = _bath_levels(h_sys, h_bath)
@@ -226,39 +221,45 @@ def _coerce_block_unitary(param, size: int) -> np.ndarray:
 
 
 def build_block_unitary(h_total: Hamiltonian, block_params) -> EnergyBlockUnitary:
-    """Assemble a global unitary from one unitary per total-energy eigenspace.
+    """Assemble a global unitary from one unitary per total-energy eigenspace
+    of the :func:`total_hamiltonian` ``h_total``.
 
     ``block_params`` is a sequence aligned with ``h_total.energy_blocks()``:
     a bare phase alpha for a one-dimensional block (the block unitary is
     e^{-i alpha}), a ``(phases, basis)`` pair giving eigenphases in an
-    explicit intra-block basis, or a full intra-block unitary matrix.  The
-    result commutes with ``h_total`` by construction.  All bare phases enter
-    through one product V diag(e^{-i alpha}) V^dag on their levels' cached
-    eigenvectors V; a unit phase needs no unitarity check.
+    explicit intra-block basis, or a full intra-block unitary matrix.  Each
+    goes on the product indices i d_b + r of its levels' labels (i, r), so
+    every other entry is an exact zero; a unit phase needs no unitarity check.
     """
     blocks = h_total.energy_blocks()
     if len(block_params) != len(blocks):
         raise ValueError(f"got {len(block_params)} block parameters for {len(blocks)} energy blocks")
-    v = h_total.eigvecs
+    d_b = h_total.parts[1].dim
+    place = [i * d_b + r for i, r in h_total.product_labels]
     u = np.zeros((h_total.dim, h_total.dim), dtype=complex)
     levels, phases = [], []
     for (_, idx), param in zip(blocks, block_params):
         if np.isscalar(param):
             if len(idx) != 1:
                 raise ValueError(f"scalar phase given for a {len(idx)}-dimensional block")
-            levels.append(idx[0])
+            levels.append(place[idx[0]])
             phases.append(reduce_mod_2pi(float(param)))
             continue
-        basis = v[:, list(idx)]
-        u += basis @ _coerce_block_unitary(param, len(idx)) @ dagger(basis)
-    vs = v[:, levels]
-    u += (vs * np.exp(-1j * np.array(phases))) @ dagger(vs)
+        at = [place[k] for k in idx]
+        u[np.ix_(at, at)] = _coerce_block_unitary(param, len(idx))
+    u[levels, levels] = np.exp(-1j * np.array(phases))
     return EnergyBlockUnitary(u, h_total)
 
 
 @dataclass(frozen=True, eq=False)
 class ThermalOperation:
-    """Global unitary plus bath Gibbs state, applied by conjugate-and-trace."""
+    """Global unitary plus bath Gibbs state, applied by conjugate-and-trace.
+
+    The bath must be a Gibbs state of the bath the unitary was built on: the
+    same :class:`Hamiltonian`, or one with equal energies and eigenvectors.
+    This is checked once, here, so every evolution can take the bath as its
+    level weights in that bath's eigenbasis.
+    """
 
     unitary: EnergyBlockUnitary
     bath: GibbsState
@@ -266,39 +267,34 @@ class ThermalOperation:
     d_bath: int
 
     def __post_init__(self):
-        if self.unitary.dim != self.d_sys * self.d_bath:
-            raise ValueError("unitary dimension does not match d_sys * d_bath")
-        if self.bath.hamiltonian.dim != self.d_bath:
-            raise ValueError("bath dimension mismatch")
+        parts = self.unitary.hamiltonian.parts
+        own, bath = parts[1], self.bath.hamiltonian
+        if bath is not own and not (np.array_equal(bath.energies, own.energies)
+                                    and np.array_equal(bath.eigvecs, own.eigvecs)):
+            raise ValueError("bath Hamiltonian differs from the one the unitary was built on")
+        if (self.d_sys, self.d_bath) != (parts[0].dim, own.dim):
+            raise ValueError("d_sys, d_bath do not match the unitary's system and bath")
 
     @property
     def system_hamiltonian(self) -> Hamiltonian:
-        parts = self.unitary.hamiltonian.parts
-        if parts is None:
-            raise ValueError("unitary was not built from a system+bath total Hamiltonian")
-        return parts[0]
+        return self.unitary.hamiltonian.parts[0]
 
 
 def thermal_operation(unitary: EnergyBlockUnitary, bath: GibbsState) -> ThermalOperation:
-    d_bath = bath.hamiltonian.dim
-    if unitary.dim % d_bath:
-        raise ValueError("bath dimension does not divide the unitary dimension")
-    return ThermalOperation(unitary, bath, unitary.dim // d_bath, d_bath)
+    h_sys, h_bath = unitary.hamiltonian.parts
+    return ThermalOperation(unitary, bath, h_sys.dim, h_bath.dim)
 
 
 def evolve(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Joint operator U (x (x) tau) U^dag for the global unitary ``u`` and the
     bath state ``tau``.
 
-    ``x`` is a system operator or a stack (..., d_sys, d_sys) of them; ``u``
-    is one unitary or a stack (..., d, d) whose leading axes broadcast
-    against the stack of ``x``.
+    ``x`` is a system operator or a stack (..., d_sys, d_sys) of them, of the
+    size its caller checks; ``u`` is one unitary or a stack (..., d, d) whose
+    leading axes broadcast against the stack of ``x``.
     """
     x = np.asarray(x, dtype=complex)
     d = u.shape[-1]
-    d_sys = d // tau.shape[0]
-    if x.shape[-2:] != (d_sys, d_sys):
-        raise ValueError(f"operator dimension mismatch: {x.shape} vs system dimension {d_sys}")
     # x (x) tau by broadcasting: axes (..., sys, bath, sys, bath)
     joint = (x[..., :, None, :, None] * tau[:, None, :]).reshape(*x.shape[:-2], d, d)
     return u @ joint @ dagger(u)
@@ -306,8 +302,10 @@ def evolve(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def apply(op: ThermalOperation, states: DensityMatrix | Sequence[DensityMatrix]
           ) -> DensityMatrix | list[DensityMatrix]:
-    """Joint state U (rho (x) tau) U^dag of the system state ``states``; its
-    marginals come from partial_trace.
+    """Joint state U (rho (x) tau) U^dag of the system state ``states`` in the
+    product eigenbasis of ``op.unitary.matrix``, from rho's level coefficients
+    V_S^dag rho V_S and tau = diag(q); so each marginal from partial_trace is
+    in its own factor's eigenbasis, and a Gibbs state there is diag(weights).
 
     Given a sequence of system states instead, returns the list of their
     joint states from one evolution of their (n, d_sys, d_sys) stack; one
@@ -317,7 +315,9 @@ def apply(op: ThermalOperation, states: DensityMatrix | Sequence[DensityMatrix]
     for rho in rows:
         if rho.dim != op.d_sys:
             raise ValueError(f"system state dimension {rho.dim} != {op.d_sys}")
-    joint = evolve(op.unitary.matrix, op.bath.state.matrix, np.array([rho.matrix for rho in rows]))
+    v = op.system_hamiltonian.eigvecs
+    joint = evolve(op.unitary.matrix, np.diag(op.bath.level_probabilities),
+                   dagger(v) @ np.array([rho.matrix for rho in rows]) @ v)
     joint = 0.5 * (joint + dagger(joint))
     out = [DensityMatrix._derived(m, (op.d_sys, op.d_bath)) for m in joint]
     return out[0] if isinstance(states, DensityMatrix) else out
@@ -388,21 +388,18 @@ def mto_check(op: ThermalOperation, rho_sys: DensityMatrix) -> MtoConstraintRepo
     match the Boltzmann-weighted transition probabilities, and on a
     non-degenerate Bohr spectrum the diagonal phase products must not depend
     on the bath level.  Only the bath weights depend on the temperature.
-    Raises ValueError unless the bath is the one the unitary was built on.
+    Both sides are compared in the product eigenbasis, as :func:`apply` forms them.
     """
     t = op.unitary.amplitude_table
-    own, bath = op.unitary.hamiltonian.parts[1], op.bath.hamiltonian
-    if bath is not own and not (np.array_equal(bath.energies, own.energies)
-                                and np.array_equal(bath.eigvecs, own.eigvecs)):
-        raise ValueError("bath Hamiltonian differs from the one the unitary was built on")
-    joint = evolve(op.unitary.matrix, op.bath.state.matrix, rho_sys.matrix)
-    # rho' (x) tau, as np.kron forms it but without its per-call overhead
+    p = op.bath.level_probabilities
+    v, tau = op.system_hamiltonian.eigvecs, np.diag(p)
+    joint = evolve(op.unitary.matrix, tau, dagger(v) @ rho_sys.matrix @ v)
+    # rho' (x) tau, a Kronecker product formed by broadcasting
     product = np.multiply.outer(trace_out_second(joint, op.d_sys, op.d_bath),
-                                op.bath.state.matrix).swapaxes(1, 2).reshape(joint.shape)
+                                tau).swapaxes(1, 2).reshape(joint.shape)
     # the difference is Hermitian, so its trace norm is the sum of |eigenvalues|
     deviation = 0.5 * float(np.abs(np.linalg.eigvalsh(joint - product)).sum())
 
-    p = op.bath.level_probabilities
     pij = t.weights @ p  # P(i -> j) from the available amplitudes
     ratio = np.divide(p[t.levels] * pij[..., None], p, out=np.full_like(t.weights, np.nan), where=p > 0)
     spread = np.abs(t.phase_products - (t.phase_products @ p)[..., None])

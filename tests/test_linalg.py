@@ -239,14 +239,14 @@ def test_eigvalsh_stays_relative_to_the_norm_across_the_double_range(scale):
 
 
 def test_eigvalsh_computes_each_row_alone():
-    for n in (2, 3):  # closed-form rows, then LAPACK's
+    for n in (2, 3):  # LAPACK's rows
         cases = eigvalsh_cases(n)
         h = np.concatenate([cases["random"], cases["2_fold"], cases["zero"]])
         alone = np.array([packed_eigvalsh(m) for m in h])
         assert np.array_equal(packed_eigvalsh(h).view(np.int64), alone.view(np.int64)), n
 
 
-@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_eigvalsh_hands_other_sizes_to_lapack(n):
     h = eigvalsh_cases(n)["random"][:20]
     for m in (h, h[0]):

@@ -40,8 +40,8 @@ from athermal_markov.thermal import (
     thermal_operation,
     total_hamiltonian,
 )
-from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, channel_image, choi_state, distance_value,
-                  expansion_lemma_residual, family_member, matrix_log2_on_support,
+from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, channel_image, choi_state, computational_matrix,
+                  distance_value, expansion_lemma_residual, family_member, matrix_log2_on_support,
                   maximally_entangled_input, member_distances, packed_eigvalsh,
                   qubit_choi_closed_form, random_density, random_hermitian, random_unitary,
                   relation_residual, response_direction)
@@ -214,8 +214,12 @@ def test_stacked_kernels_match_the_reference_forms(d1, d2):
     kets = [v / np.linalg.norm(v) for v in rng.normal(size=(3, d1)) + 1j * rng.normal(size=(3, d1))]
     pure = apply(random_op(rng, d1, d2, beta=math.inf),
                  [DensityMatrix(np.outer(v, v.conj()), (d1,)) for v in kets])
-    # pure inputs on a pure bath give rank-one joints: all but one eigenvalue is
-    # rounding noise about zero, some of it negative, which log2 must never see
+    # pure inputs on a pure bath give rank-one joints.  The measures do not see a
+    # local unitary, which spreads each over the whole product basis: then all but
+    # one eigenvalue is rounding noise about zero, some of it negative, which log2
+    # must never see
+    local = np.kron(random_unitary(rng, d1), random_unitary(rng, d2))
+    pure = [DensityMatrix._derived(local @ j.matrix @ dagger(local), j.dims) for j in pure]
     noise = np.array([np.linalg.eigvalsh(j.matrix)[:-1] for j in pure])
     assert np.abs(noise).max() < 1e-14 and noise.min() < 0
     assert_kernels_match_references(mixed + pure)
@@ -436,15 +440,17 @@ def test_discord_objective_is_phase_covariant():
 def test_nondegenerate_thermal_operation_fixes_incoherent_inputs(d1, d2):
     # with a non-degenerate total spectrum the energy-preserving unitary is
     # diagonal in the product energy basis, so it leaves rho_S (x) gamma_B
-    # unchanged for rho_S diagonal in the system energy basis.  On dense random
+    # unchanged for rho_S diagonal in the system energy basis; apply's joint
+    # state is in that basis, where gamma_B is diag(q).  On dense random
     # Hamiltonians the rounding of their eigenvectors leaves up to 1.5e-15 per
     # entry and 1.2e-14 on the measures (150 systems of each size)
     rng = np.random.default_rng(870 + 10 * d1 + d2)
     op = random_op(rng, d1, d2)
-    rho = thermal.state_from_level_coeffs(op.system_hamiltonian,
-                                          np.diag(rng.dirichlet(np.ones(d1))).astype(complex))
+    coeffs = np.diag(rng.dirichlet(np.ones(d1))).astype(complex)
+    rho = thermal.state_from_level_coeffs(op.system_hamiltonian, coeffs)
     joint = apply(op, rho)
-    assert np.max(np.abs(joint.matrix - np.kron(rho.matrix, op.bath.state.matrix))) <= 4e-15
+    want = np.kron(coeffs, np.diag(op.bath.level_probabilities))
+    assert np.max(np.abs(joint.matrix - want)) <= 4e-15
     values = [log_negativity(joint), mutual_information(joint)]
     if d1 == 2:
         values += joint_entropy_discord([joint], OptimizerConfig(seeds=2, grid_resolution=4))
@@ -571,10 +577,10 @@ def test_measured_conditional_entropy_matches_kron_reference(d2, monkeypatch):
     got = kernel(measures._bloch_blocks(np.array([rho.matrix for rho in states]), d2), angles,
                  owner)
     assert np.max(np.abs(got - want)) < 1e-12
-    # the product rows need no LAPACK call, and every dense outcome above 2x2
+    # the product rows need no LAPACK call, and every dense outcome above 1x1
     # goes to LAPACK, in one call per kernel call: 12 pure rows alone, then
     # the pure and random rows
-    assert lapack == {1: [], 2: [], 3: [2 * 12, 2 * 24], 6: [2 * 12, 2 * 24]}[d2]
+    assert lapack == ([] if d2 == 1 else [2 * 12, 2 * 24])
 
 
 @pytest.mark.parametrize("d2", [3, 4, 6])
@@ -668,8 +674,8 @@ def test_measured_conditional_entropy_matches_lapack_spectra(d2):
     want = np.array([pointwise_conditional_entropy(blocks[o], *row, spectrum=np.linalg.eigvalsh)
                      for o, row in zip(owner, angles)])
     assert np.max(np.abs(got - want)) <= 1e-14
-    if d2 != 2:  # LAPACK's own outcome spectra, so the kernel keeps its bits
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # LAPACK's own outcome spectra, so the kernel keeps its bits
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def builtin_fig3_discord():
@@ -679,12 +685,13 @@ def builtin_fig3_discord():
 # The kernel rows and objective calls of the built-in fig3 discord search.  Both
 # repeat exactly for one numpy build and CPU, so a change to either is a change
 # to the search (or to the floating-point bits of its objective).
-FIG3_DISCORD_ROWS, FIG3_DISCORD_CALLS = 47_237, 87
+FIG3_DISCORD_ROWS, FIG3_DISCORD_CALLS = 46_828, 84
 
 
 def test_fig3_discord_states_split_into_level_blocks_without_lapack(monkeypatch):
-    # what the fig3 search's speed rests on: in each state the qutrit's level 2
-    # is uncoupled, so every outcome is a 2x2 and a 1x1 block in closed form
+    # what the fig3 search's speed rests on: its total spectrum is non-degenerate,
+    # so in the product eigenbasis each state couples no two bath levels, and
+    # every outcome is three 1x1 blocks, its own diagonal
     partitions, lapack = [], []
     level_blocks, kernel_of, lapack_eigvalsh = (measures._level_blocks,
                                                 measures._measured_conditional_entropy,
@@ -702,7 +709,7 @@ def test_fig3_discord_states_split_into_level_blocks_without_lapack(monkeypatch)
     monkeypatch.setattr(measures, "_level_blocks", found)
     monkeypatch.setattr(measures, "_measured_conditional_entropy", counted_kernel)
     run_config(builtin_fig3_discord())
-    assert partitions == [((0, 1), (2,))] * 40
+    assert partitions == [((0,), (1,), (2,))] * 40
     assert lapack == []
 
 
@@ -801,7 +808,7 @@ def _random_block_op(rng, d_sys, d_bath):
 def _choi_by_blocks(op, h_sys):
     """Reference Choi state: the channel, written out with kron, applied to
     each (ancilla a, ancilla b) block of the entangled input in turn."""
-    u, tau = op.unitary.matrix, op.bath.state.matrix
+    u, tau = computational_matrix(op.unitary), op.bath.state.matrix
 
     def channel(x):
         joint = u @ np.kron(x, tau) @ dagger(u)
@@ -920,11 +927,10 @@ def test_family_member_matches_block_unitary_reference(d_sys, d_bath):
 
 
 def test_family_rejects_a_bath_of_another_hamiltonian():
-    op, family = distance_example_op()
-    other = thermal_operation(op.unitary, gibbs_state(Hamiltonian.from_matrix(SIGMA_X), 0.01))
-    with pytest.raises(ValueError, match="family bath must be a Gibbs state"):
-        measures.distance_sweep([op, other], family, Hamiltonian.from_matrix(SIGMA_X),
-                                OptimizerConfig(seeds=1, grid_resolution=1))
+    # no operation of the family's unitary can carry another bath, so the search never sees one
+    op, _ = distance_example_op()
+    with pytest.raises(ValueError, match="bath Hamiltonian differs"):
+        thermal_operation(op.unitary, gibbs_state(Hamiltonian.from_matrix(SIGMA_X), 0.01))
 
 
 def assert_qubit_search_at_closed_form(op, family, h_prime, distance, chi_max):
@@ -1211,13 +1217,14 @@ def test_family_search_rejects_a_unitary_it_cannot_reduce():
     rotated = total_hamiltonian(Hamiltonian.from_matrix(SIGMA_X), h_tot.parts[1])
     cases = ((dense, "not diagonal in the family's product eigenbasis"),
              (thermal.EnergyBlockUnitary(np.eye(h_tot.dim), rotated),
-              "not built on the family's total Hamiltonian"),
-             (thermal.EnergyBlockUnitary(np.eye(h_tot.dim), Hamiltonian.from_matrix(h_tot.matrix)),
               "not built on the family's total Hamiltonian"))
     for unitary, message in cases:
         with pytest.raises(ValueError, match=message):
             measures.distance_sweep([op, thermal_operation(unitary, op.bath)], setup.family,
                                     setup.h_prime, OptimizerConfig(seeds=1, grid_resolution=1))
+    # a unitary on a Hamiltonian without a system+bath split cannot even be formed
+    with pytest.raises(ValueError, match="system\\+bath total Hamiltonian"):
+        thermal.EnergyBlockUnitary(np.eye(h_tot.dim), Hamiltonian.from_matrix(h_tot.matrix))
 
 
 def test_distance_nonnegative_and_diagnosed():
@@ -1296,10 +1303,11 @@ def reference_theta_lambda(op, coeffs, pert):
     """theta_lambda in its log-matrix form, Tr[x (I + log2 A)] with log2 A formed,
     with its support flags."""
     h_sys = op.system_hamiltonian
-    joint = apply(op, thermal.state_from_level_coeffs(h_sys, coeffs)).matrix
+    u, tau = computational_matrix(op.unitary), op.bath.state.matrix
+    joint = thermal.evolve(u, tau, thermal.state_from_level_coeffs(h_sys, coeffs).matrix)
     v = h_sys.eigvecs
     rho_tilde = v @ thermal.first_order_correction(coeffs, h_sys, pert.h_prime) @ dagger(v)
-    joint_dir = thermal.evolve(op.unitary.matrix, op.bath.state.matrix, rho_tilde)
+    joint_dir = thermal.evolve(u, tau, rho_tilde)
     d1, d2 = op.d_sys, op.d_bath
     flags, bars = {}, []
     for name, x, state in (
@@ -1363,11 +1371,10 @@ def test_theta_lambda_on_a_pure_bath_is_joint_deficient_from_the_bath_alone(d1, 
 
 
 def test_theta_lambda_rejects_a_bath_of_another_hamiltonian():
+    # theta_lambda reads the bath as level weights, so the operation itself refuses another bath
     op = fig2_op()
-    other = thermal_operation(op.unitary, gibbs_state(Hamiltonian.from_matrix(SIGMA_X), 0.25))
-    with pytest.raises(ValueError, match="bath eigenvectors differ"):
-        theta_lambda(other, np.diag([0.3, 0.7]),
-                     PerturbationSpec(Hamiltonian.from_matrix(SIGMA_X), 0.1))
+    with pytest.raises(ValueError, match="bath Hamiltonian differs"):
+        thermal_operation(op.unitary, gibbs_state(Hamiltonian.from_matrix(SIGMA_X), 0.25))
 
 
 @pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (2, 6), (4, 4), (3, 6), (6, 6),
@@ -1390,13 +1397,70 @@ def test_nondegenerate_thermal_operation_leaves_the_bath_classical(d1, d2):
         for coeffs in (random_density(rng, d1).matrix, 0.5 * random_density(rng, d1).matrix
                        + 0.5 * incoherent, incoherent):
             joint = apply(op, thermal.state_from_level_coeffs(h_sys, coeffs))
-            assert abs(log_negativity(joint).value) <= 1e-13
+            assert log_negativity(joint).value == 0.0  # Cholesky certifies the PPT stack
             out = coeffs * multiplier
             want = entropy_of_spectrum(out) - entropy_of_spectrum(coeffs)
             assert abs(mutual_information(joint).value - want) <= 1e-13
             response = thermal.first_order_correction(coeffs, h_sys, pert.h_prime) * multiplier
             want = -np.trace(response @ matrix_log2_on_support(out)).real
             assert abs(theta_lambda(op, coeffs, pert) - want) <= 1e-12
+
+
+def shannon_conditional_entropy(x: np.ndarray, q: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """sum_a p_a H(q(r|a)) for measuring {|psi><psi|, I - |psi><psi|} on the qubit of
+    sum_r q_r x_r (x) |r><r|, with x (d2, 2, 2) the unit-trace x_r in the system
+    eigenbasis and psi = (cos(theta/2), e^{i phi} sin(theta/2)) there, one value
+    per (theta, phi) row of ``angles``: p(a, r) = q_r <a|x_r|a> is the whole joint
+    distribution, a Shannon entropy with no eigendecomposition."""
+    psi = np.column_stack([np.cos(angles[:, 0] / 2),
+                           np.exp(1j * angles[:, 1]) * np.sin(angles[:, 0] / 2)])
+    inner = np.einsum("ni,rij,nj->nr", psi.conj(), x, psi).real
+    joint = np.stack([inner, 1.0 - inner], axis=1) * q  # (n, outcome a, bath level r)
+    given = np.divide(joint, joint.sum(axis=-1, keepdims=True), out=np.ones_like(joint),
+                      where=joint > 0)
+    return -np.sum(np.where(joint > 0, joint * np.log2(given), 0.0), axis=(1, 2))
+
+
+@pytest.mark.parametrize("d2", [2, 3, 6])
+def test_nondegenerate_discord_matches_the_shannon_form(d2):
+    # on a non-degenerate qubit system the joint state is sum_r q_r (u_r P u_r^dag)
+    # (x) |r><r|, u_r = diag(e^{-i alpha_ir}) in the system eigenbasis, so in the
+    # product eigenbasis every level block is 1x1, S(AB) = H(q) + S(P), and each
+    # outcome leaves the bath in a classical distribution.  Discord is then
+    # S(P o M_op) - H(q) - S(P) plus the Shannon form's minimum, here from a fine
+    # grid polished by the package's minimize
+    rng = np.random.default_rng(950 + d2)
+    search = OptimizerConfig(seeds=8, grid_resolution=60)
+    for _ in range(2):
+        while True:  # random_op's non-degenerate draw, with the phases kept
+            h_sys = Hamiltonian.from_matrix(random_hermitian(rng, 2))
+            h_bath = Hamiltonian.from_matrix(random_hermitian(rng, d2))
+            h_tot = total_hamiltonian(h_sys, h_bath)
+            if (np.diff(h_sys.energies).min() > 0.1 and np.diff(h_bath.energies).min() > 1e-3
+                    and np.diff(h_tot.energies).min() > 1e-3):
+                break
+        alpha = np.zeros((2, d2))
+        phases = rng.uniform(0, 2 * np.pi, 2 * d2)
+        for (i, r), a in zip(h_tot.product_labels, phases):
+            alpha[i, r] = a
+        op = thermal_operation(build_block_unitary(h_tot, list(phases)),
+                               gibbs_state(h_bath, rng.uniform(0.2, 2.0)))
+        q = op.bath.level_probabilities
+        u = np.exp(-1j * alpha.T)[:, :, None]  # u_r as (d2, 2, 1) diagonals
+        incoherent = np.diag(rng.dirichlet(np.ones(2))).astype(complex)
+        inputs = (random_density(rng, 2).matrix, 0.5 * random_density(rng, 2).matrix
+                  + 0.5 * incoherent, incoherent)
+        joints = apply(op, [thermal.state_from_level_coeffs(h_sys, p) for p in inputs])
+        blocks = measures._bloch_blocks(np.array([j.matrix for j in joints]), d2)
+        assert measures._level_blocks(blocks) == [tuple((r,) for r in range(d2))] * len(inputs)
+        s_ab = [-q @ np.log2(q) + reference_entropy(p) for p in inputs]
+        values = discord(joints, s_ab, OptimizerConfig(seeds=8, grid_resolution=24))
+        for p, mv, joint_entropy in zip(inputs, values, s_ab):
+            x = u * p * u.conj().swapaxes(-1, -2)  # u_r P u_r^dag
+            best, = minimize(lambda angles, owner: shannon_conditional_entropy(x, q, angles),
+                             [(0.0, np.pi), (0.0, 2 * np.pi)], search, periodic=[False, True])
+            want = reference_entropy(np.einsum("r,rij->ij", q, x)) - joint_entropy + best.best_value
+            assert abs(mv.value - want) <= 2e-8
 
 
 def test_check_support_error_branch():

@@ -141,12 +141,16 @@ def test_only_the_claim_checkers_set_a_deviation_status():
     assert found == {("experiments.py", "_check_claims")}
 
 
-def _uses(tree: ast.Module, names: set[str]) -> list[int]:
-    """Lines that name one of ``names``: an attribute, a bare name or an import."""
-    return [node.lineno for node in ast.walk(tree)
-            if (isinstance(node, ast.Attribute) and node.attr in names)
+def _names(node: ast.AST, names: set[str]) -> bool:
+    """Whether ``node`` names one of ``names``: an attribute, a bare name or an import."""
+    return ((isinstance(node, ast.Attribute) and node.attr in names)
             or (isinstance(node, ast.Name) and node.id in names)
-            or (isinstance(node, ast.alias) and node.name in names)]
+            or (isinstance(node, ast.alias) and node.name in names))
+
+
+def _uses(tree: ast.Module, names: set[str]) -> list[int]:
+    """Lines that name one of ``names``."""
+    return [node.lineno for node in ast.walk(tree) if _names(node, names)]
 
 
 def _uses_under_src(names: set[str]) -> list[str]:
@@ -163,6 +167,28 @@ def test_ndenumerate_rule_catches_each_spelling():
     for source in ("for k, v in np.ndenumerate(a): pass", "from numpy import ndenumerate",
                    "f = ndenumerate"):
         assert _uses(ast.parse(source), {"ndenumerate"}) == [1], source
+
+
+def _kron_scopes(tree: ast.Module) -> set[str | None]:
+    return _scopes(tree, lambda node: _names(node, {"kron"}))
+
+
+def test_kron_forms_only_the_ppt_sweep_input():
+    # the unitary and the joint states live in the product eigenbasis, so no module
+    # conjugates by kron(V_S, V_B); the one Kronecker product left is the input
+    # rho (x) tau of _ppt_spectra_sweep
+    found = [(name, scope, len(_uses(tree, {"kron"})))
+             for name, tree in _source_modules().items() for scope in _kron_scopes(tree)]
+    assert found == [("experiments.py", "_ppt_spectra_sweep", 1)]
+
+
+def test_kron_rule_catches_a_basis_round_trip():
+    source = ("class EnergyBlockUnitary:\n"
+              "    def product_basis_matrix(self):\n"
+              "        v = np.kron(*(h.eigvecs for h in self.hamiltonian.parts))\n"
+              "        return dagger(v) @ self.matrix @ v\n"
+              "from numpy import kron\n")
+    assert _kron_scopes(ast.parse(source)) == {"EnergyBlockUnitary.product_basis_matrix", None}
 
 
 # np.allclose and np.isclose add rtol * |b| to the absolute tolerance they are given,

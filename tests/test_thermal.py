@@ -26,7 +26,8 @@ from athermal_markov.thermal import (
     thermal_operation,
     total_hamiltonian,
 )
-from util import SIGMA_X, SIGMA_Z, choi_state, random_density, random_hermitian, random_unitary
+from util import SIGMA_X, SIGMA_Z, choi_state, computational_matrix, random_density, \
+    random_hermitian, random_unitary
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
 EPS = np.finfo(float).eps
@@ -34,8 +35,10 @@ GELL_MANN_1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
 
 
 def commutator_norm(u, h) -> float:
-    """Trace norm of U H - H U for a unitary and a Hamiltonian, or raw matrices."""
-    um, hm = (np.asarray(getattr(x, "matrix", x), dtype=complex) for x in (u, h))
+    """Trace norm of U H - H U for a block unitary, in the computational basis,
+    and a Hamiltonian, or for raw matrices."""
+    um = computational_matrix(u) if isinstance(u, thermal.EnergyBlockUnitary) else u
+    um, hm = (np.asarray(getattr(x, "matrix", x), dtype=complex) for x in (um, h))
     return trace_norm(um @ hm - hm @ um)
 
 
@@ -239,10 +242,12 @@ def test_block_unitary_nondegenerate_is_diagonal_in_product_basis():
     h_bath = Hamiltonian.from_matrix(GELL_MANN_1)
     h_tot = total_hamiltonian(h_sys, h_bath)
     u = build_block_unitary(h_tot, list(rng.uniform(0, 2 * np.pi, size=6)))
-    in_basis = dagger(h_tot.eigvecs) @ u.matrix @ h_tot.eigvecs
+    # held in the product eigenbasis, with exact zeros off the diagonal
+    assert np.array_equal(u.matrix, np.diag(np.diag(u.matrix)))
+    assert np.allclose(np.abs(np.diag(u.matrix)), 1.0)
+    in_basis = dagger(h_tot.eigvecs) @ computational_matrix(u) @ h_tot.eigvecs
     off = in_basis - np.diag(np.diag(in_basis))
     assert np.max(np.abs(off)) < 1e-12
-    assert np.allclose(np.abs(np.diag(in_basis)), 1.0)
 
 
 def test_block_unitary_bare_phases_match_the_per_block_sum():
@@ -255,7 +260,12 @@ def test_block_unitary_bare_phases_match_the_per_block_sum():
     v = h_tot.eigvecs
     want = sum(np.exp(-1j * reduce_mod_2pi(a)) * np.outer(v[:, k], v[:, k].conj())
                for k, a in enumerate(phases))
-    assert mat_equal(build_block_unitary(h_tot, phases).matrix, want, 1e-14)
+    u = build_block_unitary(h_tot, phases)
+    assert mat_equal(computational_matrix(u), want, 1e-14)
+    # level k sits on the product index i d_b + r of its label (i, r), exactly
+    places = [3 * i + r for i, r in h_tot.product_labels]
+    assert np.array_equal(u.matrix[places, places], [np.exp(-1j * reduce_mod_2pi(a)) for a in phases])
+    assert np.count_nonzero(u.matrix) == 6
     # a bare phase is only a one-dimensional block's parameter
     params = [0.0, 1.0, 0.0]
     with pytest.raises(ValueError, match="scalar phase given for a 2-dimensional block"):
@@ -308,18 +318,22 @@ def test_apply_identity_unitary():
     op = thermal_operation(build_block_unitary(h_tot, params), gibbs_state(H_QUBIT, 0.5))
     rho = random_density(rng, 2)
     joint = apply(op, rho)
-    assert mat_equal(partial_trace(joint, 0).matrix, rho.matrix, 1e-12)
-    assert mat_equal(partial_trace(joint, 1).matrix, op.bath.state.matrix, 1e-12)
-    assert mat_equal(joint.matrix, np.kron(rho.matrix, op.bath.state.matrix), 1e-12)
+    # in the product eigenbasis: rho's level coefficients and the bath's weights
+    coeffs = dagger(H_QUBIT.eigvecs) @ rho.matrix @ H_QUBIT.eigvecs
+    tau = np.diag(op.bath.level_probabilities)
+    assert mat_equal(partial_trace(joint, 0).matrix, coeffs, 1e-12)
+    assert mat_equal(partial_trace(joint, 1).matrix, tau, 1e-12)
+    assert mat_equal(joint.matrix, np.kron(coeffs, tau), 1e-12)
 
 
 def test_apply_fixed_point():
     beta = 0.25
     h_tot, u = fig2_unitary()
     op = thermal_operation(u, gibbs_state(H_QUBIT, beta))
-    tau_sys = gibbs_state(H_QUBIT, beta).state
-    out = partial_trace(apply(op, tau_sys), 0)
-    assert 0.5 * trace_norm(out.matrix - tau_sys.matrix) <= 1e-9
+    tau_sys = gibbs_state(H_QUBIT, beta)
+    # the system marginal comes out in the system eigenbasis, where tau_sys is diagonal
+    out = partial_trace(apply(op, tau_sys.state), 0)
+    assert 0.5 * trace_norm(out.matrix - np.diag(tau_sys.level_probabilities)) <= 1e-9
 
 
 def test_apply_joint_is_valid_density_matrix():
@@ -515,10 +529,23 @@ def test_mto_check_rejects_a_bath_the_unitary_was_not_built_on():
     same = thermal_operation(unitary, gibbs_state(Hamiltonian.from_matrix(10 * SIGMA_Z), 0.3))
     own = thermal_operation(unitary, gibbs_state(h_bath, 0.3))
     assert mto_check(same, rho).joint_product_deviation == mto_check(own, rho).joint_product_deviation
-    for other in (Hamiltonian.from_matrix(3 * SIGMA_Z), Hamiltonian.from_matrix(10 * SIGMA_X)):
-        op = thermal_operation(unitary, gibbs_state(other, 0.3))
+    # another bath, or one of another size, is refused when the operation is formed, so
+    # mto_check never sees it
+    for other in (Hamiltonian.from_matrix(3 * SIGMA_Z), Hamiltonian.from_matrix(10 * SIGMA_X),
+                  Hamiltonian.from_matrix(np.diag([0.0, 1.0, 2.0]).astype(complex))):
         with pytest.raises(ValueError, match="bath Hamiltonian differs"):
-            mto_check(op, rho)
+            thermal_operation(unitary, gibbs_state(other, 0.3))
+
+
+def test_direct_thermal_operation_is_checked_like_thermal_operation():
+    h_bath = Hamiltonian.from_matrix(10 * SIGMA_Z)
+    unitary = phase_diag_op([[1.0, 2.0], [3.0, 4.0]], h_bath=h_bath).unitary
+    assert thermal.ThermalOperation(unitary, gibbs_state(h_bath, 0.3), 2, 2).d_bath == 2
+    with pytest.raises(ValueError, match="bath Hamiltonian differs"):
+        thermal.ThermalOperation(unitary, gibbs_state(Hamiltonian.from_matrix(10 * SIGMA_X), 0.3),
+                                 2, 2)
+    with pytest.raises(ValueError, match="do not match the unitary's system and bath"):
+        thermal.ThermalOperation(unitary, gibbs_state(h_bath, 0.3), 1, 4)
 
 
 def test_mto_check_equivalence_random_sweep():
@@ -587,7 +614,7 @@ def test_transition_amplitudes_match_kron_reference(d_sys, d_bath):
               for _, idx in h_tot.energy_blocks()]
     op = thermal_operation(build_block_unitary(h_tot, params), gibbs_state(h_bath, 0.7))
     amps = op.unitary.amplitude_table.amplitudes
-    vs, vb, u = h_sys.eigvecs, h_bath.eigvecs, op.unitary.matrix
+    vs, vb, u = h_sys.eigvecs, h_bath.eigvecs, computational_matrix(op.unitary)
     found = 0
     for i, j, r in np.ndindex(amps.shape):
         amp = amps[i, j, r]
@@ -634,13 +661,13 @@ def _reference_mto_check(op, rho_sys):
     """Reference: the Markovianity check with dict-valued residuals, keyed by
     (i, j, r) and (i < j), None where unconstrained, built by element loops."""
     joint = apply(op, rho_sys)
-    product = np.kron(partial_trace(joint, 0).matrix, op.bath.state.matrix)
+    p_bath = op.bath.level_probabilities
+    # the joint state is in the product eigenbasis, where the bath is diag(p_bath)
+    product = np.kron(partial_trace(joint, 0).matrix, np.diag(p_bath))
     deviation = 0.5 * trace_norm(joint.matrix - product)
     h_sys, h_bath = op.system_hamiltonian, op.bath.hamiltonian
     d_s, d_b = h_sys.dim, h_bath.dim
-    p_bath = op.bath.level_probabilities
-    v = np.kron(h_sys.eigvecs, h_bath.eigvecs)
-    u = dagger(v) @ op.unitary.matrix @ v
+    u = op.unitary.matrix
     levels, amps = {}, {}
     for i in range(d_s):
         for j in range(d_s):

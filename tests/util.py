@@ -49,11 +49,19 @@ def distance_value(op, family, cfg) -> measures.MeasureValue:
     return measures.distance_sweep([op], family, op.system_hamiltonian, cfg)[0][0]
 
 
+def computational_matrix(unitary) -> np.ndarray:
+    """The matrix of an :class:`thermal.EnergyBlockUnitary` in the computational
+    basis: its product-eigenbasis ``matrix`` conjugated by kron(V_S, V_B)."""
+    w = np.kron(*(h.eigvecs for h in unitary.hamiltonian.parts))
+    return w @ unitary.matrix @ dagger(w)
+
+
 def channel_image(op, x: np.ndarray) -> np.ndarray:
     """The channel of the thermal operation ``op`` on a system operator or a
-    stack (..., d_sys, d_sys) of them, through the full system+bath evolution."""
-    return trace_out_second(thermal.evolve(op.unitary.matrix, op.bath.state.matrix, x),
-                            op.d_sys, op.d_bath)
+    stack (..., d_sys, d_sys) of them, through the full system+bath evolution
+    in the computational basis."""
+    return trace_out_second(thermal.evolve(computational_matrix(op.unitary), op.bath.state.matrix,
+                                           x), op.d_sys, op.d_bath)
 
 
 def family_member(family, free, bath) -> thermal.ThermalOperation:
@@ -107,14 +115,15 @@ def member_distances(family, op, x: np.ndarray, q: np.ndarray) -> np.ndarray:
     phases = family.manifold.embed(family.lift(q))
     members = (v * np.exp(-1j * phases)[:, None, :]) @ dagger(v)
     tau = op.bath.state.matrix
-    diff = apply_on_system_factor(op.unitary.matrix, tau, x) - apply_on_system_factor(members, tau, x)
+    diff = (apply_on_system_factor(computational_matrix(op.unitary), tau, x)
+            - apply_on_system_factor(members, tau, x))
     return np.linalg.svd(diff, compute_uv=False).sum(axis=-1)
 
 
 def choi_state(op) -> DensityMatrix:
     """Choi state (channel (x) identity)|Phi><Phi| of a thermal operation on the
     maximally entangled input over its system eigenvectors, checked on construction."""
-    out = apply_on_system_factor(op.unitary.matrix, op.bath.state.matrix,
+    out = apply_on_system_factor(computational_matrix(op.unitary), op.bath.state.matrix,
                                  maximally_entangled_input(op.system_hamiltonian))
     return DensityMatrix(0.5 * (out + dagger(out)), (op.d_sys, op.d_sys))
 
