@@ -222,8 +222,7 @@ class StudySetup:
 
     h_sys: Hamiltonian
     h_bath: Hamiltonian
-    h_tot: Hamiltonian
-    unitary: thermal.EnergyBlockUnitary
+    unitary: thermal.EnergyBlockUnitary  # on the total Hamiltonian, its ``hamiltonian``
     h_prime: Hamiltonian
     coeffs: np.ndarray
     rho: DensityMatrix
@@ -340,7 +339,7 @@ class ExperimentConfig:
             family = measures.MarkovianFamily(h_tot, manifold)
             check_search_size(self.optimizer, family.quotient.free_dim, 2 * controls,
                               "config.optimizer")
-        return StudySetup(h_sys, h_bath, h_tot, unitary, h_prime, coeffs, rho, rho_eps, family)
+        return StudySetup(h_sys, h_bath, unitary, h_prime, coeffs, rho, rho_eps, family)
 
     # -- construction helpers -------------------------------------------------
 
@@ -890,10 +889,10 @@ def _fixed_point_sweep(rng: np.random.Generator, cases: int) -> float:
         beta = float(rng.uniform(0.1, 3.0))
         bath = thermal.gibbs_state(h_bath, beta)
         op = thermal.thermal_operation(u, bath)
-        tau_sys = thermal.gibbs_state(h_sys, beta)
-        # apply's system marginal is in the system eigenbasis, where tau_sys is diag(p)
-        out = partial_trace(thermal.apply(op, tau_sys.state), 0)
-        worst = max(worst, 0.5 * trace_norm(out.matrix - np.diag(tau_sys.level_probabilities)))
+        p = np.diag(thermal.gibbs_state(h_sys, beta).level_probabilities)
+        # apply's system marginal is in the system eigenbasis, where the Gibbs state is diag(p)
+        out = partial_trace(thermal.apply(op, thermal.state_from_level_coeffs(h_sys, p)), 0)
+        worst = max(worst, 0.5 * trace_norm(out.matrix - p))
     return worst
 
 

@@ -1,9 +1,9 @@
 """Thermal channels on small system+bath pairs.
 
-Builds Hamiltonians with cached eigensystems, Gibbs states, global unitaries
-block diagonal over total-energy eigenspaces, held in the product energy
-eigenbasis, and the channel ``rho -> Tr_bath[U (rho (x) tau) U^dag]``, evolved
-in that basis.  Also hosts the Markovianity constraint report (tensor-product
+Builds Hamiltonians with cached eigensystems, Gibbs states as their level
+weights, global unitaries block diagonal over total-energy eigenspaces, held in
+the product energy eigenbasis, and the channel ``rho -> Tr_bath[U (rho (x) tau)
+U^dag]``, evolved in that basis, where the Gibbs bath tau is diag(q).  Also hosts the Markovianity constraint report (tensor-product
 deviation plus the amplitude/phase residual system) and non-degenerate
 first-order perturbation of the system state.
 
@@ -44,10 +44,10 @@ class Hamiltonian:
     """Hermitian operator with a cached ascending eigendecomposition.
 
     ``eigvecs`` columns follow the deterministic phase convention of
-    :func:`linalg.eigh`.  For operators built by :func:`total_hamiltonian`
-    the exact product eigenbasis is cached instead, ``parts`` holds the two
-    local Hamiltonians and ``product_labels[k]`` gives the (system level,
-    bath level) pair behind cached level ``k``.
+    :func:`linalg.eigh`.  An operator built by :func:`total_hamiltonian` is
+    held in the product eigenbasis of ``parts``, its two local Hamiltonians,
+    and ``product_labels[k]`` gives the (system level, bath level) pair
+    behind cached level ``k``.
     """
 
     matrix: np.ndarray
@@ -72,13 +72,6 @@ class Hamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @functools.cached_property
-    def unitary_eigvecs(self) -> bool:
-        """True iff ``eigvecs`` is unitary within ``UNITARY_TOL``; checked once,
-        since the cached arrays are read-only."""
-        v = self.eigvecs
-        return mat_equal(dagger(v) @ v, np.eye(self.dim), UNITARY_TOL)
-
     def bohr_nondegenerate(self) -> bool:
         """True iff all pairwise level differences E_i - E_j (i != j) are distinct."""
         e = self.energies
@@ -98,12 +91,10 @@ class Hamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class GibbsState:
-    """Thermal state e^{-beta H}/Z together with its source Hamiltonian and
-    ``level_probabilities``, the read-only Boltzmann weight of each cached
-    energy level (ascending order)."""
+    """Thermal state e^{-beta H}/Z of ``hamiltonian`` as ``level_probabilities``,
+    the read-only Boltzmann weight of each cached energy level (ascending
+    order): in that Hamiltonian's eigenbasis the state is their diagonal."""
 
-    state: DensityMatrix
-    beta: float
     hamiltonian: Hamiltonian
     level_probabilities: np.ndarray
 
@@ -125,35 +116,27 @@ def gibbs_state(h: Hamiltonian, beta: float) -> GibbsState:
         raise ValueError("beta must be nonnegative (math.inf allowed)")
     if math.isinf(beta) and len(h.energies) > 1 and h.energies[1] - h.energies[0] <= DEGENERACY_TOL:
         raise ValueError("ambiguous zero-temperature limit: degenerate ground space")
-    if not h.unitary_eigvecs:
-        raise ValueError("Hamiltonian eigenvectors are not unitary")
-    v = h.eigvecs
     w = _boltzmann_weights(h.energies, beta)
     w.flags.writeable = False
-    return GibbsState(DensityMatrix._derived((v * w) @ dagger(v), (h.dim,)), float(beta), h, w)
+    return GibbsState(h, w)
 
 
 def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
-    """Kronecker sum H (x) I + I (x) H with the exact product eigenbasis cached.
+    """H (x) I + I (x) H in the product eigenbasis kron(V_S, V_B) of its parts,
+    the basis of :class:`EnergyBlockUnitary`: ``matrix`` is diag(E_i + E_r) on
+    product index i d_b + r, and ``eigvecs`` the permutation to its levels.
 
     Levels are sorted by total energy ascending, ties broken by (system
     level, bath level), and the label bookkeeping is kept so degenerate
     eigenspaces stay expressed in product kets.
     """
-    d1, d2 = h_sys.dim, h_bath.dim
-    # axes (system, system, bath, bath), to (system, bath, system, bath): Kronecker order
-    m = np.multiply.outer(h_sys.matrix, np.eye(d2)) + np.multiply.outer(np.eye(d1), h_bath.matrix)
-    vecs = np.multiply.outer(h_sys.eigvecs, h_bath.eigvecs).swapaxes(1, 2).reshape(d1 * d2, -1)
+    d2 = h_bath.dim
     # level k = i*d2 + r is the product ket |i>|r>; a stable sort breaks ties by (i, r)
     energies = np.add.outer(h_sys.energies, h_bath.energies).ravel()
     order = np.argsort(energies, kind="stable")
-    return Hamiltonian(
-        m.swapaxes(1, 2).reshape(d1 * d2, -1),
-        energies[order],
-        vecs[:, order],
-        parts=(h_sys, h_bath),
-        product_labels=tuple(zip((order // d2).tolist(), (order % d2).tolist())),
-    )
+    return Hamiltonian(np.diag(energies), energies[order], np.eye(len(order))[:, order],
+                       parts=(h_sys, h_bath),
+                       product_labels=tuple(zip((order // d2).tolist(), (order % d2).tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,31 +241,34 @@ class ThermalOperation:
     The bath must be a Gibbs state of the bath the unitary was built on: the
     same :class:`Hamiltonian`, or one with equal energies and eigenvectors.
     This is checked once, here, so every evolution can take the bath as its
-    level weights in that bath's eigenbasis.
+    level weights in that bath's eigenbasis.  The dimensions are the unitary's
+    parts'.
     """
 
     unitary: EnergyBlockUnitary
     bath: GibbsState
-    d_sys: int
-    d_bath: int
 
     def __post_init__(self):
-        parts = self.unitary.hamiltonian.parts
-        own, bath = parts[1], self.bath.hamiltonian
+        own, bath = self.unitary.hamiltonian.parts[1], self.bath.hamiltonian
         if bath is not own and not (np.array_equal(bath.energies, own.energies)
                                     and np.array_equal(bath.eigvecs, own.eigvecs)):
             raise ValueError("bath Hamiltonian differs from the one the unitary was built on")
-        if (self.d_sys, self.d_bath) != (parts[0].dim, own.dim):
-            raise ValueError("d_sys, d_bath do not match the unitary's system and bath")
 
     @property
     def system_hamiltonian(self) -> Hamiltonian:
         return self.unitary.hamiltonian.parts[0]
 
+    @property
+    def d_sys(self) -> int:
+        return self.unitary.hamiltonian.parts[0].dim
+
+    @property
+    def d_bath(self) -> int:
+        return self.unitary.hamiltonian.parts[1].dim
+
 
 def thermal_operation(unitary: EnergyBlockUnitary, bath: GibbsState) -> ThermalOperation:
-    h_sys, h_bath = unitary.hamiltonian.parts
-    return ThermalOperation(unitary, bath, h_sys.dim, h_bath.dim)
+    return ThermalOperation(unitary, bath)
 
 
 def evolve(u: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -560,7 +560,7 @@ def test_distance_metadata_records_the_bound_search():
         ((_, chi),) = measures.distance_sweep([op], setup.family, setup.h_prime, cfg.optimizer)
         diags = chi.diagnostics
         assert recorded[f"choi_distance_bound/x={value}"] == diags
-        assert diags["evaluations"] > 0 and len(diags["phases"]) == setup.h_tot.dim
+        assert diags["evaluations"] > 0 and len(diags["phases"]) == setup.unitary.dim
     if not all(d["converged"] for d in recorded.values()):
         assert metadata["optimizer_converged"] is False
 

@@ -40,10 +40,10 @@ from athermal_markov.thermal import (
     thermal_operation,
     total_hamiltonian,
 )
-from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, channel_image, choi_state, computational_matrix,
-                  distance_value, expansion_lemma_residual, family_member, matrix_log2_on_support,
-                  maximally_entangled_input, member_distances, packed_eigvalsh,
-                  qubit_choi_closed_form, random_density, random_hermitian, random_unitary,
+from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, bath_matrix, channel_image, choi_state,
+                  computational_matrix, distance_value, expansion_lemma_residual, family_member,
+                  matrix_log2_on_support, maximally_entangled_input, member_distances,
+                  packed_eigvalsh, product_eigvecs, qubit_choi_closed_form, random_density, random_hermitian, random_unitary,
                   relation_residual, response_direction)
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
@@ -68,7 +68,7 @@ def fig2_op(temperature=4.0):
     params = []
     for energy, idx in h_tot.energy_blocks():
         if len(idx) == 2:
-            basis = h_tot.eigvecs[:, list(idx)]
+            basis = product_eigvecs(h_tot)[:, list(idx)]
             params.append((np.array([3e5, 4e5]), dagger(basis) @ np.column_stack([psi_1, psi_2])))
         else:
             params.append(1e5 if energy > 0 else 2e5)
@@ -784,7 +784,7 @@ def test_choi_depolarizing_map():
     swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
     params = []
     for _, idx in h_tot.energy_blocks():
-        basis = h_tot.eigvecs[:, list(idx)]
+        basis = product_eigvecs(h_tot)[:, list(idx)]
         params.append(0.0 if len(idx) == 1 else dagger(basis) @ swap @ basis)
     op = thermal_operation(build_block_unitary(h_tot, params), gibbs_state(H_QUBIT, 0.0))
     chi = choi_state(op)
@@ -808,7 +808,7 @@ def _random_block_op(rng, d_sys, d_bath):
 def _choi_by_blocks(op, h_sys):
     """Reference Choi state: the channel, written out with kron, applied to
     each (ancilla a, ancilla b) block of the entangled input in turn."""
-    u, tau = computational_matrix(op.unitary), op.bath.state.matrix
+    u, tau = computational_matrix(op.unitary), bath_matrix(op.bath)
 
     def channel(x):
         joint = u @ np.kron(x, tau) @ dagger(u)
@@ -1303,7 +1303,7 @@ def reference_theta_lambda(op, coeffs, pert):
     """theta_lambda in its log-matrix form, Tr[x (I + log2 A)] with log2 A formed,
     with its support flags."""
     h_sys = op.system_hamiltonian
-    u, tau = computational_matrix(op.unitary), op.bath.state.matrix
+    u, tau = computational_matrix(op.unitary), bath_matrix(op.bath)
     joint = thermal.evolve(u, tau, thermal.state_from_level_coeffs(h_sys, coeffs).matrix)
     v = h_sys.eigvecs
     rho_tilde = v @ thermal.first_order_correction(coeffs, h_sys, pert.h_prime) @ dagger(v)

@@ -91,7 +91,7 @@ def test_export_rule_catches_a_stale_or_repeated_name():
 
 # Where the unchecked constructor may be called: only DensityMatrix keeps one,
 # ``_derived``, for the CPTP maps that derive a state from checked states.
-DERIVING = {("thermal.py", "apply"), ("linalg.py", "partial_trace"), ("thermal.py", "gibbs_state")}
+DERIVING = {("thermal.py", "apply"), ("linalg.py", "partial_trace")}
 
 
 def _scopes(tree: ast.Module, hit) -> set[str | None]:

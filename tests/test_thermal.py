@@ -26,8 +26,8 @@ from athermal_markov.thermal import (
     thermal_operation,
     total_hamiltonian,
 )
-from util import SIGMA_X, SIGMA_Z, choi_state, computational_matrix, random_density, \
-    random_hermitian, random_unitary
+from util import SIGMA_X, SIGMA_Z, bath_matrix, choi_state, computational_matrix, \
+    product_eigvecs, random_density, random_hermitian, random_unitary
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
 EPS = np.finfo(float).eps
@@ -53,7 +53,7 @@ def fig2_unitary(phases=(1e5, 2e5, 3e5, 4e5)):
     params = []
     for energy, idx in h_tot.energy_blocks():
         if len(idx) == 2:
-            basis = h_tot.eigvecs[:, list(idx)]
+            basis = product_eigvecs(h_tot)[:, list(idx)]
             params.append((np.array([a3, a4]), dagger(basis) @ np.column_stack([psi_1, psi_2])))
         elif energy > 0:
             params.append(a1)
@@ -78,19 +78,19 @@ def phase_diag_op(phase_grid, h_sys=H_QUBIT, h_bath=None, beta=1.0):
 
 def test_gibbs_infinite_temperature():
     g = gibbs_state(H_QUBIT, 0.0)
-    assert mat_equal(g.state.matrix, np.eye(2) / 2, 1e-12)
+    assert np.allclose(g.level_probabilities, [0.5, 0.5], rtol=0, atol=1e-12)
 
 
 def test_gibbs_two_level_closed_form():
     g = gibbs_state(H_QUBIT, 1.0)
     z = 2 * np.cosh(1.0)
-    # computational |0> carries energy +1
-    assert mat_equal(g.state.matrix, np.diag([np.exp(-1.0), np.exp(1.0)]) / z, 1e-12)
+    # levels ascend in energy: -1, then +1
+    assert np.allclose(g.level_probabilities, [np.exp(1.0) / z, np.exp(-1.0) / z], rtol=0, atol=1e-12)
 
 
 def test_gibbs_zero_temperature_limit():
     g = gibbs_state(H_QUBIT, math.inf)
-    assert mat_equal(g.state.matrix, np.diag([0.0, 1.0]), 1e-12)
+    assert np.array_equal(g.level_probabilities, [1.0, 0.0])
 
 
 def test_gibbs_zero_temperature_degenerate_rejected():
@@ -104,16 +104,6 @@ def test_gibbs_rejects_negative_beta():
         gibbs_state(H_QUBIT, -0.5)
 
 
-def test_gibbs_rejects_non_unitary_eigenvectors():
-    # the Gibbs state is stored unchecked, so its eigenbasis must be checked
-    skewed = Hamiltonian(H_QUBIT.matrix, H_QUBIT.energies, 1.01 * H_QUBIT.eigvecs)
-    # the verdict is kept with the Hamiltonian, so every later call refuses it too
-    for beta in (0.7, 0.7, 2.0):
-        with pytest.raises(ValueError, match="not unitary"):
-            gibbs_state(skewed, beta)
-    assert H_QUBIT.unitary_eigvecs and not skewed.unitary_eigvecs
-
-
 def test_gibbs_level_probabilities_are_computed_once():
     h = Hamiltonian.from_matrix(np.diag([0.3, -1.2, 2.5]).astype(complex))
     for beta in (0.0, 0.7, math.inf):
@@ -121,13 +111,11 @@ def test_gibbs_level_probabilities_are_computed_once():
         first = g.level_probabilities
         assert first is g.level_probabilities and not first.flags.writeable
         assert np.array_equal(first, thermal._boltzmann_weights(h.energies, beta))
-        # the state is built from the same weights
-        assert np.array_equal(g.state.matrix, (h.eigvecs * first) @ dagger(h.eigvecs))
 
 
 def test_gibbs_commutes_with_source():
-    g = gibbs_state(Hamiltonian.from_matrix(SIGMA_X), 0.7)
-    comm = g.state.matrix @ SIGMA_X - SIGMA_X @ g.state.matrix
+    tau = bath_matrix(gibbs_state(Hamiltonian.from_matrix(SIGMA_X), 0.7))
+    comm = tau @ SIGMA_X - SIGMA_X @ tau
     assert np.max(np.abs(comm)) < 1e-12
 
 
@@ -151,7 +139,9 @@ def test_total_hamiltonian_qutrit_bath_nondegenerate():
 def test_total_hamiltonian_zero_bath():
     h_bath = Hamiltonian.from_matrix(np.zeros((3, 3), dtype=complex))
     h_tot = total_hamiltonian(H_QUBIT, h_bath)
-    assert mat_equal(h_tot.matrix, np.kron(SIGMA_Z, np.eye(3)), 1e-12)
+    # H_S (x) 1 + 1 (x) H_B, back in the computational basis
+    w = product_eigvecs(h_tot)
+    assert mat_equal(w @ np.diag(h_tot.energies) @ dagger(w), np.kron(SIGMA_Z, np.eye(3)), 1e-12)
 
 
 def test_total_hamiltonian_product_eigvecs():
@@ -245,7 +235,8 @@ def test_block_unitary_nondegenerate_is_diagonal_in_product_basis():
     # held in the product eigenbasis, with exact zeros off the diagonal
     assert np.array_equal(u.matrix, np.diag(np.diag(u.matrix)))
     assert np.allclose(np.abs(np.diag(u.matrix)), 1.0)
-    in_basis = dagger(h_tot.eigvecs) @ computational_matrix(u) @ h_tot.eigvecs
+    w = product_eigvecs(h_tot)
+    in_basis = dagger(w) @ computational_matrix(u) @ w
     off = in_basis - np.diag(np.diag(in_basis))
     assert np.max(np.abs(off)) < 1e-12
 
@@ -257,7 +248,7 @@ def test_block_unitary_bare_phases_match_the_per_block_sum():
     h_tot = total_hamiltonian(Hamiltonian.from_matrix(random_hermitian(rng, 2)),
                               Hamiltonian.from_matrix(random_hermitian(rng, 3)))
     phases = list(rng.uniform(0, 1e9, size=6))
-    v = h_tot.eigvecs
+    v = product_eigvecs(h_tot)
     want = sum(np.exp(-1j * reduce_mod_2pi(a)) * np.outer(v[:, k], v[:, k].conj())
                for k, a in enumerate(phases))
     u = build_block_unitary(h_tot, phases)
@@ -297,10 +288,6 @@ def test_unitarity_checks_are_absolute():
     u = build_block_unitary(h_tot, [0.1, (np.array([0.3, 0.7]), np.eye(2)), 0.2])
     with pytest.raises(ValueError, match="not unitary"):
         thermal.EnergyBlockUnitary(u.matrix * (1 + 3e-6), h_tot)
-    stretched = Hamiltonian(H_QUBIT.matrix, H_QUBIT.energies, H_QUBIT.eigvecs * (1 + 3e-6))
-    assert H_QUBIT.unitary_eigvecs and not stretched.unitary_eigvecs
-    with pytest.raises(ValueError, match="not unitary"):
-        gibbs_state(stretched, 1.0)
 
 
 def test_block_unitary_wrong_count():
@@ -330,10 +317,10 @@ def test_apply_fixed_point():
     beta = 0.25
     h_tot, u = fig2_unitary()
     op = thermal_operation(u, gibbs_state(H_QUBIT, beta))
-    tau_sys = gibbs_state(H_QUBIT, beta)
-    # the system marginal comes out in the system eigenbasis, where tau_sys is diagonal
-    out = partial_trace(apply(op, tau_sys.state), 0)
-    assert 0.5 * trace_norm(out.matrix - np.diag(tau_sys.level_probabilities)) <= 1e-9
+    p = np.diag(gibbs_state(H_QUBIT, beta).level_probabilities)
+    # the system marginal comes out in the system eigenbasis, where the Gibbs state is diag(p)
+    out = partial_trace(apply(op, state_from_level_coeffs(H_QUBIT, p)), 0)
+    assert 0.5 * trace_norm(out.matrix - p) <= 1e-9
 
 
 def test_apply_joint_is_valid_density_matrix():
@@ -350,8 +337,8 @@ def test_apply_joint_is_valid_density_matrix():
 @pytest.mark.parametrize("beta", [0.0, 0.7, 5.0])
 @pytest.mark.parametrize("d_sys, d_bath", [(2, 2), (2, 3), (3, 3), (6, 6), (4, 9)])
 def test_derived_states_pass_public_validation(d_sys, d_bath, beta):
-    # apply, partial_trace and gibbs_state store their outputs unchecked; the Choi
-    # construction's output is checked as a state too
+    # apply and partial_trace store their outputs unchecked; the Choi construction's
+    # output and the Gibbs weights, as diagonal states, are checked as states too
     rng = np.random.default_rng(10 * d_sys + d_bath)
     for trial in range(4):
         h_sys = Hamiltonian.from_matrix(random_hermitian(rng, d_sys))
@@ -368,10 +355,11 @@ def test_derived_states_pass_public_validation(d_sys, d_bath, beta):
         else:
             rho = random_density(rng, d_sys)
         joint = apply(op, rho)
-        derived = (joint, partial_trace(joint, 0), partial_trace(joint, 1), bath.state,
-                   gibbs_state(h_sys, beta).state, choi_state(op))
+        derived = (joint, partial_trace(joint, 0), partial_trace(joint, 1), choi_state(op))
         for state in derived:
             DensityMatrix(state.matrix, state.dims)
+        for g in (bath, gibbs_state(h_sys, beta)):
+            DensityMatrix(np.diag(g.level_probabilities), (g.hamiltonian.dim,))
 
 
 def test_apply_to_a_sequence_is_each_state_applied():
@@ -538,14 +526,13 @@ def test_mto_check_rejects_a_bath_the_unitary_was_not_built_on():
 
 
 def test_direct_thermal_operation_is_checked_like_thermal_operation():
-    h_bath = Hamiltonian.from_matrix(10 * SIGMA_Z)
-    unitary = phase_diag_op([[1.0, 2.0], [3.0, 4.0]], h_bath=h_bath).unitary
-    assert thermal.ThermalOperation(unitary, gibbs_state(h_bath, 0.3), 2, 2).d_bath == 2
+    h_bath = Hamiltonian.from_matrix(10 * np.diag([0.0, 1.0, 2.5]).astype(complex))
+    unitary = phase_diag_op([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], h_bath=h_bath).unitary
+    op = thermal.ThermalOperation(unitary, gibbs_state(h_bath, 0.3))
+    # the dimensions are read from the unitary's parts
+    assert (op.d_sys, op.d_bath) == tuple(h.dim for h in unitary.hamiltonian.parts) == (2, 3)
     with pytest.raises(ValueError, match="bath Hamiltonian differs"):
-        thermal.ThermalOperation(unitary, gibbs_state(Hamiltonian.from_matrix(10 * SIGMA_X), 0.3),
-                                 2, 2)
-    with pytest.raises(ValueError, match="do not match the unitary's system and bath"):
-        thermal.ThermalOperation(unitary, gibbs_state(h_bath, 0.3), 1, 4)
+        thermal.ThermalOperation(unitary, gibbs_state(Hamiltonian.from_matrix(10 * GELL_MANN_1), 0.3))
 
 
 def test_mto_check_equivalence_random_sweep():

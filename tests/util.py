@@ -49,6 +49,21 @@ def distance_value(op, family, cfg) -> measures.MeasureValue:
     return measures.distance_sweep([op], family, op.system_hamiltonian, cfg)[0][0]
 
 
+def bath_matrix(bath) -> np.ndarray:
+    """The Gibbs state ``bath`` in the computational basis, V_B diag(q) V_B^dag
+    from its Hamiltonian's eigenvectors and its level weights."""
+    v = bath.hamiltonian.eigvecs
+    return (v * bath.level_probabilities) @ dagger(v)
+
+
+def product_eigvecs(h_total) -> np.ndarray:
+    """The eigenvectors of a :func:`thermal.total_hamiltonian` in the computational
+    basis: the columns of kron(V_S, V_B) of its parts, in its level order."""
+    h_sys, h_bath = h_total.parts
+    return np.kron(h_sys.eigvecs, h_bath.eigvecs)[
+        :, [i * h_bath.dim + r for i, r in h_total.product_labels]]
+
+
 def computational_matrix(unitary) -> np.ndarray:
     """The matrix of an :class:`thermal.EnergyBlockUnitary` in the computational
     basis: its product-eigenbasis ``matrix`` conjugated by kron(V_S, V_B)."""
@@ -60,7 +75,7 @@ def channel_image(op, x: np.ndarray) -> np.ndarray:
     """The channel of the thermal operation ``op`` on a system operator or a
     stack (..., d_sys, d_sys) of them, through the full system+bath evolution
     in the computational basis."""
-    return trace_out_second(thermal.evolve(computational_matrix(op.unitary), op.bath.state.matrix,
+    return trace_out_second(thermal.evolve(computational_matrix(op.unitary), bath_matrix(op.bath),
                                            x), op.d_sys, op.d_bath)
 
 
@@ -111,10 +126,10 @@ def member_distances(family, op, x: np.ndarray, q: np.ndarray) -> np.ndarray:
     quotient point of ``q`` (n, quotient.free_dim), by brute force: each
     member's unitary from its lifted phases, both channels applied through the
     full system+bath evolution, and the norm from ``np.linalg.svd``."""
-    v = family.h_total.eigvecs
+    v = product_eigvecs(family.h_total)
     phases = family.manifold.embed(family.lift(q))
     members = (v * np.exp(-1j * phases)[:, None, :]) @ dagger(v)
-    tau = op.bath.state.matrix
+    tau = bath_matrix(op.bath)
     diff = (apply_on_system_factor(computational_matrix(op.unitary), tau, x)
             - apply_on_system_factor(members, tau, x))
     return np.linalg.svd(diff, compute_uv=False).sum(axis=-1)
@@ -123,7 +138,7 @@ def member_distances(family, op, x: np.ndarray, q: np.ndarray) -> np.ndarray:
 def choi_state(op) -> DensityMatrix:
     """Choi state (channel (x) identity)|Phi><Phi| of a thermal operation on the
     maximally entangled input over its system eigenvectors, checked on construction."""
-    out = apply_on_system_factor(computational_matrix(op.unitary), op.bath.state.matrix,
+    out = apply_on_system_factor(computational_matrix(op.unitary), bath_matrix(op.bath),
                                  maximally_entangled_input(op.system_hamiltonian))
     return DensityMatrix(0.5 * (out + dagger(out)), (op.d_sys, op.d_sys))
 
