@@ -735,7 +735,8 @@ CLAIMS = {
           for m in ("mto_equivalence", "mto_equivalence_perturbed")),
         *(Claim(m, None, lambda r: 3.2 <= r.unperturbed <= 4.8,
                 "{0.measure}: shrink ratio {0.unperturbed} outside [3.2, 4.8]")
-          for m in ("first_order_slope_fig2", "first_order_slope_fig3")),
+          for m in ("first_order_slope_fig2", "first_order_slope_fig3",
+                    "first_order_slope_fig2_coherent", "first_order_slope_fig3_coherent")),
     ),
 }
 
@@ -896,6 +897,11 @@ def _fixed_point_sweep(rng: np.random.Generator, cases: int) -> float:
     return worst
 
 
+# The level coefficients of the coherent slope rows: the built-in qubit
+# populations with 0.25 between the two levels.
+COHERENT_COEFFS = np.array([[0.1, 0.25], [0.25, 0.9]])
+
+
 def _slope_ratio(cfg: ExperimentConfig, control: float) -> float:
     """Residual shrink factor of the first-order correlation-response law
     when epsilon halves, using first-order perturbed inputs."""
@@ -934,11 +940,15 @@ def run_property_suite() -> SweepResult:
 
     # a randomized sweep's control is its case count; a slope row's is its study's
     controls = {row.measure: "cases" for row in rows}
-    for cfg, control, label in ((builtin_fig2(), 4.0, "first_order_slope_fig2"),
-                                (builtin_fig3(), 0.5, "first_order_slope_fig3")):
-        controls[label] = cfg.control_name
-        ratio = _slope_ratio(cfg, control)
-        rows.append(SweepRow(control, 1e-2, label, ratio, 4.0, ratio - 4.0))
+    for study, control in ((builtin_fig2(), 4.0), (builtin_fig3(), 0.5)):
+        # theta_lambda vanishes on the built-in incoherent input, so only a
+        # coherent one checks the law's linear term
+        coherent = replace(study, initial_population_a=None, initial_coeffs=COHERENT_COEFFS)
+        for cfg, label in ((study, f"first_order_slope_{study.name}"),
+                           (coherent, f"first_order_slope_{study.name}_coherent")):
+            controls[label] = cfg.control_name
+            ratio = _slope_ratio(cfg, control)
+            rows.append(SweepRow(control, 1e-2, label, ratio, 4.0, ratio - 4.0))
 
     metadata = {
         "config": {"name": "properties", "seed": 20260809},

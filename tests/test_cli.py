@@ -340,8 +340,8 @@ def test_verbose_property_rows_name_their_control(tmp_path, capsys):
         **dict.fromkeys(["ppt_spectra_2x2", "ppt_spectra_2x3", "ppt_log_negativity_2x2",
                          "ppt_log_negativity_2x3", "mto_equivalence",
                          "mto_equivalence_perturbed", "fixed_point"], "cases=50"),
-        "first_order_slope_fig2": "T=4",
-        "first_order_slope_fig3": "beta=0.5",
+        "first_order_slope_fig2": "T=4", "first_order_slope_fig2_coherent": "T=4",
+        "first_order_slope_fig3": "beta=0.5", "first_order_slope_fig3_coherent": "beta=0.5",
     }
 
 

@@ -649,7 +649,22 @@ def test_property_suite_all_ok(properties_result):
     assert sorted(names) == sorted(c.measure for c in ex.CLAIMS["properties"]) == sorted({
         "ppt_spectra_2x2", "ppt_spectra_2x3", "ppt_log_negativity_2x2", "ppt_log_negativity_2x3",
         "mto_equivalence", "mto_equivalence_perturbed", "fixed_point", "first_order_slope_fig2",
-        "first_order_slope_fig3"})
+        "first_order_slope_fig3", "first_order_slope_fig2_coherent",
+        "first_order_slope_fig3_coherent"})
+
+
+@pytest.mark.parametrize("study, control, theta", [(builtin_fig2, 4.0, 0.4239),
+                                                    (builtin_fig3, 0.5, 0.3290)])
+def test_coherent_slope_rows_check_the_linear_term(study, control, theta):
+    # theta_lambda vanishes on the built-in incoherent input, so only the coherent
+    # row's residual tests the law's linear term
+    for cfg, want in ((study(), 0.0),
+                      (replace(study(), initial_population_a=None,
+                               initial_coeffs=ex.COHERENT_COEFFS), theta)):
+        op = cfg.setup.operation(cfg.beta_for(control))
+        got = measures.theta_lambda(op, cfg.setup.coeffs, thermal.PerturbationSpec(
+            cfg.setup.h_prime, 1.0))
+        assert abs(got - want) < 1e-4
 
 
 def test_deviations_recorded_not_raised():
