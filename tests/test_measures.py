@@ -43,8 +43,8 @@ from athermal_markov.thermal import (
 from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, bath_matrix, channel_image, choi_state,
                   computational_matrix, distance_value, expansion_lemma_residual, family_member,
                   matrix_log2_on_support, maximally_entangled_input, member_distances,
-                  packed_eigvalsh, product_eigvecs, qubit_choi_closed_form, random_density, random_hermitian, random_unitary,
-                  relation_residual, response_direction)
+                  packed_eigvalsh, product_eigvecs, qubit_choi_closed_form, random_density,
+                  random_hermitian, random_unitary, relation_residual, response_direction)
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
 H_BATH_STIFF = Hamiltonian.from_matrix(10 * SIGMA_Z)
@@ -333,8 +333,7 @@ def test_discord_product_state_zero():
     rng = np.random.default_rng(45)
     mv, = joint_entropy_discord([product_state(rng, 2, 3)],
                                 OptimizerConfig(seeds=8, grid_resolution=10))
-    value = mv.value
-    assert abs(value) < 1e-9
+    assert abs(mv.value) <= 1e-12
 
 
 def test_discord_classical_quantum_zero():
@@ -763,6 +762,62 @@ def test_fig3_discord_search_cost_is_pinned(monkeypatch):
     assert searches == [40]
     assert (sum(calls), len(calls)) == (FIG3_DISCORD_ROWS, FIG3_DISCORD_CALLS)
     assert max(calls) <= ROW_BUDGET
+
+
+# -- edge-case table ---------------------------------------------------------------
+#
+# Each state-based measure on each edge case.  The cells that existing tests check
+# are not repeated here:
+#   full-rank product: test_log_negativity_product_state_zero,
+#     test_mutual_information_product_zero, test_discord_product_state_zero (|v| <= 1e-12);
+#   Bell state (1, 2 and 1 bit): test_log_negativity_bell_one_ebit,
+#     test_mutual_information_bell_two_bits, test_discord_bell_one_bit_vs_brute_force.
+
+EDGE_MEASURES = {
+    "log_negativity": lambda rho: log_negativity(rho).value,
+    "mutual_information": lambda rho: mutual_information(rho).value,
+    "discord": lambda rho: joint_entropy_discord(
+        [rho], OptimizerConfig(seeds=8, grid_resolution=10))[0].value,
+}
+
+
+def werner_state(p: float) -> DensityMatrix:
+    """p |Phi+><Phi+| + (1 - p) I/4, whose spectrum holds (1 - p)/4 three times."""
+    return DensityMatrix(p * bell_state().matrix + (1 - p) * np.eye(4) / 4, (2, 2))
+
+
+def _werner_values(p: float) -> dict:
+    """Closed forms on :func:`werner_state`: its partial transpose has the one
+    negative eigenvalue (1 - 3p)/4, both marginals are I/2, and every
+    projective measurement of either qubit leaves the same conditional entropy."""
+    spectrum = np.array([1 + 3 * p, 1 - p, 1 - p, 1 - p]) / 4
+    a, b, c = (x * np.log2(x) for x in (1 - p, 1 + p, 1 + 3 * p))
+    return {"log_negativity": np.log2((1 + 3 * p) / 2),
+            "mutual_information": 2 + float(spectrum @ np.log2(spectrum)),
+            "discord": (a - 2 * b + c) / 4}
+
+
+def _rank_deficient_product() -> DensityMatrix:
+    """A pure qubit state times a full-rank qutrit state."""
+    rng = np.random.default_rng(49)
+    psi = random_unitary(rng, 2)[:, 0]
+    return DensityMatrix(np.kron(np.outer(psi, psi.conj()), random_density(rng, 3).matrix), (2, 3))
+
+
+@pytest.mark.parametrize("measure", sorted(EDGE_MEASURES))
+@pytest.mark.parametrize("case", ["rank_deficient_product", "degenerate_spectrum", "non_finite"])
+def test_edge_case_table(case, measure):
+    value = EDGE_MEASURES[measure]
+    if case == "rank_deficient_product":
+        assert abs(value(_rank_deficient_product())) <= 1e-12
+    elif case == "degenerate_spectrum":
+        assert abs(value(werner_state(0.5)) - _werner_values(0.5)[measure]) <= 1e-12
+    else:
+        # every measure takes a checked DensityMatrix, which names the entry
+        bad = bell_state().matrix.copy()
+        bad[0, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            value(DensityMatrix(bad, (2, 2)))
 
 
 # -- Choi states -------------------------------------------------------------------
