@@ -3,7 +3,7 @@
 Library layout:
 
 - :mod:`athermal_markov.linalg` -- dense complex primitives and entropies
-- :mod:`athermal_markov.thermal` -- Hamiltonians, Gibbs states, energy-block
+- :mod:`athermal_markov.thermal` -- Hamiltonians, Gibbs weights, energy-block
   unitaries, the thermal channel, Markovianity checks, perturbation theory
 - :mod:`athermal_markov.measures` -- entanglement / correlation / distance
   measures and their first-order perturbation responses
