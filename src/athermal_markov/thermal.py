@@ -298,14 +298,15 @@ def apply(op: ThermalOperation, states: DensityMatrix | Sequence[DensityMatrix]
     state is the one-row case of the same computation.
     """
     rows = [states] if isinstance(states, DensityMatrix) else states
+    dims = op.d_sys, op.d_bath
     for rho in rows:
-        if rho.dim != op.d_sys:
-            raise ValueError(f"system state dimension {rho.dim} != {op.d_sys}")
+        if rho.dim != dims[0]:
+            raise ValueError(f"system state dimension {rho.dim} != {dims[0]}")
     v = op.system_hamiltonian.eigvecs
     joint = evolve(op.unitary.matrix, np.diag(op.bath.level_probabilities),
                    dagger(v) @ np.array([rho.matrix for rho in rows]) @ v)
     joint = 0.5 * (joint + dagger(joint))
-    out = [DensityMatrix._derived(m, (op.d_sys, op.d_bath)) for m in joint]
+    out = [DensityMatrix._derived(m, dims) for m in joint]
     return out[0] if isinstance(states, DensityMatrix) else out
 
 

@@ -34,11 +34,19 @@ EPS = np.finfo(float).eps
 GELL_MANN_1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
 
 
+def kron_sum(h_total) -> np.ndarray:
+    """H_S (x) 1 + 1 (x) H_B of a total Hamiltonian's parts, in the computational basis."""
+    h_sys, h_bath = h_total.parts
+    return np.kron(h_sys.matrix, np.eye(h_bath.dim)) + np.kron(np.eye(h_sys.dim), h_bath.matrix)
+
+
 def commutator_norm(u, h) -> float:
-    """Trace norm of U H - H U for a block unitary, in the computational basis,
-    and a Hamiltonian, or for raw matrices."""
+    """Trace norm of U H - H U in the computational basis, for a block unitary
+    and a total Hamiltonian (each held in the product eigenbasis), or for a
+    Hamiltonian without parts or raw matrices."""
     um = computational_matrix(u) if isinstance(u, thermal.EnergyBlockUnitary) else u
-    um, hm = (np.asarray(getattr(x, "matrix", x), dtype=complex) for x in (um, h))
+    hm = kron_sum(h) if getattr(h, "parts", None) else getattr(h, "matrix", h)
+    um, hm = (np.asarray(x, dtype=complex) for x in (um, hm))
     return trace_norm(um @ hm - hm @ um)
 
 
@@ -148,6 +156,11 @@ def test_total_hamiltonian_product_eigvecs():
     h_sys = Hamiltonian.from_matrix(2.0 * SIGMA_Z)
     h_bath = Hamiltonian.from_matrix(GELL_MANN_1)
     h_tot = total_hamiltonian(h_sys, h_bath)
+    # held in the product eigenbasis: diag(E_i + E_r) on product index i d_b + r, and
+    # eigvecs the permutation from product index to level
+    sums = np.add.outer(h_sys.energies, h_bath.energies).ravel()
+    assert np.array_equal(h_tot.matrix, np.diag(sums))
+    assert np.array_equal(h_tot.eigvecs, np.eye(6)[:, [3 * i + r for i, r in h_tot.product_labels]])
     recon = h_tot.eigvecs @ np.diag(h_tot.energies) @ dagger(h_tot.eigvecs)
     assert np.max(np.abs(recon - h_tot.matrix)) < 1e-10
     for k, (i, r) in enumerate(h_tot.product_labels):
@@ -413,7 +426,7 @@ def test_commutator_norm_random_block_unitaries():
 def test_commutator_norm_fig2_perturbed_positive():
     h_tot, u = fig2_unitary()
     assert commutator_norm(u, h_tot) <= 1e-9
-    h_pert = Hamiltonian.from_matrix(h_tot.matrix + 0.2 * np.kron(SIGMA_X, np.eye(2)))
+    h_pert = Hamiltonian.from_matrix(kron_sum(h_tot) + 0.2 * np.kron(SIGMA_X, np.eye(2)))
     assert commutator_norm(u, h_pert) > 1e-3
 
 
