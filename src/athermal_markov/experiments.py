@@ -222,7 +222,7 @@ class StudySetup:
 
     h_sys: Hamiltonian
     h_bath: Hamiltonian
-    unitary: thermal.EnergyBlockUnitary  # on the total Hamiltonian, its ``hamiltonian``
+    unitary: thermal.EnergyBlockUnitary  # its ``hamiltonian`` is the total Hamiltonian
     h_prime: Hamiltonian
     coeffs: np.ndarray
     rho: DensityMatrix

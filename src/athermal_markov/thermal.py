@@ -1,11 +1,12 @@
 """Thermal channels on small system+bath pairs.
 
 Builds Hamiltonians with cached eigensystems, Gibbs states as their level
-weights, global unitaries block diagonal over total-energy eigenspaces, held in
-the product energy eigenbasis, and the channel ``rho -> Tr_bath[U (rho (x) tau)
-U^dag]``, evolved in that basis, where the Gibbs bath tau is diag(q).  Also hosts the Markovianity constraint report (tensor-product
-deviation plus the amplitude/phase residual system) and non-degenerate
-first-order perturbation of the system state.
+weights q, global unitaries block diagonal over total-energy eigenspaces, held
+in the product energy eigenbasis, and the channel ``rho -> Tr_bath[U (rho (x)
+tau) U^dag]``, evolved in that basis, where the bath tau is diag(q).  Also
+hosts the Markovianity constraint report (tensor-product deviation plus the
+amplitude/phase residual system) and non-degenerate first-order perturbation
+of the system state.
 
 Conventions: k_B = hbar = 1, energies in the problem's energy unit, inverse
 temperature beta = 1/T in the same unit.  System levels are indexed ascending
@@ -241,8 +242,8 @@ class ThermalOperation:
     The bath must be a Gibbs state of the bath the unitary was built on: the
     same :class:`Hamiltonian`, or one with equal energies and eigenvectors.
     This is checked once, here, so every evolution can take the bath as its
-    level weights in that bath's eigenbasis.  The dimensions are the unitary's
-    parts'.
+    level weights in that bath's eigenbasis.  ``d_sys`` and ``d_bath`` are
+    read from the unitary's parts.
     """
 
     unitary: EnergyBlockUnitary
