@@ -787,8 +787,8 @@ def werner_state(p: float) -> DensityMatrix:
 
 
 def _werner_values(p: float) -> dict:
-    """Closed forms on :func:`werner_state`: its partial transpose has the one
-    negative eigenvalue (1 - 3p)/4, both marginals are I/2, and every
+    """Closed forms on :func:`werner_state` for p > 1/3: its partial transpose
+    has the one negative eigenvalue (1 - 3p)/4, both marginals are I/2, and every
     projective measurement of either qubit leaves the same conditional entropy."""
     spectrum = np.array([1 + 3 * p, 1 - p, 1 - p, 1 - p]) / 4
     a, b, c = (x * np.log2(x) for x in (1 - p, 1 + p, 1 + 3 * p))
