@@ -3,8 +3,8 @@
 Library layout:
 
 - :mod:`athermal_markov.linalg` -- dense complex primitives and entropies
-- :mod:`athermal_markov.thermal` -- Hamiltonians, Gibbs weights, energy-block
-  unitaries, the thermal channel, Markovianity checks, perturbation theory
+- :mod:`athermal_markov.thermal` -- local and total Hamiltonians, Gibbs weights,
+  energy-block unitaries, the thermal channel, Markovianity checks, perturbation theory
 - :mod:`athermal_markov.measures` -- entanglement / correlation / distance
   measures and their first-order perturbation responses
 - :mod:`athermal_markov.optimize` -- deterministic multi-start Nelder-Mead
@@ -18,8 +18,9 @@ from .measures import MarkovianFamily, MeasureValue, discord, log_negativity, \
 from .optimize import OptimizationResult, OptimizationResults, OptimizerConfig, \
     constrained_phase_manifold, minimize
 from .thermal import EnergyBlockUnitary, GibbsState, Hamiltonian, MtoConstraintReport, \
-    PerturbationSpec, ThermalOperation, apply, build_block_unitary, gibbs_state, mto_check, \
-    perturbed_state_exact, perturbed_state_first_order, thermal_operation, total_hamiltonian
+    PerturbationSpec, ThermalOperation, TotalHamiltonian, apply, build_block_unitary, \
+    gibbs_state, mto_check, perturbed_state_exact, perturbed_state_first_order, thermal_operation, \
+    total_hamiltonian
 
 __version__ = "0.1.0"
 
@@ -30,7 +31,7 @@ __all__ = [
     "OptimizationResult", "OptimizationResults", "OptimizerConfig", "constrained_phase_manifold",
     "minimize",
     "EnergyBlockUnitary", "GibbsState", "Hamiltonian", "MtoConstraintReport",
-    "PerturbationSpec", "ThermalOperation", "apply", "build_block_unitary",
+    "PerturbationSpec", "ThermalOperation", "TotalHamiltonian", "apply", "build_block_unitary",
     "gibbs_state", "mto_check", "perturbed_state_exact", "perturbed_state_first_order",
     "thermal_operation", "total_hamiltonian",
     "__version__",

@@ -361,7 +361,7 @@ class ExperimentConfig:
     def beta_for(self, value: float) -> float:
         return float(value) if self.sweep_variable == "inverse_temperature" else 1.0 / float(value)
 
-    def build_unitary(self, h_tot: Hamiltonian) -> thermal.EnergyBlockUnitary:
+    def build_unitary(self, h_tot: thermal.TotalHamiltonian) -> thermal.EnergyBlockUnitary:
         return thermal.build_block_unitary(h_tot, [b.build() for b in self.unitary_blocks])
 
     # -- serialisation ---------------------------------------------------------

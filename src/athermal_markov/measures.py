@@ -271,7 +271,7 @@ class MarkovianFamily:
     multiplier too, so the distance search compares d_sys x d_sys ones only.
     """
 
-    h_total: thermal.Hamiltonian
+    h_total: thermal.TotalHamiltonian
     manifold: PhaseManifold
     quotient: PhaseManifold = field(init=False, repr=False, compare=False)
     _levels: np.ndarray = field(init=False, repr=False, compare=False)
@@ -284,12 +284,9 @@ class MarkovianFamily:
             raise ValueError("Markovian phase family requires a non-degenerate total spectrum")
         if self.manifold.dim != len(blocks):
             raise ValueError("manifold dimension must match the number of energy levels")
-        parts = self.h_total.parts
-        if parts is None:
-            raise ValueError("Markovian phase family requires a system+bath total Hamiltonian")
 
         labels = np.array(self.h_total.product_labels)
-        d_sys, d_bath = parts[0].dim, parts[1].dim
+        d_sys, d_bath = (h.dim for h in self.h_total.parts)
         grid = np.empty((d_sys, d_bath), dtype=int)  # the level of (system i, bath r)
         grid[labels[:, 0], labels[:, 1]] = np.arange(len(labels))
         c = np.asarray(self.manifold.coefficients)

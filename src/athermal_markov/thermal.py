@@ -1,12 +1,12 @@
 """Thermal channels on small system+bath pairs.
 
-Builds Hamiltonians with cached eigensystems, Gibbs states as their level
-weights q, global unitaries block diagonal over total-energy eigenspaces, held
-in the product energy eigenbasis, and the channel ``rho -> Tr_bath[U (rho (x)
-tau) U^dag]``, evolved in that basis, where the bath tau is diag(q).  Also
-hosts the Markovianity constraint report (tensor-product deviation plus the
-amplitude/phase residual system) and non-degenerate first-order perturbation
-of the system state.
+Builds local Hamiltonians with cached eigensystems, Gibbs states as their level
+weights q, total Hamiltonians as levels labelled by product kets, global
+unitaries block diagonal over their eigenspaces, held in the product energy
+eigenbasis, and the channel ``rho -> Tr_bath[U (rho (x) tau) U^dag]``, evolved
+in that basis, where the bath tau is diag(q).  Also hosts the Markovianity
+constraint report (tensor-product deviation plus the amplitude/phase residual
+system) and non-degenerate first-order perturbation of the system state.
 
 Conventions: k_B = hbar = 1, energies in the problem's energy unit, inverse
 temperature beta = 1/T in the same unit.  System levels are indexed ascending
@@ -45,17 +45,12 @@ class Hamiltonian:
     """Hermitian operator with a cached ascending eigendecomposition.
 
     ``eigvecs`` columns follow the deterministic phase convention of
-    :func:`linalg.eigh`.  An operator built by :func:`total_hamiltonian` is
-    held in the product eigenbasis of ``parts``, its two local Hamiltonians,
-    and ``product_labels[k]`` gives the (system level, bath level) pair
-    behind cached level ``k``.
+    :func:`linalg.eigh`.
     """
 
     matrix: np.ndarray
     energies: np.ndarray
     eigvecs: np.ndarray
-    parts: tuple["Hamiltonian", "Hamiltonian"] | None = None
-    product_labels: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         for name in ("matrix", "energies", "eigvecs"):
@@ -78,6 +73,22 @@ class Hamiltonian:
         e = self.energies
         diffs = np.sort((e[:, None] - e[None, :])[~np.eye(self.dim, dtype=bool)])
         return bool(np.all(np.diff(diffs) > DEGENERACY_TOL))
+
+
+@dataclass(frozen=True, eq=False)
+class TotalHamiltonian:
+    """H_S (x) 1 + 1 (x) H_B of ``parts`` = (H_S, H_B) as its levels, held in
+    the product eigenbasis kron(V_S, V_B), where it is diag(E_i + E_r) and no
+    matrix is needed: ``energies`` ascending, and ``product_labels[k]`` the
+    (system level i, bath level r) of level ``k``, at product index i d_b + r."""
+
+    parts: tuple[Hamiltonian, Hamiltonian]
+    energies: np.ndarray
+    product_labels: tuple[tuple[int, int], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.energies)
 
     def energy_blocks(self) -> list[tuple[float, tuple[int, ...]]]:
         """Group cached levels into (energy, level indices) eigenspace blocks."""
@@ -122,39 +133,36 @@ def gibbs_state(h: Hamiltonian, beta: float) -> GibbsState:
     return GibbsState(h, w)
 
 
-def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> Hamiltonian:
-    """H (x) I + I (x) H in the product eigenbasis kron(V_S, V_B) of its parts,
-    the basis of :class:`EnergyBlockUnitary`: ``matrix`` is diag(E_i + E_r) on
-    product index i d_b + r, and ``eigvecs`` the permutation to its levels.
-
-    Levels are sorted by total energy ascending, ties broken by (system
-    level, bath level), and the label bookkeeping is kept so degenerate
-    eigenspaces stay expressed in product kets.
+def total_hamiltonian(h_sys: Hamiltonian, h_bath: Hamiltonian) -> TotalHamiltonian:
+    """The levels of H (x) I + I (x) H, sorted by total energy ascending, ties
+    broken by (system level, bath level), each labelled by its product ket so
+    degenerate eigenspaces stay expressed in product kets.
     """
     d2 = h_bath.dim
     # level k = i*d2 + r is the product ket |i>|r>; a stable sort breaks ties by (i, r)
     energies = np.add.outer(h_sys.energies, h_bath.energies).ravel()
     order = np.argsort(energies, kind="stable")
-    return Hamiltonian(np.diag(energies), energies[order], np.eye(len(order))[:, order],
-                       parts=(h_sys, h_bath),
-                       product_labels=tuple(zip((order // d2).tolist(), (order % d2).tolist())))
+    energies = energies[order]
+    energies.flags.writeable = False
+    return TotalHamiltonian((h_sys, h_bath), energies,
+                            tuple(zip((order // d2).tolist(), (order % d2).tolist())))
 
 
 @dataclass(frozen=True, eq=False)
 class EnergyBlockUnitary:
     """Unitary block diagonal over the total-energy eigenspaces of a
-    :func:`total_hamiltonian`, as its matrix in the product eigenbasis
+    :class:`TotalHamiltonian`, as its matrix in the product eigenbasis
     kron(V_S, V_B) of ``hamiltonian.parts``, with [i d_b + r, j d_b + s] = <i, r|U|j, s>.
 
     ``matrix`` must be unitary, so every thermal operation on it is CPTP; every
-    construction checks this to ``UNITARY_TOL``, and that ``hamiltonian`` has ``parts``.
+    construction checks this to ``UNITARY_TOL``, and that ``hamiltonian`` is a total.
     """
 
     matrix: np.ndarray
-    hamiltonian: Hamiltonian
+    hamiltonian: TotalHamiltonian
 
     def __post_init__(self):
-        if self.hamiltonian.parts is None:
+        if not isinstance(self.hamiltonian, TotalHamiltonian):
             raise ValueError("unitary was not built from a system+bath total Hamiltonian")
         if not mat_equal(self.matrix @ dagger(self.matrix), np.eye(self.dim), UNITARY_TOL):
             raise ValueError("energy-block operator is not unitary")
@@ -204,9 +212,9 @@ def _coerce_block_unitary(param, size: int) -> np.ndarray:
     return u
 
 
-def build_block_unitary(h_total: Hamiltonian, block_params) -> EnergyBlockUnitary:
+def build_block_unitary(h_total: TotalHamiltonian, block_params) -> EnergyBlockUnitary:
     """Assemble a global unitary from one unitary per total-energy eigenspace
-    of the :func:`total_hamiltonian` ``h_total``.
+    of ``h_total``.
 
     ``block_params`` is a sequence aligned with ``h_total.energy_blocks()``:
     a bare phase alpha for a one-dimensional block (the block unitary is

@@ -1279,7 +1279,8 @@ def test_family_search_rejects_a_unitary_it_cannot_reduce():
                                     setup.h_prime, OptimizerConfig(seeds=1, grid_resolution=1))
     # a unitary on a Hamiltonian without a system+bath split cannot even be formed
     with pytest.raises(ValueError, match="system\\+bath total Hamiltonian"):
-        thermal.EnergyBlockUnitary(np.eye(h_tot.dim), Hamiltonian.from_matrix(h_tot.matrix))
+        thermal.EnergyBlockUnitary(np.eye(h_tot.dim),
+                                   Hamiltonian.from_matrix(np.diag(h_tot.energies)))
 
 
 def test_distance_nonnegative_and_diagnosed():

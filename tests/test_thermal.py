@@ -16,6 +16,7 @@ from athermal_markov.thermal import (
     DEGENERACY_TOL,
     Hamiltonian,
     PerturbationSpec,
+    TotalHamiltonian,
     apply,
     build_block_unitary,
     gibbs_state,
@@ -156,15 +157,18 @@ def test_total_hamiltonian_product_eigvecs():
     h_sys = Hamiltonian.from_matrix(2.0 * SIGMA_Z)
     h_bath = Hamiltonian.from_matrix(GELL_MANN_1)
     h_tot = total_hamiltonian(h_sys, h_bath)
-    # held in the product eigenbasis: diag(E_i + E_r) on product index i d_b + r, and
-    # eigvecs the permutation from product index to level
+    # levels only, no matrix: E_i + E_r ascending, each labelled by its product ket
+    # (i, r) at product index i d_b + r, and the labels visit every product index once
+    assert isinstance(h_tot, TotalHamiltonian) and not hasattr(h_tot, "matrix")
+    assert not h_tot.energies.flags.writeable
     sums = np.add.outer(h_sys.energies, h_bath.energies).ravel()
-    assert np.array_equal(h_tot.matrix, np.diag(sums))
-    assert np.array_equal(h_tot.eigvecs, np.eye(6)[:, [3 * i + r for i, r in h_tot.product_labels]])
-    recon = h_tot.eigvecs @ np.diag(h_tot.energies) @ dagger(h_tot.eigvecs)
-    assert np.max(np.abs(recon - h_tot.matrix)) < 1e-10
-    for k, (i, r) in enumerate(h_tot.product_labels):
-        assert abs(h_tot.energies[k] - h_sys.energies[i] - h_bath.energies[r]) < 1e-12
+    order = [3 * i + r for i, r in h_tot.product_labels]
+    assert sorted(order) == list(range(6))
+    assert np.array_equal(h_tot.energies, sums[order])
+    assert np.all(np.diff(h_tot.energies) >= 0)
+    # kron(V_S, V_B) in level order diagonalises H_S (x) 1 + 1 (x) H_B
+    w = product_eigvecs(h_tot)
+    assert mat_equal(w @ np.diag(h_tot.energies) @ dagger(w), kron_sum(h_tot), 1e-10)
 
 
 def test_bohr_nondegenerate_flag():
