@@ -271,63 +271,67 @@ class ExperimentConfig:
     @np.errstate(over="ignore", invalid="ignore")
     def _build(self) -> StudySetup:
         if self.sweep_variable not in ("temperature", "inverse_temperature"):
-            raise ValueError("sweep_variable must be 'temperature' or 'inverse_temperature'")
+            raise ValueError("config.sweep.variable: must be 'temperature' or "
+                             "'inverse_temperature'")
         if not self.sweep_values or not all(math.isfinite(v) and v > 0 and math.isfinite(
                 self.beta_for(v)) for v in self.sweep_values):
-            raise ValueError("sweep_values must be finite and positive, with a finite inverse")
+            raise ValueError("config.sweep.values: must be finite and positive, with a finite "
+                             "inverse")
         if not self.epsilons or not all(math.isfinite(e) and e >= 0 for e in self.epsilons):
-            raise ValueError("epsilons must be nonempty, finite and nonnegative")
+            raise ValueError("config.epsilons: must be nonempty, finite and nonnegative")
         if not self.measures:
-            raise ValueError("measures must not be empty")
+            raise ValueError("config.measures: must not be empty")
         for m in self.measures:
             if m not in self.KNOWN_MEASURES:
-                raise ValueError(f"unknown measure '{m}'")
-        for name, values in (("sweep_values", self.sweep_values), ("epsilons", self.epsilons),
-                             ("measures", self.measures)):
+                raise ValueError(f"config.measures: unknown measure '{m}'")
+        for key, values in (("sweep.values", self.sweep_values), ("epsilons", self.epsilons),
+                            ("measures", self.measures)):
             seen = set()
             for v in values:
                 if v in seen:
-                    raise ValueError(f"{name}: {v!r} is listed more than once")
+                    raise ValueError(f"config.{key}: {v!r} is listed more than once")
                 seen.add(v)
         if (self.initial_population_a is None) == (self.initial_coeffs is None):
-            raise ValueError("need exactly one of initial_population_a or initial_coeffs")
+            raise ValueError("config.initial_population_a: need exactly one of "
+                             "initial_population_a or initial_coeffs")
         if self.initial_population_a is not None and not 0.0 <= self.initial_population_a <= 1.0:
-            raise ValueError("initial_population_a must lie in [0, 1]")
+            raise ValueError("config.initial_population_a: must lie in [0, 1]")
         if "choi_distance" in self.measures and self.mto_relation is None:
-            raise ValueError("choi_distance requires mto_relation")
+            raise ValueError("config.mto_relation: choi_distance requires mto_relation")
 
-        h_sys = _field("system", self.system.build)
-        h_bath = _field("bath", self.bath.build)
+        h_sys = _field("config.system", self.system.build)
+        h_bath = _field("config.bath", self.bath.build)
         if h_sys.dim * h_bath.dim > MAX_TOTAL_DIMENSION:
-            raise ValueError(f"total dimension {h_sys.dim * h_bath.dim} exceeds {MAX_TOTAL_DIMENSION}")
+            raise ValueError(f"config.bath: total dimension {h_sys.dim * h_bath.dim} exceeds "
+                             f"{MAX_TOTAL_DIMENSION}")
         if "discord" in self.measures and h_sys.dim != 2:
-            raise ValueError("discord requires a qubit system")
-        h_prime = _field("perturbation", self.perturbation.build)
+            raise ValueError("config.system: discord requires a qubit system")
+        h_prime = _field("config.perturbation", self.perturbation.build)
         if h_prime.dim != h_sys.dim:
-            raise ValueError("perturbation dimension must match the system")
+            raise ValueError("config.perturbation: perturbation dimension must match the system")
         # every measure's perturbed input needs non-degenerate perturbation theory
-        _field("system", thermal.first_order_generator, h_sys, h_prime)
+        _field("config.system", thermal.first_order_generator, h_sys, h_prime)
         coeffs = self.initial_coeffs
         if coeffs is None:
             if h_sys.dim == 1 and self.initial_population_a != 1.0:  # its ground level is its top
-                raise ValueError("initial_population_a: a one-level system's only level holds "
-                                 f"population 1, got {self.initial_population_a}")
+                raise ValueError("config.initial_population_a: a one-level system's only level "
+                                 f"holds population 1, got {self.initial_population_a}")
             coeffs = np.zeros((h_sys.dim, h_sys.dim))
             coeffs[0, 0] = 1.0 - self.initial_population_a
             coeffs[-1, -1] = self.initial_population_a
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (h_sys.dim, h_sys.dim):
-            raise ValueError(f"initial_coeffs: expected shape {(h_sys.dim, h_sys.dim)} for a "
-                             f"{h_sys.dim}-level system, got {coeffs.shape}")
-        rho = _field("initial_coeffs", thermal.state_from_level_coeffs, h_sys, coeffs)
-        rho_eps = tuple(_field("epsilons", thermal.perturbed_state_exact, coeffs, h_sys,
+            raise ValueError(f"config.initial_coeffs: expected shape {(h_sys.dim, h_sys.dim)} for "
+                             f"a {h_sys.dim}-level system, got {coeffs.shape}")
+        rho = _field("config.initial_coeffs", thermal.state_from_level_coeffs, h_sys, coeffs)
+        rho_eps = tuple(_field("config.epsilons", thermal.perturbed_state_exact, coeffs, h_sys,
                                PerturbationSpec(h_prime, eps)) for eps in self.epsilons)
         h_tot = thermal.total_hamiltonian(h_sys, h_bath)
-        unitary = _field("unitary_blocks", self.build_unitary, h_tot)
+        unitary = _field("config.unitary_blocks", self.build_unitary, h_tot)
         if "choi_distance" in self.measures and any(len(idx) > 1 for _, idx in h_tot.energy_blocks()):
-            raise ValueError("choi_distance requires a non-degenerate total spectrum")
+            raise ValueError("config.bath: choi_distance requires a non-degenerate total spectrum")
         manifold = None if self.mto_relation is None else _field(
-            "mto_relation", constrained_phase_manifold, len(h_tot.energy_blocks()),
+            "config.mto_relation", constrained_phase_manifold, len(h_tot.energy_blocks()),
             *self.mto_relation)
         # each searched measure is one search over the whole sweep
         controls = len(self.sweep_values)
@@ -415,7 +419,8 @@ class ExperimentConfig:
             system=HamiltonianSpec.from_dict(data["system"], "config.system"),
             bath=HamiltonianSpec.from_dict(data["bath"], "config.bath"),
             perturbation=HamiltonianSpec.from_dict(data["perturbation"], "config.perturbation"),
-            epsilons=_floats(data["epsilons"], "config.epsilons"),
+            # + 0.0 turns -0.0 into 0.0, which would otherwise reach every CSV cell and the hash
+            epsilons=tuple(e + 0.0 for e in _floats(data["epsilons"], "config.epsilons")),
             sweep_values=_floats(sweep["values"], "config.sweep.values"),
             sweep_variable=_typed(sweep.get("variable", "temperature"), "config.sweep.variable", str),
             unitary_blocks=tuple(BlockSpec.from_dict(b, f"config.unitary_blocks[{k}]")

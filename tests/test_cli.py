@@ -256,8 +256,8 @@ def test_initial_coeffs_of_another_size_exit_2_under_validate_and_run(tmp_path, 
     path.write_text(json.dumps(data))
     for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
         assert main([*command, "--config", str(path)]) == 2
-        assert capsys.readouterr().err == ("error: initial_coeffs: expected shape (2, 2) for a "
-                                           "2-level system, got (3, 3)\n")
+        assert capsys.readouterr().err == ("error: config.initial_coeffs: expected shape (2, 2) "
+                                           "for a 2-level system, got (3, 3)\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -273,8 +273,8 @@ def test_one_level_system_population_exits_2_under_validate_and_run(tmp_path, ca
     path.write_text(json.dumps(data))
     for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
         assert main([*command, "--config", str(path)]) == 2
-        assert capsys.readouterr().err == ("error: initial_population_a: a one-level system's "
-                                           "only level holds population 1, got 0.9\n")
+        assert capsys.readouterr().err == ("error: config.initial_population_a: a one-level "
+                                           "system's only level holds population 1, got 0.9\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -390,7 +390,7 @@ def test_empty_list_fields_exit_2_and_write_nothing(tmp_path, capsys, field):
     out = tmp_path / "out"
     assert main(["fig2", "--out", str(out), "--set", f"{field}=[]"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{field} must" in err
+    assert err.startswith(f"error: config.{field}: must")
     assert not out.exists()
 
 
@@ -426,17 +426,17 @@ NAMED_ERRORS = {
     'name="\\ud800"': 'config.name: expected valid Unicode, got "\\ud800"',
     'name=""': "config.name: expected a non-empty string without path separators",
     'unitary_blocks=[{"phases":[1e51]},' + _LAST_THREE_BLOCKS:
-        "unitary_blocks: angle 1e+51 is too large: |angle| must be below 1e+45",
+        "config.unitary_blocks: angle 1e+51 is too large: |angle| must be below 1e+45",
     'unitary_blocks=[{"phases":[-1e51]},' + _LAST_THREE_BLOCKS:
-        "unitary_blocks: angle -1e+51 is too large: |angle| must be below 1e+45",
+        "config.unitary_blocks: angle -1e+51 is too large: |angle| must be below 1e+45",
     'unitary_blocks=[{"phases":[1e308]},' + _LAST_THREE_BLOCKS:
-        "unitary_blocks: angle 1e+308 is too large: |angle| must be below 1e+45",
+        "config.unitary_blocks: angle 1e+308 is too large: |angle| must be below 1e+45",
     'measures=["choi_distance","choi_distance"]':
-        "measures: 'choi_distance' is listed more than once",
+        "config.measures: 'choi_distance' is listed more than once",
     'mto_relation={"coefficients":[1,-1,-1,1],"offset":1e300}':
-        "mto_relation: angle 1e+300 is too large: |angle| must be below 1e+45",
-    "sweep.values=[3,3]": "sweep_values: 3.0 is listed more than once",
-    "epsilons=[0.1,0.1]": "epsilons: 0.1 is listed more than once",
+        "config.mto_relation: angle 1e+300 is too large: |angle| must be below 1e+45",
+    "sweep.values=[3,3]": "config.sweep.values: 3.0 is listed more than once",
+    "epsilons=[0.1,0.1]": "config.epsilons: 0.1 is listed more than once",
     'system={"matrix":{"real":[1.0,2.0]}}':
         "config.system.matrix.real: expected a square matrix of 1 to 36 rows, got shape (2,)",
     'system={"matrix":{"real":[[[1.0]]]}}':
@@ -540,6 +540,58 @@ def test_bad_numbers_exit_2_without_traceback(bad_override_runs, override):
 @pytest.mark.parametrize("override", NAMED_ERRORS)
 def test_bad_values_are_named_with_the_field(bad_override_runs, override):
     assert bad_override_runs[override]["distance"]["stderr"] == f"error: {NAMED_ERRORS[override]}\n"
+
+
+# Overrides that parse but describe nothing a run can build, with the key each
+# error must name first, as a parse error names its field (empty lists:
+# test_empty_list_fields_exit_2_and_write_nothing).
+_DIM_20 = json.dumps({"matrix": {"real": [[0.0] * 20] * 20}})
+BUILD_ERRORS = [
+    ("fig3", ['sweep.variable="kelvin"'], "sweep.variable"),
+    ("fig3", ["sweep.values=[-1.0]"], "sweep.values"),
+    ("fig3", ["epsilons=[-0.1]"], "epsilons"),
+    ("fig3", ['measures=["foo"]'], "measures"),
+    ("fig3", ["initial_population_a=null"], "initial_population_a"),
+    ("fig3", ["initial_population_a=1.5"], "initial_population_a"),
+    ("fig3", ['measures=["choi_distance"]'], "mto_relation"),
+    ("fig3", [f"bath={_DIM_20}"], "bath"),  # total dimension 40
+    ("fig3", ['system={"name":"gell_mann_3","scale":3.0}'], "system"),  # discord on a qutrit
+    ("fig3", ['system={"name":"identity_2"}'], "system"),  # degenerate perturbation theory
+    ("fig3", ['perturbation={"name":"gell_mann_1"}'], "perturbation"),
+    ("fig3", ["initial_population_a=null", 'initial_coeffs={"real":[[1.0]]}'], "initial_coeffs"),
+    ("fig3", ["unitary_blocks=[]"], "unitary_blocks"),
+    ("fig3", ['mto_relation={"coefficients":[1.0]}'], "mto_relation"),
+    # the matched qubits of fig2 have a degenerate total spectrum
+    ("fig2", ['measures=["choi_distance"]', 'mto_relation={"coefficients":[1,-1,-1,1]}'], "bath"),
+]
+
+
+@pytest.mark.parametrize("study, overrides, key", BUILD_ERRORS,
+                         ids=[f"{key}-{k}" for k, (_, _, key) in enumerate(BUILD_ERRORS)])
+def test_build_errors_name_their_config_key(tmp_path, capsys, study, overrides, key):
+    out = tmp_path / "out"
+    args = [study, "--out", str(out)]
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: config.{key}: ")
+    assert not out.exists()
+
+
+def test_negative_zero_epsilon_is_stored_as_zero(tmp_path):
+    # -0.0 passes the nonnegative check; stored as given, it would head every epsilon
+    # cell of the CSV as -0.0 and hash differently from 0.0
+    outputs, hashes = [], []
+    for zero in ("-0.0", "0.0"):
+        override = f"epsilons=[{zero}, 0.1]"
+        out = tmp_path / zero
+        main(["fig2", "--out", str(out), "--no-svg", "--set", override])
+        outputs.append((out / "fig2-log_negativity.csv").read_bytes())
+        hashes.append(cli.config_from_dict(
+            apply_overrides(builtin_fig2().to_dict(), [override])).config_hash())
+    assert b"-0.0" not in outputs[0]
+    assert outputs[0] == outputs[1]
+    assert hashes[0] == hashes[1]
 
 
 def test_optimizer_flags_need_config_objects(tmp_path, capsys):

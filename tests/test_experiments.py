@@ -159,7 +159,7 @@ def test_matrix_entries_are_finite_json_numbers(key, value, message):
     ("system", [["x"] * 600] * 600, "config.system.matrix.real: expected a square matrix of 1 "
                                     "to 36 rows, got 600 rows"),
     ("initial_coeffs", np.diag([1.0, 0.0, 0.0]).tolist(),
-     "initial_coeffs: expected shape (2, 2) for a 2-level system, got (3, 3)"),
+     "config.initial_coeffs: expected shape (2, 2) for a 2-level system, got (3, 3)"),
     # ragged rows are named before numpy would reject them in its own words
     ("system", [[1.0], [0.0, 1.0]], "config.system.matrix.real: expected a square matrix of 1 "
                                     "to 36 rows, got row 0 of length 1 and row 1 of length 2"),
@@ -235,12 +235,18 @@ def test_bench_channel_sweep_configs_are_accepted(monkeypatch):
             assert abs(r.unperturbed - unperturbed) <= 1e-12
             assert abs(r.perturbed - perturbed) <= 1e-12
             assert abs(r.delta - (perturbed - unperturbed)) <= 1e-12
-        setup = cfg.setup
-        pert = thermal.PerturbationSpec(setup.h_prime, cfg.epsilons[-1])
+        # the bench's own call chain for a job's direct values, call for call
+        h_sys, h_bath = cfg.build_system(), cfg.build_bath()
+        unitary = cfg.build_unitary(thermal.total_hamiltonian(h_sys, h_bath))
+        assert np.array_equal(unitary.matrix, cfg.setup.unitary.matrix)
+        coeffs = cfg.level_coeffs()
+        rho = thermal.state_from_level_coeffs(h_sys, coeffs)
+        pert = thermal.PerturbationSpec(cfg.perturbation.build(), cfg.epsilons[-1])
         for value, want in zip(cfg.sweep_values, deviations):
-            op = setup.operation(cfg.beta_for(value))
-            assert np.isfinite(measures.theta_lambda(op, setup.coeffs, pert))
-            assert abs(thermal.mto_check(op, setup.rho).joint_product_deviation - want) <= 1e-12
+            bath = thermal.gibbs_state(h_bath, cfg.beta_for(value))
+            op = thermal.thermal_operation(unitary, bath)
+            assert np.isfinite(measures.theta_lambda(op, coeffs, pert))
+            assert abs(thermal.mto_check(op, rho).joint_product_deviation - want) <= 1e-12
 
 
 def test_config_rejects_oversized_system():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from athermal_markov import measures, thermal
-from athermal_markov.experiments import (ExperimentConfig, builtin_distance, builtin_fig3,
-                                         run_config, run_study)
+from athermal_markov.experiments import (ExperimentConfig, builtin_distance, builtin_fig2,
+                                         builtin_fig3, run_config, run_study)
 from athermal_markov.linalg import (
     STATE_TOL,
     SUPPORT_CUTOFF,
@@ -1424,6 +1424,70 @@ def test_theta_lambda_on_a_pure_bath_is_joint_deficient_from_the_bath_alone(d1, 
     finite = thermal_operation(op.unitary, gibbs_state(op.bath.hamiltonian, 1.0))
     _, diags = theta_lambda(finite, coeffs, pert, with_diagnostics=True)
     assert "joint_support_deficient" not in diags
+
+
+# theta_lambda and mto_check on each built-in operation at its first control value.
+# Raw readings (fig2 | fig3), for the sign policy of ±1e-16 values:
+#   the built-in incoherent input: theta 0.0 | 0.0, deviation 0.554 | 2.8e-17, the
+#     fig3 one Markovian by STATE_TOL, yet not 0.0;
+#   pure |+><+|: theta -0.0968 | -7.6e-17, both joint_support_deficient, deviation
+#     0.495 | 0.468.
+# Cells that other tests already cover are not repeated here:
+#   incoherent inputs on random operations: test_theta_lambda_vanishes_on_incoherent_inputs;
+#   a pure diagonal input: test_theta_lambda_support_flags,
+#     test_theta_lambda_matches_the_log_matrix_form_on_a_pure_input;
+#   a degenerate Bohr spectrum: test_mto_check_degenerate_bohr_marks_phase_residuals_na;
+#   degenerate perturbation theory: test_perturbed_state_exact_rejects_degenerate,
+#     test_perturbed_state_first_order_rejects_degenerate;
+#   a NaN entry of a joint state: test_edge_case_table.
+RESPONSE_EDGE_STUDIES = {"fig2": (builtin_fig2, -0.09675130480215437, False),
+                         "fig3": (builtin_fig3, 0.0, True)}
+
+
+@pytest.mark.parametrize("study", sorted(RESPONSE_EDGE_STUDIES))
+@pytest.mark.parametrize("case", ["incoherent", "pure_coherent", "degenerate_system",
+                                  "non_finite"])
+def test_response_and_mto_check_edge_case_table(case, study):
+    make, pure_theta, markovian = RESPONSE_EDGE_STUDIES[study]
+    cfg = make()
+    setup = cfg.setup
+    op = setup.operation(cfg.beta_for(cfg.sweep_values[0]))
+    pert = PerturbationSpec(setup.h_prime, cfg.epsilons[-1])
+    if case == "incoherent":
+        # populations map to populations: no response, exactly
+        assert theta_lambda(op, setup.coeffs, pert) == 0.0
+        report = thermal.mto_check(op, setup.rho)
+        assert report.is_markovian is markovian
+        if markovian:
+            assert 0.0 <= report.joint_product_deviation <= 1e-15
+        else:
+            assert report.joint_product_deviation > 0.1
+    elif case == "pure_coherent":
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        theta, diags = theta_lambda(op, plus, pert, with_diagnostics=True)
+        assert diags["joint_support_deficient"]
+        assert abs(theta - pure_theta) <= 1e-14
+        assert not thermal.mto_check(op, DensityMatrix(plus, (2,))).is_markovian
+    elif case == "degenerate_system":
+        # the study's bath under a degenerate system and the identity unitary
+        h_sys = Hamiltonian.from_matrix(np.eye(2, dtype=complex))
+        h_tot = total_hamiltonian(h_sys, setup.h_bath)
+        identity = build_block_unitary(h_tot, [0.0 if len(idx) == 1 else np.eye(len(idx))
+                                               for _, idx in h_tot.energy_blocks()])
+        flat = thermal_operation(identity, op.bath)
+        with pytest.raises(ValueError, match="degenerate spectrum"):
+            theta_lambda(flat, setup.coeffs, pert)
+        # the check needs no perturbation theory: it reads a product and no phase law
+        report = thermal.mto_check(flat, thermal.state_from_level_coeffs(h_sys, setup.coeffs))
+        assert report.is_markovian and np.isnan(report.phase_residuals).all()
+    else:
+        bad = setup.coeffs.copy()
+        bad[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            theta_lambda(op, bad, pert)
+        # mto_check takes a DensityMatrix, which cannot hold one
+        with pytest.raises(ValueError, match="non-finite entries"):
+            thermal.state_from_level_coeffs(setup.h_sys, bad)
 
 
 def test_theta_lambda_rejects_a_bath_of_another_hamiltonian():
