@@ -265,7 +265,14 @@ class ExperimentConfig:
     KNOWN_MEASURES = ("log_negativity", "mutual_information", "discord", "choi_distance")
 
     def __post_init__(self):
-        object.__setattr__(self, "setup", self._build())
+        setup = self._build()
+        # floats, with -0.0 as 0.0, however the config was built, so it hashes and
+        # writes its CSV cells as its from_dict(to_dict()) round trip does
+        object.__setattr__(self, "epsilons", tuple(float(e) + 0.0 for e in self.epsilons))
+        object.__setattr__(self, "sweep_values", tuple(map(float, self.sweep_values)))
+        if self.initial_population_a is not None:
+            object.__setattr__(self, "initial_population_a", float(self.initial_population_a) + 0.0)
+        object.__setattr__(self, "setup", setup)
 
     # overflow leaves inf/NaN, which the unitarity and Hermiticity checks reject
     @np.errstate(over="ignore", invalid="ignore")
@@ -419,8 +426,7 @@ class ExperimentConfig:
             system=HamiltonianSpec.from_dict(data["system"], "config.system"),
             bath=HamiltonianSpec.from_dict(data["bath"], "config.bath"),
             perturbation=HamiltonianSpec.from_dict(data["perturbation"], "config.perturbation"),
-            # + 0.0 turns -0.0 into 0.0, which would otherwise reach every CSV cell and the hash
-            epsilons=tuple(e + 0.0 for e in _floats(data["epsilons"], "config.epsilons")),
+            epsilons=_floats(data["epsilons"], "config.epsilons"),
             sweep_values=_floats(sweep["values"], "config.sweep.values"),
             sweep_variable=_typed(sweep.get("variable", "temperature"), "config.sweep.variable", str),
             unitary_blocks=tuple(BlockSpec.from_dict(b, f"config.unitary_blocks[{k}]")

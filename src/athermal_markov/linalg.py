@@ -4,13 +4,10 @@ Operators are plain numpy arrays (row-major, complex128).  States carry an
 explicit subsystem factorisation through :class:`DensityMatrix`.  Validity
 checks happen on public construction, to the fixed absolute tolerance
 ``STATE_TOL``; spectral supports end at ``SUPPORT_CUTOFF``.  All entropies
-and matrix logarithms are base 2.  :func:`eigvalsh_packed` gives the spectra
-of stacks of Hermitian matrices packed as real lower triangles by
-:func:`pack_lower`, the level blocks of the discord kernel's outcomes: a 1x1
-block is its entry, and every larger size goes to ``np.linalg.eigvalsh``.
-:func:`trace_norm` takes 2x2 matrices (the distance search's rows on a qubit)
-in closed form, where LAPACK's per-matrix overhead would outweigh the
-arithmetic, and hands every other size to ``np.linalg.svd``.
+and matrix logarithms are base 2.  :func:`trace_norm` takes 2x2 matrices
+(the distance search's rows on a qubit) in closed form, where LAPACK's
+per-matrix overhead would outweigh the arithmetic, and hands every other
+size to ``np.linalg.svd``.
 """
 
 from __future__ import annotations
@@ -189,49 +186,6 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # one scalar division per column: an array-wide one can differ in the last ulp
     phases = [p.conjugate() / abs(p) for p in pivots]
     return w, v * np.array(phases, dtype=complex)
-
-
-def _lower(n: int) -> tuple[list[int], list[int]]:
-    """Flat indices into an n x n matrix of its diagonal and of the entries
-    below it, row by row (the order of ``np.tril_indices(n, -1)``)."""
-    return [a * (n + 1) for a in range(n)], [a * n + b for a in range(n) for b in range(a)]
-
-
-def pack_lower(h: np.ndarray) -> np.ndarray:
-    """The lower triangles of a stack (..., n, n) of Hermitian matrices as n * n
-    reals along a new first axis: the real diagonal, then the real parts of the
-    entries below it, row by row, then their imaginary parts.  Each entry of
-    the stack is then one contiguous array."""
-    n = h.shape[-1]
-    diag, below = _lower(n)
-    flat = np.moveaxis(h.reshape(*h.shape[:-2], n * n), -1, 0)
-    low = flat[below]
-    return np.concatenate([flat[diag].real, low.real, low.imag])
-
-
-def unpack_lower(p: np.ndarray) -> np.ndarray:
-    """The complex stack (..., n, n) whose lower triangles :func:`pack_lower`
-    packed into ``p`` (n * n, ...); the upper triangles are zero, and
-    ``np.linalg.eigvalsh`` reads the lower ones only."""
-    n = math.isqrt(len(p))
-    diag, below = _lower(n)
-    # each packed entry's place among the interleaved real and imaginary parts
-    places = [2 * k for k in diag + below] + [2 * k + 1 for k in below]
-    h = np.zeros(p.shape[1:] + (2 * n * n,))
-    h[..., places] = np.moveaxis(p, 0, -1)
-    return h.view(complex).reshape(*p.shape[1:], n, n)
-
-
-def eigvalsh_packed(p: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues, along a new first axis (n, ...), of the Hermitian
-    matrices whose lower triangles :func:`pack_lower` packed into ``p``.
-
-    Each matrix is computed on its own.  For n = 1 the eigenvalue is the
-    entry; every other n goes whole to one ``np.linalg.eigvalsh`` call.
-    """
-    if len(p) == 1:
-        return p.copy()
-    return np.moveaxis(np.linalg.eigvalsh(unpack_lower(p)), -1, 0)
 
 
 def trace_norm(m: np.ndarray):

@@ -25,9 +25,7 @@ from .linalg import (
     DensityMatrix,
     check_state,
     dagger,
-    eigvalsh_packed,
     entropy_of_spectrum,
-    pack_lower,
     spectrum_entropy,
     trace_norm,
     trace_out_first,
@@ -93,7 +91,6 @@ def mutual_informations(states: Sequence[DensityMatrix], joint_entropies) -> lis
     U^dag has the spectrum {p_i q_r} of its inputs, so a sweep passes the
     entropy of that product spectrum and diagonalises no joint state."""
     joints, (d1, d2) = _joint_stack(states)
-    # LAPACK, not eigvalsh_packed: packing a sweep's few dozen marginals costs more than it saves
     values = (entropy_of_spectrum(trace_out_second(joints, d1, d2))
               + entropy_of_spectrum(trace_out_first(joints, d1, d2))
               - _joint_entropy_array(joint_entropies, states))
@@ -139,43 +136,48 @@ def _level_blocks(blocks: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
             for heads in (reach > 0).argmax(axis=-1).tolist()]
 
 
-def _pack_bloch_blocks(blocks: np.ndarray, partition) -> tuple[list[slice], np.ndarray]:
+def _split_bloch_blocks(blocks: np.ndarray, partition) -> list[np.ndarray]:
     """:func:`_bloch_blocks` (m, 4, d2, d2) of m states that share the
-    :func:`_level_blocks` ``partition``, as (triangles, columns): real columns
-    (4, L + 1, m), each level block's lower triangle packed as
-    :func:`linalg.pack_lower` packs it, in the order of ``partition``, then the
-    trace, for each Bloch block; and the slice of each level block's triangle.
-    A partition of one level block, size d2, packs the whole matrix."""
-    t = np.trace(blocks, axis1=-2, axis2=-1).real
-    packs = [pack_lower(blocks[..., levels, :][..., levels]) for levels in map(list, partition)]
-    ends = np.cumsum([len(p) for p in packs]).tolist()
-    return ([slice(a, b) for a, b in zip([0, *ends], ends)],
-            np.concatenate([*packs, t[None]]).transpose(2, 0, 1).copy())
+    :func:`_level_blocks` ``partition``, each Bloch block with its states on
+    the last axis: first one real array (4, 1 + s, m) of the traces and then
+    the entries of the s 1x1 level blocks, then each larger level block's
+    complex submatrix (4, k, k, m), in the order of ``partition``."""
+    singles = [levels[0] for levels in partition if len(levels) == 1]
+    scalars = np.concatenate([np.trace(blocks, axis1=-2, axis2=-1).real[..., None],
+                              blocks[..., singles, singles].real], axis=-1)
+    return [np.moveaxis(part, 0, -1).copy() for part in [scalars, *(
+        blocks[..., levels, :][..., levels] for levels in map(list, partition) if len(levels) > 1)]]
 
 
-def _measured_conditional_entropy(triangles: list[slice], columns: np.ndarray,
-                                  angles: np.ndarray, owner: np.ndarray) -> np.ndarray:
+def _measured_conditional_entropy(parts: list[np.ndarray], angles: np.ndarray,
+                                  owner: np.ndarray) -> np.ndarray:
     """sum_i p_i S(rho_B^i) for measuring {|psi><psi|, I - |psi><psi|} on the qubit,
     one value per (theta, phi) row of ``angles``, of the state whose
-    :func:`_pack_bloch_blocks` columns are ``columns[..., owner]``; the states
-    share one partition, whose level blocks' packed triangles are ``triangles``.
+    :func:`_split_bloch_blocks` are ``[part[..., owner] for part in parts]``;
+    the states share one partition into level blocks.
 
     With n the Bloch vector of psi, the unnormalised outcomes are
-    P_0 +- n . (P_1, P_2, P_3), formed packed in real arithmetic, and their
-    probabilities the traces of those.  An outcome's spectrum is the union of
-    its level blocks' spectra, each from one :func:`linalg.eigvalsh_packed` of
-    the block's stack (a 1x1 block is its entry), and is divided by the
+    P_0 +- n . (P_1, P_2, P_3), formed on each part, and their probabilities
+    the traces of those.  An outcome's spectrum is the union of its level
+    blocks' spectra: a 1x1 block is its entry, and each larger block's comes
+    from one ``np.linalg.eigvalsh`` of the block's stack; it is divided by the
     probability.  An outcome of probability at most 1e-14 contributes
     nothing.  Each row's value is that of its state alone."""
     theta, phi = angles[:, 0], angles[:, 1]
     sin = np.sin(theta)
     n = (sin * np.cos(phi), sin * np.sin(phi), np.cos(theta))
-    half, x, y, z = np.take(columns, owner, axis=-1)
-    tilt = n[0] * x + n[1] * y + n[2] * z
-    outcomes = np.stack([half + tilt, half - tilt], axis=1)  # (L + 1, 2, rows)
-    prob = outcomes[-1]
+    outcomes = []
+    for part in parts:
+        half, x, y, z = np.take(part, owner, axis=-1)
+        tilt = n[0] * x + n[1] * y + n[2] * z
+        outcomes.append(np.stack([half + tilt, half - tilt], axis=-2))  # (..., 2, rows)
+    scalars, *larger = outcomes
+    prob = scalars[0]
     kept = prob > 1e-14
-    spectra = np.concatenate([eigvalsh_packed(outcomes[block]) for block in triangles])
+    # each (k, k, 2, rows) block goes to LAPACK as a contiguous (2, rows, k, k)
+    # stack: LAPACK takes about 1.5 times as long on a strided view
+    spectra = np.concatenate([scalars[1:], *(np.linalg.eigvalsh(
+        block.transpose(2, 3, 0, 1).copy()).transpose(2, 0, 1) for block in larger)])
     spectra /= np.where(kept, prob, 1.0)
     return np.where(kept, prob * spectrum_entropy(spectra, axis=0), 0.0).sum(axis=0)
 
@@ -223,9 +225,9 @@ def discord(states: Sequence[DensityMatrix], joint_entropies,
         members.setdefault(partition, []).append(k)
     results = {}
     for partition, ks in members.items():
-        triangles, columns = _pack_bloch_blocks(blocks[ks], partition)
+        parts = _split_bloch_blocks(blocks[ks], partition)
         results.update(zip(ks, minimize(
-            lambda angles, owner: _measured_conditional_entropy(triangles, columns, angles, owner),
+            lambda angles, owner: _measured_conditional_entropy(parts, angles, owner),
             [(0.0, np.pi), (0.0, 2 * np.pi)], cfg, periodic=[False, True], problems=len(ks),
             distinct=distinct_measurements(cfg.grid_resolution))))
     # S(A) - S(AB) of every state

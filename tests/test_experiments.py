@@ -81,6 +81,16 @@ def test_config_round_trip():
         assert again.config_hash() == cfg.config_hash()
 
 
+@pytest.mark.parametrize("change", [{"epsilons": (-0.0, 0.1)}, {"sweep_values": (3, 4)},
+                                    {"initial_population_a": 1}],
+                         ids=["negative_zero_epsilon", "int_sweep_values", "int_population"])
+def test_config_hashes_as_its_json_round_trip(change):
+    # JSON reads 3 back as 3.0, so a config stores its numbers as floats, and -0.0 as 0.0
+    cfg = replace(builtin_fig2(), **change)
+    assert ExperimentConfig.from_dict(cfg.to_dict()).config_hash() == cfg.config_hash()
+    assert cfg.config_hash() != builtin_fig2().config_hash()
+
+
 def test_config_rejects_bad_inputs():
     base = builtin_fig2().to_dict()
 

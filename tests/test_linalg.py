@@ -18,7 +18,7 @@ from athermal_markov.linalg import (
     trace_norm,
 )
 from athermal_markov.thermal import Hamiltonian
-from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, matrix_log2_on_support, packed_eigvalsh,
+from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, matrix_log2_on_support,
                   random_density, random_hermitian, random_unitary)
 
 
@@ -183,75 +183,6 @@ def test_eigh_phase_fix_is_bitwise_the_column_loop():
         w, v = eigh(m)
         w_ref, v_ref = _eigh_column_by_column(m)
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
-
-
-def _with_spectra(rng, spectra: np.ndarray) -> np.ndarray:
-    """A Hermitian matrix u diag(w) u^dag, for a random unitary u, per row w of ``spectra``."""
-    us = np.array([random_unitary(rng, spectra.shape[-1]) for _ in spectra])
-    return (us * spectra[:, None, :]) @ dagger(us)
-
-
-def eigvalsh_cases(n: int) -> dict[str, np.ndarray]:
-    """Stacks of n x n Hermitian matrices: random, PSD of each rank below n,
-    with a k-fold eigenvalue for each k >= 2, zero, scaled from 1e-15 to 1e3
-    and with extra leading axes."""
-    rng = np.random.default_rng(90 + n)
-    random = np.array([random_hermitian(rng, n) for _ in range(240)])
-    cases = {"random": random, "zero": np.zeros((3, n, n), dtype=complex),
-             "leading_axes": random[:120].reshape(2, 3, 4, 5, n, n)}
-    for rank in range(1, n):
-        w = np.zeros((200, n))
-        w[:, n - rank:] = rng.uniform(0.0, 1.0, (200, rank))
-        cases[f"rank_{rank}"] = _with_spectra(rng, w)
-    for k in range(2, n + 1):
-        w = rng.normal(size=(200, n))
-        w[:, :k] = w[:, :1]
-        cases[f"{k}_fold"] = _with_spectra(rng, w)
-    for scale in (1e-15, 1e-10, 1e-5, 1.0, 1e3):
-        cases[f"norm_{scale:g}"] = scale * random
-    return cases
-
-
-def test_eigvalsh_matches_lapack():
-    for n in (1, 2):
-        for name, h in eigvalsh_cases(n).items():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = packed_eigvalsh(h)
-            want = np.linalg.eigvalsh(h)
-            bound = 1e-14 * np.maximum(1.0, np.linalg.norm(h, 2, axis=(-2, -1)))
-            assert got.shape == want.shape, (n, name)
-            assert np.all(np.abs(got - want) <= bound[..., None]), (n, name)
-            assert np.all(np.diff(got, axis=-1) >= 0.0), (n, name)
-
-
-@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
-def test_eigvalsh_stays_relative_to_the_norm_across_the_double_range(scale):
-    for n in (1, 2):
-        h = scale * eigvalsh_cases(n)["random"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = packed_eigvalsh(h)
-        want = np.linalg.eigvalsh(h)
-        norm = np.linalg.norm(h, 2, axis=(-2, -1))
-        assert np.all(np.isfinite(got)), n
-        assert np.all(np.abs(got - want) <= 1e-14 * norm[:, None]), n
-
-
-def test_eigvalsh_computes_each_row_alone():
-    for n in (2, 3):  # LAPACK's rows
-        cases = eigvalsh_cases(n)
-        h = np.concatenate([cases["random"], cases["2_fold"], cases["zero"]])
-        alone = np.array([packed_eigvalsh(m) for m in h])
-        assert np.array_equal(packed_eigvalsh(h).view(np.int64), alone.view(np.int64)), n
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
-def test_eigvalsh_hands_other_sizes_to_lapack(n):
-    h = eigvalsh_cases(n)["random"][:20]
-    for m in (h, h[0]):
-        assert np.array_equal(packed_eigvalsh(m).view(np.int64),
-                              np.linalg.eigvalsh(m).view(np.int64))
 
 
 def test_eigh_rejects_non_hermitian():

@@ -43,7 +43,7 @@ from athermal_markov.thermal import (
 from util import (BELL_PHI_PLUS, SIGMA_X, SIGMA_Z, bath_matrix, channel_image, choi_state,
                   computational_matrix, distance_value, expansion_lemma_residual, family_member,
                   matrix_log2_on_support, maximally_entangled_input, member_distances,
-                  packed_eigvalsh, product_eigvecs, qubit_choi_closed_form, random_density,
+                  product_eigvecs, qubit_choi_closed_form, random_density,
                   random_hermitian, random_unitary, relation_residual, response_direction)
 
 H_QUBIT = Hamiltonian.from_matrix(SIGMA_Z)
@@ -536,7 +536,7 @@ def kernel(blocks: np.ndarray, angles: np.ndarray, owner: np.ndarray) -> np.ndar
         rows = np.flatnonzero(np.isin(owner, ks))
         if len(rows):
             values[rows] = measures._measured_conditional_entropy(
-                *measures._pack_bloch_blocks(blocks[ks], partition), angles[rows],
+                measures._split_bloch_blocks(blocks[ks], partition), angles[rows],
                 np.searchsorted(ks, owner[rows]))
     return values
 
@@ -628,10 +628,10 @@ def test_measured_conditional_entropy_is_blind_to_the_measurement_order():
     assert np.max(np.abs(gap)) < 1e-14
 
 
-def pointwise_conditional_entropy(blocks, theta, phi, spectrum=packed_eigvalsh) -> float:
+def pointwise_conditional_entropy(blocks, theta, phi) -> float:
     """The discord kernel one measurement at a time, in the same Bloch form, with
-    each outcome's eigenvalues from ``spectrum``: the reference for the stacked
-    one."""
+    each whole outcome's eigenvalues from ``np.linalg.eigvalsh``: the reference
+    for the stacked one."""
     n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
     tilt = n[0] * blocks[1] + n[1] * blocks[2] + n[2] * blocks[3]
     t = np.trace(blocks, axis1=-2, axis2=-1).real
@@ -639,7 +639,7 @@ def pointwise_conditional_entropy(blocks, theta, phi, spectrum=packed_eigvalsh) 
     total = 0.0
     for sub, prob in ((blocks[0] + tilt, t[0] + tilt_t), (blocks[0] - tilt, t[0] - tilt_t)):
         if prob > 1e-14:
-            w = spectrum(sub) / prob
+            w = np.linalg.eigvalsh(sub) / prob
             w = w[w > measures.SUPPORT_CUTOFF]
             total += prob * float(-np.sum(w * np.log2(w)))
     return total
@@ -663,17 +663,7 @@ def test_measured_conditional_entropy_stack_matches_pointwise_bitwise(d2):
     got = kernel(blocks, angles, owner)
     want = np.array([pointwise_conditional_entropy(blocks[o], *row)
                      for o, row in zip(owner, angles)])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-@pytest.mark.parametrize("d2", [1, 2, 3, 6])
-def test_measured_conditional_entropy_matches_lapack_spectra(d2):
-    blocks, angles, owner = kernel_case(d2)
-    got = kernel(blocks, angles, owner)
-    want = np.array([pointwise_conditional_entropy(blocks[o], *row, spectrum=np.linalg.eigvalsh)
-                     for o, row in zip(owner, angles)])
-    assert np.max(np.abs(got - want)) <= 1e-14
-    # LAPACK's own outcome spectra, so the kernel keeps its bits
+    # each dense outcome goes whole to LAPACK, so the kernel keeps LAPACK's bits
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -713,47 +703,43 @@ def test_fig3_discord_states_split_into_level_blocks_without_lapack(monkeypatch)
 
 
 def test_fig3_discord_outcome_spectra_match_lapack(monkeypatch):
-    # every outcome a built-in fig3 sweep's discord search diagonalises, two per
-    # kernel row: its level blocks' spectra against LAPACK's of the whole 3x3
-    # outcome, rebuilt from its state's Bloch blocks
-    blocks, rows, spectra = [], [], []
-    bloch_of, kernel_of, spectra_of = (measures._bloch_blocks, measures._measured_conditional_entropy,
-                                       measures.eigvalsh_packed)
+    # every row of a built-in fig3 sweep's discord search, whose outcomes split
+    # into 1x1 level blocks, against LAPACK's spectra of each whole 3x3 outcome,
+    # rebuilt from its state's Bloch blocks
+    blocks, rows = [], []
+    bloch_of, kernel_of = measures._bloch_blocks, measures._measured_conditional_entropy
 
     def recorded_blocks(rho, d2):
         blocks.append(bloch_of(rho, d2))
         return blocks[-1]
 
-    def recorded_kernel(triangles, columns, angles, owner):
-        rows.append((angles, owner))
-        spectra.append([])
-        return kernel_of(triangles, columns, angles, owner)
-
-    def recorded_spectra(p):
-        spectra[-1].append(spectra_of(p))
-        return spectra[-1][-1]
+    def recorded_kernel(parts, angles, owner):
+        rows.append((angles, owner, kernel_of(parts, angles, owner)))
+        return rows[-1][-1]
 
     monkeypatch.setattr(measures, "_bloch_blocks", recorded_blocks)
     monkeypatch.setattr(measures, "_measured_conditional_entropy", recorded_kernel)
-    monkeypatch.setattr(measures, "eigvalsh_packed", recorded_spectra)
     run_config(builtin_fig3_discord())
-    got = np.sort(np.concatenate([np.concatenate(call) for call in spectra], axis=-1), axis=0)
-    angles, owner = (np.concatenate(part) for part in zip(*rows))
+    angles, owner, got = (np.concatenate(part) for part in zip(*rows))
+    assert len(blocks) == 1 and len(angles) == FIG3_DISCORD_ROWS
     b = blocks[0][owner]
     theta, phi = angles[:, 0], angles[:, 1]
     n = np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     tilt = np.einsum("rk,rkij->rij", n, b[:, 1:])
-    want = np.linalg.eigvalsh(np.stack([b[:, 0] + tilt, b[:, 0] - tilt], axis=1))
-    assert len(blocks) == 1 and len(angles) == FIG3_DISCORD_ROWS
-    assert np.max(np.abs(got.transpose(2, 1, 0) - want)) <= 2e-15
+    outcomes = np.stack([b[:, 0] + tilt, b[:, 0] - tilt], axis=1)
+    prob = np.trace(outcomes, axis1=-2, axis2=-1).real
+    kept = prob > 1e-14
+    w = np.linalg.eigvalsh(outcomes) / np.where(kept, prob, 1.0)[..., None]
+    want = np.where(kept, prob * measures.spectrum_entropy(w), 0.0).sum(axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_fig3_discord_search_cost_is_pinned(monkeypatch):
     kernel_of, calls = measures._measured_conditional_entropy, []
 
-    def counted(triangles, columns, angles, owner):
+    def counted(parts, angles, owner):
         calls.append(len(angles))
-        return kernel_of(triangles, columns, angles, owner)
+        return kernel_of(parts, angles, owner)
 
     monkeypatch.setattr(measures, "_measured_conditional_entropy", counted)
     searches = minimize_calls(monkeypatch)

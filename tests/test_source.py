@@ -304,3 +304,43 @@ def test_caller_rule_catches_a_method_only_tests_call():
     modules["experiments.py"] = ast.parse(source.replace("cfg.config_hash()", "None"))
     assert set(_unreached(modules, _bench_scripts())) - REACHED_BY_NAME == {
         "experiments.py:ExperimentConfig.config_hash"}
+
+
+def _private_defs(tree: ast.Module):
+    """(name, node) of each private module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _dead_privates(modules: dict[str, ast.Module]) -> list[str]:
+    """``file:name`` of each private module-level definition of ``modules`` that
+    no code of ``modules`` references outside its own definition."""
+    total = sum(map(_referenced, modules.values()), Counter())
+    return [f"{name}:{private}" for name, tree in modules.items()
+            for private, node in _private_defs(tree)
+            if total[private] == _referenced(node)[private]]
+
+
+def test_every_private_definition_is_used():
+    # a private helper only tests reach, or none, is a dead layer
+    assert _dead_privates(_source_modules()) == []
+
+
+def test_dead_private_rule_catches_a_leftover():
+    toy = {"a.py": ast.parse("_USED = 1\n_DEAD: int = 2\ndef _helper(): return _USED\n"
+                             "def _recursive(n): return _recursive(n - 1)\n"
+                             "class _Gone: pass\ndef run(): return _helper() + b._shared()\n"),
+           "b.py": ast.parse("def _shared(): pass\n")}
+    assert _dead_privates(toy) == ["a.py:_DEAD", "a.py:_recursive", "a.py:_Gone"]
+    modules = dict(_source_modules())
+    source = (PACKAGE / "linalg.py").read_text(encoding="utf-8")
+    modules["linalg.py"] = ast.parse(source + "\n\ndef _unused_indices(n):\n    return list(range(n))\n")
+    assert _dead_privates(modules) == ["linalg.py:_unused_indices"]

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from athermal_markov import measures, thermal
-from athermal_markov.linalg import SUPPORT_CUTOFF, DensityMatrix, dagger, eigh, eigvalsh_packed, \
-    pack_lower, trace_out_second
+from athermal_markov.linalg import SUPPORT_CUTOFF, DensityMatrix, dagger, eigh, trace_out_second
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -31,16 +30,6 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(a)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def packed_eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (n, n), or of each matrix in
-    a stack (..., n, n), from :func:`linalg.eigvalsh_packed` of its packed lower
-    triangle, shaped as ``np.linalg.eigvalsh`` returns them."""
-    h = np.asarray(h)
-    n = h.shape[-1]
-    # rows of a 2-D stack, even for one matrix, so each entry is an array
-    return eigvalsh_packed(pack_lower(h.reshape(-1, n, n))).T.reshape(h.shape[:-1])
 
 
 def distance_value(op, family, cfg) -> measures.MeasureValue:
