@@ -645,6 +645,20 @@ def pointwise_conditional_entropy(blocks, theta, phi) -> float:
     return total
 
 
+def lapack_conditional_entropy(blocks, angles, owner) -> np.ndarray:
+    """The discord kernel's rows from LAPACK's spectra of every whole outcome,
+    rebuilt from its state's Bloch blocks and diagonalised as one stack."""
+    b = blocks[owner]
+    theta, phi = angles[:, 0], angles[:, 1]
+    n = np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    tilt = np.einsum("rk,rkij->rij", n, b[:, 1:])
+    outcomes = np.stack([b[:, 0] + tilt, b[:, 0] - tilt], axis=1)
+    prob = np.trace(outcomes, axis1=-2, axis2=-1).real
+    kept = prob > 1e-14
+    w = np.linalg.eigvalsh(outcomes) / np.where(kept, prob, 1.0)[..., None]
+    return np.where(kept, prob * measures.spectrum_entropy(w), 0.0).sum(axis=1)
+
+
 def kernel_case(d2):
     """Bloch blocks of a random state and of a state with its qubit in |0>, and
     40 measurement angles per state, ten of them at theta = 0 and ten at pi,
@@ -665,6 +679,15 @@ def test_measured_conditional_entropy_stack_matches_pointwise_bitwise(d2):
                      for o, row in zip(owner, angles)])
     # each dense outcome goes whole to LAPACK, so the kernel keeps LAPACK's bits
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("d2", [1, 2, 3, 6])
+def test_measured_conditional_entropy_matches_lapack_spectra(d2):
+    # against LAPACK's spectra of each whole outcome, taken as one stack, so the
+    # level-block split changes no value past rounding
+    blocks, angles, owner = kernel_case(d2)
+    got = kernel(blocks, angles, owner)
+    assert np.max(np.abs(got - lapack_conditional_entropy(blocks, angles, owner))) <= 1e-14
 
 
 def builtin_fig3_discord():
@@ -722,16 +745,7 @@ def test_fig3_discord_outcome_spectra_match_lapack(monkeypatch):
     run_config(builtin_fig3_discord())
     angles, owner, got = (np.concatenate(part) for part in zip(*rows))
     assert len(blocks) == 1 and len(angles) == FIG3_DISCORD_ROWS
-    b = blocks[0][owner]
-    theta, phi = angles[:, 0], angles[:, 1]
-    n = np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-    tilt = np.einsum("rk,rkij->rij", n, b[:, 1:])
-    outcomes = np.stack([b[:, 0] + tilt, b[:, 0] - tilt], axis=1)
-    prob = np.trace(outcomes, axis1=-2, axis2=-1).real
-    kept = prob > 1e-14
-    w = np.linalg.eigvalsh(outcomes) / np.where(kept, prob, 1.0)[..., None]
-    want = np.where(kept, prob * measures.spectrum_entropy(w), 0.0).sum(axis=1)
-    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.max(np.abs(got - lapack_conditional_entropy(blocks[0], angles, owner))) <= 1e-14
 
 
 def test_fig3_discord_search_cost_is_pinned(monkeypatch):
